@@ -2,14 +2,12 @@
 
 CI runs this after the benchmark smoke job and uploads the JSON as an
 artifact, so every PR leaves a wall-time data point behind and perf
-regressions in the three core hot paths are visible as a trajectory across
-PRs rather than anecdotes:
+regressions in the core hot paths are visible as a trajectory across
+PRs rather than anecdotes (whole-run, per-layer numbers — matching
+included — live in ``benchmarks/e2e``):
 
 * **scheduler** — lane vs heap engine throughput on at-scale link traffic
   (:mod:`benchmarks.bench_sim_engine`);
-* **matching** — counting vs scan engine throughput at 2k filters/broker
-  (:mod:`benchmarks.bench_matching_engine`), plus batched vs per-event
-  counting at the same gate point (:mod:`benchmarks.bench_matching_batch`);
 * **control plane** — routing-state churn: incremental vs rebuild interval
   index at 2k filters, indexed vs scan covering withdrawals, and the
   churn-heaviest fig5a point (conn=1s)
@@ -30,7 +28,12 @@ Usage::
 
 Timings are best-of-N wall clock (N=3 for the microbenches, 1 for the
 sweep — sweeps are deterministic per seed). Absolute numbers vary across
-machines; ratios (lanes/heap, counting/scan) are the stable signal.
+machines; ratios (lanes/heap, incremental/rebuild) are the stable signal.
+
+``commit`` is ``git rev-parse HEAD`` at collection time and ``tree_dirty``
+says whether the working tree differed from it — a snapshot regenerated as
+part of a change is therefore recorded as "parent commit, dirty tree", not
+passed off as a measurement of the parent.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 # support both `python benchmarks/perf_trajectory.py` and -m invocation
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
@@ -49,13 +53,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from benchmarks.bench_control_plane import (  # noqa: E402
     measure_interval_churn,
     measure_withdraw_covering,
-)
-from benchmarks.bench_matching_batch import measure_batch_matching  # noqa: E402
-from benchmarks.bench_matching_engine import (  # noqa: E402
-    N_FILTERS,
-    build_table,
-    make_events,
-    run_matches,
 )
 from benchmarks.bench_sim_engine import measure_link_throughput  # noqa: E402
 from dataclasses import replace  # noqa: E402
@@ -68,29 +65,20 @@ from repro.workload.spec import WorkloadSpec  # noqa: E402
 SCHEMA_VERSION = 1
 
 
-def _best_of(n: int, fn, *args) -> float:
-    best = float("inf")
-    for _ in range(n):
-        t0 = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _git_commit() -> str:
+def _git(*cmd: str) -> Optional[str]:
     try:
         return subprocess.check_output(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *cmd],
             cwd=Path(__file__).resolve().parent.parent,
             text=True,
             stderr=subprocess.DEVNULL,
         ).strip()
     except Exception:  # pragma: no cover - git absent in some envs
-        return "unknown"
+        return None
 
 
 def collect(scale: str) -> dict:
-    """Run the three core measurements and return the snapshot dict."""
+    """Run the core measurements and return the snapshot dict."""
     metrics: dict[str, float] = {}
 
     # scheduler: at-scale link traffic, both engines (same measurement
@@ -100,29 +88,6 @@ def collect(scale: str) -> dict:
     metrics["scheduler_lanes_events_per_s"] = link["lanes_events_per_s"]
     metrics["scheduler_heap_events_per_s"] = link["heap_events_per_s"]
     metrics["scheduler_lanes_speedup"] = link["speedup"]
-
-    # matching: range workload at 2k filters/broker, both engines
-    events = make_events("range", 500)
-    counting = build_table("counting", "range")
-    scan = build_table("scan", "range")
-    run_matches(counting, events[:10])  # build lazy indexes outside timing
-    run_matches(scan, events[:10])
-    t_counting = _best_of(3, run_matches, counting, events)
-    t_scan = _best_of(3, run_matches, scan, events)
-    metrics["matching_counting_events_per_s"] = len(events) / t_counting
-    metrics["matching_scan_events_per_s"] = len(events) / t_scan
-    metrics["matching_counting_speedup"] = t_scan / t_counting
-    metrics["matching_n_filters"] = float(N_FILTERS)
-
-    # batched matching: the same table/workload resolved through
-    # FilterTable.match_batch in one pass (the broker's same-instant
-    # lane-drain batch at its largest). Paired measurement protocol from
-    # bench_matching_batch — one source of truth with its acceptance test;
-    # the speedup is gated at an absolute >=2x floor by
-    # compare_trajectory.py, the contract this optimisation pays rent on.
-    batch = measure_batch_matching()
-    metrics["matching_batch_events_per_s"] = batch["batch_events_per_s"]
-    metrics["matching_batch_speedup"] = batch["speedup"]
 
     # control plane: routing-state churn (same measurement protocols as the
     # bench_control_plane CI gates — one source of truth)
@@ -199,9 +164,11 @@ def collect(scale: str) -> dict:
         sum(r.sim_events for r in conn1)
     )
 
+    status = _git("status", "--porcelain")
     return {
         "schema": SCHEMA_VERSION,
-        "commit": _git_commit(),
+        "commit": _git("rev-parse", "HEAD") or "unknown",
+        "tree_dirty": bool(status) if status is not None else None,
         "scale": scale,
         "python": platform.python_version(),
         "platform": platform.platform(),
@@ -226,11 +193,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  scheduler  lanes {m['scheduler_lanes_events_per_s'] / 1e6:.2f}M ev/s"
           f"  heap {m['scheduler_heap_events_per_s'] / 1e6:.2f}M ev/s"
           f"  ({m['scheduler_lanes_speedup']:.2f}x)")
-    print(f"  matching   counting {m['matching_counting_events_per_s'] / 1e3:.1f}k ev/s"
-          f"  scan {m['matching_scan_events_per_s'] / 1e3:.1f}k ev/s"
-          f"  ({m['matching_counting_speedup']:.1f}x)")
-    print(f"  batching   batch {m['matching_batch_events_per_s'] / 1e3:.1f}k ev/s"
-          f"  ({m['matching_batch_speedup']:.2f}x vs per-event counting)")
     print(f"  ctrl plane churn {m['control_plane_incremental_ops_per_s'] / 1e3:.1f}k ops/s"
           f" ({m['control_plane_churn_speedup']:.0f}x vs rebuild),"
           f" withdraw {m['control_plane_withdraw_indexed_ops_per_s']:.0f} ops/s"

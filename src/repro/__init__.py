@@ -67,7 +67,6 @@ from repro.pubsub import (
     Op,
     covers,
     reduce_by_covering,
-    CountingMatchingEngine,
     Broker,
     Client,
     PubSubSystem,
@@ -124,7 +123,6 @@ __all__ = [
     "Op",
     "covers",
     "reduce_by_covering",
-    "CountingMatchingEngine",
     "Broker",
     "Client",
     "PubSubSystem",

@@ -60,8 +60,8 @@ the new home broker on permanent death), never reconciled away. The
 durable retry path never exhausts, so ``breaker_trips`` stays 0 too.
 
 **Cross-engine identity**: the same scenario re-run with the all-legacy
-engine bundle (heap scheduler × scan matching × covering scans) and with
-the batched data plane (lanes × counting × event batching) must produce a
+engine bundle (heap scheduler × covering scans) and with the batched data
+plane (lanes × covering index × event batching) must produce a
 byte-identical delivery log, identical delivery/loss/duplicate counters,
 identical per-category wired traffic and the same processed event count.
 The engines are documented as trace-identical; the fuzzer makes that a
@@ -107,7 +107,7 @@ _RELIABLE_CYCLE = tuple(p for p in PROTOCOLS if p in RELIABLE_PROTOCOLS)
 class ScenarioOutcome:
     """End-state of one scenario run under one engine bundle."""
 
-    engine_bundle: tuple[str, str, bool, bool]
+    engine_bundle: tuple[str, bool, bool]
     published: int
     expected: int
     delivered: int
@@ -143,14 +143,12 @@ class ScenarioOutcome:
 def run_scenario(
     scenario: Scenario,
     sim_engine: str = "lanes",
-    matching_engine: str = "counting",
     covering_index: bool = True,
     event_batching: bool = False,
 ) -> ScenarioOutcome:
     """Run one scenario end-to-end (measurement + drain) and snapshot it."""
     cfg = scenario.config(
         sim_engine=sim_engine,
-        matching_engine=matching_engine,
         covering_index=covering_index,
         event_batching=event_batching,
     )
@@ -163,9 +161,7 @@ def run_scenario(
     injector = system.fault_injector
     meter = system.metrics.traffic
     return ScenarioOutcome(
-        engine_bundle=(
-            sim_engine, matching_engine, covering_index, event_batching
-        ),
+        engine_bundle=(sim_engine, covering_index, event_batching),
         published=stats.published,
         expected=stats.expected,
         delivered=stats.delivered,

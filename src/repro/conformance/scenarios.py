@@ -37,11 +37,11 @@ PROTOCOLS: tuple[str, ...] = ("mhh", "sub-unsub", "home-broker", "two-phase")
 
 #: the engine configurations cross-checked for trace identity: the default
 #: fast path, the all-legacy path, and the batched data plane. Each bundle
-#: is (sim_engine, matching_engine, covering_index, event_batching).
-ENGINE_BUNDLES: tuple[tuple[str, str, bool, bool], ...] = (
-    ("lanes", "counting", True, False),
-    ("heap", "scan", False, False),
-    ("lanes", "counting", True, True),
+#: is (sim_engine, covering_index, event_batching).
+ENGINE_BUNDLES: tuple[tuple[str, bool, bool], ...] = (
+    ("lanes", True, False),
+    ("heap", False, False),
+    ("lanes", True, True),
 )
 
 _MOBILITY_CHOICES = ("uniform", "hotspot", "ping-pong", "trace")
@@ -289,7 +289,6 @@ class Scenario:
     def config(
         self,
         sim_engine: str = "lanes",
-        matching_engine: str = "counting",
         covering_index: bool = True,
         event_batching: bool = False,
     ) -> ExperimentConfig:
@@ -300,7 +299,6 @@ class Scenario:
             seed=self.experiment_seed,
             workload=self.workload(),
             sim_engine=sim_engine,
-            matching_engine=matching_engine,
             covering_index=covering_index,
             event_batching=event_batching,
             faults=self.faults if self.faults.active else None,

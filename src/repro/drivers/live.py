@@ -350,7 +350,6 @@ def run_virtual_scenario(cfg: "ExperimentConfig") -> "PubSubSystem":
         seed=cfg.seed,
         covering_enabled=cfg.covering_enabled,
         migration_batch_size=cfg.migration_batch_size,
-        matching_engine=cfg.matching_engine,
         covering_index=cfg.covering_index,
         faults=cfg.faults,
         crashes=cfg.crashes,

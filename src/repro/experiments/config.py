@@ -46,11 +46,6 @@ class ExperimentConfig:
     #: covering checks (kept for differential testing — see
     #: repro.pubsub.filter_table)
     covering_index: bool = True
-    #: broker matching implementation: 'counting' (default) or 'scan'
-    #: (legacy path, kept for differential testing — see
-    #: repro.pubsub.matching); 'counting-compiled' selects the optional
-    #: mypyc build (repro.accel)
-    matching_engine: str = "counting"
     #: batched event fan-out: drain same-instant wired EventMessage
     #: arrivals at a broker as one FilterTable.match_batch pass.
     #: Trace-identical to per-event routing (fuzzer-gated); default off so

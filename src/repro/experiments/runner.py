@@ -38,7 +38,6 @@ def build_system(cfg: ExperimentConfig) -> tuple[PubSubSystem, Workload]:
         migration_batch_size=cfg.migration_batch_size,
         sim_engine=cfg.sim_engine,
         covering_index=cfg.covering_index,
-        matching_engine=cfg.matching_engine,
         faults=cfg.faults,
         crashes=cfg.crashes,
         reliable=cfg.reliable,

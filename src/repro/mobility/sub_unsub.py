@@ -207,10 +207,10 @@ class SubUnsubProtocol(MobilityProtocol):
 
         This (and :meth:`on_disconnect` below) flips ``entry.live`` /
         ``entry.sink`` in place on the filter-table entry. Deliberately so:
-        the matching engine indexes only the entry's *filter*, and live/sink
-        routing is applied after matching, so in-place flips need no engine
-        resync — unlike filter changes, which must go through the
-        ``FilterTable`` mutators.
+        the table indexes only the entry's *filter*, and live/sink routing
+        is applied after matching, so in-place flips need no index resync —
+        unlike filter changes, which must go through the ``FilterTable``
+        mutators.
         """
         root = roots[max(roots)]
         if root.handoff is not None:

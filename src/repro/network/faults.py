@@ -106,8 +106,8 @@ class LinkFaultInjector:
 
     All draws come from one seeded stream in event-execution order, so a
     scenario replays byte-identically from its seed — across both scheduler
-    engines, both matching engines, and the covering-index toggle, because
-    all of those are event-order-identical.
+    engines and the covering-index toggle, because those are
+    event-order-identical.
     """
 
     def __init__(

@@ -9,8 +9,8 @@ Implements the system model of the paper's Section 3:
 * **reverse path forwarding**: subscriptions flood the tree (pruned by the
   covering relation); published events follow the reverse paths of the
   subscriptions that match them,
-* a broker-wide **counting matching engine** resolving each event against
-  all registered filters in one pass (see :mod:`repro.pubsub.matching`),
+* event **matching** per broker hop: one interval stab per neighbour plus a
+  loop over the local client entries (see :mod:`repro.pubsub.filter_table`),
 * FIFO-ordered message delivery on every link.
 
 Clients are publishers and subscribers attached to brokers over wireless
@@ -28,7 +28,6 @@ from repro.pubsub.filters import (
 )
 from repro.pubsub.covering import covers, reduce_by_covering
 from repro.pubsub.interval_index import IntervalIndex
-from repro.pubsub.matching import CountingMatchingEngine
 from repro.pubsub.filter_table import FilterTable, ClientEntry
 from repro.pubsub.broker import Broker
 from repro.pubsub.client import Client
@@ -44,7 +43,6 @@ __all__ = [
     "covers",
     "reduce_by_covering",
     "IntervalIndex",
-    "CountingMatchingEngine",
     "FilterTable",
     "ClientEntry",
     "Broker",

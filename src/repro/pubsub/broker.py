@@ -47,7 +47,6 @@ class Broker:
         self.table = FilterTable(
             broker_id,
             system.tree.neighbors(broker_id),
-            engine=system.matching_engine,
             covering_index=system.covering_index,
         )
         # queues hosted here, keyed by broker-local queue id
@@ -140,9 +139,9 @@ class Broker:
     ) -> None:
         """Reverse path forwarding step for one event at this broker.
 
-        One :meth:`FilterTable.match` call resolves the forwarding set and
-        the local recipients together (a single counting pass over every
-        registered filter when the counting engine is active). The fan-out
+        One :meth:`FilterTable.match` call resolves the forwarding set (an
+        interval stab per neighbour) and the local recipients (a loop over
+        the client entries, honouring MHH labels). The fan-out
         shares one immutable :class:`~repro.pubsub.messages.EventMessage`
         across all neighbours and rides the link layer's non-cancellable
         lane fast path, so forwarding an event costs zero heap operations
@@ -164,10 +163,10 @@ class Broker:
     ) -> None:
         """Reverse path forwarding for a batch of same-instant events.
 
-        Matching resolves the whole batch in one
-        :meth:`FilterTable.match_batch` pass; the fan-out then runs in
-        event order, drawing scheduler seqs exactly as the per-event loop
-        would. Matching has no protocol-visible side effects and no
+        Matching resolves the whole batch first
+        (:meth:`FilterTable.match_batch`, a per-item loop); the fan-out then
+        runs in event order, drawing scheduler seqs exactly as the per-event
+        loop would. Matching has no protocol-visible side effects and no
         ``on_event_for_client`` implementation mutates routing state, so
         hoisting the matches above the fan-out preserves trace identity
         with :meth:`route_event` (held to byte identity by the fuzzer's

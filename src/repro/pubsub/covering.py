@@ -12,8 +12,8 @@ routing correctness requires.
 
 Covering prunes the *propagation* path (fewer subscriptions flooded); the
 matching hot path is the complement: whatever survives pruning lands in
-the broker-wide counting engine (:mod:`repro.pubsub.matching`), which
-resolves events against the installed filter set. MHH disables covering by
+the per-neighbour filter sets of :mod:`repro.pubsub.filter_table`, which
+resolve events against the installed filters. MHH disables covering by
 default because its hop-by-hop migration surgery needs exact per-key table
 state (see :mod:`repro.pubsub.system`).
 

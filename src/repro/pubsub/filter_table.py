@@ -15,17 +15,14 @@ The table therefore has two parts:
   they arrive from the labelled neighbour (§4.1 step 2) — the mechanism that
   captures in-transit events into temporary queues during a handoff.
 
-Matching is delegated to a broker-wide
-:class:`~repro.pubsub.matching.CountingMatchingEngine` (the default): every
-broker filter and client entry is registered with the engine as it is
-installed, and :meth:`FilterTable.match` resolves an event against *all* of
-them in a single counting pass, returning matched neighbours and matched
-client entries together. The pre-engine behaviour — per-neighbour
-:class:`~repro.pubsub.interval_index.IntervalIndex` stabbing plus linear
-scans over general filters and client entries — is kept behind
-``engine="scan"`` for differential testing; both paths must agree
-event-for-event (``tests/test_matching_engine.py`` asserts this, including
-the order of matched client entries).
+Matching has one path: per neighbour, one
+:class:`~repro.pubsub.interval_index.IntervalIndex` stab for the topic-range
+filters plus a scan of that neighbour's few general filters; then a loop
+over the local client entries honouring MHH labels. Broker tables hold
+100–250 filters at the paper's scale, where this beats any broker-wide
+index that every table mutation would also have to maintain
+(docs/ARCHITECTURE.md has the measurement); the ``Mirror`` oracle under
+``tests/`` checks it against brute force.
 
 The table also tracks what this broker has **advertised** to each neighbour
 (the mirror of the neighbour's broker-filter set for us). Advertisement
@@ -33,10 +30,9 @@ bookkeeping drives covering-based propagation pruning and must be kept
 consistent by MHH's direct table edits; the system-wide mirror invariant is
 asserted in tests.
 
-Control-plane cost is governed by three indexes (all toggleable back to
-their scan-based forms for differential testing):
+Control-plane cost is governed by three indexes:
 
-* every per-neighbour range set and the engine's per-attribute indexes sit
+* every per-neighbour range set sits
   on the *incremental* :class:`~repro.pubsub.interval_index.IntervalIndex`,
   so a handoff's table edit costs O(log n) instead of a full re-sort;
 * with ``covering_index=True`` (default) each advertised set carries a
@@ -63,15 +59,9 @@ from repro.pubsub.covering import CoveringIndex
 from repro.pubsub.events import Notification
 from repro.pubsub.filters import Filter
 from repro.pubsub.interval_index import IntervalIndex
-from repro.pubsub.matching import CountingMatchingEngine
 from repro.util.ids import QueueId
 
 __all__ = ["ClientEntry", "FilterTable"]
-
-#: valid values for FilterTable(engine=...); "counting-compiled" is the
-#: mypyc-built CountingMatchingEngine (see repro.accel), behaviourally
-#: identical to "counting"
-ENGINE_MODES = ("counting", "scan", "counting-compiled")
 
 
 class ClientEntry:
@@ -107,8 +97,8 @@ class ClientEntry:
         self.live = live
         self.sink = sink
         # installation order stamped by FilterTable.set_client_entry (the
-        # table's _client_seq for this key, cached on the entry so hot-path
-        # sorts use a C-level attrgetter instead of a dict-lookup lambda)
+        # table's _client_seq for this key, cached on the entry so sorts
+        # use a C-level attrgetter instead of a dict-lookup lambda)
         self.seq = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -117,7 +107,7 @@ class ClientEntry:
         return f"<ClientEntry c{self.client} {state}{lab}>"
 
 
-#: hot-path sort key: installation order cached on the entry
+#: sort key of entries_for_client: installation order cached on the entry
 _ENTRY_SEQ = attrgetter("seq")
 
 
@@ -225,30 +215,15 @@ class _PeerFilters:
 
 
 class FilterTable:
-    """The routing state of one broker.
-
-    ``engine`` selects the matching implementation: ``"counting"`` (default)
-    resolves events through one broker-wide
-    :class:`~repro.pubsub.matching.CountingMatchingEngine`; ``"scan"`` keeps
-    the legacy per-neighbour stab + linear-scan path for differential
-    testing. Bookkeeping (keys, advertisement mirror, covering) is identical
-    in both modes.
-    """
+    """The routing state of one broker."""
 
     def __init__(
         self,
         broker_id: int,
         neighbors: Iterable[int],
-        engine: str = "counting",
         covering_index: bool = True,
     ) -> None:
-        if engine not in ENGINE_MODES:
-            raise ProtocolError(
-                f"unknown matching engine {engine!r}; expected one of "
-                f"{ENGINE_MODES}"
-            )
         self.broker_id = broker_id
-        self.engine_mode = engine
         self.covering_index = covering_index
         self.neighbors = sorted(neighbors)
         # subs received FROM each neighbour ("that side is interested")
@@ -269,19 +244,8 @@ class FilterTable:
         # per-client view of `clients` (same entry objects) for O(entries)
         # connect/handoff lookups
         self._by_client: dict[int, dict[Hashable, ClientEntry]] = {}
-        # broker-wide counting engine, kept in sync by every mutator below
-        # (None in scan mode). Client-entry insertion order is tracked so
-        # engine results replay the scan path's dict-order exactly.
-        if engine == "counting":
-            self._engine: Optional[CountingMatchingEngine] = (
-                CountingMatchingEngine()
-            )
-        elif engine == "counting-compiled":
-            from repro.accel import compiled_matching_engine
-
-            self._engine = compiled_matching_engine()
-        else:
-            self._engine = None
+        # client-entry installation order: ranks covered_candidates() and
+        # entries_for_client() the way a whole-table scan would visit them
         self._client_seq: dict[Hashable, int] = {}
         self._next_seq = count()
         # broker-wide covering index over every withdrawal *candidate*
@@ -297,19 +261,14 @@ class FilterTable:
     # ------------------------------------------------------------------
     def add_broker_filter(self, nbr: int, key: Hashable, f: Filter) -> None:
         self._from_nbr[nbr].add(key, f)
-        if self._engine is not None:
-            self._engine.add_group_member(nbr, key, f)
         if self._candidates is not None:
             self._candidates.add(("n", nbr, key), f)
 
     def remove_broker_filter(self, nbr: int, key: Hashable) -> bool:
         """Remove; returns False if the key was absent."""
         removed = self._from_nbr[nbr].remove(key)
-        if removed:
-            if self._engine is not None:
-                self._engine.discard_group_member(nbr, key)
-            if self._candidates is not None:
-                self._candidates.discard(("n", nbr, key))
+        if removed and self._candidates is not None:
+            self._candidates.discard(("n", nbr, key))
         return removed
 
     def has_broker_filter(self, nbr: int, key: Hashable) -> bool:
@@ -408,8 +367,6 @@ class FilterTable:
             self._drop_client_ref(prev)
         self.clients[entry.key] = entry
         self._by_client.setdefault(entry.client, {})[entry.key] = entry
-        if self._engine is not None:
-            self._engine.add(entry.key, entry.filter)
         if self._candidates is not None:
             self._candidates.add(("c", entry.key), entry.filter)
 
@@ -467,8 +424,6 @@ class FilterTable:
             )
         self._drop_client_ref(entry)
         self._client_seq.pop(key, None)
-        if self._engine is not None:
-            self._engine.discard(key)
         if self._candidates is not None:
             self._candidates.discard(("c", key))
 
@@ -478,73 +433,28 @@ class FilterTable:
     def match(
         self, event: Notification, from_broker: Optional[int]
     ) -> tuple[list[int], list[ClientEntry]]:
-        """Resolve one event in a single pass over the whole table.
+        """Resolve one event against the whole table.
 
         Returns ``(neighbours, client_entries)``: the neighbours (excluding
-        ``from_broker``) to forward the event to, and the matching client
-        entries honouring MHH labels. With the counting engine this is one
-        :meth:`CountingMatchingEngine.match_with_groups` call for
-        everything; in scan mode it composes the two legacy loops.
-        Neighbour order is ascending id, client-entry order is insertion
-        order — identical across modes.
+        ``from_broker``) to forward the event to, in ascending id order, and
+        the matching client entries honouring MHH labels, in insertion
+        order.
         """
-        if self._engine is None:
-            return (
-                self.match_neighbors(event, exclude=from_broker),
-                self.match_clients(event, from_broker),
-            )
-        keys, groups = self._engine.match_with_groups(event)
-        entries: list[ClientEntry] = []
-        for key in keys:
-            entry = self.clients[key]
-            if entry.label is not None and entry.label != from_broker:
-                continue
-            entries.append(entry)
-        entries.sort(key=_ENTRY_SEQ)
-        groups.discard(from_broker)
-        return sorted(groups), entries
+        return (
+            self.match_neighbors(event, exclude=from_broker),
+            self.match_clients(event, from_broker),
+        )
 
     def match_batch(
         self, items: list[tuple[Notification, Optional[int]]]
     ) -> list[tuple[list[int], list[ClientEntry]]]:
-        """:meth:`match` for a batch: ``[self.match(e, f) for e, f in items]``.
-
-        Answer-identical per item (neighbour order, entry order, label
-        handling). With the counting engine the whole batch resolves
-        through one :meth:`CountingMatchingEngine.match_batch` call; scan
-        mode falls back to the per-event path — batching is an engine-path
-        optimisation, the scan lanes exist as the correctness oracle.
-        """
-        if self._engine is None:
-            return [self.match(e, f) for e, f in items]
-        results = self._engine.match_batch([e for e, _f in items])
-        clients = self.clients
-        out: list[tuple[list[int], list[ClientEntry]]] = []
-        out_append = out.append
-        for (event, from_broker), (keys, groups) in zip(items, results):
-            entries: list[ClientEntry] = []
-            for key in keys:
-                entry = clients[key]
-                if entry.label is not None and entry.label != from_broker:
-                    continue
-                entries.append(entry)
-            if len(entries) > 1:
-                entries.sort(key=_ENTRY_SEQ)
-            if groups:
-                groups.discard(from_broker)
-                out_append((sorted(groups), entries))
-            else:
-                out_append(([], entries))
-        return out
+        """:meth:`match` for a batch: ``[self.match(e, f) for e, f in items]``."""
+        return [self.match(e, f) for e, f in items]
 
     def match_neighbors(
         self, event: Notification, exclude: Optional[int]
     ) -> list[int]:
         """Neighbours (excluding ``exclude``) with at least one matching filter."""
-        if self._engine is not None:
-            groups = self._engine.match_with_groups(event)[1]
-            groups.discard(exclude)
-            return sorted(groups)
         out = []
         for n in self.neighbors:
             if n == exclude:
@@ -562,8 +472,6 @@ class FilterTable:
         labelled neighbouring broker; locally published events
         (``from_broker is None``) never match labelled entries.
         """
-        if self._engine is not None:
-            return self.match(event, from_broker)[1]
         out = []
         for entry in self.clients.values():
             if entry.label is not None and entry.label != from_broker:

@@ -283,7 +283,7 @@ class ConjunctionFilter(Filter):
     def __init__(self, constraints: Iterable[AttributeConstraint]) -> None:
         self.constraints = tuple(constraints)
         # identity() sorts the constraint keys; hashing/equality run on
-        # every engine install and covering probe, so compute lazily once
+        # every covering probe, so compute lazily once
         self._identity: Optional[tuple] = None
 
     def matches(self, event: Notification) -> bool:

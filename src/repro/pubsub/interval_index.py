@@ -8,11 +8,7 @@ covering-based withdrawal path asks the reverse: "which installed intervals
 does this withdrawn one contain?" — a containment *enumeration*
 (:meth:`~IntervalIndex.contained_keys`).
 
-The broker-wide counting engine (:mod:`repro.pubsub.matching`) additionally
-asks "*which* intervals contain this point?" — a stabbing *enumeration*
-query (:meth:`~IntervalIndex.stab_all`).
-
-Boolean stab and containment are answered in O(log n) from one structure:
+Stab and containment are answered in O(log n) from one structure:
 intervals sorted by ``(lo, hi)`` with prefix maxima over ``hi`` (top-2
 maxima, so containment can exclude one key). Mobility churn mutates these
 indexes on **every handoff**, so mutation cost is what shapes the paper's
@@ -20,10 +16,7 @@ Figure 5(a)/6(a) curves; the index therefore maintains the sorted arrays
 *incrementally* — a bisect insert/delete plus a local repair of the prefix
 maxima (the repair stops at the first position whose top-2 is unaffected),
 so a mutation costs O(log n) comparisons plus one C-level ``memmove``
-instead of the former full O(n log n) re-sort. Enumeration is answered from
-a centred interval tree built lazily; mutations go into a small pending
-overlay (a tombstone set plus an extras map consulted at query time) and
-the tree is only rebuilt once the overlay outgrows a fraction of the index.
+instead of the former full O(n log n) re-sort.
 
 The former rebuild-the-world behaviour — mark dirty on any mutation, re-sort
 on the next query — is kept behind ``IntervalIndex(incremental=False)`` as
@@ -43,10 +36,6 @@ __all__ = ["IntervalIndex"]
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
-
-#: pending-overlay spill threshold: rebuild the stab_all tree once more than
-#: max(_TREE_SLACK, n/8) mutations have accumulated since it was built
-_TREE_SLACK = 16
 
 
 class IntervalIndex:
@@ -68,7 +57,6 @@ class IntervalIndex:
     __slots__ = (
         "_items", "_incremental", "_dirty", "_pairs", "_keys",
         "_max1_hi", "_max1_key", "_max2_hi",
-        "_tree", "_tree_removed", "_tree_extra",
     )
 
     def __init__(self, incremental: bool = True) -> None:
@@ -80,31 +68,20 @@ class IntervalIndex:
         self._max1_hi: list[float] = []
         self._max1_key: list[Hashable] = []
         self._max2_hi: list[float] = []
-        self._tree: Optional[tuple] = None
-        self._tree_removed: set = set()
-        self._tree_extra: dict[Hashable, tuple[float, float]] = {}
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def add(self, key: Hashable, lo: float, hi: float) -> None:
         """Insert or replace interval ``key``."""
-        if self._incremental:
-            if not self._dirty:
-                old = self._items.get(key)
-                if old is not None:
-                    self._remove_sorted(key, old)
-                self._insert_sorted(key, lo, hi)
-            # the stab_all tree is patched through the overlay even while
-            # the boolean arrays are still dirty: consumers that only ever
-            # call stab_all (the counting engine's per-attribute indexes)
-            # must not pay a full tree rebuild per mutation
-            self._items[key] = (lo, hi)
-            self._tree_update(key, (lo, hi))
-            return
+        if self._incremental and not self._dirty:
+            old = self._items.get(key)
+            if old is not None:
+                self._remove_sorted(key, old)
+            self._insert_sorted(key, lo, hi)
+        else:
+            self._dirty = True
         self._items[key] = (lo, hi)
-        self._dirty = True
-        self._tree = None
 
     def remove(self, key: Hashable) -> None:
         """Remove interval ``key`` (KeyError if absent)."""
@@ -118,13 +95,10 @@ class IntervalIndex:
             self._after_remove(key, iv)
 
     def _after_remove(self, key: Hashable, iv: tuple[float, float]) -> None:
-        if self._incremental:
-            if not self._dirty:
-                self._remove_sorted(key, iv)
-            self._tree_update(key, None)
-            return
-        self._dirty = True
-        self._tree = None
+        if self._incremental and not self._dirty:
+            self._remove_sorted(key, iv)
+        else:
+            self._dirty = True
 
     def __len__(self) -> int:
         return len(self._items)
@@ -273,159 +247,3 @@ class IntervalIndex:
     def stabbing_keys(self, x: float) -> list[Hashable]:
         """All keys whose interval contains ``x`` (linear scan; cold path)."""
         return [k for k, (lo, hi) in self._items.items() if lo <= x <= hi]
-
-    # ------------------------------------------------------------------
-    # stabbing enumeration (centred interval tree + pending overlay; hot
-    # path of the counting engine)
-    # ------------------------------------------------------------------
-    def _tree_update(self, key: Hashable, iv: Optional[tuple[float, float]]) -> None:
-        if self._tree is None:
-            return  # no tree built yet: nothing to patch
-        removed = self._tree_removed
-        removed.add(key)
-        if iv is None:
-            self._tree_extra.pop(key, None)
-        else:
-            self._tree_extra[key] = iv
-        if len(removed) > _TREE_SLACK and len(removed) * 8 > len(self._items):
-            self._tree = None
-            removed.clear()
-            self._tree_extra.clear()
-
-    def stab_all(self, x: float) -> list[Hashable]:
-        """All keys whose interval contains ``x`` in O(log n + k).
-
-        Unordered. NaN stabs nothing (consistent with comparison
-        semantics: ``lo <= nan`` is False).
-        """
-        if x != x:
-            return []
-        node = self._tree
-        if node is None:
-            self._tree_removed.clear()
-            self._tree_extra.clear()
-            node = self._tree = _build_tree(
-                [(lo, hi, k) for k, (lo, hi) in self._items.items()]
-            )
-        out: list[Hashable] = []
-        while node is not None and node[7] <= x <= node[8]:
-            center = node[0]
-            if x < center:
-                if node[5] <= x:
-                    for lo, k in node[3]:
-                        if lo > x:
-                            break
-                        out.append(k)
-                node = node[1]
-            elif x > center:
-                if node[6] >= x:
-                    for hi, k in node[4]:
-                        if hi < x:
-                            break
-                        out.append(k)
-                node = node[2]
-            else:
-                # x == center: every interval at this node contains x; the
-                # left subtree ends before x and the right starts after it
-                out.extend(k for _, k in node[3])
-                break
-        removed = self._tree_removed
-        if removed:
-            out = [k for k in out if k not in removed]
-        if self._tree_extra:
-            for k, (lo, hi) in self._tree_extra.items():
-                if lo <= x <= hi:
-                    out.append(k)
-        return out
-
-    def stab_all_xs(self, xs: list, strict: bool) -> list[list[Hashable]]:
-        """:meth:`stab_all` for a vector of raw event values.
-
-        Returns one result list per value, parallel to ``xs``, with the
-        matching engine's numeric guard fused in: non-numeric and NaN
-        values stab nothing, and ``strict`` additionally rejects bools
-        (non-topic ``RangeFilter`` semantics). For values passing the
-        guard the answer is identical to :meth:`stab_all` — element order
-        included. Fusing the guard lets the batched matching path hand the
-        attribute vector over as-is: no pair/tuple building, no masked
-        copy, one set of hoisted bindings for the whole vector.
-        """
-        root = self._tree
-        if root is None:
-            self._tree_removed.clear()
-            self._tree_extra.clear()
-            root = self._tree = _build_tree(
-                [(lo, hi, k) for k, (lo, hi) in self._items.items()]
-            )
-        removed = self._tree_removed
-        extra = self._tree_extra
-        outs: list[list[Hashable]] = [[] for _ in xs]
-        if root is None:
-            return outs
-        for j, x in enumerate(xs):
-            if (
-                not isinstance(x, (int, float))
-                or x != x
-                or (strict and isinstance(x, bool))
-            ):
-                continue
-            out = outs[j]
-            node = root
-            while node is not None and node[7] <= x <= node[8]:
-                center = node[0]
-                if x < center:
-                    if node[5] <= x:
-                        for lo, k in node[3]:
-                            if lo > x:
-                                break
-                            out.append(k)
-                    node = node[1]
-                elif x > center:
-                    if node[6] >= x:
-                        for hi, k in node[4]:
-                            if hi < x:
-                                break
-                            out.append(k)
-                    node = node[2]
-                else:
-                    out.extend(k for _, k in node[3])
-                    break
-            if removed and out:
-                outs[j] = out = [k for k in out if k not in removed]
-            if extra:
-                for k, (lo, hi) in extra.items():
-                    if lo <= x <= hi:
-                        out.append(k)
-        return outs
-
-
-def _build_tree(items: list[tuple[float, float, Hashable]]) -> Optional[tuple]:
-    """Centred interval tree over ``(lo, hi, key)`` triples.
-
-    The centre is the median endpoint, so each side holds at most half of
-    the endpoints and depth is O(log n) regardless of interval layout.
-
-    Nodes are 9-tuples ``(center, left, right, by_lo, by_hi, lo0, hi0,
-    min_lo, max_hi)``: ``lo0``/``hi0`` are the first endpoints of the mid
-    lists (a probe whose value cannot reach them skips the scan without
-    paying loop setup) and ``min_lo``/``max_hi`` span the whole *subtree*
-    (a probe outside the span stops descending — narrow mobility intervals
-    make most subtrees skippable well before the leaves).
-    """
-    if not items:
-        return None
-    endpoints = sorted(
-        v for lo, hi, _k in items for v in (lo, hi)
-    )
-    center = endpoints[len(endpoints) // 2]
-    left = [it for it in items if it[1] < center]
-    right = [it for it in items if it[0] > center]
-    mid = [it for it in items if it[0] <= center <= it[1]]
-    # sort on the endpoint only: keys may not be mutually comparable
-    first = itemgetter(0)
-    by_lo = sorted(((lo, k) for lo, _hi, k in mid), key=first)
-    by_hi = sorted(((hi, k) for _lo, hi, k in mid), key=first, reverse=True)
-    return (
-        center, _build_tree(left), _build_tree(right), by_lo, by_hi,
-        by_lo[0][0], by_hi[0][0], endpoints[0], endpoints[-1],
-    )

@@ -352,7 +352,6 @@ class RecoveryCoordinator:
             broker.table = FilterTable(
                 bid,
                 tree.neighbors(bid),
-                engine=system.matching_engine,
                 covering_index=system.covering_index,
             )
         protocol.on_repair_reset()

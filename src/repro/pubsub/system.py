@@ -83,7 +83,6 @@ class PubSubSystem:
         unicast_routing: str = "grid",
         trace: Optional[Union[str, list[str]]] = None,
         topology: Optional[Topology] = None,
-        matching_engine: str = "counting",
         sim_engine: str = "lanes",
         covering_index: bool = True,
         faults: Optional[FaultProfile] = None,
@@ -120,15 +119,9 @@ class PubSubSystem:
             raise ConfigurationError(
                 f"unicast_routing must be 'grid' or 'tree', got {unicast_routing!r}"
             )
-        if matching_engine not in ("counting", "scan", "counting-compiled"):
+        if sim_engine not in SIM_ENGINES:
             raise ConfigurationError(
-                f"matching_engine must be 'counting', 'scan' or "
-                f"'counting-compiled', got {matching_engine!r}"
-            )
-        if sim_engine not in (*SIM_ENGINES, "lanes-compiled"):
-            raise ConfigurationError(
-                f"sim_engine must be one of "
-                f"{(*SIM_ENGINES, 'lanes-compiled')}, got {sim_engine!r}"
+                f"sim_engine must be one of {SIM_ENGINES}, got {sim_engine!r}"
             )
         if driver is None or driver == "sim":
             driver = SimulatedDriver(engine=sim_engine)
@@ -148,10 +141,6 @@ class PubSubSystem:
         #: None — only `run`/`run_until_quiescent` and the experiment
         #: runner depend on it; the kernel itself never touches it
         self.sim = driver.sim
-        #: broker matching implementation: 'counting' (broker-wide counting
-        #: engine, the default) or 'scan' (legacy per-neighbour scan path,
-        #: kept for differential testing)
-        self.matching_engine = matching_engine
         #: scheduler implementation: 'lanes' (per-delay FIFO lanes + heap,
         #: the default) or 'heap' (legacy heap-only engine, kept for
         #: differential testing)

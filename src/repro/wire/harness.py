@@ -171,7 +171,6 @@ def _config_blob(cfg: "ExperimentConfig") -> str:
         "seed": cfg.seed,
         "covering_enabled": cfg.covering_enabled,
         "migration_batch_size": cfg.migration_batch_size,
-        "matching_engine": cfg.matching_engine,
         "covering_index": cfg.covering_index,
         "workload": workload,
     })
@@ -240,7 +239,6 @@ def run_socket_scenario(
             seed=cfg.seed,
             covering_enabled=cfg.covering_enabled,
             migration_batch_size=cfg.migration_batch_size,
-            matching_engine=cfg.matching_engine,
             covering_index=cfg.covering_index,
             faults=cfg.faults,
             driver=SocketDriver(clock, peers, owner),

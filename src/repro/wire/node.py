@@ -214,7 +214,6 @@ class Session:
             seed=config["seed"],
             covering_enabled=config["covering_enabled"],
             migration_batch_size=config["migration_batch_size"],
-            matching_engine=config["matching_engine"],
             covering_index=config["covering_index"],
             driver=driver,
         )

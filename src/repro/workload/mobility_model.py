@@ -17,10 +17,10 @@ minutes) while connected; publishes that would fall into a disconnection
 period are skipped (a detached device cannot publish). Topics are uniform
 floats in ``[0, 1)`` on the primary ``topic`` attribute (Zipf-sliced when
 skew is on); subscriptions are contiguous topic ranges, so on the broker
-side each published event is resolved by the broker-wide counting engine
-(:mod:`repro.pubsub.matching`) — per-group interval stabs decide which
-neighbours to forward to and the counting pass picks the matching client
-entries, both in one pass per broker hop.
+side each published event is resolved by
+:meth:`repro.pubsub.filter_table.FilterTable.match` — one interval stab per
+neighbour decides where to forward, and a loop over the local client
+entries picks the recipients.
 
 Only silent moves are simulated (paper §5.1); the proclaimed-move API is
 exercised by unit tests and examples instead. Rapid-fire silent moves are

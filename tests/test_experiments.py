@@ -1,5 +1,7 @@
 """Tests for the experiment harness: configs, runner, figure drivers."""
 
+import re
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -14,6 +16,9 @@ from repro.experiments.figures import (
 )
 from repro.experiments.report import format_series, format_table
 from repro.experiments.runner import run_experiment
+from repro.pubsub.filter_table import FilterTable
+from repro.pubsub.system import PubSubSystem
+from repro.sim.core import SIM_ENGINES
 from repro.workload.spec import WorkloadSpec
 
 
@@ -164,6 +169,29 @@ def test_covering_index_config_plumbs_through():
     assert cfg.covering_index is True
     assert indexed.as_dict() == legacy.as_dict()
     assert indexed.sim_events == legacy.sim_events
+
+
+@pytest.mark.parametrize("build, error, message", [
+    pytest.param(
+        lambda: PubSubSystem(grid_k=2, matching_engine="scan"),
+        TypeError, "matching_engine", id="PubSubSystem-matching_engine"),
+    pytest.param(
+        lambda: ExperimentConfig(protocol="mhh", matching_engine="scan"),
+        TypeError, "matching_engine", id="ExperimentConfig-matching_engine"),
+    pytest.param(
+        lambda: FilterTable(0, [1], engine="scan"),
+        TypeError, "engine", id="FilterTable-engine"),
+    pytest.param(
+        lambda: PubSubSystem(grid_k=2, sim_engine="lanes-compiled"),
+        ConfigurationError, re.escape(str(SIM_ENGINES)),
+        id="sim_engine-lanes-compiled"),
+])
+def test_removed_engine_options_fail_loudly(build, error, message):
+    """The deleted matching-engine switch and compiled scheduler are not
+    silently accepted: a caller (or a benchmark bundle) still naming them
+    must hear about it rather than run the default."""
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_format_table_and_series_render():

@@ -2,11 +2,11 @@
 
 Three layers of evidence that batching is a pure optimisation:
 
-* **kernel parity** — a hypothesis battery asserts
+* **match parity** — a hypothesis battery asserts
   :meth:`FilterTable.match_batch` equals a loop of :meth:`FilterTable.match`
   element-for-element (neighbour order, entry order, MHH label handling)
-  for every engine x covering_index combination, over adversarial filter
-  sets (groups, labels, NaN topics, string/bool attribute values);
+  with the covering index on and off, over adversarial filter sets
+  (groups, labels, NaN topics, string/bool attribute values);
 * **scheduler batching** — unit tests pin the lane-drain semantics of
   :meth:`Simulator.register_fifo_batch`: same-instant same-callback runs
   coalesce, any interleaved event in global ``(time, seq)`` order is a
@@ -14,22 +14,17 @@ Three layers of evidence that batching is a pure optimisation:
   the same effective sequence;
 * **trace identity** — fixed-seed conformance scenarios must produce
   byte-identical outcomes with the batched data plane on vs off
-  (``ENGINE_BUNDLES[2]`` vs ``ENGINE_BUNDLES[0]``), and — where the
-  optional mypyc build is present — with the compiled engines too.
+  (``ENGINE_BUNDLES[2]`` vs ``ENGINE_BUNDLES[0]``).
 """
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel import compiled_status
 from repro.conformance.fuzzer import compare_outcomes, run_scenario
 from repro.conformance.scenarios import ENGINE_BUNDLES, Scenario
-from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system
 from repro.pubsub.events import Notification
@@ -47,7 +42,7 @@ NEIGHBORS = (1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
-# kernel parity: match_batch == [match(e, f) for ...] on every engine
+# match parity: match_batch == [match(e, f) for ...]
 # ---------------------------------------------------------------------------
 _attrs = st.sampled_from(("topic", "x", "kind"))
 _bounds = st.tuples(
@@ -121,24 +116,19 @@ _events = st.builds(
     ),
 )
 def test_match_batch_equals_match_loop(client_filters, broker_filters, items):
-    for engine in ("counting", "scan"):
-        for covering_index in (False, True):
-            table = FilterTable(
-                0, NEIGHBORS, engine=engine, covering_index=covering_index
-            )
-            for nbr, f in broker_filters:
-                table.add_broker_filter(nbr, ("k", nbr, id(f)), f)
-            for i, (f, label) in enumerate(client_filters):
-                table.set_client_entry(
-                    ClientEntry(i, ("c", i), f, label=label)
-                )
-            expected = [table.match(ev, frm) for ev, frm in items]
-            assert table.match_batch(items) == expected
+    for covering_index in (False, True):
+        table = FilterTable(0, NEIGHBORS, covering_index=covering_index)
+        for nbr, f in broker_filters:
+            table.add_broker_filter(nbr, ("k", nbr, id(f)), f)
+        for i, (f, label) in enumerate(client_filters):
+            table.set_client_entry(ClientEntry(i, ("c", i), f, label=label))
+        expected = [table.match(ev, frm) for ev, frm in items]
+        assert table.match_batch(items) == expected
 
 
 def test_match_batch_after_churn_matches_loop():
-    """Discard/re-add churn exercises the engine's sid free-list reuse."""
-    table = FilterTable(0, NEIGHBORS, engine="counting")
+    """The batch answer tracks the table through discard/re-add churn."""
+    table = FilterTable(0, NEIGHBORS)
     for i in range(40):
         lo = (i % 10) / 10.0
         table.set_client_entry(
@@ -231,7 +221,7 @@ def test_lane_batching_counts_each_event():
 
 
 # ---------------------------------------------------------------------------
-# system wiring + compiled-engine gating
+# system wiring
 # ---------------------------------------------------------------------------
 def _tiny_config(**kw):
     return ExperimentConfig(
@@ -258,16 +248,6 @@ def test_event_batching_toggle_wires_the_batch_path():
     assert not off.net._broker_rx_batch
 
 
-def test_compiled_toggles_fail_loudly_when_extension_absent():
-    status = compiled_status()
-    if status["matching"]:
-        pytest.skip("compiled matching extension present")
-    with pytest.raises(ConfigurationError, match="build_compiled"):
-        FilterTable(0, NEIGHBORS, engine="counting-compiled")
-    with pytest.raises(ConfigurationError, match="build_compiled"):
-        build_system(_tiny_config(sim_engine="lanes-compiled"))
-
-
 # ---------------------------------------------------------------------------
 # trace identity: batched data plane on vs off, fixed seeds
 # ---------------------------------------------------------------------------
@@ -289,21 +269,6 @@ def test_event_batching_traces_byte_identical(seed_pick):
     scenario = Scenario.from_seed(_small_seed(predicate))
     base = run_scenario(scenario, *ENGINE_BUNDLES[0])
     batched = run_scenario(scenario, *ENGINE_BUNDLES[2])
-    assert ENGINE_BUNDLES[2][3] is True  # the bundle under test batches
+    assert ENGINE_BUNDLES[2][2] is True  # the bundle under test batches
     assert compare_outcomes(base, batched) == []
     assert base.delivery_log  # the scenario actually delivered traffic
-
-
-@pytest.mark.skipif(
-    not all(compiled_status().values()),
-    reason="mypyc extensions not built (python tools/build_compiled.py)",
-)
-def test_compiled_engines_trace_byte_identical():
-    scenario = Scenario.from_seed(
-        _small_seed(lambda s: s.protocol == "mhh")
-    )
-    base = run_scenario(scenario, *ENGINE_BUNDLES[0])
-    compiled = run_scenario(
-        scenario, "lanes-compiled", "counting-compiled", True, True
-    )
-    assert compare_outcomes(base, compiled) == []

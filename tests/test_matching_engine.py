@@ -1,13 +1,15 @@
-"""Differential tests: counting matching engine vs legacy scan path.
+"""Differential tests: :class:`FilterTable` matching vs a brute-force oracle.
 
-The broker-wide :class:`~repro.pubsub.matching.CountingMatchingEngine` must
-be *event-for-event identical* to the per-neighbour scan path — same
-matched neighbours, same matched client entries, in the same order — under
-randomized workloads covering every :class:`~repro.pubsub.filters.Op`
-variant, labelled client entries, table churn, and MHH's direct table
-surgery. Any divergence is a routing bug, so these tests drive both
-implementations with identical inputs and assert equality after every
-mutation batch.
+:meth:`FilterTable.match` / ``match_neighbors`` / ``match_clients`` must be
+*event-for-event identical* to the definition — a neighbour is forwarded to
+iff any filter received from it matches (ids ascending, arrival direction
+excluded), a client entry is a recipient iff its filter matches and its MHH
+label admits the origin (installation order) — under randomized workloads
+covering every :class:`~repro.pubsub.filters.Op` variant, labelled client
+entries, table churn, and MHH's direct table surgery. The oracle is
+:class:`Mirror` below: plain dicts and ``Filter.matches``, no index. Any
+divergence is a routing bug, so these tests apply identical mutations to
+table and mirror and assert equality after every mutation batch.
 """
 
 import random
@@ -22,7 +24,6 @@ from repro.pubsub.filters import (
     Op,
     RangeFilter,
 )
-from repro.pubsub.matching import CountingMatchingEngine
 from repro.pubsub.system import PubSubSystem
 
 NEIGHBORS = [1, 2, 7, 9]
@@ -89,19 +90,40 @@ def random_event(rng: random.Random, event_id: int) -> Notification:
     )
 
 
-def assert_tables_agree(counting, scan, rng, n_events, event_base):
+class Mirror:
+    """Brute-force mirror of a :class:`FilterTable`: dicts + ``matches``."""
+
+    def __init__(self, neighbors):
+        self.from_nbr = {n: {} for n in neighbors}
+        #: key -> [filter, label]; dict order is installation order
+        self.clients = {}
+
+    def match_neighbors(self, ev, exclude):
+        return [
+            n for n in sorted(self.from_nbr)
+            if n != exclude
+            and any(f.matches(ev) for f in self.from_nbr[n].values())
+        ]
+
+    def match_clients(self, ev, origin):
+        return [
+            key for key, (f, label) in self.clients.items()
+            if (label is None or label == origin) and f.matches(ev)
+        ]
+
+
+def assert_tables_agree(table, mirror, rng, n_events, event_base):
     for i in range(n_events):
         ev = random_event(rng, event_base + i)
         for origin in [None] + NEIGHBORS[:2]:
-            assert counting.match_neighbors(ev, exclude=origin) == \
-                scan.match_neighbors(ev, exclude=origin)
-            got = counting.match_clients(ev, origin)
-            want = scan.match_clients(ev, origin)
-            assert [e.key for e in got] == [e.key for e in want]
-            c_nbrs, c_entries = counting.match(ev, origin)
-            s_nbrs, s_entries = scan.match(ev, origin)
-            assert c_nbrs == s_nbrs
-            assert [e.key for e in c_entries] == [e.key for e in s_entries]
+            want_nbrs = mirror.match_neighbors(ev, origin)
+            want_keys = mirror.match_clients(ev, origin)
+            assert table.match_neighbors(ev, exclude=origin) == want_nbrs
+            got = table.match_clients(ev, origin)
+            assert [e.key for e in got] == want_keys
+            nbrs, entries = table.match(ev, origin)
+            assert nbrs == want_nbrs
+            assert [e.key for e in entries] == want_keys
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +131,10 @@ def assert_tables_agree(counting, scan, rng, n_events, event_base):
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(12))
 def test_differential_random_tables(seed):
-    """Counting and scan agree across random table churn + events."""
+    """Table and oracle agree across random table churn + events."""
     rng = random.Random(seed)
-    counting = FilterTable(0, NEIGHBORS, engine="counting")
-    scan = FilterTable(0, NEIGHBORS, engine="scan")
+    table = FilterTable(0, NEIGHBORS)
+    mirror = Mirror(NEIGHBORS)
     broker_keys: list[tuple[int, str]] = []
     client_keys: list = []
     next_key = 0
@@ -124,171 +146,204 @@ def test_differential_random_tables(seed):
                 key = f"k{next_key}"
                 next_key += 1
                 f = random_filter(rng)
-                counting.add_broker_filter(nbr, key, f)
-                scan.add_broker_filter(nbr, key, f)
+                table.add_broker_filter(nbr, key, f)
+                mirror.from_nbr[nbr][key] = f
                 broker_keys.append((nbr, key))
             elif action < 0.65:
                 key = ("c", next_key)
                 next_key += 1
                 label = rng.choice([None] + NEIGHBORS)
                 f = random_filter(rng)
-                counting.set_client_entry(ClientEntry(1000 + next_key, key, f, label=label))
-                scan.set_client_entry(ClientEntry(1000 + next_key, key, f, label=label))
+                table.set_client_entry(ClientEntry(1000 + next_key, key, f, label=label))
+                mirror.clients[key] = [f, label]
                 client_keys.append(key)
             elif action < 0.85 and broker_keys:
                 nbr, key = broker_keys.pop(rng.randrange(len(broker_keys)))
-                assert counting.remove_broker_filter(nbr, key) \
-                    == scan.remove_broker_filter(nbr, key)
+                assert table.remove_broker_filter(nbr, key)
+                del mirror.from_nbr[nbr][key]
             elif client_keys:
                 key = client_keys.pop(rng.randrange(len(client_keys)))
-                counting.remove_entry_by_key(key)
-                scan.remove_entry_by_key(key)
-        assert_tables_agree(counting, scan, rng, 25, batch * 1000)
+                table.remove_entry_by_key(key)
+                del mirror.clients[key]
+        assert_tables_agree(table, mirror, rng, 25, batch * 1000)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_differential_mhh_style_surgery(seed):
-    """Counting and scan agree after MHH-style direct table edits.
+    """Table and oracle agree after MHH-style direct table edits.
 
     Replays the exact mutation pattern of §4.1 migration surgery:
     install-toward / remove-from on broker filters plus labelled
     client-entry replacement, interleaved with matching.
     """
     rng = random.Random(1000 + seed)
-    counting = FilterTable(0, NEIGHBORS, engine="counting")
-    scan = FilterTable(0, NEIGHBORS, engine="scan")
+    table = FilterTable(0, NEIGHBORS)
+    mirror = Mirror(NEIGHBORS)
     f = RangeFilter(0.1, 0.8)
     key = ("sub", 7)
-    for table in (counting, scan):
-        table.set_client_entry(ClientEntry(7, key, f, live=True))
+    table.set_client_entry(ClientEntry(7, key, f, live=True))
+    mirror.clients[key] = [f, None]
     for step in range(30):
         frm, to = rng.sample(NEIGHBORS, 2)
         # step 1-2 of §4.1: flip the filter toward the migration direction
-        for table in (counting, scan):
-            table.add_broker_filter(to, key, f)
-        assert_tables_agree(counting, scan, rng, 8, 10_000 + step * 100)
-        for table in (counting, scan):
-            assert table.remove_broker_filter(to, key)
+        table.add_broker_filter(to, key, f)
+        mirror.from_nbr[to][key] = f
+        assert_tables_agree(table, mirror, rng, 8, 10_000 + step * 100)
+        assert table.remove_broker_filter(to, key)
+        del mirror.from_nbr[to][key]
         # label flip: entry accepts only events arriving from `frm`
         label = rng.choice([None, frm, to])
-        for table in (counting, scan):
-            table.get_entry_by_key(key).label = label
-        assert_tables_agree(counting, scan, rng, 8, 20_000 + step * 100)
+        table.get_entry_by_key(key).label = label
+        mirror.clients[key][1] = label
+        assert_tables_agree(table, mirror, rng, 8, 20_000 + step * 100)
         # transit-style replacement: remove + re-add under the same key
         label = rng.choice([None, frm])
-        for table in (counting, scan):
-            table.remove_entry_by_key(key)
-            table.set_client_entry(ClientEntry(7, key, f, label=label))
-        assert_tables_agree(counting, scan, rng, 8, 30_000 + step * 100)
+        table.remove_entry_by_key(key)
+        table.set_client_entry(ClientEntry(7, key, f, label=label))
+        del mirror.clients[key]
+        mirror.clients[key] = [f, label]
+        assert_tables_agree(table, mirror, rng, 8, 30_000 + step * 100)
 
 
 @pytest.mark.parametrize("protocol", ["mhh", "sub-unsub"])
-def test_differential_end_to_end_sim(protocol):
-    """Whole-system determinism: both engines produce identical outcomes."""
-    results = {}
-    for mode in ("counting", "scan"):
-        system = PubSubSystem(
-            grid_k=3, protocol=protocol, seed=11, matching_engine=mode
-        )
-        sub = system.add_client(RangeFilter(0.0, 0.6), broker=0, mobile=True)
-        pub = system.add_client(RangeFilter(2.0, 2.0), broker=8)
-        sub.connect(0)
-        pub.connect(8)
-        system.run(until=2000.0)
-        for i in range(6):
-            pub.publish(topic=i / 10.0)
-        system.run(until=4000.0)
-        sub.disconnect()
-        system.run(until=4500.0)
-        for i in range(6):
-            pub.publish(topic=i / 10.0)
-        sub.connect(4)
-        system.sim.run()
-        stats = system.metrics.delivery.stats
-        results[mode] = (
-            stats.delivered,
-            stats.duplicates,
-            stats.order_violations,
-            stats.missing,
-            system.metrics.traffic.overhead_hops(),
-        )
-    assert results["counting"] == results["scan"]
+def test_differential_end_to_end_sim(protocol, monkeypatch):
+    """Whole system: every match a broker makes during a handoff run equals
+    the brute-force answer over that broker's live table at that instant."""
+    real_match = FilterTable.match
+    checked = 0
+
+    def checking_match(table, event, from_broker):
+        nonlocal checked
+        nbrs, entries = real_match(table, event, from_broker)
+        assert nbrs == [
+            n for n in sorted(table.neighbors)
+            if n != from_broker
+            and any(f.matches(event) for _k, f in table.iter_broker_filters(n))
+        ]
+        assert entries == [
+            e for e in table.clients.values()
+            if (e.label is None or e.label == from_broker)
+            and e.filter.matches(event)
+        ]
+        checked += 1
+        return nbrs, entries
+
+    monkeypatch.setattr(FilterTable, "match", checking_match)
+    system = PubSubSystem(grid_k=3, protocol=protocol, seed=11)
+    sub = system.add_client(RangeFilter(0.0, 0.6), broker=0, mobile=True)
+    pub = system.add_client(RangeFilter(2.0, 2.0), broker=8)
+    sub.connect(0)
+    pub.connect(8)
+    system.run(until=2000.0)
+    for i in range(6):
+        pub.publish(topic=i / 10.0)
+    system.run(until=4000.0)
+    sub.disconnect()
+    system.run(until=4500.0)
+    for i in range(6):
+        pub.publish(topic=i / 10.0)
+    sub.connect(4)
+    system.sim.run()
+    stats = system.metrics.delivery.stats
+    assert checked >= 12  # every publish was matched at its ingress broker
+    assert stats.delivered == stats.expected > 0
+    assert (stats.duplicates, stats.order_violations, stats.missing) \
+        == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
-# engine unit behaviour
+# table-level unit behaviour
 # ---------------------------------------------------------------------------
 def ev(topic, **attrs):
     return Notification(0, 0, 0, 0.0, topic, attrs or None)
 
 
+def matched(table, event, from_broker=None):
+    """``FilterTable.match`` as (neighbour ids, client-entry keys)."""
+    nbrs, entries = table.match(event, from_broker)
+    return nbrs, [e.key for e in entries]
+
+
 def test_engine_empty_conjunction_always_matches():
-    eng = CountingMatchingEngine()
-    eng.add("all", ConjunctionFilter([]))
-    assert eng.match(ev(0.5)) == ["all"]
-    eng.discard("all")
-    assert eng.match(ev(0.5)) == []
+    table = FilterTable(0, NEIGHBORS)
+    table.set_client_entry(ClientEntry(1, "all", ConjunctionFilter([])))
+    table.add_broker_filter(2, "all", ConjunctionFilter([]))
+    assert matched(table, ev(0.5)) == ([2], ["all"])
+    assert matched(table, ev(float("nan"), kind=True)) == ([2], ["all"])
+    table.remove_entry_by_key("all")
+    assert table.remove_broker_filter(2, "all")
+    assert matched(table, ev(0.5)) == ([], [])
 
 
 def test_engine_replace_and_discard():
-    eng = CountingMatchingEngine()
-    eng.add("s", RangeFilter(0.0, 0.4))
-    assert eng.match(ev(0.2)) == ["s"]
-    eng.add("s", RangeFilter(0.6, 0.9))  # replace
-    assert eng.match(ev(0.2)) == []
-    assert eng.match(ev(0.7)) == ["s"]
-    assert "s" in eng and len(eng) == 1
-    eng.discard("s")
-    eng.discard("s")  # idempotent
-    assert eng.match(ev(0.7)) == []
+    table = FilterTable(0, NEIGHBORS)
+    table.set_client_entry(ClientEntry(1, "s", RangeFilter(0.0, 0.4)))
+    table.add_broker_filter(7, "s", RangeFilter(0.0, 0.4))
+    assert matched(table, ev(0.2)) == ([7], ["s"])
+    # same key again replaces the filter, on both halves of the table
+    table.set_client_entry(ClientEntry(1, "s", RangeFilter(0.6, 0.9)))
+    table.add_broker_filter(7, "s", RangeFilter(0.6, 0.9))
+    assert matched(table, ev(0.2)) == ([], [])
+    assert matched(table, ev(0.7)) == ([7], ["s"])
+    assert len(table.clients) == 1 and table.broker_filter_count(7) == 1
+    table.remove_entry_by_key("s")
+    assert table.remove_broker_filter(7, "s")
+    assert not table.remove_broker_filter(7, "s")  # idempotent
+    assert matched(table, ev(0.7)) == ([], [])
 
 
 def test_engine_counting_requires_all_constraints():
-    eng = CountingMatchingEngine()
-    eng.add(
-        "s",
-        ConjunctionFilter(
-            [
-                AttributeConstraint("kind", Op.EQ, "alert"),
-                AttributeConstraint("size", Op.GE, 10),
-                AttributeConstraint("topic", Op.RANGE, (0.0, 0.5)),
-            ]
-        ),
+    f = ConjunctionFilter(
+        [
+            AttributeConstraint("kind", Op.EQ, "alert"),
+            AttributeConstraint("size", Op.GE, 10),
+            AttributeConstraint("topic", Op.RANGE, (0.0, 0.5)),
+        ]
     )
-    assert eng.match(ev(0.3, kind="alert", size=12)) == ["s"]
-    assert eng.match(ev(0.3, kind="alert", size=9)) == []
-    assert eng.match(ev(0.3, size=12)) == []
-    assert eng.match(ev(0.9, kind="alert", size=12)) == []
+    table = FilterTable(0, NEIGHBORS)
+    table.set_client_entry(ClientEntry(1, "s", f))
+    table.add_broker_filter(9, "s", f)
+    assert matched(table, ev(0.3, kind="alert", size=12)) == ([9], ["s"])
+    assert matched(table, ev(0.3, kind="alert", size=9)) == ([], [])
+    assert matched(table, ev(0.3, size=12)) == ([], [])
+    assert matched(table, ev(0.9, kind="alert", size=12)) == ([], [])
 
 
 def test_engine_duplicate_constraints_in_one_filter():
     c = AttributeConstraint("kind", Op.EQ, "x")
-    eng = CountingMatchingEngine()
-    eng.add("s", ConjunctionFilter([c, c]))
-    assert eng.match(ev(0.0, kind="x")) == ["s"]
+    table = FilterTable(0, NEIGHBORS)
+    table.set_client_entry(ClientEntry(1, "s", ConjunctionFilter([c, c])))
+    assert matched(table, ev(0.0, kind="x")) == ([], ["s"])
+    assert matched(table, ev(0.0, kind="y")) == ([], [])
 
 
 def test_engine_groups_boolean_semantics():
-    eng = CountingMatchingEngine()
-    eng.add_group_member("g1", "a", RangeFilter(0.0, 0.3))
-    eng.add_group_member("g1", "b", RangeFilter(0.5, 0.8))
-    eng.add_group_member(
-        "g2", "c", ConjunctionFilter([AttributeConstraint("kind", Op.EQ, "x")])
+    """A neighbour is forwarded to iff *any* of its filters matches."""
+    table = FilterTable(0, NEIGHBORS)
+    table.add_broker_filter(1, "a", RangeFilter(0.0, 0.3))
+    table.add_broker_filter(1, "b", RangeFilter(0.5, 0.8))
+    table.add_broker_filter(
+        2, "c", ConjunctionFilter([AttributeConstraint("kind", Op.EQ, "x")])
     )
-    slots, groups = eng.match_with_groups(ev(0.6))
-    assert slots == [] and groups == {"g1"}
-    slots, groups = eng.match_with_groups(ev(0.4, kind="x"))
-    assert groups == {"g2"}
-    eng.discard_group_member("g1", "b")
-    assert eng.match_with_groups(ev(0.6))[1] == set()
-    assert eng.group_size("g1") == 1 and eng.group_size("g2") == 1
+    assert matched(table, ev(0.6)) == ([1], [])
+    assert matched(table, ev(0.4, kind="x")) == ([2], [])
+    assert matched(table, ev(0.6, kind="x")) == ([1, 2], [])
+    assert matched(table, ev(0.6, kind="x"), from_broker=1) == ([2], [])
+    assert table.remove_broker_filter(1, "b")
+    assert matched(table, ev(0.6)) == ([], [])
+    assert table.broker_filter_count(1) == 1
+    assert table.broker_filter_count(2) == 1
 
 
 def test_engine_shared_constraints_across_slots():
     f = ConjunctionFilter([AttributeConstraint("kind", Op.EQ, "x")])
-    eng = CountingMatchingEngine()
-    eng.add("s1", f)
-    eng.add("s2", ConjunctionFilter([AttributeConstraint("kind", Op.EQ, "x")]))
-    assert sorted(eng.match(ev(0.0, kind="x"))) == ["s1", "s2"]
-    eng.discard("s1")
-    assert eng.match(ev(0.0, kind="x")) == ["s2"]
+    table = FilterTable(0, NEIGHBORS)
+    table.set_client_entry(ClientEntry(1, "s1", f))
+    table.set_client_entry(
+        ClientEntry(
+            2, "s2", ConjunctionFilter([AttributeConstraint("kind", Op.EQ, "x")])
+        )
+    )
+    assert matched(table, ev(0.0, kind="x")) == ([], ["s1", "s2"])
+    table.remove_entry_by_key("s1")
+    assert matched(table, ev(0.0, kind="x")) == ([], ["s2"])

@@ -394,7 +394,6 @@ def test_crash_scenarios_are_engine_bundle_identical(protocol):
             protocol,
             plan,
             sim_engine="heap",
-            matching_engine="scan",
             covering_index=False,
         )
     )

@@ -44,7 +44,7 @@ def _socket_outcome(system) -> ScenarioOutcome:
     injector = system.fault_injector
     meter = system.metrics.traffic
     return ScenarioOutcome(
-        engine_bundle=("socket", "counting", True, False),
+        engine_bundle=("socket", True, False),
         published=stats.published,
         expected=stats.expected,
         delivered=stats.delivered,
