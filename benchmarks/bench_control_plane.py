@@ -8,11 +8,9 @@ measurements track that cost:
 * **interval churn** — subscribe/unsubscribe churn against one
   :class:`~repro.pubsub.interval_index.IntervalIndex` at 2 000 installed
   filters: each op removes a filter, installs a replacement, and runs the
-  stab + containment queries a propagation step performs. The incremental
-  index (bisect insert/delete + local prefix-maxima repair) is compared
-  against the legacy rebuild-per-mutation path
-  (``IntervalIndex(incremental=False)``); ``test_incremental_beats_rebuild_churn``
-  is the CI acceptance gate (≥5x).
+  stab + containment queries a propagation step performs (bisect
+  insert/delete + local prefix-maxima repair). Recorded as a
+  throughput in the trajectory.
 * **withdraw-with-covering** — a real broker network (sub-unsub baseline,
   covering-pruned propagation) with 2 000 subscriptions rooted at one
   broker, churned by unsubscribe/resubscribe cycles whose floods the
@@ -47,9 +45,9 @@ N_WITHDRAW_OPS = 150
 # ---------------------------------------------------------------------------
 # interval-index churn (the per-structure cost)
 # ---------------------------------------------------------------------------
-def build_index(incremental: bool, n: int = N_FILTERS) -> IntervalIndex:
+def build_index(n: int = N_FILTERS) -> IntervalIndex:
     rnd = random.Random(7)
-    idx = IntervalIndex(incremental=incremental)
+    idx = IntervalIndex()
     for i in range(n):
         lo = rnd.uniform(0.0, 0.999)
         idx.add(i, lo, lo + 2.0 / n)
@@ -84,25 +82,14 @@ def _best_of(n: int, fn, *args) -> float:
 def measure_interval_churn(
     ops: int = N_CHURN_OPS, repeats: int = 3
 ) -> dict[str, float]:
-    """Best-of-``repeats`` churn timing for both index modes.
-
-    Single source of truth for the CI acceptance gate and the
-    BENCH_core.json ``control_plane_*`` churn keys.
-    """
-    # same churn stream on both modes; results must agree (sanity)
-    incr = build_index(True)
-    rebuild = build_index(False)
-    assert churn_index(incr, 50) == churn_index(rebuild, 50)
-    t_incr = _best_of(repeats, churn_index, build_index(True), ops)
-    t_rebuild = _best_of(repeats, churn_index, build_index(False), ops)
+    """Best-of-``repeats`` churn timing (the BENCH_core.json
+    ``control_plane_incremental_ops_per_s`` key)."""
+    t_incr = _best_of(repeats, churn_index, build_index(), ops)
     return {
         "ops": float(ops),
         "n_filters": float(N_FILTERS),
         "incremental_s": t_incr,
-        "rebuild_s": t_rebuild,
         "incremental_ops_per_s": ops / t_incr,
-        "rebuild_ops_per_s": ops / t_rebuild,
-        "speedup": t_rebuild / t_incr,
     }
 
 
@@ -202,13 +189,7 @@ def measure_fig5a_conn1(scale: str | None = None) -> dict[str, float]:
 # tracked benchmarks
 # ---------------------------------------------------------------------------
 def test_bench_interval_churn_incremental(benchmark):
-    idx = build_index(True)
-    hits = benchmark(churn_index, idx)
-    benchmark.extra_info["hits"] = hits
-
-
-def test_bench_interval_churn_rebuild(benchmark):
-    idx = build_index(False)
+    idx = build_index()
     hits = benchmark(churn_index, idx)
     benchmark.extra_info["hits"] = hits
 
@@ -231,16 +212,6 @@ def test_bench_fig5a_conn1(benchmark):
 # ---------------------------------------------------------------------------
 # acceptance comparisons
 # ---------------------------------------------------------------------------
-def test_incremental_beats_rebuild_churn():
-    """Acceptance: ≥5x subscribe/unsubscribe churn throughput at 2k filters."""
-    m = measure_interval_churn()
-    assert m["speedup"] >= 5.0, (
-        f"incremental {m['incremental_ops_per_s']:,.0f} ops/s vs rebuild "
-        f"{m['rebuild_ops_per_s']:,.0f} ops/s — only {m['speedup']:.1f}x "
-        f"at {N_FILTERS} filters"
-    )
-
-
 def test_indexed_covering_beats_scan_withdraw():
     """Acceptance: indexed covering wins the withdraw churn (and agrees)."""
     m = measure_withdraw_covering()

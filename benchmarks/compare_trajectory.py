@@ -9,7 +9,7 @@ merely uploaded:
 * **schema / scale / key set** — a fresh snapshot must measure everything
   the baseline measures; a silently dropped metric fails the diff.
 * **speedup ratios** (``*_speedup``) — machine-independent-ish signals
-  (lanes/heap, incremental/rebuild, indexed/scan). A fresh
+  (lanes/heap, indexed/scan). A fresh
   ratio below ``tolerance x baseline`` fails: the optimisation a past PR
   paid for has regressed.
 * **overhead ratios** (``*_overhead``) — opt-in layers (reliability over

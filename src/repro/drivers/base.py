@@ -44,6 +44,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
+from repro.network.links import LinkLayer
+
 __all__ = ["CancelHandle", "Clock", "Transport", "Driver"]
 
 
@@ -167,7 +169,21 @@ class Driver:
         queue_cap: Optional[int] = None,
         on_shed: Optional[Callable[[Any, int], bool]] = None,
     ) -> Transport:
-        raise NotImplementedError
+        """Default: the modelled ``LinkLayer`` over ``self.clock`` (the
+        simulated and live drivers differ only in that clock); drivers
+        that move brokers elsewhere (socket, wire node) override this."""
+        return LinkLayer(
+            self.clock,
+            topo,
+            paths,
+            wired_latency=wired_latency,
+            wireless_latency=wireless_latency,
+            account=account,
+            unicast_hops=unicast_hops,
+            faults=faults,
+            queue_cap=queue_cap,
+            on_shed=on_shed,
+        )
 
     def build_log_store(self, wal_dir: Optional[str] = None) -> Any:
         """Stable storage for the durability layer (one LogStore facade).

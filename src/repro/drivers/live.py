@@ -41,9 +41,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
-from repro.drivers.base import CancelHandle, Clock, Driver, Transport
-from repro.errors import SchedulingError, SimulationError
-from repro.network.links import LinkLayer
+from repro.drivers.base import CancelHandle, Clock, Driver
+from repro.errors import SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.config import ExperimentConfig
@@ -287,32 +286,6 @@ class LiveDriver(Driver):
         self.clock = clock
         self.sim = None
 
-    def build_transport(
-        self,
-        topo: Any,
-        paths: Any,
-        *,
-        wired_latency: float,
-        wireless_latency: float,
-        account: Optional[Callable[[str, int, bool], None]] = None,
-        unicast_hops: Optional[Callable[[int, int], int]] = None,
-        faults: Optional[Any] = None,
-        queue_cap: Optional[int] = None,
-        on_shed: Optional[Callable[[Any, int], bool]] = None,
-    ) -> Transport:
-        return LinkLayer(
-            self.clock,
-            topo,
-            paths,
-            wired_latency=wired_latency,
-            wireless_latency=wireless_latency,
-            account=account,
-            unicast_hops=unicast_hops,
-            faults=faults,
-            queue_cap=queue_cap,
-            on_shed=on_shed,
-        )
-
     def build_log_store(self, wal_dir: Optional[str] = None) -> Any:
         """Live runs default to real file-backed stable storage.
 
@@ -340,39 +313,11 @@ def run_virtual_scenario(cfg: "ExperimentConfig") -> "PubSubSystem":
     driver-parity tests compare its :class:`DeliveryChecker` outcome
     against the simulated driver's, per protocol.
     """
-    from repro.pubsub.system import PubSubSystem
-    from repro.workload.mobility_model import Workload
+    from repro.experiments.runner import build_system, run_to_quiescence
 
-    clock = VirtualClock()
-    system = PubSubSystem(
-        grid_k=cfg.grid_k,
-        protocol=cfg.protocol,
-        seed=cfg.seed,
-        covering_enabled=cfg.covering_enabled,
-        migration_batch_size=cfg.migration_batch_size,
-        covering_index=cfg.covering_index,
-        faults=cfg.faults,
-        crashes=cfg.crashes,
-        reliable=cfg.reliable,
-        retry_budget=cfg.retry_budget,
-        queue_cap=cfg.queue_cap,
-        durable=cfg.durable,
-        wal_dir=cfg.wal_dir,
-        driver=LiveDriver(clock),
-    )
+    system, workload = build_system(cfg, driver=LiveDriver(VirtualClock()))
     system.metrics.delivery.record_log = True
-    workload = Workload(system, cfg.workload)
-    clock.run(until=cfg.workload.duration_ms)
-    workload.stop()
-    workload.reconnect_all()
-    # an unbounded run() drains the heap completely (unlike the runner's
-    # deadline-interruptible loop, no rounds are needed here)
-    clock.run()
-    if not system.protocol.quiescent():
-        raise SimulationError(
-            "drain deadlock: live clock idle but protocol not quiescent"
-        )
-    system.metrics.delivery.finalize_crash_accounting()
+    run_to_quiescence(system, workload, cfg.workload.duration_ms)
     if system.durability is not None and cfg.wal_dir is None:
         # scratch-backed stable storage: release it once the run is
         # audited (an explicit wal_dir belongs to the caller and is kept)
@@ -402,126 +347,31 @@ class SoakResult:
         return self.drained and not self.violations
 
 
-def _soak_violations(
-    protocol: str,
-    stats: "DeliveryStats",
-    drops: int,
-    dups: int,
-    crash_events: int = 0,
-    repairs: int = 0,
-    reliable: bool = False,
-    durable: bool = False,
-) -> list[str]:
-    """The conformance fuzzer's invariant matrix, applied to a live run."""
-    v: list[str] = []
-    if crash_events and repairs != crash_events:
-        v.append(
-            f"repairs={repairs} != scheduled failure events {crash_events}"
-        )
-    if stats.missing != 0:
-        v.append(f"missing={stats.missing} deliveries unaccounted for")
-    if durable:
-        # zero-write-off contract: WAL replay + session handover must
-        # reconcile every crash- or shed-prone delivery
-        if stats.crash_lost != 0:
-            v.append(f"durable run wrote off crash_lost={stats.crash_lost}")
-        if stats.shed != 0:
-            v.append(f"durable run shed {stats.shed} deliveries")
-    if reliable:
-        # no duplicate bound under reliability: retransmission adds copies
-        # the injector never made, while sequence-number reassembly absorbs
-        # injected copies of buffered or stale-session frames before they
-        # reach the delivery meter — the count is decoupled both ways
-        if protocol != "home-broker" and stats.lost_explicit != 0:
-            v.append(
-                f"reliable run lost {stats.lost_explicit} deliveries "
-                f"(every wireless drop must be recovered or written off)"
-            )
-    else:
-        if stats.duplicates != dups:
-            v.append(
-                f"duplicates={stats.duplicates} != injected link copies {dups}"
-            )
-        if protocol == "home-broker":
-            if stats.lost_explicit < drops:
-                v.append(
-                    f"lost={stats.lost_explicit} < injected link drops {drops}"
-                )
-        else:
-            if stats.lost_explicit != drops:
-                v.append(
-                    f"lost={stats.lost_explicit} != injected link drops {drops}"
-                )
-    if protocol != "home-broker" and stats.order_violations != 0:
-        v.append(f"order_violations={stats.order_violations}")
-    if stats.published == 0:
-        v.append("degenerate soak: nothing was published")
-    return v
-
-
 def run_soak(
-    protocol: str = "mhh",
+    cfg: "ExperimentConfig",
     *,
-    grid_k: int = 3,
-    seed: int = 1,
-    duration_s: float = 3.0,
     time_scale: float = 5.0,
-    clients_per_broker: int = 3,
-    mobile_fraction: float = 0.5,
-    mean_connected_s: float = 2.0,
-    mean_disconnected_s: float = 0.5,
-    publish_interval_s: float = 1.0,
-    faults: Optional[Any] = None,
-    crashes: Optional[Any] = None,
     drain_timeout_s: float = 60.0,
-    reliable: bool = False,
-    retry_budget: int = 8,
-    queue_cap: Optional[int] = None,
-    durable: bool = False,
-    wal_dir: Optional[str] = None,
 ) -> SoakResult:
-    """Run a live churn workload on an asyncio loop and audit delivery.
+    """Run a config's churn workload on an asyncio loop and audit delivery.
 
-    ``duration_s`` is *wall* seconds of measurement; the workload's period
-    parameters are model seconds (compressed by ``time_scale``). After the
-    window the workload stops, every client reconnects, and the run drains
-    until the clock is idle and the protocol reports quiescence — then the
-    delivery ledger is audited against the fuzzer's invariant matrix.
+    The workload's periods and ``duration_s`` are model seconds; the
+    measurement window is ``duration_s / time_scale`` *wall* seconds.
+    After the window the workload stops, every client reconnects, and the
+    run drains until the clock is idle and the protocol reports quiescence
+    — then the run is audited against the fuzzer's invariant matrix.
     """
-    from repro.pubsub.system import PubSubSystem
-    from repro.workload.mobility_model import Workload
-    from repro.workload.spec import WorkloadSpec
+    from repro.conformance.fuzzer import check_invariants, snapshot_outcome
+    from repro.experiments.runner import build_system
 
     loop = asyncio.new_event_loop()
     try:
         clock = AsyncioClock(loop, time_scale=time_scale)
-        system = PubSubSystem(
-            grid_k=grid_k,
-            protocol=protocol,
-            seed=seed,
-            faults=faults,
-            crashes=crashes,
-            reliable=reliable,
-            retry_budget=retry_budget,
-            queue_cap=queue_cap,
-            durable=durable,
-            wal_dir=wal_dir,
-            driver=LiveDriver(clock),
-        )
-        spec = WorkloadSpec(
-            clients_per_broker=clients_per_broker,
-            mobile_fraction=mobile_fraction,
-            mean_connected_s=mean_connected_s,
-            mean_disconnected_s=mean_disconnected_s,
-            publish_interval_s=publish_interval_s,
-            duration_s=max(duration_s * time_scale, 1.0),
-            warmup_s=0.2,
-        )
+        system, workload = build_system(cfg, driver=LiveDriver(clock))
         wall_start = time.perf_counter()
-        workload = Workload(system, spec)
 
         async def main() -> bool:
-            await asyncio.sleep(duration_s)
+            await asyncio.sleep(cfg.workload.duration_s / time_scale)
             workload.stop()
             workload.reconnect_all()
             return await clock.wait_idle(
@@ -534,24 +384,12 @@ def run_soak(
     finally:
         loop.close()
 
-    injector = system.fault_injector
-    drops = injector.drops if injector is not None else 0
-    dups = injector.dups_delivered if injector is not None else 0
     system.metrics.delivery.finalize_crash_accounting()
-    stats = system.metrics.delivery.stats
+    outcome = snapshot_outcome(system)
     # audit even when the drain timed out — the named invariant violations
     # (not a bare drain failure) are what the CLI surfaces on exit
-    violations = _soak_violations(
-        protocol,
-        stats,
-        drops,
-        dups,
-        crash_events=len(crashes.events) if crashes is not None else 0,
-        repairs=system.recovery.repairs if system.recovery else 0,
-        reliable=reliable,
-        durable=durable,
-    )
-    if system.durability is not None and wal_dir is None:
+    violations = check_invariants(cfg, outcome)
+    if system.durability is not None and cfg.wal_dir is None:
         system.durability.close()
     if not drained:
         violations.insert(
@@ -560,13 +398,13 @@ def run_soak(
             f"(pending work or a stuck protocol; ledger audit below)",
         )
     return SoakResult(
-        protocol=protocol,
+        protocol=cfg.protocol,
         wall_seconds=wall,
         model_ms=model_ms,
-        stats=stats,
-        handoffs=system.metrics.handoffs.handoff_count,
-        injected_drops=drops,
-        injected_dups=dups,
+        stats=system.metrics.delivery.stats,
+        handoffs=outcome.handoffs,
+        injected_drops=outcome.injected_drops,
+        injected_dups=outcome.injected_dups,
         drained=drained,
         violations=violations,
     )

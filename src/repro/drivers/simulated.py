@@ -13,10 +13,7 @@ the conformance fuzzer's cross-engine lanes gate exactly that.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
-
-from repro.drivers.base import Driver, Transport
-from repro.network.links import LinkLayer
+from repro.drivers.base import Driver
 from repro.sim.core import Simulator
 
 __all__ = ["SimulatedDriver"]
@@ -33,29 +30,3 @@ class SimulatedDriver(Driver):
         self.sim = Simulator(start_time=start_time, engine=engine)
         #: the Simulator *is* the clock (no adapter layer on the hot path)
         self.clock = self.sim
-
-    def build_transport(
-        self,
-        topo: Any,
-        paths: Any,
-        *,
-        wired_latency: float,
-        wireless_latency: float,
-        account: Optional[Callable[[str, int, bool], None]] = None,
-        unicast_hops: Optional[Callable[[int, int], int]] = None,
-        faults: Optional[Any] = None,
-        queue_cap: Optional[int] = None,
-        on_shed: Optional[Callable[[Any, int], bool]] = None,
-    ) -> Transport:
-        return LinkLayer(
-            self.sim,
-            topo,
-            paths,
-            wired_latency=wired_latency,
-            wireless_latency=wireless_latency,
-            account=account,
-            unicast_hops=unicast_hops,
-            faults=faults,
-            queue_cap=queue_cap,
-            on_shed=on_shed,
-        )

@@ -150,10 +150,10 @@ class BrokerPeer:
     # ------------------------------------------------------------------
     # session
     # ------------------------------------------------------------------
-    def hello(self, config_blob: str, brokers: Tuple[int, ...]) -> None:
+    def hello(self, config: dict, brokers: Tuple[int, ...]) -> None:
         self.connect()
         self._send_raw(encode_frame(encode_control(
-            ("hello", self.token, config_blob, tuple(brokers))
+            ("hello", self.token, config, tuple(brokers))
         )))
         reply = self._recv_value()
         if reply[0] != "hello-ok":

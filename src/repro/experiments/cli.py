@@ -65,7 +65,9 @@ _SOAK_PROTOCOLS = ("mhh", "sub-unsub", "two-phase", "home-broker")
 
 def _run_soak(args, faults: Optional[FaultProfile]) -> int:
     from repro.drivers.live import run_soak
+    from repro.experiments.config import ExperimentConfig
     from repro.network.recovery import CrashPlan
+    from repro.workload.spec import WorkloadSpec
 
     crashes = None
     if args.broker_crash or args.broker_restart or args.link_partition:
@@ -78,21 +80,34 @@ def _run_soak(args, faults: Optional[FaultProfile]) -> int:
     protocols = (
         _SOAK_PROTOCOLS if args.protocol == "all" else (args.protocol,)
     )
+    # the standard churn workload in model seconds: --duration wall
+    # seconds of it at --time-scale model seconds per wall second
+    workload = WorkloadSpec(
+        clients_per_broker=3,
+        mobile_fraction=0.5,
+        mean_connected_s=2.0,
+        mean_disconnected_s=0.5,
+        publish_interval_s=1.0,
+        duration_s=max(args.duration * args.time_scale, 1.0),
+        warmup_s=0.2,
+    )
     failures: list[tuple[str, list[str]]] = []
     for protocol in protocols:
         result = run_soak(
-            protocol,
-            grid_k=args.soak_grid,
-            seed=args.seed,
-            duration_s=args.duration,
+            ExperimentConfig(
+                protocol,
+                grid_k=args.soak_grid,
+                seed=args.seed,
+                workload=workload,
+                faults=faults,
+                crashes=crashes,
+                reliable=args.reliable,
+                retry_budget=args.retry_budget,
+                queue_cap=args.queue_cap,
+                durable=args.durable,
+                wal_dir=args.wal_dir,
+            ),
             time_scale=args.time_scale,
-            faults=faults,
-            crashes=crashes,
-            reliable=args.reliable,
-            retry_budget=args.retry_budget,
-            queue_cap=args.queue_cap,
-            durable=args.durable,
-            wal_dir=args.wal_dir,
         )
         st = result.stats
         status = "PASS" if result.passed else "FAIL"
@@ -134,6 +149,11 @@ def _run_wire_serve(args) -> int:
 def _run_wire_connect(args, faults: Optional[FaultProfile]) -> int:
     import dataclasses
 
+    from repro.conformance.fuzzer import (
+        check_invariants,
+        run_scenario,
+        snapshot_outcome,
+    )
     from repro.conformance.scenarios import PROTOCOLS, Scenario
     from repro.wire.harness import run_socket_scenario
 
@@ -158,29 +178,32 @@ def _run_wire_connect(args, faults: Optional[FaultProfile]) -> int:
             keepalive_s=args.keepalive,
             endpoints=endpoints,
         )
-        st = system.metrics.delivery.stats
+        o = snapshot_outcome(system)
         wire = system.net.stats
-        verdict, detail = "PASS", ""
+        violations = check_invariants(scenario, o)
+        detail = ""
         if args.verify_sim:
-            from repro.conformance.fuzzer import run_scenario
-
             sim = run_scenario(scenario)
-            socket_log = tuple(system.metrics.delivery.log)
-            if (
-                sim.delivery_log != socket_log
-                or (sim.delivered, sim.duplicates, sim.lost, sim.missing)
-                != (st.delivered, st.duplicates, st.lost_explicit, st.missing)
+            if any(
+                getattr(sim, name) != getattr(o, name)
+                for name in ("delivery_log", "delivered", "duplicates",
+                             "lost", "missing")
             ):
-                verdict, detail = "FAIL", " sim-parity MISMATCH"
-                failures.append(protocol)
+                detail = " sim-parity MISMATCH"
+        failed = bool(violations or detail)
         print(
-            f"{verdict} {protocol:12s} published={st.published} "
-            f"delivered={st.delivered} dups={st.duplicates} "
-            f"lost={st.lost_explicit} missing={st.missing} "
+            f"{'FAIL' if failed else 'PASS'} {protocol:12s} "
+            f"published={o.published} "
+            f"delivered={o.delivered} dups={o.duplicates} "
+            f"lost={o.lost} missing={o.missing} "
             f"dispatches={wire.dispatches} effects={wire.effects} "
             f"resumes={wire.resumes} tx={wire.bytes_tx}B "
             f"rx={wire.bytes_rx}B{detail}"
         )
+        for violation in violations:
+            print(f"     - {violation}")
+        if failed:
+            failures.append(protocol)
     if failures:
         print("wire connect FAILED: " + ", ".join(failures))
         return 1
@@ -314,10 +337,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     connect_only = ("node", "spawn", "scenario_seed", "wire_protocol",
                     "verify_sim")
     wire_shared = ("keepalive",)
+    # the opt-in layers run under sweeps and soak; connect drives a fuzzer
+    # scenario exactly as sampled
+    layer_flags = ("reliable", "durable", "queue_cap")
     mode = args.figure if args.figure in ("soak", "serve", "connect") else "figures"
     allowed = {
-        "figures": figure_only,
-        "soak": soak_only,
+        "figures": figure_only + layer_flags,
+        "soak": soak_only + layer_flags,
         "serve": serve_only + wire_shared,
         "connect": connect_only + wire_shared,
     }[mode]
@@ -330,7 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     stray = [
         name
         for name in soak_only + figure_only + serve_only + connect_only
-        + wire_shared
+        + wire_shared + layer_flags
         if name not in allowed and getattr(args, name) not in (None, False)
     ]
     if stray:
@@ -339,11 +365,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{scope_names[mode]} (target: {args.figure})"
         )
     if mode in ("serve", "connect"):
-        if args.reliable or args.durable or args.queue_cap is not None:
-            parser.error(
-                "the wire harness does not support "
-                "--reliable/--durable/--queue-cap yet"
-            )
         if mode == "serve" and (args.loss or args.dup or args.jitter):
             parser.error(
                 "fault flags apply to the coordinator (connect), not serve"

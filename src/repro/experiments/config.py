@@ -15,15 +15,22 @@ variable (``smoke`` | ``small`` | ``paper``).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Optional
 
+from repro.drivers.base import Driver
 from repro.errors import ConfigurationError
 from repro.network.faults import FaultProfile
 from repro.network.recovery import CrashPlan
+from repro.pubsub.system import PubSubSystem
 from repro.workload.spec import WorkloadSpec
 
-__all__ = ["ExperimentConfig", "SCALES", "bench_scale"]
+__all__ = ["ExperimentConfig", "RUNNER_ONLY", "SCALES", "bench_scale"]
+
+
+#: fields a runner reads itself (population and processes, drain deadline);
+#: every other field is the ``PubSubSystem`` keyword of the same name
+RUNNER_ONLY = frozenset({"workload", "drain_limit_ms"})
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,19 @@ class ExperimentConfig:
     #: directory for file-backed WAL segments (None = the driver's
     #: default store: in-memory under simulation, a scratch dir live)
     wal_dir: Optional[str] = None
+
+    def make_system(self, driver: Optional[Driver] = None) -> PubSubSystem:
+        """The one ``ExperimentConfig`` -> ``PubSubSystem`` mapping: every
+        driver builds its system here, so no field can reach one driver
+        and be dropped by another."""
+        return PubSubSystem(
+            **{
+                f.name: getattr(self, f.name)
+                for f in fields(self)
+                if f.name not in RUNNER_ONLY
+            },
+            driver=driver,
+        )
 
     def with_workload(self, **changes: Any) -> "ExperimentConfig":
         return replace(self, workload=replace(self.workload, **changes))

@@ -19,36 +19,27 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+from repro.drivers.base import Driver
 from repro.errors import SimulationError
 from repro.experiments.config import ExperimentConfig
 from repro.metrics.summary import ResultRow, summarize
 from repro.pubsub.system import PubSubSystem
 from repro.workload.mobility_model import Workload
 
-__all__ = ["run_experiment", "build_system", "drain_to_quiescence"]
+__all__ = [
+    "run_experiment",
+    "build_system",
+    "drain_to_quiescence",
+    "run_to_quiescence",
+]
 
 
-def build_system(cfg: ExperimentConfig) -> tuple[PubSubSystem, Workload]:
+def build_system(
+    cfg: ExperimentConfig, driver: Optional[Driver] = None
+) -> tuple[PubSubSystem, Workload]:
     """Construct the system + workload for a config (not yet run)."""
-    system = PubSubSystem(
-        grid_k=cfg.grid_k,
-        protocol=cfg.protocol,
-        seed=cfg.seed,
-        covering_enabled=cfg.covering_enabled,
-        migration_batch_size=cfg.migration_batch_size,
-        sim_engine=cfg.sim_engine,
-        covering_index=cfg.covering_index,
-        faults=cfg.faults,
-        crashes=cfg.crashes,
-        reliable=cfg.reliable,
-        retry_budget=cfg.retry_budget,
-        queue_cap=cfg.queue_cap,
-        durable=cfg.durable,
-        wal_dir=cfg.wal_dir,
-        event_batching=cfg.event_batching,
-    )
-    workload = Workload(system, cfg.workload)
-    return system, workload
+    system = cfg.make_system(driver)
+    return system, Workload(system, cfg.workload)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultRow:
@@ -122,3 +113,25 @@ def drain_to_quiescence(
                 f"drain did not finish within {drain_limit_ms} ms"
             )
     raise SimulationError("drain did not converge")  # pragma: no cover
+
+
+def run_to_quiescence(
+    system: PubSubSystem, workload: Workload, duration_ms: float
+) -> None:
+    """Every run phase on a clock that runs itself (``VirtualClock``):
+    measurement window, stop, reconnect-everyone drain, quiescence check.
+
+    An unbounded ``run()`` empties the heap, so unlike the ``Simulator``
+    form (:func:`drain_to_quiescence`, deadline-interruptible) no rounds
+    are needed.
+    """
+    clock = system.clock
+    clock.run(until=duration_ms)
+    workload.stop()
+    workload.reconnect_all()
+    clock.run()
+    if not system.protocol.quiescent():
+        raise SimulationError(
+            "drain deadlock: clock idle but protocol not quiescent"
+        )
+    system.metrics.delivery.finalize_crash_accounting()

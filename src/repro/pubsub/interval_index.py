@@ -16,14 +16,10 @@ Figure 5(a)/6(a) curves; the index therefore maintains the sorted arrays
 *incrementally* — a bisect insert/delete plus a local repair of the prefix
 maxima (the repair stops at the first position whose top-2 is unaffected),
 so a mutation costs O(log n) comparisons plus one C-level ``memmove``
-instead of the former full O(n log n) re-sort.
-
-The former rebuild-the-world behaviour — mark dirty on any mutation, re-sort
-on the next query — is kept behind ``IntervalIndex(incremental=False)`` as
-the differential-testing oracle and the benchmark baseline
-(``benchmarks/bench_control_plane.py``); both modes must answer every query
-identically (``tests/test_control_plane.py`` asserts it under randomized
-churn).
+instead of a full O(n log n) re-sort. Only the first query after a bulk
+load sorts from scratch (``_rebuild``). The differential oracle is a
+brute-force scan of ``items()`` in ``tests/test_interval_index.py`` and
+``tests/test_control_plane.py``.
 """
 
 from __future__ import annotations
@@ -55,13 +51,13 @@ class IntervalIndex:
     """
 
     __slots__ = (
-        "_items", "_incremental", "_dirty", "_pairs", "_keys",
+        "_items", "_dirty", "_pairs", "_keys",
         "_max1_hi", "_max1_key", "_max2_hi",
     )
 
-    def __init__(self, incremental: bool = True) -> None:
+    def __init__(self) -> None:
         self._items: dict[Hashable, tuple[float, float]] = {}
-        self._incremental = incremental
+        #: True until the first query sorts the bulk-loaded items
         self._dirty = True
         self._pairs: list[tuple[float, float]] = []
         self._keys: list[Hashable] = []
@@ -74,31 +70,24 @@ class IntervalIndex:
     # ------------------------------------------------------------------
     def add(self, key: Hashable, lo: float, hi: float) -> None:
         """Insert or replace interval ``key``."""
-        if self._incremental and not self._dirty:
+        if not self._dirty:
             old = self._items.get(key)
             if old is not None:
                 self._remove_sorted(key, old)
             self._insert_sorted(key, lo, hi)
-        else:
-            self._dirty = True
         self._items[key] = (lo, hi)
 
     def remove(self, key: Hashable) -> None:
         """Remove interval ``key`` (KeyError if absent)."""
         iv = self._items.pop(key)
-        self._after_remove(key, iv)
+        if not self._dirty:
+            self._remove_sorted(key, iv)
 
     def discard(self, key: Hashable) -> None:
         """Remove interval ``key`` if present."""
         iv = self._items.pop(key, None)
-        if iv is not None:
-            self._after_remove(key, iv)
-
-    def _after_remove(self, key: Hashable, iv: tuple[float, float]) -> None:
-        if self._incremental and not self._dirty:
+        if iv is not None and not self._dirty:
             self._remove_sorted(key, iv)
-        else:
-            self._dirty = True
 
     def __len__(self) -> int:
         return len(self._items)
@@ -181,9 +170,8 @@ class IntervalIndex:
     # ------------------------------------------------------------------
     def _rebuild(self) -> None:
         # key is the (lo, hi) pair itself; a C-level itemgetter avoids a
-        # python-level lambda per item. In incremental mode this runs once
-        # (first query after bulk load); afterwards mutations maintain the
-        # arrays in place. In rebuild mode every mutation re-triggers it.
+        # python-level lambda per item. Runs once (first query after bulk
+        # load); afterwards mutations maintain the arrays in place.
         order = sorted(self._items.items(), key=itemgetter(1))
         n = len(order)
         self._keys = [k for k, _iv in order]

@@ -24,13 +24,16 @@ import os
 import subprocess
 import sys
 import uuid
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.drivers.base import Driver, Transport
 from repro.drivers.live import VirtualClock
 from repro.drivers.socket import BrokerPeer, PeerError, SocketTransport
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
+from repro.experiments.runner import run_to_quiescence
+from repro.workload.mobility_model import Workload
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.config import ExperimentConfig
@@ -155,25 +158,14 @@ def _await_listening(proc: subprocess.Popen) -> NodeProc:
     raise PeerError(f"node process never announced a port: {rest!r}")
 
 
-def _config_blob(cfg: "ExperimentConfig") -> str:
-    """The replica construction recipe, as a literal-eval-safe blob.
-
-    ``repr``/``ast.literal_eval`` rather than JSON because mobility traces
-    key dicts by int client id, which JSON would silently stringify.
-    """
-    from dataclasses import asdict
-
-    workload = asdict(cfg.workload)
-    workload["mobility_params"] = dict(workload["mobility_params"])
-    return repr({
-        "grid_k": cfg.grid_k,
-        "protocol": cfg.protocol,
-        "seed": cfg.seed,
-        "covering_enabled": cfg.covering_enabled,
-        "migration_batch_size": cfg.migration_batch_size,
-        "covering_index": cfg.covering_index,
-        "workload": workload,
-    })
+#: config fields the process split cannot honour yet, and why. Every
+#: other field reaches the coordinator's system through
+#: ``ExperimentConfig.make_system`` like under any other driver.
+_UNSUPPORTED = {
+    "reliable": "the ACK/retransmit layer is client- and broker-entangled",
+    "durable": "the WAL and session handover are broker-entangled",
+    "crashes": "crash plans drive broker state coordinator-side",
+}
 
 
 def run_socket_scenario(
@@ -198,23 +190,16 @@ def run_socket_scenario(
     """
     if not isinstance(cfg.protocol, str):
         raise ConfigurationError("socket scenarios need a registry protocol name")
-    if cfg.reliable or cfg.durable:
-        raise ConfigurationError(
-            "reliability/durability layers are client- and broker-entangled; "
-            "the socket harness does not split them yet"
-        )
-    if cfg.crashes is not None and getattr(cfg.crashes, "active", False):
-        raise ConfigurationError(
-            "crash plans drive broker state coordinator-side; "
-            "the socket harness does not support them"
-        )
+    for name, why in _UNSUPPORTED.items():
+        value = getattr(cfg, name)
+        if getattr(value, "active", value):  # a plan counts when active
+            raise ConfigurationError(
+                f"the socket harness does not support {name} yet: {why}"
+            )
     if endpoints is None and processes < 1:
         raise ConfigurationError(f"processes must be >= 1, got {processes}")
     if endpoints is not None and not endpoints:
         raise ConfigurationError("endpoints must name at least one node")
-
-    from repro.pubsub.system import PubSubSystem
-    from repro.workload.mobility_model import Workload
 
     n_brokers = cfg.grid_k * cfg.grid_k
     nodes: List[NodeProc] = []
@@ -228,23 +213,18 @@ def run_socket_scenario(
             BrokerPeer(host, port, token=f"{run_token}-{i}")
             for i, (host, port) in enumerate(endpoints)
         ]
-        blob = _config_blob(cfg)
-        for i, peer in enumerate(peers):
-            peer.hello(blob, tuple(b for b in sorted(owner) if owner[b] == i))
-
-        clock = VirtualClock()
-        system = PubSubSystem(
-            grid_k=cfg.grid_k,
-            protocol=cfg.protocol,
-            seed=cfg.seed,
-            covering_enabled=cfg.covering_enabled,
-            migration_batch_size=cfg.migration_batch_size,
-            covering_index=cfg.covering_index,
-            faults=cfg.faults,
-            driver=SocketDriver(clock, peers, owner),
+        # fault draws, the downlink cap and its shed ledger stay with the
+        # coordinator's link layer; the replicas get the rest of the config
+        replica = asdict(
+            replace(cfg, faults=None, crashes=None, queue_cap=None)
         )
+        for i, peer in enumerate(peers):
+            peer.hello(
+                replica, tuple(b for b in sorted(owner) if owner[b] == i)
+            )
+
+        system = cfg.make_system(SocketDriver(VirtualClock(), peers, owner))
         transport = system.net
-        assert isinstance(transport, SocketTransport)
         transport.bind_system(system)
         system.protocol = _ProtocolProxy(system.protocol, transport)
         system.metrics.delivery.record_log = True
@@ -252,15 +232,7 @@ def run_socket_scenario(
             tweak(transport)
 
         workload = Workload(system, cfg.workload)
-        clock.run(until=cfg.workload.duration_ms)
-        workload.stop()
-        workload.reconnect_all()
-        clock.run()
-        if not system.protocol.quiescent():
-            raise SimulationError(
-                "drain deadlock: socket clock idle but protocol not quiescent"
-            )
-        system.metrics.delivery.finalize_crash_accounting()
+        run_to_quiescence(system, workload, cfg.workload.duration_ms)
 
         # fold the nodes' keepalive shedding into the coordinator ledger
         # (cause-tagged like every other shed; client -1 = not client data)

@@ -1,9 +1,11 @@
 """Broker node process: an asyncio TCP server running kernel replicas.
 
 One node owns a subset of the brokers. It builds an SPMD replica of the
-:class:`~repro.pubsub.system.PubSubSystem` from the coordinator's config
-blob (same seed, same named random streams, same id allocators — so queue
-ids and populations match the coordinator bit for bit), then executes the
+:class:`~repro.pubsub.system.PubSubSystem` from the
+:class:`~repro.experiments.config.ExperimentConfig` the coordinator sends
+in ``hello`` (the same mapping every driver builds through; same seed,
+same named random streams, same id allocators — so queue ids and
+populations match the coordinator bit for bit), then executes the
 dispatches the coordinator streams at it:
 
 ``recv``        a message arriving at an owned broker
@@ -30,7 +32,6 @@ single-thread executor so blocking queries cannot stall the loop.
 from __future__ import annotations
 
 import argparse
-import ast
 import asyncio
 import concurrent.futures
 import sys
@@ -203,22 +204,16 @@ class Session:
         self._building = False
 
     def _build_replica(self, config: dict) -> Any:
-        from repro.pubsub.system import PubSubSystem
+        from repro.experiments.config import ExperimentConfig
         from repro.workload.generator import build_population
         from repro.workload.spec import WorkloadSpec
 
-        driver = NodeDriver(self.clock, self.transport)
-        system = PubSubSystem(
-            grid_k=config["grid_k"],
-            protocol=config["protocol"],
-            seed=config["seed"],
-            covering_enabled=config["covering_enabled"],
-            migration_batch_size=config["migration_batch_size"],
-            covering_index=config["covering_index"],
-            driver=driver,
+        cfg = ExperimentConfig(
+            **{**config, "workload": WorkloadSpec(**config["workload"])}
         )
+        system = cfg.make_system(NodeDriver(self.clock, self.transport))
         system.metrics = NodeMetrics(self)
-        build_population(system, WorkloadSpec(**config["workload"]))
+        build_population(system, cfg.workload)
         return system
 
     # ------------------------------------------------------------------
@@ -441,9 +436,8 @@ class Connection:
     async def _handle(self, value: tuple) -> None:
         tag = value[0]
         if tag == "hello":
-            _, token, blob, brokers = value
+            _, token, config, brokers = value
             try:
-                config = ast.literal_eval(blob)
                 session = Session(self.server, token, config, tuple(brokers))
             except Exception as exc:
                 traceback.print_exc()

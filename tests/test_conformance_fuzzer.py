@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.conformance import fuzzer
 from repro.conformance.fuzzer import (
     FuzzReport,
     ScenarioFuzzer,
@@ -16,6 +17,7 @@ from repro.conformance.fuzzer import (
     run_scenario,
 )
 from repro.conformance.scenarios import ENGINE_BUNDLES, PROTOCOLS, Scenario
+from repro.experiments.config import ExperimentConfig
 
 
 def quick_seed(predicate, start=0):
@@ -115,6 +117,28 @@ def scenario_for(protocol):
 
 def test_clean_outcome_is_conformant():
     assert check_invariants(scenario_for("mhh"), outcome()) == []
+    # the matrix also takes the config a live or socket run was built
+    # from: faults/crashes of None mean inactive
+    cfg = ExperimentConfig(protocol="mhh")
+    assert check_invariants(cfg, outcome()) == []
+    assert check_invariants(cfg, outcome(repairs=1)) == [
+        "crash plan inactive but the recovery machinery fired"
+    ]
+
+
+def test_dead_post_repair_overlay_is_the_generators_fault(monkeypatch):
+    """``post_repair_publishes == 0`` judges the scenario generator, not
+    the protocol: the driver-independent matrix stays silent and
+    ``run_one``, where the generator is, flags it."""
+    scenario = Scenario.crash_from_seed(7, "mhh")
+    dead = outcome(repairs=len(scenario.crashes.events))
+    assert dead.post_repair_publishes == 0
+    assert check_invariants(scenario, dead) == []
+    monkeypatch.setattr(fuzzer, "run_scenario", lambda *a, **kw: dead)
+    result = ScenarioFuzzer(cross_engine=False, crash_lane=True).run_one(
+        7, "mhh"
+    )
+    assert any("no post-repair publishes" in v for v in result.violations)
 
 
 def test_missing_deliveries_flagged_for_every_protocol():

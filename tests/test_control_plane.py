@@ -13,8 +13,9 @@ churn:
   identical routing decisions, identical traffic,
   identical final tables, and a consistent advertisement mirror.
 
-The incremental-vs-rebuild :class:`IntervalIndex` differential lives in
-``tests/test_interval_index.py`` next to the other interval-index tests.
+The :class:`IntervalIndex` differential (incremental repair vs a
+brute-force scan) lives in ``tests/test_interval_index.py`` next to the
+other interval-index tests.
 """
 
 import random

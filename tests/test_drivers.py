@@ -169,12 +169,22 @@ def test_unknown_message_falls_through_to_protocol_control():
 # the asyncio soak (real wall-clock, kept tiny)
 # ---------------------------------------------------------------------------
 def test_asyncio_soak_mhh_with_faults_passes():
-    result = run_soak(
-        "mhh",
-        duration_s=0.6,
-        time_scale=10.0,
+    # 6 model seconds at 10x: a 0.6 s wall window
+    cfg = ExperimentConfig(
+        protocol="mhh",
+        grid_k=3,
+        workload=WorkloadSpec(
+            clients_per_broker=3,
+            mobile_fraction=0.5,
+            mean_connected_s=2.0,
+            mean_disconnected_s=0.5,
+            publish_interval_s=1.0,
+            duration_s=6.0,
+            warmup_s=0.2,
+        ),
         faults=FaultProfile(deliver_loss=0.1, deliver_duplicate=0.05),
     )
+    result = run_soak(cfg, time_scale=10.0)
     assert result.drained, "live drain did not reach quiescence"
     assert result.violations == []
     assert result.stats.published > 0

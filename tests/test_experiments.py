@@ -1,11 +1,19 @@
 """Tests for the experiment harness: configs, runner, figure drivers."""
 
+import dataclasses
+import inspect
 import re
 
 import pytest
 
+from repro.drivers.live import LiveDriver, VirtualClock, run_soak
 from repro.errors import ConfigurationError
-from repro.experiments.config import ExperimentConfig, SCALES, bench_scale
+from repro.experiments.config import (
+    RUNNER_ONLY,
+    SCALES,
+    ExperimentConfig,
+    bench_scale,
+)
 from repro.experiments.figures import (
     fig5a,
     fig5b,
@@ -15,8 +23,11 @@ from repro.experiments.figures import (
     run_fig6,
 )
 from repro.experiments.report import format_series, format_table
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import build_system, run_experiment
+from repro.network.faults import FaultProfile
+from repro.network.recovery import CrashPlan
 from repro.pubsub.filter_table import FilterTable
+from repro.pubsub.interval_index import IntervalIndex
 from repro.pubsub.system import PubSubSystem
 from repro.sim.core import SIM_ENGINES
 from repro.workload.spec import WorkloadSpec
@@ -171,6 +182,46 @@ def test_covering_index_config_plumbs_through():
     assert indexed.sim_events == legacy.sim_events
 
 
+def test_every_config_field_reaches_every_driver():
+    """The census: a config field is either a ``PubSubSystem`` keyword of
+    the same name (forwarded by the one mapping) or explicitly the
+    runner's own — and what the mapping forwards does not depend on the
+    driver the system is built for."""
+    params = set(inspect.signature(PubSubSystem.__init__).parameters)
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert RUNNER_ONLY == {"workload", "drain_limit_ms"}
+    assert names - RUNNER_ONLY <= params
+    assert RUNNER_ONLY <= names and not RUNNER_ONLY & params
+
+    cfg = ExperimentConfig(  # a non-default value in every field
+        protocol="sub-unsub", grid_k=2, seed=9, workload=FAST,
+        migration_batch_size=3, covering_enabled=False, drain_limit_ms=1e6,
+        sim_engine="heap", covering_index=False, event_batching=True,
+        faults=FaultProfile(deliver_loss=0.1),
+        crashes=CrashPlan.parse(crashes=["1@60"]),
+        reliable=True, retry_budget=3, queue_cap=7, durable=True,
+        wal_dir=None,
+    )
+    assert [f.name for f in dataclasses.fields(cfg)
+            if getattr(cfg, f.name) == f.default] == ["wal_dir"]
+
+    def built(system):
+        return (
+            system.covering_enabled, system.covering_index,
+            system.migration_batch_size, system.queue_cap,
+            system.event_batching, system.net.queue_cap,
+            system.reliability is not None, system.durability is not None,
+            system.recovery is not None, system.fault_injector is not None,
+        )
+
+    simulated, _ = build_system(cfg)
+    live, _ = build_system(cfg, driver=LiveDriver(VirtualClock()))
+    live.durability.close()  # the live driver's WAL is a scratch directory
+    assert built(simulated) == built(live)
+    assert built(simulated) == (False, False, 3, 7, True, 7,
+                                True, True, True, True)
+
+
 @pytest.mark.parametrize("build, error, message", [
     pytest.param(
         lambda: PubSubSystem(grid_k=2, matching_engine="scan"),
@@ -185,6 +236,12 @@ def test_covering_index_config_plumbs_through():
         lambda: PubSubSystem(grid_k=2, sim_engine="lanes-compiled"),
         ConfigurationError, re.escape(str(SIM_ENGINES)),
         id="sim_engine-lanes-compiled"),
+    pytest.param(
+        lambda: run_soak(protocol="mhh", grid_k=3),
+        TypeError, "protocol", id="run_soak-keywords"),
+    pytest.param(
+        lambda: IntervalIndex(incremental=False),
+        TypeError, "incremental", id="IntervalIndex-incremental"),
 ])
 def test_removed_engine_options_fail_loudly(build, error, message):
     """The deleted matching-engine switch and compiled scheduler are not

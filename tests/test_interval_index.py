@@ -1,8 +1,8 @@
 """Unit + property tests for the interval index (stab and containment).
 
-The index maintains its sorted arrays incrementally by default; every test
-here also runs against ``IntervalIndex(incremental=False)`` (the legacy
-rebuild-per-mutation oracle) via the differential tests at the bottom.
+The index maintains its sorted arrays incrementally; the differential test
+at the bottom checks every query against a brute-force scan of ``items()``
+under randomized churn.
 """
 
 import random
@@ -152,7 +152,7 @@ def test_property_removal_consistency(raw, x, data):
 
 
 # ---------------------------------------------------------------------------
-# incremental maintenance vs the rebuild-from-scratch oracle
+# incremental maintenance vs a brute-force scan
 # ---------------------------------------------------------------------------
 def test_incremental_mutation_between_queries():
     """Mutations after the arrays are built repair them in place."""
@@ -190,51 +190,50 @@ def test_contained_keys_enumeration():
     assert idx.contained_keys(0.9, 1.0) == []
 
 
+def stab_bruteforce(items, x):
+    return any(lo <= x <= hi for _k, (lo, hi) in items)
+
+
+def contains_bruteforce(items, lo, hi, exclude):
+    return any(l <= lo and hi <= h for k, (l, h) in items if k != exclude)
+
+
 def contained_bruteforce(items, lo, hi):
-    return sorted(k for k, (l, h) in items.items() if lo <= l and h <= hi)
+    return sorted(k for k, (l, h) in items if lo <= l and h <= hi)
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_differential_incremental_vs_rebuild(seed):
-    """Randomized churn: every query identical to the rebuild oracle (and
-    to brute force), after every mutation."""
+    """Randomized churn: after every mutation, every query answers like a
+    brute-force scan of ``items()`` (which itself must mirror the
+    mutations applied)."""
     rnd = random.Random(seed)
     inc = IntervalIndex()
-    oracle = IntervalIndex(incremental=False)
-    items = {}
+    mirror = {}
     for step in range(400):
         roll = rnd.random()
-        if roll < 0.5 or not items:
+        if roll < 0.5 or not mirror:
             k = rnd.randrange(30)
             a, b = sorted((rnd.uniform(0, 1), rnd.uniform(0, 1)))
             inc.add(k, a, b)
-            oracle.add(k, a, b)
-            items[k] = (a, b)
+            mirror[k] = (a, b)
         elif roll < 0.75:
-            k = rnd.choice(list(items))
+            k = rnd.choice(list(mirror))
             inc.remove(k)
-            oracle.remove(k)
-            del items[k]
+            del mirror[k]
         else:
             k = rnd.randrange(40)
             inc.discard(k)
-            oracle.discard(k)
-            items.pop(k, None)
+            mirror.pop(k, None)
         if rnd.random() < 0.6:
+            items = list(inc.items())
+            assert sorted(items) == sorted(mirror.items()), (seed, step)
             x = rnd.uniform(-0.2, 1.2)
-            brute = any(lo <= x <= hi for lo, hi in items.values())
-            assert inc.stab(x) == oracle.stab(x) == brute, (seed, step)
+            assert inc.stab(x) == stab_bruteforce(items, x), (seed, step)
             a, b = sorted((rnd.uniform(0, 1), rnd.uniform(0, 1)))
             for excl in (None, rnd.randrange(30)):
-                brute_c = any(
-                    lo <= a and b <= hi
-                    for k, (lo, hi) in items.items() if k != excl
-                )
                 assert inc.contains_interval(a, b, excl) \
-                    == oracle.contains_interval(a, b, excl) == brute_c, \
+                    == contains_bruteforce(items, a, b, excl), \
                     (seed, step, excl)
             assert sorted(inc.contained_keys(a, b)) \
-                == sorted(oracle.contained_keys(a, b)) \
                 == contained_bruteforce(items, a, b), (seed, step)
-            assert sorted(inc.items()) == sorted(oracle.items()) \
-                == sorted(items.items())

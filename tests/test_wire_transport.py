@@ -20,7 +20,12 @@ import hashlib
 
 import pytest
 
-from repro.conformance.fuzzer import ScenarioOutcome, check_invariants, run_scenario
+from repro.conformance.fuzzer import (
+    ScenarioOutcome,
+    check_invariants,
+    run_scenario,
+    snapshot_outcome,
+)
 from repro.conformance.scenarios import PROTOCOLS, Scenario
 from repro.errors import ConfigurationError
 from repro.wire.harness import run_socket_scenario
@@ -36,35 +41,6 @@ _PARITY_FIELDS = tuple(
     for f in dataclasses.fields(ScenarioOutcome)
     if f.name not in ("engine_bundle", "sim_events")
 )
-
-
-def _socket_outcome(system) -> ScenarioOutcome:
-    """Snapshot a socket-harness run in the fuzzer's outcome shape."""
-    stats = system.metrics.delivery.stats
-    injector = system.fault_injector
-    meter = system.metrics.traffic
-    return ScenarioOutcome(
-        engine_bundle=("socket", True, False),
-        published=stats.published,
-        expected=stats.expected,
-        delivered=stats.delivered,
-        duplicates=stats.duplicates,
-        order_violations=stats.order_violations,
-        lost=stats.lost_explicit,
-        missing=stats.missing,
-        handoffs=system.metrics.handoffs.handoff_count,
-        injected_drops=injector.drops if injector else 0,
-        injected_dups=injector.dups_delivered if injector else 0,
-        meter_drops=meter.total_dropped(),
-        meter_dups=meter.total_duplicated(),
-        sim_events=0,
-        recovered=stats.recovered,
-        shed=stats.shed,
-        retransmits=meter.total_retransmits(),
-        breaker_trips=meter.total_breaker_trips(),
-        wired_by_category=dict(meter.by_category()),
-        delivery_log=tuple(system.metrics.delivery.log),
-    )
 
 
 def _parity_diff(sim: ScenarioOutcome, sock: ScenarioOutcome) -> list:
@@ -87,14 +63,25 @@ def _scenario(protocol: str) -> Scenario:
 # ---------------------------------------------------------------------------
 # the parity gate: four protocols over loopback TCP
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_socket_transport_matches_simulated_driver(protocol):
+@pytest.mark.parametrize(
+    "protocol,capped",
+    [(p, False) for p in PROTOCOLS] + [("mhh", True)],
+    ids=[*PROTOCOLS, "mhh-queue-cap"],
+)
+def test_socket_transport_matches_simulated_driver(protocol, capped):
     scenario = _scenario(protocol)
+    if capped:
+        # a one-slot downlink under a 2 s publish interval: the bulkhead
+        # sheds, and the coordinator's link layer must shed identically
+        scenario = dataclasses.replace(
+            scenario, queue_cap=1, publish_interval_s=2.0
+        )
     sim = run_scenario(scenario)
     system = run_socket_scenario(scenario.config(), processes=2)
-    sock = _socket_outcome(system)
+    sock = snapshot_outcome(system)
     assert _parity_diff(sim, sock) == []
     assert sock.delivery_log, "degenerate run: no deliveries at all"
+    assert (sock.shed > 0) == capped
     # the socket run must clear the same invariant matrix the fuzzer
     # applies to the simulated engines
     assert check_invariants(scenario, sock) == []
@@ -110,7 +97,7 @@ def test_three_process_split_is_also_identical():
     scenario = _scenario("mhh")
     sim = run_scenario(scenario)
     system = run_socket_scenario(scenario.config(), processes=3)
-    assert _parity_diff(sim, _socket_outcome(system)) == []
+    assert _parity_diff(sim, snapshot_outcome(system)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +115,7 @@ def test_killed_connections_resume_with_identical_outcome():
         transport.peers[1].kill_after_frames = 60
 
     system = run_socket_scenario(scenario.config(), processes=2, tweak=arm)
-    sock = _socket_outcome(system)
+    sock = snapshot_outcome(system)
     stats = system.net.stats
     assert stats.resumes >= 2, "the kill hooks never fired"
     assert all(p.kills == 1 for p in system.net.peers)
@@ -161,21 +148,29 @@ def test_repeated_kills_on_one_connection_still_converge():
     )
     assert killer_state["count"] >= 2
     assert system.net.stats.resumes >= killer_state["count"]
-    assert _parity_diff(sim, _socket_outcome(system)) == []
+    assert _parity_diff(sim, snapshot_outcome(system)) == []
 
 
 # ---------------------------------------------------------------------------
 # configuration gates
 # ---------------------------------------------------------------------------
 def test_harness_refuses_unsupported_layers():
-    reliable = Scenario.reliability_from_seed(PARITY_SEED, protocol="mhh")
+    from repro.wire.harness import _UNSUPPORTED
+
+    plain = _scenario("mhh").config()
+    refused = {
+        "reliable": dataclasses.replace(plain, reliable=True),
+        "durable": dataclasses.replace(plain, durable=True),
+        "crashes": Scenario.crash_from_seed(
+            PARITY_SEED, protocol="mhh"
+        ).config(),
+    }
+    assert set(refused) == set(_UNSUPPORTED)  # every entry, nothing else
+    for name, cfg in refused.items():
+        with pytest.raises(ConfigurationError, match=name):
+            run_socket_scenario(cfg, processes=2)
     with pytest.raises(ConfigurationError):
-        run_socket_scenario(reliable.config(), processes=2)
-    crashed = Scenario.crash_from_seed(PARITY_SEED, protocol="mhh")
-    with pytest.raises(ConfigurationError):
-        run_socket_scenario(crashed.config(), processes=2)
-    with pytest.raises(ConfigurationError):
-        run_socket_scenario(_scenario("mhh").config(), processes=0)
+        run_socket_scenario(plain, processes=0)
 
 
 # ---------------------------------------------------------------------------
