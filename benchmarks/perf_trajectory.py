@@ -103,9 +103,8 @@ def collect(scale: str) -> dict:
     # churn run, same seed off vs on. Default-off must stay free (it
     # constructs nothing), so the overhead ratio is the price of turning
     # the layer on — timer traffic, acks, retransmits — not of having it.
-    # 600 simulated seconds: the overhead ratios are gated at an absolute
-    # cap, and sub-0.2s wall times put the scheduler-noise floor inside
-    # the gate's tolerance — a longer run amortizes it away
+    # 600 simulated seconds: sub-0.2s wall times put the scheduler-noise
+    # floor inside the ratio — a longer run amortizes it away
     rel_cfg = ExperimentConfig(
         protocol="mhh", grid_k=3, seed=1,
         workload=WorkloadSpec(
@@ -115,8 +114,7 @@ def collect(scale: str) -> dict:
         ),
         faults=FaultProfile(deliver_loss=0.1),
     )
-    # the overhead ratios are gated at an absolute cap, so the noise floor
-    # matters more than for the info-only wall times: interleave the three
+    # a ratio of two short runs doubles their noise: interleave the three
     # variants round-robin (sequential blocks let CPU warm-up drift land
     # entirely on one variant) and take best-of-7 rounds each.
     # durability = the WAL + persistent sessions on top of the same

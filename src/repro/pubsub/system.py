@@ -38,7 +38,7 @@ from repro.network.links import (
 )
 from repro.network.paths import ShortestPaths
 from repro.network.spanning_tree import minimum_spanning_tree
-from repro.network.topology import Topology, grid_topology
+from repro.network.topology import grid_topology
 from repro.pubsub.broker import Broker
 from repro.pubsub.client import Client
 from repro.pubsub.filters import Filter
@@ -50,7 +50,6 @@ from repro.util.ids import IdAllocator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mobility.base import MobilityProtocol
     from repro.pubsub.recovery import RecoveryCoordinator
-    from repro.pubsub.wal import LogStore
 
 __all__ = ["PubSubSystem"]
 
@@ -82,7 +81,6 @@ class PubSubSystem:
         stream_pacing_ms: Optional[float] = None,
         unicast_routing: str = "grid",
         trace: Optional[Union[str, list[str]]] = None,
-        topology: Optional[Topology] = None,
         sim_engine: str = "lanes",
         covering_index: bool = True,
         faults: Optional[FaultProfile] = None,
@@ -93,10 +91,9 @@ class PubSubSystem:
         queue_cap: Optional[int] = None,
         durable: bool = False,
         wal_dir: Optional[str] = None,
-        log_store: Optional["LogStore"] = None,
         event_batching: bool = False,
     ) -> None:
-        if grid_k <= 0 and topology is None:
+        if grid_k <= 0:
             raise ConfigurationError(f"grid_k must be >= 1, got {grid_k}")
         if retry_budget < 1:
             raise ConfigurationError(
@@ -109,8 +106,6 @@ class PubSubSystem:
             )
         if wal_dir is not None and not durable:
             raise ConfigurationError("wal_dir requires durable=True")
-        if log_store is not None and not durable:
-            raise ConfigurationError("log_store requires durable=True")
         if migration_batch_size <= 0:
             raise ConfigurationError(
                 f"migration_batch_size must be >= 1, got {migration_batch_size}"
@@ -169,7 +164,7 @@ class PubSubSystem:
         self.metrics = MetricsHub()
         self.tracer = Tracer(lambda: self.clock.now, enabled=trace)
 
-        self.topology = topology if topology is not None else grid_topology(grid_k)
+        self.topology = grid_topology(grid_k)
         self.paths = ShortestPaths(self.topology)
         self.tree = minimum_spanning_tree(self.topology, seed=seed)
         #: 'grid' (paper §5.1: stations talk via shortest paths) or 'tree'
@@ -276,9 +271,8 @@ class PubSubSystem:
         if durable:
             from repro.pubsub.wal import DurabilityManager
 
-            store = (log_store if log_store is not None
-                     else driver.build_log_store(wal_dir))
-            self.durability = DurabilityManager(self, store)
+            self.durability = DurabilityManager(
+                self, driver.build_log_store(wal_dir))
 
         self.brokers: dict[int, Broker] = {}
         for bid in range(self.topology.n):

@@ -6,13 +6,19 @@ volatile downlink queues and retransmit windows (``crash_lost``), and a
 retry budget exhausted against a dead link is shed. This module closes
 both holes behind an opt-in ``durable=True`` switch:
 
-* **Write-ahead log** (:class:`BrokerWal` over a :class:`LogStore`) — every
-  broker appends a checksummed record *before* the corresponding send:
-  ``pub`` at the ingress broker before the event is routed, ``dlv`` before
-  a deliver frame leaves for a client, ``ack`` when the cumulative-ACK
-  cursor advances, ``ses`` when a client session is created or re-homed.
-  Records are length+CRC32 framed inside fixed-size segments; a torn tail
-  (mid-record crash) is detected by checksum and truncated on open.
+* **Write-ahead log** (a :class:`LogStore` of per-broker segments) — every
+  broker appends a record *before* the corresponding send: ``pub`` at the
+  ingress broker before the event is routed, ``dlv`` before a deliver
+  frame leaves for a client, ``ack`` when the cumulative-ACK cursor
+  advances, ``ses`` when a client session is created or re-homed. This
+  module owns no byte format: a record is a wire-codec control value
+  (:func:`repro.wire.codec.encode_control`) inside a wire frame
+  (:func:`repro.wire.framing.encode_frame`) — the bytes a socket peer
+  would receive. A torn tail (mid-record crash: short header, short body,
+  bad checksum) is a framing verdict and is truncated on open; a
+  checksum-valid payload that is not one of the four records is a
+  :class:`~repro.wire.codec.CodecError`, raised before any byte of the log
+  is changed.
 
 * **Persistent client sessions** (:class:`ClientSession`) — subscription
   range, delivery cursor (the set of settled event ids) and the unacked
@@ -50,15 +56,14 @@ nothing from this module at all.
 
 from __future__ import annotations
 
-import ast
 import os
 import shutil
-import struct
-import zlib
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.pubsub import messages as m
 from repro.pubsub.events import Notification
+from repro.wire.codec import CodecError, decode_control, encode_control
+from repro.wire.framing import encode_frame, split_frames
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pubsub.broker import Broker
@@ -68,7 +73,6 @@ __all__ = [
     "LogStore",
     "MemoryLogStore",
     "FileLogStore",
-    "BrokerWal",
     "ClientSession",
     "DurabilityManager",
     "ReplayState",
@@ -82,54 +86,66 @@ SEGMENT_BYTES = 64 * 1024
 CHECKPOINT_EVERY = 512
 
 # ---------------------------------------------------------------------------
-# record framing: <u32 payload-length> <u32 crc32(payload)> <payload>
+# records: wire-codec control values in wire frames
 # ---------------------------------------------------------------------------
 
-_HDR = struct.Struct("<II")
+_OPT_NUM = (float, int, type(None))
+
+#: record kind -> the types of its fields after the kind. ``lsn`` is a
+#: manager-global log sequence number that gives replay a total order
+#: across brokers:
+#:
+#: * ``("pub", lsn, event)`` — the ingress broker logged a publish
+#: * ``("dlv", lsn, client, event_id)`` — deliver frame about to leave
+#: * ``("ack", lsn, client, event_id)`` — delivery cursor advanced
+#: * ``("ses", lsn, client, lo, hi, acked)`` — session created / re-homed
+#:   here; ``acked`` folds the live part of the delivery cursor into the
+#:   anchor record (one record per move, not one per settled event)
+_RECORD_FIELDS: Dict[str, tuple] = {
+    "pub": (int, Notification),
+    "dlv": (int, int, int),
+    "ack": (int, int, int),
+    "ses": (int, int, _OPT_NUM, _OPT_NUM, tuple),
+}
 
 
-def encode_record(payload_obj: tuple) -> bytes:
-    """Frame one record: length + CRC32 header, then the payload bytes.
+def encode_record(record: tuple) -> bytes:
+    """One log record as bytes: the codec's control value in a wire frame."""
+    return encode_frame(encode_control(record))
 
-    The payload is the ``repr`` of a plain tuple of literals, decoded with
-    :func:`ast.literal_eval` — deterministic, human-inspectable, and free
-    of pickle's code-execution surface.
+
+def _decode_record(payload: bytes) -> tuple:
+    """A checksum-valid payload back to its record, or :class:`CodecError`.
+
+    The checksum proves these are the bytes some writer framed, so a
+    payload that is not one of the four records was never a crash
+    artifact: it is a log in another format (the ``repr`` text of older
+    versions starts with ``(``, not the codec version byte) or another
+    program's file, and must be refused, not truncated away.
     """
-    payload = repr(payload_obj).encode("utf-8")
-    return _HDR.pack(len(payload), zlib.crc32(payload)) + payload
+    rec = decode_control(payload)
+    kind = rec[0] if isinstance(rec, tuple) and rec else None
+    fields = _RECORD_FIELDS.get(kind) if isinstance(kind, str) else None
+    if (fields is None or len(rec) != len(fields) + 1
+            or not all(map(isinstance, rec[1:], fields))
+            or (kind == "ses"
+                and not all(isinstance(eid, int) for eid in rec[5]))):
+        raise CodecError(f"not a log record: {rec!r:.80}")
+    return rec
 
 
 def decode_records(blob: bytes) -> Tuple[List[tuple], int]:
-    """Decode a segment image into records, truncating any torn tail.
+    """Decode a segment image into records, measuring any torn tail.
 
-    Returns ``(records, torn_bytes)``. Decoding stops at the first frame
-    that is short, fails its checksum, or does not parse — everything from
-    that offset on is the torn tail left by a mid-record crash and is
-    reported (not returned) so callers can truncate stable storage to the
-    clean prefix.
+    Returns ``(records, torn_bytes)``. The framer splits the clean prefix;
+    everything behind it — a short header, a short body, a failed checksum
+    and whatever follows — is the torn tail left by a mid-record crash and
+    is reported (not returned) so callers can truncate stable storage to
+    the clean prefix. Raises :class:`CodecError` for a checksum-valid
+    payload that is not a log record.
     """
-    records: List[tuple] = []
-    off, n = 0, len(blob)
-    while off < n:
-        if off + _HDR.size > n:
-            break
-        length, crc = _HDR.unpack_from(blob, off)
-        start = off + _HDR.size
-        end = start + length
-        if end > n:
-            break
-        payload = bytes(blob[start:end])
-        if zlib.crc32(payload) != crc:
-            break
-        try:
-            obj = ast.literal_eval(payload.decode("utf-8"))
-        except (ValueError, SyntaxError, UnicodeDecodeError):
-            break
-        if not isinstance(obj, tuple):
-            break
-        records.append(obj)
-        off = end
-    return records, n - off
+    payloads, clean, _ = split_frames(blob)
+    return [_decode_record(p) for p in payloads], len(blob) - clean
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +208,7 @@ class MemoryLogStore(LogStore):
     def __init__(self, segment_bytes: int = SEGMENT_BYTES) -> None:
         self.segment_bytes = segment_bytes
         self._segs: Dict[int, List[bytearray]] = {}
-        # records appended but not yet framed: encoding (repr + crc) is
+        # records appended but not yet framed: encoding (codec + crc) is
         # pure function of the record, so it can run when the bytes are
         # first *observed* instead of on the simulation hot path — the
         # resulting segment images are byte-identical to eager framing
@@ -244,8 +260,13 @@ class FileLogStore(LogStore):
     Layout: ``<root>/b<broker>/seg<index>.wal``. Appends go to the
     highest-index segment and are flushed per record (append-before-send
     is only meaningful if the bytes actually hit the file). On open, every
-    existing segment is scanned and torn tails — artifacts of a real
-    mid-record crash — are truncated to the last clean record boundary.
+    existing segment is decoded: a log holding a checksum-valid payload
+    that is not a record (another version's format, another program's
+    file) is refused with :class:`~repro.wire.codec.CodecError` before
+    anything on disk changes. Only then are the artifacts of a real crash
+    removed — torn tails are truncated to the last clean record boundary,
+    and a ``*.tmp`` left between a compaction write and its rename (the
+    segments it would have replaced are all still there) is unlinked.
     """
 
     name = "file"
@@ -258,10 +279,26 @@ class FileLogStore(LogStore):
         self._sizes: Dict[int, int] = {}  # open-segment size per broker
         self._index: Dict[int, int] = {}  # open-segment index per broker
         os.makedirs(self.root, exist_ok=True)
+        torn: List[Tuple[str, int]] = []  # (path, clean length)
         for bid in self.brokers():
+            for path in self._segment_paths(bid):
+                with open(path, "rb") as fh:
+                    blob = fh.read()
+                try:
+                    _, torn_bytes = decode_records(blob)
+                except CodecError as exc:
+                    raise CodecError(f"{path}: {exc}") from None
+                if torn_bytes:
+                    torn.append((path, len(blob) - torn_bytes))
+        for path, clean in torn:
+            with open(path, "r+b") as fh:
+                fh.truncate(clean)
+        for bid in self.brokers():
+            bdir = self._broker_dir(bid)
+            for name in os.listdir(bdir):
+                if name.endswith(".tmp"):
+                    os.unlink(os.path.join(bdir, name))
             paths = self._segment_paths(bid)
-            for path in paths:
-                self._truncate_torn(path)
             self._index[bid] = self._path_index(paths[-1]) if paths else 0
             self._sizes[bid] = os.path.getsize(paths[-1]) if paths else 0
 
@@ -282,15 +319,6 @@ class FileLogStore(LogStore):
         names = sorted(n for n in os.listdir(bdir)
                        if n.startswith("seg") and n.endswith(".wal"))
         return [os.path.join(bdir, n) for n in names]
-
-    @staticmethod
-    def _truncate_torn(path: str) -> None:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        _, torn = decode_records(blob)
-        if torn:
-            with open(path, "r+b") as fh:
-                fh.truncate(len(blob) - torn)
 
     # -- LogStore primitives ---------------------------------------------
 
@@ -344,55 +372,6 @@ class FileLogStore(LogStore):
     def close(self) -> None:
         if self._owns_dir:
             shutil.rmtree(self.root, ignore_errors=True)
-
-
-# ---------------------------------------------------------------------------
-# per-broker WAL: record codec over a store
-# ---------------------------------------------------------------------------
-
-
-class BrokerWal:
-    """One broker's view of the log: append framed records, replay them.
-
-    Record payloads (all plain literal tuples; ``lsn`` is a manager-global
-    log sequence number that gives replay a total order across brokers):
-
-    * ``("pub", lsn, (event_id, publisher, seq, publish_time, topic, attrs))``
-    * ``("dlv", lsn, client, event_id)`` — deliver frame about to leave
-    * ``("ack", lsn, client, event_id)`` — delivery cursor advanced
-    * ``("ses", lsn, client, lo, hi, acked)`` — session created / re-homed
-      here; ``acked`` folds the live part of the delivery cursor into the
-      anchor record (one record per move, not one per settled event)
-    """
-
-    __slots__ = ("store", "broker")
-
-    def __init__(self, store: LogStore, broker: int) -> None:
-        self.store = store
-        self.broker = broker
-
-    def append(self, payload: tuple) -> None:
-        self.store.append_record(self.broker, payload)
-
-    def replay(self) -> Tuple[List[tuple], int]:
-        """Decode every segment; returns ``(records, torn_segments)``."""
-        records: List[tuple] = []
-        torn_segments = 0
-        for blob in self.store.segments(self.broker):
-            recs, torn = decode_records(blob)
-            records.extend(recs)
-            if torn:
-                torn_segments += 1
-        return records, torn_segments
-
-
-def _event_tuple(ev: Notification) -> tuple:
-    attrs = dict(ev.attrs) if ev.attrs else None
-    return (ev.event_id, ev.publisher, ev.seq, ev.publish_time, ev.topic, attrs)
-
-
-def _event_from_tuple(t: tuple) -> Notification:
-    return Notification(t[0], t[1], t[2], t[3], t[4], t[5])
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +444,6 @@ class DurabilityManager:
         self.system = system
         self.store = store
         self.checkpoint_every = checkpoint_every
-        self._wals: Dict[int, BrokerWal] = {}
         self._lsn = 0
         #: live (uncompacted) published events, id -> Notification
         self.events: Dict[int, Notification] = {}
@@ -484,12 +462,6 @@ class DurabilityManager:
         self.records_appended = 0
 
     # -- plumbing ---------------------------------------------------------
-
-    def wal(self, broker: int) -> BrokerWal:
-        w = self._wals.get(broker)
-        if w is None:
-            w = self._wals[broker] = BrokerWal(self.store, broker)
-        return w
 
     def _append(self, broker: int, payload: tuple) -> None:
         self.store.append_record(broker, payload)
@@ -523,7 +495,7 @@ class DurabilityManager:
         """Ingress broker logs the event before routing it anywhere."""
         self.events[event.event_id] = event
         self._event_home[event.event_id] = broker
-        self._append(broker, ("pub", self._next_lsn(), _event_tuple(event)))
+        self._append(broker, ("pub", self._next_lsn(), event))
 
     def on_deliver(self, broker: int, client: int, event: Notification) -> None:
         """A deliver frame is about to leave ``broker`` for ``client``."""
@@ -616,8 +588,7 @@ class DurabilityManager:
                 del self.events[eid]
                 del self._event_home[eid]
             else:
-                out.append(encode_record(
-                    ("pub", self._next_lsn(), _event_tuple(ev))))
+                out.append(encode_record(("pub", self._next_lsn(), ev)))
         for cid in sorted(self.sessions):
             s = self.sessions[cid]
             if s.anchor != broker:
@@ -645,10 +616,10 @@ class DurabilityManager:
         merged: List[Tuple[int, int, tuple]] = []
         torn = 0
         for bid in sorted(self.store.brokers()):
-            records, torn_segs = self.wal(bid).replay()
-            torn += torn_segs
-            for rec in records:
-                merged.append((rec[1], bid, rec))
+            for blob in self.store.segments(bid):
+                records, torn_bytes = decode_records(blob)
+                torn += bool(torn_bytes)
+                merged.extend((rec[1], bid, rec) for rec in records)
         merged.sort(key=lambda t: (t[0], t[1]))
         # pass 1: the event payloads. Compaction rewrites surviving pub
         # records with fresh lsns, so a pub may sort *after* a dlv that
@@ -656,8 +627,7 @@ class DurabilityManager:
         events: Dict[int, Notification] = {}
         for _lsn, _bid, rec in merged:
             if rec[0] == "pub":
-                ev = _event_from_tuple(rec[2])
-                events[ev.event_id] = ev
+                events[rec[2].event_id] = rec[2]
         # pass 2: sessions, in global lsn order (newest anchor wins, acks
         # land before any stale dlv rewrite)
         sessions: Dict[int, ClientSession] = {}

@@ -6,8 +6,9 @@ objects a real byte representation and a real network:
 
 - :mod:`repro.wire.codec` — versioned compact binary codec with a per-type
   registry covering every class in :mod:`repro.pubsub.messages`;
-- :mod:`repro.wire.framing` — length-prefixed CRC-framed streams (the WAL's
-  ``<len><crc32>`` convention) with an incremental decoder;
+- :mod:`repro.wire.framing` — length-prefixed CRC-framed records, the one
+  ``<len><crc32>`` framing of socket streams and write-ahead log segments,
+  with an incremental stream decoder;
 - :mod:`repro.wire.node` — a broker node process (asyncio TCP server) that
   executes kernel dispatches and streams resulting effects back;
 - :mod:`repro.wire.harness` — the coordinator that runs a full scenario

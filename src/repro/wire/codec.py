@@ -34,6 +34,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Callable, Dict, List, Tuple, Type
 
+from repro.errors import FilterError
 from repro.pubsub import messages as m
 from repro.pubsub.events import Notification
 from repro.pubsub.filters import (
@@ -569,17 +570,27 @@ def encode_message(msg: m.Message) -> bytes:
     return bytes(w.out)
 
 
-def decode_message(data: bytes) -> m.Message:
-    """Decode one versioned wire payload back into a message object."""
+def _decode(data: bytes, read: Callable[[_Reader], Any]) -> Any:
     if not data:
         raise CodecError("empty payload")
     if data[0] != CODEC_VERSION:
         raise CodecError(f"unsupported codec version {data[0]}")
     r = _Reader(data, pos=1)
-    msg = _read_message_body(r)
+    try:
+        value = read(r)
+    except (TypeError, RecursionError, FilterError) as exc:
+        # an unhashable dict key or set member, nesting deeper than the
+        # interpreter's stack, a filter its own constructor refuses: bytes
+        # no encoder here ever produced
+        raise CodecError(f"malformed payload: {exc}") from None
     if not r.done():
-        raise CodecError(f"{len(data) - r.pos} trailing bytes after message")
-    return msg
+        raise CodecError(f"{len(data) - r.pos} trailing bytes after payload")
+    return value
+
+
+def decode_message(data: bytes) -> m.Message:
+    """Decode one versioned wire payload back into a message object."""
+    return _decode(data, _read_message_body)
 
 
 def encode_control(value: Any) -> bytes:
@@ -592,12 +603,4 @@ def encode_control(value: Any) -> bytes:
 
 def decode_control(data: bytes) -> Any:
     """Decode a control value produced by :func:`encode_control`."""
-    if not data:
-        raise CodecError("empty payload")
-    if data[0] != CODEC_VERSION:
-        raise CodecError(f"unsupported codec version {data[0]}")
-    r = _Reader(data, pos=1)
-    value = _read_value(r)
-    if not r.done():
-        raise CodecError(f"{len(data) - r.pos} trailing bytes after value")
-    return value
+    return _decode(data, _read_value)

@@ -1,23 +1,28 @@
-"""Length-prefixed CRC-framed stream framing.
+"""Length-prefixed CRC-framed records: the one byte framing of the repo.
 
-Frame layout (mirrors the WAL record convention in ``pubsub/wal.py``)::
+Frame layout — the socket stream and the write-ahead log
+(:mod:`repro.pubsub.wal`) both write exactly this, and this module is the
+only one that knows the header::
 
     <u32 payload-length, little-endian> <u32 crc32(payload)> <payload>
 
-The decoder is incremental: feed it arbitrary byte chunks (a torn TCP read
-is fine) and pull complete payloads out as they materialise. Corruption is
-unrecoverable by design — a stream with a bad CRC or an absurd length
-prefix has lost sync, so the decoder latches into a dead state and the
-owner must drop the connection. No exception other than :class:`FrameError`
-subclasses ever leaves this module, and every rejection increments a typed
-counter so transports can account the failure.
+:func:`split_frames` is the single parser. On a stream, wrap it in a
+:class:`FrameDecoder`: feed it arbitrary byte chunks (a torn TCP read is
+fine) and pull complete payloads out as they materialise. Corruption is
+unrecoverable there by design — a stream with a bad CRC or an absurd
+length prefix has lost sync, so the decoder latches into a dead state and
+the owner must drop the connection. A stored segment has no peer to drop:
+the log calls everything behind the clean prefix a torn tail and truncates
+it. No exception other than :class:`FrameError` subclasses ever leaves
+this module, and every rejection increments a typed counter so transports
+can account the failure.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 __all__ = [
     "HEADER_SIZE",
@@ -27,6 +32,7 @@ __all__ = [
     "FrameTooLargeError",
     "FrameDecoder",
     "encode_frame",
+    "split_frames",
 ]
 
 _HDR = struct.Struct("<II")
@@ -58,6 +64,37 @@ def encode_frame(payload: bytes) -> bytes:
             f"(ceiling {MAX_FRAME_SIZE})"
         )
     return _HDR.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def split_frames(
+    buf: bytes, max_frame: int = MAX_FRAME_SIZE
+) -> Tuple[List[bytes], int, Optional[FrameError]]:
+    """Split the clean prefix of ``buf`` into payloads, without latching.
+
+    Returns ``(payloads, clean, error)``: ``clean`` is the byte length of
+    the complete, checksum-valid frames at the front of ``buf``. What lies
+    behind it is either an incomplete frame (``error`` is ``None`` — a
+    stream waits for more bytes, a stored segment calls it a torn tail) or
+    a frame that can never become valid (``error`` is the
+    :class:`FrameError` to raise or count).
+    """
+    payloads: List[bytes] = []
+    off, n = 0, len(buf)
+    while n - off >= HEADER_SIZE:
+        length, crc = _HDR.unpack_from(buf, off)
+        if length > max_frame:
+            return payloads, off, FrameTooLargeError(
+                f"frame length {length} exceeds ceiling {max_frame}")
+        end = off + HEADER_SIZE + length
+        if end > n:
+            break
+        payload = bytes(buf[off + HEADER_SIZE:end])
+        if zlib.crc32(payload) != crc:
+            return payloads, off, FrameCorruptionError(
+                f"crc mismatch on {length} byte frame")
+        payloads.append(payload)
+        off = end
+    return payloads, off, None
 
 
 class FrameDecoder:
@@ -98,47 +135,28 @@ class FrameDecoder:
         if self._dead is not None:
             raise type(self._dead)(str(self._dead))
         self.bytes_in += len(chunk)
-        self._buf += chunk
-        out: List[bytes] = []
-        while True:
-            payload = self._next()
-            if payload is None:
-                return out
-            out.append(payload)
-
-    def _next(self) -> Optional[bytes]:
         buf = self._buf
-        if len(buf) < HEADER_SIZE:
-            return None
-        length, crc = _HDR.unpack_from(buf)
-        if length > self.max_frame:
-            self.oversize += 1
-            self._die(FrameTooLargeError(
-                f"frame length {length} exceeds ceiling {self.max_frame}"
-            ))
-        end = HEADER_SIZE + length
-        if len(buf) < end:
-            return None
-        payload = bytes(buf[HEADER_SIZE:end])
-        if zlib.crc32(payload) != crc:
-            self.corrupt += 1
-            self._die(FrameCorruptionError(
-                f"crc mismatch on {length} byte frame"
-            ))
-        del buf[:end]
-        self.frames += 1
-        return payload
-
-    def _die(self, err: FrameError) -> None:
-        self._dead = err
-        self._buf.clear()
-        raise err
+        buf += chunk
+        payloads, clean, err = split_frames(buf, self.max_frame)
+        self.frames += len(payloads)
+        if err is not None:
+            if isinstance(err, FrameTooLargeError):
+                self.oversize += 1
+            else:
+                self.corrupt += 1
+            self._dead = err
+            buf.clear()
+            raise err
+        del buf[:clean]
+        return payloads
 
 
 def iter_frames(data: bytes, max_frame: int = MAX_FRAME_SIZE) -> Iterator[bytes]:
     """Decode a complete byte string of concatenated frames (tests, tools)."""
-    dec = FrameDecoder(max_frame=max_frame)
-    for payload in dec.feed(data):
-        yield payload
-    if dec.buffered:
-        raise FrameCorruptionError(f"{dec.buffered} trailing bytes after last frame")
+    payloads, clean, err = split_frames(data, max_frame)
+    yield from payloads
+    if err is not None:
+        raise err
+    if clean != len(data):
+        raise FrameCorruptionError(
+            f"{len(data) - clean} trailing bytes after last frame")

@@ -242,6 +242,12 @@ def test_every_config_field_reaches_every_driver():
     pytest.param(
         lambda: IntervalIndex(incremental=False),
         TypeError, "incremental", id="IntervalIndex-incremental"),
+    pytest.param(
+        lambda: PubSubSystem(grid_k=2, topology=None),
+        TypeError, "topology", id="PubSubSystem-topology"),
+    pytest.param(
+        lambda: PubSubSystem(grid_k=2, durable=True, log_store=None),
+        TypeError, "log_store", id="PubSubSystem-log_store"),
 ])
 def test_removed_engine_options_fail_loudly(build, error, message):
     """The deleted matching-engine switch and compiled scheduler are not

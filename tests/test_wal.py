@@ -1,14 +1,19 @@
-"""The write-ahead log: codec, stores, compaction, replay.
+"""The write-ahead log: records, stores, compaction, replay.
 
 Satellite battery for the durability subsystem's storage layer:
 
-* **Codec** — length+CRC32 framing round-trips literal-tuple records; a
-  torn tail (short frame, bad checksum, unparseable payload) truncates to
-  the last clean record instead of poisoning the replay.
+* **Records** — the four record shapes round-trip through the wire codec
+  inside wire frames (the log has no byte format of its own); a torn tail
+  (short frame, bad checksum) truncates to the last clean record instead
+  of poisoning the replay, while a checksum-valid payload that is not a
+  record — any log written in the old ``repr`` format included — is a
+  typed :class:`CodecError` and the file is left untouched. Arbitrary
+  bytes are ``tests/test_wire_framing.py``'s job, for stream and log.
 * **Stores** — the in-memory (simulated driver) and file-backed (live
   driver) stores behave identically behind the :class:`LogStore` facade,
   including segment rolling and atomic compaction replace; the file store
-  physically truncates torn tails on open, like a real recovery scan.
+  physically truncates torn tails and removes an interrupted compaction's
+  temp file on open, like a real recovery scan.
 * **Replay idempotence** — applying every record twice yields exactly the
   state of applying it once (crash-during-replay is safe to restart).
 * **Compaction safety** — a checkpoint never drops an unacked delivery or
@@ -23,6 +28,8 @@ Satellite battery for the durability subsystem's storage layer:
 from __future__ import annotations
 
 import random
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,13 +47,15 @@ from repro.pubsub.wal import (
     decode_records,
     encode_record,
 )
+from repro.wire.codec import CodecError, encode_control
+from repro.wire.framing import encode_frame
 from repro.workload.spec import WorkloadSpec
 
 # ---------------------------------------------------------------------------
-# codec
+# records
 # ---------------------------------------------------------------------------
 RECORDS = [
-    ("pub", 1, (7, 2, 0, 1500.0, 3.25, None)),
+    ("pub", 1, Notification(7, 2, 0, 1500.0, 3.25, {"kind": "quote", "n": 3})),
     ("dlv", 2, 11, 7),
     ("ack", 3, 11, 7),
     ("ses", 4, 11, 0.0, 4.5, (3, 7)),
@@ -59,6 +68,11 @@ def test_codec_round_trip():
     records, torn = decode_records(blob)
     assert records == RECORDS
     assert torn == 0
+    # Notification compares by id alone: pin the payload field by field
+    event, logged = records[0][2], RECORDS[0][2]
+    for field in ("event_id", "publisher", "seq", "publish_time", "topic",
+                  "attrs"):
+        assert getattr(event, field) == getattr(logged, field)
 
 
 def test_decode_empty():
@@ -90,15 +104,20 @@ def test_corrupt_checksum_stops_decode():
 
 
 def test_non_tuple_payload_is_torn():
-    import struct
-    import zlib
-
-    good = encode_record(("pub", 1, (1, 0, 0, 0.0, 1.0, None)))
-    payload = b"[1, 2, 3]"  # parses but is not a tuple
-    framed = struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
-    records, torn = decode_records(good + framed)
-    assert records == [("pub", 1, (1, 0, 0, 0.0, 1.0, None))]
-    assert torn == len(framed)
+    """A checksum-valid payload that is not a record is *not* a torn tail
+    (on purpose, since the log moved onto the wire codec): some writer
+    framed exactly these bytes, so they are refused with a typed error
+    instead of being truncated away."""
+    good = encode_record(RECORDS[0])
+    for payload in (
+        b"[1, 2, 3]",                                # not a codec payload
+        encode_control([1, 2, 3]),                   # a value, not a tuple
+        encode_control(("dlv", 2, 11)),              # a field short
+        encode_control(("ses", 4, 11, None, None, ("7",))),
+        encode_control((["pub"], 1, 2, 3)),          # unhashable kind
+    ):
+        with pytest.raises(CodecError):
+            decode_records(good + encode_frame(payload))
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +202,60 @@ def test_file_store_replace_is_atomic_swap(tmp_path):
     assert len(paths) == 1
     assert store.segments(0) == [compacted]
     assert not any(p.endswith(".tmp") for p in paths)
+
+
+def test_file_store_truncates_every_torn_offset_and_replays(tmp_path):
+    """Cut the last record at each of its bytes: open keeps the clean
+    prefix on disk and replay sees exactly the records before the cut."""
+    recs = [("pub", 1, Notification(3, 0, 0, 5.0, 1.0)), ("dlv", 2, 5, 3)]
+    blob = b"".join(encode_record(r) for r in recs)
+    tail = encode_record(("ack", 3, 5, 3))
+    seg = tmp_path / "b000" / "seg000000.wal"
+    seg.parent.mkdir()
+    for cut in range(1, len(tail)):
+        seg.write_bytes(blob + tail[:cut])
+        store = FileLogStore(str(tmp_path))
+        assert seg.read_bytes() == blob
+        state = DurabilityManager(_Host(DeliveryChecker()), store).replay()
+        assert state.torn_segments == 0
+        assert sorted(state.events) == [3]
+        assert sorted(state.sessions[5].unacked) == [3]
+
+
+def test_file_store_removes_stale_compaction_tmp_on_open(tmp_path):
+    """A crash between the compaction write and its rename leaves
+    ``segNNNNNN.wal.tmp`` next to the segments it never replaced."""
+    store = FileLogStore(str(tmp_path), segment_bytes=64)
+    recs = _fill(store, n=10)
+    bdir = tmp_path / "b000"
+    before = sorted(p.name for p in bdir.iterdir())
+    (bdir / "seg000099.wal.tmp").write_bytes(encode_record(("ack", 99, 1, 1)))
+    reopened = FileLogStore(str(tmp_path), segment_bytes=64)
+    assert sorted(p.name for p in bdir.iterdir()) == before
+    decoded = [r for seg in reopened.segments(0)
+               for r in decode_records(seg)[0]]
+    assert decoded == recs
+
+
+def test_parent_format_log_is_refused_and_left_intact(tmp_path):
+    """A ``--wal-dir`` written before the log moved onto the wire codec
+    (``<len><crc32>`` + ``repr`` text) opens as a typed error, not as an
+    empty log with the old records truncated away."""
+    old = b"".join(
+        struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+        for payload in (repr(r).encode() for r in [
+            ("pub", 1, (7, 2, 0, 1500.0, 3.25, None)), ("dlv", 2, 11, 7),
+        ]))
+    seg = tmp_path / "b000" / "seg000000.wal"
+    seg.parent.mkdir()
+    seg.write_bytes(old + b"torn")
+    with pytest.raises(CodecError, match="seg000000.wal"):
+        FileLogStore(str(tmp_path))
+    assert seg.read_bytes() == old + b"torn"
+    mem = MemoryLogStore()
+    mem.append(0, old)
+    with pytest.raises(CodecError):
+        DurabilityManager(_Host(DeliveryChecker()), mem).replay()
 
 
 def test_file_store_close_removes_owned_scratch_dir(tmp_path):

@@ -14,6 +14,7 @@ Two layers of pinning:
 from __future__ import annotations
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -383,6 +384,20 @@ def test_decoder_never_raises_foreign_exceptions(junk):
         decode_message(bytes([CODEC_VERSION]) + junk)
     except CodecError:
         pass
+
+
+@pytest.mark.parametrize("body", [
+    bytes([9, 1, 7, 0, 0]),                    # dict keyed by a list
+    bytes([8, 1, 7, 0]),                       # frozenset holding a list
+    bytes([6, 1]) * 600 + bytes([0]),          # 600 nested 1-tuples
+    bytes([12, 1, 0, 1]) + b"t" + struct.pack("<dd", 2.0, 1.0),  # lo > hi
+], ids=["dict-key", "set-member", "nesting", "filter"])
+def test_well_tagged_but_unbuildable_values_are_codec_errors(body):
+    """Bytes that parse tag by tag but name a value Python (or the filter
+    constructor) refuses to build: still the codec's error, not
+    TypeError/RecursionError/FilterError."""
+    with pytest.raises(CodecError):
+        decode_control(bytes([CODEC_VERSION]) + body)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,24 @@ frame: tear it at any byte offset, flip CRC bits, lie about the length,
 or trickle a multi-frame burst one byte at a time. No exception other
 than a typed :class:`FrameError` may escape, every rejection must be
 counted, and a poisoned decoder must stay dead.
+
+The write-ahead log stores the same frames, so the hostile-bytes property
+runs once more against a real segment file: junk ends in the clean prefix
+or in the codec's typed error, never in a foreign exception.
 """
 
 from __future__ import annotations
+
+import os
+import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pubsub.events import Notification
+from repro.pubsub.wal import DurabilityManager, FileLogStore, encode_record
+from repro.wire.codec import CODEC_VERSION, CodecError
 from repro.wire.framing import (
     HEADER_SIZE,
     MAX_FRAME_SIZE,
@@ -146,6 +156,57 @@ def test_no_exception_escapes_the_framing_layer(junk):
     except FrameError:
         assert dec.dead
     # anything else propagates and fails the test
+
+
+_LOGGED = [
+    ("pub", 1, Notification(7, 2, 0, 1500.0, 3.25, {"k": "v"})),
+    ("ses", 2, 11, 0.0, 4.5, ()),
+    ("dlv", 3, 11, 7),
+    ("ack", 4, 11, 7),
+]
+_BOUNDARIES = [0]
+for _rec in _LOGGED:
+    _BOUNDARIES.append(_BOUNDARIES[-1] + len(encode_record(_rec)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    junk=st.binary(max_size=96),
+    at=st.sampled_from(["tail", "splice", "frame", "codec-frame"]),
+    pos=st.integers(min_value=0, max_value=_BOUNDARIES[-1]),
+)
+def test_no_exception_escapes_a_log_segment(junk, at, pos):
+    """The same junk, in a stored segment: appended to valid records,
+    spliced into them, or checksummed into a frame of its own. Opening the
+    store and replaying it ends with a clean record prefix on disk, or
+    with the typed error and the file untouched."""
+    blob = b"".join(encode_record(r) for r in _LOGGED)
+    if at == "splice":
+        blob = blob[:pos] + junk + blob[pos:]
+    elif at == "tail":
+        blob += junk
+    else:
+        lead = bytes([CODEC_VERSION]) if at == "codec-frame" else b""
+        blob += encode_frame(lead + junk)
+    with tempfile.TemporaryDirectory() as root:
+        path = os.path.join(root, "b000", "seg000000.wal")
+        os.makedirs(os.path.dirname(path))
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        try:
+            store = FileLogStore(root)
+            state = DurabilityManager(None, store).replay()
+        except (CodecError, FrameError):
+            with open(path, "rb") as fh:
+                assert fh.read() == blob
+            return
+        # anything else propagates and fails the test
+        with open(path, "rb") as fh:
+            kept = fh.read()
+        assert blob.startswith(kept)
+        assert state.torn_segments == 0
+        floor = pos if at == "splice" else _BOUNDARIES[-1]
+        assert len(kept) >= max(b for b in _BOUNDARIES if b <= floor)
 
 
 def test_desynced_stream_dies_instead_of_resyncing():
