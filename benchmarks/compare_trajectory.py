@@ -9,9 +9,8 @@ merely uploaded:
 * **schema / scale / key set** — a fresh snapshot must measure everything
   the baseline measures; a silently dropped metric fails the diff.
 * **speedup ratios** (``*_speedup``) — machine-independent-ish signals
-  (lanes/heap, indexed/scan). A fresh
-  ratio below ``tolerance x baseline`` fails: the optimisation a past PR
-  paid for has regressed.
+  (lanes/heap). A fresh ratio below ``tolerance x baseline`` fails: the
+  optimisation a past PR paid for has regressed.
 * **absolute throughputs/wall times and overhead ratios** — reported with
   deltas for the PR log but not gated by default (CI machines vary too
   much, and an ``*_overhead`` is a quotient of two sub-second runs);

@@ -9,7 +9,7 @@ included — live in ``benchmarks/e2e``):
 * **scheduler** — lane vs heap engine throughput on at-scale link traffic
   (:mod:`benchmarks.bench_sim_engine`);
 * **control plane** — routing-state churn: interval-index churn
-  throughput at 2k filters, indexed vs scan covering withdrawals, and the
+  throughput at 2k filters, covering withdrawals, and the
   churn-heaviest fig5a point (conn=1s)
   (:mod:`benchmarks.bench_control_plane`);
 * **reliability** — wall-time overhead of the end-to-end ACK/retransmit
@@ -28,7 +28,7 @@ Usage::
 
 Timings are best-of-N wall clock (N=3 for the microbenches, 1 for the
 sweep — sweeps are deterministic per seed). Absolute numbers vary across
-machines; ratios (lanes/heap, indexed/scan) are the stable signal.
+machines; the lanes/heap ratio is the stable signal.
 
 ``commit`` is ``git rev-parse HEAD`` at collection time and ``tree_dirty``
 says whether the working tree differed from it — a snapshot regenerated as
@@ -96,8 +96,6 @@ def collect(scale: str) -> dict:
     metrics["control_plane_n_filters"] = churn["n_filters"]
     withdraw = measure_withdraw_covering()
     metrics["control_plane_withdraw_indexed_ops_per_s"] = withdraw["indexed_ops_per_s"]
-    metrics["control_plane_withdraw_legacy_ops_per_s"] = withdraw["legacy_ops_per_s"]
-    metrics["control_plane_withdraw_speedup"] = withdraw["speedup"]
 
     # reliability: wall-time cost of the ACK/retransmit layer on one lossy
     # churn run, same seed off vs on. Default-off must stay free (it
@@ -190,8 +188,7 @@ def main(argv: list[str] | None = None) -> int:
           f"  heap {m['scheduler_heap_events_per_s'] / 1e6:.2f}M ev/s"
           f"  ({m['scheduler_lanes_speedup']:.2f}x)")
     print(f"  ctrl plane churn {m['control_plane_incremental_ops_per_s'] / 1e3:.1f}k ops/s,"
-          f" withdraw {m['control_plane_withdraw_indexed_ops_per_s']:.0f} ops/s"
-          f" ({m['control_plane_withdraw_speedup']:.1f}x vs scan),"
+          f" withdraw {m['control_plane_withdraw_indexed_ops_per_s']:.0f} ops/s,"
           f" fig5a conn=1s {m['control_plane_fig5a_conn1_wall_s']:.2f}s")
     print(f"  reliable   off {m['reliability_off_wall_s']:.2f}s"
           f"  on {m['reliability_on_wall_s']:.2f}s"

@@ -70,6 +70,7 @@ from repro.pubsub import (
     Broker,
     Client,
     PubSubSystem,
+    SystemOptions,
 )
 from repro.mobility import (
     MobilityProtocol,
@@ -126,6 +127,7 @@ __all__ = [
     "Broker",
     "Client",
     "PubSubSystem",
+    "SystemOptions",
     # mobility
     "MobilityProtocol",
     "MHHProtocol",

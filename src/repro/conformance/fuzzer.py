@@ -59,11 +59,11 @@ partition must be recovered from the log (replay on restart, handover to
 the new home broker on permanent death), never reconciled away. The
 durable retry path never exhausts, so ``breaker_trips`` stays 0 too.
 
-**Cross-engine identity**: the same scenario re-run with the all-legacy
-engine bundle (heap scheduler × covering scans) and with the batched data
-plane (lanes × covering index × event batching) must produce a
-byte-identical delivery log, identical delivery/loss/duplicate counters,
-identical per-category wired traffic and the same processed event count.
+**Cross-engine identity**: the same scenario re-run on the heap-only
+scheduler and with the batched data plane (event batching on the default
+lanes scheduler) must produce a byte-identical delivery log, identical
+delivery/loss/duplicate counters, identical per-category wired traffic and
+the same processed event count.
 The engines are documented as trace-identical; the fuzzer makes that a
 standing randomized gate every future optimisation inherits.
 
@@ -79,7 +79,7 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.conformance.scenarios import ENGINE_BUNDLES, PROTOCOLS, Scenario
 from repro.experiments.config import ExperimentConfig
@@ -110,7 +110,8 @@ _RELIABLE_CYCLE = tuple(p for p in PROTOCOLS if p in RELIABLE_PROTOCOLS)
 class ScenarioOutcome:
     """End-state of one scenario run under one engine bundle."""
 
-    engine_bundle: tuple[str, bool, bool]
+    #: (sim_engine, event_batching) of the system that ran
+    engine_bundle: tuple[str, bool]
     published: int
     expected: int
     delivered: int
@@ -143,14 +144,10 @@ class ScenarioOutcome:
     delivery_log: tuple[tuple[int, int, float], ...] = ()
 
 
-def run_scenario(
-    scenario: Scenario,
-    sim_engine: str = "lanes",
-    covering_index: bool = True,
-    event_batching: bool = False,
-) -> ScenarioOutcome:
-    """Run one scenario end-to-end (measurement + drain) and snapshot it."""
-    cfg = scenario.config(sim_engine, covering_index, event_batching)
+def run_scenario(scenario: Scenario, **overrides: Any) -> ScenarioOutcome:
+    """Run one scenario end-to-end (measurement + drain) and snapshot it;
+    ``overrides`` go to :meth:`Scenario.config`."""
+    cfg = scenario.config(**overrides)
     system, workload = build_system(cfg)
     system.metrics.delivery.record_log = True
     system.run(until=cfg.workload.duration_ms)
@@ -166,7 +163,7 @@ def snapshot_outcome(system: PubSubSystem) -> ScenarioOutcome:
     meter = system.metrics.traffic
     return ScenarioOutcome(
         engine_bundle=(
-            system.sim_engine, system.covering_index, system.event_batching
+            system.options.sim_engine, system.options.event_batching
         ),
         published=stats.published,
         expected=stats.expected,
@@ -477,8 +474,8 @@ class FuzzReport:
 
 class ScenarioFuzzer:
     """Samples and runs ``n_scenarios`` scenarios derived from one master
-    seed; each scenario also re-runs under the all-legacy engine bundle
-    when ``cross_engine`` is on (the default).
+    seed; each scenario also re-runs under the other engine bundles when
+    ``cross_engine`` is on (the default).
 
     With ``crash_lane`` on, every scenario is the
     :meth:`~repro.conformance.scenarios.Scenario.crash_from_seed` variant —
@@ -523,7 +520,7 @@ class ScenarioFuzzer:
             scenario = Scenario.crash_from_seed(scenario_seed, protocol)
         else:
             scenario = Scenario.from_seed(scenario_seed)
-        primary = run_scenario(scenario, *ENGINE_BUNDLES[0])
+        primary = run_scenario(scenario, **ENGINE_BUNDLES[0])
         violations = check_invariants(scenario, primary)
         if scenario.crashes.active and primary.post_repair_publishes == 0:
             # judges the scenario generator, not the protocol: a crash
@@ -534,9 +531,9 @@ class ScenarioFuzzer:
             )
         if self.cross_engine:
             for bundle in ENGINE_BUNDLES[1:]:
-                alt = run_scenario(scenario, *bundle)
+                alt = run_scenario(scenario, **bundle)
                 violations += [
-                    f"[{'/'.join(map(str, bundle))}] {v}"
+                    f"[{'/'.join(map(str, alt.engine_bundle))}] {v}"
                     for v in check_invariants(scenario, alt)
                 ]
                 violations += compare_outcomes(primary, alt)

@@ -35,13 +35,13 @@ __all__ = ["Scenario", "PROTOCOLS", "ENGINE_BUNDLES"]
 #: every protocol the repo implements as a reproduction target or baseline
 PROTOCOLS: tuple[str, ...] = ("mhh", "sub-unsub", "home-broker", "two-phase")
 
-#: the engine configurations cross-checked for trace identity: the default
-#: fast path, the all-legacy path, and the batched data plane. Each bundle
-#: is (sim_engine, covering_index, event_batching).
-ENGINE_BUNDLES: tuple[tuple[str, bool, bool], ...] = (
-    ("lanes", True, False),
-    ("heap", False, False),
-    ("lanes", True, True),
+#: the engine configurations cross-checked for trace identity, as
+#: :class:`ExperimentConfig` overrides: the default, the heap-only
+#: scheduler, and the batched data plane
+ENGINE_BUNDLES: tuple[dict[str, Any], ...] = (
+    {},
+    {"sim_engine": "heap"},
+    {"event_batching": True},
 )
 
 _MOBILITY_CHOICES = ("uniform", "hotspot", "ping-pong", "trace")
@@ -286,27 +286,21 @@ class Scenario:
             topic_skew=self.topic_skew,
         )
 
-    def config(
-        self,
-        sim_engine: str = "lanes",
-        covering_index: bool = True,
-        event_batching: bool = False,
-    ) -> ExperimentConfig:
-        """The runnable :class:`ExperimentConfig` under one engine bundle."""
+    def config(self, **overrides: Any) -> ExperimentConfig:
+        """The runnable :class:`ExperimentConfig`; ``overrides`` set further
+        fields (one of :data:`ENGINE_BUNDLES`, say)."""
         return ExperimentConfig(
             protocol=self.protocol,
             grid_k=self.grid_k,
             seed=self.experiment_seed,
             workload=self.workload(),
-            sim_engine=sim_engine,
-            covering_index=covering_index,
-            event_batching=event_batching,
             faults=self.faults if self.faults.active else None,
             crashes=self.crashes if self.crashes.active else None,
             reliable=self.reliable,
             retry_budget=self.retry_budget,
             queue_cap=self.queue_cap,
             durable=self.durable,
+            **overrides,
         )
 
     def label(self) -> str:

@@ -161,8 +161,6 @@ class Driver:
         topo: Any,
         paths: Any,
         *,
-        wired_latency: float,
-        wireless_latency: float,
         account: Optional[Callable[[str, int, bool], None]] = None,
         unicast_hops: Optional[Callable[[int, int], int]] = None,
         faults: Optional[Any] = None,
@@ -176,8 +174,6 @@ class Driver:
             self.clock,
             topo,
             paths,
-            wired_latency=wired_latency,
-            wireless_latency=wireless_latency,
             account=account,
             unicast_hops=unicast_hops,
             faults=faults,

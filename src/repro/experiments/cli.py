@@ -52,6 +52,7 @@ import argparse
 import sys
 from typing import Any, Optional, Sequence
 
+from repro.errors import ConfigurationError
 from repro.experiments import figures, report
 from repro.network.faults import FaultProfile
 from repro.workload.models import MOBILITY_MODELS
@@ -63,20 +64,42 @@ _FIG6 = {"fig6a", "fig6b"}
 _SOAK_PROTOCOLS = ("mhh", "sub-unsub", "two-phase", "home-broker")
 
 
-def _run_soak(args, faults: Optional[FaultProfile]) -> int:
+def _system_options(args) -> dict[str, Any]:
+    """The :class:`SystemOptions` fields the command line sets, built and
+    validated as one value before any run or worker pool starts."""
+    from repro.network.recovery import CrashPlan
+    from repro.pubsub.system import SystemOptions
+
+    options: dict[str, Any] = {
+        "reliable": args.reliable,
+        "retry_budget": args.retry_budget,
+        "queue_cap": args.queue_cap,
+        "durable": args.durable,
+    }
+    if args.loss or args.dup or args.jitter:
+        options["faults"] = FaultProfile(
+            deliver_loss=args.loss,
+            deliver_duplicate=args.dup,
+            wireless_jitter_ms=args.jitter,
+        )
+    if args.figure == "soak":
+        options.update(grid_k=args.soak_grid, wal_dir=args.wal_dir)
+        if args.broker_crash or args.broker_restart or args.link_partition:
+            options["crashes"] = CrashPlan.parse(
+                crashes=args.broker_crash,
+                restarts=args.broker_restart,
+                partitions=args.link_partition,
+                repair_delay_ms=args.crash_repair_delay,
+            )
+    SystemOptions(**options)
+    return options
+
+
+def _run_soak(args, options: dict[str, Any]) -> int:
     from repro.drivers.live import run_soak
     from repro.experiments.config import ExperimentConfig
-    from repro.network.recovery import CrashPlan
     from repro.workload.spec import WorkloadSpec
 
-    crashes = None
-    if args.broker_crash or args.broker_restart or args.link_partition:
-        crashes = CrashPlan.parse(
-            crashes=args.broker_crash,
-            restarts=args.broker_restart,
-            partitions=args.link_partition,
-            repair_delay_ms=args.crash_repair_delay,
-        )
     protocols = (
         _SOAK_PROTOCOLS if args.protocol == "all" else (args.protocol,)
     )
@@ -95,17 +118,7 @@ def _run_soak(args, faults: Optional[FaultProfile]) -> int:
     for protocol in protocols:
         result = run_soak(
             ExperimentConfig(
-                protocol,
-                grid_k=args.soak_grid,
-                seed=args.seed,
-                workload=workload,
-                faults=faults,
-                crashes=crashes,
-                reliable=args.reliable,
-                retry_budget=args.retry_budget,
-                queue_cap=args.queue_cap,
-                durable=args.durable,
-                wal_dir=args.wal_dir,
+                protocol, seed=args.seed, workload=workload, **options
             ),
             time_scale=args.time_scale,
         )
@@ -414,19 +427,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--wal-dir only applies to soak (figure sweeps run "
                      "the simulated driver's in-memory store)")
 
-    faults = None
-    if args.loss or args.dup or args.jitter:
-        faults = FaultProfile(
-            deliver_loss=args.loss,
-            deliver_duplicate=args.dup,
-            wireless_jitter_ms=args.jitter,
-        )
     if args.figure == "serve":
         return _run_wire_serve(args)
+    try:
+        options = _system_options(args)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     if args.figure == "connect":
-        return _run_wire_connect(args, faults)
+        return _run_wire_connect(args, options.get("faults"))
     if args.figure == "soak":
-        return _run_soak(args, faults)
+        return _run_soak(args, options)
     overrides: dict[str, Any] = {}
     if args.mobility is not None:
         overrides["mobility_model"] = args.mobility
@@ -445,9 +455,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if want & _FIG5:
         rows5 = figures.run_fig5(
             scale=args.scale, seed=args.seed, workers=args.workers,
-            faults=faults, workload_overrides=overrides or None,
-            reliable=args.reliable, retry_budget=args.retry_budget,
-            queue_cap=args.queue_cap, durable=args.durable,
+            workload_overrides=overrides or None, **options,
         )
         if "fig5a" in want:
             out.append(report.format_series(
@@ -464,9 +472,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if want & _FIG6:
         rows6 = figures.run_fig6(
             scale=args.scale, seed=args.seed, workers=args.workers,
-            faults=faults, workload_overrides=overrides or None,
-            reliable=args.reliable, retry_budget=args.retry_budget,
-            queue_cap=args.queue_cap, durable=args.durable,
+            workload_overrides=overrides or None, **options,
         )
         if "fig6a" in want:
             out.append(report.format_series(

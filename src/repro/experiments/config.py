@@ -10,89 +10,40 @@ disconnection).
 
 Select the benchmark scale with the ``MHH_BENCH_SCALE`` environment
 variable (``smoke`` | ``small`` | ``paper``).
+
+:class:`ExperimentConfig` *is* a :class:`~repro.pubsub.system.SystemOptions`
+(the one declaration of every system option, defaults and validation
+included) plus what a runner needs on top: the workload and the drain
+deadline.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from repro.drivers.base import Driver
 from repro.errors import ConfigurationError
-from repro.network.faults import FaultProfile
-from repro.network.recovery import CrashPlan
-from repro.pubsub.system import PubSubSystem
+from repro.pubsub.system import PubSubSystem, SystemOptions
 from repro.workload.spec import WorkloadSpec
 
-__all__ = ["ExperimentConfig", "RUNNER_ONLY", "SCALES", "bench_scale"]
-
-
-#: fields a runner reads itself (population and processes, drain deadline);
-#: every other field is the ``PubSubSystem`` keyword of the same name
-RUNNER_ONLY = frozenset({"workload", "drain_limit_ms"})
+__all__ = ["ExperimentConfig", "SCALES", "bench_scale"]
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """One simulation run: a protocol on a grid under a workload."""
+class ExperimentConfig(SystemOptions):
+    """One run: a system (every inherited field, protocol first) under a
+    workload. Only the two fields below are the runner's own."""
 
-    protocol: str
-    grid_k: int = 10
-    seed: int = 1
+    #: population and the processes that drive it
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    migration_batch_size: int = 10
-    #: override covering (None = protocol default)
-    covering_enabled: Optional[bool] = None
     #: hard wall on the drain phase in simulated ms (None = unbounded)
     drain_limit_ms: Optional[float] = None
-    #: scheduler implementation: 'lanes' (default) or 'heap' (legacy,
-    #: kept for differential testing — see repro.sim.core)
-    sim_engine: str = "lanes"
-    #: indexed covering control plane (default) vs the legacy scan-based
-    #: covering checks (kept for differential testing — see
-    #: repro.pubsub.filter_table)
-    covering_index: bool = True
-    #: batched event fan-out: drain same-instant wired EventMessage
-    #: arrivals at a broker as one FilterTable.match_batch pass.
-    #: Trace-identical to per-event routing (fuzzer-gated); default off so
-    #: seed digests are untouched
-    event_batching: bool = False
-    #: wireless fault profile (None = perfect links; see
-    #: repro.network.faults)
-    faults: Optional[FaultProfile] = None
-    #: broker crash/restart/partition schedule (None = crash-free; see
-    #: repro.network.recovery)
-    crashes: Optional[CrashPlan] = None
-    #: end-to-end reliable downlink delivery (ACK/retransmit with backoff
-    #: + per-link circuit breakers; see repro.pubsub.reliability).
-    #: Default off = the paper's best-effort downlink, byte-identical.
-    reliable: bool = False
-    #: retransmission attempts per frame before the window is written off
-    retry_budget: int = 8
-    #: downlink bulkhead: max queued messages per client before the shed
-    #: policy runs (None = unbounded, the paper's model)
-    queue_cap: Optional[int] = None
-    #: durable broker state: per-broker write-ahead log + persistent
-    #: client sessions with repair-round handover (see repro.pubsub.wal).
-    #: Default off = volatile brokers, byte-identical to the seed.
-    durable: bool = False
-    #: directory for file-backed WAL segments (None = the driver's
-    #: default store: in-memory under simulation, a scratch dir live)
-    wal_dir: Optional[str] = None
 
     def make_system(self, driver: Optional[Driver] = None) -> PubSubSystem:
-        """The one ``ExperimentConfig`` -> ``PubSubSystem`` mapping: every
-        driver builds its system here, so no field can reach one driver
-        and be dropped by another."""
-        return PubSubSystem(
-            **{
-                f.name: getattr(self, f.name)
-                for f in fields(self)
-                if f.name not in RUNNER_ONLY
-            },
-            driver=driver,
-        )
+        """Every driver builds its system here, from the whole value."""
+        return PubSubSystem(self, driver)
 
     def with_workload(self, **changes: Any) -> "ExperimentConfig":
         return replace(self, workload=replace(self.workload, **changes))

@@ -31,7 +31,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.metrics.summary import ResultRow
-from repro.network.faults import FaultProfile
 from repro.workload.spec import WorkloadSpec
 
 __all__ = [
@@ -89,62 +88,19 @@ def _run_configs(
     return [run_experiment(cfg) for cfg in cfgs]
 
 
-def _sweep_conn(
+def _sweep(
     scale: str,
     protocols: Sequence[str],
-    conn_periods_s: Sequence[float],
+    points: Sequence[tuple[int, float]],
     seed: int,
-    workers: Optional[int] = None,
-    faults: Optional[FaultProfile] = None,
-    workload_overrides: Optional[Mapping[str, Any]] = None,
-    reliable: bool = False,
-    retry_budget: int = 8,
-    queue_cap: Optional[int] = None,
-    durable: bool = False,
+    workers: Optional[int],
+    workload_overrides: Optional[Mapping[str, Any]],
+    options: Mapping[str, Any],
 ) -> list[ResultRow]:
-    preset = SCALES[scale]
-    overrides = _checked_overrides(
-        workload_overrides,
-        ("clients_per_broker", "mean_connected_s", "mean_disconnected_s",
-         "duration_s"),
-    )
-    cfgs = [
-        ExperimentConfig(
-            protocol=protocol,
-            grid_k=preset["grid_k"],
-            seed=seed,
-            faults=faults,
-            reliable=reliable,
-            retry_budget=retry_budget,
-            queue_cap=queue_cap,
-            durable=durable,
-            workload=WorkloadSpec(
-                clients_per_broker=preset["clients_per_broker"],
-                mean_connected_s=conn_s,
-                mean_disconnected_s=300.0,
-                duration_s=_duration_s(preset["duration_s"], conn_s, 300.0),
-                **overrides,
-            ),
-        )
-        for conn_s in conn_periods_s
-        for protocol in protocols
-    ]
-    return _run_configs(cfgs, workers)
-
-
-def _sweep_size(
-    scale: str,
-    protocols: Sequence[str],
-    grid_sizes: Sequence[int],
-    seed: int,
-    workers: Optional[int] = None,
-    faults: Optional[FaultProfile] = None,
-    workload_overrides: Optional[Mapping[str, Any]] = None,
-    reliable: bool = False,
-    retry_budget: int = 8,
-    queue_cap: Optional[int] = None,
-    durable: bool = False,
-) -> list[ResultRow]:
+    """One run per sweep point and protocol; a point is ``(grid_k, mean
+    connection period in s)`` and ``options`` are further
+    :class:`ExperimentConfig` fields, validated here — before any run or
+    worker starts."""
     preset = SCALES[scale]
     overrides = _checked_overrides(
         workload_overrides,
@@ -156,20 +112,16 @@ def _sweep_size(
             protocol=protocol,
             grid_k=k,
             seed=seed,
-            faults=faults,
-            reliable=reliable,
-            retry_budget=retry_budget,
-            queue_cap=queue_cap,
-            durable=durable,
             workload=WorkloadSpec(
                 clients_per_broker=preset["clients_per_broker"],
-                mean_connected_s=300.0,
+                mean_connected_s=conn_s,
                 mean_disconnected_s=300.0,
-                duration_s=_duration_s(preset["duration_s"], 300.0, 300.0),
+                duration_s=_duration_s(preset["duration_s"], conn_s, 300.0),
                 **overrides,
             ),
+            **options,
         )
-        for k in grid_sizes
+        for k, conn_s in points
         for protocol in protocols
     ]
     return _run_configs(cfgs, workers)
@@ -184,26 +136,25 @@ def run_fig5(
     conn_periods_s: Optional[Sequence[float]] = None,
     seed: int = 1,
     workers: Optional[int] = None,
-    faults: Optional[FaultProfile] = None,
     workload_overrides: Optional[Mapping[str, Any]] = None,
-    reliable: bool = False,
-    retry_budget: int = 8,
-    queue_cap: Optional[int] = None,
-    durable: bool = False,
+    **options: Any,
 ) -> list[ResultRow]:
     """Both panels of Figure 5 share one sweep; run it once.
 
     ``workers=N`` fans the (protocol, connection-period) runs out over N
-    processes; rows come back in the serial loop's order. ``faults`` and
-    ``workload_overrides`` (extra :class:`WorkloadSpec` fields — e.g. a
-    mobility model or topic skew) turn the paper sweep into an adversarial
-    variant; both default to the paper's exact setup.
+    processes; rows come back in the serial loop's order. ``options``
+    (further :class:`ExperimentConfig` fields: ``faults``, ``reliable``,
+    ``durable``, ...) and ``workload_overrides`` (extra
+    :class:`WorkloadSpec` fields — e.g. a mobility model or topic skew)
+    turn the paper sweep into an adversarial variant; both default to the
+    paper's exact setup.
     """
-    return _sweep_conn(
-        scale, protocols, conn_periods_s or CONN_PERIOD_SWEEP_S, seed,
-        workers=workers, faults=faults, workload_overrides=workload_overrides,
-        reliable=reliable, retry_budget=retry_budget, queue_cap=queue_cap,
-        durable=durable,
+    if conn_periods_s is None:
+        conn_periods_s = CONN_PERIOD_SWEEP_S
+    k = SCALES[scale]["grid_k"]
+    return _sweep(
+        scale, protocols, [(k, conn_s) for conn_s in conn_periods_s], seed,
+        workers, workload_overrides, options,
     )
 
 
@@ -213,24 +164,20 @@ def run_fig6(
     grid_sizes: Optional[Sequence[int]] = None,
     seed: int = 1,
     workers: Optional[int] = None,
-    faults: Optional[FaultProfile] = None,
     workload_overrides: Optional[Mapping[str, Any]] = None,
-    reliable: bool = False,
-    retry_budget: int = 8,
-    queue_cap: Optional[int] = None,
-    durable: bool = False,
+    **options: Any,
 ) -> list[ResultRow]:
     """Both panels of Figure 6 share one sweep; run it once.
 
     ``workers=N`` fans the (protocol, grid-size) runs out over N processes;
-    rows come back in the serial loop's order. ``faults`` /
+    rows come back in the serial loop's order. ``options`` /
     ``workload_overrides`` behave as in :func:`run_fig5`.
     """
-    return _sweep_size(
-        scale, protocols, grid_sizes or GRID_SIZE_SWEEP, seed, workers=workers,
-        faults=faults, workload_overrides=workload_overrides,
-        reliable=reliable, retry_budget=retry_budget, queue_cap=queue_cap,
-        durable=durable,
+    if grid_sizes is None:
+        grid_sizes = GRID_SIZE_SWEEP
+    return _sweep(
+        scale, protocols, [(k, 300.0) for k in grid_sizes], seed,
+        workers, workload_overrides, options,
     )
 
 

@@ -31,7 +31,7 @@ from repro.pubsub.interval_index import IntervalIndex
 from repro.pubsub.filter_table import FilterTable, ClientEntry
 from repro.pubsub.broker import Broker
 from repro.pubsub.client import Client
-from repro.pubsub.system import PubSubSystem
+from repro.pubsub.system import PubSubSystem, SystemOptions
 
 __all__ = [
     "Notification",
@@ -48,4 +48,5 @@ __all__ = [
     "Broker",
     "Client",
     "PubSubSystem",
+    "SystemOptions",
 ]

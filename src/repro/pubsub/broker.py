@@ -44,11 +44,7 @@ class Broker:
         #: the broker never touches a scheduler or a link model directly
         self.net = system.net
         self.tree = system.tree
-        self.table = FilterTable(
-            broker_id,
-            system.tree.neighbors(broker_id),
-            covering_index=system.covering_index,
-        )
+        self.table = FilterTable(broker_id, system.tree.neighbors(broker_id))
         # queues hosted here, keyed by broker-local queue id
         self.queues: dict[int, "PersistentQueue"] = {}
         # per-client protocol scratchpad (owned by the mobility protocol)
@@ -279,13 +275,10 @@ class Broker:
         Re-advertisements are sent *before* the unsubscribe so the
         neighbour's table never has a window with neither filter installed.
 
-        With the covering index (the default) the candidate search asks the
-        table for exactly the entries the withdrawn filter covers
-        (:meth:`FilterTable.covered_candidates`) — anything else provably
-        kept whatever cover it already had — instead of walking every client
-        entry and every other neighbour's filters per withdrawal. Both paths
-        visit candidates in the same order, so they emit identical
-        re-advertisements.
+        Under covering, the candidates for re-advertisement are exactly the
+        entries the withdrawn filter covers
+        (:meth:`FilterTable.covered_candidates`, in table order): anything
+        else provably kept whatever cover it already had.
         """
         table = self.table
         if not table.advertised_count(nbr):
@@ -294,16 +287,10 @@ class Broker:
             return
         resubs: list[tuple[Hashable, Filter]] = []
         if self.system.covering_enabled:
-            withdrawn = (
-                table.advertised_get(nbr, key) if table.covering_index else None
-            )
+            withdrawn = table.advertised_get(nbr, key)
             table.advertised_remove(nbr, key)
-            if withdrawn is not None:
-                candidates = table.covered_candidates(nbr, withdrawn)
-            else:
-                candidates = self._table_filters_excluding(nbr)
             # candidate filters that may have been suppressed by `key`
-            for cand_key, cand_f in candidates:
+            for cand_key, cand_f in table.covered_candidates(nbr, withdrawn):
                 if cand_key == key:
                     continue
                 if table.advertised_has(nbr, cand_key):
@@ -320,20 +307,6 @@ class Broker:
         self.net.send_broker(
             self.id, nbr, m.UnsubscribeMessage(key, category)
         )
-
-    def _table_filters_excluding(self, nbr: int):
-        """All (key, filter) pairs visible from peers other than ``nbr``.
-
-        Fallback candidate scan when the covering index is disabled — fully
-        lazy: no key-list materialization, no per-key lookups, entries are
-        yielded straight off the table's internal order.
-        """
-        for entry in self.table.clients.values():
-            yield (entry.key, entry.filter)
-        for other in self.table.neighbors:
-            if other == nbr:
-                continue
-            yield from self.table.iter_broker_filters(other)
 
     # ------------------------------------------------------------------
     # direct table surgery (MHH subscription migration)

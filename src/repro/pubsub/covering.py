@@ -25,7 +25,7 @@ the control plane needs:
   covering-pruned ``_advertise``);
 * :meth:`CoveringIndex.covered_by` — "which members does this withdrawn
   filter cover?" (the ``Broker._withdraw`` re-advertisement candidate
-  search, which previously materialized the whole table per withdrawal).
+  search).
 
 Range-shaped members (anything with an :meth:`~Filter.as_range` form) live
 in per-attribute containment interval indexes; general conjunctions are
@@ -33,9 +33,10 @@ bucketed by their anchor (first-constraint) attribute — sound *and*
 complete, because a conjunction can only cover a filter whose constraint
 attributes include every one of its own — and their numeric-interval
 constraint closures feed per-attribute containment indexes for the reverse
-direction. Both answers are **exactly** what the unindexed scans give
-(``tests/test_control_plane.py`` asserts equality under randomized churn),
-so toggling the index changes nothing but cost.
+direction. Both answers are **exactly** what a brute-force scan of the
+members gives: that scan is ``tests/covering_scan.py``, and
+``tests/test_control_plane.py`` asserts equality under randomized churn and
+substitutes it for the index in whole-system differentials.
 """
 
 from __future__ import annotations
@@ -143,13 +144,12 @@ class CoveringIndex:
     * **other members** — unknown :class:`Filter` subclasses (and the rare
       NaN-bounded range), always checked exactly.
 
-    :meth:`covers` reproduces the *peer-set* covering semantics of the
-    unindexed scan exactly, including its one conservative quirk: topic
-    interval members are consulted only for topic-range queries (the scan
-    keeps them in a topic-only index that general queries never reach).
-    :meth:`covered_by` is exactly ``{k : f.covers(member_k)}``. Both
-    equivalences are what lets the broker toggle the index on and off
-    without changing a single message on the wire.
+    :meth:`covers` has the *peer-set* covering semantics of the scan it
+    replaced, including that scan's one conservative quirk: topic interval
+    members are consulted only for topic-range queries (the scan kept them
+    in a topic-only index that general queries never reached).
+    :meth:`covered_by` is exactly ``{k : f.covers(member_k)}``. Every fixed
+    digest rests on both equivalences; the tests-only scan pins them.
     """
 
     __slots__ = (
@@ -261,8 +261,8 @@ class CoveringIndex:
             for c in f.constraints:
                 attr = c.attr
                 if attr != "topic":
-                    # the scan path keeps topic intervals in a topic-only
-                    # index that conjunction queries never reach; mirror it
+                    # peer-set semantics: topic intervals are never
+                    # consulted for a conjunction query (class docstring)
                     closure = _constraint_closure(c)
                     if closure is not None:
                         idx = self._ranges.get(attr)

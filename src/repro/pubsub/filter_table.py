@@ -35,14 +35,16 @@ Control-plane cost is governed by three indexes:
 * every per-neighbour range set sits
   on the *incremental* :class:`~repro.pubsub.interval_index.IntervalIndex`,
   so a handoff's table edit costs O(log n) instead of a full re-sort;
-* with ``covering_index=True`` (default) each advertised set carries a
+* each advertised set carries a
   :class:`~repro.pubsub.covering.CoveringIndex` making ``advertised_covers``
   O(log n), and the table maintains one broker-wide *candidates*
   CoveringIndex over every client entry and neighbour filter, so
   :meth:`FilterTable.covered_candidates` enumerates exactly the entries a
-  withdrawn filter could have been suppressing — in the same order the
-  legacy full-table scan would visit them, so both paths emit identical
-  re-advertisements;
+  withdrawn filter could have been suppressing, in table order (client
+  entries, then neighbours ascending). Both are built on first use, so
+  runs that never ask a covering question (MHH) never pay for them; the
+  brute-force scan they replaced is the tests-only reference
+  ``tests/covering_scan.py``;
 * a client→entries map makes :meth:`entries_for_client` (every
   connect/handoff, all four protocols) O(entries-of-that-client) instead of
   a scan over every entry on the broker.
@@ -117,19 +119,15 @@ class _PeerFilters:
     ``filters`` keeps every installed filter object so lookups return the
     original (no per-:meth:`get` reconstruction), and ``_seq`` stamps each
     key with ``(subtable, insertion-seq)`` — the position it occupies in
-    :meth:`keys` order — so indexed candidate enumeration can reproduce the
-    legacy scan order exactly. With ``covering_index=True`` the set also
-    carries a :class:`CoveringIndex` answering :meth:`covers` in O(log n)
-    (used for advertised sets, where covering-pruned propagation queries it
-    on every subscribe/withdraw).
+    :meth:`keys` order — so candidate enumeration can rank by table order.
+    A :class:`CoveringIndex` answers :meth:`covers` in O(log n) (asked of
+    advertised sets, where covering-pruned propagation queries it on every
+    subscribe/withdraw).
     """
 
-    __slots__ = (
-        "ranges", "general", "filters", "_seq", "_next_seq", "cov",
-        "_want_cov",
-    )
+    __slots__ = ("ranges", "general", "filters", "_seq", "_next_seq", "cov")
 
-    def __init__(self, covering_index: bool = False) -> None:
+    def __init__(self) -> None:
         self.ranges = IntervalIndex()
         self.general: dict[Hashable, Filter] = {}
         self.filters: dict[Hashable, Filter] = {}
@@ -139,7 +137,6 @@ class _PeerFilters:
         # maintained incrementally from then on — non-covering runs (MHH
         # and the default reproduction configs) never query covering, so
         # they never pay for index maintenance
-        self._want_cov = covering_index
         self.cov: Optional[CoveringIndex] = None
 
     def add(self, key: Hashable, f: Filter) -> None:
@@ -184,27 +181,14 @@ class _PeerFilters:
     def covers(self, f: Filter) -> bool:
         """Is ``f`` covered by some filter in this set? (conservative)"""
         cov = self.cov
-        if cov is None and self._want_cov:
+        if cov is None:
             cov = self.cov = CoveringIndex()
             for key, installed in self.filters.items():
                 cov.add(key, installed)
-        if cov is not None:
-            return cov.covers(f)
-        rng = f.as_range()
-        if rng is not None and rng[0] == "topic":
-            if self.ranges.contains_interval(rng[1], rng[2]):
-                return True
-        return any(g.covers(f) for g in self.general.values())
+        return cov.covers(f)
 
     def keys(self) -> list[Hashable]:
         return [k for k, _ in self.ranges.items()] + list(self.general)
-
-    def iter_filters(self):
-        """(key, filter) pairs in :meth:`keys` order, lazily."""
-        filters = self.filters
-        for key, _iv in self.ranges.items():
-            yield key, filters[key]
-        yield from self.general.items()
 
     def order_key(self, key: Hashable) -> tuple[int, int]:
         """(subtable, seq) position of ``key`` in :meth:`keys` order."""
@@ -217,25 +201,18 @@ class _PeerFilters:
 class FilterTable:
     """The routing state of one broker."""
 
-    def __init__(
-        self,
-        broker_id: int,
-        neighbors: Iterable[int],
-        covering_index: bool = True,
-    ) -> None:
+    def __init__(self, broker_id: int, neighbors: Iterable[int]) -> None:
         self.broker_id = broker_id
-        self.covering_index = covering_index
         self.neighbors = sorted(neighbors)
         # subs received FROM each neighbour ("that side is interested")
         self._from_nbr: dict[int, _PeerFilters] = {
             n: _PeerFilters() for n in self.neighbors
         }
         # subs we advertised TO each neighbour (mirror of their _from_nbr[us]);
-        # only these sets answer covering queries, so only they carry the
-        # per-neighbour CoveringIndex
+        # only these sets answer covering queries, so only they ever build
+        # a per-neighbour CoveringIndex
         self._advertised: dict[int, _PeerFilters] = {
-            n: _PeerFilters(covering_index=covering_index)
-            for n in self.neighbors
+            n: _PeerFilters() for n in self.neighbors
         }
         # client entries keyed by subscription key; a client normally has at
         # most one entry per broker, but the sub-unsub baseline can briefly
@@ -252,8 +229,7 @@ class FilterTable:
         # (client entries + every neighbour's filters): drives
         # covered_candidates(). Built lazily on the first covering
         # withdrawal and maintained incrementally from then on, so
-        # non-covering runs never pay for it. Always None when the
-        # covering_index toggle is off.
+        # non-covering runs never pay for it.
         self._candidates: Optional[CoveringIndex] = None
 
     # ------------------------------------------------------------------
@@ -282,10 +258,6 @@ class FilterTable:
 
     def broker_filter_count(self, nbr: int) -> int:
         return len(self._from_nbr[nbr])
-
-    def iter_broker_filters(self, nbr: int):
-        """Lazy (key, filter) pairs from ``nbr``, in ``keys()`` order."""
-        return self._from_nbr[nbr].iter_filters()
 
     # ------------------------------------------------------------------
     # advertisement mirror
@@ -323,10 +295,10 @@ class FilterTable:
         that can newly need re-advertising are those the withdrawn filter
         covers (anything else keeps whatever cover it already had). This
         enumerates exactly that set — every client entry and every filter
-        from neighbours other than ``nbr`` with ``f.covers(entry)`` — in the
-        order the legacy full-table scan (:meth:`iter_broker_filters` after
-        the client entries) would visit them, so the indexed and scanning
-        withdrawal paths re-advertise identical filters in identical order.
+        from neighbours other than ``nbr`` with ``f.covers(entry)`` — in
+        table order (the client entries, then :meth:`broker_filter_keys`
+        per neighbour ascending), which fixes the order of the
+        re-advertisements a withdrawal sends.
         """
         candidates = self._candidates
         if candidates is None:

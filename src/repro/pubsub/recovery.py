@@ -349,11 +349,7 @@ class RecoveryCoordinator:
             broker.queues.clear()
             broker.pstate.clear()
             broker.tree = tree
-            broker.table = FilterTable(
-                bid,
-                tree.neighbors(bid),
-                covering_index=system.covering_index,
-            )
+            broker.table = FilterTable(bid, tree.neighbors(bid))
         protocol.on_repair_reset()
 
         # 3 + 4. resync routing state client by client (id order — the same

@@ -12,6 +12,11 @@ Brokers sit on a k x k grid; the overlay is a seeded minimum spanning tree;
 the mobility protocol is chosen by name ("mhh", "sub-unsub", "home-broker",
 "two-phase") or supplied as a factory.
 
+A system is ``PubSubSystem(options, driver)``: one frozen
+:class:`SystemOptions` value plus a driver. Keyword arguments are fields of
+that value — ``PubSubSystem(grid_k=3)`` is
+``PubSubSystem(SystemOptions(grid_k=3))``.
+
 The protocol core is sans-IO: brokers, clients and the mobility protocols
 only ever touch ``system.clock`` (now / call_later) and ``system.net``
 (send_broker / unicast / send_client / send_uplink) — the ``driver``
@@ -24,7 +29,8 @@ asyncio event loop (see ``python -m repro.experiments.cli soak``).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union, TYPE_CHECKING
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Optional, Union, TYPE_CHECKING
 
 from repro.drivers.base import Driver
 from repro.drivers.simulated import SimulatedDriver
@@ -32,10 +38,7 @@ from repro.errors import ConfigurationError
 from repro.metrics.hub import MetricsHub
 from repro.network.faults import FaultProfile, LinkFaultInjector
 from repro.network.recovery import CrashPlan
-from repro.network.links import (
-    WIRED_LATENCY_MS,
-    WIRELESS_LATENCY_MS,
-)
+from repro.network.links import WIRED_LATENCY_MS
 from repro.network.paths import ShortestPaths
 from repro.network.spanning_tree import minimum_spanning_tree
 from repro.network.topology import grid_topology
@@ -51,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mobility.base import MobilityProtocol
     from repro.pubsub.recovery import RecoveryCoordinator
 
-__all__ = ["PubSubSystem"]
+__all__ = ["PubSubSystem", "SystemOptions"]
 
 ProtocolSpec = Union[str, Callable[["PubSubSystem"], "MobilityProtocol"]]
 
@@ -66,65 +69,129 @@ def _protocol_factory(spec: ProtocolSpec) -> Callable[["PubSubSystem"], "Mobilit
     return registry.factory(spec)
 
 
+@dataclass(frozen=True)
+class SystemOptions:
+    """Every option of a deployment except its driver, declared once.
+
+    ``PubSubSystem`` is built from one of these,
+    :class:`~repro.experiments.config.ExperimentConfig` is one (plus the
+    runner's ``workload`` and ``drain_limit_ms``), and the CLI, the figure
+    sweeps and the fuzzer hand the value on instead of its fields. A bad
+    value raises :class:`~repro.errors.ConfigurationError` here, at
+    construction, for every holder.
+    """
+
+    #: registry name ("mhh", "sub-unsub", "home-broker", "two-phase") or a
+    #: ``factory(system) -> MobilityProtocol``
+    protocol: ProtocolSpec = "mhh"
+    #: brokers sit on a grid_k x grid_k grid (paper §5.1: 10)
+    grid_k: int = 10
+    #: root of every random stream (spanning tree, workload, fault draws)
+    seed: int = 0
+    #: covering-based propagation pruning. None = the protocol's own
+    #: ``default_covering`` (off for MHH: its migration surgery needs exact
+    #: per-key table state — paper §4.1 notes the machinery covering would
+    #: need)
+    covering_enabled: Optional[bool] = None
+    #: events per queue-migration message (bulk queue transfers)
+    migration_batch_size: int = 10
+    #: dispatch interval between consecutive batches of one queue stream.
+    #: None = one batch per wired-link slot, so shipping a backlog takes
+    #: time proportional to its size; 0 disables pacing
+    stream_pacing_ms: Optional[float] = None
+    #: 'grid' (paper §5.1: stations talk via shortest paths) or 'tree'
+    #: (route point-to-point traffic over the overlay too — ablation)
+    unicast_routing: str = "grid"
+    #: tracer categories to record (None = tracing off; see repro.sim.trace)
+    trace: Optional[Union[str, list[str]]] = None
+    #: scheduler implementation: 'lanes' (per-delay FIFO lanes + heap, the
+    #: default) or 'heap' (legacy heap-only engine, kept for differential
+    #: testing — see repro.sim.core)
+    sim_engine: str = "lanes"
+    #: wireless fault profile (None / inactive = perfect links; see
+    #: repro.network.faults)
+    faults: Optional[FaultProfile] = None
+    #: broker crash/restart/partition schedule (None / inactive =
+    #: crash-free; see repro.network.recovery)
+    crashes: Optional[CrashPlan] = None
+    #: end-to-end reliable downlink delivery (ACK/retransmit with backoff
+    #: + per-link circuit breakers; see repro.pubsub.reliability).
+    #: Default off = the paper's best-effort downlink, byte-identical.
+    reliable: bool = False
+    #: retransmission attempts per frame before the window is written off
+    retry_budget: int = 8
+    #: downlink bulkhead: max queued messages per client before the shed
+    #: policy runs (None = unbounded, the paper's model)
+    queue_cap: Optional[int] = None
+    #: durable broker state: per-broker write-ahead log + persistent
+    #: client sessions with repair-round handover (see repro.pubsub.wal).
+    #: Default off = volatile brokers, byte-identical to the seed.
+    durable: bool = False
+    #: directory for file-backed WAL segments (None = the driver's
+    #: default store: in-memory under simulation, a scratch dir live)
+    wal_dir: Optional[str] = None
+    #: batched event fan-out: drain same-instant wired EventMessage
+    #: arrivals at a broker through one FilterTable.match_batch pass.
+    #: Trace-identical to per-event delivery (fuzzer-gated); default off,
+    #: and a no-op under drivers/engines without FIFO lanes
+    event_batching: bool = False
+
+    def __post_init__(self) -> None:
+        if self.grid_k <= 0:
+            raise ConfigurationError(f"grid_k must be >= 1, got {self.grid_k}")
+        if self.retry_budget < 1:
+            raise ConfigurationError(
+                f"retry_budget must be >= 1, got {self.retry_budget}"
+            )
+        if self.queue_cap is not None and self.queue_cap < 1:
+            raise ConfigurationError(
+                f"queue_cap must be >= 1 (or None for unbounded), "
+                f"got {self.queue_cap}"
+            )
+        if self.wal_dir is not None and not self.durable:
+            raise ConfigurationError("wal_dir requires durable=True")
+        if self.migration_batch_size <= 0:
+            raise ConfigurationError(
+                f"migration_batch_size must be >= 1, "
+                f"got {self.migration_batch_size}"
+            )
+        if self.stream_pacing_ms is not None and self.stream_pacing_ms < 0:
+            raise ConfigurationError(
+                f"stream_pacing_ms must be >= 0, got {self.stream_pacing_ms}"
+            )
+        if self.unicast_routing not in ("grid", "tree"):
+            raise ConfigurationError(
+                f"unicast_routing must be 'grid' or 'tree', "
+                f"got {self.unicast_routing!r}"
+            )
+        if self.sim_engine not in SIM_ENGINES:
+            raise ConfigurationError(
+                f"sim_engine must be one of {SIM_ENGINES}, "
+                f"got {self.sim_engine!r}"
+            )
+
+
 class PubSubSystem:
     """A complete simulated pub/sub deployment."""
 
     def __init__(
         self,
-        grid_k: int,
-        protocol: ProtocolSpec = "mhh",
-        seed: int = 0,
-        wired_latency: float = WIRED_LATENCY_MS,
-        wireless_latency: float = WIRELESS_LATENCY_MS,
-        covering_enabled: Optional[bool] = None,
-        migration_batch_size: int = 10,
-        stream_pacing_ms: Optional[float] = None,
-        unicast_routing: str = "grid",
-        trace: Optional[Union[str, list[str]]] = None,
-        sim_engine: str = "lanes",
-        covering_index: bool = True,
-        faults: Optional[FaultProfile] = None,
-        crashes: Optional["CrashPlan"] = None,
+        options: Optional[SystemOptions] = None,
         driver: DriverSpec = None,
-        reliable: bool = False,
-        retry_budget: int = 8,
-        queue_cap: Optional[int] = None,
-        durable: bool = False,
-        wal_dir: Optional[str] = None,
-        event_batching: bool = False,
+        **fields: Any,
     ) -> None:
-        if grid_k <= 0:
-            raise ConfigurationError(f"grid_k must be >= 1, got {grid_k}")
-        if retry_budget < 1:
-            raise ConfigurationError(
-                f"retry_budget must be >= 1, got {retry_budget}"
-            )
-        if queue_cap is not None and queue_cap < 1:
-            raise ConfigurationError(
-                f"queue_cap must be >= 1 (or None for unbounded), "
-                f"got {queue_cap}"
-            )
-        if wal_dir is not None and not durable:
-            raise ConfigurationError("wal_dir requires durable=True")
-        if migration_batch_size <= 0:
-            raise ConfigurationError(
-                f"migration_batch_size must be >= 1, got {migration_batch_size}"
-            )
-        if unicast_routing not in ("grid", "tree"):
-            raise ConfigurationError(
-                f"unicast_routing must be 'grid' or 'tree', got {unicast_routing!r}"
-            )
-        if sim_engine not in SIM_ENGINES:
-            raise ConfigurationError(
-                f"sim_engine must be one of {SIM_ENGINES}, got {sim_engine!r}"
-            )
+        options = replace(
+            options if options is not None else SystemOptions(), **fields
+        )
         if driver is None or driver == "sim":
-            driver = SimulatedDriver(engine=sim_engine)
+            driver = SimulatedDriver(engine=options.sim_engine)
         elif not isinstance(driver, Driver):
             raise ConfigurationError(
                 f"driver must be None, 'sim' or a Driver instance, "
                 f"got {driver!r}"
             )
+        #: the validated value this system was built from
+        self.options = options
         #: the execution driver: owns the clock and builds the transport.
         #: Default is the discrete-event SimulatedDriver; pass a
         #: repro.drivers.live.LiveDriver to run the same kernel under an
@@ -136,46 +203,31 @@ class PubSubSystem:
         #: None — only `run`/`run_until_quiescent` and the experiment
         #: runner depend on it; the kernel itself never touches it
         self.sim = driver.sim
-        #: scheduler implementation: 'lanes' (per-delay FIFO lanes + heap,
-        #: the default) or 'heap' (legacy heap-only engine, kept for
-        #: differential testing)
-        self.sim_engine = sim_engine
-        #: indexed covering (per-neighbour CoveringIndex + broker-wide
-        #: withdrawal-candidate index; the default) vs the legacy scan-based
-        #: covering checks — message-for-message identical, kept toggleable
-        #: for differential testing (tests/test_control_plane.py)
-        self.covering_index = bool(covering_index)
-        self.seed = seed
-        #: events per queue-migration message (bulk queue transfers)
-        self.migration_batch_size = migration_batch_size
-        #: dispatch interval between consecutive batches of one queue
-        #: stream. Default: one batch per wired-link slot, so shipping a
-        #: backlog takes time proportional to its size (a 60-event queue is
-        #: not teleported); 0 disables pacing.
-        if stream_pacing_ms is None:
-            stream_pacing_ms = wired_latency
-        if stream_pacing_ms < 0:
-            raise ConfigurationError(
-                f"stream_pacing_ms must be >= 0, got {stream_pacing_ms}"
-            )
-        self.stream_pacing_ms = stream_pacing_ms
-        self.streams = RandomStreams(seed)
+        # what brokers and protocols read while running is a plain
+        # attribute (no `options.` hop on a hot path); `covering_enabled`
+        # joins them below, once the protocol can supply its default
+        self.seed = options.seed
+        self.migration_batch_size = options.migration_batch_size
+        self.stream_pacing_ms = (
+            WIRED_LATENCY_MS
+            if options.stream_pacing_ms is None
+            else options.stream_pacing_ms
+        )
+        self.queue_cap = queue_cap = options.queue_cap
+
+        self.streams = RandomStreams(self.seed)
         self.ids = IdAllocator()
         self.metrics = MetricsHub()
-        self.tracer = Tracer(lambda: self.clock.now, enabled=trace)
+        self.tracer = Tracer(lambda: self.clock.now, enabled=options.trace)
 
-        self.topology = grid_topology(grid_k)
+        self.topology = grid_topology(options.grid_k)
         self.paths = ShortestPaths(self.topology)
-        self.tree = minimum_spanning_tree(self.topology, seed=seed)
-        #: 'grid' (paper §5.1: stations talk via shortest paths) or 'tree'
-        #: (route point-to-point traffic over the overlay too — ablation)
-        self.unicast_routing = unicast_routing
+        self.tree = minimum_spanning_tree(self.topology, seed=self.seed)
 
-        #: wireless fault profile (None / inactive = perfect links; the
-        #: injector is only built for an *active* profile so fault-free
-        #: runs stay bit-identical to the seed behaviour)
-        self.faults = faults
+        #: wireless fault injector (only built for an *active* profile, so
+        #: fault-free runs stay bit-identical to the seed behaviour)
         self.fault_injector: Optional[LinkFaultInjector] = None
+        faults = options.faults
         if faults is not None and faults.active:
             from repro.pubsub.messages import DeliverMessage
 
@@ -210,7 +262,6 @@ class PubSubSystem:
         #: downlink, the default; built below only when reliable=True so
         #: default-off runs construct nothing and draw nothing)
         self.reliability = None
-        self.queue_cap = queue_cap
 
         _on_shed = None
         if queue_cap is not None:
@@ -236,11 +287,11 @@ class PubSubSystem:
         self.net = driver.build_transport(
             self.topology,
             self.paths,
-            wired_latency=wired_latency,
-            wireless_latency=wireless_latency,
             account=self.metrics.account,
             unicast_hops=(
-                self.tree.distance if unicast_routing == "tree" else None
+                self.tree.distance
+                if options.unicast_routing == "tree"
+                else None
             ),
             faults=self.fault_injector,
             queue_cap=queue_cap,
@@ -249,11 +300,11 @@ class PubSubSystem:
         #: legacy alias for the transport (pre-driver call sites/tests)
         self.links = self.net
 
-        if reliable:
+        if options.reliable:
             from repro.pubsub.reliability import ReliabilityManager
 
             self.reliability = ReliabilityManager(
-                self, retry_budget=retry_budget
+                self, retry_budget=options.retry_budget
             )
             self.net.reliability = self.reliability
             self.metrics.delivery.enable_reliability()
@@ -268,11 +319,11 @@ class PubSubSystem:
         #: nothing, and stay byte-identical to the non-durable seed
         #: behaviour (the hot-path hooks are a single `is not None` check)
         self.durability = None
-        if durable:
+        if options.durable:
             from repro.pubsub.wal import DurabilityManager
 
             self.durability = DurabilityManager(
-                self, driver.build_log_store(wal_dir))
+                self, driver.build_log_store(options.wal_dir))
 
         self.brokers: dict[int, Broker] = {}
         for bid in range(self.topology.n):
@@ -280,13 +331,7 @@ class PubSubSystem:
             self.brokers[bid] = broker
             self.net.register_broker(bid, broker.receive)
 
-        #: batched event fan-out: drain same-instant wired EventMessage
-        #: arrivals at a broker through one FilterTable.match_batch pass.
-        #: Trace-identical to per-event delivery (the fuzzer's batching
-        #: lane gates byte identity); default off, so seed digests are
-        #: untouched. No-op under drivers/engines without FIFO lanes.
-        self.event_batching = bool(event_batching)
-        if event_batching:
+        if options.event_batching:
             register_batch = getattr(self.net, "register_broker_batch", None)
             enable = getattr(self.net, "enable_event_batching", None)
             if register_batch is not None and enable is not None:
@@ -296,21 +341,19 @@ class PubSubSystem:
 
         self.clients: dict[int, Client] = {}
 
-        factory = _protocol_factory(protocol)
+        factory = _protocol_factory(options.protocol)
         self.protocol: "MobilityProtocol" = factory(self)
-        # Covering-based propagation pruning: ON for protocols that flood
-        # subscriptions per handoff (sub-unsub), OFF for MHH whose migration
-        # surgery requires exact per-key table state (paper §4.1 notes the
-        # extra machinery covering would need; DESIGN.md records the choice).
-        if covering_enabled is None:
-            covering_enabled = self.protocol.default_covering
-        self.covering_enabled = covering_enabled
+        self.covering_enabled = (
+            self.protocol.default_covering
+            if options.covering_enabled is None
+            else options.covering_enabled
+        )
 
-        #: overlay failure schedule (None / inactive = crash-free; like the
-        #: fault injector, the coordinator is only built for an *active*
-        #: plan, so crash-free runs stay bit-identical to the seed behaviour)
-        self.crashes = crashes
+        #: crash repair (like the fault injector, only built for an
+        #: *active* plan, so crash-free runs stay bit-identical to the seed
+        #: behaviour)
         self.recovery: Optional["RecoveryCoordinator"] = None
+        crashes = options.crashes
         if crashes is not None and crashes.active:
             from repro.pubsub.recovery import RecoveryCoordinator
 

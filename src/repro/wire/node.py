@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.drivers.base import CancelHandle, Driver, Transport
 from repro.errors import ConfigurationError, SchedulingError
 from repro.metrics.hub import MetricsHub
+from repro.network.links import WIRED_LATENCY_MS, WIRELESS_LATENCY_MS
 from repro.wire.codec import decode_control, encode_control
 from repro.wire.framing import FrameDecoder, FrameError, encode_frame
 
@@ -118,8 +119,8 @@ class NodeTransport(Transport):
     def __init__(self, session: "Session") -> None:
         self._session = session
         self._broker_rx: Dict[int, Any] = {}
-        self.wired_latency = 0.0
-        self.wireless_latency = 0.0
+        self.wired_latency = WIRED_LATENCY_MS
+        self.wireless_latency = WIRELESS_LATENCY_MS
 
     def register_broker(self, broker_id: int, rx: Any) -> None:
         self._broker_rx[broker_id] = rx
@@ -165,10 +166,8 @@ class NodeDriver(Driver):
         self.clock = clock
         self.transport = transport
 
-    def build_transport(self, topo: Any, paths: Any, *, wired_latency: float,
-                        wireless_latency: float, **_ignored: Any) -> Transport:
-        self.transport.wired_latency = wired_latency
-        self.transport.wireless_latency = wireless_latency
+    def build_transport(self, topo: Any, paths: Any,
+                        **_ignored: Any) -> Transport:
         return self.transport
 
     def build_log_store(self, wal_dir: Optional[str] = None) -> Any:

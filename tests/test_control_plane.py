@@ -1,17 +1,18 @@
 """Differential tests for the incremental control plane.
 
-Three layers, each checked against its legacy oracle under randomized
-churn:
+Three layers, each checked against its brute-force oracle under randomized
+churn (the covering oracle is ``tests/covering_scan.py``: the scan the
+index replaced, kept under ``tests/`` only):
 
 * the **covering index** (:class:`~repro.pubsub.covering.CoveringIndex`)
-  against brute-force ``covers`` scans — both directions, exactly;
-* the **filter table**'s indexed covering checks, withdrawal-candidate
-  enumeration (including its legacy scan *order*), and client-entry index
+  against :class:`~covering_scan.ScanCovering` — both directions, exactly;
+* the **filter table**'s covering checks, withdrawal-candidate
+  enumeration (including its table *order*), and client-entry index
   against the scanning implementations;
 * **whole systems**: randomized subscribe/unsubscribe/mobility storms run
-  with the covering index on and off (× covering on/off) must produce
-  identical routing decisions, identical traffic,
-  identical final tables, and a consistent advertisement mirror.
+  on the product and again with the scan substituted for the index
+  (× covering on/off) must produce identical routing decisions, identical
+  traffic, identical final tables, and a consistent advertisement mirror.
 
 The :class:`IntervalIndex` differential (incremental repair vs a
 brute-force scan) lives in ``tests/test_interval_index.py`` next to the
@@ -21,6 +22,7 @@ other interval-index tests.
 import random
 
 import pytest
+from covering_scan import ScanCovering, scan_covering
 
 from repro.pubsub.covering import CoveringIndex
 from repro.pubsub.filter_table import ClientEntry, FilterTable
@@ -80,81 +82,65 @@ def random_constraint(rnd: random.Random) -> AttributeConstraint:
 # ---------------------------------------------------------------------------
 # CoveringIndex vs brute force
 # ---------------------------------------------------------------------------
-def legacy_peer_covers(members: dict, f) -> bool:
-    """The unindexed _PeerFilters covering semantics: topic intervals in a
-    topic-only index (consulted for topic-range queries), all else scanned."""
-    def is_topic_range(m):
-        rng = m.as_range()
-        return rng is not None and rng[0] == "topic"
-
-    rng = f.as_range()
-    if rng is not None and rng[0] == "topic":
-        for m in members.values():
-            if is_topic_range(m):
-                mrng = m.as_range()
-                if mrng[1] <= rng[1] and rng[2] <= mrng[2]:
-                    return True
-    return any(
-        m.covers(f) for m in members.values() if not is_topic_range(m)
-    )
-
-
 @pytest.mark.parametrize("seed", range(10))
 def test_covering_index_differential(seed):
     """covers() == peer-scan semantics; covered_by() == exact brute force."""
     rnd = random.Random(seed)
     ci = CoveringIndex()
-    members: dict = {}
+    scan = ScanCovering()
     for _step in range(250):
-        if rnd.random() < 0.55 or not members:
+        if rnd.random() < 0.55 or not scan.members:
             key = rnd.randrange(60)
             f = random_filter(rnd)
             ci.add(key, f)
-            members[key] = f
+            scan.add(key, f)
         else:
-            key = rnd.choice(list(members))
+            key = rnd.choice(list(scan.members))
             ci.discard(key)
-            del members[key]
+            scan.discard(key)
         if rnd.random() < 0.4:
             q = random_filter(rnd)
-            assert ci.covers(q) == legacy_peer_covers(members, q)
-            expect = {k for k, m in members.items() if q.covers(m)}
-            assert set(ci.covered_by(q)) == expect
-    assert len(ci) == len(members)
+            assert ci.covers(q) == scan.covers(q)
+            assert set(ci.covered_by(q)) == set(scan.covered_by(q))
+    assert len(ci) == len(scan)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_advertised_covers_indexed_matches_scan(seed):
-    """FilterTable.advertised_covers agrees across covering_index modes."""
-    rnd = random.Random(100 + seed)
-    indexed = FilterTable(0, NEIGHBORS, covering_index=True)
-    scan = FilterTable(0, NEIGHBORS, covering_index=False)
-    live: list = []
-    for _step in range(200):
-        nbr = rnd.choice(NEIGHBORS)
-        if rnd.random() < 0.6 or not live:
-            key = f"k{rnd.randrange(80)}"
-            f = random_filter(rnd)
-            indexed.advertised_add(nbr, key, f)
-            scan.advertised_add(nbr, key, f)
-            live.append((nbr, key))
-        else:
-            nbr, key = live.pop(rnd.randrange(len(live)))
-            assert indexed.advertised_remove(nbr, key) == \
-                scan.advertised_remove(nbr, key)
-        q = random_filter(rnd)
-        for n in NEIGHBORS:
-            assert indexed.advertised_covers(n, q) == \
-                scan.advertised_covers(n, q)
-            assert set(indexed.advertised_keys(n)) == \
-                set(scan.advertised_keys(n))
+    """FilterTable.advertised_covers agrees with the scan substituted for
+    the per-neighbour index, answer for answer over one churn script."""
+    def script() -> list:
+        rnd = random.Random(100 + seed)
+        table = FilterTable(0, NEIGHBORS)
+        live: list = []
+        seen: list = []
+        for _step in range(200):
+            nbr = rnd.choice(NEIGHBORS)
+            if rnd.random() < 0.6 or not live:
+                key = f"k{rnd.randrange(80)}"
+                table.advertised_add(nbr, key, random_filter(rnd))
+                live.append((nbr, key))
+            else:
+                nbr, key = live.pop(rnd.randrange(len(live)))
+                seen.append(table.advertised_remove(nbr, key))
+            q = random_filter(rnd)
+            for n in NEIGHBORS:
+                seen.append(table.advertised_covers(n, q))
+                seen.append(set(table.advertised_keys(n)))
+        return seen
+
+    indexed = script()
+    with scan_covering():
+        scan = script()
+    assert indexed == scan
+    assert True in indexed and False in indexed
 
 
 # ---------------------------------------------------------------------------
-# withdrawal-candidate enumeration: content AND order vs the legacy scan
+# withdrawal-candidate enumeration: content AND order vs the table walk
 # ---------------------------------------------------------------------------
 def legacy_candidates(table: FilterTable, nbr: int, f):
-    """The pre-index candidate walk: every client entry, then every other
+    """The unindexed candidate walk: every client entry, then every other
     neighbour's filters in keys() order — filtered to what ``f`` covers."""
     out = []
     for entry in table.clients.values():
@@ -163,7 +149,8 @@ def legacy_candidates(table: FilterTable, nbr: int, f):
     for other in table.neighbors:
         if other == nbr:
             continue
-        for key, cand in table.iter_broker_filters(other):
+        for key in table.broker_filter_keys(other):
+            cand = table.broker_filter_get(other, key)
             if f.covers(cand):
                 out.append((key, cand))
     return out
@@ -172,7 +159,7 @@ def legacy_candidates(table: FilterTable, nbr: int, f):
 @pytest.mark.parametrize("seed", range(8))
 def test_covered_candidates_content_and_order(seed):
     rnd = random.Random(200 + seed)
-    table = FilterTable(0, NEIGHBORS, covering_index=True)
+    table = FilterTable(0, NEIGHBORS)
     broker_keys: list = []
     client_keys: list = []
     next_key = 0
@@ -244,20 +231,19 @@ def test_filter_lookups_return_installed_objects():
     assert table.advertised_get(2, "r") is rf
     assert table.broker_filter_get(1, "missing") is None
     assert table.advertised_count(2) == 1
-    assert dict(table.iter_broker_filters(1)) == {"r": rf, "g": conj}
+    assert table.broker_filter_keys(1) == ["r", "g"]
 
 
 # ---------------------------------------------------------------------------
-# whole-system churn storms: both covering-index modes must agree exactly
+# whole-system churn storms: covering index and covering scan agree exactly
 # ---------------------------------------------------------------------------
-def run_churn_storm(protocol, covering, covering_index, seed):
+def run_churn_storm(protocol, covering, seed):
     """One scripted random mobility/publish storm; returns every observable."""
     system = PubSubSystem(
         grid_k=3,
         protocol=protocol,
         seed=7,
         covering_enabled=covering,
-        covering_index=covering_index,
     )
     rnd = random.Random(seed)
     subs = [
@@ -321,9 +307,11 @@ def run_churn_storm(protocol, covering, covering_index, seed):
      ("home-broker", False)],
 )
 def test_churn_storm_all_modes_agree(protocol, covering):
-    """Randomized churn: covering-index on and off are bit-identical."""
-    baseline = run_churn_storm(protocol, covering, True, seed=42)
-    assert run_churn_storm(protocol, covering, False, seed=42) == baseline
+    """Randomized churn: the covering index and the tests-only covering
+    scan substituted for it are bit-identical."""
+    baseline = run_churn_storm(protocol, covering, seed=42)
+    with scan_covering():
+        assert run_churn_storm(protocol, covering, seed=42) == baseline
     # the storm must actually have exercised delivery
     assert baseline[0] > 0
 

@@ -161,8 +161,8 @@ def test_durability_lane_batch_passes():
 # ---------------------------------------------------------------------------
 def test_durable_run_identical_across_engines():
     scenario = Scenario.durable_from_seed(41)
-    primary = run_scenario(scenario, *ENGINE_BUNDLES[0])
-    legacy = run_scenario(scenario, *ENGINE_BUNDLES[1])
+    primary = run_scenario(scenario, **ENGINE_BUNDLES[0])
+    legacy = run_scenario(scenario, **ENGINE_BUNDLES[1])
     assert check_invariants(scenario, primary) == []
     assert compare_outcomes(primary, legacy) == []
 

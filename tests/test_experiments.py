@@ -5,11 +5,11 @@ import inspect
 import re
 
 import pytest
+from covering_scan import scan_covering
 
 from repro.drivers.live import LiveDriver, VirtualClock, run_soak
 from repro.errors import ConfigurationError
 from repro.experiments.config import (
-    RUNNER_ONLY,
     SCALES,
     ExperimentConfig,
     bench_scale,
@@ -28,7 +28,7 @@ from repro.network.faults import FaultProfile
 from repro.network.recovery import CrashPlan
 from repro.pubsub.filter_table import FilterTable
 from repro.pubsub.interval_index import IntervalIndex
-from repro.pubsub.system import PubSubSystem
+from repro.pubsub.system import PubSubSystem, SystemOptions
 from repro.sim.core import SIM_ENGINES
 from repro.workload.spec import WorkloadSpec
 
@@ -169,34 +169,33 @@ def test_parallel_sweep_matches_serial():
 
 
 def test_covering_index_config_plumbs_through():
+    """A configured covering run on the product's index equals the same
+    run with the tests-only covering scan substituted for it."""
     cfg = ExperimentConfig(protocol="sub-unsub", grid_k=3, seed=4,
                            workload=FAST, covering_enabled=True)
-    legacy = run_experiment(
-        ExperimentConfig(protocol="sub-unsub", grid_k=3, seed=4,
-                         workload=FAST, covering_enabled=True,
-                         covering_index=False)
-    )
     indexed = run_experiment(cfg)
-    assert cfg.covering_index is True
-    assert indexed.as_dict() == legacy.as_dict()
-    assert indexed.sim_events == legacy.sim_events
+    with scan_covering():
+        scanned = run_experiment(cfg)
+    assert indexed.as_dict() == scanned.as_dict()
+    assert indexed.sim_events == scanned.sim_events
 
 
 def test_every_config_field_reaches_every_driver():
-    """The census: a config field is either a ``PubSubSystem`` keyword of
-    the same name (forwarded by the one mapping) or explicitly the
-    runner's own — and what the mapping forwards does not depend on the
-    driver the system is built for."""
-    params = set(inspect.signature(PubSubSystem.__init__).parameters)
-    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    assert RUNNER_ONLY == {"workload", "drain_limit_ms"}
-    assert names - RUNNER_ONLY <= params
-    assert RUNNER_ONLY <= names and not RUNNER_ONLY & params
+    """The census: a system is built from one options value plus a driver;
+    a config is that value plus the runner's two fields by name; and what
+    a system makes of the value does not depend on its driver."""
+    assert list(inspect.signature(PubSubSystem.__init__).parameters) == [
+        "self", "options", "driver", "fields"]
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
+    assert names == [f.name for f in dataclasses.fields(SystemOptions)] + [
+        "workload", "drain_limit_ms"]
+    assert len(names) == 17 + 2
 
     cfg = ExperimentConfig(  # a non-default value in every field
         protocol="sub-unsub", grid_k=2, seed=9, workload=FAST,
         migration_batch_size=3, covering_enabled=False, drain_limit_ms=1e6,
-        sim_engine="heap", covering_index=False, event_batching=True,
+        stream_pacing_ms=2.5, unicast_routing="tree", trace=["publish"],
+        sim_engine="heap", event_batching=True,
         faults=FaultProfile(deliver_loss=0.1),
         crashes=CrashPlan.parse(crashes=["1@60"]),
         reliable=True, retry_budget=3, queue_cap=7, durable=True,
@@ -206,11 +205,15 @@ def test_every_config_field_reaches_every_driver():
             if getattr(cfg, f.name) == f.default] == ["wal_dir"]
 
     def built(system):
+        assert system.options == cfg
         return (
-            system.covering_enabled, system.covering_index,
-            system.migration_batch_size, system.queue_cap,
-            system.event_batching, system.net.queue_cap,
-            system.reliability is not None, system.durability is not None,
+            system.protocol.name, system.broker_count, system.seed,
+            system.covering_enabled, system.migration_batch_size,
+            system.stream_pacing_ms,
+            system.net._unicast_hops == system.tree.distance,
+            system.tracer.wants("publish"), system.queue_cap,
+            system.net.queue_cap, bool(system.net._broker_rx_batch),
+            system.reliability.retry_budget, system.durability is not None,
             system.recovery is not None, system.fault_injector is not None,
         )
 
@@ -218,8 +221,24 @@ def test_every_config_field_reaches_every_driver():
     live, _ = build_system(cfg, driver=LiveDriver(VirtualClock()))
     live.durability.close()  # the live driver's WAL is a scratch directory
     assert built(simulated) == built(live)
-    assert built(simulated) == (False, False, 3, 7, True, 7,
-                                True, True, True, True)
+    assert built(simulated) == ("sub-unsub", 4, 9, False, 3, 2.5, True,
+                                True, 7, 7, True, 3, True, True, True)
+    assert simulated.sim.engine == "heap"
+
+
+def test_a_bad_option_value_fails_where_it_is_written_down():
+    """Validation lives on the options value, so every holder — here a
+    config that is never built into a system — refuses a bad value."""
+    with pytest.raises(ConfigurationError, match="retry_budget"):
+        ExperimentConfig(protocol="mhh", retry_budget=0)
+    with pytest.raises(ConfigurationError, match="grid_k"):
+        SystemOptions(grid_k=0)
+
+
+def test_an_empty_sweep_runs_nothing():
+    """``()`` is an empty sweep, not a request for the paper's defaults."""
+    assert run_fig5(scale="smoke", conn_periods_s=()) == []
+    assert run_fig6(scale="smoke", grid_sizes=()) == []
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -248,6 +267,18 @@ def test_every_config_field_reaches_every_driver():
     pytest.param(
         lambda: PubSubSystem(grid_k=2, durable=True, log_store=None),
         TypeError, "log_store", id="PubSubSystem-log_store"),
+    pytest.param(
+        lambda: PubSubSystem(grid_k=2, covering_index=False),
+        TypeError, "covering_index", id="PubSubSystem-covering_index"),
+    pytest.param(
+        lambda: ExperimentConfig(protocol="mhh", covering_index=False),
+        TypeError, "covering_index", id="ExperimentConfig-covering_index"),
+    pytest.param(
+        lambda: FilterTable(0, [1], covering_index=False),
+        TypeError, "covering_index", id="FilterTable-covering_index"),
+    pytest.param(
+        lambda: PubSubSystem(grid_k=2, wired_latency=5.0),
+        TypeError, "wired_latency", id="PubSubSystem-wired_latency"),
 ])
 def test_removed_engine_options_fail_loudly(build, error, message):
     """The deleted matching-engine switch and compiled scheduler are not
@@ -278,6 +309,28 @@ def test_cli_runs_smoke(capsys):
     out = capsys.readouterr().out
     assert "Figure 6(a)" in out
     assert "mhh" in out
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["fig5a", "--scale", "smoke", "--queue-cap", "0"], "queue_cap"),
+    (["fig5a", "--scale", "smoke", "--loss", "1.5"], "deliver_loss"),
+    (["soak", "--duration", "0.5", "--reliable", "--retry-budget", "0"],
+     "retry_budget"),
+    (["soak", "--duration", "0.5", "--soak-grid", "0"], "grid_k"),
+], ids=["queue-cap", "loss", "retry-budget", "soak-grid"])
+def test_cli_bad_option_value_is_a_usage_error(argv, option, capsys):
+    """A bad value ends in argparse's exit 2 naming the option — before any
+    run or worker pool starts — not in a ConfigurationError traceback."""
+    from repro.experiments.cli import main
+
+    variants = [argv] if argv[0] == "soak" else [argv, argv + ["--workers", "2"]]
+    for line in variants:
+        with pytest.raises(SystemExit) as exit_info:
+            main(line)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: {option} must be" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_workload_overrides_reject_sweep_owned_fields():

@@ -5,7 +5,8 @@ Three layers of evidence that batching is a pure optimisation:
 * **match parity** — a hypothesis battery asserts
   :meth:`FilterTable.match_batch` equals a loop of :meth:`FilterTable.match`
   element-for-element (neighbour order, entry order, MHH label handling)
-  with the covering index on and off, over adversarial filter sets
+  on the product table and with the tests-only covering scan substituted
+  for its index (``tests/covering_scan.py``), over adversarial filter sets
   (groups, labels, NaN topics, string/bool attribute values);
 * **scheduler batching** — unit tests pin the lane-drain semantics of
   :meth:`Simulator.register_fifo_batch`: same-instant same-callback runs
@@ -19,7 +20,10 @@ Three layers of evidence that batching is a pure optimisation:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
+from covering_scan import scan_covering
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -116,14 +120,16 @@ _events = st.builds(
     ),
 )
 def test_match_batch_equals_match_loop(client_filters, broker_filters, items):
-    for covering_index in (False, True):
-        table = FilterTable(0, NEIGHBORS, covering_index=covering_index)
-        for nbr, f in broker_filters:
-            table.add_broker_filter(nbr, ("k", nbr, id(f)), f)
-        for i, (f, label) in enumerate(client_filters):
-            table.set_client_entry(ClientEntry(i, ("c", i), f, label=label))
-        expected = [table.match(ev, frm) for ev, frm in items]
-        assert table.match_batch(items) == expected
+    for covering in (scan_covering, nullcontext):
+        with covering():
+            table = FilterTable(0, NEIGHBORS)
+            for nbr, f in broker_filters:
+                table.add_broker_filter(nbr, ("k", nbr, id(f)), f)
+            for i, (f, label) in enumerate(client_filters):
+                table.set_client_entry(
+                    ClientEntry(i, ("c", i), f, label=label))
+            expected = [table.match(ev, frm) for ev, frm in items]
+            assert table.match_batch(items) == expected
 
 
 def test_match_batch_after_churn_matches_loop():
@@ -237,14 +243,14 @@ def _tiny_config(**kw):
 
 def test_event_batching_toggle_wires_the_batch_path():
     system, _wl = build_system(_tiny_config(event_batching=True))
-    assert system.event_batching
+    assert system.options.event_batching
     # every broker's batch receiver is registered with the link layer and
     # the pinned delivery callback is registered with the lane scheduler
     assert set(system.net._broker_rx_batch) == set(system.brokers)
     clock = system.net.clock
     assert system.net._deliver_broker in clock._fifo_batch
     off, _wl = build_system(_tiny_config())
-    assert not off.event_batching
+    assert not off.options.event_batching
     assert not off.net._broker_rx_batch
 
 
@@ -267,8 +273,9 @@ def _small_seed(predicate=lambda s: True, start=0):
 def test_event_batching_traces_byte_identical(seed_pick):
     _name, predicate = seed_pick
     scenario = Scenario.from_seed(_small_seed(predicate))
-    base = run_scenario(scenario, *ENGINE_BUNDLES[0])
-    batched = run_scenario(scenario, *ENGINE_BUNDLES[2])
-    assert ENGINE_BUNDLES[2][2] is True  # the bundle under test batches
+    base = run_scenario(scenario, **ENGINE_BUNDLES[0])
+    batched = run_scenario(scenario, **ENGINE_BUNDLES[2])
+    assert ENGINE_BUNDLES[2] == {"event_batching": True}
+    assert batched.engine_bundle == ("lanes", True)  # it did batch
     assert compare_outcomes(base, batched) == []
     assert base.delivery_log  # the scenario actually delivered traffic

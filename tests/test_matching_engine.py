@@ -218,7 +218,8 @@ def test_differential_end_to_end_sim(protocol, monkeypatch):
         assert nbrs == [
             n for n in sorted(table.neighbors)
             if n != from_broker
-            and any(f.matches(event) for _k, f in table.iter_broker_filters(n))
+            and any(table.broker_filter_get(n, k).matches(event)
+                    for k in table.broker_filter_keys(n))
         ]
         assert entries == [
             e for e in table.clients.values()

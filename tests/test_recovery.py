@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from covering_scan import scan_covering
 
 from repro.conformance.scenarios import Scenario
 from repro.errors import ConfigurationError, TopologyError
@@ -364,8 +365,9 @@ def test_resynced_routing_state_equals_from_scratch_rebuild():
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_crash_scenarios_are_engine_bundle_identical(protocol):
     """The control-plane pattern at whole-system scale: a crash scenario
-    replayed under the all-legacy engine bundle must land in the identical
-    final state — delivery log, tree, and every surviving table."""
+    replayed on the heap-only scheduler with the tests-only covering scan
+    substituted for the index (repair-rebuilt tables included) must land in
+    the identical final state — delivery log, tree, every surviving table."""
     plan = _plan(
         CrashEvent("crash", 30_000.0, broker=7),
         CrashEvent("restart", 70_000.0, broker=7),
@@ -389,14 +391,8 @@ def test_crash_scenarios_are_engine_bundle_identical(protocol):
         )
 
     fast = state(_crash_config(protocol, plan))
-    legacy = state(
-        _crash_config(
-            protocol,
-            plan,
-            sim_engine="heap",
-            covering_index=False,
-        )
-    )
+    with scan_covering():
+        legacy = state(_crash_config(protocol, plan, sim_engine="heap"))
     assert fast == legacy
 
 
