@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import socket
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.network.links import LinkLayer
@@ -74,8 +75,8 @@ class BrokerPeer:
 
     The coordinator is single-threaded and lockstep: at most one dispatch
     is in flight per peer, so a plain blocking socket is the honest
-    transport here (the asyncio machinery lives node-side, where the
-    server must keep accepting while the kernel executes).
+    transport here — and node-side too, where one thread per session
+    answers each dispatch with one write per segment.
     """
 
     RESUME_ATTEMPTS = 40
@@ -91,7 +92,7 @@ class BrokerPeer:
         self.connect_timeout = connect_timeout
         self.sock: Optional[socket.socket] = None
         self.decoder = FrameDecoder()
-        self._inbox: List[Any] = []
+        self._inbox: Deque[bytes] = deque()
         self.seq = 0
         self.consumed = 0           # frames consumed for the current seq
         self._dispatch_frame = b""  # raw frame of the current dispatch
@@ -109,15 +110,19 @@ class BrokerPeer:
             (self.host, self.port), timeout=self.connect_timeout
         )
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.decoder = FrameDecoder()
-        self._inbox = []
 
     def close(self) -> None:
+        """Frames received but not consumed die with the connection: a
+        node writes a whole dispatch segment at once, so the rest of it is
+        usually buffered here already, and a kill that kept it would sever
+        nothing."""
         if self.sock is not None:
             try:
                 self.sock.close()
             finally:
                 self.sock = None
+        self.decoder = FrameDecoder()
+        self._inbox.clear()
 
     def kill(self) -> None:
         """Sever the TCP connection (test hook for mid-stream failures)."""
@@ -141,7 +146,7 @@ class BrokerPeer:
                     raise OSError("peer connection closed")
                 self.stats.bytes_rx += len(chunk)
                 self._inbox.extend(self.decoder.feed(chunk))
-            value = decode_control(self._inbox.pop(0))
+            value = decode_control(self._inbox.popleft())
             if value and value[0] == "ping":
                 self.stats.pings += 1
                 continue
@@ -181,7 +186,7 @@ class BrokerPeer:
             )
         if ack[0] != "resume-ok":
             raise PeerError(f"node refused resume: {ack!r}")
-        _, node_seq, pending_query = ack[1], int(ack[1]), ack[2]
+        node_seq, pending_query = int(ack[1]), ack[2]
         if node_seq < self.seq:
             # the dispatch frame itself was swallowed: re-send it (the node
             # has not executed it, so this is still exactly-once)
@@ -232,16 +237,20 @@ class BrokerPeer:
             if resumed:
                 self.stats.frames_replayed += 1
             tag = value[0]
-            if tag == "effect":
-                if int(value[1]) <= self.consumed:
+            if tag in ("effect", "query"):
+                index = int(value[1])
+                if index <= self.consumed:
                     continue  # duplicate from an over-eager resume replay
-                self.consumed += 1
+                if index != self.consumed + 1:
+                    raise PeerError(
+                        f"gap in the node stream: frame {index} of dispatch "
+                        f"{self.seq} after frame {self.consumed}"
+                    )
+                self.consumed = index
+            if tag == "effect":
                 self.stats.effects += 1
                 on_effect(tuple(value[2]))
             elif tag == "query":
-                if int(value[1]) <= self.consumed:
-                    continue
-                self.consumed += 1
                 self.stats.queries += 1
                 result = on_query(tuple(value[2]))
                 frame = encode_frame(encode_control(("answer", result)))
@@ -265,13 +274,21 @@ class BrokerPeer:
                 self.kill_after_frames = None
                 self.kill()
 
-    def shutdown(self) -> None:
+    def _part(self, tag: str) -> None:
         try:
             if self.sock is not None:
-                self._send_raw(encode_frame(encode_control(("shutdown",))))
+                self._send_raw(encode_frame(encode_control((tag,))))
         except OSError:
             pass
         self.close()
+
+    def bye(self) -> None:
+        """End the session: the node frees its replica and keeps serving."""
+        self._part("bye")
+
+    def shutdown(self) -> None:
+        """End the session and stop the node server."""
+        self._part("shutdown")
 
 
 class SocketTransport(LinkLayer):

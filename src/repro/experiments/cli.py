@@ -317,8 +317,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                       help="serve: TCP port; 0 picks a free one and prints "
                            "it (default 0)")
     wire.add_argument("--keepalive", type=float, default=None, metavar="S",
-                      help="wire keepalive ping interval in seconds "
-                           "(default 2)")
+                      help="seconds of silence from the coordinator "
+                           "before a node pings it (default 2)")
     wire.add_argument("--node", action="append", default=None,
                       metavar="HOST:PORT",
                       help="connect: address of a running node server "

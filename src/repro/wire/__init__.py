@@ -9,8 +9,9 @@ objects a real byte representation and a real network:
 - :mod:`repro.wire.framing` — length-prefixed CRC-framed records, the one
   ``<len><crc32>`` framing of socket streams and write-ahead log segments,
   with an incremental stream decoder;
-- :mod:`repro.wire.node` — a broker node process (asyncio TCP server) that
-  executes kernel dispatches and streams resulting effects back;
+- :mod:`repro.wire.node` — a broker node process (blocking TCP server, one
+  thread per coordinator session) that executes kernel dispatches and
+  writes the resulting effects back, one write per dispatch segment;
 - :mod:`repro.wire.harness` — the coordinator that runs a full scenario
   with brokers spread across OS processes, in lockstep with the
   deterministic :class:`~repro.drivers.live.VirtualClock`.

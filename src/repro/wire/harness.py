@@ -186,7 +186,7 @@ def run_socket_scenario(
     them down afterwards. Pass ``endpoints`` (``[(host, port), ...]`` of
     already-running ``repro.wire.node serve`` processes, e.g. started
     from the CLI) to use those instead — they are left running for the
-    next run.
+    next run, told ``bye`` so they free this run's replicas.
     """
     if not isinstance(cfg.protocol, str):
         raise ConfigurationError("socket scenarios need a registry protocol name")
@@ -247,7 +247,7 @@ def run_socket_scenario(
             transport.shutdown_peers()
         else:
             for peer in peers:
-                peer.close()
+                peer.bye()
         return system
     finally:
         for node in nodes:

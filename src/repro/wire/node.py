@@ -1,4 +1,4 @@
-"""Broker node process: an asyncio TCP server running kernel replicas.
+"""Broker node process: a blocking TCP server running kernel replicas.
 
 One node owns a subset of the brokers. It builds an SPMD replica of the
 :class:`~repro.pubsub.system.PubSubSystem` from the
@@ -15,41 +15,64 @@ dispatches the coordinator streams at it:
 
 Handlers run on the *real* kernel code — broker, protocol, filter tables —
 against a :class:`NodeClock` and :class:`NodeTransport` that turn every
-side effect (send, timer, loss accounting) into a frame streamed back to
-the coordinator, which applies it through its unmodified link layer.
-Queries (``reclaim_downlink``/``downlink_backlog``) block the kernel
-thread on a future until the coordinator answers, because their results
-feed the very next statement of a handler.
+side effect (send, timer, loss accounting) into a frame for the
+coordinator, which applies it through its unmodified link layer. Queries
+(``reclaim_downlink``/``downlink_backlog``) read their ``answer`` from the
+socket before the handler goes on, because their results feed its very
+next statement.
 
-The server is asyncio end to end: per-connection bounded send queues with
-genuine backpressure (the kernel thread waits for its frame to be
-queued), a keepalive ping that is *shed* — never queued — when the peer
-stops draining, and a reader that keeps accepting resumed connections
-while a dispatch is executing. Kernel execution itself lives in a
-single-thread executor so blocking queries cannot stall the loop.
+The stream is lockstep, so the server is synchronous: a blocking listener
+and **one thread per session** that reads a dispatch, runs the kernel
+inline, collects the frames it emits in the outbox and writes them with
+**one** ``sendall`` **per dispatch segment** — at ``done``/``error``, and
+before blocking on a query. Backpressure is that blocking ``sendall``
+against the TCP send buffer. Keepalive is a ping after ``keepalive_s`` of
+silence on the read side, sent ``MSG_DONTWAIT`` and *shed* — counted,
+never queued — when the peer has stopped draining. A reconnecting
+coordinator's ``resume`` is read by a short-lived greeter thread that
+hands its socket to the session and shuts the old one down; the session
+thread adopts it at its next read and replays what the drop swallowed.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
-import concurrent.futures
+import select
+import socket
 import sys
+import threading
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.drivers.base import CancelHandle, Driver, Transport
 from repro.errors import ConfigurationError, SchedulingError
 from repro.metrics.hub import MetricsHub
 from repro.network.links import WIRED_LATENCY_MS, WIRELESS_LATENCY_MS
-from repro.wire.codec import decode_control, encode_control
+from repro.wire.codec import CodecError, decode_control, encode_control
 from repro.wire.framing import FrameDecoder, FrameError, encode_frame
 
 __all__ = ["NodeServer", "main"]
 
-SEND_QUEUE_CAP = 256
-SEND_TIMEOUT_S = 30.0
 KEEPALIVE_S = 2.0
+#: a connection that has not sent its first frame by then is closed
+GREET_TIMEOUT_S = 10.0
+#: how often the accept loop looks at the stop flag
+ACCEPT_POLL_S = 0.5
+
+
+def _frame(value: tuple) -> bytes:
+    return encode_frame(encode_control(value))
+
+
+_PING = _frame(("ping",))
+
+
+def _recv_frames(sock: socket.socket, decoder: FrameDecoder) -> List[bytes]:
+    chunk = sock.recv(65536)
+    if not chunk:
+        raise ConnectionError("coordinator closed the connection")
+    return decoder.feed(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +136,7 @@ class NodeTransport(Transport):
 
     Uplink sends never happen here (clients live with the coordinator);
     reclaim/backlog are synchronous queries against the coordinator's
-    channels, blocking the kernel thread until answered.
+    channels, answered before the handler continues.
     """
 
     def __init__(self, session: "Session") -> None:
@@ -175,7 +198,7 @@ class NodeDriver(Driver):
 
 
 # ---------------------------------------------------------------------------
-# session: one coordinator's replica + resumable frame stream
+# session: one coordinator's replica, resumable frame stream and thread
 # ---------------------------------------------------------------------------
 class Session:
     """Replica state plus the exactly-once outbox for one coordinator."""
@@ -185,15 +208,19 @@ class Session:
         self.server = server
         self.token = token
         self.brokers = tuple(brokers)
-        self.loop = asyncio.get_running_loop()
-        self.conn: Optional["Connection"] = None
-        self.executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"kernel-{token[:8]}"
-        )
+        #: the live connection; ``None`` while waiting for a resume
+        self.sock: Optional[socket.socket] = None
+        self._decoder = FrameDecoder()
+        self._inbox: Deque[bytes] = deque()
+        #: ``(socket, seq, consumed)`` of a resume the session has not
+        #: adopted yet; the condition guards it and ``sock``'s hand-over
+        self._offer: Optional[Tuple[socket.socket, int, int]] = None
+        self._offered = threading.Condition()
         self.last_seq = 0
         self.outbox: List[bytes] = []
+        self.flushed = 0  # outbox[:flushed] has been handed to a socket
         self.out_count = 0
-        self._pending: Optional[Tuple[int, concurrent.futures.Future]] = None
+        self._pending: Optional[int] = None  # index of the unanswered query
         self._epoch_sent: Dict[int, int] = {}
         self._epoch_updates: List[Tuple[int, int]] = []
         self._building = True
@@ -216,85 +243,160 @@ class Session:
         return system
 
     # ------------------------------------------------------------------
-    # frames out (called from the kernel thread)
+    # frames out
     # ------------------------------------------------------------------
-    def _send(self, value: tuple) -> None:
-        frame = encode_frame(encode_control(value))
-        self.outbox.append(frame)
-        self._push(frame)
-
-    def _push(self, frame: bytes) -> None:
-        """Queue one frame on the live connection, with backpressure.
-
-        The kernel thread waits until the frame is accepted by the
-        connection's bounded send queue; a dead or absent connection just
-        leaves the frame in the outbox for the next session resume.
-        """
-        conn = self.conn
-        if conn is None:
-            return
-        fut = asyncio.run_coroutine_threadsafe(conn.send(frame), self.loop)
-        try:
-            fut.result(timeout=SEND_TIMEOUT_S)
-        except Exception:
-            pass  # outbox keeps the frame; resume will replay it
-
     def emit_effect(self, eff: tuple) -> None:
         if self._building:
             raise ConfigurationError(
                 f"kernel side effect during replica construction: {eff[0]!r}"
             )
         self.out_count += 1
-        self._send(("effect", self.out_count, eff))
+        self.outbox.append(_frame(("effect", self.out_count, eff)))
 
     def query(self, q: tuple) -> Any:
         self.out_count += 1
-        fut: concurrent.futures.Future = concurrent.futures.Future()
-        self._pending = (self.out_count, fut)
-        self._send(("query", self.out_count, q))
-        value = fut.result()
+        self._pending = self.out_count
+        self.outbox.append(_frame(("query", self.out_count, q)))
+        self._flush()
+        reply = self._read()
         self._pending = None
-        return value
+        if reply[0] != "answer":
+            raise FrameError(f"expected an answer, got {reply[0]!r}")
+        return reply[1]
+
+    def _flush(self) -> None:
+        """One write for every frame emitted since the last one."""
+        segment = b"".join(self.outbox[self.flushed:])
+        self.flushed = len(self.outbox)
+        self._write(segment)
+
+    def _write(self, data: bytes) -> None:
+        """Blocks while the coordinator is not draining (backpressure). A
+        dead or absent connection just leaves the frames in the outbox for
+        the next session resume."""
+        try:
+            if self.sock is not None:
+                self.sock.sendall(data)
+        except OSError:
+            self._drop()
+
+    def _drop(self) -> None:
+        """Frames received but not consumed die with their connection."""
+        sock, self.sock = self.sock, None
+        if sock is not None:
+            sock.close()
+        self._decoder = FrameDecoder()
+        self._inbox.clear()
 
     # ------------------------------------------------------------------
-    # frames in (called from the event loop)
+    # frames in
     # ------------------------------------------------------------------
-    def attach(self, conn: "Connection") -> None:
-        self.conn = conn
+    def _read(self) -> tuple:
+        """Next control value from the coordinator, whichever connection
+        it arrives on; sits out a dead one until the coordinator resumes."""
+        while True:
+            try:
+                if self._inbox:
+                    return decode_control(self._inbox.popleft())
+                self._adopt(wait=self.sock is None)
+                self._inbox.extend(self._recv())
+            except (OSError, FrameError, CodecError):
+                self._drop()
 
-    def pending_query_index(self) -> Optional[int]:
-        pending = self._pending
-        return pending[0] if pending is not None else None
+    def _recv(self) -> List[bytes]:
+        """Block for the next frames, pinging the coordinator after every
+        ``keepalive_s`` of silence. A ping the send buffer has no room for
+        is shed, never queued and never waited for: a peer that stopped
+        draining gets no keepalive backlog on top of its data backlog."""
+        sock = self.sock
+        if sock is None:
+            raise ConnectionError("the adopted connection died in the replay")
+        while not select.select([sock], [], [], self.server.keepalive_s)[0]:
+            try:
+                if sock.send(_PING, socket.MSG_DONTWAIT) < len(_PING):
+                    raise ConnectionError("send buffer filled mid-ping")
+            except BlockingIOError:
+                with self.server.lock:
+                    self.server.shed_pings += 1
+        return _recv_frames(sock, self._decoder)
 
-    def resolve_answer(self, value: Any) -> None:
-        pending = self._pending
-        if pending is not None and not pending[1].done():
-            pending[1].set_result(value)
+    def offer(self, sock: socket.socket, seq: int, consumed: int) -> None:
+        """Hand the session a resumed connection (greeter thread): the
+        coordinator consumed ``consumed`` frames of dispatch ``seq``."""
+        with self._offered:
+            if self._offer is not None:
+                self._offer[0].close()  # superseded before it was adopted
+            self._offer = (sock, seq, consumed)
+            live = self.sock
+            if live is not None:
+                try:  # wake a recv/sendall blocked on the old connection
+                    live.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+            self._offered.notify()
 
-    def start_dispatch(self, seq: int, now: float, deltas: tuple,
-                       kind: str, args: tuple) -> None:
-        if seq <= self.last_seq:
-            return  # duplicate of a dispatch we already own (resume race)
-        self.last_seq = seq
-        self.outbox = []
-        self.out_count = 0
-        self.loop.run_in_executor(
-            self.executor, self._execute, seq, now, deltas, kind, args
-        )
+    def _adopt(self, wait: bool) -> None:
+        """Move to the offered connection, if any, and replay onto it."""
+        with self._offered:
+            while self._offer is None:
+                if not wait:
+                    return
+                self._offered.wait()
+            (sock, seq, consumed), self._offer = self._offer, None
+            self._drop()
+            self.sock = sock
+        ack = _frame(("resume-ok", self.last_seq, self._pending))
+        # a dispatch that never arrived has nothing to replay: the
+        # coordinator re-sends it on seeing last_seq
+        start = consumed if seq == self.last_seq else self.flushed
+        self._write(b"".join((ack, *self.outbox[start:self.flushed])))
 
     # ------------------------------------------------------------------
-    # kernel execution (kernel thread)
+    # the session thread
     # ------------------------------------------------------------------
+    def serve(self, sock: socket.socket) -> None:
+        """Lockstep loop: read a dispatch, run it, write what it emitted."""
+        self.sock = sock
+        self._write(_frame(("hello-ok",)))
+        try:
+            while True:
+                value = self._read()
+                tag = value[0]
+                if tag == "dispatch":
+                    _, seq, now, deltas, kind, args = value
+                    self._execute(
+                        int(seq), float(now), deltas, kind, tuple(args)
+                    )
+                elif tag == "bye":
+                    return
+                elif tag == "shutdown":
+                    self.server.request_stop()
+                    return
+                else:
+                    self._drop()  # not our protocol: only a resume resyncs
+        finally:
+            self.server.sessions.pop(self.token, None)
+            self._drop()
+
     def _execute(self, seq: int, now: float, deltas: tuple,
                  kind: str, args: tuple) -> None:
+        if seq <= self.last_seq:
+            return  # duplicate of a dispatch we already own
+        self.last_seq = seq
+        self.outbox = []
+        self.flushed = 0
+        self.out_count = 0
         try:
             result = self._run_kernel(now, deltas, kind, args)
             epochs = tuple(self._epoch_updates)
             self._epoch_updates = []
-            self._send(("done", seq, result, epochs))
-        except BaseException as exc:
+            self.outbox.append(_frame(("done", seq, result, epochs)))
+        except Exception as exc:
             traceback.print_exc()
-            self._send(("error", f"{type(exc).__name__}: {exc}"))
+            self.outbox.append(
+                _frame(("error", f"{type(exc).__name__}: {exc}"))
+            )
+        self._flush()
 
     def _run_kernel(self, now: float, deltas: tuple,
                     kind: str, args: tuple) -> Any:
@@ -356,126 +458,10 @@ class Session:
                 self._epoch_sent[cid] = value
                 self._epoch_updates.append((cid, value))
 
-    # ------------------------------------------------------------------
-    def resume(self, seq: int, consumed: int) -> List[bytes]:
-        """Frames to replay after a reconnect (the coordinator consumed
-        ``consumed`` frames of dispatch ``seq``)."""
-        if seq != self.last_seq:
-            return []  # the dispatch itself never arrived; it will be re-sent
-        return self.outbox[consumed:]
-
-    def shutdown(self) -> None:
-        self.executor.shutdown(wait=False)
-
 
 # ---------------------------------------------------------------------------
-# connections + server
+# server
 # ---------------------------------------------------------------------------
-class Connection:
-    """One coordinator connection: framed reader, bounded writer, keepalive."""
-
-    def __init__(self, server: "NodeServer", reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        self.server = server
-        self.reader = reader
-        self.writer = writer
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=SEND_QUEUE_CAP)
-        self.session: Optional[Session] = None
-        self._tasks: List[asyncio.Task] = []
-
-    async def send(self, frame: bytes) -> None:
-        await self.queue.put(frame)
-
-    async def run(self) -> None:
-        self._tasks = [
-            asyncio.ensure_future(self._writer_loop()),
-            asyncio.ensure_future(self._keepalive_loop()),
-        ]
-        decoder = FrameDecoder()
-        try:
-            while True:
-                chunk = await self.reader.read(65536)
-                if not chunk:
-                    break
-                for payload in decoder.feed(chunk):
-                    await self._handle(decode_control(payload))
-        except (FrameError, ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            self._detach()
-
-    def _detach(self) -> None:
-        for task in self._tasks:
-            task.cancel()
-        if self.session is not None and self.session.conn is self:
-            self.session.conn = None
-        try:
-            self.writer.close()
-        except Exception:
-            pass
-
-    async def _writer_loop(self) -> None:
-        while True:
-            frame = await self.queue.get()
-            self.writer.write(frame)
-            await self.writer.drain()
-
-    async def _keepalive_loop(self) -> None:
-        ping = encode_frame(encode_control(("ping",)))
-        while True:
-            await asyncio.sleep(self.server.keepalive_s)
-            try:
-                self.queue.put_nowait(ping)
-            except asyncio.QueueFull:
-                # shed, never queue: a peer that stopped draining gets no
-                # keepalive backlog on top of its data backlog
-                self.server.shed_pings += 1
-
-    # ------------------------------------------------------------------
-    async def _handle(self, value: tuple) -> None:
-        tag = value[0]
-        if tag == "hello":
-            _, token, config, brokers = value
-            try:
-                session = Session(self.server, token, config, tuple(brokers))
-            except Exception as exc:
-                traceback.print_exc()
-                await self.send(encode_frame(encode_control(
-                    ("error", f"replica build failed: {exc}")
-                )))
-                return
-            self.server.sessions[token] = session
-            self.session = session
-            session.attach(self)
-            await self.send(encode_frame(encode_control(("hello-ok",))))
-        elif tag == "resume":
-            _, token, seq, consumed = value
-            session = self.server.sessions.get(token)
-            if session is None:
-                await self.send(encode_frame(encode_control(
-                    ("error", f"unknown session {token!r}")
-                )))
-                return
-            self.session = session
-            session.attach(self)
-            await self.send(encode_frame(encode_control(
-                ("resume-ok", session.last_seq, session.pending_query_index())
-            )))
-            for frame in session.resume(int(seq), int(consumed)):
-                await self.send(frame)
-        elif tag == "dispatch":
-            _, seq, now, deltas, kind, args = value
-            self.session.start_dispatch(
-                int(seq), float(now), deltas, kind, tuple(args)
-            )
-        elif tag == "answer":
-            self.session.resolve_answer(value[1])
-        elif tag == "shutdown":
-            self.server.request_stop()
-        else:
-            raise FrameError(f"unknown frame tag {tag!r}")
-
-
 class NodeServer:
     """The broker node process: serve until told to shut down."""
 
@@ -486,25 +472,70 @@ class NodeServer:
         self.keepalive_s = keepalive_s
         self.sessions: Dict[str, Session] = {}
         self.shed_pings = 0
-        self._stop: Optional[asyncio.Event] = None
+        self.lock = threading.Lock()  # shed_pings is bumped by every session
+        self._stop = threading.Event()
 
     def request_stop(self) -> None:
-        if self._stop is not None:
-            self._stop.set()
+        self._stop.set()
 
-    async def run(self) -> None:
-        self._stop = asyncio.Event()
-        server = await asyncio.start_server(self._on_conn, self.host, self.port)
-        host, port = server.sockets[0].getsockname()[:2]
-        print(f"WIRE_NODE_LISTENING {host} {port}", flush=True)
-        async with server:
-            await self._stop.wait()
-        for session in self.sessions.values():
-            session.shutdown()
+    def run(self) -> None:
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        address = (self.host, self.port)
+        with socket.create_server(address, family=family) as srv:
+            self.host, self.port = srv.getsockname()[:2]
+            print(f"WIRE_NODE_LISTENING {self.host} {self.port}", flush=True)
+            srv.settimeout(ACCEPT_POLL_S)
+            while not self._stop.is_set():
+                try:
+                    sock, _ = srv.accept()
+                except (socket.timeout, ConnectionAbortedError):
+                    continue
+                threading.Thread(
+                    target=self._greet, args=(sock,), daemon=True
+                ).start()
 
-    async def _on_conn(self, reader: asyncio.StreamReader,
-                       writer: asyncio.StreamWriter) -> None:
-        await Connection(self, reader, writer).run()
+    def _greet(self, sock: socket.socket) -> None:
+        """A connection's first frame decides whose socket it is: ``hello``
+        turns this thread into the new session's thread, ``resume`` hands
+        the socket to the session that owns the token."""
+        def refuse(reason: str) -> None:
+            try:
+                sock.sendall(_frame(("error", reason)))
+            except OSError:
+                pass
+            sock.close()
+
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(GREET_TIMEOUT_S)
+            decoder = FrameDecoder()
+            payloads: List[bytes] = []
+            while not payloads:
+                payloads = _recv_frames(sock, decoder)
+            value = decode_control(payloads[0])
+            sock.settimeout(None)
+        except (OSError, FrameError, CodecError):
+            sock.close()
+            return
+        if value[0] == "hello":
+            _, token, config, brokers = value
+            try:
+                session = Session(self, token, config, tuple(brokers))
+            except Exception as exc:
+                traceback.print_exc()
+                refuse(f"replica build failed: {exc}")
+                return
+            self.sessions[token] = session
+            session.serve(sock)
+        elif value[0] == "resume":
+            _, token, seq, consumed = value
+            session = self.sessions.get(token)
+            if session is None:
+                refuse(f"unknown session {token!r}")
+            else:
+                session.offer(sock, int(seq), int(consumed))
+        else:
+            refuse(f"unknown frame tag {value[0]!r}")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -517,12 +548,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     serve.add_argument("--port", type=int, default=0,
                        help="0 picks a free port (printed on stdout)")
     serve.add_argument("--keepalive", type=float, default=KEEPALIVE_S,
-                       help="keepalive ping interval in seconds")
+                       help="seconds of silence from the coordinator before "
+                            "the node pings it")
     args = parser.parse_args(argv)
     if args.command == "serve":
-        asyncio.run(
-            NodeServer(args.host, args.port, keepalive_s=args.keepalive).run()
-        )
+        NodeServer(args.host, args.port, keepalive_s=args.keepalive).run()
         return 0
     return 2
 
