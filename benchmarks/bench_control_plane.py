@@ -9,16 +9,19 @@ measurements track that cost:
   :class:`~repro.pubsub.interval_index.IntervalIndex` at 2 000 installed
   filters: each op removes a filter, installs a replacement, and runs the
   stab + containment queries a propagation step performs (bisect
-  insert/delete + local prefix-maxima repair). Recorded as a
+  insert/delete + repair of the one prefix-max array). Recorded as a
   throughput in the trajectory.
 * **withdraw-with-covering** — a real broker network (sub-unsub baseline,
   covering-pruned propagation) with 2 000 subscriptions rooted at one
   broker, churned by unsubscribe/resubscribe cycles whose floods the
-  neighbours process too (CoveringIndex-backed ``advertised_covers`` +
-  covered-candidate enumeration in ``Broker._withdraw``). The scan this
-  replaced is a tests-only reference now (``tests/covering_scan.py``);
-  whether the index pays end to end is ``python3 -m benchmarks.e2e``'s
-  ``churn_subunsub`` workload.
+  neighbours process too (``advertised_covers`` is a containment query
+  and ``Broker._withdraw``'s covered-candidate enumeration a
+  contained-keys query on each filter set's own interval index; the
+  2 000 client entries are one such set, so this is also the guard
+  against enumerating them by scan). The scan the indexes replaced is a
+  tests-only reference now (``tests/covering_scan.py``); whether they pay
+  end to end is ``python3 -m benchmarks.e2e``'s ``churn_subunsub``
+  workload.
 * **fig5a conn=1s** — wall time of the churn-heaviest Figure 5 sweep point,
   the end-to-end number the two micro-measurements serve.
 

@@ -18,7 +18,10 @@ default because its hop-by-hop migration surgery needs exact per-key table
 state (see :mod:`repro.pubsub.system`).
 
 :class:`CoveringIndex` is the *indexed* form of both covering directions
-the control plane needs:
+the control plane needs, for the members a topic interval cannot describe
+(a filter set keeps its topic-range members in its own
+:class:`~repro.pubsub.interval_index.IntervalIndex` and asks that instead —
+see ``_PeerFilters`` in :mod:`repro.pubsub.filter_table`):
 
 * :meth:`CoveringIndex.covers` — "is this incoming filter covered by some
   member?" (the per-neighbour advertisement-suppression check, run on every
@@ -36,7 +39,7 @@ constraint closures feed per-attribute containment indexes for the reverse
 direction. Both answers are **exactly** what a brute-force scan of the
 members gives: that scan is ``tests/covering_scan.py``, and
 ``tests/test_control_plane.py`` asserts equality under randomized churn and
-substitutes it for the index in whole-system differentials.
+substitutes it for both indexes in whole-system differentials.
 """
 
 from __future__ import annotations
@@ -101,11 +104,6 @@ def reduce_by_covering(
     return kept
 
 
-def _nan_free(lo: float, hi: float) -> bool:
-    """NaN-free bounds (NaN would poison the sorted interval arrays)."""
-    return lo == lo and hi == hi
-
-
 def _constraint_closure(c) -> "tuple[float, float] | None":
     """The closed closure [lo, hi] of a constraint's numeric extent.
 
@@ -118,7 +116,7 @@ def _constraint_closure(c) -> "tuple[float, float] | None":
     """
     iv = c._as_interval()
     if iv is not None:
-        return (iv[0], iv[1]) if _nan_free(iv[0], iv[1]) else None
+        return iv[:2]
     if c.op is Op.EQ and isinstance(c.value, bool):
         x = float(c.value)
         return (x, x)
@@ -132,7 +130,9 @@ class CoveringIndex:
     routed into one of four structures:
 
     * **interval members** — filters exposing an :meth:`~Filter.as_range`
-      form: one containment :class:`IntervalIndex` per attribute;
+      form: one containment :class:`IntervalIndex` per attribute. In the
+      product these are ranges on attributes other than ``topic``: a filter
+      set never hands its topic-range members to this index;
     * **conjunction members** — general :class:`ConjunctionFilter`\\ s,
       bucketed by the attribute of their first constraint (their *anchor*).
       A conjunction only covers filters constraining **all** of its own
@@ -141,15 +141,15 @@ class CoveringIndex:
       additionally feed per-attribute containment indexes, which drive the
       reverse (:meth:`covered_by`) direction;
     * **universal members** — empty conjunctions (they cover everything);
-    * **other members** — unknown :class:`Filter` subclasses (and the rare
-      NaN-bounded range), always checked exactly.
+    * **other members** — unknown :class:`Filter` subclasses, always
+      checked exactly.
 
-    :meth:`covers` has the *peer-set* covering semantics of the scan it
-    replaced, including that scan's one conservative quirk: topic interval
-    members are consulted only for topic-range queries (the scan kept them
-    in a topic-only index that general queries never reached).
-    :meth:`covered_by` is exactly ``{k : f.covers(member_k)}``. Every fixed
-    digest rests on both equivalences; the tests-only scan pins them.
+    :meth:`covers` is ``any(m.covers(f) for m in members)`` and
+    :meth:`covered_by` is exactly ``{k : f.covers(member_k)}``; every fixed
+    digest rests on both equivalences and the tests-only scan pins them.
+    Used on its own with topic-range members, :meth:`covers` asks those of
+    topic-range queries only — the peer-set semantics of the scan, which a
+    filter set gets from where its members live, not from this class.
     """
 
     __slots__ = (
@@ -183,7 +183,7 @@ class CoveringIndex:
         self.discard(key)
         self._members[key] = f
         rng = f.as_range()
-        if rng is not None and _nan_free(rng[1], rng[2]):
+        if rng is not None:
             attr, lo, hi = rng
             idx = self._ranges.get(attr)
             if idx is None:
@@ -213,7 +213,7 @@ class CoveringIndex:
         if f is None:
             return
         rng = f.as_range()
-        if rng is not None and _nan_free(rng[1], rng[2]):
+        if rng is not None:
             idx = self._ranges[rng[0]]
             idx.discard(key)
             if not len(idx):
@@ -261,8 +261,8 @@ class CoveringIndex:
             for c in f.constraints:
                 attr = c.attr
                 if attr != "topic":
-                    # peer-set semantics: topic intervals are never
-                    # consulted for a conjunction query (class docstring)
+                    # topic intervals answer topic-range queries only
+                    # (class docstring); no product member is one
                     closure = _constraint_closure(c)
                     if closure is not None:
                         idx = self._ranges.get(attr)
@@ -291,7 +291,7 @@ class CoveringIndex:
             if isinstance(f, (RangeFilter, ConjunctionFilter))
             else None
         )
-        if rng is not None and _nan_free(rng[1], rng[2]):
+        if rng is not None:
             # a single closed range covers exactly: interval members it
             # contains, and conjunctions with a constraint whose closure it
             # contains (closed endpoints dominate open ones, so closure

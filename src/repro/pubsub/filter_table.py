@@ -30,20 +30,24 @@ bookkeeping drives covering-based propagation pruning and must be kept
 consistent by MHH's direct table edits; the system-wide mirror invariant is
 asserted in tests.
 
-Control-plane cost is governed by three indexes:
+Control-plane cost is governed by one rule — **one sorted index per filter
+set, asked three questions**:
 
-* every per-neighbour range set sits
-  on the *incremental* :class:`~repro.pubsub.interval_index.IntervalIndex`,
-  so a handoff's table edit costs O(log n) instead of a full re-sort;
-* each advertised set carries a
-  :class:`~repro.pubsub.covering.CoveringIndex` making ``advertised_covers``
-  O(log n), and the table maintains one broker-wide *candidates*
-  CoveringIndex over every client entry and neighbour filter, so
-  :meth:`FilterTable.covered_candidates` enumerates exactly the entries a
-  withdrawn filter could have been suppressing, in table order (client
-  entries, then neighbours ascending). Both are built on first use, so
-  runs that never ask a covering question (MHH) never pay for them; the
-  brute-force scan they replaced is the tests-only reference
+* every filter set (per neighbour: received and advertised; plus the client
+  entries' filters once a covering withdrawal has asked for them) is one
+  keyed set holding each topic-range member in exactly one *incremental*
+  :class:`~repro.pubsub.interval_index.IntervalIndex`, so a handoff's table
+  edit is one O(log n) sorted-array write. That index answers the stab of
+  matching, the containment check of ``advertised_covers`` and the
+  contained-keys enumeration of :meth:`FilterTable.covered_candidates`,
+  which therefore visits exactly the entries a withdrawn filter could have
+  been suppressing, in table order (client entries, then neighbours
+  ascending);
+* members with no topic-range form are few; they answer covering through a
+  :class:`~repro.pubsub.covering.CoveringIndex` per set, built on first
+  need, so runs that never ask a covering question (MHH) or never install
+  such a filter (the paper's workload) never pay for one. The brute-force
+  scan all of this replaced is the tests-only reference
   ``tests/covering_scan.py``;
 * a client→entries map makes :meth:`entries_for_client` (every
   connect/handoff, all four protocols) O(entries-of-that-client) instead of
@@ -53,7 +57,7 @@ Control-plane cost is governed by three indexes:
 from __future__ import annotations
 
 from itertools import count
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Hashable, Iterable, Optional
 
 from repro.errors import ProtocolError
@@ -114,18 +118,24 @@ _ENTRY_SEQ = attrgetter("seq")
 
 
 class _PeerFilters:
-    """Filters advertised by one neighbour: range index + general list.
+    """One keyed filter set: a topic-range index plus the general rest.
+
+    A member lives in exactly one place: ``ranges`` if it has a topic
+    :meth:`~Filter.as_range` form, else ``general``. ``ranges`` alone
+    answers all three interval questions about the topic-range members —
+    stab (:meth:`matches`), containment (:meth:`covers`) and contained
+    keys (:meth:`covered_by`) — and the ``general`` members answer the two
+    covering questions through a :class:`CoveringIndex` built on first
+    need, so sets that never hold or never ask (MHH, the paper's all-range
+    workload) never pay for one.
 
     ``filters`` keeps every installed filter object so lookups return the
     original (no per-:meth:`get` reconstruction), and ``_seq`` stamps each
     key with ``(subtable, insertion-seq)`` — the position it occupies in
     :meth:`keys` order — so candidate enumeration can rank by table order.
-    A :class:`CoveringIndex` answers :meth:`covers` in O(log n) (asked of
-    advertised sets, where covering-pruned propagation queries it on every
-    subscribe/withdraw).
     """
 
-    __slots__ = ("ranges", "general", "filters", "_seq", "_next_seq", "cov")
+    __slots__ = ("ranges", "general", "filters", "_seq", "_next_seq", "_cov")
 
     def __init__(self) -> None:
         self.ranges = IntervalIndex()
@@ -133,38 +143,39 @@ class _PeerFilters:
         self.filters: dict[Hashable, Filter] = {}
         self._seq: dict[Hashable, tuple[int, int]] = {}
         self._next_seq = count()
-        # the CoveringIndex is built lazily on the first covers() call and
-        # maintained incrementally from then on — non-covering runs (MHH
-        # and the default reproduction configs) never query covering, so
-        # they never pay for index maintenance
-        self.cov: Optional[CoveringIndex] = None
+        # covering index of the ``general`` members only: built by
+        # _general_cov() on the first covering question that reaches them,
+        # maintained by add()/remove() from then on
+        self._cov: Optional[CoveringIndex] = None
 
     def add(self, key: Hashable, f: Filter) -> None:
         rng = f.as_range()
         if rng is not None and rng[0] == "topic":
             sub = 0
-            self.general.pop(key, None)  # replace across subtables
+            # replace across subtables
+            if self.general.pop(key, None) is not None and self._cov is not None:
+                self._cov.discard(key)
             self.ranges.add(key, rng[1], rng[2])
         else:
             sub = 1
             self.ranges.discard(key)
             self.general[key] = f
+            if self._cov is not None:
+                self._cov.add(key, f)
         self.filters[key] = f
         old = self._seq.get(key)
         if old is None or old[0] != sub:
             self._seq[key] = (sub, next(self._next_seq))
-        if self.cov is not None:
-            self.cov.add(key, f)
 
     def remove(self, key: Hashable) -> bool:
         if key in self.ranges:
             self.ranges.remove(key)
         elif self.general.pop(key, None) is None:
             return False
+        elif self._cov is not None:
+            self._cov.discard(key)
         del self.filters[key]
         del self._seq[key]
-        if self.cov is not None:
-            self.cov.discard(key)
         return True
 
     def __contains__(self, key: Hashable) -> bool:
@@ -178,21 +189,43 @@ class _PeerFilters:
             return True
         return any(f.matches(event) for f in self.general.values())
 
-    def covers(self, f: Filter) -> bool:
-        """Is ``f`` covered by some filter in this set? (conservative)"""
-        cov = self.cov
+    def _general_cov(self) -> CoveringIndex:
+        cov = self._cov
         if cov is None:
-            cov = self.cov = CoveringIndex()
-            for key, installed in self.filters.items():
+            cov = self._cov = CoveringIndex()
+            for key, installed in self.general.items():
                 cov.add(key, installed)
-        return cov.covers(f)
+        return cov
+
+    def covers(self, f: Filter) -> bool:
+        """Is ``f`` covered by some filter in this set? (conservative)
+
+        Topic-range members are asked by containment, so only of a
+        topic-range ``f``; general members are asked ``covers`` exactly.
+        """
+        rng = f.as_range()
+        if (
+            rng is not None
+            and rng[0] == "topic"
+            and self.ranges.contains_interval(rng[1], rng[2])
+        ):
+            return True
+        return bool(self.general) and self._general_cov().covers(f)
+
+    def covered_by(self, f: Filter) -> list[Hashable]:
+        """Keys of every member ``m`` with ``f.covers(m)``, unordered."""
+        rng = f.as_range()
+        if rng is not None and rng[0] == "topic":
+            out = self.ranges.contained_keys(rng[1], rng[2])
+        else:
+            filters = self.filters
+            out = [k for k, _iv in self.ranges.items() if f.covers(filters[k])]
+        if self.general:
+            out.extend(self._general_cov().covered_by(f))
+        return out
 
     def keys(self) -> list[Hashable]:
         return [k for k, _ in self.ranges.items()] + list(self.general)
-
-    def order_key(self, key: Hashable) -> tuple[int, int]:
-        """(subtable, seq) position of ``key`` in :meth:`keys` order."""
-        return self._seq[key]
 
     def get(self, key: Hashable) -> Optional[Filter]:
         return self.filters.get(key)
@@ -208,9 +241,7 @@ class FilterTable:
         self._from_nbr: dict[int, _PeerFilters] = {
             n: _PeerFilters() for n in self.neighbors
         }
-        # subs we advertised TO each neighbour (mirror of their _from_nbr[us]);
-        # only these sets answer covering queries, so only they ever build
-        # a per-neighbour CoveringIndex
+        # subs we advertised TO each neighbour (mirror of their _from_nbr[us])
         self._advertised: dict[int, _PeerFilters] = {
             n: _PeerFilters() for n in self.neighbors
         }
@@ -225,27 +256,21 @@ class FilterTable:
         # entries_for_client() the way a whole-table scan would visit them
         self._client_seq: dict[Hashable, int] = {}
         self._next_seq = count()
-        # broker-wide covering index over every withdrawal *candidate*
-        # (client entries + every neighbour's filters): drives
-        # covered_candidates(). Built lazily on the first covering
-        # withdrawal and maintained incrementally from then on, so
-        # non-covering runs never pay for it.
-        self._candidates: Optional[CoveringIndex] = None
+        # the client entries' filters as one more keyed set, so that
+        # covered_candidates() asks them what it asks each neighbour's set.
+        # Built on the first covering withdrawal and maintained from then
+        # on, so non-covering runs never pay for it.
+        self._client_filters: Optional[_PeerFilters] = None
 
     # ------------------------------------------------------------------
     # broker-filter side
     # ------------------------------------------------------------------
     def add_broker_filter(self, nbr: int, key: Hashable, f: Filter) -> None:
         self._from_nbr[nbr].add(key, f)
-        if self._candidates is not None:
-            self._candidates.add(("n", nbr, key), f)
 
     def remove_broker_filter(self, nbr: int, key: Hashable) -> bool:
         """Remove; returns False if the key was absent."""
-        removed = self._from_nbr[nbr].remove(key)
-        if removed and self._candidates is not None:
-            self._candidates.discard(("n", nbr, key))
-        return removed
+        return self._from_nbr[nbr].remove(key)
 
     def has_broker_filter(self, nbr: int, key: Hashable) -> bool:
         return key in self._from_nbr[nbr]
@@ -300,31 +325,23 @@ class FilterTable:
         per neighbour ascending), which fixes the order of the
         re-advertisements a withdrawal sends.
         """
-        candidates = self._candidates
-        if candidates is None:
-            candidates = self._candidates = CoveringIndex()
+        local = self._client_filters
+        if local is None:
+            local = self._client_filters = _PeerFilters()
             for key, entry in self.clients.items():
-                candidates.add(("c", key), entry.filter)
-            for nbr_id, peer in self._from_nbr.items():
-                for key, installed in peer.filters.items():
-                    candidates.add(("n", nbr_id, key), installed)
-        ranked = []
-        client_seq = self._client_seq
-        for ckey in candidates.covered_by(f):
-            if ckey[0] == "c":
-                key = ckey[1]
-                ranked.append(
-                    ((-1, 0, client_seq[key]), key, self.clients[key].filter)
-                )
-            else:
-                _tag, other, key = ckey
-                if other == nbr:
-                    continue
-                peer = self._from_nbr[other]
-                sub, seq = peer.order_key(key)
-                ranked.append(((other, sub, seq), key, peer.filters[key]))
-        ranked.sort(key=itemgetter(0))
-        return [(key, cand) for _rank, key, cand in ranked]
+                local.add(key, entry.filter)
+        # each set with the stamps that rank its keys in table order
+        asked = [(local, self._client_seq)]
+        asked += [
+            (peer, peer._seq)
+            for other, peer in self._from_nbr.items()  # ascending
+            if other != nbr
+        ]
+        return [
+            (key, members.filters[key])
+            for members, seq in asked
+            for key in sorted(members.covered_by(f), key=seq.__getitem__)
+        ]
 
     # ------------------------------------------------------------------
     # client entries
@@ -339,8 +356,8 @@ class FilterTable:
             self._drop_client_ref(prev)
         self.clients[entry.key] = entry
         self._by_client.setdefault(entry.client, {})[entry.key] = entry
-        if self._candidates is not None:
-            self._candidates.add(("c", entry.key), entry.filter)
+        if self._client_filters is not None:
+            self._client_filters.add(entry.key, entry.filter)
 
     def _drop_client_ref(self, entry: ClientEntry) -> None:
         bucket = self._by_client.get(entry.client)
@@ -396,8 +413,8 @@ class FilterTable:
             )
         self._drop_client_ref(entry)
         self._client_seq.pop(key, None)
-        if self._candidates is not None:
-            self._candidates.discard(("c", key))
+        if self._client_filters is not None:
+            self._client_filters.remove(key)
 
     # ------------------------------------------------------------------
     # matching (the hot path)

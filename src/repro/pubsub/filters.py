@@ -141,14 +141,20 @@ class AttributeConstraint:
         return False
 
     def _as_interval(self) -> Optional[tuple[float, float, bool, bool]]:
-        """(lo, hi, lo_open, hi_open) for numeric interval-like ops, else None."""
+        """(lo, hi, lo_open, hi_open) for numeric interval-like ops, else None.
+
+        A NaN bound is no interval (it satisfies no comparison, and would
+        poison any sorted index of bounds): such a constraint has no
+        interval form, so its filter has no :meth:`Filter.as_range` form
+        either. ``RANGE`` refuses NaN at construction.
+        """
         op, v = self.op, self.value
         if op is Op.RANGE:
             lo, hi = v
             if _is_number(lo) and _is_number(hi):
                 return (float(lo), float(hi), False, False)
             return None
-        if not _is_number(v):
+        if not _is_number(v) or v != v:
             return None
         x = float(v)
         if op is Op.EQ:

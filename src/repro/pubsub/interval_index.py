@@ -8,23 +8,24 @@ covering-based withdrawal path asks the reverse: "which installed intervals
 does this withdrawn one contain?" — a containment *enumeration*
 (:meth:`~IntervalIndex.contained_keys`).
 
-Stab and containment are answered in O(log n) from one structure:
-intervals sorted by ``(lo, hi)`` with prefix maxima over ``hi`` (top-2
-maxima, so containment can exclude one key). Mobility churn mutates these
-indexes on **every handoff**, so mutation cost is what shapes the paper's
-Figure 5(a)/6(a) curves; the index therefore maintains the sorted arrays
-*incrementally* — a bisect insert/delete plus a local repair of the prefix
-maxima (the repair stops at the first position whose top-2 is unaffected),
-so a mutation costs O(log n) comparisons plus one C-level ``memmove``
-instead of a full O(n log n) re-sort. Only the first query after a bulk
-load sorts from scratch (``_rebuild``). The differential oracle is a
-brute-force scan of ``items()`` in ``tests/test_interval_index.py`` and
+All three are answered from one structure: the intervals sorted by
+``(lo, hi)`` beside one array of prefix maxima over ``hi``. Mobility churn
+mutates these indexes on **every handoff**, so mutation cost is what shapes
+the paper's Figure 5(a)/6(a) curves; the arrays are therefore maintained
+*incrementally* — a bisect insert/delete plus a repair of the prefix
+maxima that stops at the first position the mutated ``hi`` does not reach —
+so a mutation costs O(log n) comparisons plus one C-level ``memmove`` per
+array. They are first built by the first query (``_rebuild``): an index
+that is written but never asked, like the advertisement mirror of a run
+without covering, never has arrays to maintain. The differential oracle is
+a brute-force scan of ``items()`` in ``tests/test_interval_index.py`` and
 ``tests/test_control_plane.py``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from operator import itemgetter
 from typing import Hashable, Iterator, Optional
 
@@ -50,20 +51,16 @@ class IntervalIndex:
     True
     """
 
-    __slots__ = (
-        "_items", "_dirty", "_pairs", "_keys",
-        "_max1_hi", "_max1_key", "_max2_hi",
-    )
+    __slots__ = ("_items", "_dirty", "_pairs", "_keys", "_max_hi")
 
     def __init__(self) -> None:
         self._items: dict[Hashable, tuple[float, float]] = {}
-        #: True until the first query sorts the bulk-loaded items
+        #: True until the first query builds the arrays from ``_items``
         self._dirty = True
+        # parallel arrays in (lo, hi) order; _max_hi[i] = max hi of [0..i]
         self._pairs: list[tuple[float, float]] = []
         self._keys: list[Hashable] = []
-        self._max1_hi: list[float] = []
-        self._max1_key: list[Hashable] = []
-        self._max2_hi: list[float] = []
+        self._max_hi: list[float] = []
 
     # ------------------------------------------------------------------
     # mutation
@@ -109,31 +106,14 @@ class IntervalIndex:
         i = bisect_right(pairs, (lo, hi))
         pairs.insert(i, (lo, hi))
         self._keys.insert(i, key)
-        m1, mk, m2 = self._max1_hi, self._max1_key, self._max2_hi
-        if i == 0:
-            best, bkey, second = _NEG_INF, None, _NEG_INF
-        else:
-            best, bkey, second = m1[i - 1], mk[i - 1], m2[i - 1]
-        if hi > best:
-            second = best
-            best, bkey = hi, key
-        elif hi > second:
-            second = hi
-        m1.insert(i, best)
-        mk.insert(i, bkey)
-        m2.insert(i, second)
-        # ripple the new hi into the (shifted) suffix triples. Prefix top-2
-        # values are non-decreasing, so once hi falls out of some prefix's
-        # top-2 it can never re-enter: stop at the first unaffected slot.
-        for j in range(i + 1, len(pairs)):
-            if hi <= m2[j]:
+        mx = self._max_hi
+        mx.insert(i, hi if i == 0 or hi > mx[i - 1] else mx[i - 1])
+        # raise the (shifted) suffix maxima hi exceeds; they are
+        # non-decreasing, so the first one hi does not exceed ends it
+        for j in range(i + 1, len(mx)):
+            if hi <= mx[j]:
                 break
-            if hi > m1[j]:
-                m2[j] = m1[j]
-                m1[j] = hi
-                mk[j] = key
-            else:
-                m2[j] = hi
+            mx[j] = hi
 
     def _remove_sorted(self, key: Hashable, iv: tuple[float, float]) -> None:
         pairs = self._pairs
@@ -143,52 +123,29 @@ class IntervalIndex:
             i += 1
         pairs.pop(i)
         keys.pop(i)
-        m1, mk, m2 = self._max1_hi, self._max1_key, self._max2_hi
-        m1.pop(i)
-        mk.pop(i)
-        m2.pop(i)
-        if i == 0:
-            best, bkey, second = _NEG_INF, None, _NEG_INF
-        else:
-            best, bkey, second = m1[i - 1], mk[i - 1], m2[i - 1]
+        mx = self._max_hi
+        mx.pop(i)
         # re-run the prefix recurrence from the removal point; once the
-        # running state matches what is stored, the rest is unchanged too
-        # (same deterministic recurrence over identical remaining elements)
-        for j in range(i, len(pairs)):
+        # running maximum matches what is stored, the rest is unchanged too
+        best = mx[i - 1] if i else _NEG_INF
+        for j in range(i, len(mx)):
             hj = pairs[j][1]
             if hj > best:
-                second = best
-                best, bkey = hj, keys[j]
-            elif hj > second:
-                second = hj
-            if m1[j] == best and mk[j] == bkey and m2[j] == second:
+                best = hj
+            if mx[j] == best:
                 break
-            m1[j], mk[j], m2[j] = best, bkey, second
+            mx[j] = best
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def _rebuild(self) -> None:
-        # key is the (lo, hi) pair itself; a C-level itemgetter avoids a
-        # python-level lambda per item. Runs once (first query after bulk
-        # load); afterwards mutations maintain the arrays in place.
+        # runs once, on the first query; mutations maintain the arrays
+        # in place from then on
         order = sorted(self._items.items(), key=itemgetter(1))
-        n = len(order)
         self._keys = [k for k, _iv in order]
         self._pairs = [iv for _k, iv in order]
-        self._max1_hi = [0.0] * n
-        self._max1_key = [None] * n
-        self._max2_hi = [0.0] * n
-        best_hi, best_key, second_hi = _NEG_INF, None, _NEG_INF
-        for i, (k, (_lo, hi)) in enumerate(order):
-            if hi > best_hi:
-                second_hi = best_hi
-                best_hi, best_key = hi, k
-            elif hi > second_hi:
-                second_hi = hi
-            self._max1_hi[i] = best_hi
-            self._max1_key[i] = best_key
-            self._max2_hi[i] = second_hi
+        self._max_hi = list(accumulate((hi for _lo, hi in self._pairs), max))
         self._dirty = False
 
     def stab(self, x: float) -> bool:
@@ -196,20 +153,24 @@ class IntervalIndex:
         if self._dirty:
             self._rebuild()
         idx = bisect_right(self._pairs, (x, _POS_INF)) - 1
-        return idx >= 0 and self._max1_hi[idx] >= x
+        return idx >= 0 and self._max_hi[idx] >= x
 
     def contains_interval(
         self, lo: float, hi: float, exclude: Hashable = None
     ) -> bool:
-        """True if some interval (other than ``exclude``) contains [lo, hi]."""
+        """True if some interval (other than ``exclude``) contains [lo, hi].
+
+        Excluding a key is a linear scan (cold path: no product caller).
+        """
+        if exclude is not None:
+            return any(
+                l <= lo and hi <= h
+                for k, (l, h) in self._items.items() if k != exclude
+            )
         if self._dirty:
             self._rebuild()
         idx = bisect_right(self._pairs, (lo, _POS_INF)) - 1
-        if idx < 0:
-            return False
-        if self._max1_key[idx] != exclude:
-            return self._max1_hi[idx] >= hi
-        return self._max2_hi[idx] >= hi
+        return idx >= 0 and self._max_hi[idx] >= hi
 
     def contained_keys(self, lo: float, hi: float) -> list[Hashable]:
         """Keys whose interval [l, h] satisfies ``lo <= l`` and ``h <= hi``.

@@ -1,17 +1,19 @@
-"""The brute-force covering scan: the tests-only reference for CoveringIndex.
+"""The brute-force covering scan: the tests-only reference for covering.
 
 The product answers both covering questions of the control plane from
-:class:`repro.pubsub.covering.CoveringIndex`. This module is the scan that
-index replaced, kept as the differential oracle (the way ``Mirror`` in
-``tests/test_matching_engine.py`` is for matching): the same four-method
-surface over a plain dict, every answer computed by walking all members.
+indexes: each keyed filter set of :mod:`repro.pubsub.filter_table` asks its
+topic-range :class:`~repro.pubsub.interval_index.IntervalIndex` and, for
+its general members, a :class:`repro.pubsub.covering.CoveringIndex`. This
+module is the scan those indexes replaced, kept as the differential oracle
+(the way ``Mirror`` in ``tests/test_matching_engine.py`` is for matching):
+the same four-method surface over a plain dict, every answer computed by
+walking all members.
 
-:func:`scan_covering` substitutes it for the index in every
-:class:`~repro.pubsub.filter_table.FilterTable` that builds its covering
-state while the context is open — tables build it on first use, so a
-reference run must be *built and run* inside the context. A product run
-and a reference run of the same script must then agree on every message,
-table and counter.
+:func:`scan_covering` makes every keyed filter set answer ``covers`` and
+``covered_by`` — topic ranges included — with that scan over all of its
+members while the context is open, so neither index is consulted. A
+product run and a reference run of the same script must then agree on
+every message, table and counter.
 """
 
 from contextlib import contextmanager
@@ -27,7 +29,7 @@ def _is_topic_range(f) -> bool:
 
 
 class ScanCovering:
-    """``CoveringIndex`` by brute force (``add``/``discard``/``covers``/
+    """A keyed filter set by brute force (``add``/``discard``/``covers``/
     ``covered_by``/``len``)."""
 
     def __init__(self) -> None:
@@ -62,9 +64,19 @@ class ScanCovering:
         return [k for k, m in self.members.items() if f.covers(m)]
 
 
+def _scan_of(peer) -> ScanCovering:
+    scan = ScanCovering()
+    scan.members = peer.filters
+    return scan
+
+
 @contextmanager
 def scan_covering():
-    """Tables that build covering state inside use :class:`ScanCovering`."""
+    """Keyed filter sets answer both covering questions by scanning."""
+    peer_set = filter_table._PeerFilters
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(filter_table, "CoveringIndex", ScanCovering)
+        mp.setattr(peer_set, "covers", lambda self, f: _scan_of(self).covers(f))
+        mp.setattr(
+            peer_set, "covered_by", lambda self, f: _scan_of(self).covered_by(f)
+        )
         yield
