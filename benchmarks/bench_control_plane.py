@@ -9,8 +9,7 @@ measurements track that cost:
   :class:`~repro.pubsub.interval_index.IntervalIndex` at 2 000 installed
   filters: each op removes a filter, installs a replacement, and runs the
   stab + containment queries a propagation step performs (bisect
-  insert/delete + repair of the one prefix-max array). Recorded as a
-  throughput in the trajectory.
+  insert/delete + repair of the one prefix-max array).
 * **withdraw-with-covering** — a real broker network (sub-unsub baseline,
   covering-pruned propagation) with 2 000 subscriptions rooted at one
   broker, churned by unsubscribe/resubscribe cycles whose floods the
@@ -24,9 +23,6 @@ measurements track that cost:
   workload.
 * **fig5a conn=1s** — wall time of the churn-heaviest Figure 5 sweep point,
   the end-to-end number the two micro-measurements serve.
-
-``benchmarks/perf_trajectory.py`` records all three into BENCH_core.json
-(``control_plane_*`` keys) so the trajectory across PRs stays visible.
 """
 
 from __future__ import annotations
@@ -74,29 +70,6 @@ def churn_index(idx: IntervalIndex, ops: int = N_CHURN_OPS, n: int = N_FILTERS) 
     return hits
 
 
-def _best_of(n: int, fn, *args) -> float:
-    best = float("inf")
-    for _ in range(n):
-        t0 = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def measure_interval_churn(
-    ops: int = N_CHURN_OPS, repeats: int = 3
-) -> dict[str, float]:
-    """Best-of-``repeats`` churn timing (the BENCH_core.json
-    ``control_plane_incremental_ops_per_s`` key)."""
-    t_incr = _best_of(repeats, churn_index, build_index(), ops)
-    return {
-        "ops": float(ops),
-        "n_filters": float(N_FILTERS),
-        "incremental_s": t_incr,
-        "incremental_ops_per_s": ops / t_incr,
-    }
-
-
 # ---------------------------------------------------------------------------
 # withdraw-with-covering (the broker-level cost)
 # ---------------------------------------------------------------------------
@@ -136,20 +109,6 @@ def churn_withdrawals(system, broker, ops: int = N_WITHDRAW_OPS,
             "sub", live=True,
         )
         system.sim.run()
-
-
-def measure_withdraw_covering(ops: int = N_WITHDRAW_OPS) -> dict[str, float]:
-    """Withdraw churn wall time through the covering index."""
-    system, broker = build_covering_system()
-    t0 = time.perf_counter()
-    churn_withdrawals(system, broker, ops)
-    indexed_s = time.perf_counter() - t0
-    return {
-        "ops": float(ops),
-        "n_filters": float(N_FILTERS),
-        "indexed_s": indexed_s,
-        "indexed_ops_per_s": ops / indexed_s,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -59,13 +59,14 @@ partition must be recovered from the log (replay on restart, handover to
 the new home broker on permanent death), never reconciled away. The
 durable retry path never exhausts, so ``breaker_trips`` stays 0 too.
 
-**Cross-engine identity**: the same scenario re-run on the heap-only
-scheduler and with the batched data plane (event batching on the default
-lanes scheduler) must produce a byte-identical delivery log, identical
-delivery/loss/duplicate counters, identical per-category wired traffic and
-the same processed event count.
-The engines are documented as trace-identical; the fuzzer makes that a
-standing randomized gate every future optimisation inherits.
+**Cross-engine identity**: the same scenario re-run once through the live
+driver on a :class:`~repro.drivers.live.VirtualClock` — a scheduler written
+independently of :class:`~repro.sim.core.Simulator`, under the phase loop
+the live and socket drivers run on — must produce a byte-identical
+delivery log, identical delivery/loss/duplicate counters, identical
+per-category wired traffic and the same processed event count. Every
+``Clock`` is documented as firing in ``(time, seq)`` order; the fuzzer
+makes that a standing randomized gate every future optimisation inherits.
 
 Replay: every failure line carries the scenario seed;
 ``python -m repro.conformance.fuzzer --scenario-seed N`` reruns exactly
@@ -79,11 +80,12 @@ import json
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
-from repro.conformance.scenarios import ENGINE_BUNDLES, PROTOCOLS, Scenario
+from repro.conformance.scenarios import PROTOCOLS, Scenario
+from repro.drivers.live import run_virtual_scenario
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_system, drain_to_quiescence
+from repro.experiments.runner import build_system, run_to_quiescence
 from repro.pubsub.system import PubSubSystem
 
 __all__ = [
@@ -108,10 +110,8 @@ _RELIABLE_CYCLE = tuple(p for p in PROTOCOLS if p in RELIABLE_PROTOCOLS)
 
 @dataclass
 class ScenarioOutcome:
-    """End-state of one scenario run under one engine bundle."""
+    """End-state of one scenario run, whichever driver ran it."""
 
-    #: (sim_engine, event_batching) of the system that ran
-    engine_bundle: tuple[str, bool]
     published: int
     expected: int
     delivered: int
@@ -144,15 +144,12 @@ class ScenarioOutcome:
     delivery_log: tuple[tuple[int, int, float], ...] = ()
 
 
-def run_scenario(scenario: Scenario, **overrides: Any) -> ScenarioOutcome:
-    """Run one scenario end-to-end (measurement + drain) and snapshot it;
-    ``overrides`` go to :meth:`Scenario.config`."""
-    cfg = scenario.config(**overrides)
+def run_scenario(scenario: Scenario) -> ScenarioOutcome:
+    """Run one scenario end-to-end (measurement + drain) and snapshot it."""
+    cfg = scenario.config()
     system, workload = build_system(cfg)
     system.metrics.delivery.record_log = True
-    system.run(until=cfg.workload.duration_ms)
-    workload.stop()
-    drain_to_quiescence(system, workload)
+    run_to_quiescence(system, workload, cfg.workload.duration_ms)
     return snapshot_outcome(system)
 
 
@@ -162,9 +159,6 @@ def snapshot_outcome(system: PubSubSystem) -> ScenarioOutcome:
     injector = system.fault_injector
     meter = system.metrics.traffic
     return ScenarioOutcome(
-        engine_bundle=(
-            system.options.sim_engine, system.options.event_batching
-        ),
         published=stats.published,
         expected=stats.expected,
         delivered=stats.delivered,
@@ -350,7 +344,8 @@ def check_invariants(
 
 
 def compare_outcomes(a: ScenarioOutcome, b: ScenarioOutcome) -> list[str]:
-    """Cross-engine identity violations between two runs of one scenario."""
+    """Cross-engine identity violations between two runs of one scenario
+    (``a`` on the simulator, ``b`` on the virtual clock)."""
     v: list[str] = []
     for attr in (
         "published",
@@ -378,8 +373,8 @@ def compare_outcomes(a: ScenarioOutcome, b: ScenarioOutcome) -> list[str]:
         av, bv = getattr(a, attr), getattr(b, attr)
         if av != bv:
             v.append(
-                f"cross-engine {attr} diverged: {a.engine_bundle}={av} "
-                f"vs {b.engine_bundle}={bv}"
+                f"cross-engine {attr} diverged: simulator={av} "
+                f"vs virtual-clock={bv}"
             )
     if a.wired_by_category != b.wired_by_category:
         v.append(
@@ -474,7 +469,7 @@ class FuzzReport:
 
 class ScenarioFuzzer:
     """Samples and runs ``n_scenarios`` scenarios derived from one master
-    seed; each scenario also re-runs under the other engine bundles when
+    seed; each scenario also re-runs on the ``VirtualClock`` when
     ``cross_engine`` is on (the default).
 
     With ``crash_lane`` on, every scenario is the
@@ -520,7 +515,7 @@ class ScenarioFuzzer:
             scenario = Scenario.crash_from_seed(scenario_seed, protocol)
         else:
             scenario = Scenario.from_seed(scenario_seed)
-        primary = run_scenario(scenario, **ENGINE_BUNDLES[0])
+        primary = run_scenario(scenario)
         violations = check_invariants(scenario, primary)
         if scenario.crashes.active and primary.post_repair_publishes == 0:
             # judges the scenario generator, not the protocol: a crash
@@ -530,13 +525,11 @@ class ScenarioFuzzer:
                 "the reconverged overlay"
             )
         if self.cross_engine:
-            for bundle in ENGINE_BUNDLES[1:]:
-                alt = run_scenario(scenario, **bundle)
-                violations += [
-                    f"[{'/'.join(map(str, alt.engine_bundle))}] {v}"
-                    for v in check_invariants(scenario, alt)
-                ]
-                violations += compare_outcomes(primary, alt)
+            alt = snapshot_outcome(run_virtual_scenario(scenario.config()))
+            violations += [
+                f"[virtual-clock] {v}" for v in check_invariants(scenario, alt)
+            ]
+            violations += compare_outcomes(primary, alt)
         return ScenarioResult(
             scenario_seed,
             scenario.protocol,
@@ -592,8 +585,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="replay exactly one scenario by its seed "
                              "(ignores --scenarios/--master-seed)")
     parser.add_argument("--no-cross-engine", action="store_true",
-                        help="skip the legacy-engine identity re-runs "
-                             "(half the runtime, engine coverage lost)")
+                        help="skip the VirtualClock identity re-run "
+                             "(half the runtime, second scheduler not "
+                             "exercised)")
     parser.add_argument("--crash-lane", action="store_true",
                         help="fuzz the broker-failure lane: perfect links "
                              "plus seeded crash/restart/partition schedules, "

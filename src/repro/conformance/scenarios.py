@@ -30,19 +30,10 @@ from repro.network.recovery import CrashEvent, CrashPlan
 from repro.network.topology import grid_topology
 from repro.workload.spec import WorkloadSpec
 
-__all__ = ["Scenario", "PROTOCOLS", "ENGINE_BUNDLES"]
+__all__ = ["Scenario", "PROTOCOLS"]
 
 #: every protocol the repo implements as a reproduction target or baseline
 PROTOCOLS: tuple[str, ...] = ("mhh", "sub-unsub", "home-broker", "two-phase")
-
-#: the engine configurations cross-checked for trace identity, as
-#: :class:`ExperimentConfig` overrides: the default, the heap-only
-#: scheduler, and the batched data plane
-ENGINE_BUNDLES: tuple[dict[str, Any], ...] = (
-    {},
-    {"sim_engine": "heap"},
-    {"event_batching": True},
-)
 
 _MOBILITY_CHOICES = ("uniform", "hotspot", "ping-pong", "trace")
 _LOSS_CHOICES = (0.0, 0.0, 0.05, 0.2)
@@ -286,9 +277,8 @@ class Scenario:
             topic_skew=self.topic_skew,
         )
 
-    def config(self, **overrides: Any) -> ExperimentConfig:
-        """The runnable :class:`ExperimentConfig`; ``overrides`` set further
-        fields (one of :data:`ENGINE_BUNDLES`, say)."""
+    def config(self) -> ExperimentConfig:
+        """The runnable :class:`ExperimentConfig`."""
         return ExperimentConfig(
             protocol=self.protocol,
             grid_k=self.grid_k,
@@ -300,7 +290,6 @@ class Scenario:
             retry_budget=self.retry_budget,
             queue_cap=self.queue_cap,
             durable=self.durable,
-            **overrides,
         )
 
     def label(self) -> str:

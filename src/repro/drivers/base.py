@@ -20,8 +20,7 @@ Two drivers exist:
 * :class:`~repro.drivers.simulated.SimulatedDriver` — the discrete-event
   engine (:mod:`repro.sim.core`) *is* the clock and the modelled link
   layer (:mod:`repro.network.links`) *is* the transport. This is the
-  reproduction path and is byte-identical to the pre-refactor system
-  (gated by the conformance fuzzer's cross-engine lanes).
+  reproduction path and is byte-identical to the pre-refactor system.
 * :class:`~repro.drivers.live.LiveDriver` — the same kernel and the same
   per-link in-process queues run over a real scheduler: an asyncio event
   loop under wall-clock delays (the ``soak`` command), or a deterministic
@@ -35,8 +34,8 @@ The contracts the kernel relies on (and every driver must honour):
    per-link delays this yields FIFO links, which several protocol
    correctness arguments rest on (see :mod:`repro.network.links`).
 3. ``call_later`` returns a handle whose ``cancel()`` prevents the
-   callback; ``call_later_fifo`` is the non-cancellable fast path for
-   constant-delay link traffic.
+   callback; ``call_later_fifo`` is the same push without a handle, for
+   constant-delay link traffic that is never cancelled.
 4. Callbacks never run re-entrantly inside ``call_later`` itself.
 """
 

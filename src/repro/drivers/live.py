@@ -5,12 +5,12 @@ its clock, this module provides clocks backed by something *other* than the
 simulation engine:
 
 * :class:`VirtualClock` — a deterministic virtual-time scheduler: one flat
-  ``(when, seq)`` heap, no FIFO lanes, no engine machinery. It mimics the
-  ordering semantics of an asyncio event loop (deadline order, submission
-  order on ties) while staying fully deterministic, which makes it the
-  reference clock for driver-parity differential tests: the same seeded
-  scenario must produce the same :class:`~repro.metrics.delivery.
-  DeliveryChecker` outcome under it as under the simulator.
+  ``(when, seq)`` heap, written independently of the simulator's. It
+  mimics the ordering semantics of an asyncio event loop (deadline order,
+  submission order on ties) while staying fully deterministic, which makes
+  it the reference clock for differential tests and for the conformance
+  fuzzer's identity re-run: the same seeded scenario must produce the same
+  outcome under it as under the simulator, event count included.
 * :class:`AsyncioClock` — the same ``(when, seq)`` queue executed against a
   real asyncio event loop: model milliseconds map to wall-clock delays
   (optionally compressed by ``time_scale``), and due callbacks fire from a

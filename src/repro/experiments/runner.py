@@ -92,23 +92,28 @@ def drain_to_quiescence(
     workload: Workload,
     drain_limit_ms: Optional[float] = None,
 ) -> None:
-    """Reconnect everyone and run until the system is empty and quiescent."""
+    """Reconnect everyone and run until the system is empty and quiescent.
+
+    Reads only ``system.clock`` (``run(until)``, ``peek()``, ``now``), so
+    it drains a ``Simulator`` and a ``VirtualClock`` alike.
+    """
+    clock = system.clock
     deadline = (
-        system.sim.now + drain_limit_ms if drain_limit_ms is not None else None
+        clock.now + drain_limit_ms if drain_limit_ms is not None else None
     )
     workload.reconnect_all()
     # The drain may need several rounds: reconnects trigger handoff
     # machinery whose completion schedules more events.
     for _round in range(10_000):
-        system.sim.run(until=deadline)
-        if system.sim.peek() is None:
+        clock.run(until=deadline)
+        if clock.peek() is None:
             if system.protocol.quiescent():
                 system.metrics.delivery.finalize_crash_accounting()
                 return
             raise SimulationError(
                 "drain deadlock: event heap empty but protocol not quiescent"
             )
-        if deadline is not None and system.sim.now >= deadline:
+        if deadline is not None and clock.now >= deadline:
             raise SimulationError(
                 f"drain did not finish within {drain_limit_ms} ms"
             )
@@ -118,20 +123,8 @@ def drain_to_quiescence(
 def run_to_quiescence(
     system: PubSubSystem, workload: Workload, duration_ms: float
 ) -> None:
-    """Every run phase on a clock that runs itself (``VirtualClock``):
-    measurement window, stop, reconnect-everyone drain, quiescence check.
-
-    An unbounded ``run()`` empties the heap, so unlike the ``Simulator``
-    form (:func:`drain_to_quiescence`, deadline-interruptible) no rounds
-    are needed.
-    """
-    clock = system.clock
-    clock.run(until=duration_ms)
+    """Every run phase on a clock that runs itself: measurement window,
+    stop, then :func:`drain_to_quiescence`."""
+    system.clock.run(until=duration_ms)
     workload.stop()
-    workload.reconnect_all()
-    clock.run()
-    if not system.protocol.quiescent():
-        raise SimulationError(
-            "drain deadlock: clock idle but protocol not quiescent"
-        )
-    system.metrics.delivery.finalize_crash_accounting()
+    drain_to_quiescence(system, workload)

@@ -105,8 +105,8 @@ class LinkFaultInjector:
     the network layer free of pub/sub imports.
 
     All draws come from one seeded stream in event-execution order, so a
-    scenario replays byte-identically from its seed — across both scheduler
-    engines and the covering-index toggle, because those are
+    scenario replays byte-identically from its seed — on the simulator
+    and on every other conforming clock, because those are
     event-order-identical.
     """
 

@@ -33,20 +33,16 @@ adds no indirection.
 
 Every transmission here carries a *constant* delay (per link direction /
 hop count) and is never cancelled once on the wire — exactly the contract
-of ``call_later_fifo`` — so under the simulated driver the whole link
-layer rides the scheduler's O(1) lane fast path: one lane for wired hops,
-one per wireless latency, one per unicast hop count. The scheduler's
-merged ``(time, seq)`` order keeps the FIFO guarantees stated above
-bit-for-bit identical to the heap engine (and every conforming clock must
-preserve the same tie-break, see :mod:`repro.drivers.base`).
+of ``call_later_fifo``, the clock's handle-free push. The FIFO guarantees
+stated above are the clock's ``(time, seq)`` order and nothing else (every
+conforming clock must preserve that tie-break, see
+:mod:`repro.drivers.base`).
 
 The wireless edge optionally takes a :class:`~repro.network.faults.
 LinkFaultInjector` (loss / duplication / jitter — see that module for the
 fault model and why wired links stay perfect). With no injector — the
 default — every code path below is byte-identical to the fault-free link
-layer: no extra branches fire, no randomness is drawn, and jittered
-(variable-latency) service is the only case that leaves the lane fast path
-for the general heap.
+layer: no extra branches fire and no randomness is drawn.
 """
 
 from __future__ import annotations
@@ -164,16 +160,11 @@ class _WirelessChannel:
 
     def _start(self, msg: Any) -> None:
         # the in-service message always completes (cancel_pending reclaims
-        # only the queue), so the non-cancellable lane path applies
+        # only the queue), so the non-cancellable path applies
         self._in_service = msg
         latency = self.latency
         if self.faults is not None and self.faults.jitters:
-            # variable latency would mint a lane per distinct delay; take
-            # the general heap path instead (same (time, seq) order)
             latency += self.faults.jitter()
-            self.busy_until = self.clock.now + latency
-            self.clock.call_later(latency, self._finish, msg)
-            return
         self.busy_until = self.clock.now + latency
         self.clock.call_later_fifo(latency, self._finish, msg)
 
@@ -262,9 +253,6 @@ class LinkLayer:
         self._unicast_hops = unicast_hops or paths.hop_count
         # receiver(msg, from_broker) for brokers; receiver(msg) for clients
         self._broker_rx: dict[int, Callable[[Any, int], None]] = {}
-        # optional batch receiver(items) per broker; consulted only by the
-        # event-batching path (see enable_event_batching)
-        self._broker_rx_batch: dict[int, Callable[[list], None]] = {}
         self._client_rx: dict[int, Callable[[Any], None]] = {}
         self._downlinks: dict[int, _WirelessChannel] = {}
         self._uplinks: dict[int, _WirelessChannel] = {}
@@ -276,38 +264,6 @@ class LinkLayer:
     # ------------------------------------------------------------------
     def register_broker(self, broker_id: int, rx: Callable[[Any, int], None]) -> None:
         self._broker_rx[broker_id] = rx
-
-    def register_broker_batch(
-        self, broker_id: int, rx_batch: Callable[[list], None]
-    ) -> None:
-        """Register a broker's batched receiver (``rx_batch(items)`` with
-        ``(msg, frm)`` pairs in firing order); used only when event
-        batching is enabled."""
-        self._broker_rx_batch[broker_id] = rx_batch
-
-    def enable_event_batching(self) -> None:
-        """Drain same-instant wired deliveries as per-destination batches.
-
-        Registers the plain wired delivery callback with the clock's lane
-        batcher (``register_fifo_batch``): whenever several wired messages
-        land at the same instant with nothing else due between them, they
-        arrive through :meth:`_deliver_broker_batch`, which hands
-        consecutive same-destination runs to the broker's batch receiver in
-        one call. Crash-guarded (``_deliver_guarded``) and uplink
-        deliveries are never batched — their guard checks are per-message.
-
-        A clock without ``register_fifo_batch`` (the live asyncio driver,
-        or the heap engine's lane-less scheduler) leaves delivery
-        per-message; traces are identical either way.
-        """
-        reg = getattr(self.clock, "register_fifo_batch", None)
-        if reg is not None:
-            # pin the bound method as an instance attribute: every
-            # call_later_fifo entry then carries the *same* object, so the
-            # lane batcher's identity check recognises consecutive runs
-            # (a fresh bound method per send would never compare `is`)
-            self._deliver_broker = self._deliver_broker
-            reg(self._deliver_broker, self._deliver_broker_batch)
 
     def register_client(self, client_id: int, rx: Callable[[Any], None]) -> None:
         self._client_rx[client_id] = rx
@@ -387,29 +343,11 @@ class LinkLayer:
         rx(msg, frm)
 
     def _deliver_broker_batch(self, items: list) -> None:
-        """Batched wired delivery: ``items`` are ``(to, msg, frm)`` argument
-        tuples in firing order. Consecutive same-destination runs go to the
-        broker's batch receiver in one call; destinations without one fall
-        back to per-message delivery in the same order."""
-        rx_batch = self._broker_rx_batch
-        rx_map = self._broker_rx
-        i = 0
-        n = len(items)
-        while i < n:
-            to = items[i][0]
-            j = i + 1
-            while j < n and items[j][0] == to:
-                j += 1
-            brx = rx_batch.get(to)
-            if brx is not None and j - i > 1:
-                brx([(msg, frm) for _to, msg, frm in items[i:j]])
-            else:
-                rx = rx_map.get(to)
-                if rx is None:
-                    raise RoutingError(f"no broker registered with id {to}")
-                for _to, msg, frm in items[i:j]:
-                    rx(msg, frm)
-            i = j
+        # No caller in src/. benchmarks/e2e/trace.py's LAYER_MAP wraps this
+        # name and tier-1 asserts that none is missing; the method goes with
+        # the benchmark PR that drops the name there.
+        for to, msg, frm in items:
+            self._deliver_broker(to, msg, frm)
 
     def _deliver_guarded(self, to: int, msg: Any, frm: int, gen: int) -> None:
         """Wired delivery under an active crash plan.

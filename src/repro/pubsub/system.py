@@ -45,7 +45,6 @@ from repro.network.topology import grid_topology
 from repro.pubsub.broker import Broker
 from repro.pubsub.client import Client
 from repro.pubsub.filters import Filter
-from repro.sim.core import SIM_ENGINES
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 from repro.util.ids import IdAllocator
@@ -104,10 +103,6 @@ class SystemOptions:
     unicast_routing: str = "grid"
     #: tracer categories to record (None = tracing off; see repro.sim.trace)
     trace: Optional[Union[str, list[str]]] = None
-    #: scheduler implementation: 'lanes' (per-delay FIFO lanes + heap, the
-    #: default) or 'heap' (legacy heap-only engine, kept for differential
-    #: testing — see repro.sim.core)
-    sim_engine: str = "lanes"
     #: wireless fault profile (None / inactive = perfect links; see
     #: repro.network.faults)
     faults: Optional[FaultProfile] = None
@@ -130,11 +125,6 @@ class SystemOptions:
     #: directory for file-backed WAL segments (None = the driver's
     #: default store: in-memory under simulation, a scratch dir live)
     wal_dir: Optional[str] = None
-    #: batched event fan-out: drain same-instant wired EventMessage
-    #: arrivals at a broker through one FilterTable.match_batch pass.
-    #: Trace-identical to per-event delivery (fuzzer-gated); default off,
-    #: and a no-op under drivers/engines without FIFO lanes
-    event_batching: bool = False
 
     def __post_init__(self) -> None:
         if self.grid_k <= 0:
@@ -164,11 +154,6 @@ class SystemOptions:
                 f"unicast_routing must be 'grid' or 'tree', "
                 f"got {self.unicast_routing!r}"
             )
-        if self.sim_engine not in SIM_ENGINES:
-            raise ConfigurationError(
-                f"sim_engine must be one of {SIM_ENGINES}, "
-                f"got {self.sim_engine!r}"
-            )
 
 
 class PubSubSystem:
@@ -184,7 +169,7 @@ class PubSubSystem:
             options if options is not None else SystemOptions(), **fields
         )
         if driver is None or driver == "sim":
-            driver = SimulatedDriver(engine=options.sim_engine)
+            driver = SimulatedDriver()
         elif not isinstance(driver, Driver):
             raise ConfigurationError(
                 f"driver must be None, 'sim' or a Driver instance, "
@@ -330,14 +315,6 @@ class PubSubSystem:
             broker = Broker(self, bid)
             self.brokers[bid] = broker
             self.net.register_broker(bid, broker.receive)
-
-        if options.event_batching:
-            register_batch = getattr(self.net, "register_broker_batch", None)
-            enable = getattr(self.net, "enable_event_batching", None)
-            if register_batch is not None and enable is not None:
-                for bid, broker in self.brokers.items():
-                    register_batch(bid, broker.receive_batch)
-                enable()
 
         self.clients: dict[int, Client] = {}
 

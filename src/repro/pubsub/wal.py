@@ -50,7 +50,7 @@ outlives the machine that wrote it. The simulated driver backs it with
 
 Determinism: all bookkeeping is driven by the event stream itself (append
 counts, not wall time; sorted iteration everywhere), so durable runs stay
-byte-identical across sim engines and drivers. Default-off runs construct
+byte-identical across clocks and drivers. Default-off runs construct
 nothing from this module at all.
 """
 

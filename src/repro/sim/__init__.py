@@ -3,11 +3,11 @@
 A small, fast, deterministic DES kernel purpose-built for this reproduction
 (SimPy is not available in the offline environment). The engine provides:
 
-* :class:`~repro.sim.core.Simulator` — hybrid lane + heap scheduler with
-  strict deterministic ordering: events fire in non-decreasing time order
-  and same-time events fire in schedule order (FIFO tie-break). Constant-
-  delay FIFO traffic takes the O(1) ``schedule_fifo`` lane fast path; the
-  heap serves the cancellable/irregular tail.
+* :class:`~repro.sim.core.Simulator` — binary-heap scheduler with strict
+  deterministic ordering: events fire in non-decreasing time order and
+  same-time events fire in schedule order (FIFO tie-break).
+  ``schedule_fifo`` is the handle-free push for link traffic that is
+  never cancelled.
 * :class:`~repro.sim.process.Process` — generator-based cooperative
   processes for workload modelling (``yield delay`` suspends).
 * :class:`~repro.sim.rng.RandomStreams` — named, independently seeded
@@ -16,13 +16,12 @@ A small, fast, deterministic DES kernel purpose-built for this reproduction
   and for the delivery/ordering checkers.
 """
 
-from repro.sim.core import SIM_ENGINES, Simulator, EventHandle
+from repro.sim.core import Simulator, EventHandle
 from repro.sim.process import Process, spawn
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer, TraceRecord
 
 __all__ = [
-    "SIM_ENGINES",
     "Simulator",
     "EventHandle",
     "Process",

@@ -10,15 +10,13 @@ A generator may also yield ``0`` to defer to other events at the current
 instant (everything already scheduled for "now" runs first).
 
 Processes are **clock-agnostic**: they schedule through the sans-IO
-``Clock`` facade's cancellable path (``call_later`` — on the simulator
-that is the scheduler's *heap* path, not the constant-delay FIFO lanes:
-wakeup delays are irregular and :meth:`Process.interrupt` needs the
-cancellable handle). The same generator processes therefore drive the
-workload under the discrete-event simulator *and* under the live asyncio
-runtime (:mod:`repro.drivers.live`). Process wakeups are a vanishing
-fraction of event volume — the lanes exist for the link layer underneath
-(:mod:`repro.network.links`), which is where the millions of constant-delay
-events come from.
+``Clock`` facade's cancellable path (``call_later``, not the handle-free
+``call_later_fifo``: :meth:`Process.interrupt` needs the handle). The same
+generator processes therefore drive the workload under the discrete-event
+simulator *and* under the live asyncio runtime (:mod:`repro.drivers.live`).
+Process wakeups are a vanishing fraction of event volume — the link layer
+underneath (:mod:`repro.network.links`) is where the millions of
+constant-delay events come from.
 """
 
 from __future__ import annotations

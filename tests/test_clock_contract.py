@@ -1,10 +1,11 @@
-"""The Clock facade contract, run against BOTH implementations.
+"""The Clock facade contract, run against ALL THREE implementations.
 
 VirtualClock (deterministic virtual time, parity tests) and AsyncioClock
 (model time over a real event loop, the soak harness) share the heap in
 ``_HeapClock`` but drive it through completely different engines — a
-pull-based ``run()`` loop vs armed loop timers. The kernel relies on
-identical semantics from both:
+pull-based ``run()`` loop vs armed loop timers; ``Simulator`` (the
+simulated driver's clock) is a separate heap altogether. The kernel relies
+on identical semantics from all of them:
 
 * callbacks fire in ``(when, submission)`` order — equal-deadline entries
   run in the order they were scheduled, whether cancellable or FIFO;
@@ -14,9 +15,9 @@ identical semantics from both:
 * scheduling into the past is rejected loudly;
 * ``now`` is monotone across a run.
 
-Every case below is parametrized over both clocks; the VirtualClock-only
-``run(until=...)`` window semantics (the simulator's epoch-advance
-behaviour) get their own cases at the bottom.
+Every case below is parametrized over the three clocks; the
+VirtualClock-only ``run(until=...)`` window semantics (the simulator's
+epoch-advance behaviour) get their own cases at the bottom.
 """
 
 from __future__ import annotations
@@ -25,15 +26,18 @@ import pytest
 
 from repro.drivers.live import AsyncioClock, VirtualClock
 from repro.errors import SchedulingError
+from repro.sim.core import Simulator
 
 #: generous wall budget for the asyncio runs; they finish in milliseconds
 _IDLE_TIMEOUT_S = 20.0
 
 
-@pytest.fixture(params=["virtual", "asyncio"])
+@pytest.fixture(params=["virtual", "asyncio", "simulator"])
 def clock(request):
     if request.param == "virtual":
         yield VirtualClock()
+    elif request.param == "simulator":
+        yield Simulator()
     else:
         c = AsyncioClock(time_scale=10.0)
         yield c
@@ -42,7 +46,7 @@ def clock(request):
 
 def _drain(clock) -> None:
     """Run the clock until nothing is pending, whichever engine it is."""
-    if isinstance(clock, VirtualClock):
+    if isinstance(clock, (VirtualClock, Simulator)):
         clock.run()
     else:
         idle = clock.loop.run_until_complete(

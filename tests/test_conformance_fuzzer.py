@@ -16,7 +16,7 @@ from repro.conformance.fuzzer import (
     main,
     run_scenario,
 )
-from repro.conformance.scenarios import ENGINE_BUNDLES, PROTOCOLS, Scenario
+from repro.conformance.scenarios import PROTOCOLS, Scenario
 from repro.experiments.config import ExperimentConfig
 
 
@@ -74,8 +74,8 @@ def test_scenario_seeds_derive_from_master_seed():
 def test_run_scenario_replays_byte_identically():
     seed = quick_seed(lambda s: small(s) and s.faults.active)
     scenario = Scenario.from_seed(seed)
-    a = run_scenario(scenario, **ENGINE_BUNDLES[0])
-    b = run_scenario(scenario, **ENGINE_BUNDLES[0])
+    a = run_scenario(scenario)
+    b = run_scenario(scenario)
     assert a == b
     assert a.delivery_log  # something actually happened
 
@@ -91,7 +91,6 @@ def test_fuzzer_run_one_passes_on_a_small_scenario():
 # ---------------------------------------------------------------------------
 def outcome(**kw):
     base = dict(
-        engine_bundle=("lanes", False),
         published=10,
         expected=20,
         delivered=20,

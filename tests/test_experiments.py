@@ -2,12 +2,12 @@
 
 import dataclasses
 import inspect
-import re
 
 import pytest
 from covering_scan import scan_covering
 
 from repro.drivers.live import LiveDriver, VirtualClock, run_soak
+from repro.drivers.simulated import SimulatedDriver
 from repro.errors import ConfigurationError
 from repro.experiments.config import (
     SCALES,
@@ -29,7 +29,7 @@ from repro.network.recovery import CrashPlan
 from repro.pubsub.filter_table import FilterTable
 from repro.pubsub.interval_index import IntervalIndex
 from repro.pubsub.system import PubSubSystem, SystemOptions
-from repro.sim.core import SIM_ENGINES
+from repro.sim.core import Simulator
 from repro.workload.spec import WorkloadSpec
 
 
@@ -189,13 +189,12 @@ def test_every_config_field_reaches_every_driver():
     names = [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert names == [f.name for f in dataclasses.fields(SystemOptions)] + [
         "workload", "drain_limit_ms"]
-    assert len(names) == 17 + 2
+    assert len(names) == 15 + 2
 
     cfg = ExperimentConfig(  # a non-default value in every field
         protocol="sub-unsub", grid_k=2, seed=9, workload=FAST,
         migration_batch_size=3, covering_enabled=False, drain_limit_ms=1e6,
         stream_pacing_ms=2.5, unicast_routing="tree", trace=["publish"],
-        sim_engine="heap", event_batching=True,
         faults=FaultProfile(deliver_loss=0.1),
         crashes=CrashPlan.parse(crashes=["1@60"]),
         reliable=True, retry_budget=3, queue_cap=7, durable=True,
@@ -212,7 +211,7 @@ def test_every_config_field_reaches_every_driver():
             system.stream_pacing_ms,
             system.net._unicast_hops == system.tree.distance,
             system.tracer.wants("publish"), system.queue_cap,
-            system.net.queue_cap, bool(system.net._broker_rx_batch),
+            system.net.queue_cap,
             system.reliability.retry_budget, system.durability is not None,
             system.recovery is not None, system.fault_injector is not None,
         )
@@ -222,8 +221,7 @@ def test_every_config_field_reaches_every_driver():
     live.durability.close()  # the live driver's WAL is a scratch directory
     assert built(simulated) == built(live)
     assert built(simulated) == ("sub-unsub", 4, 9, False, 3, 2.5, True,
-                                True, 7, 7, True, 3, True, True, True)
-    assert simulated.sim.engine == "heap"
+                                True, 7, 7, 3, True, True, True)
 
 
 def test_a_bad_option_value_fails_where_it_is_written_down():
@@ -253,8 +251,7 @@ def test_an_empty_sweep_runs_nothing():
         TypeError, "engine", id="FilterTable-engine"),
     pytest.param(
         lambda: PubSubSystem(grid_k=2, sim_engine="lanes-compiled"),
-        ConfigurationError, re.escape(str(SIM_ENGINES)),
-        id="sim_engine-lanes-compiled"),
+        TypeError, "sim_engine", id="sim_engine-lanes-compiled"),
     pytest.param(
         lambda: run_soak(protocol="mhh", grid_k=3),
         TypeError, "protocol", id="run_soak-keywords"),
@@ -279,11 +276,23 @@ def test_an_empty_sweep_runs_nothing():
     pytest.param(
         lambda: PubSubSystem(grid_k=2, wired_latency=5.0),
         TypeError, "wired_latency", id="PubSubSystem-wired_latency"),
+    pytest.param(
+        lambda: PubSubSystem(grid_k=2, sim_engine="heap"),
+        TypeError, "sim_engine", id="PubSubSystem-sim_engine"),
+    pytest.param(
+        lambda: ExperimentConfig(protocol="mhh", event_batching=True),
+        TypeError, "event_batching", id="ExperimentConfig-event_batching"),
+    pytest.param(
+        lambda: Simulator(engine="heap"),
+        TypeError, "engine", id="Simulator-engine"),
+    pytest.param(
+        lambda: SimulatedDriver(engine="heap"),
+        TypeError, "engine", id="SimulatedDriver-engine"),
 ])
 def test_removed_engine_options_fail_loudly(build, error, message):
-    """The deleted matching-engine switch and compiled scheduler are not
-    silently accepted: a caller (or a benchmark bundle) still naming them
-    must hear about it rather than run the default."""
+    """The deleted engine switches (matching, covering, scheduler,
+    batching) are not silently accepted: a caller (or a benchmark bundle)
+    still naming them must hear about it rather than run the default."""
     with pytest.raises(error, match=message):
         build()
 

@@ -365,9 +365,9 @@ def test_resynced_routing_state_equals_from_scratch_rebuild():
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_crash_scenarios_are_engine_bundle_identical(protocol):
     """The control-plane pattern at whole-system scale: a crash scenario
-    replayed on the heap-only scheduler with the tests-only covering scan
-    substituted for the index (repair-rebuilt tables included) must land in
-    the identical final state — delivery log, tree, every surviving table."""
+    replayed with the tests-only covering scan substituted for the index
+    (repair-rebuilt tables included) must land in the identical final
+    state — delivery log, tree, every surviving table."""
     plan = _plan(
         CrashEvent("crash", 30_000.0, broker=7),
         CrashEvent("restart", 70_000.0, broker=7),
@@ -392,7 +392,7 @@ def test_crash_scenarios_are_engine_bundle_identical(protocol):
 
     fast = state(_crash_config(protocol, plan))
     with scan_covering():
-        legacy = state(_crash_config(protocol, plan, sim_engine="heap"))
+        legacy = state(_crash_config(protocol, plan))
     assert fast == legacy
 
 

@@ -1,18 +1,21 @@
-"""Differential tests: lane-based scheduler vs legacy heap-only engine.
+"""Differential tests: ``Simulator`` vs the independently written
+``VirtualClock``.
 
-The ``lanes`` engine must be *event-for-event identical* to the ``heap``
-engine — same callbacks, same firing order, same clock readings — because
-every FIFO-link correctness argument in the protocol layer rests on the
-scheduler's deterministic ``(time, seq)`` order. These tests drive both
-engines with identical inputs at three levels:
+The two are separate heap implementations behind one ``Clock`` facade and
+must be *event-for-event identical* — same callbacks, same firing order,
+same clock readings — because every FIFO-link correctness argument in the
+protocol layer rests on the scheduler's deterministic ``(time, seq)``
+order. These tests drive both with identical inputs at two levels:
 
-1. raw scheduler: randomized interleavings of ``schedule`` /
-   ``schedule_fifo`` / cancellation, including nested scheduling from
+1. raw scheduler: randomized interleavings of ``call_later`` /
+   ``call_later_fifo`` / cancellation, including nested scheduling from
    inside callbacks and ``run(until=...)`` windowing;
 2. whole-system: randomized MHH / sub-unsub / home-broker / two-phase
-   mobility scenarios with full tracing — the trace must be byte-identical;
-3. experiment harness: a complete ``run_experiment`` per engine — the
-   ResultRow metrics must match exactly (modulo wall-clock time).
+   mobility scenarios with full tracing under the simulated driver and
+   under ``LiveDriver(VirtualClock())`` — the trace must be byte-identical.
+
+The ``test_fifo_*`` units pin the ``(time, seq)`` order across ``schedule``
+and ``schedule_fifo`` on the ``Simulator`` itself.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ import random
 
 import pytest
 
-from repro.errors import ConfigurationError, SchedulingError
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.drivers.live import LiveDriver, VirtualClock
+from repro.errors import SchedulingError
 from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
-from repro.sim.core import SIM_ENGINES, Simulator
-from repro.workload.spec import WorkloadSpec
+from repro.sim.core import Simulator
 
 # a realistic delay mix: zero-delay deferrals, wired hops, wireless slots,
 # multi-hop unicast legs, and irregular timer-style delays
@@ -37,14 +38,14 @@ LANE_DELAYS = (0.0, 10.0, 10.0, 20.0, 30.0, 50.0)
 # ---------------------------------------------------------------------------
 # level 1: raw scheduler interleavings
 # ---------------------------------------------------------------------------
-def pump_random(engine: str, seed: int, n_ops: int = 600):
-    """Drive one engine through a randomized schedule/cancel workload.
+def pump_random(make_clock, seed: int, n_ops: int = 600):
+    """Drive one clock through a randomized schedule/cancel workload.
 
-    All randomness is drawn in callback-firing order, so two engines
+    All randomness is drawn in callback-firing order, so two clocks
     produce identical logs iff they fire events identically.
     """
     rng = random.Random(seed)
-    sim = Simulator(engine=engine)
+    sim = make_clock()
     log: list[tuple[float, int]] = []
     handles: list = []
     ops = 0
@@ -58,10 +59,10 @@ def pump_random(engine: str, seed: int, n_ops: int = 600):
             tag = ops
             if rng.random() < 0.6:
                 delay = rng.choice(LANE_DELAYS)
-                sim.schedule_fifo(delay, fire, tag)
+                sim.call_later_fifo(delay, fire, tag)
             else:
                 delay = rng.choice(LANE_DELAYS + (rng.uniform(0.0, 45.0),))
-                h = sim.schedule(delay, fire, tag)
+                h = sim.call_later(delay, fire, tag)
                 if rng.random() < 0.3:
                     handles.append(h)
 
@@ -79,25 +80,23 @@ def pump_random(engine: str, seed: int, n_ops: int = 600):
 
 @pytest.mark.parametrize("seed", range(15))
 def test_differential_random_interleavings(seed):
-    lanes = pump_random("lanes", seed)
-    heap = pump_random("heap", seed)
-    assert lanes == heap
+    assert pump_random(Simulator, seed) == pump_random(VirtualClock, seed)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_differential_windowed_run(seed):
-    """run(until=...) windows cut both engines at the same instants."""
-    logs = {}
-    for engine in SIM_ENGINES:
+    """run(until=...) windows cut both clocks at the same instants."""
+    logs = []
+    for make_clock in (Simulator, VirtualClock):
         rng = random.Random(seed)
-        sim = Simulator(engine=engine)
+        sim = make_clock()
         log: list[tuple[float, int]] = []
 
         def tick(tag, depth):
             log.append((sim.now, tag))
             if depth < 6:
-                sim.schedule_fifo(rng.choice(LANE_DELAYS), tick, tag, depth + 1)
-                sim.schedule(rng.uniform(0.0, 25.0), tick, -tag, depth + 1)
+                sim.call_later_fifo(rng.choice(LANE_DELAYS), tick, tag, depth + 1)
+                sim.call_later(rng.uniform(0.0, 25.0), tick, -tag, depth + 1)
 
         for i in range(30):
             tick(i + 1, 0)
@@ -106,8 +105,8 @@ def test_differential_windowed_run(seed):
             t += rng.uniform(1.0, 40.0)
             sim.run(until=t)
             log.append((sim.now, 0))  # clock checkpoints must agree too
-        logs[engine] = log
-    assert logs["lanes"] == logs["heap"]
+        logs.append(log)
+    assert logs[0] == logs[1]
 
 
 def test_fifo_same_delay_preserves_submission_order():
@@ -146,16 +145,16 @@ def test_fifo_zero_delay_defers_within_instant():
 
 
 def test_fifo_negative_delay_rejected():
-    for engine in SIM_ENGINES:
-        sim = Simulator(engine=engine)
-        with pytest.raises(SchedulingError):
-            sim.schedule_fifo(-0.1, lambda: None)
+    with pytest.raises(SchedulingError):
+        Simulator().schedule_fifo(-0.1, lambda: None)
 
 
 def test_invalid_engine_rejected():
-    with pytest.raises(ConfigurationError):
+    """There is no engine to name any more: the keyword itself is the
+    error (``test_removed_engine_options_fail_loudly`` holds the rest)."""
+    with pytest.raises(TypeError, match="engine"):
         Simulator(engine="quantum")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(TypeError, match="sim_engine"):
         PubSubSystem(grid_k=2, sim_engine="quantum")
 
 
@@ -187,12 +186,12 @@ def test_step_merges_lanes_and_heap():
 # ---------------------------------------------------------------------------
 # level 2: whole-system scenarios, byte-identical traces
 # ---------------------------------------------------------------------------
-def run_scenario(protocol: str, engine: str, seed: int):
+def run_scenario(protocol: str, driver, seed: int):
     """A randomized mobility scenario; rng draws happen outside callbacks,
-    so both engines see an identical action script."""
+    so both drivers see an identical action script."""
     rng = random.Random(seed)
     system = PubSubSystem(
-        grid_k=3, protocol=protocol, seed=seed, sim_engine=engine, trace="*"
+        driver=driver, grid_k=3, protocol=protocol, seed=seed, trace="*"
     )
     n = system.broker_count
     subs = []
@@ -214,7 +213,7 @@ def run_scenario(protocol: str, engine: str, seed: int):
     t = 0.0
     for _step in range(50):
         t += rng.uniform(5.0, 400.0)
-        system.run(until=t)
+        system.clock.run(until=t)
         roll = rng.random()
         mover = rng.choice(subs)
         if roll < 0.35:
@@ -238,53 +237,24 @@ def run_scenario(protocol: str, engine: str, seed: int):
     for c in subs:
         if not c.connected:
             c.connect(c.last_broker if c.last_broker is not None else c.home_broker)
-    system.sim.run()
+    system.clock.run()
     return system
 
 
 @pytest.mark.parametrize("protocol", ["mhh", "sub-unsub", "home-broker", "two-phase"])
 @pytest.mark.parametrize("seed", [3, 17])
 def test_differential_end_to_end_traces(protocol, seed):
-    systems = {
-        engine: run_scenario(protocol, engine, seed) for engine in SIM_ENGINES
-    }
-    lanes, heap = systems["lanes"], systems["heap"]
+    sim = run_scenario(protocol, None, seed)
+    live = run_scenario(protocol, LiveDriver(VirtualClock()), seed)
     # byte-identical trace (times, categories, payloads, order)
-    assert lanes.tracer.format() == heap.tracer.format()
-    assert lanes.tracer.records == heap.tracer.records
+    assert sim.tracer.format() == live.tracer.format()
+    assert sim.tracer.records == live.tracer.records
+    assert sim.tracer.records  # something actually happened
     # identical delivery / traffic / handoff metrics and event counts
     for attr in ("delivered", "duplicates", "order_violations", "missing",
                  "expected", "published"):
-        assert getattr(lanes.metrics.delivery.stats, attr) == \
-            getattr(heap.metrics.delivery.stats, attr), attr
-    assert lanes.metrics.traffic.by_category() == heap.metrics.traffic.by_category()
-    assert lanes.metrics.handoffs.delays() == heap.metrics.handoffs.delays()
-    assert lanes.sim.events_processed == heap.sim.events_processed
-
-
-# ---------------------------------------------------------------------------
-# level 3: full experiment harness, identical ResultRow metrics
-# ---------------------------------------------------------------------------
-@pytest.mark.parametrize("protocol", ["mhh", "sub-unsub"])
-def test_differential_run_experiment_result_rows(protocol):
-    rows = {}
-    for engine in SIM_ENGINES:
-        cfg = ExperimentConfig(
-            protocol=protocol,
-            grid_k=3,
-            seed=7,
-            sim_engine=engine,
-            workload=WorkloadSpec(
-                clients_per_broker=3,
-                mobile_fraction=0.5,
-                mean_connected_s=40.0,
-                mean_disconnected_s=40.0,
-                publish_interval_s=30.0,
-                duration_s=240.0,
-            ),
-        )
-        rows[engine] = run_experiment(cfg)
-    lanes, heap = rows["lanes"], rows["heap"]
-    assert lanes.as_dict() == heap.as_dict()
-    assert lanes.overhead_by_category == heap.overhead_by_category
-    assert lanes.sim_events == heap.sim_events
+        assert getattr(sim.metrics.delivery.stats, attr) == \
+            getattr(live.metrics.delivery.stats, attr), attr
+    assert sim.metrics.traffic.by_category() == live.metrics.traffic.by_category()
+    assert sim.metrics.handoffs.delays() == live.metrics.handoffs.delays()
+    assert sim.clock.events_processed == live.clock.events_processed
