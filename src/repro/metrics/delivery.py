@@ -14,6 +14,13 @@ after a higher one from the same publisher).
 The paper claims MHH and sub-unsub are reliable and ordered while the
 home-broker protocol loses in-transit events; the integration tests assert
 exactly that against this checker.
+
+The ledger holds what is still open, not what was delivered: per client the
+ids of the events its subscription expects and has not received
+(``on_publish`` adds, the first delivery removes), per (client, publisher)
+the highest seq delivered, per publisher one bitmap of the seqs published,
+and the marked write-off pairs. A settled delivery is a counter, so memory
+is bounded by events in flight plus accounted losses, not by run length.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ class DeliveryChecker:
 
     Register every subscription before the run starts (subscriptions are
     static in the paper's workload); feed it publishes and deliveries as
-    they happen.
+    they happen (what it keeps is in the module docstring).
     """
 
     def __init__(self) -> None:
@@ -88,24 +95,29 @@ class DeliveryChecker:
         self._sub_lo: list[float] = []
         self._sub_hi: list[float] = []
         self._arrays: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # client -> [(lo, hi, the _published bitmaps when it registered)]
+        self._ranges: dict[int, list[tuple[float, float, dict[int, int]]]] = {}
         self.expected_per_client: dict[int, int] = {}
-        self.delivered_per_client: dict[int, int] = {}
-        # (client, publisher) -> set of delivered seqs (duplicate detection)
-        self._seen: dict[tuple[int, int], set[int]] = {}
-        # (client, publisher) -> highest seq delivered so far (order check)
-        self._max_seq: dict[tuple[int, int], int] = {}
+        # publisher -> bitmap of the seqs on_publish was told about
+        self._published: dict[int, int] = {}
+        # client -> ids of events expected and not yet delivered
+        self._outstanding: dict[int, set[int]] = {}
+        # client -> ids delivered although no subscription expected them
+        self._unexpected: dict[int, set[int]] = {}
+        # client -> publisher -> highest seq delivered so far (order check)
+        self._max_seq: dict[int, dict[int, int]] = {}
         self.stats = DeliveryStats()
         # optional sink recording (client, event_id, time) tuples
         self.record_log = False
         self.log: list[tuple[int, int, float]] = []
-        # crash-loss accounting (inert unless a CrashPlan is active):
-        # (client, event_id) -> (publisher, seq) for every delivery put at
-        # risk by a crash/partition; reconciled in crash_lost()
+        # the write-off ledgers hold (client, event_id) pairs, marked only
+        # for expected deliveries: undelivered iff still outstanding.
+        # crash-loss accounting (inert unless a CrashPlan is active): every
+        # delivery a crash/partition put at risk; reconciled in crash_lost()
         self._track_crash = False
-        self._crash_marked: dict[tuple[int, int], tuple[int, int]] = {}
-        # (client, event_id) pairs lost through the *fault* path while
-        # crash tracking is on, so a marked pair that the wireless fault
-        # injector happened to drop is not double-counted
+        self._crash_marked: set[tuple[int, int]] = set()
+        # pairs lost through the *fault* path, so a marked pair that the
+        # wireless fault injector happened to drop is not double-counted
         self._lost_pairs: set[tuple[int, int]] = set()
         # reliability-mode reconciliation (inert unless enable_reliability):
         # the retransmit/shed machinery makes the final fate of a dropped
@@ -114,11 +126,11 @@ class DeliveryChecker:
         # precedence delivered > shed > lost > crash_lost
         self._rel_mode = False
         # drops covered by an active retransmit window at drop time
-        self._recover_marked: dict[tuple[int, int], tuple[int, int]] = {}
+        self._recover_marked: set[tuple[int, int]] = set()
         # explicit overload write-offs (queue shed / breaker / exhaustion)
-        self._shed_marked: dict[tuple[int, int], tuple[int, int]] = {}
+        self._shed_marked: set[tuple[int, int]] = set()
         # fault drops with no retry cover (counted lost if never delivered)
-        self._loss_marked: dict[tuple[int, int], tuple[int, int]] = {}
+        self._loss_marked: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
     # crash-loss accounting (the accounted-loss crash model)
@@ -134,32 +146,40 @@ class DeliveryChecker:
         :meth:`crash_lost`. Callers only mark pairs the subscription model
         actually expects, keeping the ledger exact.
         """
-        self._crash_marked[(client, event.event_id)] = (
-            event.publisher, event.seq
-        )
+        self._crash_marked.add((client, event.event_id))
+
+    def _expected(self, client: int, event: Notification) -> bool:
+        """Did ``on_publish`` count ``event`` for ``client``?"""
+        pub, seq, topic = event.publisher, event.seq, event.topic
+        if self._published.get(pub, 0) >> seq & 1:
+            for lo, hi, before in self._ranges.get(client, ()):
+                if lo <= topic <= hi and not before.get(pub, 0) >> seq & 1:
+                    return True
+        return False
+
+    def _open(self, pair: tuple[int, int]) -> bool:
+        """Is the marked (client, event_id) ``pair`` still undelivered?"""
+        return pair[1] in self._outstanding.get(pair[0], ())
 
     def delivered_pair(self, client: int, event: Notification) -> bool:
-        """Was ``event`` (by publisher/seq identity) delivered to ``client``?"""
-        seen = self._seen.get((client, event.publisher))
-        return seen is not None and event.seq in seen
+        """Was ``event`` delivered to ``client``?"""
+        eid = event.event_id
+        if eid in self._outstanding.get(client, ()):
+            return False
+        return self._expected(client, event) or (
+            eid in self._unexpected.get(client, ())
+        )
 
     def max_delivered_seq(self, client: int, publisher: int) -> int:
         """Highest seq from ``publisher`` delivered to ``client`` (-1 if none)."""
-        return self._max_seq.get((client, publisher), -1)
+        return self._max_seq.get(client, {}).get(publisher, -1)
 
     def crash_lost(self) -> int:
         """At-risk pairs that were neither delivered nor fault-lost."""
-        lost = 0
-        for (client, event_id), (publisher, seq) in self._crash_marked.items():
-            seen = self._seen.get((client, publisher))
-            if seen is not None and seq in seen:
-                continue
-            if (client, event_id) in self._lost_pairs:
-                continue
-            if self._rel_mode and (client, event_id) in self._shed_marked:
-                continue  # already settled as an overload write-off
-            lost += 1
-        return lost
+        at_risk = self._crash_marked - self._lost_pairs
+        if self._rel_mode:
+            at_risk -= self._shed_marked  # settled as overload write-offs
+        return sum(map(self._open, at_risk))
 
     # ------------------------------------------------------------------
     # reliability-mode reconciliation
@@ -168,17 +188,11 @@ class DeliveryChecker:
         """Switch loss accounting to end-of-run reconciliation (see above)."""
         self._rel_mode = True
 
-    def _delivered_ps(self, client: int, publisher: int, seq: int) -> bool:
-        seen = self._seen.get((client, publisher))
-        return seen is not None and seq in seen
-
     def on_recoverable_drop(self, client: int, event: Notification) -> None:
         """A reliable frame was dropped while its retransmit window is
         live: no write-off yet — the retry either delivers it (counted
         ``recovered``) or the window is shed/exhausted (counted there)."""
-        self._recover_marked[(client, event.event_id)] = (
-            event.publisher, event.seq
-        )
+        self._recover_marked.add((client, event.event_id))
 
     def mark_shed(self, client: int, event: Notification) -> None:
         """The overload policy wrote this delivery off explicitly.
@@ -187,9 +201,7 @@ class DeliveryChecker:
         (e.g. a copy already on the air when the window was exhausted)
         reconciles to zero at finalize.
         """
-        self._shed_marked[(client, event.event_id)] = (
-            event.publisher, event.seq
-        )
+        self._shed_marked.add((client, event.event_id))
 
     def finalize_crash_accounting(self) -> None:
         """Settle all reconciled ledgers into :attr:`stats` (end of run).
@@ -200,38 +212,21 @@ class DeliveryChecker:
         the alias new call sites use.
         """
         if self._rel_mode:
-            recovered = 0
-            lost = 0
-            shed = 0
-            for (client, eid), (pub, seq) in self._shed_marked.items():
-                if not self._delivered_ps(client, pub, seq):
-                    shed += 1
-            for (client, eid), (pub, seq) in self._loss_marked.items():
-                if self._delivered_ps(client, pub, seq):
-                    continue  # a later retransmit of a retired window won
-                if (client, eid) in self._shed_marked:
-                    continue  # written off as shed, count once
-                if (client, eid) in self._crash_marked:
-                    continue  # settled by the crash ledger (crash > lost)
-                lost += 1
-            for (client, eid), (pub, seq) in self._recover_marked.items():
-                if self._delivered_ps(client, pub, seq):
-                    recovered += 1
-                    continue
-                if (client, eid) in self._shed_marked or (
-                    (client, eid) in self._loss_marked
-                ):
-                    continue
-                if (client, eid) in self._crash_marked:
-                    continue  # settled by the crash ledger below
-                # a drop the layer claimed retry cover for but never
-                # redelivered nor wrote off: surface it as a loss so the
-                # reliability invariant lane fails loudly instead of
-                # hiding the hole in `missing`
-                lost += 1
-            self.stats.recovered = recovered
-            self.stats.lost_explicit = lost
-            self.stats.shed = shed
+            undelivered = self._open  # a late retransmit may have won
+            # each pair counts once: shed there, crash-marked in its ledger
+            elsewhere = self._shed_marked | self._crash_marked
+            # second term: a drop the layer claimed retry cover for but
+            # never redelivered nor wrote off surfaces as a loss, so the
+            # reliability lane fails loudly instead of hiding it in `missing`
+            self.stats.lost_explicit = sum(
+                map(undelivered, self._loss_marked - elsewhere)
+            ) + sum(map(
+                undelivered, self._recover_marked - elsewhere - self._loss_marked
+            ))
+            self.stats.recovered = len(self._recover_marked) - sum(
+                map(undelivered, self._recover_marked)
+            )
+            self.stats.shed = sum(map(undelivered, self._shed_marked))
         if self._track_crash:
             self.stats.crash_lost = self.crash_lost()
 
@@ -245,52 +240,53 @@ class DeliveryChecker:
         self._sub_lo.append(lo)
         self._sub_hi.append(hi)
         self._arrays = None
+        # events published before now are not expected by this range
+        self._ranges.setdefault(client, []).append(
+            (lo, hi, dict(self._published))
+        )
         self.expected_per_client.setdefault(client, 0)
-        self.delivered_per_client.setdefault(client, 0)
+        self._outstanding.setdefault(client, set())
 
-    def _ensure_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def matching_clients(self, topic: float) -> np.ndarray:
         if self._arrays is None:
             self._arrays = (
                 np.asarray(self._sub_clients, dtype=np.int64),
                 np.asarray(self._sub_lo, dtype=np.float64),
                 np.asarray(self._sub_hi, dtype=np.float64),
             )
-        return self._arrays
-
-    def matching_clients(self, topic: float) -> np.ndarray:
-        clients, lo, hi = self._ensure_arrays()
-        mask = (lo <= topic) & (topic <= hi)
-        return clients[mask]
+        clients, lo, hi = self._arrays
+        return clients[(lo <= topic) & (topic <= hi)]
 
     # ------------------------------------------------------------------
     def on_publish(self, event: Notification) -> None:
         self.stats.published += 1
+        pub = event.publisher
+        self._published[pub] = self._published.get(pub, 0) | 1 << event.seq
         matched = self.matching_clients(event.topic)
         self.stats.expected += int(matched.size)
-        for cid in matched:
-            self.expected_per_client[int(cid)] += 1
+        eid = event.event_id
+        for cid in matched.tolist():
+            self.expected_per_client[cid] += 1
+            self._outstanding[cid].add(eid)
 
     def on_delivery(self, client: int, event: Notification, time: float) -> None:
         self.stats.delivered += 1
-        self.delivered_per_client[client] = (
-            self.delivered_per_client.get(client, 0) + 1
-        )
-        pair = (client, event.publisher)
-        seen = self._seen.get(pair)
-        if seen is None:
-            seen = set()
-            self._seen[pair] = seen
-        if event.seq in seen:
-            self.stats.duplicates += 1
-        else:
-            seen.add(event.seq)
-            prev = self._max_seq.get(pair, -1)
-            if event.seq < prev:
-                self.stats.order_violations += 1
-            else:
-                self._max_seq[pair] = event.seq
+        eid = event.event_id
         if self.record_log:
-            self.log.append((client, event.event_id, time))
+            self.log.append((client, eid, time))
+        outstanding = self._outstanding.get(client, ())
+        if eid in outstanding:
+            outstanding.remove(eid)
+        elif self.delivered_pair(client, event):
+            self.stats.duplicates += 1
+            return
+        else:
+            self._unexpected.setdefault(client, set()).add(eid)
+        seqs = self._max_seq.setdefault(client, {})
+        if event.seq < seqs.get(event.publisher, -1):
+            self.stats.order_violations += 1
+        else:
+            seqs[event.publisher] = event.seq
 
     def on_loss(self, client: int, event: Notification) -> None:
         """An event for ``client`` was irrecoverably dropped (home-broker)."""
@@ -300,20 +296,20 @@ class DeliveryChecker:
             # retransmit, reclaim redelivery) — mark and settle at finalize
             # (crash-marked pairs settle in the crash ledger instead, so
             # _lost_pairs stays untouched here)
-            self._loss_marked[(client, event.event_id)] = (
-                event.publisher, event.seq
-            )
+            self._loss_marked.add((client, event.event_id))
             return
         self.stats.lost_explicit += 1
-        if self._track_crash:
-            self._lost_pairs.add((client, event.event_id))
+        self._lost_pairs.add((client, event.event_id))
 
     # ------------------------------------------------------------------
     def per_client_missing(self) -> dict[int, int]:
-        """Clients with expected deliveries unaccounted for (diagnostics)."""
-        out = {}
-        for cid, exp in self.expected_per_client.items():
-            got = self.delivered_per_client.get(cid, 0)
-            if exp != got:
-                out[cid] = exp - got
-        return out
+        """Clients with expected deliveries unaccounted for (diagnostics):
+        outstanding and in no write-off ledger."""
+        written_off = (
+            self._lost_pairs | self._crash_marked | self._shed_marked
+            | self._loss_marked | self._recover_marked
+        )
+        return {
+            cid: n for cid, outstanding in self._outstanding.items()
+            if (n := sum((cid, e) not in written_off for e in outstanding))
+        }

@@ -62,10 +62,10 @@ class Client:
         #: event (see _deliver_event); the delivery ledger still records
         #: every copy, so the duplicates metric is unaffected
         self.on_event = None
-        #: (publisher, seq) pairs already handed to the application —
-        #: retransmission makes duplicates a normal event, not only a
+        #: publisher -> bitmap of the seqs already handed to the application
+        #: — retransmission makes duplicates a normal event, not only a
         #: fault artifact, so the client dedups before the app boundary
-        self._seen_events: set = set()
+        self._seen_events: dict[int, int] = {}
         system.net.register_client(client_id, self._on_downlink)
 
     # ------------------------------------------------------------------
@@ -188,7 +188,8 @@ class Client:
         Every copy — including retransmitted and fault-duplicated ones —
         reaches the delivery ledger (which owns the ``duplicates``
         metric); the application callback sees each (publisher, seq)
-        exactly once.
+        exactly once, however late the copy (home-broker promises no
+        order, so no watermark): one bit per seq in a per-publisher int.
         """
         self.system.metrics.on_delivery(self.id, event, self.system.clock.now)
         dur = self.system.durability
@@ -200,10 +201,10 @@ class Client:
                 self.id, self.current_broker if self.connected else None,
                 event,
             )
-        key = (event.publisher, event.seq)
-        if key in self._seen_events:
+        bits = self._seen_events.get(event.publisher, 0)
+        if bits >> event.seq & 1:
             return
-        self._seen_events.add(key)
+        self._seen_events[event.publisher] = bits | 1 << event.seq
         if self.on_event is not None:
             self.on_event(event)
 

@@ -122,6 +122,19 @@ class TestDeliveryChecker:
         dc.on_publish(e)
         assert dc.per_client_missing() == {1: 1}
 
+    def test_per_client_missing_not_masked_by_a_duplicate(self):
+        dc = self.make()
+        a, b = ev(0, topic=0.2), ev(1, topic=0.2)
+        dc.on_publish(a)
+        dc.on_publish(b)
+        dc.on_delivery(1, a, 10.0)
+        dc.on_delivery(1, a, 11.0)  # a twice, b never
+        assert dc.stats.missing == 1
+        assert dc.per_client_missing() == {1: 1}
+        dc.on_loss(1, b)  # an accounted loss is not missing
+        assert dc.stats.missing == 0
+        assert dc.per_client_missing() == {}
+
 
 # ---------------------------------------------------------------------------
 # HandoffLog
