@@ -162,7 +162,6 @@ class Driver:
         *,
         account: Optional[Callable[[str, int, bool], None]] = None,
         unicast_hops: Optional[Callable[[int, int], int]] = None,
-        faults: Optional[Any] = None,
         queue_cap: Optional[int] = None,
         on_shed: Optional[Callable[[Any, int], bool]] = None,
     ) -> Transport:
@@ -175,7 +174,6 @@ class Driver:
             paths,
             account=account,
             unicast_hops=unicast_hops,
-            faults=faults,
             queue_cap=queue_cap,
             on_shed=on_shed,
         )

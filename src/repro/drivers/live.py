@@ -317,11 +317,12 @@ def run_virtual_scenario(cfg: "ExperimentConfig") -> "PubSubSystem":
 
     system, workload = build_system(cfg, driver=LiveDriver(VirtualClock()))
     system.metrics.delivery.record_log = True
-    run_to_quiescence(system, workload, cfg.workload.duration_ms)
-    if system.durability is not None and cfg.wal_dir is None:
-        # scratch-backed stable storage: release it once the run is
-        # audited (an explicit wal_dir belongs to the caller and is kept)
-        system.durability.close()
+    try:
+        run_to_quiescence(system, workload, cfg.workload.duration_ms)
+    finally:
+        # a scratch WAL goes however the run ended (an explicit wal_dir
+        # belongs to the caller and is kept)
+        system.close()
     return system
 
 
@@ -378,7 +379,11 @@ def run_soak(
                 quiescent=system.protocol.quiescent, timeout_s=drain_timeout_s
             )
 
-        drained = loop.run_until_complete(main())
+        try:
+            drained = loop.run_until_complete(main())
+        finally:
+            # as above; the audit below reads in-memory counters only
+            system.close()
         wall = time.perf_counter() - wall_start
         model_ms = clock.now
     finally:
@@ -389,8 +394,6 @@ def run_soak(
     # audit even when the drain timed out — the named invariant violations
     # (not a bare drain failure) are what the CLI surfaces on exit
     violations = check_invariants(cfg, outcome)
-    if system.durability is not None and cfg.wal_dir is None:
-        system.durability.close()
     if not drained:
         violations.insert(
             0,

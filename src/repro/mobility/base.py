@@ -52,6 +52,8 @@ class MobilityProtocol:
         self.clock = system.clock
         #: sans-IO message-passing facade (repro.drivers.base.Transport)
         self.net = system.net
+        #: layer-seam hook point behind :meth:`later` (empty = plain timers)
+        self._timer_guard = system.hooks.timer_guard
 
     # ------------------------------------------------------------------
     # life-cycle hooks
@@ -120,18 +122,14 @@ class MobilityProtocol:
     def later(self, broker: "Broker", delay: float, fn, *args) -> None:
         """Schedule a protocol timer owned by ``broker``.
 
-        Without an active recovery coordinator this is a plain
-        ``clock.call_later`` — byte-identical to the pre-crash behaviour.
-        With one, the timer is generation-stamped: it is silently skipped
-        if a repair round has run since it was armed or if its owning
-        broker is down, so stale continuations never act on rebuilt state.
+        A plain ``clock.call_later`` unless a layer guards protocol timers:
+        crash repair stamps the continuation with its generation, so it is
+        silently skipped if a repair round has run since or its owning
+        broker is down — stale continuations never act on rebuilt state.
         """
-        rec = self.system.recovery
-        if rec is None:
-            self.clock.call_later(delay, fn, *args)
-        else:
-            self.clock.call_later(delay, rec.guarded, broker.id,
-                                  rec.generation, fn, args)
+        for guard in self._timer_guard:
+            fn, args = guard(broker.id, fn, args)
+        self.clock.call_later(delay, fn, *args)
 
     def install_recovered(
         self, broker: "Broker", client: "object", backlog: list[Notification]

@@ -114,12 +114,10 @@ class TwoPhaseProtocol(MHHProtocol):
         ):
             om = anchor.out_migration
             path = self.system.paths.path(broker.id, om.dest)
-            targets = sorted(set(path))
-            rec = self.system.recovery
-            if rec is not None:
-                # a dead broker holds no lane and can never answer a
-                # GrantRequest; asking it would hang the prepare forever
-                targets = [t for t in targets if not rec.is_down(t)]
+            # a dead broker holds no lane and can never answer a
+            # GrantRequest; asking it would hang the prepare forever
+            down = self.system.hooks.down_brokers
+            targets = sorted(set(path) - down)
             prep = _Prepare(targets, anchor)
             self._preparing[key] = prep
             self._request_next_grant(broker, client, prep)

@@ -130,6 +130,10 @@ class LinkFaultInjector:
         #: observer for per-category surfacing (metrics.traffic); optional
         self.account_fault: Optional[Callable[[str, str, int, str], None]] = None
 
+    def register(self, hooks: Any, net: Any) -> None:
+        """Claim the wireless channels' fault hook point (the layer seam)."""
+        net.inject_faults(self)
+
     # ------------------------------------------------------------------
     # hooks called by the wireless channel
     # ------------------------------------------------------------------
@@ -173,7 +177,3 @@ class LinkFaultInjector:
         if j <= 0.0:
             return 0.0
         return float(self.rng.uniform(0.0, j))
-
-    @property
-    def jitters(self) -> bool:
-        return self.profile.wireless_jitter_ms > 0.0

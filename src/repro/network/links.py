@@ -38,17 +38,15 @@ stated above are the clock's ``(time, seq)`` order and nothing else (every
 conforming clock must preserve that tie-break, see
 :mod:`repro.drivers.base`).
 
-The wireless edge optionally takes a :class:`~repro.network.faults.
-LinkFaultInjector` (loss / duplication / jitter — see that module for the
-fault model and why wired links stay perfect). With no injector — the
-default — every code path below is byte-identical to the fault-free link
-layer: no extra branches fire and no randomness is drawn.
+The opt-in layers reach this path through hook points that are empty
+until one claims them (``inject_faults``, ``guard_wire``,
+``widen_reclaim``): docs/ARCHITECTURE.md, "Layer seam".
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import RoutingError
 from repro.network.faults import DOWNLINK, UPLINK, LinkFaultInjector
@@ -78,7 +76,8 @@ class _WirelessChannel:
     it. ``cancel_pending`` reclaims the queued (not in-service) messages in
     order — used by MHH when a client disconnects mid-backlog-drain.
 
-    With a fault injector attached, each send may be discarded (loss) or
+    ``faults`` is the channel's fault hook point: the injectors on it (none
+    on a perfect link). Each send may be discarded (loss) or
     flagged for a second handover (duplication), and each service slot may
     be stretched (jitter); the channel remains a serial FIFO throughout.
     The duplicate copy is handed over in the same instant as the original,
@@ -106,7 +105,7 @@ class _WirelessChannel:
         clock: "Clock",
         latency: float,
         deliver: Callable[[Any], None],
-        faults: Optional[LinkFaultInjector] = None,
+        faults: Sequence[LinkFaultInjector] = (),
         client: int = -1,
         direction: str = DOWNLINK,
         queue_cap: Optional[int] = None,
@@ -143,8 +142,8 @@ class _WirelessChannel:
             # channel consumes no fault randomness, so capped and uncapped
             # runs stay replayable from the same seed up to the overload
             return
-        if self.faults is not None:
-            fate = self.faults.fate(msg, self.client, self.direction)
+        for injector in self.faults:
+            fate = injector.fate(msg, self.client, self.direction)
             if fate == "drop":
                 # drop any stale dup flag (a reclaimed-and-resent message
                 # keeps its object identity; never let a discarded id linger
@@ -163,19 +162,19 @@ class _WirelessChannel:
         # only the queue), so the non-cancellable path applies
         self._in_service = msg
         latency = self.latency
-        if self.faults is not None and self.faults.jitters:
-            latency += self.faults.jitter()
+        for injector in self.faults:
+            latency += injector.jitter()
         self.busy_until = self.clock.now + latency
         self.clock.call_later_fifo(latency, self._finish, msg)
 
     def _finish(self, msg: Any) -> None:
         self._in_service = None
         self.deliver(msg)
-        if self.faults is not None and self._dup_ids:
-            if id(msg) in self._dup_ids:
-                self._dup_ids.discard(id(msg))
-                self.faults.dup_delivered(msg, self.client, self.direction)
-                self.deliver(msg)
+        if self._dup_ids and id(msg) in self._dup_ids:
+            self._dup_ids.discard(id(msg))
+            for injector in self.faults:
+                injector.dup_delivered(msg, self.client, self.direction)
+            self.deliver(msg)
         if self.queue:
             self._start(self.queue.popleft())
 
@@ -225,7 +224,6 @@ class LinkLayer:
         wireless_latency: float = WIRELESS_LATENCY_MS,
         account: Optional[AccountFn] = None,
         unicast_hops: Optional[Callable[[int, int], int]] = None,
-        faults: Optional[LinkFaultInjector] = None,
         queue_cap: Optional[int] = None,
         on_shed: Optional[Callable[[Any, int], bool]] = None,
     ) -> None:
@@ -236,14 +234,15 @@ class LinkLayer:
         self.wireless_latency = wireless_latency
         self.account: AccountFn = account or _no_account
         #: wireless fault injector (None = perfect links, the default)
-        self.faults = faults
-        #: broker crash/recovery coordinator (repro.pubsub.recovery); None
-        #: — the default — keeps every path below byte-identical to the
-        #: crash-free link layer (one attribute test per wired send)
-        self.recovery = None
-        #: reliability manager (repro.pubsub.reliability); None — the
-        #: default — keeps reclaim and send paths byte-identical
-        self.reliability = None
+        self.faults: Optional[LinkFaultInjector] = None
+        # The link side of the layer seam: hook points that stay empty / on
+        # the plain path until a layer claims them (the three methods below)
+        self._injectors: list[LinkFaultInjector] = []
+        self._blocked: list[Callable[..., bool]] = []
+        self._stale: list[Callable[..., bool]] = []
+        self._stamp: Callable[[], Any] = tuple
+        self._push = clock.call_later_fifo
+        self._wideners: list[Callable[..., list]] = []
         #: downlink bulkhead: max queued messages per client before the
         #: shed policy runs (None = unbounded, the paper's model)
         self.queue_cap = queue_cap
@@ -256,8 +255,32 @@ class LinkLayer:
         self._client_rx: dict[int, Callable[[Any], None]] = {}
         self._downlinks: dict[int, _WirelessChannel] = {}
         self._uplinks: dict[int, _WirelessChannel] = {}
-        # uplink messages are addressed to a broker chosen at send time;
-        # each queued uplink message is an (broker_id, payload) pair.
+        # uplink messages are addressed to a broker chosen at send time:
+        # each queued one is (broker_id, client_id, payload, stamp)
+
+    # ------------------------------------------------------------------
+    # the layer seam, link side
+    # ------------------------------------------------------------------
+    def inject_faults(self, injector: LinkFaultInjector) -> None:
+        """Wireless faults: fate, jitter and duplicate handover on every
+        client channel (they all share this list of injectors)."""
+        self.faults = injector
+        self._injectors.append(injector)
+
+    def guard_wire(self, blocked, stamp, stale) -> None:
+        """Crash repair: ``blocked(msg, to, hop_from)`` vetoes a wired send
+        (``hop_from`` is None for a multi-hop unicast), ``stamp()`` rides
+        with every wired and uplink message, and ``stale(msg, to, stamp)``
+        vetoes the arrival. A vetoing guard accounts for the message."""
+        self._blocked.append(blocked)
+        self._stamp = stamp
+        self._stale.append(stale)
+        self._push = self._push_guarded
+
+    def widen_reclaim(self, widen: Callable[[int, list, Any], list]) -> None:
+        """Reliability: ``widen(client_id, queued, in_service)`` returns
+        what a downlink reclaim hands back in place of ``queued``."""
+        self._wideners.append(widen)
 
     # ------------------------------------------------------------------
     # registration
@@ -271,7 +294,7 @@ class LinkLayer:
             self.clock,
             self.wireless_latency,
             rx,
-            faults=self.faults,
+            faults=self._injectors,
             client=client_id,
             direction=DOWNLINK,
             queue_cap=self.queue_cap,
@@ -281,7 +304,7 @@ class LinkLayer:
             self.clock,
             self.wireless_latency,
             self._deliver_uplink,
-            faults=self.faults,
+            faults=self._injectors,
             client=client_id,
             direction=UPLINK,
         )
@@ -293,21 +316,11 @@ class LinkLayer:
         """One wired hop between adjacent brokers (tree or grid edge)."""
         if not self.topo.has_edge(frm, to):
             raise RoutingError(f"brokers {frm} and {to} are not adjacent")
-        rec = self.recovery
-        if rec is not None:
-            if rec.is_down(to) or rec.edge_cut(frm, to):
-                rec.on_dropped_message(msg)
+        for blocked in self._blocked:
+            if blocked(msg, to, frm):
                 return
-            self.account(msg.category, 1, False)
-            self.clock.call_later_fifo(
-                self.wired_latency, self._deliver_guarded,
-                to, msg, frm, rec.generation,
-            )
-            return
         self.account(msg.category, 1, False)
-        self.clock.call_later_fifo(
-            self.wired_latency, self._deliver_broker, to, msg, frm
-        )
+        self._push(self.wired_latency, self._deliver_broker, to, msg, frm)
 
     def unicast(self, frm: int, to: int, msg: Any) -> None:
         """Multi-hop unicast over the grid shortest path.
@@ -316,25 +329,13 @@ class LinkLayer:
         ``hops * wired_latency``. ``frm == to`` delivers after zero delay
         (still FIFO-ordered behind messages already scheduled for now).
         """
-        rec = self.recovery
-        if rec is not None:
-            if rec.is_down(to):
-                rec.on_dropped_message(msg)
+        for blocked in self._blocked:
+            if blocked(msg, to, None):
                 return
-            hops = self._unicast_hops(frm, to) if frm != to else 0
-            if hops:
-                self.account(msg.category, hops, False)
-            self.clock.call_later_fifo(
-                hops * self.wired_latency, self._deliver_guarded,
-                to, msg, frm, rec.generation,
-            )
-            return
         hops = self._unicast_hops(frm, to) if frm != to else 0
         if hops:
             self.account(msg.category, hops, False)
-        self.clock.call_later_fifo(
-            hops * self.wired_latency, self._deliver_broker, to, msg, frm
-        )
+        self._push(hops * self.wired_latency, self._deliver_broker, to, msg, frm)
 
     def _deliver_broker(self, to: int, msg: Any, frm: int) -> None:
         rx = self._broker_rx.get(to)
@@ -349,20 +350,16 @@ class LinkLayer:
         for to, msg, frm in items:
             self._deliver_broker(to, msg, frm)
 
-    def _deliver_guarded(self, to: int, msg: Any, frm: int, gen: int) -> None:
-        """Wired delivery under an active crash plan.
+    def _push_guarded(self, delay: float, _deliver, to: int, msg: Any, frm: int) -> None:
+        """The wired push once a layer guards the wire (see guard_wire)."""
+        self.clock.call_later_fifo(
+            delay, self._deliver_guarded, to, msg, frm, self._stamp()
+        )
 
-        Messages are stamped with the overlay *generation* at send time; a
-        repair round advances the generation, so anything still in flight
-        when the tree is rewired is dropped (reverse-path forwarding is only
-        correct relative to the tree it was routed on) and its event cargo is
-        marked as crash-exposed. Messages addressed to a broker that crashed
-        after the send are dropped the same way.
-        """
-        rec = self.recovery
-        if rec.generation != gen or rec.is_down(to):
-            rec.on_dropped_message(msg)
-            return
+    def _deliver_guarded(self, to: int, msg: Any, frm: int, stamp: Any) -> None:
+        for stale in self._stale:
+            if stale(msg, to, stamp):
+                return
         self._deliver_broker(to, msg, frm)
 
     # ------------------------------------------------------------------
@@ -377,25 +374,17 @@ class LinkLayer:
         """Queue an uplink message; it reaches the broker after the channel
         serialises it (20 ms per message)."""
         self.account(msg.category, 1, True)
-        rec = self.recovery
-        if rec is not None:
-            self._uplinks[client_id].send(
-                (broker_id, client_id, msg, rec.generation)
-            )
-            return
-        self._uplinks[client_id].send((broker_id, client_id, msg))
+        self._uplinks[client_id].send(
+            (broker_id, client_id, msg, self._stamp())
+        )
 
     def _deliver_uplink(self, item: tuple) -> None:
-        broker_id, client_id, msg = item[0], item[1], item[2]
-        rec = self.recovery
-        if rec is not None:
-            # uplink traffic is generation-stamped too: a repair round
-            # re-synthesises the client's attachment from ground truth, so
-            # a pre-repair connect/publish arriving afterwards would double
-            # up — drop it and mark any event cargo as crash-exposed
-            gen = item[3] if len(item) > 3 else rec.generation
-            if rec.generation != gen or rec.is_down(broker_id):
-                rec.on_dropped_message(msg)
+        broker_id, client_id, msg, stamp = item
+        # uplink traffic is stamped too: a repair round re-synthesises the
+        # client's attachment from ground truth, so a pre-repair
+        # connect/publish arriving afterwards would double up
+        for stale in self._stale:
+            if stale(msg, broker_id, stamp):
                 return
         rx = self._broker_rx.get(broker_id)
         if rx is None:
@@ -405,50 +394,24 @@ class LinkLayer:
         rx(msg, -1 - client_id)
 
     def cancel_downlink_pending(self, client_id: int) -> list[Any]:
-        """Reclaim queued downlink messages for a client (see MHH PQ3).
-
-        Under reliability the reclaim is widened to the client's full
-        unacked windows: transmitted-but-dropped (and delivered-but-
-        unacked) reliable messages join the queued ones in send order, so
-        the protocol's existing requeue-and-redeliver machinery recovers
-        wireless losses through a handoff. The client-side receive state
-        dedups the delivered-but-unacked overlap.
-        """
-        pending = self._downlinks[client_id].cancel_pending()
-        rel = self.reliability
-        if rel is not None:
-            return rel.reclaim_link(
-                client_id, pending, self._downlinks[client_id]._in_service
-            )
+        """Reclaim queued downlink messages for a client (see MHH PQ3),
+        widened by whoever claimed the reclaim (reliability: the client's
+        unacked windows, see ``ReliabilityManager.reclaim_link``)."""
+        ch = self._downlinks[client_id]
+        pending = ch.cancel_pending()
+        for widen in self._wideners:
+            pending = widen(client_id, pending, ch._in_service)
         return pending
 
-    def requeue_downlink_unacked(self, client_id: int) -> list[Any]:
-        """Detach safety net: requeue a client's leftover unacked frames.
-
-        For protocol paths that drop a client without a downlink reclaim,
-        any reliable frames still unacked (and not already sitting in the
-        channel) are pushed back onto the raw channel — no fate draw, no
-        bulkhead — so the backlog drains to the detached client exactly as
-        unreclaimed plain deliveries always have. Retires the link state
-        and its timers either way. Returns the requeued frames.
-        """
-        rel = self.reliability
-        if rel is None:
-            return []
-        links = rel.pop_links_for_client(client_id)
-        if not links:
-            return []
+    def requeue_downlink_unacked(
+        self, client_id: int, frames: list[Any]
+    ) -> list[Any]:
+        """Push the ``frames`` not already sitting in the client's channel
+        back onto it — no fate draw, no bulkhead — and return them (the
+        detach safety net of ``ReliabilityManager.on_client_detach``)."""
         ch = self._downlinks[client_id]
-        present = set(map(id, ch.queue))
-        if ch._in_service is not None:
-            present.add(id(ch._in_service))
-        requeued: list[Any] = []
-        for link in links:
-            for msg in link.unacked.values():
-                if id(msg) not in present:
-                    present.add(id(msg))
-                    requeued.append(msg)
-            rel.retire_link(link)
+        present = {id(ch._in_service), *map(id, ch.queue)}
+        requeued = [msg for msg in frames if id(msg) not in present]
         if requeued:
             ch.requeue(requeued)
         return requeued

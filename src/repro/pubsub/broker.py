@@ -18,6 +18,7 @@ the broker implements only what every content-based pub/sub broker does:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Hashable, Optional, TYPE_CHECKING
 
 from repro.errors import ProtocolError
@@ -49,6 +50,14 @@ class Broker:
         self.queues: dict[int, "PersistentQueue"] = {}
         # per-client protocol scratchpad (owned by the mobility protocol)
         self.pstate: dict[int, Any] = {}
+        # the layer seam (LayerHooks): empty / the plain path by default
+        hooks = system.hooks
+        self._dispatch = {**self._CORE_DISPATCH, **hooks.broker_rx}
+        self._ingress = hooks.ingress
+        self._before_send = hooks.before_send
+        self._send_final = self._send_deliver
+        for send in hooks.final_sender:
+            self._send_final = partial(send, broker_id)
 
     # ------------------------------------------------------------------
     # message dispatch
@@ -59,14 +68,14 @@ class Broker:
         ``frm`` is the sending broker id for wired messages, or
         ``-1 - client_id`` for client uplink messages.
 
-        Dispatch is a precomputed per-message-type handler table (built
-        once at class-definition time) rather than an ``isinstance``
-        ladder: one dict probe on the hot path, and new core message
-        types extend the table instead of growing a chain of branches.
-        Unlisted types fall through to the mobility protocol's control
-        dispatch, exactly as before.
+        Dispatch is a precomputed per-message-type handler table (the core
+        types plus the ones an opt-in layer owns) rather than an
+        ``isinstance`` ladder: one dict probe on the hot path, and new
+        message types extend the table instead of growing a chain of
+        branches. Unlisted types fall through to the mobility protocol's
+        control dispatch.
         """
-        handler = self._CORE_DISPATCH.get(type(msg))
+        handler = self._dispatch.get(type(msg))
         if handler is not None:
             handler(self, msg, frm)
         else:
@@ -86,27 +95,14 @@ class Broker:
         self.system.tracer.emit(
             "publish", broker=self.id, event=msg.event.event_id
         )
-        dur = self.system.durability
-        if dur is not None:
-            # append-before-route: once the ingress broker accepts the
-            # publish, the event is recoverable from its WAL no matter
-            # which broker in the dissemination tree dies next
-            dur.on_publish(self.id, msg.event)
+        for accept in self._ingress:
+            accept(self.id, msg.event)
         self.route_event(msg.event, from_broker=None)
 
     def _rx_connect(self, msg: m.ConnectMessage, frm: int) -> None:
         self.system.protocol.on_connect(
             self, msg.client, msg.last_broker, msg.epoch
         )
-
-    def _rx_ack(self, msg: m.AckMessage, frm: int) -> None:
-        # a client only generates acks for reliable deliveries, so the
-        # manager is always present when one arrives
-        self.system.reliability.on_ack(self.id, msg)
-
-    def _rx_session_transfer(self, msg: "m.SessionTransfer", frm: int) -> None:
-        # synthesized by the repair round in durable runs only
-        self.system.durability.on_session_transfer(self, msg)
 
     # ------------------------------------------------------------------
     # event routing (hot path)
@@ -138,17 +134,15 @@ class Broker:
         """Queue one event on the client's wireless downlink.
 
         This is the single funnel every protocol's final delivery goes
-        through; with the reliability layer enabled it sequences the
-        message and arms the retransmission machinery instead.
+        through: what must precede the send (the WAL's append), then the
+        final sender — the plain message below unless a layer claimed it
+        (reliability sequences the frame and arms its retransmission).
         """
-        dur = self.system.durability
-        if dur is not None:
-            # append-before-send: the frame is durable before it is queued
-            dur.on_deliver(self.id, client, event)
-        rel = self.system.reliability
-        if rel is not None:
-            rel.send(self.id, client, event)
-            return
+        for prepare in self._before_send:
+            prepare(self.id, client, event)
+        self._send_final(client, event)
+
+    def _send_deliver(self, client: int, event: Notification) -> None:
         self.net.send_client(client, m.DeliverMessage(client, event))
 
     # ------------------------------------------------------------------
@@ -205,8 +199,6 @@ class Broker:
         m.SubscribeMessage: _handle_subscribe,
         m.UnsubscribeMessage: _handle_unsubscribe,
         m.ConnectMessage: _rx_connect,
-        m.AckMessage: _rx_ack,
-        m.SessionTransfer: _rx_session_transfer,
     }
 
     def _advertise(self, nbr: int, key: Hashable, f: Filter, category: str) -> None:

@@ -66,6 +66,9 @@ class Client:
         #: — retransmission makes duplicates a normal event, not only a
         #: fault artifact, so the client dedups before the app boundary
         self._seen_events: dict[int, int] = {}
+        #: the layer seam (LayerHooks): every list empty on the plain path
+        self._hooks = system.hooks
+        self._on_delivered = system.hooks.delivered
         system.net.register_client(client_id, self._on_downlink)
 
     # ------------------------------------------------------------------
@@ -76,11 +79,8 @@ class Client:
         wireless uplink latency."""
         if self.connected:
             raise ClientStateError(f"client {self.id} already connected")
-        rec = self.system.recovery
-        if rec is not None:
-            # station association: a dead base station answers no probes, so
-            # the client attaches at the nearest live one instead
-            broker_id = rec.reroute(broker_id)
+        for associate in self._hooks.attach_target:
+            broker_id = associate(broker_id)
         previous = self.last_broker
         self.connected = True
         self.current_broker = broker_id
@@ -99,30 +99,15 @@ class Client:
         """Silent move: detach without notice; the broker detects it
         immediately (link-layer detection, modelled as synchronous)."""
         broker = self._require_connected("disconnect")
-        self.connected = False
-        self.current_broker = None
-        self.last_broker = broker
-        self.system.metrics.on_client_disconnect(self.id, self.system.clock.now)
-        self.system.protocol.on_disconnect(self.system.brokers[broker], self.id)
-        rel = self.system.reliability
-        if rel is not None:
-            # safety net AFTER the protocol handler: whatever the handoff
-            # did not reclaim keeps draining to the detached client
-            rel.on_client_detach(self.id)
+        self._detach(
+            broker, self.system.protocol.on_disconnect,
+            self.system.brokers[broker], self.id,
+        )
 
     def force_disconnect(self) -> None:
         """Crash-side detach: the attached broker just died, so no protocol
         disconnect handler runs (there is no broker left to run it)."""
-        broker = self._require_connected("force_disconnect")
-        self.connected = False
-        self.current_broker = None
-        self.last_broker = broker
-        self.system.metrics.on_client_disconnect(self.id, self.system.clock.now)
-        rel = self.system.reliability
-        if rel is not None:
-            # the crash reclaim (RecoveryCoordinator) marks whatever it
-            # pulls; this only clears timers/links the reclaim missed
-            rel.on_client_detach(self.id)
+        self._detach(self._require_connected("force_disconnect"))
 
     def proclaim_and_disconnect(self, dest_broker: int) -> None:
         """Proclaimed move (§4.1): announce the destination, then detach.
@@ -132,16 +117,22 @@ class Client:
         where its subscription (and stored events) will be rooted.
         """
         broker = self._require_connected("proclaim_and_disconnect")
+        self._detach(
+            dest_broker, self.system.protocol.on_proclaimed_disconnect,
+            self.system.brokers[broker], self.id, dest_broker,
+        )
+
+    def _detach(self, last_broker: int, handler=None, *args) -> None:
         self.connected = False
         self.current_broker = None
-        self.last_broker = dest_broker if dest_broker != broker else broker
+        self.last_broker = last_broker
         self.system.metrics.on_client_disconnect(self.id, self.system.clock.now)
-        self.system.protocol.on_proclaimed_disconnect(
-            self.system.brokers[broker], self.id, dest_broker
-        )
-        rel = self.system.reliability
-        if rel is not None:
-            rel.on_client_detach(self.id)
+        if handler is not None:
+            handler(*args)
+        # AFTER the protocol handler: what the handoff did not reclaim
+        # (reliability's unacked windows) keeps draining to the client
+        for detached in self._hooks.detach:
+            detached(self.id)
 
     def _require_connected(self, op: str) -> int:
         if not self.connected or self.current_broker is None:
@@ -164,9 +155,8 @@ class Client:
         )
         self._pub_seq += 1
         self.system.metrics.on_publish(event)
-        rec = self.system.recovery
-        if rec is not None:
-            rec.on_publish(event)
+        for mark in self._hooks.client_publish:
+            mark(event)
         self.system.net.send_uplink(
             self.id, broker, m.PublishMessage(event)
         )
@@ -175,12 +165,11 @@ class Client:
     def _on_downlink(self, msg: m.Message) -> None:
         if type(msg) is m.DeliverMessage:
             self._deliver_event(msg.event)
-        elif type(msg) is m.ReliableDeliver:
-            # sequenced delivery: the reliability layer orders/dedups per
-            # (client, origin) session and calls back into _deliver_event
-            self.system.reliability.on_deliver(self, msg)
-        else:  # pragma: no cover - no other downlink message types exist
-            raise ClientStateError(f"unexpected downlink message {msg!r}")
+        else:
+            # a message type a layer owns (ReliableDeliver: reliability
+            # orders/dedups per (client, origin) session and calls back
+            # into _deliver_event); there are no other downlink types
+            self._hooks.client_rx[type(msg)](self, msg)
 
     def _deliver_event(self, event: Notification) -> None:
         """Record one delivered copy; hand *distinct* events to the app.
@@ -192,12 +181,8 @@ class Client:
         order, so no watermark): one bit per seq in a per-publisher int.
         """
         self.system.metrics.on_delivery(self.id, event, self.system.clock.now)
-        dur = self.system.durability
-        if dur is not None:
-            # advance the durable delivery cursor (app-level receipt; a
-            # no-op under the reliability layer, whose cumulative ACK is
-            # the cursor of record)
-            dur.on_client_delivered(
+        for receipt in self._on_delivered:
+            receipt(
                 self.id, self.current_broker if self.connected else None,
                 event,
             )

@@ -2,9 +2,9 @@
 
 This module acts on a :class:`~repro.network.recovery.CrashPlan`. It is the
 control-plane analogue of PR 4's wireless fault injector: a
-:class:`RecoveryCoordinator` is only built for an *active* plan, so
-crash-free runs execute exactly the pre-crash code paths and stay
-bit-identical to the seed behaviour.
+:class:`RecoveryCoordinator` is only built for an *active* plan and claims
+its hook points in :meth:`RecoveryCoordinator.register`
+(docs/ARCHITECTURE.md, "Layer seam").
 
 The accounted-loss crash model
 ------------------------------
@@ -152,7 +152,10 @@ class RecoveryCoordinator:
         #: bumped by every repair round; messages and protocol timers carry
         #: the generation they were created under and are dropped on mismatch
         self.generation = 0
-        self.down: set[int] = set()
+        self._hooks = system.hooks
+        #: the seam's shared down set: every layer and protocol that asks
+        #: "is this broker dead" holds this very object
+        self.down: set[int] = self._hooks.down_brokers
         self.cut: set[tuple[int, int]] = set()
         #: True between a failure event and the completing repair round:
         #: the overlay may silently eat any publish, so they are all marked
@@ -162,16 +165,46 @@ class RecoveryCoordinator:
         #: after reconvergence" invariant is not vacuous
         self.repairs = 0
         self.post_repair_publishes = 0
-        self.last_repair_time = float("-inf")
 
     # ------------------------------------------------------------------
-    # queries (link layer, timers, clients)
+    # the layer seam: link guards, timers, clients
     # ------------------------------------------------------------------
-    def is_down(self, broker: int) -> bool:
-        return broker in self.down
+    def register(self, hooks, net) -> None:
+        """Claim the hook points of crash repair and arm the plan."""
+        net.guard_wire(self._blocked, self._stamp, self._stale)
+        hooks.attach_target.append(self.reroute)
+        hooks.client_publish.append(self.on_publish)
+        hooks.timer_guard.append(self._guard_timer)
+        self.system.metrics.delivery.enable_crash_tracking()
+        self.schedule()
 
-    def edge_cut(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.cut
+    def _blocked(self, msg: m.Message, to: int, hop_from) -> bool:
+        """Wired send guard: dead destination, or a cut overlay hop (a
+        multi-hop unicast, ``hop_from`` None, rides the grid past cuts)."""
+        if to in self.down or (
+            hop_from is not None
+            and (min(hop_from, to), max(hop_from, to)) in self.cut
+        ):
+            self.on_dropped_message(msg)
+            return True
+        return False
+
+    def _stamp(self) -> int:
+        return self.generation
+
+    def _stale(self, msg: m.Message, to: int, generation: int) -> bool:
+        """Wired and uplink arrival guard. Messages carry the generation
+        they were sent under; a repair round advances it, so anything in
+        flight when the tree is rewired is dropped (reverse-path forwarding
+        is only correct relative to the tree it was routed on), as is
+        anything addressed to a broker that crashed after the send."""
+        if generation != self.generation or to in self.down:
+            self.on_dropped_message(msg)
+            return True
+        return False
+
+    def _guard_timer(self, broker_id: int, fn, args) -> tuple:
+        return self.guarded, (broker_id, self.generation, fn, args)
 
     def guarded(self, broker_id: int, generation: int, fn, args) -> None:
         """Run a protocol timer continuation unless a repair round has
@@ -216,12 +249,11 @@ class RecoveryCoordinator:
         elif t is m.EventMessage or t is m.PublishMessage:
             for cid in checker.matching_clients(msg.event.topic):
                 checker.mark_crash_risk(int(cid), msg.event)
-            if t is m.PublishMessage and self.system.durability is not None:
-                # the publish died before reaching any broker's WAL —
-                # brokered logs cannot replay what they never saw. Model
-                # the durable publisher outbox: the client library keeps
-                # the event and re-submits it after the repair round.
-                self.system.durability.dead_letter(msg.event)
+            if t is m.PublishMessage:
+                # the publish died before reaching any broker (the WAL
+                # models the durable publisher outbox that re-submits it)
+                for lost in self._hooks.publish_dropped:
+                    lost(msg.event)
 
     # ------------------------------------------------------------------
     # schedule execution
@@ -264,12 +296,10 @@ class RecoveryCoordinator:
                     if isinstance(pending, m.DeliverMessage):
                         checker.mark_crash_risk(cid, pending.event)
                 client.force_disconnect()
-        if system.reliability is not None:
-            # retire any straggler transmit windows owned by the corpse:
-            # the epoch bump cancels their pending retransmission timers
-            # (a timer armed mid-backoff must never fire into the repaired
-            # generation), and their frames are marked crash-exposed
-            system.reliability.on_broker_crash(bid)
+        # layers holding per-broker state sweep what the corpse owned
+        # (reliability: straggler transmit windows and their timers)
+        for sweep in self._hooks.broker_crash:
+            sweep(bid)
         broker.queues.clear()
         broker.pstate.clear()
         system.tracer.emit("broker_crash", broker=bid)
@@ -315,26 +345,18 @@ class RecoveryCoordinator:
             for cid, ev in protocol.gather_stray(broker):
                 keep(cid, ev)
 
-        dur = system.durability
-        rel = system.reliability
-        if rel is not None:
-            # no reliability state may outlive a corpse: cancel pending
-            # retransmit timers against down brokers and drop their stale
-            # breaker verdicts before sessions are re-homed
-            rel.on_overlay_repair(self.down)
-        if dur is not None:
-            # stable storage outlives the processes: replay every broker's
-            # WAL and fold the logged events back into the backlog for all
-            # matching subscribers. Volatile queues lost to a crash are
-            # thereby rebuilt from the log (crash_lost -> 0); `keep`
-            # dedups against what the live gather already found.
-            for ev in dur.replay_events():
-                for cid in checker.matching_clients(ev.topic):
-                    keep(int(cid), ev)
-            # publisher-outbox re-submission: publishes that died on the
-            # wire before any broker logged them re-enter through the same
-            # backlog path (keep dedups pairs already delivered or queued)
-            for ev in dur.dead_letter_events():
+        # no layer state may outlive a corpse (reliability: retransmit
+        # timers against down brokers, stale breaker verdicts) — swept
+        # before sessions are re-homed
+        for sweep in self._hooks.overlay_repair:
+            sweep(self.down)
+        # stable storage outlives the processes: the WAL's replayed events
+        # and the publisher outbox's dead letters are folded back into the
+        # backlog for all matching subscribers, so volatile queues lost to
+        # a crash are rebuilt from the log (crash_lost -> 0); `keep` dedups
+        # against what the live gather already found
+        for source in self._hooks.backlog_source:
+            for ev in source():
                 for cid in checker.matching_clients(ev.topic):
                     keep(int(cid), ev)
 
@@ -367,12 +389,11 @@ class RecoveryCoordinator:
                 system.brokers[anchor], client, events
             )
             self._flood_entry(anchor, entry.key, entry.filter)
-            if dur is not None:
-                # if the client's durable session was anchored at a broker
-                # now declared dead, hand the unacked window over to the
-                # new anchor (rides this synchronous resync) instead of
-                # letting retries exhaust against the corpse
-                dur.rehome_session(cid, anchor, self.down)
+            # a durable session anchored at a broker now declared dead
+            # hands its unacked window over to the new anchor (rides this
+            # synchronous resync) instead of retrying against the corpse
+            for rehome in self._hooks.rehome:
+                rehome(cid, anchor, self.down)
             if client.connected:
                 protocol.on_connect(
                     system.brokers[client.current_broker],
@@ -384,7 +405,6 @@ class RecoveryCoordinator:
                 client.last_broker = anchor
         self._dirty = False
         self.repairs += 1
-        self.last_repair_time = system.clock.now
         system.tracer.emit(
             "overlay_repair", generation=self.generation, alive=len(alive)
         )

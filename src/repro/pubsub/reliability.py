@@ -12,9 +12,10 @@ breaker trips.
 
 Design constraints, in order:
 
-* **Default-off is byte-identical.** The manager is only constructed when
-  ``reliable=True``; no default code path allocates, branches or draws
-  randomness differently.
+* **Default-off is absent.** The manager is only constructed when
+  ``reliable=True`` and reaches the kernel through the hook points it
+  claims in :meth:`ReliabilityManager.register` (docs/ARCHITECTURE.md,
+  "Layer seam").
 * **Sans-IO and replayable.** All timing goes through the system's
   :class:`~repro.drivers.base.Clock` facade and all jitter comes from a
   dedicated :class:`~repro.sim.rng.RandomStreams` stream
@@ -29,10 +30,9 @@ Design constraints, in order:
   handoff. Protocol paths that skip the reclaim are covered by a detach
   safety net that requeues leftovers onto the raw channel.
 * **Composes with crash recovery.** Retransmission timers check the
-  :class:`~repro.pubsub.recovery.RecoveryCoordinator`'s down set before
-  firing (retries never fight a repair round), and a crashed broker's
-  unacked window is surfaced to the crash-risk marking through the same
-  reclaim call the coordinator already performs.
+  seam's down set before firing (retries never fight a repair round), and
+  a crashed broker's unacked window is surfaced to the crash-risk marking
+  through the same reclaim call the coordinator already performs.
 
 Accounting: the delivery checker runs in *reconciling* mode under
 reliability (see :meth:`~repro.metrics.delivery.DeliveryChecker.
@@ -52,6 +52,7 @@ from repro.pubsub import messages as m
 from repro.pubsub.events import Notification
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.pubsub.broker import Broker
     from repro.pubsub.client import Client
     from repro.pubsub.system import PubSubSystem
 
@@ -191,6 +192,12 @@ class ReliabilityManager:
     ) -> None:
         self.system = system
         self.retry_budget = retry_budget
+        #: durable runs never write a window off against a live broker: its
+        #: frames are WAL-covered, so it retries at the capped backoff until
+        #: the client acks or a repair round re-homes the session
+        self._write_off = not system.options.durable
+        self._down = system.hooks.down_brokers
+        self._settled = system.hooks.settled
         self.rto_base_ms = rto_base_ms
         self.rto_max_ms = rto_max_ms
         self.ack_delay_ms = ack_delay_ms
@@ -215,6 +222,18 @@ class ReliabilityManager:
         #: so this counter must stay 0 — pinned by a regression test and
         #: by the fuzzer's crash x reliability invariant rows.
         self.stale_timer_fires = 0
+
+    def register(self, hooks, net) -> None:
+        """Claim the hook points of end-to-end reliable delivery."""
+        hooks.final_sender.append(self.send)
+        hooks.broker_rx[m.AckMessage] = self.on_ack
+        hooks.client_rx[m.ReliableDeliver] = self.on_deliver
+        hooks.detach.append(self.on_client_detach)
+        hooks.retry_covered.append(self.is_tracked)
+        hooks.broker_crash.append(self.on_broker_crash)
+        hooks.overlay_repair.append(self.on_overlay_repair)
+        net.widen_reclaim(self.reclaim_link)
+        self.system.metrics.delivery.enable_reliability()
 
     # ------------------------------------------------------------------
     # broker-side transmit path
@@ -292,22 +311,16 @@ class ReliabilityManager:
     def _on_timeout(self, link: _LinkTx, epoch: int) -> None:
         if epoch != link.timer_epoch or not link.unacked:
             return  # cancelled (ack progress / reclaim) or fully acked
-        rec = self.system.recovery
-        if rec is not None and rec.is_down(link.broker):
+        if link.broker in self._down:
             # the owning broker died; the crash path reclaims and marks
             # this window — retries must never fight the coordinator.
             # on_broker_crash cancels these timers at crash time, so this
             # branch is a belt-and-braces guard that must never fire.
             self.stale_timer_fires += 1
             return
-        if link.attempts >= self.retry_budget:
-            if self.system.durability is None:
-                self._exhaust(link)
-                return
-            # durable runs never write a window off against a live broker:
-            # the frames are WAL-covered, so keep retrying at the capped
-            # backoff until the client acks or the repair round re-homes
-            # the session (dead brokers are swept by on_broker_crash)
+        if link.attempts >= self.retry_budget and self._write_off:
+            self._exhaust(link)
+            return
         link.attempts += 1
         seq, msg = next(iter(link.unacked.items()))
         self.retry_log.append(
@@ -324,12 +337,7 @@ class ReliabilityManager:
         """Retry budget ran dry: write the window off and consult the breaker."""
         now = self.system.clock.now
         metrics = self.system.metrics
-        breaker = self._breakers.get((link.broker, link.client))
-        if breaker is None:
-            breaker = CircuitBreaker(
-                self._breaker_threshold, self._breaker_cooloff_ms
-            )
-            self._breakers[(link.broker, link.client)] = breaker
+        breaker = self.breaker_for(link.broker, link.client)
         for msg in link.unacked.values():
             metrics.traffic.account_shed("retry_exhausted", link.client)
             metrics.delivery.mark_shed(link.client, msg.event)
@@ -375,23 +383,23 @@ class ReliabilityManager:
             del self._breakers[key]
 
     # -- acks ------------------------------------------------------------
-    def on_ack(self, broker_id: int, msg: m.AckMessage) -> None:
-        """Broker dispatch hook for client acks."""
+    def on_ack(self, broker: "Broker", msg: m.AckMessage, frm: int) -> None:
+        """Broker dispatch handler for client acks."""
+        broker_id = broker.id
         link = self._links.get((broker_id, msg.client))
         if link is None or link.session != msg.session:
             return  # stale session: the window was reclaimed or rebuilt
         progress = False
-        dur = self.system.durability
         while link.unacked:
             seq = next(iter(link.unacked))
             if seq > msg.cum_ack:
                 break
             acked = link.unacked.pop(seq)
             link.nack_retx.discard(seq)
-            if dur is not None:
-                # the cumulative ack is the durable delivery cursor:
-                # log the settlement so checkpointing can compact it away
-                dur.on_settled(broker_id, msg.client, acked.event)
+            for settle in self._settled:
+                # the cumulative ack is the durable delivery cursor: the
+                # WAL logs the settlement so checkpointing can compact it
+                settle(broker_id, msg.client, acked.event)
             progress = True
         if progress:
             link.attempts = 0
@@ -500,18 +508,17 @@ class ReliabilityManager:
         air, but a gap below it would make the client hold it back, so the
         protocol must own a copy (the client dedups the overlap).
         """
-        links = self._links_by_client.pop(client_id, None)
+        links = self.pop_links_for_client(client_id)
         if not links:
             return queued
         out: list = []
         seen: set[int] = set()
-        for bid in sorted(links):
-            link = links[bid]
+        for link in links:
             for msg in link.unacked.values():
                 if id(msg) not in seen:
                     seen.add(id(msg))
                     out.append(msg)
-            self._retire(link, drop_index=False)
+            self.retire_link(link)
         for msg in queued:
             if id(msg) not in seen:  # untracked payloads pass through
                 seen.add(id(msg))
@@ -527,49 +534,39 @@ class ReliabilityManager:
         backlog drains to the client exactly as unreclaimed plain
         deliveries always have. Clears all timers either way.
         """
-        links = self._links_by_client.get(client_id)
-        if not links:
-            return
-        leftovers = self.system.net.requeue_downlink_unacked(client_id)
-        for msg in leftovers:
-            self.system.metrics.traffic.account_retransmit(
-                client_id, "requeue"
-            )
+        frames: list = []
+        for link in self.pop_links_for_client(client_id):
+            frames.extend(link.unacked.values())
+            self.retire_link(link)
+        account = self.system.metrics.traffic.account_retransmit
+        for _ in self.system.net.requeue_downlink_unacked(client_id, frames):
+            account(client_id, "requeue")
 
-    def _retire(self, link: _LinkTx, drop_index: bool = True) -> None:
+    def _retire(self, link: _LinkTx) -> None:
+        per_client = self._links_by_client.get(link.client)
+        if per_client is not None:
+            per_client.pop(link.broker, None)
+            if not per_client:
+                del self._links_by_client[link.client]
+        self.retire_link(link)
+
+    def retire_link(self, link: _LinkTx) -> None:
+        """Retire one link whose per-client index entry is already gone
+        (popped by a reclaim or the detach safety net)."""
         link.timer_epoch += 1
         link.unacked.clear()
         breaker = self._breakers.get((link.broker, link.client))
         if breaker is not None and link.probe:
             breaker.on_link_retired()
         link.probe = False
-        if drop_index:
-            self._links.pop((link.broker, link.client), None)
-            per_client = self._links_by_client.get(link.client)
-            if per_client is not None:
-                per_client.pop(link.broker, None)
-                if not per_client:
-                    del self._links_by_client[link.client]
-        else:
-            self._links.pop((link.broker, link.client), None)
-
-    # exposed for the link layer's requeue helper
-    def retire_link(self, link: _LinkTx) -> None:
-        """Retire one link whose per-client index entry was already popped
-        (the link layer's detach safety net)."""
-        self._retire(link, drop_index=False)
+        self._links.pop((link.broker, link.client), None)
 
     def pop_links_for_client(self, client_id: int) -> list[_LinkTx]:
-        links = self._links_by_client.pop(client_id, None)
-        if not links:
-            return []
-        out = []
-        for bid in sorted(links):
-            out.append(links[bid])
-        return out
+        links = self._links_by_client.pop(client_id, {})
+        return [links[bid] for bid in sorted(links)]
 
     def breaker_for(self, broker_id: int, client_id: int) -> CircuitBreaker:
-        """The (created-on-demand) breaker of one link — test/diagnostic."""
+        """The (created-on-demand) breaker of one link."""
         key = (broker_id, client_id)
         breaker = self._breakers.get(key)
         if breaker is None:

@@ -45,6 +45,7 @@ from repro.network.topology import grid_topology
 from repro.pubsub.broker import Broker
 from repro.pubsub.client import Client
 from repro.pubsub.filters import Filter
+from repro.pubsub.messages import DeliverMessage
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
 from repro.util.ids import IdAllocator
@@ -53,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mobility.base import MobilityProtocol
     from repro.pubsub.recovery import RecoveryCoordinator
 
-__all__ = ["PubSubSystem", "SystemOptions"]
+__all__ = ["PubSubSystem", "SystemOptions", "LayerHooks"]
 
 ProtocolSpec = Union[str, Callable[["PubSubSystem"], "MobilityProtocol"]]
 
@@ -156,6 +157,55 @@ class SystemOptions:
             )
 
 
+class LayerHooks:
+    """The kernel side of the layer seam: every hook point, empty.
+
+    An opt-in layer appends its callables in its ``register``; brokers,
+    clients, the protocol and the layers themselves bind these containers
+    once and call whatever is in them, so a layer that is off is absent,
+    not tested for. The link side is on :class:`~repro.network.links.LinkLayer`;
+    who claims what, in which order: docs/ARCHITECTURE.md, "Layer seam".
+    """
+
+    def __init__(self) -> None:
+        #: Client.connect, station association: ``broker_id -> broker_id``
+        self.attach_target: list = []
+        #: Client.publish, before the uplink send: ``(event)``
+        self.client_publish: list = []
+        #: every copy a client receives: ``(client_id, broker | None, event)``
+        self.delivered: list = []
+        #: after any client detach: ``(client_id)``
+        self.detach: list = []
+        #: Broker._rx_publish, before routing: ``(broker_id, event)``
+        self.ingress: list = []
+        #: Broker.deliver_to_client, before the send and in place of the
+        #: plain DeliverMessage send: ``(broker_id, client_id, event)``
+        self.before_send: list = []
+        self.final_sender: list = []
+        #: message type -> ``handler(broker, msg, frm)`` / ``handler(client, msg)``
+        self.broker_rx: dict = {}
+        self.client_rx: dict = {}
+        #: MobilityProtocol.later: ``(broker_id, fn, args) -> (fn, args)``
+        self.timer_guard: list = []
+        #: brokers currently down (crash repair owns and mutates the set)
+        self.down_brokers: set = set()
+        #: is a dropped or shed frame still due a retry? ``(payload) -> bool``
+        self.retry_covered: list = []
+        #: a delivery was acknowledged: ``(broker_id, client_id, event)``
+        self.settled: list = []
+        #: crash repair to the layers holding per-broker state:
+        #: ``(broker_id)`` at a crash, ``(down)`` as a repair round starts,
+        #: ``() -> events`` to re-offer, ``(client_id, anchor, down)`` per
+        #: resynced client, ``(event)`` per publish lost on the wire
+        self.broker_crash: list = []
+        self.overlay_repair: list = []
+        self.backlog_source: list = []
+        self.rehome: list = []
+        self.publish_dropped: list = []
+        #: PubSubSystem.close: ``()``
+        self.close: list = []
+
+
 class PubSubSystem:
     """A complete simulated pub/sub deployment."""
 
@@ -209,61 +259,35 @@ class PubSubSystem:
         self.paths = ShortestPaths(self.topology)
         self.tree = minimum_spanning_tree(self.topology, seed=self.seed)
 
-        #: wireless fault injector (only built for an *active* profile, so
-        #: fault-free runs stay bit-identical to the seed behaviour)
-        self.fault_injector: Optional[LinkFaultInjector] = None
-        faults = options.faults
-        if faults is not None and faults.active:
-            from repro.pubsub.messages import DeliverMessage
+        #: the kernel side of the layer seam (see :class:`LayerHooks`)
+        self.hooks = hooks = LayerHooks()
 
-            def _droppable(payload: object) -> bool:
-                # only final event deliveries ride the unreliable path;
-                # control traffic uses the link-layer ARQ (see
-                # repro.network.faults). isinstance: ReliableDeliver frames
-                # are final deliveries too and must face the same channel.
-                return isinstance(payload, DeliverMessage)
+        def retried(payload: DeliverMessage) -> bool:
+            # will a retransmission redeliver this dropped or shed frame
+            # (or eventually write its window off)? Then it is ledger-only.
+            return any(covered(payload) for covered in hooks.retry_covered)
 
-            def _on_drop(payload: "DeliverMessage") -> None:
-                rel = self.reliability
-                if rel is not None and rel.is_tracked(payload):
-                    # the retransmit window still covers this frame: a
-                    # recoverable drop, reconciled at end of run instead
-                    # of an immediate loss write-off
-                    self.metrics.on_recoverable_drop(
-                        payload.client, payload.event
-                    )
-                    return
-                self.metrics.on_loss(payload.client, payload.event)
-
-            self.fault_injector = LinkFaultInjector(
-                faults,
-                rng=self.streams.stream("faults/wireless"),
-                droppable=_droppable,
-                on_drop=_on_drop,
-            )
-            self.fault_injector.account_fault = self.metrics.traffic.account_fault
-
-        #: end-to-end reliability layer (None = the paper's best-effort
-        #: downlink, the default; built below only when reliable=True so
-        #: default-off runs construct nothing and draw nothing)
-        self.reliability = None
+        def _on_drop(payload: DeliverMessage) -> None:
+            # a recoverable drop is reconciled at end of run instead of
+            # being written off as a loss now
+            report = (self.metrics.on_recoverable_drop if retried(payload)
+                      else self.metrics.on_loss)
+            report(payload.client, payload.event)
 
         _on_shed = None
         if queue_cap is not None:
-            from repro.pubsub.messages import DeliverMessage as _Deliver
+            # capped runs write sheds off explicitly; the checker needs
+            # pair tracking to reconcile them, reliable or not
+            self.metrics.delivery.enable_reliability()
 
             def _on_shed(payload: object, client_id: int) -> bool:
                 # bulkhead policy: shed data (final deliveries), never
                 # control — control messages are admitted over-cap
-                if not isinstance(payload, _Deliver):
+                if not isinstance(payload, DeliverMessage):
                     return False
                 self.metrics.traffic.account_shed("queue_cap", client_id)
-                rel = self.reliability
-                if rel is not None and rel.is_tracked(payload):
-                    # retry-covered: the retransmission timer redelivers
-                    # (or eventually writes the window off); ledger only
-                    return True
-                self.metrics.delivery.mark_shed(client_id, payload.event)
+                if not retried(payload):
+                    self.metrics.delivery.mark_shed(client_id, payload.event)
                 return True
 
         #: sans-IO Transport facade the kernel sends through (under the
@@ -278,37 +302,55 @@ class PubSubSystem:
                 if options.unicast_routing == "tree"
                 else None
             ),
-            faults=self.fault_injector,
             queue_cap=queue_cap,
             on_shed=_on_shed,
         )
         #: legacy alias for the transport (pre-driver call sites/tests)
         self.links = self.net
 
+        # The opt-in layers: wireless faults, crash repair, ACK/retransmit,
+        # WAL. Each is built only when its option is on (an inactive fault
+        # profile or crash plan counts as off), in this order, and registers
+        # the hook points it implements before any broker, client or
+        # protocol binds them. The handles are plain attributes (None when
+        # off) for tests and reports to read counters through.
+        self.fault_injector: Optional[LinkFaultInjector] = None
+        self.recovery: Optional["RecoveryCoordinator"] = None
+        self.reliability = self.durability = None
+        faults, crashes = options.faults, options.crashes
+        if faults is not None and faults.active:
+            self.fault_injector = LinkFaultInjector(
+                faults,
+                rng=self.streams.stream("faults/wireless"),
+                # only final event deliveries ride the unreliable path;
+                # control traffic uses the link-layer ARQ (see
+                # repro.network.faults). isinstance: ReliableDeliver frames
+                # are final deliveries too and must face the same channel.
+                droppable=lambda payload: isinstance(payload, DeliverMessage),
+                on_drop=_on_drop,
+            )
+            self.fault_injector.account_fault = self.metrics.traffic.account_fault
+        if crashes is not None and crashes.active:
+            from repro.pubsub.recovery import RecoveryCoordinator
+
+            self.recovery = RecoveryCoordinator(self, crashes)
         if options.reliable:
             from repro.pubsub.reliability import ReliabilityManager
 
             self.reliability = ReliabilityManager(
                 self, retry_budget=options.retry_budget
             )
-            self.net.reliability = self.reliability
-            self.metrics.delivery.enable_reliability()
-        elif queue_cap is not None:
-            # capped-but-unreliable runs still write sheds off explicitly;
-            # the checker needs pair tracking to reconcile them
-            self.metrics.delivery.enable_reliability()
-
-        #: durable broker state (write-ahead log + persistent sessions).
-        #: Like faults/crashes/reliability, the manager is only built when
-        #: durable=True: default-off runs construct nothing, append
-        #: nothing, and stay byte-identical to the non-durable seed
-        #: behaviour (the hot-path hooks are a single `is not None` check)
-        self.durability = None
         if options.durable:
             from repro.pubsub.wal import DurabilityManager
 
             self.durability = DurabilityManager(
                 self, driver.build_log_store(options.wal_dir))
+        handles = (self.fault_injector, self.recovery, self.reliability,
+                   self.durability)
+        #: the layers that are on, in seam order
+        self.layers = [layer for layer in handles if layer is not None]
+        for layer in self.layers:
+            layer.register(hooks, self.net)
 
         self.brokers: dict[int, Broker] = {}
         for bid in range(self.topology.n):
@@ -326,18 +368,10 @@ class PubSubSystem:
             else options.covering_enabled
         )
 
-        #: crash repair (like the fault injector, only built for an
-        #: *active* plan, so crash-free runs stay bit-identical to the seed
-        #: behaviour)
-        self.recovery: Optional["RecoveryCoordinator"] = None
-        crashes = options.crashes
-        if crashes is not None and crashes.active:
-            from repro.pubsub.recovery import RecoveryCoordinator
-
-            self.recovery = RecoveryCoordinator(self, crashes)
-            self.net.recovery = self.recovery
-            self.metrics.delivery.enable_crash_tracking()
-            self.recovery.schedule()
+    def close(self) -> None:
+        """Release what the layers hold (a driver-owned scratch WAL)."""
+        for close in self.hooks.close:
+            close()
 
     # ------------------------------------------------------------------
     @property

@@ -51,7 +51,8 @@ outlives the machine that wrote it. The simulated driver backs it with
 Determinism: all bookkeeping is driven by the event stream itself (append
 counts, not wall time; sorted iteration everywhere), so durable runs stay
 byte-identical across clocks and drivers. Default-off runs construct
-nothing from this module at all.
+nothing from this module; a durable run reaches the kernel through the
+hook points of :meth:`DurabilityManager.register` (ARCHITECTURE, "Layer seam").
 """
 
 from __future__ import annotations
@@ -461,6 +462,21 @@ class DurabilityManager:
         self.handovers = 0
         self.records_appended = 0
 
+    def register(self, hooks, net) -> None:
+        """Claim the hook points of durable broker state."""
+        hooks.ingress.append(self.on_publish)
+        hooks.before_send.append(self.on_deliver)
+        hooks.broker_rx[m.SessionTransfer] = self.on_session_transfer
+        hooks.settled.append(self.on_settled)
+        if not self.system.options.reliable:
+            # the app-level receipt is the delivery cursor — unless the
+            # cumulative ACK is (hooks.settled): one source for the log
+            hooks.delivered.append(self.on_client_delivered)
+        hooks.backlog_source += self.replay_events, self.dead_letter_events
+        hooks.rehome.append(self.rehome_session)
+        hooks.publish_dropped.append(self.dead_letter)
+        hooks.close.append(self.close)
+
     # -- plumbing ---------------------------------------------------------
 
     def _append(self, broker: int, payload: tuple) -> None:
@@ -541,15 +557,8 @@ class DurabilityManager:
 
     def on_client_delivered(self, client: int, broker: Optional[int],
                             event: Notification) -> None:
-        """App-level delivery receipt — the cursor when reliability is off.
-
-        With the reliability layer on, the cumulative ACK is the durable
-        cursor (settlement happens broker-side in
-        :meth:`repro.pubsub.reliability.ReliabilityManager.on_ack`), so
-        this is a no-op there to keep the log single-sourced.
-        """
-        if self.system.reliability is not None:
-            return
+        """App-level delivery receipt — the cursor when reliability is off
+        (see :meth:`register`)."""
         s = self.sessions.get(client)
         if s is None or event.event_id not in s.unacked:
             return
@@ -699,9 +708,10 @@ class DurabilityManager:
         self.system.brokers[anchor].receive(msg, -1 - client)
         self.handovers += 1
 
-    def on_session_transfer(self, broker: "Broker",
-                            msg: "m.SessionTransfer") -> None:
-        """New anchor installs a handed-over session and logs it durably."""
+    def on_session_transfer(self, broker: "Broker", msg: "m.SessionTransfer",
+                            frm: int) -> None:
+        """New anchor installs a handed-over session and logs it durably
+        (broker dispatch handler; the repair round synthesizes the message)."""
         bid = broker.id
         s = self.sessions.get(msg.client)
         if s is None:

@@ -149,6 +149,12 @@ def test_broker_dispatch_table_covers_exactly_the_core_types():
         m.SubscribeMessage,
         m.UnsubscribeMessage,
         m.ConnectMessage,
+    }
+    # the message types a layer owns join a broker's table with the layer
+    plain = PubSubSystem(grid_k=2).brokers[0]
+    assert set(plain._dispatch) == set(Broker._CORE_DISPATCH)
+    layered = PubSubSystem(grid_k=2, reliable=True, durable=True).brokers[0]
+    assert set(layered._dispatch) - set(Broker._CORE_DISPATCH) == {
         m.AckMessage,
         m.SessionTransfer,
     }

@@ -23,6 +23,9 @@ The tentpole's acceptance battery:
 
 from __future__ import annotations
 
+import dataclasses
+import tempfile
+
 import pytest
 
 from repro.conformance.fuzzer import (
@@ -31,14 +34,16 @@ from repro.conformance.fuzzer import (
     run_scenario,
 )
 from repro.conformance.scenarios import Scenario
-from repro.drivers.live import run_virtual_scenario
+from repro.drivers.live import run_soak, run_virtual_scenario
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments import runner
 from repro.experiments.runner import build_system, drain_to_quiescence
 from repro.network.faults import FaultProfile
 from repro.network.recovery import CrashPlan
 from repro.pubsub.system import PubSubSystem
 from repro.pubsub.wal import decode_records
+from repro.workload.mobility_model import Workload
 from repro.workload.spec import WorkloadSpec
 
 SPEC = WorkloadSpec(
@@ -190,6 +195,34 @@ def test_virtual_driver_writes_real_wal_files(tmp_path):
     for path in wal_files:
         _, torn = decode_records(path.read_bytes())
         assert torn == 0
+
+
+@pytest.mark.parametrize("how", ["virtual", "soak"])
+def test_a_failed_live_run_leaves_no_scratch_wal_behind(
+        how, tmp_path, monkeypatch):
+    """The live driver's default store is a scratch directory it owns; a
+    run that raises must release it like one that ends well, while an
+    explicit ``wal_dir`` (the caller's) is kept whatever happens."""
+    scratch, kept = tmp_path / "tmp", tmp_path / "kept"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+    def boom(*_args, **_kwargs):
+        raise RuntimeError("boom")
+
+    if how == "virtual":
+        monkeypatch.setattr(runner, "run_to_quiescence", boom)
+        run = run_virtual_scenario
+    else:
+        # raises inside the event loop, one model second into the run
+        monkeypatch.setattr(Workload, "stop", boom)
+        run = run_soak
+    brief = dataclasses.replace(SPEC, duration_s=1.0)
+    for cfg in (_dur_cfg(), _dur_cfg(wal_dir=str(kept))):
+        with pytest.raises(RuntimeError, match="boom"):
+            run(dataclasses.replace(cfg, workload=brief))
+    assert list(scratch.iterdir()) == []
+    assert kept.is_dir()  # the caller's log directory stays
 
 
 # ---------------------------------------------------------------------------

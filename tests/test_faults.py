@@ -190,7 +190,7 @@ def make_channel(profile, delivered, droppable=lambda _msg: True,
         on_drop=(dropped.append if dropped is not None else lambda _m: None),
     )
     channel = _WirelessChannel(
-        sim, 20.0, delivered.append, faults=injector, client=7
+        sim, 20.0, delivered.append, faults=[injector], client=7
     )
     return sim, channel, injector
 

@@ -1,8 +1,14 @@
 """Tests for the two-phase handoff extension (models [12])."""
 
+import pytest
+
+from repro.errors import ProtocolError
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
 from repro.mobility.two_phase import TwoPhaseProtocol
 from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
+from repro.workload.spec import WorkloadSpec
 
 
 def build(k=4, seed=1):
@@ -82,3 +88,28 @@ def test_conflicts_counted_under_heavy_concurrency():
     assert stats.duplicates == 0
     # with 8 simultaneous migrations on a 4x4 grid, some paths must overlap
     assert system.protocol.conflicts > 0
+
+
+# ---------------------------------------------------------------------------
+# Known failure (a) of benchmarks/e2e/README.md, pinned (ROADMAP item 1)
+# ---------------------------------------------------------------------------
+def _high_mobility(protocol):
+    """The Fig 5 high-mobility edge: k=7, 5 clients per broker, connected
+    1 s / disconnected 1 s, for 120 model seconds."""
+    return run_experiment(ExperimentConfig(
+        protocol, grid_k=7, seed=1, workload=WorkloadSpec(
+            clients_per_broker=5, mean_connected_s=1, mean_disconnected_s=1,
+            publish_interval_s=60, duration_s=120)))
+
+
+def test_mhh_runs_the_high_mobility_point():
+    row = _high_mobility("mhh")
+    assert row.handoffs > 2000
+    assert (row.missing, row.duplicates, row.order_violations) == (0, 0, 0)
+
+
+@pytest.mark.xfail(strict=True, raises=ProtocolError,
+                   reason="Known failure (a): queue_streamed with no anchor; "
+                          "ROADMAP item 1 fixes two-phase or deletes it")
+def test_two_phase_runs_the_high_mobility_point():
+    assert _high_mobility("two-phase").missing == 0
