@@ -52,6 +52,9 @@ class MobilityProtocol:
         self.clock = system.clock
         #: sans-IO message-passing facade (repro.drivers.base.Transport)
         self.net = system.net
+        #: emit under ``if self.tracer.wants(category)``: a run with tracing
+        #: off then builds no record fields
+        self.tracer = system.tracer
         #: layer-seam hook point behind :meth:`later` (empty = plain timers)
         self._timer_guard = system.hooks.timer_guard
 

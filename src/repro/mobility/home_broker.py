@@ -136,9 +136,10 @@ class HomeBrokerProtocol(MobilityProtocol):
         # reconnect at a foreign broker: register with home
         epoch = self._next_epoch(client)
         broker.pstate[client] = _ForeignState(epoch)
-        self.system.tracer.emit(
-            "hb_register", client=client, foreign=broker.id, home=home
-        )
+        if self.tracer.wants("hb_register"):
+            self.tracer.emit(
+                "hb_register", client=client, foreign=broker.id, home=home
+            )
         self.net.unicast(
             broker.id, home, m.Register(client, broker.id, epoch)
         )
@@ -289,10 +290,11 @@ class HomeBrokerProtocol(MobilityProtocol):
             # the client left this foreign broker while the events were in
             # transit: irrecoverably lost (the paper's reliability gap)
             for event in events:
-                self.system.tracer.emit(
-                    "hb_loss", client=client, broker=broker.id,
-                    event=event.event_id,
-                )
+                if self.tracer.wants("hb_loss"):
+                    self.tracer.emit(
+                        "hb_loss", client=client, broker=broker.id,
+                        event=event.event_id,
+                    )
                 self.system.metrics.on_loss(client, event)
 
     # ------------------------------------------------------------------
@@ -308,10 +310,11 @@ class HomeBrokerProtocol(MobilityProtocol):
             client.home_broker = min(
                 alive, key=lambda b: (paths.hop_count(old_home, b), b)
             )
-            self.system.tracer.emit(
-                "hb_rehome", client=client.id, frm=old_home,
-                to=client.home_broker,
-            )
+            if self.tracer.wants("hb_rehome"):
+                self.tracer.emit(
+                    "hb_rehome", client=client.id, frm=old_home,
+                    to=client.home_broker,
+                )
         return client.home_broker
 
     def install_recovered(self, broker, client, backlog):

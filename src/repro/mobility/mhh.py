@@ -336,9 +336,10 @@ class MHHProtocol(MobilityProtocol):
         # here is already in flight (proclaimed move or an earlier connect's
         # request) and nothing needs to be sent.
         if last_broker != broker.id:
-            self.system.tracer.emit(
-                "handoff_request", client=client, frm=broker.id, to=last_broker
-            )
+            if self.tracer.wants("handoff_request"):
+                self.tracer.emit(
+                    "handoff_request", client=client, frm=broker.id, to=last_broker
+                )
             self.net.unicast(
                 broker.id, last_broker, m.HandoffRequest(client, broker.id, epoch)
             )
@@ -368,7 +369,8 @@ class MHHProtocol(MobilityProtocol):
             )
             anchor.pqlist = [tail.ref]
         st.anchor = anchor
-        self.system.tracer.emit("first_attach", client=client, broker=broker.id)
+        if self.tracer.wants("first_attach"):
+            self.tracer.emit("first_attach", client=client, broker=broker.id)
 
     def _reconnect_at_anchor(
         self, broker: "Broker", client: int, anchor: _Anchor
@@ -419,10 +421,11 @@ class MHHProtocol(MobilityProtocol):
             self._reclaim_wireless(broker, client, im.immigrant)
             if not im.stop_sent and self.enable_stop:
                 im.stop_sent = True
-                self.system.tracer.emit(
-                    "stop_event_migration", client=client, frm=broker.id,
-                    to=im.old_anchor,
-                )
+                if self.tracer.wants("stop_event_migration"):
+                    self.tracer.emit(
+                        "stop_event_migration", client=client, frm=broker.id,
+                        to=im.old_anchor,
+                    )
                 self.net.unicast(
                     broker.id, im.old_anchor, m.StopEventMigration(client)
                 )
@@ -454,9 +457,10 @@ class MHHProtocol(MobilityProtocol):
         entry.sink = tail.ref.qid
         anchor.pqlist.append(tail.ref)
         self._reclaim_wireless(broker, client, tail.ref)
-        self.system.tracer.emit(
-            "offline_store", client=client, broker=broker.id, queue=str(tail.ref)
-        )
+        if self.tracer.wants("offline_store"):
+            self.tracer.emit(
+                "offline_store", client=client, broker=broker.id, queue=str(tail.ref)
+            )
 
     def on_proclaimed_disconnect(
         self, broker: "Broker", client: int, dest: int
@@ -471,9 +475,10 @@ class MHHProtocol(MobilityProtocol):
             # broker the subscription never reached): the destination will
             # issue a handoff request when the client reconnects there.
             return
-        self.system.tracer.emit(
-            "proclaimed_move", client=client, frm=broker.id, to=dest
-        )
+        if self.tracer.wants("proclaimed_move"):
+            self.tracer.emit(
+                "proclaimed_move", client=client, frm=broker.id, to=dest
+            )
         self._start_out_migration(broker, client, anchor, dest, st.epoch)
 
     # ------------------------------------------------------------------
@@ -510,10 +515,11 @@ class MHHProtocol(MobilityProtocol):
             # (the client came back here, or a newer request passed through).
             # The newest request always aims at the client's latest location,
             # so the stale one can be dropped without breaking the chase.
-            self.system.tracer.emit(
-                "handoff_request_stale",
-                client=msg.client, broker=broker.id, epoch=msg.epoch,
-            )
+            if self.tracer.wants("handoff_request_stale"):
+                self.tracer.emit(
+                    "handoff_request_stale",
+                    client=msg.client, broker=broker.id, epoch=msg.epoch,
+                )
             self._gc(broker, msg.client)
             return
         st.epoch = msg.epoch
@@ -555,9 +561,10 @@ class MHHProtocol(MobilityProtocol):
         broker.migration_install_toward(first_hop, anchor.key, anchor.filter)
         entry.label = first_hop
         broker.migration_mirror_sent(first_hop, anchor.key)
-        self.system.tracer.emit(
-            "sub_migration_start", client=client, frm=broker.id, to=dest
-        )
+        if self.tracer.wants("sub_migration_start"):
+            self.tracer.emit(
+                "sub_migration_start", client=client, frm=broker.id, to=dest
+            )
         anchor.out_migration = _OutMigration(dest, first_hop, list(anchor.pqlist))
         self.net.send_broker(
             broker.id,
@@ -652,9 +659,10 @@ class MHHProtocol(MobilityProtocol):
         st.anchor = anchor
         if present and len(broker.get_queue(immigrant_ref)):
             self._drain_queue_to_wireless(broker, msg.client, immigrant_ref)
-        self.system.tracer.emit(
-            "anchor_formed", client=msg.client, broker=broker.id, connected=present
-        )
+        if self.tracer.wants("anchor_formed"):
+            self.tracer.emit(
+                "anchor_formed", client=msg.client, broker=broker.id, connected=present
+            )
         if not present and self.enable_stop:
             anchor.in_migration.stop_sent = True
             self.net.unicast(
@@ -682,9 +690,10 @@ class MHHProtocol(MobilityProtocol):
             for ref in om.remaining:
                 if ref.broker == broker.id:
                     broker.get_queue(ref).freeze()
-            self.system.tracer.emit(
-                "event_migration_start", client=client, frm=broker.id, to=om.dest
-            )
+            if self.tracer.wants("event_migration_start"):
+                self.tracer.emit(
+                    "event_migration_start", client=client, frm=broker.id, to=om.dest
+                )
             if om.stop_requested:
                 self._do_stop(broker, client, anchor)
             else:
@@ -725,9 +734,10 @@ class MHHProtocol(MobilityProtocol):
                 )
             return
         # every queue streamed: launch the TQ drain toward the destination
-        self.system.tracer.emit(
-            "deliver_tq_launch", client=client, frm=broker.id, to=om.dest
-        )
+        if self.tracer.wants("deliver_tq_launch"):
+            self.tracer.emit(
+                "deliver_tq_launch", client=client, frm=broker.id, to=om.dest
+            )
         self.net.send_broker(
             broker.id,
             om.first_hop,
@@ -940,10 +950,11 @@ class MHHProtocol(MobilityProtocol):
             new_list.append(msg.append_to)
         new_list.append(im.arrivals)
         anchor.pqlist = new_list
-        self.system.tracer.emit(
-            "migration_complete", client=msg.client, broker=broker.id,
-            stopped=stopped, queues=len(new_list),
-        )
+        if self.tracer.wants("migration_complete"):
+            self.tracer.emit(
+                "migration_complete", client=msg.client, broker=broker.id,
+                stopped=stopped, queues=len(new_list),
+            )
         self._anchor_settled(broker, msg.client, anchor)
 
     # ------------------------------------------------------------------
@@ -981,10 +992,11 @@ class MHHProtocol(MobilityProtocol):
             self._stream_next(broker, client, anchor)
             return
         pq_tq = broker.new_queue(client)
-        self.system.tracer.emit(
-            "stopped_migration", client=client, broker=broker.id,
-            kept=len(om.remaining),
-        )
+        if self.tracer.wants("stopped_migration"):
+            self.tracer.emit(
+                "stopped_migration", client=client, broker=broker.id,
+                kept=len(om.remaining),
+            )
         self.net.send_broker(
             broker.id,
             om.first_hop,
@@ -1035,9 +1047,10 @@ class MHHProtocol(MobilityProtocol):
         anchor.pqlist = [tail]
         sm = _SelfMigration(remaining=stored)
         anchor.self_migration = sm
-        self.system.tracer.emit(
-            "self_migration", client=client, broker=broker.id, queues=len(stored)
-        )
+        if self.tracer.wants("self_migration"):
+            self.tracer.emit(
+                "self_migration", client=client, broker=broker.id, queues=len(stored)
+            )
         self._self_stream_next(broker, client, anchor)
 
     def _self_stream_next(
@@ -1104,7 +1117,8 @@ class MHHProtocol(MobilityProtocol):
         entry = broker.table.require_client_entry(client)
         entry.live = True
         entry.sink = None
-        self.system.tracer.emit("client_live", client=client, broker=broker.id)
+        if self.tracer.wants("client_live"):
+            self.tracer.emit("client_live", client=client, broker=broker.id)
 
     # ------------------------------------------------------------------
     # helpers
@@ -1156,12 +1170,19 @@ class MHHProtocol(MobilityProtocol):
                     continue
                 if st.transit is not None:
                     return False
-                if st.pending_handoff is not None:
-                    # a request superseded by a newer reconnect is inert
-                    # garbage, not outstanding work (the newest request in
-                    # the chain aims at the client's latest location)
+                req = st.pending_handoff
+                if req is not None:
+                    # inert garbage, not outstanding work, if a newer
+                    # reconnect superseded it (the newest request in the
+                    # chain aims at the client's latest location) or the
+                    # subscription already roots, connected, where it asks
+                    # for (it waits here for an anchor that only an
+                    # abandoned reconnect's dropped request would have sent)
+                    there = self.system.brokers[req.new_broker].pstate.get(client)
+                    arrived = (there is not None and there.anchor is not None
+                               and there.anchor.connected)
                     current = self.system.clients[client].connect_epoch
-                    if st.pending_handoff.epoch >= current:
+                    if req.epoch >= current and not arrived:
                         return False
                 if st.pre_anchor is not None:
                     return False

@@ -192,9 +192,10 @@ class SubUnsubProtocol(MobilityProtocol):
             m.CAT_SUB_HANDOFF, live=False, sink=q.ref.qid,
         )
         root.handoff = _Handoff(last_broker, self.clock.now)
-        self.system.tracer.emit(
-            "su_handoff_start", client=client, frm=last_broker, to=broker.id
-        )
+        if self.tracer.wants("su_handoff_start"):
+            self.tracer.emit(
+                "su_handoff_start", client=client, frm=last_broker, to=broker.id
+            )
         self.later(
             broker, self.safety_interval_ms,
             self._send_transfer_request, broker, client, epoch,
@@ -349,10 +350,11 @@ class SubUnsubProtocol(MobilityProtocol):
     ) -> None:
         client = msg.client
         broker.local_unsubscribe_key(old_root.key, m.CAT_SUB_HANDOFF)
-        self.system.tracer.emit(
-            "su_unsubscribe", client=client, broker=broker.id,
-            epoch=old_root.epoch,
-        )
+        if self.tracer.wants("su_unsubscribe"):
+            self.tracer.emit(
+                "su_unsubscribe", client=client, broker=broker.id,
+                epoch=old_root.epoch,
+            )
         # paced dispatch: one batch per link slot; TransferDone trails the
         # last batch on the same path (FIFO), so the merge sees everything.
         # Batches pop off the live (frozen) queue at dispatch time — same
@@ -447,11 +449,12 @@ class SubUnsubProtocol(MobilityProtocol):
         for event in handoff.transferred + buffered:
             combined.setdefault(event.event_id, event)
         ordered = sorted(combined.values(), key=lambda e: e.order_key())
-        self.system.tracer.emit(
-            "su_merge", client=client, broker=broker.id,
-            merged=len(ordered),
-            dupes=len(handoff.transferred) + len(buffered) - len(ordered),
-        )
+        if self.tracer.wants("su_merge"):
+            self.tracer.emit(
+                "su_merge", client=client, broker=broker.id,
+                merged=len(ordered),
+                dupes=len(handoff.transferred) + len(buffered) - len(ordered),
+            )
         if self._present(broker, client):
             for event in ordered:
                 self._deliver(broker, root, client, event)

@@ -165,10 +165,11 @@ class TwoPhaseProtocol(MHHProtocol):
             )
         else:
             self.conflicts += 1
-            self.system.tracer.emit(
-                "tp_conflict", broker=broker.id, client=msg.client,
-                holder=holder,
-            )
+            if self.tracer.wants("tp_conflict"):
+                self.tracer.emit(
+                    "tp_conflict", broker=broker.id, client=msg.client,
+                    holder=holder,
+                )
             self._lane_queue.setdefault(broker.id, deque()).append(msg)
 
     def _on_grant_ack(self, broker: "Broker", msg: GrantAck) -> None:

@@ -18,8 +18,9 @@ Models the paper's Section 5.1 network:
   path. It is modelled as a single scheduling step of ``hops * 10 ms`` with
   all hops accounted immediately; because every latency is distance * 10 ms
   and the triangle inequality holds on the grid, this shortcut preserves all
-  arrival-order relations that true store-and-forward would produce (proof
-  sketch in DESIGN.md; property-tested in tests/test_links.py).
+  arrival-order relations that true store-and-forward would produce
+  (``tests/test_links.py`` holds the property: unicast FIFO between a pair
+  and hop-count latency).
 
 The link layer is **sans-IO over a clock**: it schedules exclusively
 through the narrow :class:`~repro.drivers.base.Clock` facade
@@ -228,7 +229,7 @@ class LinkLayer:
         on_shed: Optional[Callable[[Any, int], bool]] = None,
     ) -> None:
         self.clock = clock
-        self.topo = topo
+        self._adjacent = topo.adjacency()
         self.paths = paths
         self.wired_latency = wired_latency
         self.wireless_latency = wireless_latency
@@ -252,6 +253,9 @@ class LinkLayer:
         self._unicast_hops = unicast_hops or paths.hop_count
         # receiver(msg, from_broker) for brokers; receiver(msg) for clients
         self._broker_rx: dict[int, Callable[[Any, int], None]] = {}
+        # the receivers a wired hop is scheduled on directly: all of them,
+        # or none once a layer guards the wire (arrivals get a stale check)
+        self._direct_rx = self._broker_rx
         self._client_rx: dict[int, Callable[[Any], None]] = {}
         self._downlinks: dict[int, _WirelessChannel] = {}
         self._uplinks: dict[int, _WirelessChannel] = {}
@@ -276,6 +280,7 @@ class LinkLayer:
         self._stamp = stamp
         self._stale.append(stale)
         self._push = self._push_guarded
+        self._direct_rx = {}
 
     def widen_reclaim(self, widen: Callable[[int, list, Any], list]) -> None:
         """Reliability: ``widen(client_id, queued, in_service)`` returns
@@ -313,14 +318,21 @@ class LinkLayer:
     # wired transport
     # ------------------------------------------------------------------
     def broker_to_broker(self, frm: int, to: int, msg: Any) -> None:
-        """One wired hop between adjacent brokers (tree or grid edge)."""
-        if not self.topo.has_edge(frm, to):
+        """One wired hop between adjacent brokers (tree or grid edge),
+        scheduled on the receiver registered for ``to`` at the send; with
+        none yet, or the wire guarded, :meth:`_deliver_broker` looks it up
+        (and raises for an id nobody registered) when the hop arrives."""
+        if to not in self._adjacent[frm]:
             raise RoutingError(f"brokers {frm} and {to} are not adjacent")
         for blocked in self._blocked:
             if blocked(msg, to, frm):
                 return
         self.account(msg.category, 1, False)
-        self._push(self.wired_latency, self._deliver_broker, to, msg, frm)
+        rx = self._direct_rx.get(to)
+        if rx is not None:
+            self._push(self.wired_latency, rx, msg, frm)
+        else:
+            self._push(self.wired_latency, self._deliver_broker, to, msg, frm)
 
     def unicast(self, frm: int, to: int, msg: Any) -> None:
         """Multi-hop unicast over the grid shortest path.

@@ -63,6 +63,11 @@ class Topology:
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._adj[u]
 
+    def adjacency(self) -> list[dict[int, float]]:
+        """The live neighbour maps, indexed by node (read-only for callers):
+        ``v in topo.adjacency()[u]`` is :meth:`has_edge` without the call."""
+        return self._adj
+
     def weight(self, u: int, v: int) -> float:
         try:
             return self._adj[u][v]

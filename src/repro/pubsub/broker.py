@@ -50,6 +50,7 @@ class Broker:
         self.queues: dict[int, "PersistentQueue"] = {}
         # per-client protocol scratchpad (owned by the mobility protocol)
         self.pstate: dict[int, Any] = {}
+        self._trace_publish = system.tracer.wants("publish")
         # the layer seam (LayerHooks): empty / the plain path by default
         hooks = system.hooks
         self._dispatch = {**self._CORE_DISPATCH, **hooks.broker_rx}
@@ -68,13 +69,17 @@ class Broker:
         ``frm`` is the sending broker id for wired messages, or
         ``-1 - client_id`` for client uplink messages.
 
-        Dispatch is a precomputed per-message-type handler table (the core
+        An event on a tree hop — most of what a broker receives — goes
+        straight to :meth:`route_event`. Everything else is dispatched
+        through a precomputed per-message-type handler table (the core
         types plus the ones an opt-in layer owns) rather than an
-        ``isinstance`` ladder: one dict probe on the hot path, and new
-        message types extend the table instead of growing a chain of
-        branches. Unlisted types fall through to the mobility protocol's
-        control dispatch.
+        ``isinstance`` ladder: new message types extend the table instead
+        of growing a chain of branches. Unlisted types fall through to the
+        mobility protocol's control dispatch.
         """
+        if type(msg) is m.EventMessage:
+            self.route_event(msg.event, frm, msg)
+            return
         handler = self._dispatch.get(type(msg))
         if handler is not None:
             handler(self, msg, frm)
@@ -88,13 +93,11 @@ class Broker:
         for msg, frm in items:
             self.receive(msg, frm)
 
-    def _rx_event(self, msg: m.EventMessage, frm: int) -> None:
-        self.route_event(msg.event, from_broker=frm)
-
     def _rx_publish(self, msg: m.PublishMessage, frm: int) -> None:
-        self.system.tracer.emit(
-            "publish", broker=self.id, event=msg.event.event_id
-        )
+        if self._trace_publish:
+            self.system.tracer.emit(
+                "publish", broker=self.id, event=msg.event.event_id
+            )
         for accept in self._ingress:
             accept(self.id, msg.event)
         self.route_event(msg.event, from_broker=None)
@@ -108,27 +111,32 @@ class Broker:
     # event routing (hot path)
     # ------------------------------------------------------------------
     def route_event(
-        self, event: Notification, from_broker: Optional[int]
+        self,
+        event: Notification,
+        from_broker: Optional[int],
+        fwd: Optional[m.EventMessage] = None,
     ) -> None:
         """Reverse path forwarding step for one event at this broker.
 
         One :meth:`FilterTable.match` call resolves the forwarding set (an
         interval stab per neighbour) and the local recipients (a loop over
-        the client entries, honouring MHH labels). The fan-out
-        shares one immutable :class:`~repro.pubsub.messages.EventMessage`
-        across all neighbours, so forwarding an event costs a single
-        allocation regardless of fan-out degree.
+        the client entries, honouring MHH labels). ``fwd`` is the message
+        the event arrived in, if it arrived in one: an
+        :class:`~repro.pubsub.messages.EventMessage` is immutable, so the
+        whole tree shares the one its ingress broker made.
         """
         nbrs, entries = self.table.match(event, from_broker)
         if nbrs:
-            fwd = m.EventMessage(event)
-            net = self.net
+            if fwd is None:
+                fwd = m.EventMessage(event)
+            send = self.net.send_broker
             bid = self.id
             for nbr in nbrs:
-                net.send_broker(bid, nbr, fwd)
-        protocol = self.system.protocol
-        for entry in entries:
-            protocol.on_event_for_client(self, entry, event, from_broker)
+                send(bid, nbr, fwd)
+        if entries:
+            protocol = self.system.protocol
+            for entry in entries:
+                protocol.on_event_for_client(self, entry, event, from_broker)
 
     def deliver_to_client(self, client: int, event: Notification) -> None:
         """Queue one event on the client's wireless downlink.
@@ -193,8 +201,9 @@ class Broker:
 
     #: message type -> handler(self, msg, frm); precomputed so `receive`
     #: costs one dict probe per message instead of an isinstance ladder
+    #: (`receive` tests for an event itself before it probes)
     _CORE_DISPATCH = {
-        m.EventMessage: _rx_event,
+        m.EventMessage: receive,
         m.PublishMessage: _rx_publish,
         m.SubscribeMessage: _handle_subscribe,
         m.UnsubscribeMessage: _handle_unsubscribe,

@@ -69,6 +69,10 @@ class Client:
         #: the layer seam (LayerHooks): every list empty on the plain path
         self._hooks = system.hooks
         self._on_delivered = system.hooks.delivered
+        # MetricsHub.on_delivery without the hub in between, and its clock
+        self._clock = system.clock
+        self._ledger_delivery = system.metrics.delivery.on_delivery
+        self._handoff_delivery = system.metrics.handoffs.on_delivery
         system.net.register_client(client_id, self._on_downlink)
 
     # ------------------------------------------------------------------
@@ -180,7 +184,9 @@ class Client:
         exactly once, however late the copy (home-broker promises no
         order, so no watermark): one bit per seq in a per-publisher int.
         """
-        self.system.metrics.on_delivery(self.id, event, self.system.clock.now)
+        now = self._clock.now
+        self._ledger_delivery(self.id, event, now)
+        self._handoff_delivery(self.id, now)
         for receipt in self._on_delivered:
             receipt(
                 self.id, self.current_broker if self.connected else None,

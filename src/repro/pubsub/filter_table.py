@@ -56,6 +56,7 @@ set, asked three questions**:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import count
 from operator import attrgetter
 from typing import Hashable, Iterable, Optional
@@ -64,7 +65,7 @@ from repro.errors import ProtocolError
 from repro.pubsub.covering import CoveringIndex
 from repro.pubsub.events import Notification
 from repro.pubsub.filters import Filter
-from repro.pubsub.interval_index import IntervalIndex
+from repro.pubsub.interval_index import _POS_INF, IntervalIndex
 from repro.util.ids import QueueId
 
 __all__ = ["ClientEntry", "FilterTable"]
@@ -85,7 +86,8 @@ class ClientEntry:
     sink: queue id (broker-local) absorbing events while not live.
     """
 
-    __slots__ = ("client", "key", "filter", "label", "live", "sink", "seq")
+    __slots__ = ("client", "key", "filter", "label", "live", "sink", "seq",
+                 "lo", "hi")
 
     def __init__(
         self,
@@ -99,6 +101,10 @@ class ClientEntry:
         self.client = client
         self.key = key
         self.filter = filter
+        # its topic-range form (None, None without one): FilterTable.match
+        # compares these in place of a filter.matches call
+        rng = filter.as_range()
+        self.lo, self.hi = rng[1:] if rng and rng[0] == "topic" else (None, None)
         self.label = label
         self.live = live
         self.sink = sink
@@ -123,11 +129,11 @@ class _PeerFilters:
     A member lives in exactly one place: ``ranges`` if it has a topic
     :meth:`~Filter.as_range` form, else ``general``. ``ranges`` alone
     answers all three interval questions about the topic-range members —
-    stab (:meth:`matches`), containment (:meth:`covers`) and contained
-    keys (:meth:`covered_by`) — and the ``general`` members answer the two
-    covering questions through a :class:`CoveringIndex` built on first
-    need, so sets that never hold or never ask (MHH, the paper's all-range
-    workload) never pay for one.
+    stab (:meth:`FilterTable.match`), containment (:meth:`covers`) and
+    contained keys (:meth:`covered_by`) — and the ``general`` members answer
+    a match by a scan and the two covering questions through a
+    :class:`CoveringIndex` built on first need, so sets that never hold or
+    never ask (MHH, the paper's all-range workload) never pay for one.
 
     ``filters`` keeps every installed filter object so lookups return the
     original (no per-:meth:`get` reconstruction), and ``_seq`` stamps each
@@ -183,11 +189,6 @@ class _PeerFilters:
 
     def __len__(self) -> int:
         return len(self.filters)
-
-    def matches(self, event: Notification) -> bool:
-        if self.ranges.stab(event.topic):
-            return True
-        return any(f.matches(event) for f in self.general.values())
 
     def _general_cov(self) -> CoveringIndex:
         cov = self._cov
@@ -425,14 +426,42 @@ class FilterTable:
         """Resolve one event against the whole table.
 
         Returns ``(neighbours, client_entries)``: the neighbours (excluding
-        ``from_broker``) to forward the event to, in ascending id order, and
-        the matching client entries honouring MHH labels, in insertion
-        order.
+        ``from_broker``) with at least one matching filter, in ascending id
+        order, and the matching client entries in insertion order. A
+        labelled entry accepts the event only when it arrived from the
+        labelled neighbouring broker; locally published events
+        (``from_broker is None``) never match labelled entries.
+
+        The one loop of the hot path, so a filter with a topic-range form
+        costs no call: the per-neighbour stab is :meth:`IntervalIndex.stab`
+        written out, a client entry is compared on its cached ``(lo, hi)``.
         """
-        return (
-            self.match_neighbors(event, exclude=from_broker),
-            self.match_clients(event, from_broker),
-        )
+        topic = event.topic
+        probe = (topic, _POS_INF)
+        nbrs = []
+        for n, peer in self._from_nbr.items():  # ascending
+            if n == from_broker:
+                continue
+            ranges = peer.ranges
+            if ranges._dirty:
+                ranges._rebuild()
+            idx = bisect_right(ranges._pairs, probe) - 1
+            if idx >= 0 and ranges._max_hi[idx] >= topic:
+                nbrs.append(n)
+                continue
+            for f in peer.general.values():
+                if f.matches(event):
+                    nbrs.append(n)
+                    break
+        entries = []
+        for entry in self.clients.values():
+            label = entry.label
+            if label is not None and label != from_broker:
+                continue
+            lo = entry.lo
+            if entry.filter.matches(event) if lo is None else lo <= topic <= entry.hi:
+                entries.append(entry)
+        return nbrs, entries
 
     def match_batch(
         self, items: list[tuple[Notification, Optional[int]]]
@@ -446,31 +475,14 @@ class FilterTable:
     def match_neighbors(
         self, event: Notification, exclude: Optional[int]
     ) -> list[int]:
-        """Neighbours (excluding ``exclude``) with at least one matching filter."""
-        out = []
-        for n in self.neighbors:
-            if n == exclude:
-                continue
-            if self._from_nbr[n].matches(event):
-                out.append(n)
-        return out
+        """The neighbour half of :meth:`match`."""
+        return self.match(event, exclude)[0]
 
     def match_clients(
         self, event: Notification, from_broker: Optional[int]
     ) -> list[ClientEntry]:
-        """Client entries matching ``event``, honouring MHH labels.
-
-        A labelled entry accepts the event only when it arrived from the
-        labelled neighbouring broker; locally published events
-        (``from_broker is None``) never match labelled entries.
-        """
-        out = []
-        for entry in self.clients.values():
-            if entry.label is not None and entry.label != from_broker:
-                continue
-            if entry.filter.matches(event):
-                out.append(entry)
-        return out
+        """The client-entry half of :meth:`match`."""
+        return self.match(event, from_broker)[1]
 
     # ------------------------------------------------------------------
     # introspection for tests

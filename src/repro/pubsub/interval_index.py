@@ -149,7 +149,9 @@ class IntervalIndex:
         self._dirty = False
 
     def stab(self, x: float) -> bool:
-        """True if any interval contains point ``x``."""
+        """True if any interval contains point ``x``. ``FilterTable.match``
+        carries this body inline, once per neighbour per event
+        (``tests/test_matching_engine.py`` holds the two together)."""
         if self._dirty:
             self._rebuild()
         idx = bisect_right(self._pairs, (x, _POS_INF)) - 1

@@ -296,7 +296,7 @@ class PubSubSystem:
         self.net = driver.build_transport(
             self.topology,
             self.paths,
-            account=self.metrics.account,
+            account=self.metrics.traffic.account,  # on every send: no hub hop
             unicast_hops=(
                 self.tree.distance
                 if options.unicast_routing == "tree"

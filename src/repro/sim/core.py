@@ -169,11 +169,12 @@ class Simulator:
         self._running = True
         heap = self._heap
         heappop = heapq.heappop
+        limit = float("inf") if until is None else until
         try:
             while heap:
                 entry = heap[0]
                 time = entry[0]
-                if until is not None and time > until:
+                if time > limit:
                     break
                 heappop(heap)
                 if entry[2].cancelled:

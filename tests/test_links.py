@@ -157,6 +157,52 @@ def test_unknown_broker_raises():
         sim.run()
 
 
+def test_wired_hop_to_an_unregistered_broker_raises_on_arrival():
+    sim, links, log = make_links()
+    links.broker_to_broker(0, 1, Msg("x"))  # sending is not the error
+    assert log == [("test", 1, False)]
+    with pytest.raises(RoutingError, match="no broker registered with id 1"):
+        sim.run()
+
+
+def test_non_adjacent_hop_raises_at_the_send_and_leaves_no_trace():
+    sim, links, log = make_links()
+    links.register_broker(0, lambda m, f: None)
+    links.register_broker(4, lambda m, f: None)
+    with pytest.raises(RoutingError, match="not adjacent"):
+        links.broker_to_broker(0, 4, Msg("x"))  # a diagonal of the 3x3 grid
+    assert log == [] and sim.peek() is None
+
+
+def test_a_wired_hop_keeps_the_receiver_it_was_sent_to():
+    """Registration is construction-time wiring (``PubSubSystem`` and the
+    socket driver's proxies register each broker once). What a later
+    ``register_broker`` means for hops already on the wire is still defined:
+    a hop is scheduled on the receiver registered when it was sent; only
+    with none registered then — or with the wire guarded, when every
+    arrival has a stale check to pass — is it looked up on arrival."""
+    sim, links, _ = make_links()
+    got = []
+    links.register_broker(1, lambda m, f: got.append(("first", m.tag)))
+    links.broker_to_broker(0, 1, Msg("a"))
+    links.broker_to_broker(0, 3, Msg("early"))  # nobody at 3 yet
+    links.register_broker(1, lambda m, f: got.append(("second", m.tag)))
+    links.register_broker(3, lambda m, f: got.append(("late", m.tag)))
+    links.broker_to_broker(0, 1, Msg("b"))
+    sim.run()
+    assert got == [("first", "a"), ("late", "early"), ("second", "b")]
+
+    sim, links, _ = make_links()
+    links.guard_wire(lambda m, to, frm: False, lambda: 7,
+                     lambda m, to, stamp: stamp != 7)
+    got = []
+    links.register_broker(1, lambda m, f: got.append(("first", m.tag)))
+    links.broker_to_broker(0, 1, Msg("a"))
+    links.register_broker(1, lambda m, f: got.append(("second", m.tag)))
+    sim.run()
+    assert got == [("second", "a")]
+
+
 def test_wireless_accounting_tagged():
     sim, links, log = make_links()
     links.register_client(1, lambda m: None)

@@ -1,6 +1,7 @@
 """Differential tests: :class:`FilterTable` matching vs a brute-force oracle.
 
-:meth:`FilterTable.match` / ``match_neighbors`` / ``match_clients`` must be
+:meth:`FilterTable.match` (one loop; ``match_neighbors`` / ``match_clients``
+are the two halves of its result) must be
 *event-for-event identical* to the definition — a neighbour is forwarded to
 iff any filter received from it matches (ids ascending, arrival direction
 excluded), a client entry is a recipient iff its filter matches and its MHH
@@ -15,6 +16,7 @@ table and mirror and assert equality after every mutation batch.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable
@@ -110,6 +112,9 @@ class Mirror:
             key for key, (f, label) in self.clients.items()
             if (label is None or label == origin) and f.matches(ev)
         ]
+
+    def match(self, ev, origin):
+        return self.match_neighbors(ev, origin), self.match_clients(ev, origin)
 
 
 def assert_tables_agree(table, mirror, rng, n_events, event_base):
@@ -250,6 +255,92 @@ def test_differential_end_to_end_sim(protocol, monkeypatch):
     assert stats.delivered == stats.expected > 0
     assert (stats.duplicates, stats.order_violations, stats.missing) \
         == (0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# FilterTable.match as a whole, under Hypothesis
+# ---------------------------------------------------------------------------
+# Bounds, topics and sizes share one coarse grid, so that an event sits on a
+# closed interval's end as often as inside it.
+_grid = st.integers(0, 10).map(lambda i: i / 10.0)
+_spans = st.tuples(_grid, _grid).map(sorted)
+_numeric_ops = st.sampled_from([Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE])
+_constraints = st.one_of(
+    # a lone closed RANGE or EQ on topic gives the conjunction a topic-range
+    # form: it is then indexed (neighbour side) and cached (client side)
+    st.builds(AttributeConstraint, st.sampled_from(["topic", "size"]),
+              st.just(Op.RANGE), _spans.map(tuple)),
+    st.builds(AttributeConstraint, st.sampled_from(["topic", "size"]),
+              _numeric_ops, _grid),
+    st.builds(AttributeConstraint, st.just("kind"),
+              st.sampled_from([Op.EQ, Op.PREFIX]), st.sampled_from(["a", "ab"])),
+    st.builds(AttributeConstraint, st.sampled_from(["size", "kind"]),
+              st.just(Op.EXISTS)),
+)
+_filters = st.one_of(
+    _spans.map(lambda b: RangeFilter(*b)),
+    _spans.map(lambda b: RangeFilter(*b, attr="size")),
+    st.lists(_constraints, max_size=3).map(ConjunctionFilter),
+)
+_events = st.builds(
+    lambda topic, size, kind: Notification(
+        0, 0, 0, 0.0, topic,
+        {k: v for k, v in (("size", size), ("kind", kind)) if v is not None}),
+    _grid, st.none() | _grid, st.none() | st.sampled_from(["a", "ab", "b"]),
+)
+_keys = st.integers(0, 4)  # few keys: replacements and removals find them
+_labels = st.sampled_from([None] + NEIGHBORS)
+_mutations = st.one_of(
+    st.tuples(st.just("nbr_add"), st.sampled_from(NEIGHBORS), _keys, _filters),
+    st.tuples(st.just("client_set"), _keys, _filters, _labels),
+    st.tuples(st.just("nbr_remove"), st.sampled_from(NEIGHBORS), _keys),
+    st.tuples(st.just("client_relabel"), _keys, _labels),
+    st.tuples(st.just("client_remove"), _keys),
+)
+#: a batch of table writes, then the events every origin is matched on
+_stages = st.lists(
+    st.tuples(st.lists(_mutations, min_size=1, max_size=8),
+              st.lists(_events, min_size=1, max_size=4)),
+    min_size=1, max_size=5,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(stages=_stages)
+def test_match_as_a_whole_agrees_with_the_scan_on_a_changing_table(stages):
+    """Both result lists of one ``match`` call, order included, against the
+    scan, from every origin (local, each neighbour — the labelled one among
+    them) — with writes between the reads, so an interval index that missed
+    one, or an entry matched on bounds that are not its filter's, shows."""
+    table = FilterTable(0, NEIGHBORS)
+    mirror = Mirror(NEIGHBORS)
+    for mutations, events in stages:
+        for op, *args in mutations:
+            if op == "nbr_add":
+                nbr, key, f = args
+                table.add_broker_filter(nbr, key, f)
+                mirror.from_nbr[nbr][key] = f
+            elif op == "nbr_remove":
+                nbr, key = args
+                assert table.remove_broker_filter(nbr, key) == (
+                    mirror.from_nbr[nbr].pop(key, None) is not None)
+            elif op == "client_set":
+                key, f, label = args
+                table.set_client_entry(
+                    ClientEntry(100 + key, key, f, label=label))
+                # a replaced key keeps its place in the order, as in a dict
+                mirror.clients[key] = [f, label]
+            elif op == "client_relabel" and args[0] in mirror.clients:
+                key, label = args
+                table.get_entry_by_key(key).label = label
+                mirror.clients[key][1] = label
+            elif op == "client_remove" and args[0] in mirror.clients:
+                table.remove_entry_by_key(args[0])
+                del mirror.clients[args[0]]
+        for ev in events:
+            for frm in [None] + NEIGHBORS:
+                nbrs, entries = table.match(ev, frm)
+                assert (nbrs, [e.key for e in entries]) == mirror.match(ev, frm)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ loss, always ending in a quiescent system.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
@@ -55,6 +55,9 @@ def run_schedule(seed, schedule, k=3, batch=3):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(seed=st.integers(0, 20), schedule=steps)
+# found by an unseeded run: the newest handoff request parks at broker 0
+# behind an abandoned reconnect while the subscription settles at broker 2
+@example(seed=0, schedule=[("move", 2, 5.0), ("move", 0, 5.0), ("move", 2, 5.0)])
 def test_property_exactly_once_ordered_no_loss(seed, schedule):
     system, _sub = run_schedule(seed, schedule)
     stats = system.metrics.delivery.stats

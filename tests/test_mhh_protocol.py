@@ -302,3 +302,32 @@ def test_concurrent_clients_do_not_interfere():
     assert_clean(system)
     assert system.metrics.delivery.stats.delivered == 6 * 8
     assert system.metrics.handoffs.handoff_count == 8
+
+
+def test_request_parked_behind_an_abandoned_reconnect_is_not_outstanding():
+    """2 -> 0 -> 2 inside one control round trip. The newest request (bring
+    the subscription to broker 2) parks at broker 0 for an anchor that only
+    the abandoned reconnect at 0 would have brought; the first move's
+    migration roots the subscription at 2, under the connected client, all
+    the same. ``quiescent()`` once read that parked, current-epoch request
+    as work in flight — a drain deadlock in a real run."""
+    system = PubSubSystem(grid_k=3, protocol="mhh", seed=0,
+                          migration_batch_size=3)
+    sub = system.add_client(RangeFilter(0.0, 1.0), broker=0, mobile=True)
+    pub = system.add_client(RangeFilter(2.0, 2.0), broker=8)
+    sub.connect(0)
+    pub.connect(8)
+    system.run(until=2000.0)
+    for target in (2, 0, 2):
+        sub.disconnect()
+        system.run(until=system.sim.now + 5.0 / 3.0)
+        sub.connect(target)
+        system.run(until=system.sim.now + 5.0)
+    finish(system)
+    parked = system.brokers[0].pstate[sub.id].pending_handoff
+    assert (parked.new_broker, parked.epoch) == (2, sub.connect_epoch)
+    assert system.brokers[2].pstate[sub.id].anchor.connected
+    pub.publish(0.5)
+    finish(system)
+    assert_clean(system)
+    assert system.metrics.delivery.stats.delivered == 1

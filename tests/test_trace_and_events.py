@@ -1,6 +1,10 @@
 """Unit tests for the tracer and the notification model."""
 
+import pytest
+
 from repro.pubsub.events import Notification
+from repro.pubsub.filters import RangeFilter
+from repro.pubsub.system import PubSubSystem
 from repro.sim.trace import Tracer, TraceRecord
 
 
@@ -81,6 +85,51 @@ class TestNotification:
         e = Notification(1, 7, 0, 0.0, 0.5, attrs)
         attrs["x"] = 2
         assert e.get("x") == 1
+
+
+class TestTracingOffCostsNothing:
+    """The per-publish and per-handoff sites ask ``wants`` before they build
+    a record's fields, so a run with tracing off never enters ``emit``."""
+
+    @staticmethod
+    def handoff_run(protocol, trace, monkeypatch):
+        entered = []
+        real_emit = Tracer.emit
+
+        def emit(tracer, category, **fields):
+            entered.append(category)
+            real_emit(tracer, category, **fields)
+
+        monkeypatch.setattr(Tracer, "emit", emit)
+        system = PubSubSystem(grid_k=3, protocol=protocol, seed=3, trace=trace)
+        sub = system.add_client(RangeFilter(0.0, 0.5), broker=0, mobile=True)
+        pub = system.add_client(RangeFilter(0.9, 0.9), broker=8)
+        sub.connect(0)
+        pub.connect(8)
+        system.run(until=2000.0)
+        sub.disconnect()
+        for _ in range(3):
+            pub.publish(0.25)
+        system.run(until=4000.0)
+        sub.connect(4)
+        system.sim.run()
+        assert system.metrics.delivery.stats.delivered == 3
+        assert system.metrics.handoffs.handoff_count == 1
+        return system, entered
+
+    @pytest.mark.parametrize(
+        "protocol", ["mhh", "sub-unsub", "two-phase", "home-broker"])
+    def test_no_emit_and_no_record_with_trace_none(self, protocol, monkeypatch):
+        system, entered = self.handoff_run(protocol, None, monkeypatch)
+        assert entered == []
+        assert system.tracer.records == []
+
+    def test_the_guards_let_an_enabled_category_through(self, monkeypatch):
+        system, entered = self.handoff_run(
+            "mhh", ["publish", "handoff_request"], monkeypatch)
+        assert sorted(set(entered)) == ["handoff_request", "publish"]
+        assert [r.category for r in system.tracer.records] == (
+            ["publish"] * 3 + ["handoff_request"])
 
 
 class TestTracerEdgeCases:
