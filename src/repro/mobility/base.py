@@ -45,6 +45,10 @@ class MobilityProtocol:
     name: str = "abstract"
     #: whether covering-based propagation pruning should be on by default
     default_covering: bool = False
+    #: True if the protocol edits filter tables hop by hop and so needs every
+    #: key installed exactly where it was advertised; ``PubSubSystem`` then
+    #: refuses ``covering_enabled=True``, which prunes those installs
+    needs_exact_tables: bool = False
 
     def __init__(self, system: "PubSubSystem") -> None:
         self.system = system

@@ -21,8 +21,10 @@ Protocol walk-through (silent move, §4.2)
    tree path. Each transit broker flips its table entries, creates a TQ
    behind a labelled entry, acks backwards, and forwards the migration.
    FIFO links + ack-triggered entry deletion guarantee every in-transit
-   event is captured in exactly one queue (argument in DESIGN.md;
-   property-tested in ``tests/test_mhh_properties.py``).
+   event is captured in exactly one queue: one sent before a hop's filter
+   flipped is ahead of that hop's ack on the same FIFO link, so the labelled
+   entry it is for still exists; one sent after follows the new filter
+   (``tests/test_mhh_properties.py``: exactly-once under random schedules).
 3. On the first ack ``Bo`` — the coordinator — streams the client's
    **PQlist** (the ordered, broker-distributed set of stored-event queues,
    §4.3) to ``Bn`` queue by queue (``fetch_queue`` / ``queue_streamed``),
@@ -106,18 +108,14 @@ class _LocalStreamJob:
     this is exactly the paper's "Bo stops the event migration" (§4.3).
     """
 
-    __slots__ = ("protocol", "broker", "client", "ref", "dest", "append_to",
-                 "on_complete", "cancelled")
+    __slots__ = ("protocol", "broker", "client", "ref", "dest", "cancelled")
 
-    def __init__(self, protocol, broker, client, ref, dest, append_to,
-                 on_complete) -> None:
+    def __init__(self, protocol, broker, client, ref, dest) -> None:
         self.protocol = protocol
         self.broker = broker
         self.client = client
         self.ref = ref
         self.dest = dest
-        self.append_to = append_to
-        self.on_complete = on_complete
         self.cancelled = False
         broker.get_queue(ref).freeze()
         self._step()
@@ -126,24 +124,16 @@ class _LocalStreamJob:
         if self.cancelled:
             return
         protocol = self.protocol
-        system = protocol.system
         q = self.broker.get_queue(self.ref)
-        batch = [
-            q.popleft()
-            for _ in range(min(len(q), system.migration_batch_size))
-        ]
-        if batch:
-            protocol.net.unicast(
-                self.broker.id, self.dest,
-                m.MigrateBatch(self.client, batch, self.append_to),
-            )
+        protocol._ship_batch(self.broker, q, self.client, self.dest, None)
         if len(q):
             protocol.later(
-                self.broker, max(system.stream_pacing_ms, 1e-9), self._step
+                self.broker, max(protocol.system.stream_pacing_ms, 1e-9),
+                self._step,
             )
         else:
             self.broker.drop_queue(self.ref)
-            self.on_complete()
+            protocol._local_queue_done(self.broker, self.client, self.ref)
 
     def cancel(self) -> None:
         """Halt between batches; the queue keeps its remainder (frozen)."""
@@ -270,6 +260,7 @@ class MHHProtocol(MobilityProtocol):
     # broker; covering pruning would break the §4.1 delete step (the paper
     # notes the extra machinery covering would require and leaves it out).
     default_covering = False
+    needs_exact_tables = True
     #: ablation hook: with False, stop_event_migration is never sent, so a
     #: frequent mover's entire backlog is re-shipped to every broker it
     #: touches (the behaviour §4.3's PQlist exists to avoid)
@@ -485,30 +476,20 @@ class MHHProtocol(MobilityProtocol):
     # control dispatch
     # ------------------------------------------------------------------
     def on_control(self, broker: "Broker", msg: m.Message, frm: int) -> None:
-        t = type(msg)
-        if t is m.HandoffRequest:
-            self._on_handoff_request(broker, msg)
-        elif t is m.SubMigration:
-            self._on_sub_migration(broker, msg, frm)
-        elif t is m.SubMigrationAck:
-            self._on_sub_migration_ack(broker, msg, frm)
-        elif t is m.FetchQueue:
-            self._on_fetch_queue(broker, msg, frm)
-        elif t is m.QueueStreamed:
-            self._on_queue_streamed(broker, msg)
-        elif t is m.MigrateBatch:
-            self._on_migrate_batch(broker, msg)
-        elif t is m.DeliverTQ:
-            self._on_deliver_tq(broker, msg)
-        elif t is m.StopEventMigration:
-            self._on_stop(broker, msg)
-        else:
-            raise ProtocolError(f"MHH: unexpected control message {t.__name__}")
+        try:
+            handler = self._CONTROL[type(msg)]
+        except KeyError:
+            raise ProtocolError(
+                f"MHH: unexpected control message {type(msg).__name__}"
+            ) from None
+        handler(self, broker, msg, frm)
 
     # ------------------------------------------------------------------
     # handoff initiation
     # ------------------------------------------------------------------
-    def _on_handoff_request(self, broker: "Broker", msg: m.HandoffRequest) -> None:
+    def _on_handoff_request(
+        self, broker: "Broker", msg: m.HandoffRequest, frm: int
+    ) -> None:
         st = self._state(broker, msg.client)
         if msg.epoch < st.epoch:
             # Superseded: this broker has already witnessed a newer connect
@@ -585,35 +566,32 @@ class MHHProtocol(MobilityProtocol):
         if broker.id == msg.dest:
             self._become_anchor(broker, msg, frm)
             return
-        st = self._state(broker, msg.client)
+        client, key, filt = msg.client, msg.key, msg.filter
+        st = self._state(broker, client)
         if msg.epoch > st.epoch:
             st.epoch = msg.epoch
         if st.transit is not None:
             raise ProtocolError(
-                f"broker {broker.id}: already transit for client {msg.client}"
+                f"broker {broker.id}: already transit for client {client}"
             )
         next_hop = broker.tree.next_hop(broker.id, msg.dest)
-        broker.migration_install_toward(next_hop, msg.key, msg.filter)
-        broker.migration_remove_from(frm, msg.key)
-        broker.migration_mirror_received(frm, msg.key, msg.filter)
-        broker.migration_mirror_sent(next_hop, msg.key)
-        if broker.table.get_client_entry(msg.client) is not None:
+        broker.migration_install_toward(next_hop, key, filt)
+        broker.migration_remove_from(frm, key)
+        broker.migration_mirror_received(frm, key, filt)
+        broker.migration_mirror_sent(next_hop, key)
+        if broker.table.get_client_entry(client) is not None:
             raise ProtocolError(
                 f"broker {broker.id}: client-entry collision in transit "
-                f"(client {msg.client})"
+                f"(client {client})"
             )
-        tq = broker.new_queue(msg.client)
+        tq = broker.new_queue(client).ref
         broker.table.set_client_entry(
-            ClientEntry(
-                msg.client, msg.key, msg.filter,
-                label=next_hop, live=False, sink=tq.ref.qid,
-            )
+            ClientEntry(client, key, filt, label=next_hop, live=False, sink=tq.qid)
         )
-        st.transit = _Transit(tq.ref, frm, next_hop, msg.dest)
-        self.net.send_broker(
-            broker.id, frm, m.SubMigrationAck(msg.client)
-        )
-        self.net.send_broker(broker.id, next_hop, msg)
+        st.transit = _Transit(tq, frm, next_hop, msg.dest)
+        send = self.net.send_broker
+        send(broker.id, frm, m.SubMigrationAck(client))
+        send(broker.id, next_hop, msg)
 
     def _become_anchor(self, broker: "Broker", msg: m.SubMigration, frm: int) -> None:
         st = self._state(broker, msg.client)
@@ -721,12 +699,7 @@ class MHHProtocol(MobilityProtocol):
             ref = om.remaining[0]
             om.current = ref
             if ref.broker == broker.id:
-                om.local_job = _LocalStreamJob(
-                    self, broker, client, ref, om.dest, None,
-                    on_complete=lambda: self._local_queue_done(
-                        broker, client, ref
-                    ),
-                )
+                om.local_job = _LocalStreamJob(self, broker, client, ref, om.dest)
             else:
                 self.net.unicast(
                     broker.id, ref.broker,
@@ -754,44 +727,53 @@ class MHHProtocol(MobilityProtocol):
         ref: QueueRef,
         dest: int,
         append_to: Optional[QueueRef],
-        on_complete,
+        done,
+        *args,
     ) -> None:
         """Stream a local queue to ``dest`` in paced batches.
 
         Batches leave one link-transmission slot apart (``stream_pacing_ms``)
         so shipping a backlog takes simulated time proportional to its size;
-        ``on_complete`` fires after the last batch departs (scheduled after
-        it, so completion messages always trail the data on FIFO links).
+        ``done(*args)``, which drops the queue, fires after the last batch
+        departs (scheduled after it, so completion messages always trail
+        the data on FIFO links).
         """
         q = broker.get_queue(ref)
         q.freeze()
-        # pop batch-by-batch off the live (frozen, so append-proof) queue at
-        # dispatch time rather than draining it upfront: identical timers
-        # and batches, but events not yet shipped stay visible in the queue,
-        # so a crash-repair round gathers them instead of losing them
-        # inside timer closures
-        batch_size = self.system.migration_batch_size
-        pacing = self.system.stream_pacing_ms
-        n_batches = -(-len(q) // batch_size)
-
-        def dispatch() -> None:
-            batch = [q.popleft() for _ in range(min(len(q), batch_size))]
-            if batch:
-                self.net.unicast(
-                    broker.id, dest, m.MigrateBatch(client, batch, append_to)
+        delay = 0.0
+        if q.events:
+            # pop batch-by-batch off the live (frozen, so append-proof) queue
+            # at dispatch time rather than draining it upfront: identical
+            # timers and batches, but events not yet shipped stay visible in
+            # the queue, so a crash-repair round gathers them instead of
+            # losing them inside timer arguments
+            pacing = self.system.stream_pacing_ms
+            n_batches = -(-len(q.events) // self.system.migration_batch_size)
+            self._ship_batch(broker, q, client, dest, append_to)
+            for i in range(1, n_batches):
+                self.later(
+                    broker, i * pacing, self._ship_batch,
+                    broker, q, client, dest, append_to,
                 )
+            if n_batches > 1:
+                delay = (n_batches - 1) * pacing
+        # an empty queue (nearly every TQ) completes at once, but still as
+        # a timer: a scheduled event, and crash repair guards it in `later`
+        self.later(broker, delay, done, *args)
 
-        def complete() -> None:
-            broker.drop_queue(ref)
-            on_complete()
-
-        for i in range(n_batches):
-            if i == 0:
-                dispatch()
-            else:
-                self.later(broker, i * pacing, dispatch)
-        delay = (n_batches - 1) * pacing if n_batches > 1 else 0.0
-        self.later(broker, delay, complete)
+    def _ship_batch(
+        self, broker: "Broker", q, client: int, dest: int,
+        append_to: Optional[QueueRef],
+    ) -> None:
+        """Send the next ``migration_batch_size`` events of ``q`` to ``dest``."""
+        batch = [
+            q.popleft()
+            for _ in range(min(len(q), self.system.migration_batch_size))
+        ]
+        if batch:
+            self.net.unicast(
+                broker.id, dest, m.MigrateBatch(client, batch, append_to)
+            )
 
     def _local_queue_done(self, broker: "Broker", client: int, ref: QueueRef) -> None:
         st = broker.pstate.get(client)
@@ -806,12 +788,16 @@ class MHHProtocol(MobilityProtocol):
     def _on_fetch_queue(self, broker: "Broker", msg: m.FetchQueue, frm: int) -> None:
         self._stream_queue_local(
             broker, msg.client, msg.ref, msg.dest, msg.append_to,
-            on_complete=lambda: self.net.unicast(
-                broker.id, frm, m.QueueStreamed(msg.client, msg.ref)
-            ),
+            self._queue_fetched, broker, msg, frm,
         )
 
-    def _on_queue_streamed(self, broker: "Broker", msg: m.QueueStreamed) -> None:
+    def _queue_fetched(self, broker: "Broker", msg: m.FetchQueue, frm: int) -> None:
+        broker.drop_queue(msg.ref)
+        self.net.unicast(broker.id, frm, m.QueueStreamed(msg.client, msg.ref))
+
+    def _on_queue_streamed(
+        self, broker: "Broker", msg: m.QueueStreamed, frm: int
+    ) -> None:
         st = broker.pstate.get(msg.client)
         anchor = st.anchor if st is not None else None
         if anchor is None:
@@ -843,7 +829,9 @@ class MHHProtocol(MobilityProtocol):
     # ------------------------------------------------------------------
     # event migration: arrival side
     # ------------------------------------------------------------------
-    def _on_migrate_batch(self, broker: "Broker", msg: m.MigrateBatch) -> None:
+    def _on_migrate_batch(
+        self, broker: "Broker", msg: m.MigrateBatch, frm: int
+    ) -> None:
         if msg.append_to is not None:
             q = broker.get_queue(msg.append_to)
             for event in msg.events:
@@ -894,7 +882,7 @@ class MHHProtocol(MobilityProtocol):
     # ------------------------------------------------------------------
     # TQ drain
     # ------------------------------------------------------------------
-    def _on_deliver_tq(self, broker: "Broker", msg: m.DeliverTQ) -> None:
+    def _on_deliver_tq(self, broker: "Broker", msg: m.DeliverTQ, frm: int) -> None:
         if broker.id == msg.dest:
             self._complete_in_migration(broker, msg)
             return
@@ -915,19 +903,21 @@ class MHHProtocol(MobilityProtocol):
     ) -> None:
         transit = st.transit
         assert transit is not None and transit.frozen
-        next_hop = transit.next_hop
-
-        def done() -> None:
-            # forward the token only after the last TQ batch has departed,
-            # preserving the TQ_i-before-TQ_{i+1} arrival order at the target
-            st.transit = None
-            self._gc(broker, client)
-            self.net.send_broker(broker.id, next_hop, msg)
-
         self._stream_queue_local(
             broker, client, transit.tq, msg.target, msg.append_to,
-            on_complete=done,
+            self._transit_drained, broker, client, st, transit, msg,
         )
+
+    def _transit_drained(
+        self, broker: "Broker", client: int, st: _State, transit: _Transit,
+        msg: m.DeliverTQ,
+    ) -> None:
+        # forward the token only after the last TQ batch has departed,
+        # preserving the TQ_i-before-TQ_{i+1} arrival order at the target
+        broker.drop_queue(transit.tq)
+        st.transit = None
+        self._gc(broker, client)
+        self.net.send_broker(broker.id, transit.next_hop, msg)
 
     def _complete_in_migration(self, broker: "Broker", msg: m.DeliverTQ) -> None:
         st = broker.pstate.get(msg.client)
@@ -960,7 +950,7 @@ class MHHProtocol(MobilityProtocol):
     # ------------------------------------------------------------------
     # stop handling (frequent moving, §4.3)
     # ------------------------------------------------------------------
-    def _on_stop(self, broker: "Broker", msg: m.StopEventMigration) -> None:
+    def _on_stop(self, broker: "Broker", msg: m.StopEventMigration, frm: int) -> None:
         st = broker.pstate.get(msg.client)
         anchor = st.anchor if st is not None else None
         if anchor is None or anchor.out_migration is None:
@@ -981,6 +971,18 @@ class MHHProtocol(MobilityProtocol):
         elif om.current is not None:
             return  # a remote fetch is in flight; stop when it completes
         self._do_stop(broker, msg.client, anchor)
+
+    #: message type -> handler(self, broker, msg, frm), for on_control
+    _CONTROL = {
+        m.HandoffRequest: _on_handoff_request,
+        m.SubMigration: _on_sub_migration,
+        m.SubMigrationAck: _on_sub_migration_ack,
+        m.FetchQueue: _on_fetch_queue,
+        m.QueueStreamed: _on_queue_streamed,
+        m.MigrateBatch: _on_migrate_batch,
+        m.DeliverTQ: _on_deliver_tq,
+        m.StopEventMigration: _on_stop,
+    }
 
     def _do_stop(self, broker: "Broker", client: int, anchor: _Anchor) -> None:
         om = anchor.out_migration

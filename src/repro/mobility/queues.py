@@ -13,8 +13,9 @@ frequent-moving extension can maintain its per-client **PQlist**: the ordered
 collection of queues, distributed over the brokers the client has visited,
 whose concatenation is exactly the client's undelivered backlog in delivery
 order (§4.3). The list order itself is carried in MHH control messages as a
-vector of refs (an equivalent simplification of the paper's per-queue next
-pointers — DESIGN.md §2).
+vector of refs — equivalent to the paper's per-queue next pointers, since
+only the anchor ever reads or relinks the list, and it travels with the
+anchor role (``sub_migration.pqlist``, ``deliver_TQ.remaining``).
 """
 
 from __future__ import annotations

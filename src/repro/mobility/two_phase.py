@@ -15,9 +15,10 @@ the protocol deadlock-free (no circular wait), but concurrent handoffs
 whose paths intersect serialize: their event migrations — and therefore
 their clients' first deliveries — wait in line. Grant traffic itself also
 costs control hops. The subscription-migration machinery is untouched (its
-FIFO-based capture correctness must not be tampered with — see the
-analysis in DESIGN.md), so the protocol remains exactly-once; it is just
-slower under concurrency, which is precisely the paper's criticism.
+FIFO-based capture correctness must not be tampered with — the argument is
+in :mod:`repro.mobility.mhh`'s walk-through, step 2), so the protocol
+remains exactly-once; it is just slower under concurrency, which is
+precisely the paper's criticism.
 
 This is an extension/ablation implementation, not a reproduction target:
 the paper's evaluation does not include [12]. ``bench_ablation_two_phase``
@@ -30,7 +31,6 @@ from collections import deque
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ProtocolError
-from repro.pubsub import messages as m
 from repro.pubsub.messages import Message, CAT_MOBILITY_CTRL
 from repro.mobility.mhh import MHHProtocol, _Anchor
 
@@ -145,18 +145,7 @@ class TwoPhaseProtocol(MHHProtocol):
     # ------------------------------------------------------------------
     # grant handling at path brokers
     # ------------------------------------------------------------------
-    def on_control(self, broker: "Broker", msg: m.Message, frm: int) -> None:
-        t = type(msg)
-        if t is GrantRequest:
-            self._on_grant_request(broker, msg)
-        elif t is GrantAck:
-            self._on_grant_ack(broker, msg)
-        elif t is GrantRelease:
-            self._on_grant_release(broker, msg)
-        else:
-            super().on_control(broker, msg, frm)
-
-    def _on_grant_request(self, broker: "Broker", msg: GrantRequest) -> None:
+    def _on_grant_request(self, broker: "Broker", msg: GrantRequest, frm: int) -> None:
         holder = self._lane_holder.get(broker.id)
         if holder is None:
             self._lane_holder[broker.id] = msg.client
@@ -172,7 +161,7 @@ class TwoPhaseProtocol(MHHProtocol):
                 )
             self._lane_queue.setdefault(broker.id, deque()).append(msg)
 
-    def _on_grant_ack(self, broker: "Broker", msg: GrantAck) -> None:
+    def _on_grant_ack(self, broker: "Broker", msg: GrantAck, frm: int) -> None:
         prep = self._preparing.get((broker.id, msg.client))
         if prep is None:
             # the prepare was aborted (migration stopped) while this grant
@@ -190,7 +179,7 @@ class TwoPhaseProtocol(MHHProtocol):
         prep.acquired.append(msg.granter)
         self._request_next_grant(broker, msg.client, prep)
 
-    def _on_grant_release(self, broker: "Broker", msg: GrantRelease) -> None:
+    def _on_grant_release(self, broker: "Broker", msg: GrantRelease, frm: int) -> None:
         if self._lane_holder.get(broker.id) != msg.client:
             raise ProtocolError(
                 f"broker {broker.id}: release from non-holder "
@@ -206,6 +195,14 @@ class TwoPhaseProtocol(MHHProtocol):
             self.net.unicast(
                 broker.id, nxt.coordinator, GrantAck(nxt.client, broker.id)
             )
+
+    #: MHH's control dispatch plus the three grant messages
+    _CONTROL = {
+        **MHHProtocol._CONTROL,
+        GrantRequest: _on_grant_request,
+        GrantAck: _on_grant_ack,
+        GrantRelease: _on_grant_release,
+    }
 
     # ------------------------------------------------------------------
     # release on completion or stop

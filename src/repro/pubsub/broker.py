@@ -22,6 +22,7 @@ from functools import partial
 from typing import Any, Hashable, Optional, TYPE_CHECKING
 
 from repro.errors import ProtocolError
+from repro.mobility.queues import PersistentQueue
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable
 from repro.pubsub.filters import Filter
@@ -29,7 +30,6 @@ from repro.pubsub import messages as m
 from repro.util.ids import QueueRef
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.mobility.queues import PersistentQueue
     from repro.pubsub.system import PubSubSystem
 
 __all__ = ["Broker"]
@@ -47,7 +47,8 @@ class Broker:
         self.tree = system.tree
         self.table = FilterTable(broker_id, system.tree.neighbors(broker_id))
         # queues hosted here, keyed by broker-local queue id
-        self.queues: dict[int, "PersistentQueue"] = {}
+        self.queues: dict[int, PersistentQueue] = {}
+        self._queue_ids = f"queue/{broker_id}"  # this broker's id stream
         # per-client protocol scratchpad (owned by the mobility protocol)
         self.pstate: dict[int, Any] = {}
         self._trace_publish = system.tracer.wants("publish")
@@ -288,15 +289,12 @@ class Broker:
     # ------------------------------------------------------------------
     # queue helpers
     # ------------------------------------------------------------------
-    def new_queue(self, client: int) -> "PersistentQueue":
-        from repro.mobility.queues import PersistentQueue
-
-        qid = self.system.ids.next(f"queue/{self.id}")
-        q = PersistentQueue(QueueRef(self.id, qid), client)
-        self.queues[qid] = q
+    def new_queue(self, client: int) -> PersistentQueue:
+        qid = self.system.ids.next(self._queue_ids)
+        q = self.queues[qid] = PersistentQueue(QueueRef(self.id, qid), client)
         return q
 
-    def get_queue(self, ref: QueueRef) -> "PersistentQueue":
+    def get_queue(self, ref: QueueRef) -> PersistentQueue:
         if ref.broker != self.id:
             raise ProtocolError(
                 f"broker {self.id} asked for remote queue {ref}"

@@ -37,7 +37,8 @@ set, asked three questions**:
   entries' filters once a covering withdrawal has asked for them) is one
   keyed set holding each topic-range member in exactly one *incremental*
   :class:`~repro.pubsub.interval_index.IntervalIndex`, so a handoff's table
-  edit is one O(log n) sorted-array write. That index answers the stab of
+  edit is one O(log n) sorted-array write, made by the set's own ``add`` /
+  ``remove`` in one frame. That index answers the stab of
   matching, the containment check of ``advertised_covers`` and the
   contained-keys enumeration of :meth:`FilterTable.covered_candidates`,
   which therefore visits exactly the entries a withdrawn filter could have
@@ -49,8 +50,8 @@ set, asked three questions**:
   such a filter (the paper's workload) never pay for one. The brute-force
   scan all of this replaced is the tests-only reference
   ``tests/covering_scan.py``;
-* a client→entries map makes :meth:`entries_for_client` (every
-  connect/handoff, all four protocols) O(entries-of-that-client) instead of
+* a client→entries map makes :meth:`FilterTable.get_client_entry` (every
+  MHH connect, and twice per sub-migration hop) one bucket probe instead of
   a scan over every entry on the broker.
 """
 
@@ -155,13 +156,27 @@ class _PeerFilters:
         self._cov: Optional[CoveringIndex] = None
 
     def add(self, key: Hashable, f: Filter) -> None:
+        """Insert or replace ``key``: the one frame of a table edit. A
+        topic-range member is a dict write while the index's arrays are
+        unbuilt (a set nobody queries, like the mirror of a run without
+        covering, never builds them) and one sorted insert once they are."""
         rng = f.as_range()
         if rng is not None and rng[0] == "topic":
             sub = 0
             # replace across subtables
-            if self.general.pop(key, None) is not None and self._cov is not None:
+            if (
+                self.general
+                and self.general.pop(key, None) is not None
+                and self._cov is not None
+            ):
                 self._cov.discard(key)
-            self.ranges.add(key, rng[1], rng[2])
+            ranges = self.ranges
+            if not ranges._dirty:
+                prev = ranges._items.get(key)
+                if prev is not None:
+                    ranges._remove_sorted(key, prev)
+                ranges._insert_sorted(key, rng[1], rng[2])
+            ranges._items[key] = rng[1:]
         else:
             sub = 1
             self.ranges.discard(key)
@@ -174,9 +189,13 @@ class _PeerFilters:
             self._seq[key] = (sub, next(self._next_seq))
 
     def remove(self, key: Hashable) -> bool:
-        if key in self.ranges:
-            self.ranges.remove(key)
-        elif self.general.pop(key, None) is None:
+        """Remove ``key``; False, and nothing changed, if it was absent."""
+        ranges = self.ranges
+        iv = ranges._items.pop(key, None)  # the one probe: range or general?
+        if iv is not None:
+            if not ranges._dirty:
+                ranges._remove_sorted(key, iv)
+        elif not self.general or self.general.pop(key, None) is None:
             return False
         elif self._cov is not None:
             self._cov.discard(key)
@@ -367,29 +386,22 @@ class FilterTable:
             if not bucket:
                 del self._by_client[entry.client]
 
-    def entries_for_client(self, client: int) -> list[ClientEntry]:
-        bucket = self._by_client.get(client)
-        if not bucket:
-            return []
-        if len(bucket) == 1:
-            return list(bucket.values())
-        # several entries (sub-unsub epoch overlap): report them in global
-        # installation order, exactly as the old whole-table scan did
-        return sorted(bucket.values(), key=_ENTRY_SEQ)
-
     def get_client_entry(self, client: int) -> Optional[ClientEntry]:
         """The unique entry for ``client`` (None if absent).
 
         Raises if the client has several entries here — callers relying on
         uniqueness (MHH) would be operating on ambiguous state.
         """
-        entries = self.entries_for_client(client)
-        if len(entries) > 1:
+        bucket = self._by_client.get(client)
+        if not bucket:
+            return None
+        if len(bucket) > 1:
             raise ProtocolError(
                 f"broker {self.broker_id}: client {client} has "
-                f"{len(entries)} entries; use key-based access"
+                f"{len(bucket)} entries; use key-based access"
             )
-        return entries[0] if entries else None
+        (entry,) = bucket.values()
+        return entry
 
     def require_client_entry(self, client: int) -> ClientEntry:
         entry = self.get_client_entry(client)
@@ -487,6 +499,18 @@ class FilterTable:
     # ------------------------------------------------------------------
     # introspection for tests
     # ------------------------------------------------------------------
+    def entries_for_client(self, client: int) -> list[ClientEntry]:
+        """Every entry of ``client`` (the product asks for the unique one:
+        :meth:`get_client_entry`)."""
+        bucket = self._by_client.get(client)
+        if not bucket:
+            return []
+        if len(bucket) == 1:
+            return list(bucket.values())
+        # several entries (sub-unsub epoch overlap): report them in global
+        # installation order, exactly as the old whole-table scan did
+        return sorted(bucket.values(), key=_ENTRY_SEQ)
+
     def snapshot_broker_filters(self) -> dict[int, set]:
         return {n: set(pf.keys()) for n, pf in self._from_nbr.items()}
 

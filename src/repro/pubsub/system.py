@@ -89,9 +89,10 @@ class SystemOptions:
     #: root of every random stream (spanning tree, workload, fault draws)
     seed: int = 0
     #: covering-based propagation pruning. None = the protocol's own
-    #: ``default_covering`` (off for MHH: its migration surgery needs exact
-    #: per-key table state — paper §4.1 notes the machinery covering would
-    #: need)
+    #: ``default_covering``. True is refused for a protocol that
+    #: ``needs_exact_tables`` (the MHH family: its migration surgery needs
+    #: exact per-key table state — paper §4.1 notes the machinery covering
+    #: would need)
     covering_enabled: Optional[bool] = None
     #: events per queue-migration message (bulk queue transfers)
     migration_batch_size: int = 10
@@ -362,6 +363,13 @@ class PubSubSystem:
 
         factory = _protocol_factory(options.protocol)
         self.protocol: "MobilityProtocol" = factory(self)
+        if options.covering_enabled and self.protocol.needs_exact_tables:
+            self.close()
+            raise ConfigurationError(
+                f"covering_enabled=True is not supported by protocol "
+                f"{self.protocol.name!r}: its subscription migration edits "
+                f"tables key by key, and covering prunes the keys it expects"
+            )
         self.covering_enabled = (
             self.protocol.default_covering
             if options.covering_enabled is None

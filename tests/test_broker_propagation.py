@@ -13,8 +13,11 @@ from repro.pubsub import messages as m
 
 
 def build(covering, k=3, seed=1):
+    # subscriptions here never move, so the protocol only names who may be
+    # built with covering: the MHH family refuses it (tested below)
     return PubSubSystem(
-        grid_k=k, protocol="mhh", seed=seed, covering_enabled=covering
+        grid_k=k, protocol="sub-unsub" if covering else "mhh", seed=seed,
+        covering_enabled=covering,
     )
 
 
@@ -100,9 +103,9 @@ def test_unsubscribe_propagates_when_no_cover_remains():
     c = system.add_client(RangeFilter(0.2, 0.4), broker=4)
     c.connect(4)
     system.run(until=3000.0)
+    key = system.brokers[4].table.require_client_entry(c.id).key
     system.brokers[4].local_unsubscribe(c.id, m.CAT_SUB_HANDOFF)
     system.run(until=6000.0)
-    key = ("sub", c.id)
     for b in system.brokers.values():
         for n in b.table.neighbors:
             assert not b.table.has_broker_filter(n, key)
@@ -114,6 +117,30 @@ def test_migration_remove_missing_filter_raises():
     broker = system.brokers[4]
     with pytest.raises(ProtocolError):
         broker.migration_remove_from(1, "nonexistent-key")
+
+
+@pytest.mark.parametrize("protocol", ["mhh", "mhh-nopqlist", "two-phase"])
+def test_covering_refused_where_migration_needs_exact_tables(protocol):
+    """Accepted before, it died mid-run in the backstop above
+    (``migration expected filter ('sub', 12) from neighbour 1``)."""
+    from repro.errors import ConfigurationError
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.runner import run_experiment
+    from repro.workload.spec import WorkloadSpec
+
+    cfg = ExperimentConfig(
+        protocol, grid_k=4, seed=1, covering_enabled=True,
+        workload=WorkloadSpec(
+            clients_per_broker=4, mobile_fraction=0.5, mean_connected_s=2.0,
+            mean_disconnected_s=2.0, publish_interval_s=5.0, duration_s=60.0,
+        ),
+    )
+    with pytest.raises(ConfigurationError, match="covering_enabled") as err:
+        run_experiment(cfg)
+    assert repr(protocol) in str(err.value)
+    # the protocol's own default, and an explicit off, are still accepted
+    assert PubSubSystem(grid_k=3, protocol=protocol).covering_enabled is False
+    PubSubSystem(grid_k=3, protocol=protocol, covering_enabled=False)
 
 
 def test_unknown_protocol_name_rejected():

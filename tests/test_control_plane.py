@@ -20,11 +20,14 @@ other interval-index tests.
 """
 
 import random
+from itertools import accumulate
 
 import pytest
 from covering_scan import ScanCovering, scan_covering
+from hypothesis import given, settings, strategies as st
 
 from repro.pubsub.covering import CoveringIndex
+from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable
 from repro.pubsub.filters import (
     AttributeConstraint,
@@ -134,6 +137,97 @@ def test_advertised_covers_indexed_matches_scan(seed):
         scan = script()
     assert indexed == scan
     assert True in indexed and False in indexed
+
+
+# ---------------------------------------------------------------------------
+# one keyed filter set against a plain-dict model
+# ---------------------------------------------------------------------------
+# a coarse grid, so equal (lo, hi) pairs under different keys are common:
+# the removal that must scan equal pairs for its key gets exercised
+_GRID = st.integers(0, 6).map(lambda i: i / 6)
+_SPAN = st.tuples(_GRID, _GRID).map(sorted)
+MODEL_FILTERS = st.one_of(
+    _SPAN.map(lambda s: RangeFilter(*s)),                     # -> ranges
+    _SPAN.map(lambda s: ConjunctionFilter(                    # -> ranges
+        [AttributeConstraint("topic", Op.RANGE, tuple(s))])),
+    _SPAN.map(lambda s: RangeFilter(*s, attr="size")),        # -> general
+    st.sampled_from(["x", "y"]).map(lambda v: ConjunctionFilter(
+        [AttributeConstraint("kind", Op.EQ, v)])),            # -> general
+    _GRID.map(lambda lo: ConjunctionFilter(                   # -> general
+        [AttributeConstraint("topic", Op.GE, lo)])),
+)
+MODEL_OPS = st.lists(
+    st.tuples(st.booleans(), st.integers(0, 7), MODEL_FILTERS), max_size=40)
+
+
+def is_topic_range(f) -> bool:
+    rng = f.as_range()
+    return rng is not None and rng[0] == "topic"
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=MODEL_OPS, build_at=st.integers(0, 40), queries=st.lists(
+    MODEL_FILTERS, min_size=1, max_size=3))
+def test_peer_filters_against_dict_model(ops, build_at, queries):
+    """``_PeerFilters.add`` / ``remove`` write the interval index's dict
+    and sorted arrays themselves (one frame per table edit): every answer
+    the set gives must be the one a plain dict gives, for edits that land
+    before the index has built its arrays (``build_at``: the first stab)
+    and after, and for keys that move between the two subtables."""
+    table = FilterTable(0, [1])
+    peer = table._from_nbr[1]
+    in_ranges: dict = {}   # the model: two dicts in insertion order
+    in_general: dict = {}
+    events = [Notification(i, 0, i, 0.0, i / 12, {"kind": "x", "size": i / 12})
+              for i in range(13)]
+
+    def check(built: bool) -> None:
+        model = {**in_ranges, **in_general}
+        assert peer.keys() == list(model)
+        assert sorted(model, key=peer._seq.__getitem__) == list(model)
+        assert len(peer) == len(model)
+        for key in range(8):
+            assert (key in peer) == (key in model)
+            assert peer.get(key) is model.get(key)
+        scan = ScanCovering()
+        scan.members = model
+        for q in queries:
+            assert peer.covers(q) == scan.covers(q)
+            assert sorted(peer.covered_by(q)) == sorted(scan.covered_by(q))
+        if built:
+            for event in events:  # the stab, plus the scan of `general`
+                want = any(f.matches(event) for f in model.values())
+                assert table.match(event, None)[0] == ([1] if want else [])
+            idx = peer.ranges
+            assert not idx._dirty
+            assert idx._pairs == sorted(idx._items.values())
+            assert dict(zip(idx._keys, idx._pairs)) == idx._items
+            assert len(idx._keys) == len(idx._items)
+            assert idx._max_hi == list(
+                accumulate((hi for _lo, hi in idx._pairs), max))
+
+    built = False
+    for step, (is_add, key, f) in enumerate(ops):
+        if step == build_at:
+            built = True
+            table.match(events[0], None)
+        if is_add:
+            target, other = ((in_ranges, in_general) if is_topic_range(f)
+                             else (in_general, in_ranges))
+            other.pop(key, None)
+            target[key] = f
+            table.add_broker_filter(1, key, f)
+        else:
+            present = key in in_ranges or key in in_general
+            in_ranges.pop(key, None)
+            in_general.pop(key, None)
+            before = (peer.keys(), dict(peer.filters), dict(peer._seq))
+            assert table.remove_broker_filter(1, key) is present
+            if not present:  # absent: False, and nothing changed
+                assert before == (peer.keys(), peer.filters, peer._seq)
+        check(built)
+    table.match(events[0], None)
+    check(True)
 
 
 # ---------------------------------------------------------------------------
