@@ -1,1 +1,1 @@
-"""Benchmark package: one module per paper figure plus ablations."""
+"""Benchmark package: the whole-run harness, ``python3 -m benchmarks.e2e``."""

@@ -3,13 +3,10 @@
 ``paper`` scale matches Section 5.1 exactly (k=10 / size sweep, 10 clients
 per broker, 20 % mobile, exponential 5-minute periods, one event per client
 per 5 minutes, 6.25 % matching). ``small`` and ``smoke`` shrink the grid,
-population and measurement window proportionally so tests and default
-benchmark runs finish quickly while preserving every ratio that shapes the
-curves (mobility timescales vs link latencies, match fraction, backlog per
+population and measurement window proportionally so tests and quick figure
+runs finish fast while preserving every ratio that shapes the curves
+(mobility timescales vs link latencies, match fraction, backlog per
 disconnection).
-
-Select the benchmark scale with the ``MHH_BENCH_SCALE`` environment
-variable (``smoke`` | ``small`` | ``paper``).
 
 :class:`ExperimentConfig` *is* a :class:`~repro.pubsub.system.SystemOptions`
 (the one declaration of every system option, defaults and validation
@@ -19,16 +16,14 @@ deadline.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from repro.drivers.base import Driver
-from repro.errors import ConfigurationError
 from repro.pubsub.system import PubSubSystem, SystemOptions
 from repro.workload.spec import WorkloadSpec
 
-__all__ = ["ExperimentConfig", "SCALES", "bench_scale"]
+__all__ = ["ExperimentConfig", "SCALES"]
 
 
 @dataclass(frozen=True)
@@ -84,13 +79,3 @@ SCALES: dict[str, dict[str, Any]] = {
     # minutes of simulated time, tiny grid: CI-speed
     "smoke": {"grid_k": 4, "clients_per_broker": 4, "duration_s": 600.0},
 }
-
-
-def bench_scale(default: str = "smoke") -> str:
-    """Benchmark scale from ``MHH_BENCH_SCALE`` (validated)."""
-    scale = os.environ.get("MHH_BENCH_SCALE", default)
-    if scale not in SCALES:
-        raise ConfigurationError(
-            f"MHH_BENCH_SCALE must be one of {sorted(SCALES)}, got {scale!r}"
-        )
-    return scale

@@ -3,7 +3,8 @@
 "Network traffic is measured as the total hops that all messages traveled in
 the network" (paper §5.1). The meter sums wired hops per message category;
 the overhead metric adds up the categories in
-:data:`repro.pubsub.messages.OVERHEAD_CATEGORIES` (rationale in DESIGN.md).
+:data:`repro.pubsub.messages.OVERHEAD_CATEGORIES` (rationale:
+docs/ARCHITECTURE.md, "What the figures measure").
 Wireless transmissions are tallied separately and excluded from overhead for
 all protocols alike (final delivery over the air happens identically in each
 protocol).

@@ -1,7 +1,7 @@
 """Ablation variants of the protocols (benchmark support).
 
 These are not reproduction targets; they isolate individual design choices
-called out in DESIGN.md so the ablation benches can quantify them.
+of the paper so ``tests/test_paper_shapes.py`` can quantify them.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ class MHHNoPQListProtocol(MHHProtocol):
     ``stop_event_migration`` is never issued: when a client moves on before
     its event migration finishes, the migration simply completes at the
     abandoned destination and the whole (ever-growing) backlog is re-shipped
-    by the next handoff. ``bench_ablation_pqlist`` shows the overhead this
-    adds at short connection periods — the problem the distributed PQlist
-    exists to solve.
+    by the next handoff. ``tests/test_paper_shapes.py`` shows the overhead
+    this adds at short connection periods — the problem the distributed
+    PQlist exists to solve.
     """
 
     name = "mhh-nopqlist"

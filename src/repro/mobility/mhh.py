@@ -118,7 +118,6 @@ class _LocalStreamJob:
         self.dest = dest
         self.cancelled = False
         broker.get_queue(ref).freeze()
-        self._step()
 
     def _step(self) -> None:
         if self.cancelled:
@@ -699,7 +698,12 @@ class MHHProtocol(MobilityProtocol):
             ref = om.remaining[0]
             om.current = ref
             if ref.broker == broker.id:
-                om.local_job = _LocalStreamJob(self, broker, client, ref, om.dest)
+                # stored before its first step: a queue of one batch
+                # finishes inside that step and clears it again
+                om.local_job = job = _LocalStreamJob(
+                    self, broker, client, ref, om.dest
+                )
+                job._step()
             else:
                 self.net.unicast(
                     broker.id, ref.broker,

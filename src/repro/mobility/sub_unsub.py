@@ -3,9 +3,8 @@
 When a client reconnects at a new broker ``Bn`` after leaving ``Bo``:
 
 1. ``Bn`` immediately issues a fresh subscription (a new *epoch* of the
-   client's filter) that floods the overlay — with covering-based pruning,
-   which is why this protocol runs with covering enabled by default (the
-   paper's Figure 6(a) discussion depends on it).
+   client's filter) that floods the overlay (covering-pruned only when
+   covering is on; it is off by default).
 2. The old subscription is kept alive at ``Bo`` for a **safety interval**
    equal to the maximum message delivery time between any two stations
    (here: overlay-tree diameter x wired latency), guaranteeing the new
@@ -28,8 +27,9 @@ Reliability notes: a per-root ``delivered_ids`` set filters the rare
 post-merge straggler duplicates (an event can reach the new root twice, via
 the direct route and via the old root's re-forwarding); stragglers arriving
 at an already-unsubscribed root are dropped safely because their twin copy
-is guaranteed to have reached the surviving subscription (analysis in
-DESIGN.md).
+is guaranteed to have reached the surviving subscription (the argument,
+and why covering is off: docs/ARCHITECTURE.md, "What the figures
+measure").
 """
 
 from __future__ import annotations
@@ -88,17 +88,9 @@ class SubUnsubProtocol(MobilityProtocol):
     """Re-subscribe / unsubscribe handoff baseline."""
 
     name = "sub-unsub"
-    # Covering-based pruning is implemented and fully supported
-    # (``PubSubSystem(covering_enabled=True)``; see
-    # benchmarks/bench_ablation_covering.py). It defaults OFF for the
-    # reproduction runs: with this library's 1-D range workload, covering
-    # saturates once ~10^3 subscriptions are installed (any new range is
-    # almost surely contained in an existing one), which would make the
-    # per-handoff floods nearly free — an artifact of the workload
-    # substitution rather than of the protocol, and one that would invert
-    # the paper's Figure 6(a) ordering. Without covering, floods cost
-    # O(brokers) per handoff, matching the magnitude and growth the paper
-    # reports (discussion in DESIGN.md and EXPERIMENTS.md).
+    # covering pruning is supported (``covering_enabled=True``) but off by
+    # default: on this library's 1-D range workload it saturates and would
+    # invert Figure 6(a) (module docstring)
     default_covering = False
 
     def __init__(self, system) -> None:
@@ -287,7 +279,7 @@ class SubUnsubProtocol(MobilityProtocol):
             root = roots.get(epoch)
         if root is None:
             # a straggler for an epoch already unsubscribed; its twin copy
-            # reached the surviving subscription (DESIGN.md) — drop
+            # reached the surviving subscription (module docstring) — drop
             return
         if entry.live:
             self._deliver(broker, root, entry.client, event)
@@ -418,7 +410,7 @@ class SubUnsubProtocol(MobilityProtocol):
         handoff.transfer_done = True
         root.delivered_ids |= msg.delivered_ids
         # Merge no earlier than t0 + 2 * safety interval so dual-window
-        # stragglers have landed in one of the two queues (DESIGN.md).
+        # stragglers have landed in one of the two queues.
         merge_at = handoff.t0 + 2.0 * self.safety_interval_ms
         delay = max(0.0, merge_at - self.clock.now)
         handoff.merge_scheduled = True

@@ -14,14 +14,17 @@ commit). Grants are requested in ascending broker-id order, which makes
 the protocol deadlock-free (no circular wait), but concurrent handoffs
 whose paths intersect serialize: their event migrations — and therefore
 their clients' first deliveries — wait in line. Grant traffic itself also
-costs control hops. The subscription-migration machinery is untouched (its
-FIFO-based capture correctness must not be tampered with — the argument is
-in :mod:`repro.mobility.mhh`'s walk-through, step 2), so the protocol
-remains exactly-once; it is just slower under concurrency, which is
-precisely the paper's criticism.
+costs control hops. Each prepare is numbered and a grant answers the
+attempt that asked for it, so a grant for an aborted prepare goes back to
+the lane even when a newer prepare for the same client waits there. The
+subscription-migration machinery is untouched (its FIFO-based capture
+correctness must not be tampered with — the argument is in
+:mod:`repro.mobility.mhh`'s walk-through, step 2), so the protocol remains
+exactly-once; it is just slower under concurrency, which is precisely the
+paper's criticism.
 
 This is an extension/ablation implementation, not a reproduction target:
-the paper's evaluation does not include [12]. ``bench_ablation_two_phase``
+the paper's evaluation does not include [12]. ``tests/test_paper_shapes.py``
 compares it with MHH under concurrent movement.
 """
 
@@ -43,23 +46,26 @@ __all__ = ["TwoPhaseProtocol", "GrantRequest", "GrantAck", "GrantRelease"]
 class GrantRequest(Message):
     """Coordinator -> path broker: reserve the transfer lane (prepare)."""
 
-    __slots__ = ("client", "coordinator")
+    __slots__ = ("client", "coordinator", "attempt")
     category = CAT_MOBILITY_CTRL
 
-    def __init__(self, client: int, coordinator: int) -> None:
+    def __init__(self, client: int, coordinator: int, attempt: int) -> None:
         self.client = client
         self.coordinator = coordinator
+        self.attempt = attempt
 
 
 class GrantAck(Message):
-    """Path broker -> coordinator: lane reserved for you."""
+    """Path broker -> coordinator: lane reserved for you (the request's
+    ``attempt`` echoed)."""
 
-    __slots__ = ("client", "granter")
+    __slots__ = ("client", "granter", "attempt")
     category = CAT_MOBILITY_CTRL
 
-    def __init__(self, client: int, granter: int) -> None:
+    def __init__(self, client: int, granter: int, attempt: int) -> None:
         self.client = client
         self.granter = granter
+        self.attempt = attempt
 
 
 class GrantRelease(Message):
@@ -75,12 +81,13 @@ class GrantRelease(Message):
 class _Prepare:
     """Grant-acquisition state at a coordinator."""
 
-    __slots__ = ("targets", "acquired", "anchor")
+    __slots__ = ("targets", "acquired", "anchor", "attempt")
 
-    def __init__(self, targets: list[int], anchor: _Anchor) -> None:
+    def __init__(self, targets: list[int], anchor: _Anchor, attempt: int) -> None:
         self.targets = targets      # ascending broker ids still to acquire
         self.acquired: list[int] = []
         self.anchor = anchor
+        self.attempt = attempt      # stamped on its requests, echoed by acks
 
 
 class TwoPhaseProtocol(MHHProtocol):
@@ -98,6 +105,8 @@ class TwoPhaseProtocol(MHHProtocol):
         self._preparing: dict[tuple[int, int], _Prepare] = {}
         # lanes currently held by a (coordinator broker, client) pair
         self._held: dict[tuple[int, int], list[int]] = {}
+        # prepares started so far: the attempt number of the newest
+        self._attempts = 0
         #: number of grant requests that had to wait (ablation metric)
         self.conflicts = 0
 
@@ -118,7 +127,8 @@ class TwoPhaseProtocol(MHHProtocol):
             # GrantRequest; asking it would hang the prepare forever
             down = self.system.hooks.down_brokers
             targets = sorted(set(path) - down)
-            prep = _Prepare(targets, anchor)
+            self._attempts += 1
+            prep = _Prepare(targets, anchor, self._attempts)
             self._preparing[key] = prep
             self._request_next_grant(broker, client, prep)
             return
@@ -139,7 +149,7 @@ class TwoPhaseProtocol(MHHProtocol):
             return
         target = prep.targets[0]
         self.net.unicast(
-            broker.id, target, GrantRequest(client, broker.id)
+            broker.id, target, GrantRequest(client, broker.id, prep.attempt)
         )
 
     # ------------------------------------------------------------------
@@ -150,7 +160,8 @@ class TwoPhaseProtocol(MHHProtocol):
         if holder is None:
             self._lane_holder[broker.id] = msg.client
             self.net.unicast(
-                broker.id, msg.coordinator, GrantAck(msg.client, broker.id)
+                broker.id, msg.coordinator,
+                GrantAck(msg.client, broker.id, msg.attempt),
             )
         else:
             self.conflicts += 1
@@ -163,9 +174,10 @@ class TwoPhaseProtocol(MHHProtocol):
 
     def _on_grant_ack(self, broker: "Broker", msg: GrantAck, frm: int) -> None:
         prep = self._preparing.get((broker.id, msg.client))
-        if prep is None:
+        if prep is None or prep.attempt != msg.attempt:
             # the prepare was aborted (migration stopped) while this grant
-            # was in flight or queued: hand the lane straight back
+            # was in flight or queued — a newer prepare for the same client
+            # may have started since: hand the lane straight back
             self.net.unicast(
                 broker.id, msg.granter, GrantRelease(msg.client)
             )
@@ -193,7 +205,8 @@ class TwoPhaseProtocol(MHHProtocol):
                 del self._lane_queue[broker.id]
             self._lane_holder[broker.id] = nxt.client
             self.net.unicast(
-                broker.id, nxt.coordinator, GrantAck(nxt.client, broker.id)
+                broker.id, nxt.coordinator,
+                GrantAck(nxt.client, broker.id, nxt.attempt),
             )
 
     #: MHH's control dispatch plus the three grant messages

@@ -2,8 +2,8 @@
 
 Every message carries a ``category`` consumed by the traffic meter; the
 paper's "message overhead per handoff" metric sums the wired hops of the
-categories in :data:`OVERHEAD_CATEGORIES` (see DESIGN.md §5 for the
-accounting rationale).
+categories in :data:`OVERHEAD_CATEGORIES` (rationale: docs/ARCHITECTURE.md,
+"What the figures measure").
 
 Message classes are deliberately small ``__slots__`` records; protocol
 handlers dispatch on type.
@@ -289,8 +289,8 @@ class SubMigration(Message):
 
     Carries the client id, its filter (under its routing ``key``), the
     destination broker, and the client's PQlist metadata (ordered queue
-    references — the distributed linked list of §4.3; the vector-of-refs
-    representation is an equivalent simplification, see DESIGN.md).
+    references — the distributed linked list of §4.3 as a vector, see
+    docs/ARCHITECTURE.md, "What the figures measure").
     ``epoch`` propagates the connect epoch of the handoff request being
     served, so the new anchor inherits the staleness horizon.
     """

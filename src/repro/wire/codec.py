@@ -56,7 +56,7 @@ __all__ = [
     "decode_control",
 ]
 
-CODEC_VERSION = 1
+CODEC_VERSION = 2
 
 _F64 = struct.Struct("<d")
 
@@ -517,8 +517,10 @@ from repro.mobility.two_phase import (  # noqa: E402  (registry must exist first
 )
 
 MESSAGE_SCHEMAS[GrantRequest] = (26, (("client", "uint"),
-                                      ("coordinator", "uint")))
-MESSAGE_SCHEMAS[GrantAck] = (27, (("client", "uint"), ("granter", "uint")))
+                                      ("coordinator", "uint"),
+                                      ("attempt", "uint")))
+MESSAGE_SCHEMAS[GrantAck] = (27, (("client", "uint"), ("granter", "uint"),
+                                  ("attempt", "uint")))
 MESSAGE_SCHEMAS[GrantRelease] = (28, (("client", "uint"),))
 
 _BY_ID: Dict[int, Tuple[Type[m.Message], Tuple[Tuple[str, str], ...]]] = {}

@@ -9,11 +9,7 @@ from covering_scan import scan_covering
 from repro.drivers.live import LiveDriver, VirtualClock, run_soak
 from repro.drivers.simulated import SimulatedDriver
 from repro.errors import ConfigurationError
-from repro.experiments.config import (
-    SCALES,
-    ExperimentConfig,
-    bench_scale,
-)
+from repro.experiments.config import SCALES, ExperimentConfig
 from repro.experiments.figures import (
     fig5a,
     fig5b,
@@ -99,16 +95,6 @@ def test_scales_registry_complete():
     assert set(SCALES) == {"smoke", "small", "paper"}
     for preset in SCALES.values():
         assert {"grid_k", "clients_per_broker", "duration_s"} <= set(preset)
-
-
-def test_bench_scale_env(monkeypatch):
-    monkeypatch.delenv("MHH_BENCH_SCALE", raising=False)
-    assert bench_scale() == "smoke"
-    monkeypatch.setenv("MHH_BENCH_SCALE", "paper")
-    assert bench_scale() == "paper"
-    monkeypatch.setenv("MHH_BENCH_SCALE", "bogus")
-    with pytest.raises(ConfigurationError):
-        bench_scale()
 
 
 def test_fig5_sweep_smoke_shapes():

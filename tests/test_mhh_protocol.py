@@ -186,6 +186,44 @@ def test_rapid_move_mid_migration_stops_and_relinks():
     assert system.metrics.delivery.stats.delivered == 40
 
 
+def test_stop_while_fetching_behind_a_local_queue_of_one_batch():
+    """§4.3 stop at a coordinator whose PQlist opens with a local queue of
+    one batch and goes on at another broker: the local queue streams in
+    full at once and the coordinator fetches the remote one. A stop that
+    arrives during that fetch must wait for it. It once found the finished
+    local stream still recorded, took the local-stop branch and dropped
+    the anchor, and the fetch's ``queue_streamed`` then raised."""
+    system = PubSubSystem(grid_k=3, protocol="mhh", seed=1,
+                          migration_batch_size=1)
+    sub, pub = pair(system, 0, 8)
+    sub.disconnect()
+    system.run(until=3000.0)
+    for _ in range(6):
+        pub.publish(0.2)
+    system.run(until=6000.0)
+    # two interrupted moves leave the subscription at broker 1 with its
+    # backlog spread over brokers 1, 2 and 0
+    for target, stay in ((2, 5.0), (1, 0.5)):
+        sub.connect(target)
+        system.run(until=system.sim.now + stay)
+        sub.disconnect()
+        system.run(until=system.sim.now + 2000.0)
+    anchor = system.brokers[1].pstate[sub.id].anchor
+    first, second = anchor.pqlist[:2]
+    assert (first.broker, len(system.brokers[1].get_queue(first))) == (1, 1)
+    assert second.broker == 2
+    # move to 0 and leave at once: 0's stop reaches broker 1 while it
+    # fetches the queue at broker 2
+    sub.connect(0)
+    system.run(until=system.sim.now + 10.0)
+    sub.disconnect()
+    system.run(until=system.sim.now + 3000.0)
+    sub.connect(8)
+    finish(system)
+    assert_clean(system)
+    assert system.metrics.delivery.stats.delivered == 6
+
+
 def test_bounce_back_to_old_broker_mid_migration():
     system = build(k=5)
     sub, pub = pair(system, 0, 12)

@@ -1,7 +1,7 @@
 """Integration tests: reverse-path-forwarding correctness for static clients.
 
-Invariant 4 of DESIGN.md: every published event is delivered exactly once to
-every connected client whose filter matches, and never to others — across
+The invariant: every published event is delivered exactly once to every
+connected client whose filter matches, and never to others — across
 topologies, subscription patterns, and covering on/off.
 """
 

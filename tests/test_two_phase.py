@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import ProtocolError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.mobility.two_phase import TwoPhaseProtocol
@@ -91,13 +90,13 @@ def test_conflicts_counted_under_heavy_concurrency():
 
 
 # ---------------------------------------------------------------------------
-# Known failure (a) of benchmarks/e2e/README.md, pinned (ROADMAP item 1)
+# the point where Known failure (a) of benchmarks/e2e/README.md raised
 # ---------------------------------------------------------------------------
-def _high_mobility(protocol):
+def _high_mobility(protocol, seed=1):
     """The Fig 5 high-mobility edge: k=7, 5 clients per broker, connected
     1 s / disconnected 1 s, for 120 model seconds."""
     return run_experiment(ExperimentConfig(
-        protocol, grid_k=7, seed=1, workload=WorkloadSpec(
+        protocol, grid_k=7, seed=seed, workload=WorkloadSpec(
             clients_per_broker=5, mean_connected_s=1, mean_disconnected_s=1,
             publish_interval_s=60, duration_s=120)))
 
@@ -108,8 +107,11 @@ def test_mhh_runs_the_high_mobility_point():
     assert (row.missing, row.duplicates, row.order_violations) == (0, 0, 0)
 
 
-@pytest.mark.xfail(strict=True, raises=ProtocolError,
-                   reason="Known failure (a): queue_streamed with no anchor; "
-                          "ROADMAP item 1 fixes two-phase or deletes it")
-def test_two_phase_runs_the_high_mobility_point():
-    assert _high_mobility("two-phase").missing == 0
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_two_phase_runs_the_high_mobility_point(seed):
+    """Every seed raises ``queue_streamed with no anchor`` if MHH steps a
+    local stream job before storing it. Seeds 2 and 3 raise ``unexpected
+    grant ack`` if a grant queued for an aborted prepare is taken as the
+    next prepare's: the attempt number on the grant messages keeps them
+    apart."""
+    assert _high_mobility("two-phase", seed).missing == 0
