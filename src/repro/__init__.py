@@ -65,8 +65,6 @@ from repro.pubsub import (
     AttributeConstraint,
     ConjunctionFilter,
     Op,
-    covers,
-    reduce_by_covering,
     Broker,
     Client,
     PubSubSystem,
@@ -122,8 +120,6 @@ __all__ = [
     "AttributeConstraint",
     "ConjunctionFilter",
     "Op",
-    "covers",
-    "reduce_by_covering",
     "Broker",
     "Client",
     "PubSubSystem",

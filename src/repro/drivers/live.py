@@ -196,9 +196,14 @@ class AsyncioClock(_HeapClock):
     second carries five model seconds (a 10 ms wired hop takes 2 ms of
     wall time). Protocol timers and link latencies scale together, so
     relative behaviour is preserved — only the wall budget shrinks.
+
+    A callback that raises does not end its burst: the exception is kept
+    in ``errors`` as ``(model time it was due, callback qualname,
+    repr(exc))`` and the rest of the burst fires in order.
     """
 
-    __slots__ = ("loop", "time_scale", "_t0", "_timer", "_armed_for")
+    __slots__ = ("loop", "time_scale", "_t0", "_timer", "_armed_for",
+                 "errors")
 
     def __init__(
         self,
@@ -213,6 +218,7 @@ class AsyncioClock(_HeapClock):
         self._t0 = self.loop.time()
         self._timer: Optional[asyncio.TimerHandle] = None
         self._armed_for: Optional[float] = None
+        self.errors: list[tuple[float, str, str]] = []
 
     @property
     def now(self) -> float:
@@ -240,18 +246,18 @@ class AsyncioClock(_HeapClock):
         self._timer = None
         self._armed_for = None
         # re-read `now` each iteration so zero-delay chains scheduled by a
-        # firing callback run in this burst instead of waiting a loop tick.
-        # Re-arm in a finally: a raising callback must not strand the rest
-        # of the heap unfired (the loop's handler logs the exception and
-        # the loop survives, so the clock has to as well).
-        try:
-            while True:
-                entry = self._pop_due(self.now)
-                if entry is None:
-                    break
-                entry[3](*entry[4])
-        finally:
-            self._arm()
+        # firing callback run in this burst instead of waiting a loop tick
+        while True:
+            entry = self._pop_due(self.now)
+            if entry is None:
+                break
+            when, _seq, _handle, callback, args = entry
+            try:
+                callback(*args)
+            except Exception as exc:
+                name = getattr(callback, "__qualname__", None) or repr(callback)
+                self.errors.append((when, name, repr(exc)))
+        self._arm()
 
     async def wait_idle(
         self,
@@ -360,7 +366,9 @@ def run_soak(
     measurement window is ``duration_s / time_scale`` *wall* seconds.
     After the window the workload stops, every client reconnects, and the
     run drains until the clock is idle and the protocol reports quiescence
-    — then the run is audited against the fuzzer's invariant matrix.
+    — then the run is audited against the fuzzer's invariant matrix. Each
+    exception a clock callback raised (:attr:`AsyncioClock.errors`) is one
+    more violation, so a soak with a failing handler never passes.
     """
     from repro.conformance.fuzzer import check_invariants, snapshot_outcome
     from repro.experiments.runner import build_system
@@ -394,6 +402,10 @@ def run_soak(
     # audit even when the drain timed out — the named invariant violations
     # (not a bare drain failure) are what the CLI surfaces on exit
     violations = check_invariants(cfg, outcome)
+    violations += [
+        f"handler {name} raised at t={when:.3f} ms: {exc}"
+        for when, name, exc in clock.errors
+    ]
     if not drained:
         violations.insert(
             0,

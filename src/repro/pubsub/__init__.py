@@ -26,7 +26,6 @@ from repro.pubsub.filters import (
     ConjunctionFilter,
     Op,
 )
-from repro.pubsub.covering import covers, reduce_by_covering
 from repro.pubsub.interval_index import IntervalIndex
 from repro.pubsub.filter_table import FilterTable, ClientEntry
 from repro.pubsub.broker import Broker
@@ -40,8 +39,6 @@ __all__ = [
     "AttributeConstraint",
     "ConjunctionFilter",
     "Op",
-    "covers",
-    "reduce_by_covering",
     "IntervalIndex",
     "FilterTable",
     "ClientEntry",

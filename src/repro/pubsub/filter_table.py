@@ -44,11 +44,9 @@ set, asked three questions**:
   which therefore visits exactly the entries a withdrawn filter could have
   been suppressing, in table order (client entries, then neighbours
   ascending);
-* members with no topic-range form are few; they answer covering through a
-  :class:`~repro.pubsub.covering.CoveringIndex` per set, built on first
-  need, so runs that never ask a covering question (MHH) or never install
-  such a filter (the paper's workload) never pay for one. The brute-force
-  scan all of this replaced is the tests-only reference
+* members with no topic-range form are few (the paper's workload installs
+  none); they answer covering by a scan of the set's ``general`` members.
+  The brute-force scan of every member is the tests-only reference
   ``tests/covering_scan.py``;
 * a client→entries map makes :meth:`FilterTable.get_client_entry` (every
   MHH connect, and twice per sub-migration hop) one bucket probe instead of
@@ -63,7 +61,6 @@ from operator import attrgetter
 from typing import Hashable, Iterable, Optional
 
 from repro.errors import ProtocolError
-from repro.pubsub.covering import CoveringIndex
 from repro.pubsub.events import Notification
 from repro.pubsub.filters import Filter
 from repro.pubsub.interval_index import _POS_INF, IntervalIndex
@@ -132,9 +129,7 @@ class _PeerFilters:
     answers all three interval questions about the topic-range members —
     stab (:meth:`FilterTable.match`), containment (:meth:`covers`) and
     contained keys (:meth:`covered_by`) — and the ``general`` members answer
-    a match by a scan and the two covering questions through a
-    :class:`CoveringIndex` built on first need, so sets that never hold or
-    never ask (MHH, the paper's all-range workload) never pay for one.
+    a match and the two covering questions by a scan.
 
     ``filters`` keeps every installed filter object so lookups return the
     original (no per-:meth:`get` reconstruction), and ``_seq`` stamps each
@@ -142,7 +137,7 @@ class _PeerFilters:
     :meth:`keys` order — so candidate enumeration can rank by table order.
     """
 
-    __slots__ = ("ranges", "general", "filters", "_seq", "_next_seq", "_cov")
+    __slots__ = ("ranges", "general", "filters", "_seq", "_next_seq")
 
     def __init__(self) -> None:
         self.ranges = IntervalIndex()
@@ -150,10 +145,6 @@ class _PeerFilters:
         self.filters: dict[Hashable, Filter] = {}
         self._seq: dict[Hashable, tuple[int, int]] = {}
         self._next_seq = count()
-        # covering index of the ``general`` members only: built by
-        # _general_cov() on the first covering question that reaches them,
-        # maintained by add()/remove() from then on
-        self._cov: Optional[CoveringIndex] = None
 
     def add(self, key: Hashable, f: Filter) -> None:
         """Insert or replace ``key``: the one frame of a table edit. A
@@ -163,13 +154,8 @@ class _PeerFilters:
         rng = f.as_range()
         if rng is not None and rng[0] == "topic":
             sub = 0
-            # replace across subtables
-            if (
-                self.general
-                and self.general.pop(key, None) is not None
-                and self._cov is not None
-            ):
-                self._cov.discard(key)
+            if self.general:  # replace across subtables
+                self.general.pop(key, None)
             ranges = self.ranges
             if not ranges._dirty:
                 prev = ranges._items.get(key)
@@ -181,8 +167,6 @@ class _PeerFilters:
             sub = 1
             self.ranges.discard(key)
             self.general[key] = f
-            if self._cov is not None:
-                self._cov.add(key, f)
         self.filters[key] = f
         old = self._seq.get(key)
         if old is None or old[0] != sub:
@@ -197,8 +181,6 @@ class _PeerFilters:
                 ranges._remove_sorted(key, iv)
         elif not self.general or self.general.pop(key, None) is None:
             return False
-        elif self._cov is not None:
-            self._cov.discard(key)
         del self.filters[key]
         del self._seq[key]
         return True
@@ -208,14 +190,6 @@ class _PeerFilters:
 
     def __len__(self) -> int:
         return len(self.filters)
-
-    def _general_cov(self) -> CoveringIndex:
-        cov = self._cov
-        if cov is None:
-            cov = self._cov = CoveringIndex()
-            for key, installed in self.general.items():
-                cov.add(key, installed)
-        return cov
 
     def covers(self, f: Filter) -> bool:
         """Is ``f`` covered by some filter in this set? (conservative)
@@ -230,7 +204,9 @@ class _PeerFilters:
             and self.ranges.contains_interval(rng[1], rng[2])
         ):
             return True
-        return bool(self.general) and self._general_cov().covers(f)
+        return bool(self.general) and any(
+            g.covers(f) for g in self.general.values()
+        )
 
     def covered_by(self, f: Filter) -> list[Hashable]:
         """Keys of every member ``m`` with ``f.covers(m)``, unordered."""
@@ -241,7 +217,7 @@ class _PeerFilters:
             filters = self.filters
             out = [k for k, _iv in self.ranges.items() if f.covers(filters[k])]
         if self.general:
-            out.extend(self._general_cov().covered_by(f))
+            out.extend(k for k, g in self.general.items() if f.covers(g))
         return out
 
     def keys(self) -> list[Hashable]:

@@ -284,13 +284,10 @@ class ConjunctionFilter(Filter):
     An empty conjunction matches everything (and covers everything).
     """
 
-    __slots__ = ("constraints", "_identity")
+    __slots__ = ("constraints",)
 
     def __init__(self, constraints: Iterable[AttributeConstraint]) -> None:
         self.constraints = tuple(constraints)
-        # identity() sorts the constraint keys; hashing/equality run on
-        # every covering probe, so compute lazily once
-        self._identity: Optional[tuple] = None
 
     def matches(self, event: Notification) -> bool:
         for c in self.constraints:
@@ -316,17 +313,13 @@ class ConjunctionFilter(Filter):
         return True
 
     def identity(self) -> tuple:
-        ident = self._identity
-        if ident is None:
-            # sort key flattens Op to its string value: two constraints on
-            # the same attribute would otherwise compare unorderable enum
-            # members
-            keys = sorted(
-                (c.key() for c in self.constraints),
-                key=lambda k: (k[0], k[1].value, repr(k[2])),
-            )
-            ident = self._identity = ("conj", tuple(keys))
-        return ident
+        # sort key flattens Op to its string value: two constraints on the
+        # same attribute would otherwise compare unorderable enum members
+        keys = sorted(
+            (c.key() for c in self.constraints),
+            key=lambda k: (k[0], k[1].value, repr(k[2])),
+        )
+        return ("conj", tuple(keys))
 
     def as_range(self) -> Optional[tuple[str, float, float]]:
         if len(self.constraints) != 1:

@@ -17,9 +17,14 @@ maxima that stops at the first position the mutated ``hi`` does not reach —
 so a mutation costs O(log n) comparisons plus one C-level ``memmove`` per
 array. They are first built by the first query (``_rebuild``): an index
 that is written but never asked, like the advertisement mirror of a run
-without covering, never has arrays to maintain. The differential oracle is
-a brute-force scan of ``items()`` in ``tests/test_interval_index.py`` and
-``tests/test_control_plane.py``.
+without covering, never has arrays to maintain.
+
+The one user is the keyed filter set of :mod:`repro.pubsub.filter_table`,
+which writes the arrays itself on a table edit and carries :meth:`stab`
+inline in ``FilterTable.match``; :meth:`add` and :meth:`stab` stay as the
+references those inlined bodies are tested against. The differential
+oracle is a brute-force scan of ``items()`` in
+``tests/test_interval_index.py``.
 """
 
 from __future__ import annotations
@@ -157,18 +162,8 @@ class IntervalIndex:
         idx = bisect_right(self._pairs, (x, _POS_INF)) - 1
         return idx >= 0 and self._max_hi[idx] >= x
 
-    def contains_interval(
-        self, lo: float, hi: float, exclude: Hashable = None
-    ) -> bool:
-        """True if some interval (other than ``exclude``) contains [lo, hi].
-
-        Excluding a key is a linear scan (cold path: no product caller).
-        """
-        if exclude is not None:
-            return any(
-                l <= lo and hi <= h
-                for k, (l, h) in self._items.items() if k != exclude
-            )
+    def contains_interval(self, lo: float, hi: float) -> bool:
+        """True if some interval contains [lo, hi]."""
         if self._dirty:
             self._rebuild()
         idx = bisect_right(self._pairs, (lo, _POS_INF)) - 1
@@ -194,7 +189,3 @@ class IntervalIndex:
             if h <= hi:
                 out.append(keys[i])
         return out
-
-    def stabbing_keys(self, x: float) -> list[Hashable]:
-        """All keys whose interval contains ``x`` (linear scan; cold path)."""
-        return [k for k, (lo, hi) in self._items.items() if lo <= x <= hi]

@@ -89,7 +89,7 @@ class Process:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "alive" if self.alive else "done"
-        return f"<Process {self.name or id(self):x} {state}>"
+        return f"<Process {self.name or format(id(self), 'x')} {state}>"
 
 
 def spawn(

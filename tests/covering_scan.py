@@ -1,17 +1,17 @@
 """The brute-force covering scan: the tests-only reference for covering.
 
 The product answers both covering questions of the control plane from
-indexes: each keyed filter set of :mod:`repro.pubsub.filter_table` asks its
-topic-range :class:`~repro.pubsub.interval_index.IntervalIndex` and, for
-its general members, a :class:`repro.pubsub.covering.CoveringIndex`. This
-module is the scan those indexes replaced, kept as the differential oracle
+each keyed filter set of :mod:`repro.pubsub.filter_table`: its topic-range
+members through the set's :class:`~repro.pubsub.interval_index.IntervalIndex`,
+its general members (those with no topic-range form) by a scan of them.
+This module is the scan of *every* member, kept as the differential oracle
 (the way ``Mirror`` in ``tests/test_matching_engine.py`` is for matching):
 the same four-method surface over a plain dict, every answer computed by
 walking all members.
 
 :func:`scan_covering` makes every keyed filter set answer ``covers`` and
 ``covered_by`` — topic ranges included — with that scan over all of its
-members while the context is open, so neither index is consulted. A
+members while the context is open, so no interval index is consulted. A
 product run and a reference run of the same script must then agree on
 every message, table and counter.
 """

@@ -146,6 +146,28 @@ def test_rejects_negative_delay(clock):
         clock.call_later_fifo(-0.001, lambda: None)
 
 
+def test_asyncio_clock_records_a_raising_callback_and_keeps_the_burst():
+    clock = AsyncioClock(time_scale=10.0)
+    fired = []
+
+    def bad():
+        raise ValueError("handler failed")
+
+    clock.call_later(10.0, fired.append, "before")
+    clock.call_later(10.0, bad)
+    clock.call_later_fifo(10.0, fired.append, "after")
+    try:
+        _drain(clock)
+    finally:
+        clock.loop.close()
+    assert fired == ["before", "after"]
+    assert clock.pending == 0
+    ((when, name, exc),) = clock.errors
+    assert when >= 10.0  # its deadline: scheduled at now (> 0) + 10 ms
+    assert name.endswith("bad")
+    assert exc == repr(ValueError("handler failed"))
+
+
 def test_asyncio_clock_rejects_nonpositive_time_scale():
     with pytest.raises(SchedulingError):
         AsyncioClock(time_scale=0.0)

@@ -1,18 +1,24 @@
 """Differential tests for the incremental control plane.
 
 Three layers, each checked against its brute-force oracle under randomized
-churn (the covering oracle is ``tests/covering_scan.py``: the scan the
-index replaced, kept under ``tests/`` only):
+churn (the covering oracle is ``tests/covering_scan.py``: a scan of every
+member of a filter set, kept under ``tests/`` only):
 
-* the **covering index** (:class:`~repro.pubsub.covering.CoveringIndex`)
-  against :class:`~covering_scan.ScanCovering` — both directions, exactly;
+* one **filter set** fed only the adversarial mix below, against
+  :class:`~covering_scan.ScanCovering` — both directions, exactly;
 * the **filter table**'s covering checks, withdrawal-candidate
   enumeration (including its table *order*), and client-entry index
   against the scanning implementations;
 * **whole systems**: randomized subscribe/unsubscribe/mobility storms run
-  on the product and again with the scan substituted for the index
-  (× covering on/off) must produce identical routing decisions, identical
-  traffic, identical final tables, and a consistent advertisement mirror.
+  on the product and again with the scan substituted for each filter
+  set's interval index (× covering on/off) must produce identical routing
+  decisions, identical traffic, identical final tables, and a consistent
+  advertisement mirror.
+
+:func:`random_filter` is the adversarial filter mix every covering
+differential draws from: topic and ``size`` ranges, empty conjunctions,
+bool-valued ``EQ``, ``PREFIX`` / ``EXISTS`` and string ``RANGE``
+constraints.
 
 The :class:`IntervalIndex` differential (incremental repair vs a
 brute-force scan) lives in ``tests/test_interval_index.py`` next to the
@@ -26,9 +32,8 @@ import pytest
 from covering_scan import ScanCovering, scan_covering
 from hypothesis import given, settings, strategies as st
 
-from repro.pubsub.covering import CoveringIndex
 from repro.pubsub.events import Notification
-from repro.pubsub.filter_table import ClientEntry, FilterTable
+from repro.pubsub.filter_table import ClientEntry, FilterTable, _PeerFilters
 from repro.pubsub.filters import (
     AttributeConstraint,
     ConjunctionFilter,
@@ -83,35 +88,37 @@ def random_constraint(rnd: random.Random) -> AttributeConstraint:
 
 
 # ---------------------------------------------------------------------------
-# CoveringIndex vs brute force
+# covering checks vs brute force
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(10))
 def test_covering_index_differential(seed):
-    """covers() == peer-scan semantics; covered_by() == exact brute force."""
+    """A filter set fed only the adversarial mix: covers() == peer-scan
+    semantics; covered_by() == exact brute force."""
     rnd = random.Random(seed)
-    ci = CoveringIndex()
+    peer = _PeerFilters()
     scan = ScanCovering()
     for _step in range(250):
         if rnd.random() < 0.55 or not scan.members:
             key = rnd.randrange(60)
             f = random_filter(rnd)
-            ci.add(key, f)
+            peer.add(key, f)
             scan.add(key, f)
         else:
             key = rnd.choice(list(scan.members))
-            ci.discard(key)
+            assert peer.remove(key)
             scan.discard(key)
         if rnd.random() < 0.4:
             q = random_filter(rnd)
-            assert ci.covers(q) == scan.covers(q)
-            assert set(ci.covered_by(q)) == set(scan.covered_by(q))
-    assert len(ci) == len(scan)
+            assert peer.covers(q) == scan.covers(q)
+            assert set(peer.covered_by(q)) == set(scan.covered_by(q))
+    assert len(peer) == len(scan)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_advertised_covers_indexed_matches_scan(seed):
     """FilterTable.advertised_covers agrees with the scan substituted for
-    the per-neighbour index, answer for answer over one churn script."""
+    the per-neighbour filter set, answer for answer over one churn
+    script."""
     def script() -> list:
         rnd = random.Random(100 + seed)
         table = FilterTable(0, NEIGHBORS)
@@ -329,7 +336,7 @@ def test_filter_lookups_return_installed_objects():
 
 
 # ---------------------------------------------------------------------------
-# whole-system churn storms: covering index and covering scan agree exactly
+# whole-system churn storms: filter sets and the covering scan agree exactly
 # ---------------------------------------------------------------------------
 def run_churn_storm(protocol, covering, seed):
     """One scripted random mobility/publish storm; returns every observable."""
@@ -401,8 +408,8 @@ def run_churn_storm(protocol, covering, seed):
      ("home-broker", False)],
 )
 def test_churn_storm_all_modes_agree(protocol, covering):
-    """Randomized churn: the covering index and the tests-only covering
-    scan substituted for it are bit-identical."""
+    """Randomized churn: the filter sets' covering answers and the
+    tests-only covering scan substituted for them are bit-identical."""
     baseline = run_churn_storm(protocol, covering, seed=42)
     with scan_covering():
         assert run_churn_storm(protocol, covering, seed=42) == baseline

@@ -27,6 +27,7 @@ from repro.network.faults import FaultProfile
 from repro.network.recovery import CrashEvent, CrashPlan
 from repro.pubsub import messages as m
 from repro.pubsub.broker import Broker
+from repro.pubsub.client import Client
 from repro.pubsub.system import PubSubSystem
 from repro.workload.spec import WorkloadSpec
 
@@ -195,6 +196,39 @@ def test_asyncio_soak_mhh_with_faults_passes():
     assert result.violations == []
     assert result.stats.published > 0
     assert result.stats.missing == 0
+
+
+def test_asyncio_soak_fails_on_a_raising_handler(monkeypatch):
+    """A handler that raises once on the asyncio loop is a named violation,
+    not a line in the loop's log beside a PASS."""
+    publish = Client.publish
+    raised = []
+
+    def publish_once_raising(self, *args, **kwargs):
+        if not raised:
+            raised.append(self.id)
+            raise RuntimeError("publish handler failed")
+        return publish(self, *args, **kwargs)
+
+    monkeypatch.setattr(Client, "publish", publish_once_raising)
+    cfg = ExperimentConfig(
+        protocol="mhh",
+        grid_k=2,
+        workload=WorkloadSpec(
+            clients_per_broker=2,
+            publish_interval_s=0.5,
+            duration_s=2.0,
+            warmup_s=0.2,
+        ),
+    )
+    result = run_soak(cfg, time_scale=10.0)
+    assert raised
+    assert result.drained
+    assert result.passed is False
+    # the clock callback that raised: the publisher process's wakeup
+    (violation,) = [v for v in result.violations if "raised" in v]
+    assert "Process._resume" in violation
+    assert "publish handler failed" in violation
 
 
 def test_cli_soak_command(capsys):

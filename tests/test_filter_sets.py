@@ -2,14 +2,15 @@
 
 Every keyed filter set of :mod:`repro.pubsub.filter_table` keeps each
 topic-range member in exactly one :class:`IntervalIndex` and answers stab,
-containment and contained-keys from it; its general members sit in one
-lazily built :class:`CoveringIndex`. These tests pin that:
+containment and contained-keys from it; its general members are scanned.
+These tests pin that:
 
 * a table write is **one** sorted-array write (the guard against a second
   copy of the same filters coming back);
 * the keyed set answers both covering directions like a scan of its
   members, across keys that flip between the two homes, equal intervals
-  under distinct keys, and NaN-valued constraints;
+  under distinct keys, NaN-valued constraints and the adversarial mix of
+  ``test_control_plane.random_filter``;
 * :meth:`FilterTable.covered_candidates` equals the table walk, content and
   order, with a few hundred client entries;
 * a NaN-bounded filter never reaches an interval index.
@@ -150,22 +151,40 @@ def test_one_index_write_per_table_write(index_writes):
 # ---------------------------------------------------------------------------
 # (ii) keyed-set differential: both covering directions vs the member scan
 # ---------------------------------------------------------------------------
+#: one of each adversarial shape ``random_filter`` draws, so that every
+#: seed of the differential starts with all of them installed
+ADVERSARIAL = [
+    RangeFilter(5.0, 20.0, attr="size"),
+    ConjunctionFilter([]),
+    ConjunctionFilter([AttributeConstraint("kind", Op.EQ, True)]),
+    ConjunctionFilter([AttributeConstraint("size", Op.EQ, False),
+                       AttributeConstraint("topic", Op.RANGE, (0.0, 1.0))]),
+    ConjunctionFilter([AttributeConstraint("region", Op.PREFIX, "ab")]),
+    ConjunctionFilter([AttributeConstraint("kind", Op.EXISTS)]),
+    ConjunctionFilter([AttributeConstraint("region", Op.RANGE, ("a", "x"))]),
+]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_keyed_set_differential(seed):
     rnd = random.Random(400 + seed)
     peer = _PeerFilters()
     scan = ScanCovering()
+    for key, f in enumerate(ADVERSARIAL):  # churned like any other key
+        peer.add(key, f)
+        scan.add(key, f)
     shared = RangeFilter(0.25, 0.5)  # one interval under several keys
-    steps = 300
-    # the general index is built by the first question that reaches it:
-    # start asking at a random step so that both the lazy build over
-    # accumulated members and the incremental path are exercised
-    first_question = rnd.randrange(steps // 2)
     flips = 0
-    for step in range(steps):
+    for step in range(300):
         if rnd.random() < 0.6 or not scan.members:
             key = rnd.randrange(40)
-            f = shared if rnd.random() < 0.15 else random_filter_with_nan(rnd)
+            roll = rnd.random()
+            if roll < 0.15:
+                f = shared
+            elif roll < 0.5:
+                f = random_filter(rnd)
+            else:
+                f = random_filter_with_nan(rnd)
             old = scan.members.get(key)
             flips += old is not None and is_topic_range(old) != is_topic_range(f)
             peer.add(key, f)
@@ -177,24 +196,18 @@ def test_keyed_set_differential(seed):
             assert not peer.remove(key)
         assert peer.filters == scan.members
         assert set(peer.keys()) == set(scan.members)
-        if step < first_question:
-            assert peer._cov is None
-            continue
-        for q in (random_filter_with_nan(rnd), shared):
+        for q in (random_filter(rnd), random_filter_with_nan(rnd), shared,
+                  rnd.choice(ADVERSARIAL)):
             assert peer.covers(q) == scan.covers(q), (step, q)
             assert sorted(peer.covered_by(q)) == sorted(scan.covered_by(q)), (
                 step, q)
     assert flips > 5
-    # no covering index holds a topic-range member, and none that does not
-    # exist was ever needed for the topic-range ones
-    if peer._cov is not None:
-        assert set(peer._cov._members) == set(peer.general)
     assert not any(is_topic_range(f) for f in peer.general.values())
     assert {k for k, _iv in peer.ranges.items()} \
         == {k for k, f in scan.members.items() if is_topic_range(f)}
 
 
-def test_all_range_set_never_builds_a_covering_index():
+def test_all_range_set_has_no_general_member():
     """The paper's workload (topic ranges only) asks and answers every
     covering question from the one interval index."""
     peer = _PeerFilters()
@@ -204,7 +217,7 @@ def test_all_range_set_never_builds_a_covering_index():
     assert not peer.covers(RangeFilter(0.0, 0.5))
     assert peer.covered_by(RangeFilter(0.25, 0.45)) == ["narrow"]
     assert sorted(peer.covered_by(ConjunctionFilter([]))) == ["narrow", "wide"]
-    assert peer._cov is None
+    assert not peer.general
 
 
 # ---------------------------------------------------------------------------

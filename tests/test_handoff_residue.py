@@ -17,8 +17,10 @@ from repro.experiments.runner import build_system, drain_to_quiescence
 
 def _assert_no_residue(system) -> int:
     """One state, one anchor and one table entry per client; no transit
-    role, no frozen queue, and no queue outside an anchor's PQlist.
-    Returns the number of queues that are left."""
+    role, no frozen queue, no queue outside an anchor's PQlist, and no
+    filter set holding a member without a topic-range form (the workload
+    installs topic ranges only). Returns the number of queues that are
+    left."""
     brokers = system.brokers.values()
     clients = len(system.clients)
     states = [st for b in brokers for st in b.pstate.values()]
@@ -28,6 +30,14 @@ def _assert_no_residue(system) -> int:
     assert not [st for st in states if st.pre_anchor is not None]
     assert sum(len(b.table.clients) for b in brokers) == clients
     assert sum(len(b.table._by_client) for b in brokers) == clients
+    filter_sets = [
+        peer
+        for b in brokers
+        for peer in (*b.table._from_nbr.values(), *b.table._advertised.values(),
+                     b.table._client_filters)
+        if peer is not None
+    ]
+    assert not [peer for peer in filter_sets if peer.general]
     queues = [q for b in brokers for q in b.queues.values()]
     assert not [q for q in queues if q.frozen]
     listed = [ref for st in states for ref in st.anchor.pqlist]

@@ -61,30 +61,6 @@ def test_contains_interval():
     assert not idx.contains_interval(0.2, 0.6)
 
 
-def test_contains_interval_exclude_self():
-    idx = IntervalIndex()
-    idx.add("a", 0.1, 0.5)
-    assert not idx.contains_interval(0.1, 0.5, exclude="a")
-    idx.add("b", 0.0, 0.9)
-    assert idx.contains_interval(0.1, 0.5, exclude="a")
-
-
-def test_contains_interval_exclude_with_equal_intervals():
-    idx = IntervalIndex()
-    idx.add("a", 0.2, 0.4)
-    idx.add("b", 0.2, 0.4)
-    assert idx.contains_interval(0.2, 0.4, exclude="a")
-    assert idx.contains_interval(0.2, 0.4, exclude="b")
-
-
-def test_stabbing_keys():
-    idx = IntervalIndex()
-    idx.add("a", 0.0, 0.5)
-    idx.add("b", 0.4, 0.9)
-    assert set(idx.stabbing_keys(0.45)) == {"a", "b"}
-    assert idx.stabbing_keys(0.95) == []
-
-
 def test_mutation_after_query_rebuilds():
     idx = IntervalIndex()
     idx.add("a", 0.0, 0.2)
@@ -116,22 +92,17 @@ def test_property_stab_matches_bruteforce(raw, x):
 @given(
     raw=interval_sets,
     q=st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)),
-    exclude=st.one_of(st.none(), st.integers(0, 29)),
 )
-def test_property_containment_matches_bruteforce(raw, q, exclude):
+def test_property_containment_matches_bruteforce(raw, q):
     idx = IntervalIndex()
-    items = {}
-    for i, (a, b) in enumerate(raw):
+    items = []
+    for a, b in raw:
         lo, hi = min(a, b), max(a, b)
-        idx.add(i, lo, hi)
-        items[i] = (lo, hi)
+        idx.add(len(items), lo, hi)
+        items.append((lo, hi))
     qlo, qhi = min(q), max(q)
-    expect = any(
-        lo <= qlo and qhi <= hi
-        for key, (lo, hi) in items.items()
-        if key != exclude
-    )
-    assert idx.contains_interval(qlo, qhi, exclude=exclude) == expect
+    expect = any(lo <= qlo and qhi <= hi for lo, hi in items)
+    assert idx.contains_interval(qlo, qhi) == expect
 
 
 @settings(max_examples=100, deadline=None)
@@ -168,16 +139,18 @@ def test_incremental_mutation_between_queries():
     assert sorted(idx.items()) == [("a", (0.3, 0.4))]
 
 
-def test_incremental_ties_on_hi_keep_exclusion_exact():
-    """Equal-hi intervals: whichever is the stored max, exclusion works."""
+def test_incremental_ties_on_hi_keep_prefix_maxima():
+    """Equal-hi intervals: removing the one that set the stored max leaves
+    the other's containment answer exact."""
     idx = IntervalIndex()
     idx.add("a", 0.1, 0.9)
     assert idx.stab(0.5)
     idx.add("b", 0.2, 0.9)        # tie on hi after arrays exist
-    assert idx.contains_interval(0.3, 0.9, exclude="a")
-    assert idx.contains_interval(0.3, 0.9, exclude="b")
+    idx.remove("a")
+    assert idx.contains_interval(0.3, 0.9)
+    assert not idx.contains_interval(0.15, 0.9)
     idx.remove("b")
-    assert not idx.contains_interval(0.3, 0.9, exclude="a")
+    assert not idx.contains_interval(0.3, 0.9)
 
 
 def test_contained_keys_enumeration():
@@ -194,8 +167,8 @@ def stab_bruteforce(items, x):
     return any(lo <= x <= hi for _k, (lo, hi) in items)
 
 
-def contains_bruteforce(items, lo, hi, exclude):
-    return any(l <= lo and hi <= h for k, (l, h) in items if k != exclude)
+def contains_bruteforce(items, lo, hi):
+    return any(l <= lo and hi <= h for _k, (l, h) in items)
 
 
 def contained_bruteforce(items, lo, hi):
@@ -231,9 +204,7 @@ def test_differential_incremental_vs_rebuild(seed):
             x = rnd.uniform(-0.2, 1.2)
             assert inc.stab(x) == stab_bruteforce(items, x), (seed, step)
             a, b = sorted((rnd.uniform(0, 1), rnd.uniform(0, 1)))
-            for excl in (None, rnd.randrange(30)):
-                assert inc.contains_interval(a, b, excl) \
-                    == contains_bruteforce(items, a, b, excl), \
-                    (seed, step, excl)
+            assert inc.contains_interval(a, b) \
+                == contains_bruteforce(items, a, b), (seed, step)
             assert sorted(inc.contained_keys(a, b)) \
                 == contained_bruteforce(items, a, b), (seed, step)

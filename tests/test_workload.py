@@ -41,6 +41,15 @@ def test_subscription_ranges_stay_in_unit_interval():
         assert 0.0 <= f.lo <= f.hi <= 1.0
 
 
+def test_every_subscription_is_a_closed_topic_range():
+    """The paper's workload installs topic ranges only, so no filter set
+    ever holds a member it must scan for covering."""
+    gen = SubscriptionGenerator(RandomStreams(6), match_fraction=0.0625)
+    for i in range(1000):
+        f = gen.draw(i)
+        assert f.as_range() == ("topic", f.lo, f.hi)
+
+
 def test_subscriptions_deterministic_per_seed():
     a = SubscriptionGenerator(RandomStreams(5), 0.0625)
     b = SubscriptionGenerator(RandomStreams(5), 0.0625)
