@@ -39,6 +39,7 @@ from repro.errors import (
     RoutingError,
     FilterError,
     ProtocolError,
+    HandoffPhaseError,
     ClientStateError,
     ConfigurationError,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "RoutingError",
     "FilterError",
     "ProtocolError",
+    "HandoffPhaseError",
     "ClientStateError",
     "ConfigurationError",
     # simulation

@@ -40,6 +40,29 @@ class ProtocolError(ReproError):
     """
 
 
+class HandoffPhaseError(ProtocolError):
+    """A handoff message or step reached a broker in a phase that cannot
+    take it (MHH's ``(phase, message type)`` dispatch found no handler).
+
+    Carries the ``broker``, the ``client``, the broker's ``phase`` for the
+    client (a :class:`repro.mobility.mhh.Phase`), the newest connect
+    ``epoch`` the broker has witnessed for it (-1: none) and ``what``
+    arrived.
+    """
+
+    def __init__(self, broker: int, client: int, phase, epoch: int,
+                 what: str) -> None:
+        super().__init__(
+            f"broker {broker}: {what} in phase {phase.name} "
+            f"(client {client}, epoch {epoch})"
+        )
+        self.broker = broker
+        self.client = client
+        self.phase = phase
+        self.epoch = epoch
+        self.what = what
+
+
 class ClientStateError(ReproError):
     """Raised on invalid client life-cycle transitions.
 

@@ -1,16 +1,38 @@
 """MHH: the Multi-Hop Handoff protocol (paper §4).
 
-Roles a broker can play for a given mobile client (kept in
-``broker.pstate[client]``, all optional and simultaneously possible):
+Phases
+------
+A broker plays one role for a given mobile client at a time: its *phase*,
+kept with what the phase holds in ``broker.pstate[client]`` (a ``_State``).
 
-* **anchor** — the broker where the client's subscription currently roots.
-  While the client is connected its entry is *live*; while disconnected the
-  anchor hosts the open *tail* queue absorbing newly arriving events. The
-  anchor coordinates outgoing migrations (the paper's ``Bo``) and receives
-  incoming ones (the paper's ``Bn``).
-* **transit** — a broker on the tree path of an active subscription
-  migration, holding a temporary queue (TQ) behind a labelled filter-table
-  entry that captures in-transit events (§4.1 steps 1-5).
+==================  ========================================================
+``IDLE``            no role: the newest connect epoch seen here, and maybe a
+                    parked ``handoff_request`` (a state with neither is
+                    forgotten)
+``PRE_ANCHOR``      the paper's ``Bn`` before the ``sub_migration``:
+                    immigrant events outran it and are buffered (or handed
+                    to the client)
+``TRANSIT``         on the tree path of a migration: the TQ sits behind a
+                    labelled entry until the next hop acks (§4.1 steps 1-5)
+``TRANSIT_ACKED``   the entry is gone, the TQ frozen until the
+                    ``deliver_TQ`` token drains it
+``SETTLED``         the anchor, nothing moving: the client is live here, or
+                    the open *tail* queue absorbs its events
+``OUT_AWAIT_ACK``   the coordinator ``Bo``: ``sub_migration`` sent, waiting
+                    for the first hop's ack
+``OUT_STREAMING``   ``Bo`` streams the PQlist to ``Bn``, queue by queue
+``GRANTING``        two-phase only: ``Bo`` acquires transfer grants first
+``IN_MIGRATION``    the new anchor ``Bn``, receiving until the token
+``SELF_MIGRATION``  an anchor draining a broker-distributed PQlist to its
+                    own, connected client
+==================  ========================================================
+
+``SETTLED``, ``IN_MIGRATION`` and ``SELF_MIGRATION`` are the *rooted*
+phases: the client's subscription roots at this broker. A control message
+is handled by ``_CONTROL[(phase, type(msg))]``; a pair without an entry is
+a :class:`repro.errors.HandoffPhaseError` at dispatch, naming the phase,
+the client and its epoch. With the ``mhh_phase`` trace category on, every
+phase change is one trace record (client, broker, epoch, from, to).
 
 Protocol walk-through (silent move, §4.2)
 -----------------------------------------
@@ -65,9 +87,10 @@ live client with nothing left to chase it back).
 
 from __future__ import annotations
 
+from enum import IntEnum
 from typing import Optional, TYPE_CHECKING
 
-from repro.errors import ProtocolError
+from repro.errors import HandoffPhaseError
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry
 from repro.pubsub import messages as m
@@ -78,19 +101,48 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.pubsub.broker import Broker
     from repro.pubsub.system import PubSubSystem
 
-__all__ = ["MHHProtocol"]
+__all__ = ["MHHProtocol", "Phase"]
+
+
+class Phase(IntEnum):
+    """A broker's one role for one client (module docstring, "Phases")."""
+
+    IDLE = 0
+    PRE_ANCHOR = 1
+    TRANSIT = 2
+    TRANSIT_ACKED = 3
+    SETTLED = 4
+    OUT_AWAIT_ACK = 5
+    OUT_STREAMING = 6
+    GRANTING = 7
+    IN_MIGRATION = 8
+    SELF_MIGRATION = 9
+
+
+# module names for the members, in definition order: a global is several
+# times cheaper to read than a member of the enum class, and the hop reads
+# them on every message
+(IDLE, PRE_ANCHOR, TRANSIT, TRANSIT_ACKED, SETTLED, OUT_AWAIT_ACK,
+ OUT_STREAMING, GRANTING, IN_MIGRATION, SELF_MIGRATION) = Phase
+
+#: the phases in which the client's subscription roots at this broker
+_ROOTED = frozenset({SETTLED, IN_MIGRATION, SELF_MIGRATION})
+
+
+def every_phase(msg_type: type, handler) -> dict:
+    """``_CONTROL`` entries taking ``msg_type`` in every phase."""
+    return {(phase, msg_type): handler for phase in Phase}
 
 
 class _OutMigration:
-    """Coordinator state at the old anchor (the paper's ``Bo``)."""
+    """What the coordinator (the paper's ``Bo``) holds while it migrates."""
 
-    __slots__ = ("dest", "first_hop", "ack_received", "remaining", "current",
+    __slots__ = ("dest", "first_hop", "remaining", "current",
                  "stop_requested", "local_job")
 
     def __init__(self, dest: int, first_hop: int, remaining: list[QueueRef]) -> None:
         self.dest = dest
         self.first_hop = first_hop
-        self.ack_received = False
         self.remaining = remaining
         self.current: Optional[QueueRef] = None
         self.stop_requested = False
@@ -139,19 +191,27 @@ class _LocalStreamJob:
         self.cancelled = True
 
 
-class _InMigration:
-    """Receiver state at the new anchor (the paper's ``Bn``)."""
+class _Immigration:
+    """What ``Bn`` holds: the immigrant buffer (``PRE_ANCHOR``), then the
+    inbound migration (``IN_MIGRATION``).
 
-    __slots__ = ("old_anchor", "immigrant", "arrivals", "deliver_live", "stop_sent")
+    Migrated events travel grid shortest paths while the subscription
+    migration walks the (generally longer) overlay-tree path, so the first
+    stored events routinely beat the ``sub_migration`` message to ``Bn`` —
+    this is precisely why the paper has ``Bn`` create the PQ3 buffer "when
+    Bn receives these immigrant events" (§4.2): delivery to the client can
+    start before the subscription has even finished moving.
+    """
 
-    def __init__(
-        self, old_anchor: int, immigrant: QueueRef, arrivals: QueueRef,
-        deliver_live: bool,
-    ) -> None:
-        self.old_anchor = old_anchor
+    __slots__ = ("immigrant", "deliver_live", "old_anchor", "arrivals",
+                 "stop_sent")
+
+    def __init__(self, immigrant: QueueRef, deliver_live: bool) -> None:
         self.immigrant = immigrant
-        self.arrivals = arrivals
         self.deliver_live = deliver_live
+        #: set when the sub_migration arrives
+        self.old_anchor: Optional[int] = None
+        self.arrivals: Optional[QueueRef] = None
         self.stop_sent = False
 
 
@@ -169,86 +229,77 @@ class _SelfMigration:
         self.stop_requested = False
 
 
-class _Anchor:
-    """Anchor-role state."""
-
-    __slots__ = ("key", "filter", "pqlist", "connected", "out_migration",
-                 "in_migration", "self_migration")
-
-    def __init__(self, key, filter) -> None:
-        self.key = key
-        self.filter = filter
-        #: ordered queue refs; while disconnected the last one is the open tail
-        self.pqlist: list[QueueRef] = []
-        self.connected = False
-        self.out_migration: Optional[_OutMigration] = None
-        self.in_migration: Optional[_InMigration] = None
-        self.self_migration: Optional[_SelfMigration] = None
-
-    @property
-    def busy(self) -> bool:
-        return (
-            self.out_migration is not None
-            or self.in_migration is not None
-            or self.self_migration is not None
-        )
-
-
 class _Transit:
-    """Transit-role state on a migration path."""
+    """What a transit broker holds on a migration path."""
 
-    __slots__ = ("tq", "prev_hop", "next_hop", "dest", "frozen", "pending_deliver")
+    __slots__ = ("tq", "next_hop", "pending_deliver")
 
-    def __init__(self, tq: QueueRef, prev_hop: int, next_hop: int, dest: int) -> None:
+    def __init__(self, tq: QueueRef, next_hop: int) -> None:
         self.tq = tq
-        self.prev_hop = prev_hop
         self.next_hop = next_hop
-        self.dest = dest
-        self.frozen = False
+        #: the deliver_TQ token, if it overtook the ack
         self.pending_deliver: Optional[m.DeliverTQ] = None
 
 
-class _PreAnchor:
-    """Immigrant events reaching the destination before the sub_migration.
-
-    Migrated events travel grid shortest paths while the subscription
-    migration walks the (generally longer) overlay-tree path, so the first
-    stored events routinely beat the ``sub_migration`` message to ``Bn`` —
-    this is precisely why the paper has ``Bn`` create the PQ3 buffer "when
-    Bn receives these immigrant events" (§4.2): delivery to the client can
-    start before the subscription has even finished moving.
-    """
-
-    __slots__ = ("immigrant", "deliver_live")
-
-    def __init__(self, immigrant: QueueRef, deliver_live: bool) -> None:
-        self.immigrant = immigrant
-        self.deliver_live = deliver_live
-
-
 class _State:
-    """All MHH roles of one broker for one client."""
+    """One broker's MHH state for one client: its phase and what it holds."""
 
-    __slots__ = ("anchor", "transit", "pre_anchor", "pending_handoff", "epoch")
+    __slots__ = ("phase", "epoch", "pending_handoff", "pqlist", "connected",
+                 "move")
 
     def __init__(self) -> None:
-        self.anchor: Optional[_Anchor] = None
-        self.transit: Optional[_Transit] = None
-        self.pre_anchor: Optional[_PreAnchor] = None
-        self.pending_handoff: Optional[m.HandoffRequest] = None
+        self.phase = IDLE
         #: highest connect epoch witnessed here for this client (via
         #: connects, handoff requests, or sub_migrations); anything older
         #: is a superseded race remnant
         self.epoch = -1
+        #: a handoff request waiting for this broker to settle as the anchor
+        self.pending_handoff: Optional[m.HandoffRequest] = None
+        #: rooted phases: the ordered queue refs; while the client is
+        #: disconnected the last one is the open tail
+        self.pqlist: list[QueueRef] = []
+        self.connected = False
+        #: the moving part of the phase: a _Transit, _OutMigration,
+        #: _Immigration or _SelfMigration (None when IDLE or SETTLED)
+        self.move = None
 
     @property
-    def empty(self) -> bool:
-        return (
-            self.anchor is None
-            and self.transit is None
-            and self.pre_anchor is None
-            and self.pending_handoff is None
-        )
+    def anchor(self) -> Optional["_State"]:
+        """This state while the subscription roots here, else None (the
+        scenario tests read ``anchor.pqlist`` and ``anchor.connected``)."""
+        return self if self.phase in _ROOTED else None
+
+
+_PHASE = _State.phase  # the slot under _TracedState's property
+
+
+class _TracedState(_State):
+    """A ``_State`` whose every phase change is one ``mhh_phase`` trace
+    record; made in its place only when that category is traced, so an
+    untraced run pays nothing for it."""
+
+    __slots__ = ("tracer", "where")
+
+    def __init__(self, tracer, broker: int, client: int) -> None:
+        _PHASE.__set__(self, IDLE)
+        self.tracer = tracer
+        self.where = (broker, client)
+        super().__init__()
+
+    @property
+    def phase(self) -> Phase:
+        return _PHASE.__get__(self)
+
+    @phase.setter
+    def phase(self, to: Phase) -> None:
+        frm = _PHASE.__get__(self)
+        if to is not frm:
+            broker, client = self.where
+            self.tracer.emit(
+                "mhh_phase", client=client, broker=broker, epoch=self.epoch,
+                frm=frm.name, to=to.name,
+            )
+        _PHASE.__set__(self, to)
 
 
 class MHHProtocol(MobilityProtocol):
@@ -265,22 +316,43 @@ class MHHProtocol(MobilityProtocol):
     #: touches (the behaviour §4.3's PQlist exists to avoid)
     enable_stop = True
 
+    def __init__(self, system: "PubSubSystem") -> None:
+        super().__init__(system)
+        self._trace_phases = self.tracer.wants("mhh_phase")
+
     # ------------------------------------------------------------------
     # state helpers
     # ------------------------------------------------------------------
-    @staticmethod
-    def _state(broker: "Broker", client: int) -> _State:
+    def _state(self, broker: "Broker", client: int) -> _State:
         st = broker.pstate.get(client)
         if st is None:
-            st = _State()
-            broker.pstate[client] = st
+            st = broker.pstate[client] = (
+                _TracedState(self.tracer, broker.id, client)
+                if self._trace_phases else _State()
+            )
         return st
 
     @staticmethod
     def _gc(broker: "Broker", client: int) -> None:
         st = broker.pstate.get(client)
-        if st is not None and st.empty:
+        if (st is not None and st.phase is IDLE
+                and st.pending_handoff is None):
             del broker.pstate[client]
+
+    @staticmethod
+    def _to_idle(broker: "Broker", client: int, st: _State) -> None:
+        """The role here is over; forget the client unless a request waits."""
+        st.phase = IDLE
+        st.move = None
+        if st.pending_handoff is None:
+            del broker.pstate[client]
+
+    @staticmethod
+    def _illegal(broker: "Broker", client: int, st: Optional[_State],
+                 what: str) -> HandoffPhaseError:
+        if st is None:
+            return HandoffPhaseError(broker.id, client, IDLE, -1, what)
+        return HandoffPhaseError(broker.id, client, st.phase, st.epoch, what)
 
     def _key(self, client: int):
         return ("sub", client)
@@ -314,9 +386,8 @@ class MHHProtocol(MobilityProtocol):
             # the client has reconnected here since that request was issued;
             # the chase it asked for is obsolete
             st.pending_handoff = None
-        anchor = st.anchor
-        if anchor is not None and anchor.out_migration is None:
-            self._reconnect_at_anchor(broker, client, anchor)
+        if st.phase in _ROOTED:
+            self._reconnect_at_anchor(broker, client, st)
             return
         if last_broker is None:
             self._first_attach(broker, client, st)
@@ -333,124 +404,122 @@ class MHHProtocol(MobilityProtocol):
             self.net.unicast(
                 broker.id, last_broker, m.HandoffRequest(client, broker.id, epoch)
             )
-        if st.pre_anchor is not None and self._present(broker, client):
+        if st.phase is PRE_ANCHOR and self._present(broker, client):
             # immigrant events already arriving ahead of the sub_migration
-            pre = st.pre_anchor
-            pre.deliver_live = True
-            self._drain_queue_to_wireless(broker, client, pre.immigrant)
+            st.move.deliver_live = True
+            self._drain_queue_to_wireless(broker, client, st.move.immigrant)
         self._gc(broker, client)
 
     def _first_attach(self, broker: "Broker", client: int, st: _State) -> None:
         filt = self.system.clients[client].filter
+        key = self._key(client)
         present = self._present(broker, client)
-        anchor = _Anchor(self._key(client), filt)
+        st.pqlist = []
         if present:
-            broker.local_subscribe(
-                client, anchor.key, filt, m.CAT_SUB_INITIAL, live=True
-            )
-            anchor.connected = True
+            broker.local_subscribe(client, key, filt, m.CAT_SUB_INITIAL, live=True)
         else:
             # the client vanished inside the uplink latency window: attach
             # it offline (subscribe + store)
             tail = broker.new_queue(client)
             broker.local_subscribe(
-                client, anchor.key, filt, m.CAT_SUB_INITIAL,
+                client, key, filt, m.CAT_SUB_INITIAL,
                 live=False, sink=tail.ref.qid,
             )
-            anchor.pqlist = [tail.ref]
-        st.anchor = anchor
+            st.pqlist.append(tail.ref)
+        st.connected = present
+        st.phase = SETTLED
         if self.tracer.wants("first_attach"):
             self.tracer.emit("first_attach", client=client, broker=broker.id)
 
     def _reconnect_at_anchor(
-        self, broker: "Broker", client: int, anchor: _Anchor
+        self, broker: "Broker", client: int, st: _State
     ) -> None:
         present = self._present(broker, client)
-        anchor.connected = present
+        st.connected = present
         if not present:
             # the client left again within the uplink latency window; the
             # usual disconnect handling already ran (or was a no-op)
             return
-        if anchor.in_migration is not None:
+        move = st.move
+        if st.phase is IN_MIGRATION:
             # client arrived (or came back) at the destination mid-migration:
             # hand over what has accumulated, pass the rest through live
-            im = anchor.in_migration
-            im.deliver_live = True
-            self._drain_queue_to_wireless(broker, client, im.immigrant)
-            return
-        if anchor.self_migration is not None:
-            sm = anchor.self_migration
-            sm.deliver_live = True
-            sm.stop_requested = False
-            if sm.immigrant is not None:
-                self._drain_queue_to_wireless(broker, client, sm.immigrant)
-                if not len(broker.get_queue(sm.immigrant)):
-                    broker.drop_queue(sm.immigrant)
-                    sm.immigrant = None
-            return
-        # idle anchor with a stored (possibly broker-distributed) PQlist
-        self._start_self_migration(broker, client, anchor)
+            move.deliver_live = True
+            self._drain_queue_to_wireless(broker, client, move.immigrant)
+        elif st.phase is SELF_MIGRATION:
+            move.deliver_live = True
+            move.stop_requested = False
+            if move.immigrant is not None:
+                self._drain_queue_to_wireless(broker, client, move.immigrant)
+                if not len(broker.get_queue(move.immigrant)):
+                    broker.drop_queue(move.immigrant)
+                    move.immigrant = None
+        else:
+            # settled anchor with a stored (possibly broker-distributed)
+            # PQlist
+            self._start_self_migration(broker, client, st)
 
     def on_disconnect(self, broker: "Broker", client: int) -> None:
         st = broker.pstate.get(client)
-        anchor = st.anchor if st is not None else None
-        if anchor is None or anchor.out_migration is not None:
+        if st is None or st.phase not in _ROOTED:
             # Disconnect at a broker that is not the subscription owner
             # (awaiting an inbound migration, or the old anchor after the
             # subscription left). Only early immigrant deliveries can be in
             # flight here; pull the untransmitted ones back into the buffer.
-            if st is not None and st.pre_anchor is not None:
-                pre = st.pre_anchor
-                pre.deliver_live = False
-                self._reclaim_wireless(broker, client, pre.immigrant)
+            if st is not None and st.phase is PRE_ANCHOR:
+                st.move.deliver_live = False
+                self._reclaim_wireless(broker, client, st.move.immigrant)
             return
-        anchor.connected = False
-        if anchor.in_migration is not None:
-            im = anchor.in_migration
-            im.deliver_live = False
-            self._reclaim_wireless(broker, client, im.immigrant)
-            if not im.stop_sent and self.enable_stop:
-                im.stop_sent = True
-                if self.tracer.wants("stop_event_migration"):
-                    self.tracer.emit(
-                        "stop_event_migration", client=client, frm=broker.id,
-                        to=im.old_anchor,
-                    )
-                self.net.unicast(
-                    broker.id, im.old_anchor, m.StopEventMigration(client)
-                )
-            return
-        if anchor.self_migration is not None:
-            sm = anchor.self_migration
-            sm.deliver_live = False
-            if sm.immigrant is None:
-                sm.immigrant = broker.new_queue(client).ref
-            self._reclaim_wireless(broker, client, sm.immigrant)
-            if sm.current is None:
-                self._settle_self_migration(broker, client, anchor)
+        st.connected = False
+        move = st.move
+        if st.phase is IN_MIGRATION:
+            move.deliver_live = False
+            self._reclaim_wireless(broker, client, move.immigrant)
+            if not move.stop_sent:
+                self._request_stop(broker, client, move)
+        elif st.phase is SELF_MIGRATION:
+            move.deliver_live = False
+            if move.immigrant is None:
+                move.immigrant = broker.new_queue(client).ref
+            self._reclaim_wireless(broker, client, move.immigrant)
+            if move.current is None:
+                self._settle_self_migration(broker, client, st)
             else:
-                sm.stop_requested = True  # settle when the fetch completes
-            return
-        entry = broker.table.get_client_entry(client)
-        if entry is None or not entry.live:
-            # connect message still in flight (the broker never went live
-            # for this session); nothing to store yet
-            return
-        self._go_offline(broker, client, anchor, entry)
+                move.stop_requested = True  # settle when the fetch completes
+        else:
+            entry = broker.table.get_client_entry(client)
+            if entry is not None and entry.live:
+                self._go_offline(broker, client, st, entry)
+            # else: the connect message is still in flight (the broker
+            # never went live for this session); nothing to store yet
 
     def _go_offline(
-        self, broker: "Broker", client: int, anchor: _Anchor, entry: ClientEntry
+        self, broker: "Broker", client: int, st: _State, entry: ClientEntry
     ) -> None:
         """Open the tail queue for a live client that just detached."""
         tail = broker.new_queue(client)
         entry.live = False
         entry.sink = tail.ref.qid
-        anchor.pqlist.append(tail.ref)
+        st.pqlist.append(tail.ref)
         self._reclaim_wireless(broker, client, tail.ref)
         if self.tracer.wants("offline_store"):
             self.tracer.emit(
                 "offline_store", client=client, broker=broker.id, queue=str(tail.ref)
             )
+
+    def _request_stop(
+        self, broker: "Broker", client: int, im: _Immigration
+    ) -> None:
+        """§4.3: ask the old anchor to stop streaming (once per migration)."""
+        if not self.enable_stop:
+            return
+        im.stop_sent = True
+        if self.tracer.wants("stop_event_migration"):
+            self.tracer.emit(
+                "stop_event_migration", client=client, frm=broker.id,
+                to=im.old_anchor,
+            )
+        self.net.unicast(broker.id, im.old_anchor, m.StopEventMigration(client))
 
     def on_proclaimed_disconnect(
         self, broker: "Broker", client: int, dest: int
@@ -459,8 +528,7 @@ class MHHProtocol(MobilityProtocol):
         if dest == broker.id:
             return
         st = broker.pstate.get(client)
-        anchor = st.anchor if st is not None else None
-        if anchor is None or anchor.busy:
+        if st is None or st.phase is not SETTLED:
             # Not the settled anchor (e.g. proclaimed move announced from a
             # broker the subscription never reached): the destination will
             # issue a handoff request when the client reconnects there.
@@ -469,27 +537,28 @@ class MHHProtocol(MobilityProtocol):
             self.tracer.emit(
                 "proclaimed_move", client=client, frm=broker.id, to=dest
             )
-        self._start_out_migration(broker, client, anchor, dest, st.epoch)
+        self._start_out_migration(broker, client, st, dest, st.epoch)
 
     # ------------------------------------------------------------------
-    # control dispatch
+    # control dispatch: one handler per (phase, message type)
     # ------------------------------------------------------------------
     def on_control(self, broker: "Broker", msg: m.Message, frm: int) -> None:
-        try:
-            handler = self._CONTROL[type(msg)]
-        except KeyError:
-            raise ProtocolError(
-                f"MHH: unexpected control message {type(msg).__name__}"
-            ) from None
-        handler(self, broker, msg, frm)
+        st = broker.pstate.get(msg.client)
+        handler = self._CONTROL.get(
+            (IDLE if st is None else st.phase, type(msg))
+        )
+        if handler is None:
+            raise self._illegal(broker, msg.client, st, type(msg).__name__)
+        handler(self, broker, st, msg, frm)
 
     # ------------------------------------------------------------------
     # handoff initiation
     # ------------------------------------------------------------------
     def _on_handoff_request(
-        self, broker: "Broker", msg: m.HandoffRequest, frm: int
+        self, broker: "Broker", st: Optional[_State], msg: m.HandoffRequest,
+        frm: int,
     ) -> None:
-        st = self._state(broker, msg.client)
+        st = st or self._state(broker, msg.client)
         if msg.epoch < st.epoch:
             # Superseded: this broker has already witnessed a newer connect
             # (the client came back here, or a newer request passed through).
@@ -503,197 +572,157 @@ class MHHProtocol(MobilityProtocol):
             self._gc(broker, msg.client)
             return
         st.epoch = msg.epoch
-        anchor = st.anchor
-        if anchor is None or anchor.busy:
+        if st.phase is SETTLED:
+            self._start_out_migration(
+                broker, msg.client, st, msg.new_broker, msg.epoch
+            )
+        else:
             # Not the anchor yet, or the previous migration has not settled:
             # hold the request. A previously pending request is necessarily
             # older (lower epoch) and is superseded by this one.
             st.pending_handoff = msg
-            return
-        self._start_out_migration(
-            broker, msg.client, anchor, msg.new_broker, msg.epoch
-        )
 
     def _start_out_migration(
-        self,
-        broker: "Broker",
-        client: int,
-        anchor: _Anchor,
-        dest: int,
-        epoch: int,
+        self, broker: "Broker", client: int, st: _State, dest: int, epoch: int,
     ) -> None:
-        if anchor.busy:  # pragma: no cover - callers check
-            raise ProtocolError(
-                f"broker {broker.id}: out-migration while busy (client {client})"
-            )
+        """SETTLED -> OUT_AWAIT_ACK: the subscription starts toward ``dest``."""
         entry = broker.table.require_client_entry(client)
         if entry.live:
             # A stale-but-still-binding request: the client has already come
             # back here, but the request chain must be honoured for the later
             # links of the chain to resolve. Detach delivery and migrate; the
             # chain's final link brings the subscription back.
-            self._go_offline(broker, client, anchor, entry)
-        if not anchor.pqlist:  # pragma: no cover - tail exists when offline
-            raise ProtocolError(
-                f"broker {broker.id}: out-migration with empty pqlist"
-            )
+            self._go_offline(broker, client, st, entry)
         first_hop = broker.tree.next_hop(broker.id, dest)
-        broker.migration_install_toward(first_hop, anchor.key, anchor.filter)
+        broker.migration_install_toward(first_hop, entry.key, entry.filter)
         entry.label = first_hop
-        broker.migration_mirror_sent(first_hop, anchor.key)
+        broker.migration_mirror_sent(first_hop, entry.key)
         if self.tracer.wants("sub_migration_start"):
             self.tracer.emit(
                 "sub_migration_start", client=client, frm=broker.id, to=dest
             )
-        anchor.out_migration = _OutMigration(dest, first_hop, list(anchor.pqlist))
+        # ownership of the PQlist travels with the sub_migration
+        pqlist, st.pqlist = st.pqlist, []
+        st.phase = OUT_AWAIT_ACK
+        st.move = _OutMigration(dest, first_hop, pqlist)
         self.net.send_broker(
             broker.id,
             first_hop,
             m.SubMigration(
-                client, anchor.key, anchor.filter, dest, tuple(anchor.pqlist),
-                epoch,
+                client, entry.key, entry.filter, dest, tuple(pqlist), epoch,
             ),
         )
-        anchor.pqlist = []  # ownership travels with the sub_migration
 
     # ------------------------------------------------------------------
     # subscription migration
     # ------------------------------------------------------------------
     def _on_sub_migration(
-        self, broker: "Broker", msg: m.SubMigration, frm: int
+        self, broker: "Broker", st: Optional[_State], msg: m.SubMigration,
+        frm: int,
     ) -> None:
+        """IDLE -> TRANSIT, or IDLE -> IN_MIGRATION at the destination."""
         if broker.id == msg.dest:
-            self._become_anchor(broker, msg, frm)
+            self._become_anchor(broker, st, msg, frm)
             return
         client, key, filt = msg.client, msg.key, msg.filter
-        st = self._state(broker, client)
+        st = st or self._state(broker, client)
         if msg.epoch > st.epoch:
             st.epoch = msg.epoch
-        if st.transit is not None:
-            raise ProtocolError(
-                f"broker {broker.id}: already transit for client {client}"
-            )
         next_hop = broker.tree.next_hop(broker.id, msg.dest)
         broker.migration_install_toward(next_hop, key, filt)
         broker.migration_remove_from(frm, key)
         broker.migration_mirror_received(frm, key, filt)
         broker.migration_mirror_sent(next_hop, key)
-        if broker.table.get_client_entry(client) is not None:
-            raise ProtocolError(
-                f"broker {broker.id}: client-entry collision in transit "
-                f"(client {client})"
-            )
         tq = broker.new_queue(client).ref
         broker.table.set_client_entry(
             ClientEntry(client, key, filt, label=next_hop, live=False, sink=tq.qid)
         )
-        st.transit = _Transit(tq, frm, next_hop, msg.dest)
+        st.phase = TRANSIT
+        st.move = _Transit(tq, next_hop)
         send = self.net.send_broker
         send(broker.id, frm, m.SubMigrationAck(client))
         send(broker.id, next_hop, msg)
 
-    def _become_anchor(self, broker: "Broker", msg: m.SubMigration, frm: int) -> None:
-        st = self._state(broker, msg.client)
+    def _become_anchor(
+        self, broker: "Broker", st: Optional[_State], msg: m.SubMigration,
+        frm: int,
+    ) -> None:
+        """IDLE or PRE_ANCHOR -> IN_MIGRATION: the migration's destination."""
+        client = msg.client
+        st = st or self._state(broker, client)
         if msg.epoch > st.epoch:
             st.epoch = msg.epoch
-        if st.anchor is not None:
-            raise ProtocolError(
-                f"broker {broker.id}: sub_migration arrived at existing "
-                f"anchor (client {msg.client})"
-            )
-        if broker.table.get_client_entry(msg.client) is not None:
-            raise ProtocolError(
-                f"broker {broker.id}: client-entry collision at destination "
-                f"(client {msg.client})"
-            )
         broker.migration_remove_from(frm, msg.key)
         broker.migration_mirror_received(frm, msg.key, msg.filter)
-        self.net.send_broker(
-            broker.id, frm, m.SubMigrationAck(msg.client)
-        )
-        arrivals = broker.new_queue(msg.client)
-        if st.pre_anchor is not None:
+        self.net.send_broker(broker.id, frm, m.SubMigrationAck(client))
+        arrivals = broker.new_queue(client).ref
+        if st.phase is PRE_ANCHOR:
             # immigrant events outran the sub_migration; adopt their buffer
-            immigrant_ref = st.pre_anchor.immigrant
-            st.pre_anchor = None
+            im = st.move
         else:
-            immigrant_ref = broker.new_queue(msg.client).ref
+            im = _Immigration(broker.new_queue(client).ref, False)
         broker.table.set_client_entry(
             ClientEntry(
-                msg.client, msg.key, msg.filter,
-                label=None, live=False, sink=arrivals.ref.qid,
+                client, msg.key, msg.filter,
+                label=None, live=False, sink=arrivals.qid,
             )
         )
-        anchor = _Anchor(msg.key, msg.filter)
-        anchor.pqlist = [immigrant_ref] + list(msg.pqlist) + [arrivals.ref]
-        present = self._present(broker, msg.client)
-        anchor.connected = present
+        present = self._present(broker, client)
         # the old anchor hosts the tail (always the last shipped queue)
-        old_anchor = msg.pqlist[-1].broker
-        anchor.in_migration = _InMigration(
-            old_anchor, immigrant_ref, arrivals.ref, deliver_live=present
-        )
-        st.anchor = anchor
-        if present and len(broker.get_queue(immigrant_ref)):
-            self._drain_queue_to_wireless(broker, msg.client, immigrant_ref)
+        im.old_anchor = msg.pqlist[-1].broker
+        im.arrivals = arrivals
+        im.deliver_live = present
+        st.pqlist = [im.immigrant, *msg.pqlist, arrivals]
+        st.connected = present
+        st.phase = IN_MIGRATION
+        st.move = im
+        if present and len(broker.get_queue(im.immigrant)):
+            self._drain_queue_to_wireless(broker, client, im.immigrant)
         if self.tracer.wants("anchor_formed"):
             self.tracer.emit(
-                "anchor_formed", client=msg.client, broker=broker.id, connected=present
+                "anchor_formed", client=client, broker=broker.id, connected=present
             )
-        if not present and self.enable_stop:
-            anchor.in_migration.stop_sent = True
-            self.net.unicast(
-                broker.id, old_anchor, m.StopEventMigration(msg.client)
-            )
+        if not present:
+            self._request_stop(broker, client, im)
 
-    def _on_sub_migration_ack(
-        self, broker: "Broker", msg: m.SubMigrationAck, frm: int
+    def _on_transit_ack(
+        self, broker: "Broker", st: _State, msg: m.SubMigrationAck, frm: int
     ) -> None:
-        st = broker.pstate.get(client := msg.client)
-        if st is None:
-            raise ProtocolError(
-                f"broker {broker.id}: stray sub_migration_ack (client {client})"
-            )
-        anchor = st.anchor
-        if (
-            anchor is not None
-            and anchor.out_migration is not None
-            and not anchor.out_migration.ack_received
-        ):
-            om = anchor.out_migration
-            om.ack_received = True
-            # stop accepting events for the client: delete the labelled entry
-            broker.table.remove_client_entry(client)
-            for ref in om.remaining:
-                if ref.broker == broker.id:
-                    broker.get_queue(ref).freeze()
-            if self.tracer.wants("event_migration_start"):
-                self.tracer.emit(
-                    "event_migration_start", client=client, frm=broker.id, to=om.dest
-                )
-            if om.stop_requested:
-                self._do_stop(broker, client, anchor)
-            else:
-                self._stream_next(broker, client, anchor)
-            return
-        transit = st.transit
-        if transit is None or transit.frozen:
-            raise ProtocolError(
-                f"broker {broker.id}: stray sub_migration_ack (client {client})"
-            )
-        transit.frozen = True
-        broker.table.remove_client_entry(client)
+        """TRANSIT -> TRANSIT_ACKED: drop the labelled entry, freeze the TQ."""
+        st.phase = TRANSIT_ACKED
+        transit = st.move
+        broker.table.remove_client_entry(msg.client)
         broker.get_queue(transit.tq).freeze()
         if transit.pending_deliver is not None:
             pending, transit.pending_deliver = transit.pending_deliver, None
-            self._transit_drain(broker, client, st, pending)
+            self._transit_drain(broker, st, pending, frm)
+
+    def _on_first_ack(
+        self, broker: "Broker", st: _State, msg: m.SubMigrationAck, frm: int
+    ) -> None:
+        """OUT_AWAIT_ACK -> OUT_STREAMING: the event migration starts."""
+        client = msg.client
+        om = st.move
+        st.phase = OUT_STREAMING
+        # stop accepting events for the client: delete the labelled entry
+        broker.table.remove_client_entry(client)
+        for ref in om.remaining:
+            if ref.broker == broker.id:
+                broker.get_queue(ref).freeze()
+        if self.tracer.wants("event_migration_start"):
+            self.tracer.emit(
+                "event_migration_start", client=client, frm=broker.id, to=om.dest
+            )
+        if om.stop_requested:
+            self._do_stop(broker, client, st)
+        else:
+            self._stream_next(broker, client, st)
 
     # ------------------------------------------------------------------
     # event migration: PQlist streaming (coordinator at the old anchor)
     # ------------------------------------------------------------------
-    def _stream_next(self, broker: "Broker", client: int, anchor: _Anchor) -> None:
-        om = anchor.out_migration
-        assert om is not None
+    def _stream_next(self, broker: "Broker", client: int, st: _State) -> None:
+        om = st.move
         if om.remaining:
             ref = om.remaining[0]
             om.current = ref
@@ -720,9 +749,7 @@ class MHHProtocol(MobilityProtocol):
             om.first_hop,
             m.DeliverTQ(client, om.dest, om.dest, None),
         )
-        anchor.out_migration = None
-        self._state(broker, client).anchor = None
-        self._gc(broker, client)
+        self._to_idle(broker, client, st)
 
     def _stream_queue_local(
         self,
@@ -781,15 +808,15 @@ class MHHProtocol(MobilityProtocol):
 
     def _local_queue_done(self, broker: "Broker", client: int, ref: QueueRef) -> None:
         st = broker.pstate.get(client)
-        anchor = st.anchor if st is not None else None
-        if anchor is None or anchor.out_migration is None:  # pragma: no cover
-            raise ProtocolError(
-                f"broker {broker.id}: local stream completion with no "
-                f"out-migration (client {client})"
-            )
-        self._queue_done(broker, client, anchor, ref)
+        if st is None or st.phase is not OUT_STREAMING:  # pragma: no cover
+            raise self._illegal(broker, client, st, "local stream completion")
+        self._queue_done(broker, client, st, ref)
 
-    def _on_fetch_queue(self, broker: "Broker", msg: m.FetchQueue, frm: int) -> None:
+    def _on_fetch_queue(
+        self, broker: "Broker", st: Optional[_State], msg: m.FetchQueue,
+        frm: int,
+    ) -> None:
+        """Any phase: the queue asked for is streamed wherever it is."""
         self._stream_queue_local(
             broker, msg.client, msg.ref, msg.dest, msg.append_to,
             self._queue_fetched, broker, msg, frm,
@@ -800,139 +827,95 @@ class MHHProtocol(MobilityProtocol):
         self.net.unicast(broker.id, frm, m.QueueStreamed(msg.client, msg.ref))
 
     def _on_queue_streamed(
-        self, broker: "Broker", msg: m.QueueStreamed, frm: int
+        self, broker: "Broker", st: _State, msg: m.QueueStreamed, frm: int
     ) -> None:
-        st = broker.pstate.get(msg.client)
-        anchor = st.anchor if st is not None else None
-        if anchor is None:
-            raise ProtocolError(
-                f"broker {broker.id}: queue_streamed with no anchor "
-                f"(client {msg.client})"
-            )
-        if anchor.self_migration is not None:
-            self._self_migration_streamed(broker, msg.client, anchor, msg.ref)
-            return
-        self._queue_done(broker, msg.client, anchor, msg.ref)
+        self._queue_done(broker, msg.client, st, msg.ref)
 
     def _queue_done(
-        self, broker: "Broker", client: int, anchor: _Anchor, ref: QueueRef
+        self, broker: "Broker", client: int, st: _State, ref: QueueRef
     ) -> None:
-        om = anchor.out_migration
-        if om is None or om.current != ref:
-            raise ProtocolError(
-                f"broker {broker.id}: unexpected queue completion {ref}"
-            )
+        om = st.move
+        if om.current != ref:
+            raise self._illegal(broker, client, st, f"completion of {ref}")
         om.current = None
         om.local_job = None
         om.remaining.pop(0)
         if om.stop_requested:
-            self._do_stop(broker, client, anchor)
+            self._do_stop(broker, client, st)
         else:
-            self._stream_next(broker, client, anchor)
+            self._stream_next(broker, client, st)
 
     # ------------------------------------------------------------------
     # event migration: arrival side
     # ------------------------------------------------------------------
     def _on_migrate_batch(
-        self, broker: "Broker", msg: m.MigrateBatch, frm: int
+        self, broker: "Broker", st: Optional[_State], msg: m.MigrateBatch,
+        frm: int,
     ) -> None:
+        """A batch for a ``PQ_tq`` appends in any phase; any other batch is
+        for the immigrant buffer of PRE_ANCHOR (IDLE opens one, §4.2),
+        IN_MIGRATION or SELF_MIGRATION."""
         if msg.append_to is not None:
             q = broker.get_queue(msg.append_to)
             for event in msg.events:
                 q.append(event)
             return
-        st = self._state(broker, msg.client)
-        anchor = st.anchor
-        if anchor is None:
+        if st is None or st.phase is IDLE:
             # the batch outran the sub_migration (grid path vs tree path):
             # buffer it — or hand it straight to the client (paper §4.2)
-            pre = st.pre_anchor
-            if pre is None:
-                pre = _PreAnchor(
-                    broker.new_queue(msg.client).ref,
-                    deliver_live=self._present(broker, msg.client),
-                )
-                st.pre_anchor = pre
-            self._absorb(broker, msg, pre.deliver_live, pre.immigrant)
-            return
-        im = anchor.in_migration
-        if im is not None:
-            self._absorb(broker, msg, im.deliver_live, im.immigrant)
-            return
-        sm = anchor.self_migration
-        if sm is not None:
-            self._absorb(broker, msg, sm.deliver_live, sm.immigrant)
-            return
-        raise ProtocolError(
-            f"broker {broker.id}: migrate_batch outside any migration "
-            f"(client {msg.client})"
-        )
-
-    def _absorb(
-        self,
-        broker: "Broker",
-        msg: m.MigrateBatch,
-        deliver_live: bool,
-        immigrant: Optional[QueueRef],
-    ) -> None:
-        if deliver_live:
+            st = st or self._state(broker, msg.client)
+            st.move = _Immigration(
+                broker.new_queue(msg.client).ref,
+                self._present(broker, msg.client),
+            )
+            st.phase = PRE_ANCHOR
+        elif st.phase not in (
+            PRE_ANCHOR, IN_MIGRATION, SELF_MIGRATION
+        ):
+            raise self._illegal(broker, msg.client, st, "MigrateBatch")
+        move = st.move
+        if move.deliver_live:
             for event in msg.events:
                 broker.deliver_to_client(msg.client, event)
         else:
-            q = broker.get_queue(immigrant)
+            q = broker.get_queue(move.immigrant)
             for event in msg.events:
                 q.append(event)
 
     # ------------------------------------------------------------------
     # TQ drain
     # ------------------------------------------------------------------
-    def _on_deliver_tq(self, broker: "Broker", msg: m.DeliverTQ, frm: int) -> None:
-        if broker.id == msg.dest:
-            self._complete_in_migration(broker, msg)
-            return
-        st = broker.pstate.get(msg.client)
-        transit = st.transit if st is not None else None
-        if transit is None:
-            raise ProtocolError(
-                f"broker {broker.id}: deliver_tq with no transit state "
-                f"(client {msg.client})"
-            )
-        if not transit.frozen:
-            transit.pending_deliver = msg
-            return
-        self._transit_drain(broker, msg.client, st, msg)
+    def _park_token(
+        self, broker: "Broker", st: _State, msg: m.DeliverTQ, frm: int
+    ) -> None:
+        """TRANSIT: the token overtook the ack, which resumes it."""
+        st.move.pending_deliver = msg
 
     def _transit_drain(
-        self, broker: "Broker", client: int, st: _State, msg: m.DeliverTQ
+        self, broker: "Broker", st: _State, msg: m.DeliverTQ, frm: int
     ) -> None:
-        transit = st.transit
-        assert transit is not None and transit.frozen
+        """TRANSIT_ACKED: drain the TQ to the token's target, then pass it on."""
         self._stream_queue_local(
-            broker, client, transit.tq, msg.target, msg.append_to,
-            self._transit_drained, broker, client, st, transit, msg,
+            broker, msg.client, st.move.tq, msg.target, msg.append_to,
+            self._transit_drained, broker, msg.client, st, msg,
         )
 
     def _transit_drained(
-        self, broker: "Broker", client: int, st: _State, transit: _Transit,
-        msg: m.DeliverTQ,
+        self, broker: "Broker", client: int, st: _State, msg: m.DeliverTQ,
     ) -> None:
+        """TRANSIT_ACKED -> IDLE."""
         # forward the token only after the last TQ batch has departed,
         # preserving the TQ_i-before-TQ_{i+1} arrival order at the target
+        transit = st.move
         broker.drop_queue(transit.tq)
-        st.transit = None
-        self._gc(broker, client)
+        self._to_idle(broker, client, st)
         self.net.send_broker(broker.id, transit.next_hop, msg)
 
-    def _complete_in_migration(self, broker: "Broker", msg: m.DeliverTQ) -> None:
-        st = broker.pstate.get(msg.client)
-        anchor = st.anchor if st is not None else None
-        if anchor is None or anchor.in_migration is None:
-            raise ProtocolError(
-                f"broker {broker.id}: deliver_tq completion with no "
-                f"in-migration (client {msg.client})"
-            )
-        im = anchor.in_migration
-        anchor.in_migration = None
+    def _complete_in_migration(
+        self, broker: "Broker", st: _State, msg: m.DeliverTQ, frm: int
+    ) -> None:
+        """IN_MIGRATION -> SETTLED: the token has reached the destination."""
+        im = st.move
         stopped = msg.append_to is not None
         new_list: list[QueueRef] = []
         if len(broker.get_queue(im.immigrant)):
@@ -943,28 +926,36 @@ class MHHProtocol(MobilityProtocol):
         if stopped:
             new_list.append(msg.append_to)
         new_list.append(im.arrivals)
-        anchor.pqlist = new_list
+        st.pqlist = new_list
+        st.phase = SETTLED
+        st.move = None
         if self.tracer.wants("migration_complete"):
             self.tracer.emit(
                 "migration_complete", client=msg.client, broker=broker.id,
                 stopped=stopped, queues=len(new_list),
             )
-        self._anchor_settled(broker, msg.client, anchor)
+        self._anchor_settled(broker, msg.client, st)
 
     # ------------------------------------------------------------------
     # stop handling (frequent moving, §4.3)
     # ------------------------------------------------------------------
-    def _on_stop(self, broker: "Broker", msg: m.StopEventMigration, frm: int) -> None:
-        st = broker.pstate.get(msg.client)
-        anchor = st.anchor if st is not None else None
-        if anchor is None or anchor.out_migration is None:
-            # the stream already finished (deliver_TQ launched): per §4.3
-            # the TQs continue to the destination — nothing to do
-            return
-        om = anchor.out_migration
+    def _stop_after_stream(
+        self, broker: "Broker", st: Optional[_State], msg: m.StopEventMigration,
+        frm: int,
+    ) -> None:
+        """Not migrating out: the stream already finished (deliver_TQ
+        launched) and, per §4.3, the TQs continue to the destination."""
+
+    def _stop_before_ack(
+        self, broker: "Broker", st: _State, msg: m.StopEventMigration, frm: int
+    ) -> None:
+        st.move.stop_requested = True  # acted upon when the ack arrives
+
+    def _on_stop(
+        self, broker: "Broker", st: _State, msg: m.StopEventMigration, frm: int
+    ) -> None:
+        om = st.move
         om.stop_requested = True
-        if not om.ack_received:
-            return  # acted upon when the ack arrives
         if om.local_job is not None:
             # §4.3: "asking Bo to stop the event migration" — halt the paced
             # drain between batches; the remainder stays in the queue and
@@ -974,28 +965,16 @@ class MHHProtocol(MobilityProtocol):
             om.current = None
         elif om.current is not None:
             return  # a remote fetch is in flight; stop when it completes
-        self._do_stop(broker, msg.client, anchor)
+        self._do_stop(broker, msg.client, st)
 
-    #: message type -> handler(self, broker, msg, frm), for on_control
-    _CONTROL = {
-        m.HandoffRequest: _on_handoff_request,
-        m.SubMigration: _on_sub_migration,
-        m.SubMigrationAck: _on_sub_migration_ack,
-        m.FetchQueue: _on_fetch_queue,
-        m.QueueStreamed: _on_queue_streamed,
-        m.MigrateBatch: _on_migrate_batch,
-        m.DeliverTQ: _on_deliver_tq,
-        m.StopEventMigration: _on_stop,
-    }
-
-    def _do_stop(self, broker: "Broker", client: int, anchor: _Anchor) -> None:
-        om = anchor.out_migration
-        assert om is not None and om.ack_received and om.current is None
+    def _do_stop(self, broker: "Broker", client: int, st: _State) -> None:
+        """OUT_STREAMING -> IDLE, keeping the unstreamed queues where they are."""
+        om = st.move
         if not om.remaining:
             # nothing left to protect: finish normally (TQs go to the dest,
             # "as there are usually very few events in the TQs" — §4.3)
             om.stop_requested = False
-            self._stream_next(broker, client, anchor)
+            self._stream_next(broker, client, st)
             return
         pq_tq = broker.new_queue(client)
         if self.tracer.wants("stopped_migration"):
@@ -1010,60 +989,54 @@ class MHHProtocol(MobilityProtocol):
                 client, om.dest, broker.id, pq_tq.ref, tuple(om.remaining)
             ),
         )
-        anchor.out_migration = None
-        self._state(broker, client).anchor = None
-        self._gc(broker, client)
+        self._to_idle(broker, client, st)
 
     # ------------------------------------------------------------------
     # settle + follow-up work at an anchor
     # ------------------------------------------------------------------
-    def _anchor_settled(self, broker: "Broker", client: int, anchor: _Anchor) -> None:
-        st = self._state(broker, client)
+    def _anchor_settled(self, broker: "Broker", client: int, st: _State) -> None:
         if st.pending_handoff is not None:
             msg, st.pending_handoff = st.pending_handoff, None
             if msg.epoch >= st.epoch:
                 self._start_out_migration(
-                    broker, client, anchor, msg.new_broker, msg.epoch
+                    broker, client, st, msg.new_broker, msg.epoch
                 )
                 return
             # else: a newer connect (or the migration that settled here)
             # superseded the pending request while it waited — drop it
-        if anchor.connected and self._present(broker, client):
-            self._start_self_migration(broker, client, anchor)
+        if st.connected and self._present(broker, client):
+            self._start_self_migration(broker, client, st)
 
     def _start_self_migration(
-        self, broker: "Broker", client: int, anchor: _Anchor
+        self, broker: "Broker", client: int, st: _State
     ) -> None:
-        """Drain the PQlist to a client connected at the anchor itself."""
+        """SETTLED -> SELF_MIGRATION: drain the PQlist to a client connected
+        at the anchor itself."""
         entry = broker.table.require_client_entry(client)
         if entry.live:
             return  # nothing stored
-        if not anchor.pqlist:
-            raise ProtocolError(
-                f"broker {broker.id}: offline entry with empty pqlist "
-                f"(client {client})"
-            )
-        if len(anchor.pqlist) == 1 and anchor.pqlist[0].broker == broker.id:
+        if not st.pqlist:
+            raise self._illegal(broker, client, st, "offline entry, empty PQlist")
+        if len(st.pqlist) == 1 and st.pqlist[0].broker == broker.id:
             # fast path: everything is in the local tail
-            tail = anchor.pqlist[0]
-            anchor.pqlist = []
-            self._flush_tail_and_go_live(broker, client, anchor, tail)
+            tail = st.pqlist[0]
+            st.pqlist = []
+            self._flush_tail_and_go_live(broker, client, tail)
             return
-        *stored, tail = anchor.pqlist
-        anchor.pqlist = [tail]
-        sm = _SelfMigration(remaining=stored)
-        anchor.self_migration = sm
+        *stored, tail = st.pqlist
+        st.pqlist = [tail]
+        st.phase = SELF_MIGRATION
+        st.move = _SelfMigration(remaining=stored)
         if self.tracer.wants("self_migration"):
             self.tracer.emit(
                 "self_migration", client=client, broker=broker.id, queues=len(stored)
             )
-        self._self_stream_next(broker, client, anchor)
+        self._self_stream_next(broker, client, st)
 
     def _self_stream_next(
-        self, broker: "Broker", client: int, anchor: _Anchor
+        self, broker: "Broker", client: int, st: _State
     ) -> None:
-        sm = anchor.self_migration
-        assert sm is not None
+        sm = st.move
         while sm.remaining and not sm.stop_requested:
             ref = sm.remaining[0]
             if ref.broker == broker.id:
@@ -1082,26 +1055,26 @@ class MHHProtocol(MobilityProtocol):
                 broker.id, ref.broker, m.FetchQueue(client, ref, broker.id, None)
             )
             return
-        self._settle_self_migration(broker, client, anchor)
+        self._settle_self_migration(broker, client, st)
 
     def _self_migration_streamed(
-        self, broker: "Broker", client: int, anchor: _Anchor, ref: QueueRef
+        self, broker: "Broker", st: _State, msg: m.QueueStreamed, frm: int
     ) -> None:
-        sm = anchor.self_migration
-        assert sm is not None and sm.current == ref
+        sm = st.move
+        if sm.current != msg.ref:
+            raise self._illegal(broker, msg.client, st, f"completion of {msg.ref}")
         sm.current = None
         sm.remaining.pop(0)
         if sm.stop_requested:
-            self._settle_self_migration(broker, client, anchor)
+            self._settle_self_migration(broker, msg.client, st)
         else:
-            self._self_stream_next(broker, client, anchor)
+            self._self_stream_next(broker, msg.client, st)
 
     def _settle_self_migration(
-        self, broker: "Broker", client: int, anchor: _Anchor
+        self, broker: "Broker", client: int, st: _State
     ) -> None:
-        sm = anchor.self_migration
-        assert sm is not None and sm.current is None
-        anchor.self_migration = None
+        """SELF_MIGRATION -> SETTLED."""
+        sm = st.move
         new_list: list[QueueRef] = []
         if sm.immigrant is not None:
             if len(broker.get_queue(sm.immigrant)):
@@ -1109,12 +1082,14 @@ class MHHProtocol(MobilityProtocol):
             else:
                 broker.drop_queue(sm.immigrant)
         new_list.extend(sm.remaining)
-        new_list.extend(anchor.pqlist)  # [tail]
-        anchor.pqlist = new_list
-        self._anchor_settled(broker, client, anchor)
+        new_list.extend(st.pqlist)  # [tail]
+        st.pqlist = new_list
+        st.phase = SETTLED
+        st.move = None
+        self._anchor_settled(broker, client, st)
 
     def _flush_tail_and_go_live(
-        self, broker: "Broker", client: int, anchor: _Anchor, tail: QueueRef
+        self, broker: "Broker", client: int, tail: QueueRef
     ) -> None:
         q = broker.get_queue(tail)
         for event in q.drain():
@@ -1125,6 +1100,26 @@ class MHHProtocol(MobilityProtocol):
         entry.sink = None
         if self.tracer.wants("client_live"):
             self.tracer.emit("client_live", client=client, broker=broker.id)
+
+    #: (phase, message type) -> handler(self, broker, state, msg, frm); a
+    #: pair that is not here raises HandoffPhaseError in on_control
+    _CONTROL = {
+        **every_phase(m.HandoffRequest, _on_handoff_request),
+        **every_phase(m.FetchQueue, _on_fetch_queue),
+        **every_phase(m.MigrateBatch, _on_migrate_batch),
+        **every_phase(m.StopEventMigration, _stop_after_stream),
+        (IDLE, m.SubMigration): _on_sub_migration,
+        (PRE_ANCHOR, m.SubMigration): _become_anchor,
+        (TRANSIT, m.SubMigrationAck): _on_transit_ack,
+        (OUT_AWAIT_ACK, m.SubMigrationAck): _on_first_ack,
+        (OUT_STREAMING, m.QueueStreamed): _on_queue_streamed,
+        (SELF_MIGRATION, m.QueueStreamed): _self_migration_streamed,
+        (TRANSIT, m.DeliverTQ): _park_token,
+        (TRANSIT_ACKED, m.DeliverTQ): _transit_drain,
+        (IN_MIGRATION, m.DeliverTQ): _complete_in_migration,
+        (OUT_AWAIT_ACK, m.StopEventMigration): _stop_before_ack,
+        (OUT_STREAMING, m.StopEventMigration): _on_stop,
+    }
 
     # ------------------------------------------------------------------
     # helpers
@@ -1149,32 +1144,32 @@ class MHHProtocol(MobilityProtocol):
     # crash recovery
     # ------------------------------------------------------------------
     def install_recovered(self, broker, client, backlog):
-        """Repair-round install: a settled offline anchor whose tail queue
-        holds the gathered backlog. The coordinator floods the entry and,
-        for connected clients, synthesizes ``on_connect`` — which takes the
-        normal reconnect-at-anchor path and flushes the tail."""
+        """Repair-round install, the transition IDLE -> SETTLED: an offline
+        anchor whose tail queue holds the gathered backlog. The coordinator
+        floods the entry and, for connected clients, synthesizes
+        ``on_connect`` — which takes the normal reconnect-at-anchor path and
+        flushes the tail."""
         st = self._state(broker, client.id)
         st.epoch = client.connect_epoch
-        anchor = _Anchor(self._key(client.id), client.filter)
         tail = broker.new_queue(client.id)
         for event in backlog:
             tail.append(event)
-        anchor.pqlist = [tail.ref]
+        st.pqlist = [tail.ref]
+        st.connected = False
         entry = ClientEntry(
-            client.id, anchor.key, client.filter,
+            client.id, self._key(client.id), client.filter,
             live=False, sink=tail.ref.qid,
         )
         broker.table.set_client_entry(entry)
-        st.anchor = anchor
+        st.phase = SETTLED
         return entry
 
     # ------------------------------------------------------------------
     def quiescent(self) -> bool:
-        for broker in self.system.brokers.values():
+        brokers = self.system.brokers
+        for broker in brokers.values():
             for client, st in broker.pstate.items():
-                if not isinstance(st, _State):  # pragma: no cover
-                    continue
-                if st.transit is not None:
+                if st.phase is not IDLE and st.phase is not SETTLED:
                     return False
                 req = st.pending_handoff
                 if req is not None:
@@ -1184,14 +1179,10 @@ class MHHProtocol(MobilityProtocol):
                     # subscription already roots, connected, where it asks
                     # for (it waits here for an anchor that only an
                     # abandoned reconnect's dropped request would have sent)
-                    there = self.system.brokers[req.new_broker].pstate.get(client)
-                    arrived = (there is not None and there.anchor is not None
-                               and there.anchor.connected)
+                    there = brokers[req.new_broker].pstate.get(client)
+                    arrived = (there is not None and there.phase in _ROOTED
+                               and there.connected)
                     current = self.system.clients[client].connect_epoch
                     if req.epoch >= current and not arrived:
                         return False
-                if st.pre_anchor is not None:
-                    return False
-                if st.anchor is not None and st.anchor.busy:
-                    return False
         return True

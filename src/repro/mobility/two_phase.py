@@ -9,9 +9,10 @@ affect the event delivery of other clients" (§2).
 We model the two phases as **prepare/commit around the event migration**:
 before streaming the PQlist, the coordinator (old anchor) must acquire an
 exclusive *transfer grant* from every broker on the transfer path
-(phase one — prepare); it streams and then releases them (phase two —
-commit). Grants are requested in ascending broker-id order, which makes
-the protocol deadlock-free (no circular wait), but concurrent handoffs
+(phase one — prepare: the coordinator's ``GRANTING`` phase); it streams
+and then releases them (phase two — commit). Grants are requested in
+ascending broker-id order, which makes the protocol deadlock-free (no
+circular wait), but concurrent handoffs
 whose paths intersect serialize: their event migrations — and therefore
 their clients' first deliveries — wait in line. Grant traffic itself also
 costs control hops. Each prepare is numbered and a grant answers the
@@ -31,11 +32,14 @@ compares it with MHH under concurrent movement.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
-from repro.errors import ProtocolError
-from repro.pubsub.messages import Message, CAT_MOBILITY_CTRL
-from repro.mobility.mhh import MHHProtocol, _Anchor
+from repro.pubsub.messages import (
+    CAT_MOBILITY_CTRL, Message, StopEventMigration,
+)
+from repro.mobility.mhh import (
+    GRANTING, IDLE, OUT_STREAMING, MHHProtocol, every_phase,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pubsub.broker import Broker
@@ -79,14 +83,13 @@ class GrantRelease(Message):
 
 
 class _Prepare:
-    """Grant-acquisition state at a coordinator."""
+    """Grant-acquisition state at a coordinator in ``GRANTING``."""
 
-    __slots__ = ("targets", "acquired", "anchor", "attempt")
+    __slots__ = ("targets", "acquired", "attempt")
 
-    def __init__(self, targets: list[int], anchor: _Anchor, attempt: int) -> None:
+    def __init__(self, targets: list[int], attempt: int) -> None:
         self.targets = targets      # ascending broker ids still to acquire
         self.acquired: list[int] = []
-        self.anchor = anchor
         self.attempt = attempt      # stamped on its requests, echoed by acks
 
 
@@ -111,41 +114,34 @@ class TwoPhaseProtocol(MHHProtocol):
         self.conflicts = 0
 
     # ------------------------------------------------------------------
-    # hook: instead of streaming on first ack, run the prepare phase
+    # hook: OUT_STREAMING -> GRANTING before the first queue streams
     # ------------------------------------------------------------------
-    def _stream_next(self, broker: "Broker", client: int, anchor: _Anchor) -> None:
+    def _stream_next(self, broker: "Broker", client: int, st) -> None:
         key = (broker.id, client)
-        if (
-            key not in self._preparing
-            and key not in self._held
-            and anchor.out_migration is not None
-            and anchor.out_migration.remaining
-        ):
-            om = anchor.out_migration
-            path = self.system.paths.path(broker.id, om.dest)
+        if key not in self._held and st.move.remaining:
+            path = self.system.paths.path(broker.id, st.move.dest)
             # a dead broker holds no lane and can never answer a
             # GrantRequest; asking it would hang the prepare forever
             down = self.system.hooks.down_brokers
             targets = sorted(set(path) - down)
             self._attempts += 1
-            prep = _Prepare(targets, anchor, self._attempts)
+            prep = _Prepare(targets, self._attempts)
             self._preparing[key] = prep
-            self._request_next_grant(broker, client, prep)
+            st.phase = GRANTING
+            self._request_next_grant(broker, client, st, prep)
             return
-        super()._stream_next(broker, client, anchor)
+        super()._stream_next(broker, client, st)
 
     def _request_next_grant(
-        self, broker: "Broker", client: int, prep: _Prepare
+        self, broker: "Broker", client: int, st, prep: _Prepare
     ) -> None:
         if not prep.targets:
-            # prepare complete: stream (phase two)
+            # prepare complete: GRANTING -> OUT_STREAMING (phase two)
             key = (broker.id, client)
             del self._preparing[key]
             self._held[key] = prep.acquired
-            anchor = prep.anchor
-            if anchor.out_migration is None:  # pragma: no cover
-                raise ProtocolError("prepare finished without migration")
-            super()._stream_next(broker, client, anchor)
+            st.phase = OUT_STREAMING
+            super()._stream_next(broker, client, st)
             return
         target = prep.targets[0]
         self.net.unicast(
@@ -153,9 +149,10 @@ class TwoPhaseProtocol(MHHProtocol):
         )
 
     # ------------------------------------------------------------------
-    # grant handling at path brokers
+    # grant handling at path brokers (any phase: a lane is per broker)
     # ------------------------------------------------------------------
-    def _on_grant_request(self, broker: "Broker", msg: GrantRequest, frm: int) -> None:
+    def _on_grant_request(self, broker: "Broker", st, msg: GrantRequest,
+                          frm: int) -> None:
         holder = self._lane_holder.get(broker.id)
         if holder is None:
             self._lane_holder[broker.id] = msg.client
@@ -172,31 +169,33 @@ class TwoPhaseProtocol(MHHProtocol):
                 )
             self._lane_queue.setdefault(broker.id, deque()).append(msg)
 
-    def _on_grant_ack(self, broker: "Broker", msg: GrantAck, frm: int) -> None:
-        prep = self._preparing.get((broker.id, msg.client))
-        if prep is None or prep.attempt != msg.attempt:
-            # the prepare was aborted (migration stopped) while this grant
-            # was in flight or queued — a newer prepare for the same client
-            # may have started since: hand the lane straight back
-            self.net.unicast(
-                broker.id, msg.granter, GrantRelease(msg.client)
-            )
+    def _on_grant_ack(self, broker: "Broker", st, msg: GrantAck,
+                      frm: int) -> None:
+        """GRANTING: the next lane is ours, unless the grant answers an
+        older, aborted prepare."""
+        prep = self._preparing[(broker.id, msg.client)]
+        if prep.attempt != msg.attempt:
+            self._return_grant(broker, st, msg, frm)
             return
-        if not prep.targets or prep.targets[0] != msg.granter:
-            raise ProtocolError(
-                f"broker {broker.id}: unexpected grant ack from {msg.granter} "
-                f"(client {msg.client})"
+        if prep.targets[0] != msg.granter:
+            raise self._illegal(
+                broker, msg.client, st, f"grant from {msg.granter}"
             )
         prep.targets.pop(0)
         prep.acquired.append(msg.granter)
-        self._request_next_grant(broker, msg.client, prep)
+        self._request_next_grant(broker, msg.client, st, prep)
 
-    def _on_grant_release(self, broker: "Broker", msg: GrantRelease, frm: int) -> None:
+    def _return_grant(self, broker: "Broker", st, msg: GrantAck,
+                      frm: int) -> None:
+        """Not GRANTING (or a stale attempt): the prepare was aborted
+        (migration stopped) while this grant was in flight or queued —
+        hand the lane straight back."""
+        self.net.unicast(broker.id, msg.granter, GrantRelease(msg.client))
+
+    def _on_grant_release(self, broker: "Broker", st, msg: GrantRelease,
+                          frm: int) -> None:
         if self._lane_holder.get(broker.id) != msg.client:
-            raise ProtocolError(
-                f"broker {broker.id}: release from non-holder "
-                f"(client {msg.client})"
-            )
+            raise self._illegal(broker, msg.client, st, "release from non-holder")
         del self._lane_holder[broker.id]
         queue = self._lane_queue.get(broker.id)
         if queue:
@@ -209,12 +208,15 @@ class TwoPhaseProtocol(MHHProtocol):
                 GrantAck(nxt.client, broker.id, nxt.attempt),
             )
 
-    #: MHH's control dispatch plus the three grant messages
+    #: MHH's (phase, message type) table plus the three grant messages and
+    #: a stop while GRANTING (it aborts the prepare)
     _CONTROL = {
         **MHHProtocol._CONTROL,
-        GrantRequest: _on_grant_request,
-        GrantAck: _on_grant_ack,
-        GrantRelease: _on_grant_release,
+        **every_phase(GrantRequest, _on_grant_request),
+        **every_phase(GrantAck, _return_grant),
+        **every_phase(GrantRelease, _on_grant_release),
+        (GRANTING, GrantAck): _on_grant_ack,
+        (GRANTING, StopEventMigration): MHHProtocol._on_stop,
     }
 
     # ------------------------------------------------------------------
@@ -223,8 +225,8 @@ class TwoPhaseProtocol(MHHProtocol):
     def _release_all(self, broker: "Broker", client: int) -> None:
         key = (broker.id, client)
         # abort a prepare still in progress: lanes already acquired are
-        # released now; the in-flight request (if any) is handed back by the
-        # stale-ack path in _on_grant_ack
+        # released now; the in-flight request (if any) is handed back by
+        # _return_grant
         prep = self._preparing.pop(key, None)
         lanes = list(self._held.pop(key, []))
         if prep is not None:
@@ -232,15 +234,15 @@ class TwoPhaseProtocol(MHHProtocol):
         for lane in lanes:
             self.net.unicast(broker.id, lane, GrantRelease(client))
 
-    def _queue_done(self, broker: "Broker", client: int, anchor, ref) -> None:
-        super()._queue_done(broker, client, anchor, ref)
-        if anchor.out_migration is None:
+    def _queue_done(self, broker: "Broker", client: int, st, ref) -> None:
+        super()._queue_done(broker, client, st, ref)
+        if st.phase is IDLE:
             # the migration finished (deliver_TQ launched): commit complete
             self._release_all(broker, client)
 
-    def _do_stop(self, broker: "Broker", client: int, anchor) -> None:
-        super()._do_stop(broker, client, anchor)
-        if anchor.out_migration is None:
+    def _do_stop(self, broker: "Broker", client: int, st) -> None:
+        super()._do_stop(broker, client, st)
+        if st.phase is IDLE:
             self._release_all(broker, client)
 
     # ------------------------------------------------------------------

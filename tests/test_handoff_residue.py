@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from benchmarks.e2e.workloads import build_config
 from repro.experiments.runner import build_system, drain_to_quiescence
+from repro.mobility.mhh import Phase
 
 
 def _assert_no_residue(system) -> int:
-    """One state, one anchor and one table entry per client; no transit
-    role, no frozen queue, no queue outside an anchor's PQlist, and no
+    """One state per client, SETTLED (its anchor), and one table entry;
+    no frozen queue, no queue outside an anchor's PQlist, and no
     filter set holding a member without a topic-range form (the workload
     installs topic ranges only). Returns the number of queues that are
     left."""
@@ -25,9 +26,7 @@ def _assert_no_residue(system) -> int:
     clients = len(system.clients)
     states = [st for b in brokers for st in b.pstate.values()]
     assert len(states) == clients
-    assert sum(st.anchor is not None for st in states) == clients
-    assert not [st for st in states if st.transit is not None]
-    assert not [st for st in states if st.pre_anchor is not None]
+    assert [st.phase for st in states] == [Phase.SETTLED] * clients
     assert sum(len(b.table.clients) for b in brokers) == clients
     assert sum(len(b.table._by_client) for b in brokers) == clients
     filter_sets = [
@@ -40,7 +39,7 @@ def _assert_no_residue(system) -> int:
     assert not [peer for peer in filter_sets if peer.general]
     queues = [q for b in brokers for q in b.queues.values()]
     assert not [q for q in queues if q.frozen]
-    listed = [ref for st in states for ref in st.anchor.pqlist]
+    listed = [ref for st in states for ref in st.pqlist]
     assert sorted((q.ref.broker, q.ref.qid) for q in queues) == sorted(
         (ref.broker, ref.qid) for ref in listed
     )
