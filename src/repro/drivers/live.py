@@ -397,7 +397,7 @@ def run_soak(
     finally:
         loop.close()
 
-    system.metrics.delivery.finalize_crash_accounting()
+    system.metrics.delivery.finalize_accounting()
     outcome = snapshot_outcome(system)
     # audit even when the drain timed out — the named invariant violations
     # (not a bare drain failure) are what the CLI surfaces on exit

@@ -108,7 +108,7 @@ def drain_to_quiescence(
         clock.run(until=deadline)
         if clock.peek() is None:
             if system.protocol.quiescent():
-                system.metrics.delivery.finalize_crash_accounting()
+                system.metrics.delivery.finalize_accounting()
                 return
             raise SimulationError(
                 "drain deadlock: event heap empty but protocol not quiescent"

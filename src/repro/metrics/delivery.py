@@ -112,9 +112,9 @@ class DeliveryChecker:
         self.log: list[tuple[int, int, float]] = []
         # the write-off ledgers hold (client, event_id) pairs, marked only
         # for expected deliveries: undelivered iff still outstanding.
-        # crash-loss accounting (inert unless a CrashPlan is active): every
-        # delivery a crash/partition put at risk; reconciled in crash_lost()
-        self._track_crash = False
+        # crash-loss accounting: every delivery a crash/partition put at
+        # risk (marked only under an active CrashPlan); reconciled in
+        # crash_lost()
         self._crash_marked: set[tuple[int, int]] = set()
         # pairs lost through the *fault* path, so a marked pair that the
         # wireless fault injector happened to drop is not double-counted
@@ -135,9 +135,6 @@ class DeliveryChecker:
     # ------------------------------------------------------------------
     # crash-loss accounting (the accounted-loss crash model)
     # ------------------------------------------------------------------
-    def enable_crash_tracking(self) -> None:
-        self._track_crash = True
-
     def mark_crash_risk(self, client: int, event: Notification) -> None:
         """Record that ``client``'s delivery of ``event`` is crash-exposed.
 
@@ -203,13 +200,11 @@ class DeliveryChecker:
         """
         self._shed_marked.add((client, event.event_id))
 
-    def finalize_crash_accounting(self) -> None:
+    def finalize_accounting(self) -> None:
         """Settle all reconciled ledgers into :attr:`stats` (end of run).
 
         Idempotent: every reconciled counter is recomputed from the marked
-        pairs, so the runner may call this at each quiescence point. The
-        name predates the reliability layer; ``finalize_accounting`` is
-        the alias new call sites use.
+        pairs, so the runner may call this at each quiescence point.
         """
         if self._rel_mode:
             undelivered = self._open  # a late retransmit may have won
@@ -227,11 +222,8 @@ class DeliveryChecker:
                 map(undelivered, self._recover_marked)
             )
             self.stats.shed = sum(map(undelivered, self._shed_marked))
-        if self._track_crash:
-            self.stats.crash_lost = self.crash_lost()
-
-    #: preferred name since the ledger grew beyond crash accounting
-    finalize_accounting = finalize_crash_accounting
+        # a run without a crash plan marks nothing, which reconciles to 0
+        self.stats.crash_lost = self.crash_lost()
 
     # ------------------------------------------------------------------
     def register_subscription(self, client: int, lo: float, hi: float) -> None:

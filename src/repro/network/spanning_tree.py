@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -244,29 +244,7 @@ def minimum_spanning_tree(
     if not topo.is_connected():
         raise TopologyError("cannot build a spanning tree of a disconnected graph")
     rng = np.random.default_rng(np.random.SeedSequence([seed, topo.n, 0x5175]))
-    parent = [-1] * topo.n
-    in_tree = bytearray(topo.n)
-    in_tree[root] = 1
-    # Heap of candidate edges: (weight, tiebreak, from_node, to_node)
-    heap: list[tuple[float, float, int, int]] = []
-    for v in topo.neighbors(root):
-        heapq.heappush(heap, (topo.weight(root, v), float(rng.random()), root, v))
-    added = 1
-    while heap and added < topo.n:
-        _w, _tb, u, v = heapq.heappop(heap)
-        if in_tree[v]:
-            continue
-        in_tree[v] = 1
-        parent[v] = u
-        added += 1
-        for nxt in topo.neighbors(v):
-            if not in_tree[nxt]:
-                heapq.heappush(
-                    heap, (topo.weight(v, nxt), float(rng.random()), v, nxt)
-                )
-    if added != topo.n:  # pragma: no cover - guarded by is_connected above
-        raise TopologyError("Prim did not reach all nodes")
-    return SpanningTree(parent, root)
+    return _seeded_prim(topo, rng, root, topo.n, lambda _u, _v: True)
 
 
 def rebuild_spanning_tree(
@@ -302,10 +280,24 @@ def rebuild_spanning_tree(
     def usable(u: int, v: int) -> bool:
         return v in alive_set and (min(u, v), max(u, v)) not in cut
 
+    return _seeded_prim(topo, rng, root, len(alive_set), usable)
+
+
+def _seeded_prim(
+    topo: Topology,
+    rng: np.random.Generator,
+    root: int,
+    members: int,
+    usable: Callable[[int, int], bool],
+) -> SpanningTree:
+    """Prim from ``root`` over the edges ``usable(u, v)`` accepts, ties
+    broken by ``rng``, until ``members`` nodes are in the tree; every other
+    node is :data:`EXCLUDED`."""
     parent = [EXCLUDED] * topo.n
     parent[root] = -1
     in_tree = bytearray(topo.n)
     in_tree[root] = 1
+    # Heap of candidate edges: (weight, tiebreak, from_node, to_node)
     heap: list[tuple[float, float, int, int]] = []
     for v in topo.neighbors(root):
         if usable(root, v):
@@ -313,7 +305,7 @@ def rebuild_spanning_tree(
                 heap, (topo.weight(root, v), float(rng.random()), root, v)
             )
     added = 1
-    while heap and added < len(alive_set):
+    while heap and added < members:
         _w, _tb, u, v = heapq.heappop(heap)
         if in_tree[v]:
             continue
@@ -325,9 +317,9 @@ def rebuild_spanning_tree(
                 heapq.heappush(
                     heap, (topo.weight(v, nxt), float(rng.random()), v, nxt)
                 )
-    if added != len(alive_set):
+    if added != members:
         raise TopologyError(
-            f"surviving overlay is disconnected: reached {added} of "
-            f"{len(alive_set)} live brokers from root {root}"
+            f"overlay is disconnected: reached {added} of {members} "
+            f"brokers from root {root}"
         )
     return SpanningTree(parent, root)

@@ -175,7 +175,6 @@ class RecoveryCoordinator:
         hooks.attach_target.append(self.reroute)
         hooks.client_publish.append(self.on_publish)
         hooks.timer_guard.append(self._guard_timer)
-        self.system.metrics.delivery.enable_crash_tracking()
         self.schedule()
 
     def _blocked(self, msg: m.Message, to: int, hop_from) -> bool:

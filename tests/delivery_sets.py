@@ -48,10 +48,8 @@ class SetDeliveryChecker:
         # crash-loss accounting (inert unless a CrashPlan is active):
         # (client, event_id) -> (publisher, seq) for every delivery put at
         # risk by a crash/partition; reconciled in crash_lost()
-        self._track_crash = False
         self._crash_marked: dict[tuple[int, int], tuple[int, int]] = {}
-        # (client, event_id) pairs lost through the *fault* path while
-        # crash tracking is on, so a marked pair that the wireless fault
+        # (client, event_id) pairs lost through the *fault* path, so a marked pair that the wireless fault
         # injector happened to drop is not double-counted
         self._lost_pairs: set[tuple[int, int]] = set()
         # reliability-mode reconciliation (inert unless enable_reliability):
@@ -70,9 +68,6 @@ class SetDeliveryChecker:
     # ------------------------------------------------------------------
     # crash-loss accounting (the accounted-loss crash model)
     # ------------------------------------------------------------------
-    def enable_crash_tracking(self) -> None:
-        self._track_crash = True
-
     def mark_crash_risk(self, client: int, event: Notification) -> None:
         """Record that ``client``'s delivery of ``event`` is crash-exposed.
 
@@ -138,13 +133,11 @@ class SetDeliveryChecker:
             event.publisher, event.seq
         )
 
-    def finalize_crash_accounting(self) -> None:
+    def finalize_accounting(self) -> None:
         """Settle all reconciled ledgers into :attr:`stats` (end of run).
 
         Idempotent: every reconciled counter is recomputed from the marked
-        pairs, so the runner may call this at each quiescence point. The
-        name predates the reliability layer; ``finalize_accounting`` is
-        the alias new call sites use.
+        pairs, so the runner may call this at each quiescence point.
         """
         if self._rel_mode:
             recovered = 0
@@ -179,11 +172,7 @@ class SetDeliveryChecker:
             self.stats.recovered = recovered
             self.stats.lost_explicit = lost
             self.stats.shed = shed
-        if self._track_crash:
-            self.stats.crash_lost = self.crash_lost()
-
-    #: preferred name since the ledger grew beyond crash accounting
-    finalize_accounting = finalize_crash_accounting
+        self.stats.crash_lost = self.crash_lost()
 
     # ------------------------------------------------------------------
     def register_subscription(self, client: int, lo: float, hi: float) -> None:
@@ -252,8 +241,7 @@ class SetDeliveryChecker:
             )
             return
         self.stats.lost_explicit += 1
-        if self._track_crash:
-            self._lost_pairs.add((client, event.event_id))
+        self._lost_pairs.add((client, event.event_id))
 
     # ------------------------------------------------------------------
     def per_client_missing(self) -> dict[int, int]:

@@ -32,7 +32,7 @@ MARKS = ("on_loss", "on_recoverable_drop", "mark_shed", "mark_crash_risk")
 
 @st.composite
 def schedules(draw):
-    """(flags, events, told, ops): ``told[i]`` is False for events the
+    """(reliable, events, told, ops): ``told[i]`` is False for events the
     checker never hears published (``tests/test_wal.py::_drive`` hands
     ``DurabilityManager`` such events)."""
     next_seq = dict.fromkeys(PUBLISHERS, 0)
@@ -62,17 +62,14 @@ def schedules(draw):
     # them first; late ones ride in the random part
     head = [("sub", c, draw(st.sampled_from(RANGES))) for c in CLIENTS[:-1]
             if draw(st.booleans())]
-    flags = (draw(st.booleans()), draw(st.booleans()))
-    return flags, events, told, head + draw(st.lists(op, min_size=30, max_size=60))
+    reliable = draw(st.booleans())
+    return reliable, events, told, head + draw(st.lists(op, min_size=30, max_size=60))
 
 
-def _same_answers(ledger, oracle, events, crash):
+def _same_answers(ledger, oracle, events):
     assert ledger.stats == oracle.stats
     assert ledger.expected_per_client == oracle.expected_per_client
-    if crash:
-        # without crash tracking nobody marks or asks, and the oracle
-        # does not net fault losses out of the answer
-        assert ledger.crash_lost() == oracle.crash_lost()
+    assert ledger.crash_lost() == oracle.crash_lost()
     for cid in CLIENTS:
         for ev in events:
             assert ledger.delivered_pair(cid, ev) == oracle.delivered_pair(
@@ -87,13 +84,11 @@ def _same_answers(ledger, oracle, events, crash):
 @settings(max_examples=150, deadline=None)
 @given(schedules())
 def test_ledger_agrees_with_the_set_based_checker(schedule):
-    (reliable, crash), events, told, ops = schedule
+    reliable, events, told, ops = schedule
     both = (DeliveryChecker(), SetDeliveryChecker())
     for checker in both:
         if reliable:
             checker.enable_reliability()
-        if crash:
-            checker.enable_crash_tracking()
     subs = []
     published = set()
     expected = []  # (client, event index) pairs on_publish counted
@@ -135,10 +130,10 @@ def test_ledger_agrees_with_the_set_based_checker(schedule):
             _, cid, i = op  # callers only write off expected deliveries
             for checker in both:
                 getattr(checker, kind)(cid, events[i])
-        _same_answers(*both, events, crash)
+        _same_answers(*both, events)
     for checker in both:
         checker.finalize_accounting()
-    _same_answers(*both, events, crash)
+    _same_answers(*both, events)
 
 
 def test_unpublished_event_is_never_delivered_until_it_is():
