@@ -424,9 +424,7 @@ class ScenarioResult:
             cmd += " --reliability-lane"
         if self.durability_lane:
             cmd += " --durability-lane"
-        if (
-            self.crash_lane or self.reliability_lane or self.durability_lane
-        ) and self.forced_protocol is not None:
+        if self.forced_protocol is not None:
             cmd += f" --protocol {self.forced_protocol}"
         return cmd
 
@@ -514,7 +512,7 @@ class ScenarioFuzzer:
         elif self.crash_lane:
             scenario = Scenario.crash_from_seed(scenario_seed, protocol)
         else:
-            scenario = Scenario.from_seed(scenario_seed)
+            scenario = Scenario.from_seed(scenario_seed, protocol)
         primary = run_scenario(scenario)
         violations = check_invariants(scenario, primary)
         if scenario.crashes.active and primary.post_repair_publishes == 0:
@@ -604,8 +602,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "failures with the write-ahead log on; asserts "
                              "missing == lost == crash_lost == shed == 0")
     parser.add_argument("--protocol", choices=PROTOCOLS, default=None,
-                        help="force the protocol (crash-lane replays; "
-                             "batch runs cycle protocols automatically)")
+                        help="force the protocol of a --scenario-seed "
+                             "replay, on any lane (batch runs sample or "
+                             "cycle protocols themselves)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write the full report (incl. every scenario "
                              "seed + replay command) as JSON")

@@ -74,15 +74,19 @@ class Scenario:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_seed(cls, scenario_seed: int) -> "Scenario":
+    def from_seed(
+        cls, scenario_seed: int, protocol: Optional[str] = None
+    ) -> "Scenario":
         """Deterministically sample the scenario named by ``scenario_seed``.
 
         Uses :class:`random.Random` (whose sequence is stable across Python
         versions for the draws used here), so a printed seed reconstructs
-        the same scenario on any machine.
+        the same scenario on any machine. ``protocol`` overrides the
+        sampled protocol; the protocol is drawn all the same, so every
+        later draw is the one of the unforced scenario.
         """
         rnd = random.Random(scenario_seed)
-        protocol = rnd.choice(PROTOCOLS)
+        sampled = rnd.choice(PROTOCOLS)  # drawn even when forced
         grid_k = rnd.randrange(2, 5)
         clients_per_broker = rnd.randrange(3, 6)
         n_clients = grid_k * grid_k * clients_per_broker
@@ -108,7 +112,7 @@ class Scenario:
         )
         return cls(
             scenario_seed=scenario_seed,
-            protocol=protocol,
+            protocol=protocol or sampled,
             grid_k=grid_k,
             experiment_seed=rnd.randrange(2**31),
             clients_per_broker=clients_per_broker,
@@ -143,9 +147,7 @@ class Scenario:
         """
         from repro.pubsub.recovery import validate_plan
 
-        base = cls.from_seed(scenario_seed)
-        if protocol is not None:
-            base = replace(base, protocol=protocol)
+        base = cls.from_seed(scenario_seed, protocol)
         # Independent, stable stream (str seeding hashes with SHA-512, so
         # the sequence is identical across platforms and Python builds).
         rnd = random.Random(f"crash-lane:{scenario_seed}")
@@ -226,9 +228,7 @@ class Scenario:
         if crash:
             base = cls.crash_from_seed(scenario_seed, protocol)
         else:
-            base = cls.from_seed(scenario_seed)
-            if protocol is not None:
-                base = replace(base, protocol=protocol)
+            base = cls.from_seed(scenario_seed, protocol)
         rnd = random.Random(f"rel-lane:{scenario_seed}")
         faults = FaultProfile(
             deliver_loss=rnd.choice((0.05, 0.1, 0.2)),

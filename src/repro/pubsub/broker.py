@@ -229,19 +229,19 @@ class Broker:
         neighbour's table never has a window with neither filter installed.
 
         Under covering, the candidates for re-advertisement are exactly the
-        entries the withdrawn filter covers
-        (:meth:`FilterTable.covered_candidates`, in table order): anything
-        else provably kept whatever cover it already had.
+        entries the withdrawn filter covers and ``nbr`` is not yet
+        advertised (:meth:`FilterTable.covered_candidates`, in table
+        order): anything else provably kept whatever cover it already had.
+        The loop still asks ``advertised_has``, because one key can sit in
+        two of the sets asked and the first may have just been advertised.
         """
         table = self.table
-        if not table.advertised_count(nbr):
-            return  # nothing ever advertised to this neighbour
-        if not table.advertised_has(nbr, key):
+        withdrawn = table.advertised_get(nbr, key)
+        if withdrawn is None:
             return
+        table.advertised_remove(nbr, key)
         resubs: list[tuple[Hashable, Filter]] = []
         if self.system.covering_enabled:
-            withdrawn = table.advertised_get(nbr, key)
-            table.advertised_remove(nbr, key)
             # candidate filters that may have been suppressed by `key`
             for cand_key, cand_f in table.covered_candidates(nbr, withdrawn):
                 if cand_key == key:
@@ -251,8 +251,6 @@ class Broker:
                 if not table.advertised_covers(nbr, cand_f):
                     table.advertised_add(nbr, cand_key, cand_f)
                     resubs.append((cand_key, cand_f))
-        else:
-            table.advertised_remove(nbr, key)
         for cand_key, cand_f in resubs:
             self.net.send_broker(
                 self.id, nbr, m.SubscribeMessage(cand_key, cand_f, category)

@@ -37,13 +37,14 @@ set, asked three questions**:
   entries' filters once a covering withdrawal has asked for them) is one
   keyed set holding each topic-range member in exactly one *incremental*
   :class:`~repro.pubsub.interval_index.IntervalIndex`, so a handoff's table
-  edit is one O(log n) sorted-array write, made by the set's own ``add`` /
-  ``remove`` in one frame. That index answers the stab of
+  edit is one O(log n) write to flat float arrays, made by the set's own
+  ``add`` / ``remove`` in one frame. That index answers the stab of
   matching, the containment check of ``advertised_covers`` and the
   contained-keys enumeration of :meth:`FilterTable.covered_candidates`,
   which therefore visits exactly the entries a withdrawn filter could have
-  been suppressing, in table order (client entries, then neighbours
-  ascending);
+  been suppressing, less those the neighbour is advertised already (the
+  mirror is one dict probe per key), in table order (client entries, then
+  neighbours ascending);
 * members with no topic-range form are few (the paper's workload installs
   none); they answer covering by a scan of the set's ``general`` members.
   The brute-force scan of every member is the tests-only reference
@@ -63,7 +64,7 @@ from typing import Hashable, Iterable, Optional
 from repro.errors import ProtocolError
 from repro.pubsub.events import Notification
 from repro.pubsub.filters import Filter
-from repro.pubsub.interval_index import _POS_INF, IntervalIndex
+from repro.pubsub.interval_index import IntervalIndex
 from repro.util.ids import QueueId
 
 __all__ = ["ClientEntry", "FilterTable"]
@@ -314,18 +315,20 @@ class FilterTable:
 
         When a covering-pruned advertisement is withdrawn, the only entries
         that can newly need re-advertising are those the withdrawn filter
-        covers (anything else keeps whatever cover it already had). This
-        enumerates exactly that set — every client entry and every filter
-        from neighbours other than ``nbr`` with ``f.covers(entry)`` — in
-        table order (the client entries, then :meth:`broker_filter_keys`
-        per neighbour ascending), which fixes the order of the
-        re-advertisements a withdrawal sends.
+        covers (anything else keeps whatever cover it already had) and that
+        are not advertised to ``nbr`` already. This enumerates exactly that
+        set — every client entry and every filter from neighbours other
+        than ``nbr`` with ``f.covers(entry)``, less the keys in ``nbr``'s
+        advertisement mirror — in table order (the client entries, then
+        :meth:`broker_filter_keys` per neighbour ascending), which fixes the
+        order of the re-advertisements a withdrawal sends.
         """
         local = self._client_filters
         if local is None:
             local = self._client_filters = _PeerFilters()
             for key, entry in self.clients.items():
                 local.add(key, entry.filter)
+        advertised = self._advertised[nbr].filters
         # each set with the stamps that rank its keys in table order
         asked = [(local, self._client_seq)]
         asked += [
@@ -337,6 +340,7 @@ class FilterTable:
             (key, members.filters[key])
             for members, seq in asked
             for key in sorted(members.covered_by(f), key=seq.__getitem__)
+            if key not in advertised
         ]
 
     # ------------------------------------------------------------------
@@ -425,7 +429,6 @@ class FilterTable:
         written out, a client entry is compared on its cached ``(lo, hi)``.
         """
         topic = event.topic
-        probe = (topic, _POS_INF)
         nbrs = []
         for n, peer in self._from_nbr.items():  # ascending
             if n == from_broker:
@@ -433,7 +436,7 @@ class FilterTable:
             ranges = peer.ranges
             if ranges._dirty:
                 ranges._rebuild()
-            idx = bisect_right(ranges._pairs, probe) - 1
+            idx = bisect_right(ranges._los, topic) - 1
             if idx >= 0 and ranges._max_hi[idx] >= topic:
                 nbrs.append(n)
                 continue

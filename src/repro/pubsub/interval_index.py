@@ -8,16 +8,22 @@ covering-based withdrawal path asks the reverse: "which installed intervals
 does this withdrawn one contain?" — a containment *enumeration*
 (:meth:`~IntervalIndex.contained_keys`).
 
-All three are answered from one structure: the intervals sorted by
-``(lo, hi)`` beside one array of prefix maxima over ``hi``. Mobility churn
-mutates these indexes on **every handoff**, so mutation cost is what shapes
-the paper's Figure 5(a)/6(a) curves; the arrays are therefore maintained
-*incrementally* — a bisect insert/delete plus a repair of the prefix
-maxima that stops at the first position the mutated ``hi`` does not reach —
-so a mutation costs O(log n) comparisons plus one C-level ``memmove`` per
-array. They are first built by the first query (``_rebuild``): an index
-that is written but never asked, like the advertisement mirror of a run
-without covering, never has arrays to maintain.
+All three are answered from one structure: the intervals as flat float
+arrays ``_los`` and ``_his`` sorted by ``lo`` alone, beside the keys and
+one array of prefix maxima over ``hi``, so every bisect compares floats and
+builds no probe tuple. The order of intervals with equal ``lo`` is never
+observed: stab and containment read only the prefix maxima, the one
+caller of :meth:`~IntervalIndex.contained_keys` re-sorts its answer by
+installation stamp, and a removal scans the run of equal ``lo`` for its
+key. Mobility churn mutates these indexes on **every handoff**, so mutation
+cost is what shapes the paper's Figure 5(a)/6(a) curves; the arrays are
+therefore maintained *incrementally* — a bisect insert/delete plus a repair
+of the prefix maxima that stops at the first position the mutated ``hi``
+does not reach — so a mutation costs O(log n) comparisons plus one C-level
+``memmove`` per array. They are first built by the first query
+(``_rebuild``): an index that is written but never asked, like the
+advertisement mirror of a run without covering, never has arrays to
+maintain.
 
 The one user is the keyed filter set of :mod:`repro.pubsub.filter_table`,
 which writes the arrays itself on a table edit and carries :meth:`stab`
@@ -37,7 +43,6 @@ from typing import Hashable, Iterator, Optional
 __all__ = ["IntervalIndex"]
 
 _NEG_INF = float("-inf")
-_POS_INF = float("inf")
 
 
 class IntervalIndex:
@@ -56,14 +61,15 @@ class IntervalIndex:
     True
     """
 
-    __slots__ = ("_items", "_dirty", "_pairs", "_keys", "_max_hi")
+    __slots__ = ("_items", "_dirty", "_los", "_his", "_keys", "_max_hi")
 
     def __init__(self) -> None:
         self._items: dict[Hashable, tuple[float, float]] = {}
         #: True until the first query builds the arrays from ``_items``
         self._dirty = True
-        # parallel arrays in (lo, hi) order; _max_hi[i] = max hi of [0..i]
-        self._pairs: list[tuple[float, float]] = []
+        # parallel arrays in lo order; _max_hi[i] = max hi of [0..i]
+        self._los: list[float] = []
+        self._his: list[float] = []
         self._keys: list[Hashable] = []
         self._max_hi: list[float] = []
 
@@ -107,9 +113,9 @@ class IntervalIndex:
     # incremental maintenance of the sorted arrays
     # ------------------------------------------------------------------
     def _insert_sorted(self, key: Hashable, lo: float, hi: float) -> None:
-        pairs = self._pairs
-        i = bisect_right(pairs, (lo, hi))
-        pairs.insert(i, (lo, hi))
+        i = bisect_right(self._los, lo)
+        self._los.insert(i, lo)
+        self._his.insert(i, hi)
         self._keys.insert(i, key)
         mx = self._max_hi
         mx.insert(i, hi if i == 0 or hi > mx[i - 1] else mx[i - 1])
@@ -121,12 +127,13 @@ class IntervalIndex:
             mx[j] = hi
 
     def _remove_sorted(self, key: Hashable, iv: tuple[float, float]) -> None:
-        pairs = self._pairs
+        his = self._his
         keys = self._keys
-        i = bisect_left(pairs, iv)
-        while keys[i] != key:  # equal (lo, hi) pairs: scan for the key
+        i = bisect_left(self._los, iv[0])
+        while keys[i] != key:  # equal lo: scan the run for the key
             i += 1
-        pairs.pop(i)
+        self._los.pop(i)
+        his.pop(i)
         keys.pop(i)
         mx = self._max_hi
         mx.pop(i)
@@ -134,7 +141,7 @@ class IntervalIndex:
         # running maximum matches what is stored, the rest is unchanged too
         best = mx[i - 1] if i else _NEG_INF
         for j in range(i, len(mx)):
-            hj = pairs[j][1]
+            hj = his[j]
             if hj > best:
                 best = hj
             if mx[j] == best:
@@ -149,8 +156,9 @@ class IntervalIndex:
         # in place from then on
         order = sorted(self._items.items(), key=itemgetter(1))
         self._keys = [k for k, _iv in order]
-        self._pairs = [iv for _k, iv in order]
-        self._max_hi = list(accumulate((hi for _lo, hi in self._pairs), max))
+        self._los = [lo for _k, (lo, _hi) in order]
+        self._his = [hi for _k, (_lo, hi) in order]
+        self._max_hi = list(accumulate(self._his, max))
         self._dirty = False
 
     def stab(self, x: float) -> bool:
@@ -159,14 +167,14 @@ class IntervalIndex:
         (``tests/test_matching_engine.py`` holds the two together)."""
         if self._dirty:
             self._rebuild()
-        idx = bisect_right(self._pairs, (x, _POS_INF)) - 1
+        idx = bisect_right(self._los, x) - 1
         return idx >= 0 and self._max_hi[idx] >= x
 
     def contains_interval(self, lo: float, hi: float) -> bool:
         """True if some interval contains [lo, hi]."""
         if self._dirty:
             self._rebuild()
-        idx = bisect_right(self._pairs, (lo, _POS_INF)) - 1
+        idx = bisect_right(self._los, lo) - 1
         return idx >= 0 and self._max_hi[idx] >= hi
 
     def contained_keys(self, lo: float, hi: float) -> list[Hashable]:
@@ -179,13 +187,13 @@ class IntervalIndex:
         """
         if self._dirty:
             self._rebuild()
-        pairs = self._pairs
+        los = self._los
+        his = self._his
         keys = self._keys
         out: list[Hashable] = []
-        for i in range(bisect_left(pairs, (lo, _NEG_INF)), len(pairs)):
-            l, h = pairs[i]
-            if l > hi:
+        for i in range(bisect_left(los, lo), len(los)):
+            if los[i] > hi:
                 break
-            if h <= hi:
+            if his[i] <= hi:
                 out.append(keys[i])
         return out

@@ -230,6 +230,31 @@ def test_cli_replays_single_scenario(tmp_path, capsys):
     assert parsed["scenarios"][0]["seed"] == seed
 
 
+def test_cli_forces_the_protocol_on_the_plain_lane(tmp_path, capsys):
+    """``--protocol`` is honoured without a lane flag too: the replay runs
+    the forced protocol on the seed's otherwise unchanged draw."""
+    seed = quick_seed(lambda s: small(s) and s.protocol != "mhh")
+    out = tmp_path / "fuzz.json"
+    rc = main(["--scenario-seed", str(seed), "--protocol", "mhh",
+               "--no-cross-engine", "--out", str(out)])
+    assert rc == 0
+    assert f"PASS seed={seed} mhh " in capsys.readouterr().out
+    parsed = json.loads(out.read_text())
+    assert parsed["protocols"] == {"mhh": 1}
+    assert parsed["scenarios"][0]["replay"].endswith("--protocol mhh")
+    assert Scenario.from_seed(seed, "mhh") == dataclasses.replace(
+        Scenario.from_seed(seed), protocol="mhh")
+
+
+def test_forced_plain_lane_replay_command_carries_the_protocol():
+    r = ScenarioResult(9, "two-phase", "seed=9", [],
+                       forced_protocol="two-phase")
+    assert r.replay_command() == (
+        "python -m repro.conformance.fuzzer --scenario-seed 9 "
+        "--protocol two-phase"
+    )
+
+
 # ---------------------------------------------------------------------------
 # reliability lane
 # ---------------------------------------------------------------------------

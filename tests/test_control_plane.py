@@ -40,6 +40,7 @@ from repro.pubsub.filters import (
     Op,
     RangeFilter,
 )
+from repro.pubsub.interval_index import IntervalIndex
 from repro.pubsub.system import PubSubSystem
 
 NEIGHBORS = [1, 2, 7, 9]
@@ -207,11 +208,10 @@ def test_peer_filters_against_dict_model(ops, build_at, queries):
                 assert table.match(event, None)[0] == ([1] if want else [])
             idx = peer.ranges
             assert not idx._dirty
-            assert idx._pairs == sorted(idx._items.values())
-            assert dict(zip(idx._keys, idx._pairs)) == idx._items
-            assert len(idx._keys) == len(idx._items)
-            assert idx._max_hi == list(
-                accumulate((hi for _lo, hi in idx._pairs), max))
+            assert idx._los == sorted(idx._los)
+            assert dict(zip(idx._keys, zip(idx._los, idx._his))) == idx._items
+            assert len(idx._keys) == len(idx._his) == len(idx._items)
+            assert idx._max_hi == list(accumulate(idx._his, max))
 
     built = False
     for step, (is_add, key, f) in enumerate(ops):
@@ -240,8 +240,8 @@ def test_peer_filters_against_dict_model(ops, build_at, queries):
 # ---------------------------------------------------------------------------
 # withdrawal-candidate enumeration: content AND order vs the table walk
 # ---------------------------------------------------------------------------
-def legacy_candidates(table: FilterTable, nbr: int, f):
-    """The unindexed candidate walk: every client entry, then every other
+def covered_walk(table: FilterTable, nbr: int, f):
+    """The unindexed table walk: every client entry, then every other
     neighbour's filters in keys() order — filtered to what ``f`` covers."""
     out = []
     for entry in table.clients.values():
@@ -257,6 +257,27 @@ def legacy_candidates(table: FilterTable, nbr: int, f):
     return out
 
 
+def legacy_candidates(table: FilterTable, nbr: int, f):
+    """:func:`covered_walk` less the keys ``nbr`` is advertised already."""
+    return [(key, cand) for key, cand in covered_walk(table, nbr, f)
+            if not table.advertised_has(nbr, key)]
+
+
+def advertise_some(rnd: random.Random, table: FilterTable) -> None:
+    """Advertise a random few of the table's keys to each neighbour and
+    withdraw one, so the mirrors hold a churning subset of the keys, as in
+    a covering run."""
+    keys = list(table.clients)
+    for nbr in table.neighbors:
+        keys += table.broker_filter_keys(nbr)
+    for nbr in table.neighbors:
+        for key in rnd.sample(keys, k=min(len(keys), rnd.randrange(4))):
+            table.advertised_add(nbr, key, random_filter(rnd))
+        for key in rnd.sample(table.advertised_keys(nbr),
+                              k=min(table.advertised_count(nbr), 1)):
+            table.advertised_remove(nbr, key)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_covered_candidates_content_and_order(seed):
     rnd = random.Random(200 + seed)
@@ -264,6 +285,7 @@ def test_covered_candidates_content_and_order(seed):
     broker_keys: list = []
     client_keys: list = []
     next_key = 0
+    kept = dropped = 0
     for _step in range(300):
         action = rnd.random()
         if action < 0.35 or not (broker_keys or client_keys):
@@ -285,12 +307,16 @@ def test_covered_candidates_content_and_order(seed):
         elif client_keys:
             key = client_keys.pop(rnd.randrange(len(client_keys)))
             table.remove_entry_by_key(key)
+        advertise_some(rnd, table)
         if rnd.random() < 0.4:
             f = random_filter(rnd)
             for nbr in NEIGHBORS:
                 got = table.covered_candidates(nbr, f)
                 want = legacy_candidates(table, nbr, f)
                 assert got == want, (nbr, f)
+                kept += len(want)
+                dropped += len(covered_walk(table, nbr, f)) - len(want)
+    assert kept > 500 and dropped > 200
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +441,41 @@ def test_churn_storm_all_modes_agree(protocol, covering):
         assert run_churn_storm(protocol, covering, seed=42) == baseline
     # the storm must actually have exercised delivery
     assert baseline[0] > 0
+
+
+def test_scan_covering_replaces_every_interval_covering_answer(monkeypatch):
+    """The differential above is only one if the reference run consults no
+    interval index: inside ``scan_covering()`` a covering subscribe/
+    unsubscribe storm never enters the two covering queries of
+    :class:`IntervalIndex`, while its withdrawals do ask for candidates.
+    The same storm on the product enters both, so neither answer can be
+    inlined out of the seam without this test noticing."""
+    entered = {"contained_keys": 0, "contains_interval": 0, "candidates": 0}
+    refuse = False
+    ask = FilterTable.covered_candidates
+
+    def counted(self, nbr, f):
+        entered["candidates"] += 1
+        return ask(self, nbr, f)
+
+    monkeypatch.setattr(FilterTable, "covered_candidates", counted)
+    for name in ("contained_keys", "contains_interval"):
+        def guarded(self, lo, hi, _name=name, _orig=getattr(IntervalIndex, name)):
+            if refuse:
+                raise AssertionError(f"IntervalIndex.{_name} under the scan")
+            entered[_name] += 1
+            return _orig(self, lo, hi)
+
+        monkeypatch.setattr(IntervalIndex, name, guarded)
+    refuse = True
+    with scan_covering():
+        run_churn_storm("sub-unsub", True, seed=42)
+    assert entered["contained_keys"] == entered["contains_interval"] == 0
+    assert entered["candidates"] > 100
+    refuse = False
+    run_churn_storm("sub-unsub", True, seed=42)
+    assert entered["contained_keys"] > 100
+    assert entered["contains_interval"] > 100
 
 
 @pytest.mark.parametrize("protocol", ["sub-unsub", "mhh", "home-broker"])

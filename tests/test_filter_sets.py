@@ -11,8 +11,9 @@ These tests pin that:
   members, across keys that flip between the two homes, equal intervals
   under distinct keys, NaN-valued constraints and the adversarial mix of
   ``test_control_plane.random_filter``;
-* :meth:`FilterTable.covered_candidates` equals the table walk, content and
-  order, with a few hundred client entries;
+* :meth:`FilterTable.covered_candidates` equals the table walk less the
+  keys already advertised to the neighbour, content and order, with a few
+  hundred client entries;
 * a NaN-bounded filter never reaches an interval index.
 """
 
@@ -22,6 +23,8 @@ import pytest
 from covering_scan import ScanCovering, _is_topic_range as is_topic_range
 from test_control_plane import (
     NEIGHBORS,
+    advertise_some,
+    covered_walk,
     legacy_candidates,
     random_constraint,
     random_filter,
@@ -240,7 +243,7 @@ def test_covered_candidates_with_many_client_entries(seed):
     for n, nbr in enumerate(NEIGHBORS):
         for j in range(15):
             table.add_broker_filter(nbr, f"n{n}-{j}", random_filter_with_nan(rnd))
-    queries = 0
+    queries = dropped = 0
     for step in range(400):
         roll = rnd.random()
         if len(table.clients) < 200 or roll < 0.25:
@@ -255,12 +258,14 @@ def test_covered_candidates_with_many_client_entries(seed):
             table.add_broker_filter(
                 nbr, f"x{rnd.randrange(30)}", random_filter_with_nan(rnd))
         if step % 5 == 0:
+            advertise_some(rnd, table)
             for f in (random_filter_with_nan(rnd), shared, RangeFilter(0.0, 1.2)):
                 nbr = rnd.choice(NEIGHBORS)
                 got = table.covered_candidates(nbr, f)
                 assert got == legacy_candidates(table, nbr, f), (step, nbr, f)
                 queries += len(got)
-    assert len(table.clients) >= 190 and queries > 1000
+                dropped += len(covered_walk(table, nbr, f)) - len(got)
+    assert len(table.clients) >= 190 and queries > 1000 and dropped > 300
 
 
 # ---------------------------------------------------------------------------

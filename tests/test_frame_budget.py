@@ -13,6 +13,11 @@ goes over the budget, and the failure names the most-entered functions.
   the initial subscription flood is most of a 12 s run), so one frame put
   back on the hop costs 0.09, on the drain's completion 0.08 — and one
   under ``_PeerFilters.add``, which the flood shares, 1.23.
+* ``churn_subunsub`` holds the sub-unsub control path: the subscribe
+  flood, and the unsubscribe hop with its covering-aware withdrawal. An
+  unsubscribe is 0.18 of the events at the ``--quick`` size, a withdrawal
+  0.22, so a wrapper put back on ``_handle_unsubscribe`` or
+  ``covered_candidates`` costs 0.18, one on ``_withdraw`` 0.22.
 
 Frames, not all calls: how many C calls the profiler reports differs
 between interpreter versions, how many frames a run enters does not
@@ -33,6 +38,17 @@ churn_mhh              ``--quick``  full size
 before the flattening         30.6       32.5
 now                           27.1       29.3
 =====================  ===========  =========
+
+=========================  ===========  =========
+churn_subunsub             ``--quick``  full size
+=========================  ===========  =========
+before the flat arrays            41.3       43.0
+now                               40.3       41.2
+=========================  ===========  =========
+
+and in frames per event, 22.87 -> 21.14 at ``--quick``, 23.12 -> 20.72 at
+full size: the flat arrays build no probe tuple, and the withdrawal's
+candidates no longer include what is already advertised.
 """
 
 from __future__ import annotations
@@ -50,6 +66,10 @@ FRAMES_PER_EVENT_BUDGET = 11.3
 #: dispatch; full size 18.51 -> 16.55 -> 15.85); the cheapest wrapper to put
 #: back, one on the drain's completion, costs 0.08
 CONTROL_FRAMES_PER_EVENT_BUDGET = 16.0
+#: measured 21.14 (22.87 before the flat arrays and the filtered
+#: withdrawal candidates); the cheapest wrapper to put back, one on
+#: ``_handle_unsubscribe`` or ``covered_candidates``, costs 0.18
+WITHDRAW_FRAMES_PER_EVENT_BUDGET = 21.25
 
 
 def assert_frames_per_event(workload_name: str, events: int, budget: float):
@@ -90,3 +110,9 @@ def test_churn_mhh_stays_within_its_control_path_frame_budget():
     system = assert_frames_per_event(
         "churn_mhh", 22387, CONTROL_FRAMES_PER_EVENT_BUDGET)
     assert system.metrics.handoffs.handoff_count == 213
+
+
+def test_churn_subunsub_stays_within_its_withdrawal_frame_budget():
+    system = assert_frames_per_event(
+        "churn_subunsub", 12640, WITHDRAW_FRAMES_PER_EVENT_BUDGET)
+    assert system.metrics.handoffs.handoff_count == 171

@@ -208,3 +208,51 @@ def test_differential_incremental_vs_rebuild(seed):
                 == contains_bruteforce(items, a, b), (seed, step)
             assert sorted(inc.contained_keys(a, b)) \
                 == contained_bruteforce(items, a, b), (seed, step)
+
+
+#: a coarse grid of bounds: equal ``lo`` everywhere, and every query point
+#: lands on some interval's end
+_TIE_GRID = [i / 8 for i in range(9)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_differential_with_equal_lo_and_identical_intervals(seed):
+    """The arrays are sorted by ``lo`` alone, so within a run of equal
+    ``lo`` their order is whatever the edits left. Churn made of such runs,
+    with identical intervals under distinct keys (what sub-unsub's
+    re-subscriptions install), answers every query like the brute-force
+    scan; the first query, which builds the arrays, comes at a random
+    step, so edits land both before and after the build."""
+    rnd = random.Random(900 + seed)
+    idx = IntervalIndex()
+    mirror = {}
+    first_query = rnd.randrange(120)
+    for step in range(300):
+        roll = rnd.random()
+        if roll < 0.55 or not mirror:
+            k = rnd.randrange(40)
+            if mirror and rnd.random() < 0.4:  # a copy under another key
+                iv = rnd.choice(list(mirror.values()))
+            else:
+                iv = tuple(sorted(rnd.choices(_TIE_GRID, k=2)))
+            idx.add(k, *iv)
+            mirror[k] = iv
+        elif roll < 0.8:
+            k = rnd.choice(list(mirror))
+            idx.remove(k)
+            del mirror[k]
+        else:
+            k = rnd.randrange(48)
+            idx.discard(k)
+            mirror.pop(k, None)
+        if step < first_query:
+            continue
+        items = list(mirror.items())
+        x = rnd.choice(_TIE_GRID + [rnd.uniform(-0.1, 1.1)])
+        assert idx.stab(x) == stab_bruteforce(items, x), (seed, step)
+        a, b = sorted(rnd.choices(_TIE_GRID, k=2))
+        assert idx.contains_interval(a, b) \
+            == contains_bruteforce(items, a, b), (seed, step)
+        assert set(idx.contained_keys(a, b)) \
+            == set(contained_bruteforce(items, a, b)), (seed, step)
+    assert len(idx) == len(mirror) and not idx._dirty
