@@ -35,7 +35,8 @@ The contracts the kernel relies on (and every driver must honour):
    correctness arguments rest on (see :mod:`repro.network.links`).
 3. ``call_later`` returns a handle whose ``cancel()`` prevents the
    callback; ``call_later_fifo`` is the same push without a handle, for
-   constant-delay link traffic that is never cancelled.
+   callbacks never cancelled through a handle: constant-delay link
+   traffic, and timers their owner invalidates by an epoch check.
 4. Callbacks never run re-entrantly inside ``call_later`` itself.
 """
 
@@ -79,7 +80,8 @@ class Clock:
     def call_later_fifo(
         self, delay: float, callback: Callable[..., Any], *args: Any
     ) -> None:
-        """Non-cancellable variant for constant-delay FIFO link traffic."""
+        """Handle-free variant: for callbacks never cancelled through a
+        handle (constant-delay FIFO link traffic, epoch-checked timers)."""
         raise NotImplementedError
 
     @property

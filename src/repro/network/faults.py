@@ -49,6 +49,7 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
+from repro.sim.rng import uniforms
 from repro.util.validation import check_non_negative, check_probability
 
 __all__ = ["FaultProfile", "LinkFaultInjector", "FAULT_FREE"]
@@ -107,7 +108,8 @@ class LinkFaultInjector:
     All draws come from one seeded stream in event-execution order, so a
     scenario replays byte-identically from its seed — on the simulator
     and on every other conforming clock, because those are
-    event-order-identical.
+    event-order-identical. Fate and jitter read that stream through one
+    block buffer (:func:`repro.sim.rng.uniforms`), its only consumer.
     """
 
     def __init__(
@@ -119,6 +121,7 @@ class LinkFaultInjector:
     ) -> None:
         self.profile = profile
         self.rng = rng
+        self._uniform = uniforms(rng)
         self.droppable = droppable
         self.on_drop = on_drop
         #: discarded eligible transmissions, total and per (client, direction)
@@ -140,15 +143,17 @@ class LinkFaultInjector:
     def fate(self, payload: Any, client: int, direction: str) -> str:
         """Decide this transmission's fate: ``"ok"``, ``"drop"`` or ``"dup"``.
 
-        Called once per eligible send, *before* the payload enters the
-        channel. Ineligible payloads consume no randomness.
+        Called once per downlink send, *before* the payload enters the
+        channel; an uplink channel holds no fate hook, because loss and
+        duplication never apply there. Ineligible payloads consume no
+        randomness.
         """
         p = self.profile
         if not (p.deliver_loss or p.deliver_duplicate):
             return "ok"
-        if direction != DOWNLINK or not self.droppable(payload):
+        if not self.droppable(payload):
             return "ok"
-        u = float(self.rng.random())
+        u = next(self._uniform)
         if u < p.deliver_loss:
             self.drops += 1
             self.drops_by_link[(client, direction)] += 1
@@ -158,7 +163,7 @@ class LinkFaultInjector:
                 )
             self.on_drop(payload)
             return "drop"
-        if p.deliver_duplicate and float(self.rng.random()) < p.deliver_duplicate:
+        if p.deliver_duplicate and next(self._uniform) < p.deliver_duplicate:
             return "dup"
         return "ok"
 
@@ -172,8 +177,13 @@ class LinkFaultInjector:
             )
 
     def jitter(self) -> float:
-        """Extra service latency for one wireless transmission (ms)."""
+        """Extra service latency for one wireless transmission (ms).
+
+        A channel asks only an injector whose profile jitters (see
+        :meth:`repro.network.links.LinkLayer.inject_faults`).
+        """
         j = self.profile.wireless_jitter_ms
         if j <= 0.0:
             return 0.0
-        return float(self.rng.uniform(0.0, j))
+        # == float(rng.uniform(0.0, j)): numpy computes 0.0 + j * u
+        return j * next(self._uniform)

@@ -77,13 +77,16 @@ class _WirelessChannel:
     it. ``cancel_pending`` reclaims the queued (not in-service) messages in
     order — used by MHH when a client disconnects mid-backlog-drain.
 
-    ``faults`` is the channel's fault hook point: the injectors on it (none
-    on a perfect link). Each send may be discarded (loss) or
-    flagged for a second handover (duplication), and each service slot may
-    be stretched (jitter); the channel remains a serial FIFO throughout.
-    The duplicate copy is handed over in the same instant as the original,
-    directly after it — it never sits in ``queue``, so it cannot be
-    reclaimed by ``cancel_pending`` and cannot overtake older traffic.
+    ``faults`` and ``jitters`` are the channel's fault hook points, each
+    holding only injectors that can act there (both empty on a perfect
+    link). Through ``faults`` each send may be discarded (loss) or flagged
+    for a second handover (duplication); an uplink channel has none, since
+    loss and duplication apply to downlink cargo only. Through ``jitters``
+    each service slot may be stretched. The channel remains a serial FIFO
+    throughout. The duplicate copy is handed over in the same instant as
+    the original, directly after it — it never sits in ``queue``, so it
+    cannot be reclaimed by ``cancel_pending`` and cannot overtake older
+    traffic.
     """
 
     __slots__ = (
@@ -94,6 +97,7 @@ class _WirelessChannel:
         "busy_until",
         "_in_service",
         "faults",
+        "jitters",
         "client",
         "direction",
         "_dup_ids",
@@ -111,6 +115,7 @@ class _WirelessChannel:
         direction: str = DOWNLINK,
         queue_cap: Optional[int] = None,
         on_shed: Optional[Callable[[Any, int], bool]] = None,
+        jitters: Sequence[LinkFaultInjector] = (),
     ) -> None:
         self.clock = clock
         self.latency = latency
@@ -119,6 +124,7 @@ class _WirelessChannel:
         self.busy_until = 0.0
         self._in_service: Any = None
         self.faults = faults
+        self.jitters = jitters
         self.client = client
         self.direction = direction
         # bulkhead: with a cap configured, data traffic that would queue
@@ -163,7 +169,7 @@ class _WirelessChannel:
         # only the queue), so the non-cancellable path applies
         self._in_service = msg
         latency = self.latency
-        for injector in self.faults:
+        for injector in self.jitters:
             latency += injector.jitter()
         self.busy_until = self.clock.now + latency
         self.clock.call_later_fifo(latency, self._finish, msg)
@@ -239,6 +245,7 @@ class LinkLayer:
         # The link side of the layer seam: hook points that stay empty / on
         # the plain path until a layer claims them (the three methods below)
         self._injectors: list[LinkFaultInjector] = []
+        self._jitters: list[LinkFaultInjector] = []
         self._blocked: list[Callable[..., bool]] = []
         self._stale: list[Callable[..., bool]] = []
         self._stamp: Callable[[], Any] = tuple
@@ -266,10 +273,13 @@ class LinkLayer:
     # the layer seam, link side
     # ------------------------------------------------------------------
     def inject_faults(self, injector: LinkFaultInjector) -> None:
-        """Wireless faults: fate, jitter and duplicate handover on every
-        client channel (they all share this list of injectors)."""
+        """Wireless faults: fate and duplicate handover on every downlink,
+        jitter on every client channel whose injector's profile has any
+        (the channels share these two lists of injectors)."""
         self.faults = injector
         self._injectors.append(injector)
+        if injector.profile.wireless_jitter_ms > 0.0:
+            self._jitters.append(injector)
 
     def guard_wire(self, blocked, stamp, stale) -> None:
         """Crash repair: ``blocked(msg, to, hop_from)`` vetoes a wired send
@@ -304,14 +314,15 @@ class LinkLayer:
             direction=DOWNLINK,
             queue_cap=self.queue_cap,
             on_shed=self._on_shed if self.queue_cap is not None else None,
+            jitters=self._jitters,
         )
         self._uplinks[client_id] = _WirelessChannel(
             self.clock,
             self.wireless_latency,
             self._deliver_uplink,
-            faults=self._injectors,
             client=client_id,
             direction=UPLINK,
+            jitters=self._jitters,
         )
 
     # ------------------------------------------------------------------

@@ -233,7 +233,10 @@ class ReliableDeliver(DeliverMessage):
         self, client: int, event: Notification,
         origin: int, session: int, rel_seq: int,
     ) -> None:
-        super().__init__(client, event)
+        # all five slots set here, not through DeliverMessage.__init__:
+        # one frame per frame sent (the reliable delivery hop)
+        self.client = client
+        self.event = event
         self.origin = origin
         self.session = session
         self.rel_seq = rel_seq

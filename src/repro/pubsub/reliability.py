@@ -19,9 +19,12 @@ Design constraints, in order:
 * **Sans-IO and replayable.** All timing goes through the system's
   :class:`~repro.drivers.base.Clock` facade and all jitter comes from a
   dedicated :class:`~repro.sim.rng.RandomStreams` stream
-  (``reliability/backoff``), so the same seed produces the same retry
-  schedule under the discrete-event simulator and the live VirtualClock
-  driver (property-tested in ``tests/test_reliability.py``).
+  (``reliability/backoff``, read in blocks by its one consumer), so the
+  same seed produces the same retry schedule under the discrete-event
+  simulator and the live VirtualClock driver (property-tested in
+  ``tests/test_reliability.py``). Retransmission timers are handle-free
+  clock pushes (``call_later_fifo``): a timer is cancelled by bumping its
+  link's epoch, never through a handle.
 * **Composes with protocol reclaim.** On detach, the link layer's
   ``reclaim_downlink`` (which every mobility protocol already calls)
   returns the link's *entire* unacked window — transmitted-and-dropped
@@ -50,6 +53,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.pubsub import messages as m
 from repro.pubsub.events import Notification
+from repro.sim.rng import uniforms
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pubsub.broker import Broker
@@ -154,7 +158,8 @@ class _LinkTx:
         self.unacked: "OrderedDict[int, m.ReliableDeliver]" = OrderedDict()
         #: consecutive timeouts for the current oldest unacked message
         self.attempts = 0
-        #: bumped to invalidate armed timers (cheap driver-agnostic cancel)
+        #: bumped to invalidate armed timers: the only way one is cancelled
+        #: (they are handle-free pushes, see ReliabilityManager._arm_timer)
         self.timer_epoch = 0
         #: seqs already fast-retransmitted once off a NACK this session
         self.nack_retx: set[int] = set()
@@ -198,12 +203,14 @@ class ReliabilityManager:
         self._write_off = not system.options.durable
         self._down = system.hooks.down_brokers
         self._settled = system.hooks.settled
+        self._clock = system.clock
         self.rto_base_ms = rto_base_ms
         self.rto_max_ms = rto_max_ms
         self.ack_delay_ms = ack_delay_ms
         #: seeded jitter stream: same seed => same retry schedule, under
-        #: every driver (draws happen in event-execution order)
-        self._rng = system.streams.stream("reliability/backoff")
+        #: every driver (draws happen in event-execution order); this
+        #: iterator is the stream's only consumer
+        self._jitter = uniforms(system.streams.stream("reliability/backoff"))
         self._links: dict[tuple[int, int], _LinkTx] = {}
         self._links_by_client: dict[int, dict[int, _LinkTx]] = {}
         self._rx: dict[tuple[int, int], _RxState] = {}
@@ -242,8 +249,7 @@ class ReliabilityManager:
         """Send one event reliably on the (broker, client) link."""
         key = (broker_id, client_id)
         breaker = self._breakers.get(key)
-        now = self.system.clock.now
-        if breaker is not None and not breaker.allows(now):
+        if breaker is not None and not breaker.allows(self._clock.now):
             # open breaker: shed immediately — an explicit, reconciled
             # write-off instead of an unbounded futile retransmit queue
             self.system.metrics.traffic.account_shed("breaker", client_id)
@@ -294,7 +300,7 @@ class ReliabilityManager:
         )
         # seeded jitter (+/-20%) de-synchronises links that timed out in
         # the same instant, deterministically
-        backoff *= 0.8 + 0.4 * float(self._rng.random())
+        backoff *= 0.8 + 0.4 * next(self._jitter)
         # allow for the serial channel's queueing delay: a 60-message
         # backlog drain takes 1.2 s of air time before the ack can even be
         # generated — without this allowance every drain would look like a
@@ -304,7 +310,8 @@ class ReliabilityManager:
             (net.downlink_backlog(link.client) + 2) * net.wireless_latency
             + self.ack_delay_ms
         )
-        self.system.clock.call_later(
+        # handle-free: an armed timer is cancelled by an epoch bump alone
+        self._clock.call_later_fifo(
             backoff + allowance, self._on_timeout, link, link.timer_epoch
         )
 
@@ -324,7 +331,7 @@ class ReliabilityManager:
         link.attempts += 1
         seq, msg = next(iter(link.unacked.items()))
         self.retry_log.append(
-            (self.system.clock.now, link.broker, link.client, seq,
+            (self._clock.now, link.broker, link.client, seq,
              link.attempts, "timeout")
         )
         self.system.metrics.traffic.account_retransmit(
@@ -335,7 +342,7 @@ class ReliabilityManager:
 
     def _exhaust(self, link: _LinkTx) -> None:
         """Retry budget ran dry: write the window off and consult the breaker."""
-        now = self.system.clock.now
+        now = self._clock.now
         metrics = self.system.metrics
         breaker = self.breaker_for(link.broker, link.client)
         for msg in link.unacked.values():
@@ -386,41 +393,44 @@ class ReliabilityManager:
     def on_ack(self, broker: "Broker", msg: m.AckMessage, frm: int) -> None:
         """Broker dispatch handler for client acks."""
         broker_id = broker.id
-        link = self._links.get((broker_id, msg.client))
+        client_id = msg.client
+        link = self._links.get((broker_id, client_id))
         if link is None or link.session != msg.session:
             return  # stale session: the window was reclaimed or rebuilt
+        unacked = link.unacked
+        nack_retx = link.nack_retx
+        cum_ack = msg.cum_ack
+        settled = self._settled
         progress = False
-        while link.unacked:
-            seq = next(iter(link.unacked))
-            if seq > msg.cum_ack:
+        while unacked:
+            seq = next(iter(unacked))
+            if seq > cum_ack:
                 break
-            acked = link.unacked.pop(seq)
-            link.nack_retx.discard(seq)
-            for settle in self._settled:
+            event = unacked.pop(seq).event
+            nack_retx.discard(seq)
+            for settle in settled:
                 # the cumulative ack is the durable delivery cursor: the
                 # WAL logs the settlement so checkpointing can compact it
-                settle(broker_id, msg.client, acked.event)
+                settle(broker_id, client_id, event)
             progress = True
         if progress:
             link.attempts = 0
-            breaker = self._breakers.get((broker_id, msg.client))
+            breaker = self._breakers.get((broker_id, client_id))
             if breaker is not None:
                 breaker.on_progress()
             link.probe = False
         for seq in msg.nacks:
-            nmsg = link.unacked.get(seq)
-            if nmsg is None or seq in link.nack_retx:
+            nmsg = unacked.get(seq)
+            if nmsg is None or seq in nack_retx:
                 continue  # unknown or already fast-retransmitted once
-            link.nack_retx.add(seq)
+            nack_retx.add(seq)
             self.retry_log.append(
-                (self.system.clock.now, link.broker, link.client, seq,
+                (self._clock.now, broker_id, client_id, seq,
                  link.attempts, "nack")
             )
-            self.system.metrics.traffic.account_retransmit(
-                link.client, "nack"
-            )
-            self.system.net.send_client(link.client, nmsg)
-        if link.unacked:
+            self.system.metrics.traffic.account_retransmit(client_id, "nack")
+            self.system.net.send_client(client_id, nmsg)
+        if unacked:
             if progress:
                 self._arm_timer(link)  # restart the clock for the new head
         else:
@@ -430,7 +440,8 @@ class ReliabilityManager:
     # client-side receive path
     # ------------------------------------------------------------------
     def on_deliver(self, client: "Client", msg: m.ReliableDeliver) -> None:
-        key = (msg.client, msg.origin)
+        origin = msg.origin
+        key = (msg.client, origin)
         st = self._rx.get(key)
         if st is None or msg.session > st.session:
             # a new session supersedes the old one; buffered stragglers of
@@ -444,33 +455,29 @@ class ReliabilityManager:
             # is redelivered by the protocol, an acked one was already
             # handed to the application
             return
-        if msg.rel_seq < st.expected:
+        rel_seq = msg.rel_seq
+        if rel_seq < st.expected:
             # retransmit of an already-handed-off event (lost ack): count
             # the duplicate and re-ack so the broker stops
             client._deliver_event(msg.event)
-            self._schedule_ack(client, msg.origin, st)
-            return
-        if msg.rel_seq == st.expected:
+        elif rel_seq == st.expected:
             client._deliver_event(msg.event)
             st.expected += 1
-            while st.expected in st.buffer:
-                client._deliver_event(st.buffer.pop(st.expected))
+            buffer = st.buffer
+            while st.expected in buffer:
+                client._deliver_event(buffer.pop(st.expected))
                 st.expected += 1
         else:
-            st.buffer[msg.rel_seq] = msg.event
-        self._schedule_ack(client, msg.origin, st)
-
-    def _schedule_ack(
-        self, client: "Client", origin: int, st: _RxState
-    ) -> None:
-        # only an attached client can transmit (station association); a
-        # detached client's window is reclaimed broker-side anyway
-        if not (client.connected and client.current_broker == origin):
-            return
-        if st.ack_pending:
+            st.buffer[rel_seq] = msg.event
+        # schedule the coalesced ack; only an attached client can transmit
+        # (station association) — a detached client's window is reclaimed
+        # broker-side anyway
+        if st.ack_pending or not (
+            client.connected and client.current_broker == origin
+        ):
             return
         st.ack_pending = True
-        self.system.clock.call_later_fifo(
+        self._clock.call_later_fifo(
             self.ack_delay_ms, self._fire_ack, client, origin, st
         )
 

@@ -165,6 +165,9 @@ class LogStore:
     * :meth:`segments` — the ordered raw segment images for replay;
     * :meth:`replace` — atomically swap all segments for a compacted one;
     * :meth:`brokers` — which brokers have any logged state.
+
+    The manager writes through the record forms :meth:`append_record` and
+    :meth:`replace_records`, which frame here by default.
     """
 
     name = "abstract"
@@ -188,6 +191,14 @@ class LogStore:
     def replace(self, broker: int, data: bytes) -> None:
         raise NotImplementedError
 
+    def replace_records(self, broker: int, records: List[tuple]) -> None:
+        """Swap all segments for a compacted image of not-yet-framed
+        records (a checkpoint). The image is one segment, however large —
+        the same one :meth:`replace` writes for its framed bytes — and, as
+        with :meth:`append_record`, a store may frame it when it is read.
+        """
+        self.replace(broker, b"".join(map(encode_record, records)))
+
     def brokers(self) -> List[int]:
         raise NotImplementedError
 
@@ -202,6 +213,11 @@ class MemoryLogStore(LogStore):
     :class:`DurabilityManager`, not in the broker objects, so a broker
     crash (which clears its volatile queues) leaves them intact — the same
     contract a surviving disk gives the live driver.
+
+    Records are framed when they are first *read* (:meth:`segments`), not
+    when they are written: encoding (codec + crc) is a pure function of
+    the record, so the segment images — bytes and segment boundaries —
+    are identical to eager framing.
     """
 
     name = "memory"
@@ -209,13 +225,17 @@ class MemoryLogStore(LogStore):
     def __init__(self, segment_bytes: int = SEGMENT_BYTES) -> None:
         self.segment_bytes = segment_bytes
         self._segs: Dict[int, List[bytearray]] = {}
-        # records appended but not yet framed: encoding (codec + crc) is
-        # pure function of the record, so it can run when the bytes are
-        # first *observed* instead of on the simulation hot path — the
-        # resulting segment images are byte-identical to eager framing
+        # a checkpoint image not yet framed: it becomes the broker's one
+        # segment (a replaced image is never split, see replace_records)
+        self._images: Dict[int, List[tuple]] = {}
+        # records appended but not yet framed, behind the image if any
         self._pending: Dict[int, List[tuple]] = {}
 
     def _flush(self, broker: int) -> None:
+        image = self._images.pop(broker, None)
+        if image is not None:
+            self._segs[broker] = [
+                bytearray(b"".join(map(encode_record, image)))]
         pending = self._pending.get(broker)
         if not pending:
             return
@@ -249,7 +269,15 @@ class MemoryLogStore(LogStore):
         # the compacted image supersedes every record appended so far,
         # framed or still pending
         self._pending.pop(broker, None)
+        self._images.pop(broker, None)
         self._segs[broker] = [bytearray(data)]
+
+    def replace_records(self, broker: int, records: List[tuple]) -> None:
+        # framed by _flush as one segment: framing the image through the
+        # append path would roll it into segment_bytes-sized pieces
+        self._pending.pop(broker, None)
+        self._images[broker] = records
+        self._segs[broker] = [bytearray()]
 
     def brokers(self) -> List[int]:
         return sorted(self._segs)
@@ -479,8 +507,11 @@ class DurabilityManager:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _append(self, broker: int, payload: tuple) -> None:
-        self.store.append_record(broker, payload)
+    def _append(self, broker: int, kind: str, *fields) -> None:
+        """Log record ``(kind, lsn, *fields)`` at ``broker`` under the next
+        lsn, and checkpoint the broker every ``checkpoint_every`` appends."""
+        self._lsn = lsn = self._lsn + 1
+        self.store.append_record(broker, (kind, lsn, *fields))
         self.records_appended += 1
         n = self._since_ckpt.get(broker, 0) + 1
         if n >= self.checkpoint_every:
@@ -488,21 +519,17 @@ class DurabilityManager:
         else:
             self._since_ckpt[broker] = n
 
-    def _next_lsn(self) -> int:
-        self._lsn += 1
-        return self._lsn
-
     def _session(self, client: int, broker: int) -> ClientSession:
-        s = self.sessions.get(client)
-        if s is None:
-            lo = hi = None
-            cl = self.system.clients.get(client)
-            if cl is not None:
-                rng = cl.filter.as_range()
-                if rng is not None and rng[0] == "topic":
-                    lo, hi = rng[1], rng[2]
-            s = self.sessions[client] = ClientSession(client, broker, lo, hi)
-            self._append(broker, ("ses", self._next_lsn(), client, lo, hi, ()))
+        """Create and log the session of a client that has none (callers
+        probe :attr:`sessions` first)."""
+        lo = hi = None
+        cl = self.system.clients.get(client)
+        if cl is not None:
+            rng = cl.filter.as_range()
+            if rng is not None and rng[0] == "topic":
+                lo, hi = rng[1], rng[2]
+        s = self.sessions[client] = ClientSession(client, broker, lo, hi)
+        self._append(broker, "ses", client, lo, hi, ())
         return s
 
     # -- runtime hooks (append-before-send) -------------------------------
@@ -511,19 +538,22 @@ class DurabilityManager:
         """Ingress broker logs the event before routing it anywhere."""
         self.events[event.event_id] = event
         self._event_home[event.event_id] = broker
-        self._append(broker, ("pub", self._next_lsn(), event))
+        self._append(broker, "pub", event)
 
     def on_deliver(self, broker: int, client: int, event: Notification) -> None:
         """A deliver frame is about to leave ``broker`` for ``client``."""
-        s = self._session(client, broker)
-        if s.anchor != broker:
+        s = self.sessions.get(client)
+        if s is None:
+            s = self._session(client, broker)
+        elif s.anchor != broker:
             self._move_session(s, broker)
         # mirror before append: the append itself may trigger a checkpoint,
         # which compacts from the mirror — a not-yet-mirrored delivery
         # would be dropped from the very image replacing its record
-        if event.event_id not in s.acked:
-            s.unacked.setdefault(event.event_id, event)
-        self._append(broker, ("dlv", self._next_lsn(), client, event.event_id))
+        eid = event.event_id
+        if eid not in s.acked:
+            s.unacked.setdefault(eid, event)
+        self._append(broker, "dlv", client, eid)
 
     def _move_session(self, s: ClientSession, broker: int) -> None:
         """Re-anchor ``s`` at ``broker``, logging its full state there.
@@ -540,20 +570,23 @@ class DurabilityManager:
         # the live part of the delivery cursor rides inside the ses record
         # (one append per move, not one per settled event); intersect from
         # the bounded live-event side — the full cursor grows with the run
-        self._append(broker, ("ses", self._next_lsn(), s.client, s.lo, s.hi,
-                              tuple(sorted(self.events.keys() & s.acked))))
+        self._append(broker, "ses", s.client, s.lo, s.hi,
+                     tuple(sorted(self.events.keys() & s.acked)))
         for eid in s.unacked:  # insertion order == send order
-            self._append(broker, ("dlv", self._next_lsn(), s.client, eid))
+            self._append(broker, "dlv", s.client, eid)
 
     def on_settled(self, broker: int, client: int, event: Notification) -> None:
         """The delivery cursor advanced (cum-ACK progress or app receipt)."""
-        s = self._session(client, broker)
+        s = self.sessions.get(client)
+        if s is None:
+            s = self._session(client, broker)
         eid = event.event_id
-        if eid in s.acked:
+        acked = s.acked
+        if eid in acked:
             return
-        s.acked.add(eid)
+        acked.add(eid)
         s.unacked.pop(eid, None)
-        self._append(broker, ("ack", self._next_lsn(), client, eid))
+        self._append(broker, "ack", client, eid)
 
     def on_client_delivered(self, client: int, broker: Optional[int],
                             event: Notification) -> None:
@@ -590,24 +623,28 @@ class DurabilityManager:
         replay, so the log stays bounded. Never drops an unacked record —
         the property the WAL test battery pins.
         """
-        out: List[bytes] = []
+        out: List[tuple] = []
+        lsn = self._lsn
         for eid in sorted(e for e, h in self._event_home.items() if h == broker):
             ev = self.events[eid]
             if self._settled_everywhere(ev):
                 del self.events[eid]
                 del self._event_home[eid]
             else:
-                out.append(encode_record(("pub", self._next_lsn(), ev)))
+                lsn += 1
+                out.append(("pub", lsn, ev))
         for cid in sorted(self.sessions):
             s = self.sessions[cid]
             if s.anchor != broker:
                 continue
-            out.append(encode_record(
-                ("ses", self._next_lsn(), cid, s.lo, s.hi,
-                 tuple(sorted(self.events.keys() & s.acked)))))
+            lsn += 1
+            out.append(("ses", lsn, cid, s.lo, s.hi,
+                        tuple(sorted(self.events.keys() & s.acked))))
             for eid in s.unacked:
-                out.append(encode_record(("dlv", self._next_lsn(), cid, eid)))
-        self.store.replace(broker, b"".join(out))
+                lsn += 1
+                out.append(("dlv", lsn, cid, eid))
+        self._lsn = lsn
+        self.store.replace_records(broker, out)
         self._since_ckpt[broker] = 0
         self.checkpoints += 1
 
@@ -722,15 +759,14 @@ class DurabilityManager:
             s.unacked.pop(eid, None)
         # one ses record re-anchors the session *and* carries the live part
         # of the handed-over delivery cursor
-        self._append(bid, ("ses", self._next_lsn(), msg.client, s.lo, s.hi,
-                           tuple(sorted(self.events.keys() & s.acked))))
+        self._append(bid, "ses", msg.client, s.lo, s.hi,
+                     tuple(sorted(self.events.keys() & s.acked)))
         for ev in msg.events:
             # mirror before append (see on_deliver): a checkpoint fired by
             # this very append compacts from the mirror
             if ev.event_id not in s.acked:
                 s.unacked.setdefault(ev.event_id, ev)
-            self._append(bid, ("dlv", self._next_lsn(), msg.client,
-                               ev.event_id))
+            self._append(bid, "dlv", msg.client, ev.event_id)
 
     def close(self) -> None:
         self.store.close()

@@ -8,9 +8,10 @@ heap of ``(time, seq, handle, callback, args)`` entries:
   with its own :class:`EventHandle` and return it, for anything that may be
   cancelled: timers, workload wakeups, jittered wireless slots.
 * :meth:`Simulator.schedule_fifo` is the same push without a handle (every
-  such entry shares one never-cancelled sentinel), for the constant-delay
-  link traffic that makes up nearly all of the volume and is never
-  cancelled once on the wire.
+  such entry shares one never-cancelled sentinel), for everything never
+  cancelled through a handle: the constant-delay link traffic that makes
+  up nearly all of the volume, and timers whose owner cancels them by an
+  epoch check when they fire (the reliability layer's retransmissions).
 
 Determinism: every entry is stamped with a ``seq`` from one monotone
 counter, and execution order is exactly ascending ``(time, seq)``. Two
@@ -132,10 +133,11 @@ class Simulator:
         """Handle-free :meth:`schedule` for constant-delay FIFO traffic.
 
         Same heap, same ``(time, seq)`` firing order drawn from the same
-        counter, but no handle is made or returned. Use it for traffic that
-        is never cancelled — link transmissions, fan-out deliveries.
-        Anything that may need :meth:`EventHandle.cancel` must go through
-        :meth:`schedule`.
+        counter, but no handle is made or returned. Use it for whatever is
+        never cancelled through a handle — link transmissions, fan-out
+        deliveries, and timers that their owner invalidates by an epoch it
+        checks when they fire (retransmission timers). Anything that may
+        need :meth:`EventHandle.cancel` must go through :meth:`schedule`.
         """
         if delay < 0:
             raise SchedulingError(

@@ -9,12 +9,14 @@ duplicate count — and an inactive profile changes nothing at all.
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.network.faults import FAULT_FREE, FaultProfile, LinkFaultInjector
+from repro.network.faults import (
+    FAULT_FREE, UPLINK, FaultProfile, LinkFaultInjector,
+)
 from repro.network.links import _WirelessChannel
 from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
 from repro.sim.core import Simulator
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import UNIFORM_BLOCK, RandomStreams
 
 
 # ---------------------------------------------------------------------------
@@ -243,3 +245,83 @@ def test_ineligible_payloads_consume_no_randomness():
     sim.run()
     assert len(delivered) == 3
     assert injector.drops == 0
+
+
+# ---------------------------------------------------------------------------
+# block draws against scalar draws
+# ---------------------------------------------------------------------------
+class _ScalarFaults:
+    """The injector's draws made one scalar numpy call at a time: the
+    reference the block-drawn stream must reproduce value for value."""
+
+    def __init__(self, profile, rng):
+        self.profile = profile
+        self.rng = rng
+        self.draws = 0
+
+    def fate(self, eligible):
+        p = self.profile
+        if not eligible:
+            return "ok"
+        self.draws += 1
+        if float(self.rng.random()) < p.deliver_loss:
+            return "drop"
+        self.draws += 1
+        if float(self.rng.random()) < p.deliver_duplicate:
+            return "dup"
+        return "ok"
+
+    def jitter(self):
+        self.draws += 1
+        return float(self.rng.uniform(0.0, self.profile.wireless_jitter_ms))
+
+
+def test_block_draws_equal_scalar_draws_through_both_channels():
+    """Fates and jitters drawn through one downlink and one uplink channel
+    sharing an injector equal a scalar reference on a fresh stream of the
+    same seed, across several block refills: uplink sends draw jitter
+    only, ineligible downlink payloads draw jitter only."""
+    profile = FaultProfile(deliver_loss=0.3, deliver_duplicate=0.25,
+                           wireless_jitter_ms=7.5)
+    sim = Simulator()
+    got, dropped = [], []
+    injector = LinkFaultInjector(
+        profile,
+        rng=RandomStreams(11).stream("faults/wireless"),
+        droppable=lambda msg: msg[0] == "data",
+        on_drop=dropped.append,
+    )
+    down = _WirelessChannel(
+        sim, 20.0, lambda msg: got.append((msg, sim.now)),
+        faults=[injector], client=7, jitters=[injector])
+    up = _WirelessChannel(
+        sim, 20.0, lambda msg: got.append((msg, sim.now)),
+        client=7, direction=UPLINK, jitters=[injector])
+    ref = _ScalarFaults(profile, RandomStreams(11).stream("faults/wireless"))
+    want, want_dropped, dups = [], [], 0
+    i = 0
+    while ref.draws <= 2 * UNIFORM_BLOCK + 16:
+        # every send finds its channel idle: 100 ms apart, 27.5 ms at most
+        sim.run(until=i * 100.0)
+        kind = ("data", "up", "ctrl", "data")[i % 4]
+        msg = (kind, i)
+        if kind == "up":
+            up.send(msg)
+            want.append((msg, i * 100.0 + (20.0 + ref.jitter())))
+        else:
+            down.send(msg)
+            fate = ref.fate(eligible=kind == "data")
+            if fate == "drop":
+                want_dropped.append(msg)
+            else:
+                at = i * 100.0 + (20.0 + ref.jitter())
+                want.append((msg, at))
+                if fate == "dup":
+                    dups += 1
+                    want.append((msg, at))
+        i += 1
+    sim.run()
+    assert got == want
+    assert dropped == want_dropped
+    assert injector.drops == len(want_dropped) > 0
+    assert injector.dups_delivered == dups > 0

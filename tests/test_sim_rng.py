@@ -1,6 +1,6 @@
 """Unit tests for named random streams."""
 
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import UNIFORM_BLOCK, RandomStreams, uniforms
 
 
 def test_same_seed_same_stream_reproduces():
@@ -58,3 +58,27 @@ def test_uniform_in_range():
     for _ in range(100):
         x = rs.uniform("u", 2.0, 3.0)
         assert 2.0 <= x < 3.0
+
+
+def test_block_uniforms_equal_scalar_draws_on_the_backoff_stream():
+    """The reliability layer's backoff factor, drawn through the block
+    helper, equals the scalar draw on a fresh stream of the same seed, past
+    two block refills; and a block is drawn only when a value is asked."""
+    rng = RandomStreams(9).stream("reliability/backoff")
+    ref = RandomStreams(9).stream("reliability/backoff")
+    state = rng.bit_generator.state
+    draws = uniforms(rng)
+    assert rng.bit_generator.state == state
+    for _ in range(2 * UNIFORM_BLOCK + 3):
+        u, want = next(draws), float(ref.random())
+        assert type(u) is float and u == want
+        assert 0.8 + 0.4 * u == 0.8 + 0.4 * want
+
+
+def test_block_uniforms_scale_to_numpy_uniform():
+    """``j * u`` is bit-identical to ``uniform(0, j)`` (the jitter draw)."""
+    draws = uniforms(RandomStreams(4).stream("faults/wireless"))
+    ref = RandomStreams(4).stream("faults/wireless")
+    for i in range(UNIFORM_BLOCK + 7):
+        j = (0.5, 3.0, 7.5, 25.0, 1e-3)[i % 5]
+        assert j * next(draws) == float(ref.uniform(0.0, j))

@@ -159,16 +159,34 @@ def test_file_store_rolls_segments(tmp_path):
 
 
 def test_memory_and_file_stores_are_equivalent(tmp_path):
-    """Identical append/replace sequences yield identical segment images."""
+    """Identical append/replace sequences, of framed bytes and of records,
+    yield identical segment lists: the same bytes cut at the same segment
+    boundaries. The memory store frames records only when they are read;
+    a replaced image stays one segment there too, however large."""
     mem = MemoryLogStore(segment_bytes=96)
     fil = FileLogStore(str(tmp_path), segment_bytes=96)
+    image = [("dlv", 100 + i, 6, i) for i in range(20)]
+    assert sum(len(encode_record(r)) for r in image) > 3 * 96
     for store in (mem, fil):
         _fill(store, broker=0, n=12)
         _fill(store, broker=3, n=2)
         store.replace(3, encode_record(("ack", 99, 1, 1)))
-    assert mem.brokers() == fil.brokers()
+        for i in range(5):
+            store.append_record(5, ("ack", 200 + i, 6, i))
+        store.replace_records(5, image)
+        for i in range(9):
+            store.append_record(5, ("dlv", 300 + i, 6, i))
+    assert mem.brokers() == fil.brokers() == [0, 3, 5]
     for bid in mem.brokers():
         assert mem.segments(bid) == fil.segments(bid)
+        assert mem.segments(bid) == fil.segments(bid)  # a read frames nothing twice
+    segs = mem.segments(5)
+    assert segs[0] == b"".join(map(encode_record, image)) and len(segs) > 2
+    # records appended after a read land behind what it framed
+    for store in (mem, fil):
+        for i in range(4):
+            store.append_record(5, ("ack", 400 + i, 6, i))
+    assert mem.segments(5) == fil.segments(5)
 
 
 def test_file_store_truncates_torn_tail_on_open(tmp_path):
