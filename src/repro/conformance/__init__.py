@@ -6,8 +6,9 @@ conformance gate: :class:`~repro.conformance.fuzzer.ScenarioFuzzer`
 samples adversarial scenarios — topology size × mobility model × wireless
 fault profile × protocol — runs each end-to-end (measurement + drain),
 and asserts the per-protocol invariant matrix plus cross-engine trace
-identity. Every scenario derives entirely from one integer seed, so any
-failure replays byte-identically from the seed the fuzzer prints.
+identity. Every scenario derives entirely from one seed and lane, so any
+failure replays byte-identically from the ``--scenario-seed N --lane X``
+the fuzzer prints.
 
 See :mod:`repro.conformance.scenarios` for the scenario space and
 :mod:`repro.conformance.fuzzer` for the invariant matrix and the CLI

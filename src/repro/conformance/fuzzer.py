@@ -26,7 +26,7 @@ In all cases the traffic meter's fault ledgers must agree with the
 injector's own counters — a drop that escaped accounting is a conformance
 failure even if delivery happens to reconcile.
 
-**Crash lane** (``--crash-lane``): scenarios gain a seeded broker
+**Crash lane** (``--lane crash``): scenarios gain a seeded broker
 crash/restart/partition schedule and run on perfect wireless links, so
 every loss is attributable to the failure model. On top of the standard
 rows the matrix asserts: every protocol accounts every loss
@@ -38,19 +38,19 @@ event; and the reconverged overlay carries live traffic
 (``post_repair_publishes > 0``). Protocols cycle deterministically, so a
 30-scenario batch covers each of the four at least seven times.
 
-**Reliability lane** (``--reliability-lane``): scenarios run with a forced
+**Reliability lane** (``--lane rel``): scenarios run with a forced
 lossy wireless profile *and* the end-to-end ACK/retransmit layer enabled
 (a third of the draws also bound the downlink queue). The matrix flips for
 this lane: reliable protocols must show ``lost == 0`` — every injected
 link drop retransmitted away, reconciled as ``recovered`` — alongside
 ``missing == 0``, intact per-publisher order, and wire-level duplicates no
 lower than the injected copies (retransmits add legitimate extras).
-Combined with ``--crash-lane``, seeded broker failures layer on top of the
-loss profile and the only permitted write-offs are ``crash_lost`` and
+On ``--lane rel-crash``, seeded broker failures layer on top of the loss
+profile and the only permitted write-offs are ``crash_lost`` and
 ``shed``; ``lost`` stays exactly zero. Protocols cycle through the
 reliable trio, so a 30-scenario batch covers each at least ten times.
 
-**Durability lane** (``--durability-lane``): the reliability lane's
+**Durability lane** (``--lane durable``): the rel-crash lane's
 crash-composed scenarios run again with the write-ahead log and session
 handover enabled. The matrix hardens to the zero-write-off contract:
 ``crash_lost == 0`` and ``shed == 0`` on top of ``missing == 0`` and
@@ -68,24 +68,26 @@ per-category wired traffic and the same processed event count. Every
 ``Clock`` is documented as firing in ``(time, seq)`` order; the fuzzer
 makes that a standing randomized gate every future optimisation inherits.
 
-Replay: every failure line carries the scenario seed;
-``python -m repro.conformance.fuzzer --scenario-seed N`` reruns exactly
-that scenario (same workload, same fault draws, byte-identical).
+Replay: every failure line carries the scenario seed and lane;
+``python -m repro.conformance.fuzzer --scenario-seed N --lane X
+[--protocol P]`` reruns exactly that scenario (same workload, same fault
+draws, byte-identical).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
-from repro.conformance.scenarios import PROTOCOLS, Scenario
+from repro.conformance.scenarios import LANES, PROTOCOLS, Scenario
 from repro.drivers.live import run_virtual_scenario
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import build_system, run_to_quiescence
+from repro.experiments.runner import run_to_end
 from repro.pubsub.system import PubSubSystem
 
 __all__ = [
@@ -106,6 +108,16 @@ RELIABLE_PROTOCOLS = frozenset({"mhh", "sub-unsub", "two-phase"})
 #: lost == 0 row only makes sense for protocols that promise no losses
 #: of their own, so home-broker sits this lane out)
 _RELIABLE_CYCLE = tuple(p for p in PROTOCOLS if p in RELIABLE_PROTOCOLS)
+
+#: the protocols each lane cycles over a batch, so coverage is guaranteed,
+#: not merely probable (None = the plain lane samples its own)
+_LANE_CYCLES: dict[str, tuple[Optional[str], ...]] = {
+    "plain": (None,),
+    "crash": PROTOCOLS,
+    "rel": _RELIABLE_CYCLE,
+    "rel-crash": _RELIABLE_CYCLE,
+    "durable": _RELIABLE_CYCLE,
+}
 
 
 @dataclass
@@ -144,13 +156,9 @@ class ScenarioOutcome:
     delivery_log: tuple[tuple[int, int, float], ...] = ()
 
 
-def run_scenario(scenario: Scenario) -> ScenarioOutcome:
-    """Run one scenario end-to-end (measurement + drain) and snapshot it."""
-    cfg = scenario.config()
-    system, workload = build_system(cfg)
-    system.metrics.delivery.record_log = True
-    run_to_quiescence(system, workload, cfg.workload.duration_ms)
-    return snapshot_outcome(system)
+def run_scenario(cfg: ExperimentConfig) -> ScenarioOutcome:
+    """Run one config end-to-end on the simulator and snapshot it."""
+    return snapshot_outcome(run_to_end(cfg))
 
 
 def snapshot_outcome(system: PubSubSystem) -> ScenarioOutcome:
@@ -198,42 +206,36 @@ def snapshot_outcome(system: PubSubSystem) -> ScenarioOutcome:
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------
-def check_invariants(
-    scenario: Union[Scenario, ExperimentConfig], o: ScenarioOutcome
-) -> list[str]:
+def check_invariants(cfg: ExperimentConfig, o: ScenarioOutcome) -> list[str]:
     """Violations of the protocol's invariant matrix (empty = conformant).
 
-    ``scenario`` is a :class:`Scenario` or the config a live or socket run
-    was built from: only ``protocol``, ``reliable``, ``durable``,
-    ``queue_cap``, ``faults`` and ``crashes`` (``None`` = inactive) are read.
+    Only ``protocol``, ``reliable``, ``durable``, ``queue_cap``, ``faults``
+    and ``crashes`` (``None`` = inactive) of ``cfg`` are read.
     """
     v: list[str] = []
-    reliable = scenario.protocol in RELIABLE_PROTOCOLS
-    faults_active = scenario.faults is not None and scenario.faults.active
-    crashes_active = scenario.crashes is not None and scenario.crashes.active
+    reliable = cfg.protocol in RELIABLE_PROTOCOLS
+    faults_active = cfg.faults is not None and cfg.faults.active
+    crashes_active = cfg.crashes is not None and cfg.crashes.active
     if o.missing != 0:
         v.append(
             f"missing={o.missing}: expected deliveries neither performed "
             f"nor explicitly accounted as lost"
         )
-    if scenario.reliable:
-        # No duplicate bound under reliability: the rx window decouples
-        # the delivery-level count from the injector in both directions.
-        # Retransmits whose ack (not the frame) was lost add duplicates
-        # the injector never made, while injected copies of a buffered or
-        # stale-session frame are absorbed by sequence-number reassembly
-        # before they reach the delivery meter. The per-client app
-        # callback dedups regardless; exactly-once is what the missing/
-        # lost rows assert.
-        pass
-    elif o.duplicates != o.injected_dups:
+    # No duplicate bound under reliability: the rx window decouples the
+    # delivery-level count from the injector in both directions.
+    # Retransmits whose ack (not the frame) was lost add duplicates the
+    # injector never made, while injected copies of a buffered or
+    # stale-session frame are absorbed by sequence-number reassembly
+    # before they reach the delivery meter. The per-client app callback
+    # dedups regardless; exactly-once is what the missing/lost rows assert.
+    if not cfg.reliable and o.duplicates != o.injected_dups:
         v.append(
             f"duplicates={o.duplicates} != injected link copies "
             f"{o.injected_dups}: the protocol introduced or swallowed "
             f"duplicates of its own"
         )
     if reliable:
-        if scenario.reliable:
+        if cfg.reliable:
             # The whole point of the reliability lane: injected link loss
             # is retransmitted away, never written off. Under a crash plan
             # the only permitted write-offs are crash_lost (volatile state
@@ -254,7 +256,7 @@ def check_invariants(
                 f"order_violations={o.order_violations}: per-publisher "
                 f"order must hold"
             )
-    elif not scenario.reliable:
+    elif not cfg.reliable:
         if o.lost < o.injected_drops:
             v.append(
                 f"lost={o.lost} < injected link drops {o.injected_drops}: "
@@ -272,18 +274,18 @@ def check_invariants(
         )
     if not faults_active and (o.injected_drops or o.injected_dups):
         v.append("fault profile inactive but the injector fired")
-    if scenario.reliable:
+    if cfg.reliable:
         if o.recovered > o.injected_drops:
             v.append(
                 f"recovered={o.recovered} > injected link drops "
                 f"{o.injected_drops}: recoveries without matching drops"
             )
-        if o.shed and scenario.queue_cap is None and not crashes_active:
+        if o.shed and cfg.queue_cap is None and not crashes_active:
             v.append(
                 f"shed={o.shed} with no queue cap and no crash plan: "
                 f"nothing should trigger the shed policy"
             )
-    elif scenario.queue_cap is None and (
+    elif cfg.queue_cap is None and (
         o.recovered or o.shed or o.retransmits or o.breaker_trips
     ):
         v.append(
@@ -298,21 +300,21 @@ def check_invariants(
         # ``missing == 0`` row already enforces. What distinguishes them
         # from home-broker here is the rest of the matrix: no duplicates,
         # order intact, zero unaccounted link losses.
-        if o.repairs != len(scenario.crashes.events):
+        if o.repairs != len(cfg.crashes.events):
             v.append(
                 f"repairs={o.repairs} != scheduled failure events "
-                f"{len(scenario.crashes.events)}: a repair round was "
+                f"{len(cfg.crashes.events)}: a repair round was "
                 f"skipped or double-fired"
             )
     elif o.crash_lost or o.repairs:
         v.append("crash plan inactive but the recovery machinery fired")
-    if scenario.reliable and o.stale_timer_fires:
+    if cfg.reliable and o.stale_timer_fires:
         v.append(
             f"stale_timer_fires={o.stale_timer_fires}: a retransmit timer "
             f"fired against a link the crash/repair machinery had already "
             f"retired (epoch bump missed)"
         )
-    if scenario.durable:
+    if cfg.durable:
         # The zero-write-off contract: with the WAL and session handover
         # active, machine failures must never cost a delivery. crash_lost
         # and shed stay exactly 0 (missing == 0 is asserted above, so the
@@ -347,33 +349,13 @@ def compare_outcomes(a: ScenarioOutcome, b: ScenarioOutcome) -> list[str]:
     """Cross-engine identity violations between two runs of one scenario
     (``a`` on the simulator, ``b`` on the virtual clock)."""
     v: list[str] = []
-    for attr in (
-        "published",
-        "expected",
-        "delivered",
-        "duplicates",
-        "order_violations",
-        "lost",
-        "missing",
-        "handoffs",
-        "injected_drops",
-        "injected_dups",
-        "sim_events",
-        "crash_lost",
-        "repairs",
-        "post_repair_publishes",
-        "recovered",
-        "shed",
-        "retransmits",
-        "breaker_trips",
-        "stale_timer_fires",
-        "wal_handovers",
-        "wal_checkpoints",
-    ):
-        av, bv = getattr(a, attr), getattr(b, attr)
+    for f in dataclasses.fields(ScenarioOutcome):
+        if f.name in ("wired_by_category", "delivery_log"):
+            continue
+        av, bv = getattr(a, f.name), getattr(b, f.name)
         if av != bv:
             v.append(
-                f"cross-engine {attr} diverged: simulator={av} "
+                f"cross-engine {f.name} diverged: simulator={av} "
                 f"vs virtual-clock={bv}"
             )
     if a.wired_by_category != b.wired_by_category:
@@ -407,9 +389,7 @@ class ScenarioResult:
     protocol: str
     label: str
     violations: list[str]
-    crash_lane: bool = False
-    reliability_lane: bool = False
-    durability_lane: bool = False
+    lane: str = "plain"
     forced_protocol: Optional[str] = None
 
     @property
@@ -417,13 +397,10 @@ class ScenarioResult:
         return not self.violations
 
     def replay_command(self) -> str:
-        cmd = f"python -m repro.conformance.fuzzer --scenario-seed {self.seed}"
-        if self.crash_lane:
-            cmd += " --crash-lane"
-        if self.reliability_lane:
-            cmd += " --reliability-lane"
-        if self.durability_lane:
-            cmd += " --durability-lane"
+        cmd = (
+            f"python -m repro.conformance.fuzzer --scenario-seed {self.seed} "
+            f"--lane {self.lane}"
+        )
         if self.forced_protocol is not None:
             cmd += f" --protocol {self.forced_protocol}"
         return cmd
@@ -466,18 +443,11 @@ class FuzzReport:
 
 
 class ScenarioFuzzer:
-    """Samples and runs ``n_scenarios`` scenarios derived from one master
+    """Samples and runs ``n_scenarios`` scenarios of one ``lane`` (see
+    :data:`~repro.conformance.scenarios.LANES`) derived from one master
     seed; each scenario also re-runs on the ``VirtualClock`` when
-    ``cross_engine`` is on (the default).
-
-    With ``crash_lane`` on, every scenario is the
-    :meth:`~repro.conformance.scenarios.Scenario.crash_from_seed` variant —
-    perfect wireless links plus a seeded broker-failure schedule — and the
-    protocol cycles deterministically through all four so any seed count
-    >= 4 covers the whole matrix. The crash rows of the invariant matrix
-    (losses fully accounted including crash write-offs, one repair per
-    failure event, live post-repair traffic) are asserted on top of the
-    standard rows.
+    ``cross_engine`` is on (the default). Every lane but ``plain`` cycles
+    its protocols, so any batch as long as the cycle covers them all.
     """
 
     def __init__(
@@ -485,16 +455,12 @@ class ScenarioFuzzer:
         n_scenarios: int = 30,
         master_seed: int = 0,
         cross_engine: bool = True,
-        crash_lane: bool = False,
-        reliability_lane: bool = False,
-        durability_lane: bool = False,
+        lane: str = "plain",
     ) -> None:
         self.n_scenarios = n_scenarios
         self.master_seed = master_seed
         self.cross_engine = cross_engine
-        self.crash_lane = crash_lane
-        self.reliability_lane = reliability_lane
-        self.durability_lane = durability_lane
+        self.lane = lane
 
     def scenario_seeds(self) -> list[int]:
         rnd = random.Random(self.master_seed)
@@ -503,19 +469,11 @@ class ScenarioFuzzer:
     def run_one(
         self, scenario_seed: int, protocol: Optional[str] = None
     ) -> ScenarioResult:
-        if self.durability_lane:
-            scenario = Scenario.durable_from_seed(scenario_seed, protocol)
-        elif self.reliability_lane:
-            scenario = Scenario.reliability_from_seed(
-                scenario_seed, protocol, crash=self.crash_lane
-            )
-        elif self.crash_lane:
-            scenario = Scenario.crash_from_seed(scenario_seed, protocol)
-        else:
-            scenario = Scenario.from_seed(scenario_seed, protocol)
-        primary = run_scenario(scenario)
-        violations = check_invariants(scenario, primary)
-        if scenario.crashes.active and primary.post_repair_publishes == 0:
+        scenario = Scenario.from_seed(scenario_seed, self.lane, protocol)
+        cfg = scenario.config
+        primary = run_scenario(cfg)
+        violations = check_invariants(cfg, primary)
+        if cfg.crashes is not None and primary.post_repair_publishes == 0:
             # judges the scenario generator, not the protocol: a crash
             # schedule must leave live traffic on the reconverged overlay
             violations.append(
@@ -523,19 +481,17 @@ class ScenarioFuzzer:
                 "the reconverged overlay"
             )
         if self.cross_engine:
-            alt = snapshot_outcome(run_virtual_scenario(scenario.config()))
+            alt = snapshot_outcome(run_virtual_scenario(cfg))
             violations += [
-                f"[virtual-clock] {v}" for v in check_invariants(scenario, alt)
+                f"[virtual-clock] {v}" for v in check_invariants(cfg, alt)
             ]
             violations += compare_outcomes(primary, alt)
         return ScenarioResult(
             scenario_seed,
-            scenario.protocol,
+            cfg.protocol,
             scenario.label(),
             violations,
-            crash_lane=self.crash_lane,
-            reliability_lane=self.reliability_lane,
-            durability_lane=self.durability_lane,
+            lane=self.lane,
             forced_protocol=protocol,
         )
 
@@ -543,17 +499,9 @@ class ScenarioFuzzer:
         self, progress: Optional[Callable[[str], None]] = None
     ) -> FuzzReport:
         report = FuzzReport(master_seed=self.master_seed)
+        cycle = _LANE_CYCLES[self.lane]
         for i, seed in enumerate(self.scenario_seeds()):
-            # lanes cycle protocols so coverage is guaranteed, not merely
-            # probable, over the whole batch; the reliability lane cycles
-            # only the protocols whose contract is loss-free
-            if self.reliability_lane or self.durability_lane:
-                protocol = _RELIABLE_CYCLE[i % len(_RELIABLE_CYCLE)]
-            elif self.crash_lane:
-                protocol = PROTOCOLS[i % len(PROTOCOLS)]
-            else:
-                protocol = None
-            result = self.run_one(seed, protocol)
+            result = self.run_one(seed, cycle[i % len(cycle)])
             report.results.append(result)
             if progress is not None:
                 status = "PASS" if result.passed else "FAIL"
@@ -586,21 +534,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="skip the VirtualClock identity re-run "
                              "(half the runtime, second scheduler not "
                              "exercised)")
-    parser.add_argument("--crash-lane", action="store_true",
-                        help="fuzz the broker-failure lane: perfect links "
-                             "plus seeded crash/restart/partition schedules, "
-                             "protocols cycled for guaranteed coverage")
-    parser.add_argument("--reliability-lane", action="store_true",
-                        help="fuzz the end-to-end reliability lane: forced "
-                             "lossy links with ACK/retransmit enabled; "
-                             "asserts zero losses for reliable protocols. "
-                             "Combine with --crash-lane to layer seeded "
-                             "broker failures on top")
-    parser.add_argument("--durability-lane", action="store_true",
-                        help="fuzz the durable zero-write-off lane: lossy "
-                             "links + ACK/retransmit + seeded broker "
-                             "failures with the write-ahead log on; asserts "
-                             "missing == lost == crash_lost == shed == 0")
+    parser.add_argument("--lane", choices=LANES, default="plain",
+                        help="plain (default; sampled protocols and "
+                             "faults), crash (perfect links + seeded "
+                             "crash/restart/partition schedules), rel "
+                             "(forced lossy links with ACK/retransmit; "
+                             "asserts zero losses for reliable protocols), "
+                             "rel-crash (both) or durable (rel-crash with "
+                             "the write-ahead log; asserts missing == lost "
+                             "== crash_lost == shed == 0). Every lane but "
+                             "plain cycles its protocols")
     parser.add_argument("--protocol", choices=PROTOCOLS, default=None,
                         help="force the protocol of a --scenario-seed "
                              "replay, on any lane (batch runs sample or "
@@ -609,14 +552,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="write the full report (incl. every scenario "
                              "seed + replay command) as JSON")
     args = parser.parse_args(argv)
+    if args.scenarios < 1:
+        parser.error(f"--scenarios must be >= 1, got {args.scenarios}")
+    if args.protocol is not None and args.scenario_seed is None:
+        parser.error("--protocol forces a --scenario-seed replay; batch "
+                     "runs sample or cycle protocols themselves")
 
     fuzzer = ScenarioFuzzer(
         n_scenarios=args.scenarios,
         master_seed=args.master_seed,
         cross_engine=not args.no_cross_engine,
-        crash_lane=args.crash_lane,
-        reliability_lane=args.reliability_lane,
-        durability_lane=args.durability_lane,
+        lane=args.lane,
     )
     if args.scenario_seed is not None:
         result = fuzzer.run_one(args.scenario_seed, args.protocol)

@@ -311,25 +311,13 @@ class LiveDriver(Driver):
 # virtual-time scenario driver (parity tests)
 # ---------------------------------------------------------------------------
 def run_virtual_scenario(cfg: "ExperimentConfig") -> "PubSubSystem":
-    """Run one experiment config through the live driver on virtual time.
+    """Run one experiment config through the live driver on virtual time
+    (:func:`repro.experiments.runner.run_to_end`): the differential
+    driver-parity tests compare its outcome against the simulated
+    driver's, per protocol."""
+    from repro.experiments.runner import run_to_end
 
-    Mirrors :func:`repro.experiments.runner.run_experiment`'s phases
-    (measurement window, workload stop, reconnect-everyone drain to
-    quiescence) without ever touching ``system.sim`` — the differential
-    driver-parity tests compare its :class:`DeliveryChecker` outcome
-    against the simulated driver's, per protocol.
-    """
-    from repro.experiments.runner import build_system, run_to_quiescence
-
-    system, workload = build_system(cfg, driver=LiveDriver(VirtualClock()))
-    system.metrics.delivery.record_log = True
-    try:
-        run_to_quiescence(system, workload, cfg.workload.duration_ms)
-    finally:
-        # a scratch WAL goes however the run ended (an explicit wal_dir
-        # belongs to the caller and is kept)
-        system.close()
-    return system
+    return run_to_end(cfg, LiveDriver(VirtualClock()))
 
 
 # ---------------------------------------------------------------------------

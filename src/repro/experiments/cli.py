@@ -176,7 +176,7 @@ def _run_wire_connect(args, faults: Optional[FaultProfile]) -> int:
         for spec in args.node:
             host, _, port = spec.rpartition(":")
             endpoints.append((host or "127.0.0.1", int(port)))
-    base = Scenario.from_seed(args.scenario_seed)
+    base = Scenario.from_seed(args.scenario_seed).config
     if faults is not None:
         base = dataclasses.replace(base, faults=faults)
     protocols = (
@@ -184,19 +184,19 @@ def _run_wire_connect(args, faults: Optional[FaultProfile]) -> int:
     )
     failures: list[str] = []
     for protocol in protocols:
-        scenario = dataclasses.replace(base, protocol=protocol)
+        cfg = dataclasses.replace(base, protocol=protocol)
         system = run_socket_scenario(
-            scenario.config(),
+            cfg,
             processes=args.spawn,
             keepalive_s=args.keepalive,
             endpoints=endpoints,
         )
         o = snapshot_outcome(system)
         wire = system.net.stats
-        violations = check_invariants(scenario, o)
+        violations = check_invariants(cfg, o)
         detail = ""
         if args.verify_sim:
-            sim = run_scenario(scenario)
+            sim = run_scenario(cfg)
             if any(
                 getattr(sim, name) != getattr(o, name)
                 for name in ("delivery_log", "delivered", "duplicates",

@@ -54,15 +54,15 @@ class ExperimentConfig(SystemOptions):
             if self.crashes is not None and self.crashes.active
             else ""
         )
-        rel_tag = ""
-        if self.reliable:
-            rel_tag = f" rel(budget={self.retry_budget})"
+        rel_tag = f" rel(budget={self.retry_budget})" if self.reliable else ""
         if self.queue_cap is not None:
             rel_tag += f" cap={self.queue_cap}"
-        if self.durable:
-            rel_tag += " dur"
+        rel_tag += " dur" if self.durable else ""
         return (
             f"{self.protocol} k={self.grid_k} "
+            f"cpb={self.workload.clients_per_broker} "
+            f"mob={self.workload.mobility_model} "
+            f"skew={self.workload.topic_skew:g} "
             f"conn={self.workload.mean_connected_s:g}s "
             f"disc={self.workload.mean_disconnected_s:g}s "
             f"T={self.workload.duration_s:g}s seed={self.seed}"

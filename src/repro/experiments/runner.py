@@ -31,6 +31,7 @@ __all__ = [
     "build_system",
     "drain_to_quiescence",
     "run_to_quiescence",
+    "run_to_end",
 ]
 
 
@@ -128,3 +129,19 @@ def run_to_quiescence(
     system.clock.run(until=duration_ms)
     workload.stop()
     drain_to_quiescence(system, workload)
+
+
+def run_to_end(
+    cfg: ExperimentConfig, driver: Optional[Driver] = None
+) -> PubSubSystem:
+    """Build ``cfg`` on ``driver`` (None = the simulator), record its
+    delivery log and run it to quiescence; the finished system is closed
+    however the run ended (a scratch WAL goes, an explicit ``wal_dir``
+    belongs to the caller and is kept)."""
+    system, workload = build_system(cfg, driver)
+    system.metrics.delivery.record_log = True
+    try:
+        run_to_quiescence(system, workload, cfg.workload.duration_ms)
+    finally:
+        system.close()
+    return system

@@ -1,6 +1,7 @@
 """The conformance fuzzer: seed-determinism, replay, invariant detection."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -16,22 +17,23 @@ from repro.conformance.fuzzer import (
     main,
     run_scenario,
 )
-from repro.conformance.scenarios import PROTOCOLS, Scenario
+from repro.conformance.scenarios import LANES, PROTOCOLS, Scenario
 from repro.experiments.config import ExperimentConfig
 
 
 def quick_seed(predicate, start=0):
-    """First scenario seed whose sampled scenario satisfies ``predicate``
-    (sampling is cheap — no simulation runs)."""
+    """First scenario seed whose sampled plain-lane config satisfies
+    ``predicate`` (sampling is cheap — no simulation runs)."""
     for seed in range(start, start + 5000):
-        if predicate(Scenario.from_seed(seed)):
+        if predicate(Scenario.from_seed(seed).config):
             return seed
     raise AssertionError("no matching scenario seed found")
 
 
-def small(s):
+def small(cfg):
     return (
-        s.grid_k == 2 and s.clients_per_broker == 3 and s.duration_s == 180.0
+        cfg.grid_k == 2 and cfg.workload.clients_per_broker == 3
+        and cfg.workload.duration_s == 180.0
     )
 
 
@@ -44,20 +46,20 @@ def test_from_seed_is_deterministic():
 
 
 def test_scenario_space_reaches_every_dimension():
-    scenarios = [Scenario.from_seed(s) for s in range(300)]
-    assert {s.protocol for s in scenarios} == set(PROTOCOLS)
-    assert {s.mobility_model for s in scenarios} == {
+    configs = [Scenario.from_seed(s).config for s in range(300)]
+    assert {c.protocol for c in configs} == set(PROTOCOLS)
+    assert {c.workload.mobility_model for c in configs} == {
         "uniform", "hotspot", "ping-pong", "trace"
     }
-    assert any(s.faults.active for s in scenarios)
-    assert any(not s.faults.active for s in scenarios)
-    assert any(s.topic_skew > 0 for s in scenarios)
+    assert any(c.faults is not None for c in configs)
+    assert any(c.faults is None for c in configs)
+    assert any(c.workload.topic_skew > 0 for c in configs)
 
 
 def test_label_carries_the_replay_seed():
-    s = Scenario.from_seed(77)
-    assert "seed=77" in s.label()
-    assert s.protocol in s.label()
+    s = Scenario.from_seed(77, "rel")
+    assert s.label() == "seed=77 lane=rel " + s.config.label()
+    assert s.config.protocol in s.label()
 
 
 #: sha256 over ``repr(config)`` of every lane x seeds 0-199 x that lane's
@@ -68,28 +70,49 @@ LANE_DRAWS_DIGEST = (
 
 
 def test_lane_draws_are_pinned():
-    import functools
-    import hashlib
-
-    generators = {
-        "plain": Scenario.from_seed,
-        "crash": Scenario.crash_from_seed,
-        "rel": Scenario.reliability_from_seed,
-        "rel-crash": functools.partial(
-            Scenario.reliability_from_seed, crash=True),
-        "durable": Scenario.durable_from_seed,
-    }
-    cycles = {"plain": (None,), "crash": PROTOCOLS,
-              "rel": fuzzer._RELIABLE_CYCLE,
-              "rel-crash": fuzzer._RELIABLE_CYCLE,
-              "durable": fuzzer._RELIABLE_CYCLE}
     h = hashlib.sha256()
-    for lane, generate in generators.items():
-        cycle = cycles[lane]
+    for lane in LANES:
+        cycle = fuzzer._LANE_CYCLES[lane]
         for seed in range(200):
             protocol = cycle[seed % len(cycle)]
-            h.update(repr(generate(seed, protocol).config()).encode())
+            h.update(repr(Scenario.from_seed(seed, lane, protocol).config)
+                     .encode())
     assert h.hexdigest() == LANE_DRAWS_DIGEST
+
+
+@pytest.mark.parametrize("lane", LANES)
+def test_each_lane_keeps_its_contract(lane):
+    for seed in (1, 7, 99, 1234, 12345):
+        s = Scenario.from_seed(seed, lane)
+        assert s == Scenario.from_seed(seed, lane)
+        cfg = s.config
+        plan = cfg.crashes is not None and cfg.crashes.active
+        if lane == "plain":
+            assert not plan and not cfg.reliable
+        elif lane == "crash":
+            # perfect links: every loss is the crash model's
+            assert cfg.faults is None and plan and not cfg.reliable
+        elif lane == "rel":
+            assert cfg.reliable and not plan
+            assert cfg.faults.deliver_loss in (0.05, 0.1, 0.2)
+        elif lane == "rel-crash":
+            # links stay lossy: the only permitted write-offs are
+            # crash_lost and shed, which check_invariants asserts
+            assert cfg.reliable and plan and cfg.faults.deliver_loss > 0
+        else:
+            assert cfg.reliable and cfg.durable and plan
+            assert cfg.queue_cap is None
+        # a lane layers on top of the base draw without perturbing its
+        # draw order: everything but the lane's knobs is the plain draw
+        base = Scenario.from_seed(seed).config
+        assert dataclasses.replace(
+            cfg, faults=base.faults, crashes=None, reliable=False,
+            retry_budget=8, queue_cap=None, durable=False,
+        ) == base
+        # a forced protocol changes config.protocol and nothing else
+        for protocol in PROTOCOLS:
+            assert Scenario.from_seed(seed, lane, protocol).config == (
+                dataclasses.replace(cfg, protocol=protocol))
 
 
 def test_scenario_seeds_derive_from_master_seed():
@@ -104,16 +127,16 @@ def test_scenario_seeds_derive_from_master_seed():
 # replay determinism
 # ---------------------------------------------------------------------------
 def test_run_scenario_replays_byte_identically():
-    seed = quick_seed(lambda s: small(s) and s.faults.active)
-    scenario = Scenario.from_seed(seed)
-    a = run_scenario(scenario)
-    b = run_scenario(scenario)
+    seed = quick_seed(lambda c: small(c) and c.faults is not None)
+    cfg = Scenario.from_seed(seed).config
+    a = run_scenario(cfg)
+    b = run_scenario(cfg)
     assert a == b
     assert a.delivery_log  # something actually happened
 
 
 def test_fuzzer_run_one_passes_on_a_small_scenario():
-    seed = quick_seed(lambda s: small(s) and s.protocol == "mhh")
+    seed = quick_seed(lambda c: small(c) and c.protocol == "mhh")
     result = ScenarioFuzzer(cross_engine=True).run_one(seed)
     assert result.passed, result.violations
 
@@ -142,14 +165,13 @@ def outcome(**kw):
 
 
 def scenario_for(protocol):
-    seed = quick_seed(lambda s: s.protocol == protocol)
-    return Scenario.from_seed(seed)
+    seed = quick_seed(lambda c: c.protocol == protocol)
+    return Scenario.from_seed(seed).config
 
 
 def test_clean_outcome_is_conformant():
     assert check_invariants(scenario_for("mhh"), outcome()) == []
-    # the matrix also takes the config a live or socket run was built
-    # from: faults/crashes of None mean inactive
+    # faults/crashes of None mean inactive
     cfg = ExperimentConfig(protocol="mhh")
     assert check_invariants(cfg, outcome()) == []
     assert check_invariants(cfg, outcome(repairs=1)) == [
@@ -161,12 +183,12 @@ def test_dead_post_repair_overlay_is_the_generators_fault(monkeypatch):
     """``post_repair_publishes == 0`` judges the scenario generator, not
     the protocol: the driver-independent matrix stays silent and
     ``run_one``, where the generator is, flags it."""
-    scenario = Scenario.crash_from_seed(7, "mhh")
-    dead = outcome(repairs=len(scenario.crashes.events))
+    cfg = Scenario.from_seed(7, "crash", "mhh").config
+    dead = outcome(repairs=len(cfg.crashes.events))
     assert dead.post_repair_publishes == 0
-    assert check_invariants(scenario, dead) == []
+    assert check_invariants(cfg, dead) == []
     monkeypatch.setattr(fuzzer, "run_scenario", lambda *a, **kw: dead)
-    result = ScenarioFuzzer(cross_engine=False, crash_lane=True).run_one(
+    result = ScenarioFuzzer(cross_engine=False, lane="crash").run_one(
         7, "mhh"
     )
     assert any("no post-repair publishes" in v for v in result.violations)
@@ -245,7 +267,8 @@ def test_report_round_trips_to_json(tmp_path):
     assert report.protocol_counts() == {"mhh": 1, "home-broker": 1}
     blob = json.dumps(report.as_dict())
     parsed = json.loads(blob)
-    assert parsed["scenarios"][1]["replay"].endswith("--scenario-seed 6")
+    assert parsed["scenarios"][1]["replay"].endswith(
+        "--scenario-seed 6 --lane plain")
 
 
 def test_cli_replays_single_scenario(tmp_path, capsys):
@@ -263,19 +286,36 @@ def test_cli_replays_single_scenario(tmp_path, capsys):
 
 
 def test_cli_forces_the_protocol_on_the_plain_lane(tmp_path, capsys):
-    """``--protocol`` is honoured without a lane flag too: the replay runs
+    """``--protocol`` is honoured on the plain lane too: the replay runs
     the forced protocol on the seed's otherwise unchanged draw."""
-    seed = quick_seed(lambda s: small(s) and s.protocol != "mhh")
+    seed = quick_seed(lambda c: small(c) and c.protocol != "mhh")
     out = tmp_path / "fuzz.json"
     rc = main(["--scenario-seed", str(seed), "--protocol", "mhh",
                "--no-cross-engine", "--out", str(out)])
     assert rc == 0
-    assert f"PASS seed={seed} mhh " in capsys.readouterr().out
+    assert f"PASS seed={seed} lane=plain mhh " in capsys.readouterr().out
     parsed = json.loads(out.read_text())
     assert parsed["protocols"] == {"mhh": 1}
-    assert parsed["scenarios"][0]["replay"].endswith("--protocol mhh")
-    assert Scenario.from_seed(seed, "mhh") == dataclasses.replace(
-        Scenario.from_seed(seed), protocol="mhh")
+    assert parsed["scenarios"][0]["replay"].endswith(
+        "--lane plain --protocol mhh")
+
+
+def test_cli_refuses_a_protocol_it_would_ignore(capsys):
+    """Outside a ``--scenario-seed`` replay, batches sample or cycle their
+    protocols: a forced one would be dropped, so it is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenarios", "1", "--protocol", "home-broker",
+              "--no-cross-engine"])
+    assert exc.value.code == 2
+    assert "--protocol" in capsys.readouterr().err
+
+
+def test_cli_refuses_an_empty_batch(capsys):
+    """``--scenarios 0`` would check nothing and still exit 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenarios", "0"])
+    assert exc.value.code == 2
+    assert "--scenarios" in capsys.readouterr().err
 
 
 def test_forced_plain_lane_replay_command_carries_the_protocol():
@@ -283,42 +323,15 @@ def test_forced_plain_lane_replay_command_carries_the_protocol():
                        forced_protocol="two-phase")
     assert r.replay_command() == (
         "python -m repro.conformance.fuzzer --scenario-seed 9 "
-        "--protocol two-phase"
+        "--lane plain --protocol two-phase"
     )
 
 
 # ---------------------------------------------------------------------------
 # reliability lane
 # ---------------------------------------------------------------------------
-def test_reliability_lane_is_deterministic_and_forces_loss():
-    for seed in (1, 99, 12345):
-        a = Scenario.reliability_from_seed(seed)
-        assert a == Scenario.reliability_from_seed(seed)
-        assert a.reliable
-        assert a.faults.deliver_loss in (0.05, 0.1, 0.2)
-        assert not a.crashes.active
-        # the lane layers on top of the base scenario without perturbing
-        # its draw order: everything but the fault/reliability knobs is
-        # the plain-lane scenario, byte for byte
-        base = Scenario.from_seed(seed)
-        assert dataclasses.replace(
-            a, faults=base.faults, reliable=False, retry_budget=8,
-            queue_cap=None,
-        ) == base
-
-
-def test_reliability_lane_composes_with_the_crash_lane():
-    s = Scenario.reliability_from_seed(7, "mhh", crash=True)
-    assert s.reliable
-    assert s.protocol == "mhh"
-    assert s.crashes.active
-    # unlike the plain crash lane, links stay lossy: the only permitted
-    # write-offs are crash_lost and shed, which check_invariants asserts
-    assert s.faults.active
-
-
-def rel_scenario(protocol="mhh", **kw):
-    return Scenario.reliability_from_seed(5, protocol, **kw)
+def rel_scenario(protocol="mhh"):
+    return Scenario.from_seed(5, "rel", protocol).config
 
 
 def test_reliable_run_must_recover_every_link_loss():
@@ -358,10 +371,10 @@ def test_reliability_machinery_must_stay_dark_when_off():
     assert any("machinery fired" in x for x in v)
 
 
-def test_reliability_lane_replay_command_carries_the_flags():
-    r = ScenarioResult(9, "mhh", "seed=9", [], reliability_lane=True,
+def test_rel_lane_replay_command_carries_the_lane():
+    r = ScenarioResult(9, "mhh", "seed=9", [], lane="rel",
                        forced_protocol="mhh")
     assert r.replay_command() == (
         "python -m repro.conformance.fuzzer --scenario-seed 9 "
-        "--reliability-lane --protocol mhh"
+        "--lane rel --protocol mhh"
     )

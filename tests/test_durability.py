@@ -143,21 +143,20 @@ def test_partition_loses_nothing():
 @pytest.mark.parametrize("protocol", ["mhh", "sub-unsub", "two-phase"])
 def test_durable_lane_scenarios_conform(protocol):
     """One full fuzzer-lane scenario per reliable protocol."""
-    scenario = Scenario.durable_from_seed(97, protocol)
-    outcome = run_scenario(scenario)
-    assert check_invariants(scenario, outcome) == []
+    cfg = Scenario.from_seed(97, "durable", protocol).config
+    outcome = run_scenario(cfg)
+    assert check_invariants(cfg, outcome) == []
     assert outcome.crash_lost == 0
     assert outcome.shed == 0
 
 
-def test_durability_lane_batch_passes():
+def test_durable_lane_batch_passes():
     report = ScenarioFuzzer(
-        n_scenarios=3, master_seed=3, cross_engine=False,
-        durability_lane=True,
+        n_scenarios=3, master_seed=3, cross_engine=False, lane="durable",
     ).run()
     assert report.passed, [r.violations for r in report.failures]
-    assert all(r.durability_lane for r in report.results)
-    assert "--durability-lane" in report.results[0].replay_command()
+    assert all(r.lane == "durable" for r in report.results)
+    assert "--lane durable" in report.results[0].replay_command()
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +166,7 @@ def test_durable_run_identical_across_engines():
     """The fuzzer's identity re-run on a durability-lane scenario: the
     simulator and the virtual clock agree on the whole outcome, event
     count and WAL checkpoints included."""
-    result = ScenarioFuzzer(durability_lane=True).run_one(41)
+    result = ScenarioFuzzer(lane="durable").run_one(41)
     assert result.passed, result.violations
 
 
@@ -247,7 +246,6 @@ def test_no_stale_timer_fires_after_permanent_death(seed):
 
 def test_no_stale_timer_fires_across_fuzzer_seeds():
     report = ScenarioFuzzer(
-        n_scenarios=3, master_seed=5, cross_engine=False,
-        reliability_lane=True, crash_lane=True,
+        n_scenarios=3, master_seed=5, cross_engine=False, lane="rel-crash",
     ).run()
     assert report.passed, [r.violations for r in report.failures]

@@ -5,7 +5,7 @@ WAL — reach the kernel only through hook points that they claim once, in
 ``register``, before any broker, client or protocol binds them. A layer
 that is off is absent: the kernel holds no handle to test. These tests
 keep it that way without running a scenario (the fixed-seed digests of
-``tests/test_wire_transport.py`` hold the behaviour).
+``tests/test_outcome_digests.py`` hold the behaviour).
 """
 
 from __future__ import annotations

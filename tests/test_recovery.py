@@ -27,7 +27,6 @@ import random
 import pytest
 from covering_scan import scan_covering
 
-from repro.conformance.scenarios import Scenario
 from repro.errors import ConfigurationError, TopologyError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, drain_to_quiescence
@@ -407,16 +406,6 @@ def test_restarted_broker_rejoins_with_consistent_mirror():
     # all brokers live again: the advertisement mirror must hold everywhere
     system.check_mirror_invariant()
     assert system.metrics.delivery.stats.missing == 0
-
-
-def test_crash_lane_scenarios_replay_identically_from_one_seed():
-    a = Scenario.crash_from_seed(1234)
-    b = Scenario.crash_from_seed(1234)
-    assert a == b
-    assert a.crashes.active and not a.faults.active
-    forced = Scenario.crash_from_seed(1234, "two-phase")
-    assert forced.protocol == "two-phase"
-    assert forced.crashes == a.crashes  # the failure draw ignores protocol
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import pytest
 
 from repro.conformance.fuzzer import run_scenario, snapshot_outcome
 from repro.conformance.scenarios import Scenario
+from repro.experiments.config import ExperimentConfig
 from repro.drivers.socket import BrokerPeer, PeerError, WireStats
 from repro.wire.codec import decode_control, encode_control
 from repro.wire.framing import encode_frame, split_frames
@@ -37,16 +38,16 @@ from test_wire_transport import PARITY_SEED, _parity_diff
 NO_DELTAS = ((), ())
 
 
-def _small(protocol: str) -> Scenario:
+def _small(protocol: str) -> ExperimentConfig:
     """The parity scenario cut to 40 s: ~100 frames per node, two or more
     handoffs (hence queries), a twentieth of a second per socket run."""
     return dataclasses.replace(
-        Scenario.from_seed(PARITY_SEED), protocol=protocol, duration_s=40.0
-    )
+        Scenario.from_seed(PARITY_SEED).config, protocol=protocol
+    ).with_workload(duration_s=40.0)
 
 
 def _replica_config(protocol: str = "mhh") -> dict:
-    cfg = _small(protocol).config()
+    cfg = _small(protocol)
     return dataclasses.asdict(
         dataclasses.replace(cfg, faults=None, crashes=None, queue_cap=None)
     )
@@ -256,9 +257,8 @@ def _frame_logs(cfg, endpoints) -> list:
 def test_every_early_kill_point_resumes_to_the_same_outcome(
     protocol, two_nodes
 ):
-    scenario = _small(protocol)
-    cfg = scenario.config()
-    sim = run_scenario(scenario)
+    cfg = _small(protocol)
+    sim = run_scenario(cfg)
     assert sim.handoffs > 0 and sim.delivered > 0
 
     # the sweep must cross a query: kill_after_frames = q - 1 severs the
@@ -288,7 +288,7 @@ def test_every_early_kill_point_resumes_to_the_same_outcome(
 # a finished run frees its replica
 # ---------------------------------------------------------------------------
 def test_bye_frees_the_session_and_its_thread():
-    cfg = _small("mhh").config()
+    cfg = _small("mhh")
     with _running_server() as server:
         endpoints = [("127.0.0.1", server.port)]
         idle_threads = threading.active_count()
@@ -332,9 +332,8 @@ def test_concurrent_sessions_with_repeated_kills_stay_exact():
     every seventh frame, threads switched every 10 us: the socket hand-over
     between greeter and session thread must never lose or double a frame
     (parity would break) nor strand a session (the run would hang)."""
-    scenario = _small("mhh")
-    cfg = scenario.config()
-    sim = run_scenario(scenario)
+    cfg = _small("mhh")
+    sim = run_scenario(cfg)
     outcomes: dict = {}
 
     def rearming_kill(transport):
