@@ -38,13 +38,16 @@ set, asked three questions**:
   keyed set holding each topic-range member in exactly one *incremental*
   :class:`~repro.pubsub.interval_index.IntervalIndex`, so a handoff's table
   edit is one O(log n) write to flat float arrays, made by the set's own
-  ``add`` / ``remove`` in one frame. That index answers the stab of
-  matching, the containment check of ``advertised_covers`` and the
-  contained-keys enumeration of :meth:`FilterTable.covered_candidates`,
-  which therefore visits exactly the entries a withdrawn filter could have
+  ``add`` / ``remove`` in one frame, from the interval each filter carries
+  as its :attr:`~repro.pubsub.filters.Filter.topic_range`. That index
+  answers the stab of matching, the containment check of
+  ``advertised_covers`` and the contained-keys enumeration of
+  :meth:`FilterTable.covered_candidates` — each question one frame, the
+  table method reading the set's arrays itself, as ``match`` does. The
+  enumeration visits exactly the entries a withdrawn filter could have
   been suppressing, less those the neighbour is advertised already (the
-  mirror is one dict probe per key), in table order (client entries, then
-  neighbours ascending);
+  mirror is one dict probe per key, made during the walk), in table order
+  (client entries, then neighbours ascending);
 * members with no topic-range form are few (the paper's workload installs
   none); they answer covering by a scan of the set's ``general`` members.
   The brute-force scan of every member is the tests-only reference
@@ -56,7 +59,7 @@ set, asked three questions**:
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from itertools import count
 from operator import attrgetter
 from typing import Hashable, Iterable, Optional
@@ -102,8 +105,7 @@ class ClientEntry:
         self.filter = filter
         # its topic-range form (None, None without one): FilterTable.match
         # compares these in place of a filter.matches call
-        rng = filter.as_range()
-        self.lo, self.hi = rng[1:] if rng and rng[0] == "topic" else (None, None)
+        self.lo, self.hi = filter.topic_range or (None, None)
         self.label = label
         self.live = live
         self.sink = sink
@@ -125,12 +127,14 @@ _ENTRY_SEQ = attrgetter("seq")
 class _PeerFilters:
     """One keyed filter set: a topic-range index plus the general rest.
 
-    A member lives in exactly one place: ``ranges`` if it has a topic
-    :meth:`~Filter.as_range` form, else ``general``. ``ranges`` alone
+    A member lives in exactly one place: ``ranges`` if it has a
+    :attr:`~Filter.topic_range`, else ``general``. ``ranges`` alone
     answers all three interval questions about the topic-range members —
-    stab (:meth:`FilterTable.match`), containment (:meth:`covers`) and
-    contained keys (:meth:`covered_by`) — and the ``general`` members answer
-    a match and the two covering questions by a scan.
+    stab (:meth:`FilterTable.match`), containment
+    (:meth:`FilterTable.advertised_covers`) and contained keys
+    (:meth:`FilterTable.covered_candidates`), each asked on its arrays in
+    the table's own frame — and the ``general`` members answer a match and
+    the two covering questions by a scan.
 
     ``filters`` keeps every installed filter object so lookups return the
     original (no per-:meth:`get` reconstruction), and ``_seq`` stamps each
@@ -152,8 +156,8 @@ class _PeerFilters:
         topic-range member is a dict write while the index's arrays are
         unbuilt (a set nobody queries, like the mirror of a run without
         covering, never builds them) and one sorted insert once they are."""
-        rng = f.as_range()
-        if rng is not None and rng[0] == "topic":
+        rng = f.topic_range
+        if rng is not None:
             sub = 0
             if self.general:  # replace across subtables
                 self.general.pop(key, None)
@@ -162,8 +166,8 @@ class _PeerFilters:
                 prev = ranges._items.get(key)
                 if prev is not None:
                     ranges._remove_sorted(key, prev)
-                ranges._insert_sorted(key, rng[1], rng[2])
-            ranges._items[key] = rng[1:]
+                ranges._insert_sorted(key, rng[0], rng[1])
+            ranges._items[key] = rng
         else:
             sub = 1
             self.ranges.discard(key)
@@ -191,35 +195,6 @@ class _PeerFilters:
 
     def __len__(self) -> int:
         return len(self.filters)
-
-    def covers(self, f: Filter) -> bool:
-        """Is ``f`` covered by some filter in this set? (conservative)
-
-        Topic-range members are asked by containment, so only of a
-        topic-range ``f``; general members are asked ``covers`` exactly.
-        """
-        rng = f.as_range()
-        if (
-            rng is not None
-            and rng[0] == "topic"
-            and self.ranges.contains_interval(rng[1], rng[2])
-        ):
-            return True
-        return bool(self.general) and any(
-            g.covers(f) for g in self.general.values()
-        )
-
-    def covered_by(self, f: Filter) -> list[Hashable]:
-        """Keys of every member ``m`` with ``f.covers(m)``, unordered."""
-        rng = f.as_range()
-        if rng is not None and rng[0] == "topic":
-            out = self.ranges.contained_keys(rng[1], rng[2])
-        else:
-            filters = self.filters
-            out = [k for k, _iv in self.ranges.items() if f.covers(filters[k])]
-        if self.general:
-            out.extend(k for k, g in self.general.items() if f.covers(g))
-        return out
 
     def keys(self) -> list[Hashable]:
         return [k for k, _ in self.ranges.items()] + list(self.general)
@@ -291,16 +266,32 @@ class FilterTable:
         return self._advertised[nbr].remove(key)
 
     def advertised_has(self, nbr: int, key: Hashable) -> bool:
-        return key in self._advertised[nbr]
+        return key in self._advertised[nbr].filters
 
     def advertised_covers(self, nbr: int, f: Filter) -> bool:
-        return self._advertised[nbr].covers(f)
+        """Is ``f`` covered by something advertised to ``nbr``? (conservative)
+        Topic-range members are asked by containment, only of a topic-range
+        ``f``: :meth:`IntervalIndex.contains_interval` on the mirror's
+        arrays. General members are asked ``covers`` exactly."""
+        adv = self._advertised[nbr]
+        rng = f.topic_range
+        if rng is not None:
+            ranges = adv.ranges
+            if ranges._dirty:
+                ranges._rebuild()
+            idx = bisect_right(ranges._los, rng[0]) - 1
+            if idx >= 0 and ranges._max_hi[idx] >= rng[1]:
+                return True
+        for g in adv.general.values():
+            if g.covers(f):
+                return True
+        return False
 
     def advertised_keys(self, nbr: int) -> list[Hashable]:
         return self._advertised[nbr].keys()
 
     def advertised_get(self, nbr: int, key: Hashable) -> Optional[Filter]:
-        return self._advertised[nbr].get(key)
+        return self._advertised[nbr].filters.get(key)
 
     def advertised_count(self, nbr: int) -> int:
         return len(self._advertised[nbr])
@@ -322,6 +313,9 @@ class FilterTable:
         advertisement mirror — in table order (the client entries, then
         :meth:`broker_filter_keys` per neighbour ascending), which fixes the
         order of the re-advertisements a withdrawal sends.
+
+        For a topic-range ``f``, a set's topic-range members are found by
+        :meth:`IntervalIndex.contained_keys` written out on its arrays.
         """
         local = self._client_filters
         if local is None:
@@ -329,19 +323,45 @@ class FilterTable:
             for key, entry in self.clients.items():
                 local.add(key, entry.filter)
         advertised = self._advertised[nbr].filters
-        # each set with the stamps that rank its keys in table order
-        asked = [(local, self._client_seq)]
-        asked += [
-            (peer, peer._seq)
-            for other, peer in self._from_nbr.items()  # ascending
-            if other != nbr
-        ]
-        return [
-            (key, members.filters[key])
-            for members, seq in asked
-            for key in sorted(members.covered_by(f), key=seq.__getitem__)
-            if key not in advertised
-        ]
+        skip = self._from_nbr[nbr]
+        rng = f.topic_range
+        out = []
+        # the client entries ranked by their table stamps, then each other
+        # neighbour's set (ascending) by its own
+        seq = self._client_seq
+        for members in (local, *self._from_nbr.values()):
+            if members is skip:
+                continue
+            if members is not local:
+                seq = members._seq
+            filters = members.filters
+            found = []
+            scanned = members.general  # the members asked f.covers
+            if rng is None:
+                scanned = filters
+            else:
+                lo, hi = rng
+                ranges = members.ranges
+                if ranges._dirty:
+                    ranges._rebuild()
+                los = ranges._los
+                his = ranges._his
+                keys = ranges._keys
+                for i in range(bisect_left(los, lo), len(los)):
+                    if los[i] > hi:
+                        break
+                    if his[i] <= hi:
+                        key = keys[i]
+                        if key not in advertised:
+                            found.append(key)
+            for key, g in scanned.items():
+                if key not in advertised and f.covers(g):
+                    found.append(key)
+            if len(found) > 1:
+                found.sort(key=seq.__getitem__)
+            for key in found:
+                out.append((key, filters[key]))
+        return out
 
     # ------------------------------------------------------------------
     # client entries

@@ -196,6 +196,11 @@ class Filter:
 
     __slots__ = ()
 
+    #: ``(lo, hi)`` if :meth:`as_range` is a range on ``topic``, else None.
+    #: Set once at construction (a filter is an immutable value); the broker
+    #: reads it in place of an ``as_range()`` call.
+    topic_range: Optional[tuple[float, float]] = None
+
     def matches(self, event: Notification) -> bool:
         raise NotImplementedError
 
@@ -231,7 +236,7 @@ class RangeFilter(Filter):
     True
     """
 
-    __slots__ = ("attr", "lo", "hi")
+    __slots__ = ("attr", "lo", "hi", "topic_range")
 
     def __init__(self, lo: float, hi: float, attr: str = "topic") -> None:
         if not lo <= hi:
@@ -239,6 +244,7 @@ class RangeFilter(Filter):
         self.attr = attr
         self.lo = float(lo)
         self.hi = float(hi)
+        self.topic_range = (self.lo, self.hi) if attr == "topic" else None
 
     def matches(self, event: Notification) -> bool:
         if self.attr == "topic":
@@ -284,10 +290,13 @@ class ConjunctionFilter(Filter):
     An empty conjunction matches everything (and covers everything).
     """
 
-    __slots__ = ("constraints",)
+    __slots__ = ("constraints", "topic_range")
 
     def __init__(self, constraints: Iterable[AttributeConstraint]) -> None:
         self.constraints = tuple(constraints)
+        rng = self.as_range()
+        self.topic_range = (
+            rng[1:] if rng is not None and rng[0] == "topic" else None)
 
     def matches(self, event: Notification) -> bool:
         for c in self.constraints:

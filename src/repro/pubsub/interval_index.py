@@ -12,22 +12,25 @@ All three are answered from one structure: the intervals as flat float
 arrays ``_los`` and ``_his`` sorted by ``lo`` alone, beside the keys and
 one array of prefix maxima over ``hi``, so every bisect compares floats and
 builds no probe tuple. The order of intervals with equal ``lo`` is never
-observed: stab and containment read only the prefix maxima, the one
-caller of :meth:`~IntervalIndex.contained_keys` re-sorts its answer by
-installation stamp, and a removal scans the run of equal ``lo`` for its
-key. Mobility churn mutates these indexes on **every handoff**, so mutation
-cost is what shapes the paper's Figure 5(a)/6(a) curves; the arrays are
-therefore maintained *incrementally* — a bisect insert/delete plus a repair
-of the prefix maxima that stops at the first position the mutated ``hi``
-does not reach — so a mutation costs O(log n) comparisons plus one C-level
-``memmove`` per array. They are first built by the first query
+observed: stab and containment read only the prefix maxima, the
+contained-keys walk is re-sorted by installation stamp, and a removal
+scans the run of equal ``lo`` for its key. Mobility churn mutates these
+indexes on **every handoff**, so mutation cost is what shapes the paper's
+Figure 5(a)/6(a) curves; the arrays are therefore maintained
+*incrementally* — a bisect insert/delete plus a repair of the prefix
+maxima that stops at the first position the mutated ``hi`` does not reach
+— so a mutation costs O(log n) comparisons plus one C-level ``memmove``
+per array. They are first built by the first query
 (``_rebuild``): an index that is written but never asked, like the
 advertisement mirror of a run without covering, never has arrays to
 maintain.
 
 The one user is the keyed filter set of :mod:`repro.pubsub.filter_table`,
-which writes the arrays itself on a table edit and carries :meth:`stab`
-inline in ``FilterTable.match``; :meth:`add` and :meth:`stab` stay as the
+which writes the arrays itself on a table edit and carries all three
+queries inline, each in the one ``FilterTable`` frame that asks it: the
+stab in ``match``, the containment in ``advertised_covers`` and the
+contained-keys walk in ``covered_candidates``. :meth:`add`, :meth:`stab`,
+:meth:`contains_interval` and :meth:`contained_keys` stay as the
 references those inlined bodies are tested against. The differential
 oracle is a brute-force scan of ``items()`` in
 ``tests/test_interval_index.py``.
@@ -171,7 +174,8 @@ class IntervalIndex:
         return idx >= 0 and self._max_hi[idx] >= x
 
     def contains_interval(self, lo: float, hi: float) -> bool:
-        """True if some interval contains [lo, hi]."""
+        """True if some interval contains [lo, hi]. Carried inline by
+        ``FilterTable.advertised_covers`` (``tests/test_filter_sets.py``)."""
         if self._dirty:
             self._rebuild()
         idx = bisect_right(self._los, lo) - 1
@@ -184,6 +188,8 @@ class IntervalIndex:
         interval [lo, hi] covers. Cost is O(log n + w) where w is the number
         of intervals whose ``l`` falls inside [lo, hi] — output-shaped for
         the narrow filters mobility workloads install.
+        ``FilterTable.covered_candidates`` carries this walk inline
+        (``tests/test_filter_sets.py`` holds the two together).
         """
         if self._dirty:
             self._rebuild()

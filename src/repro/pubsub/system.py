@@ -403,9 +403,9 @@ class PubSubSystem:
         cid = self.ids.next("client")
         client = Client(self, cid, filter, home_broker=broker, mobile=mobile)
         self.clients[cid] = client
-        rng = filter.as_range()
-        if rng is not None and rng[0] == "topic":
-            self.metrics.delivery.register_subscription(cid, rng[1], rng[2])
+        rng = filter.topic_range
+        if rng is not None:
+            self.metrics.delivery.register_subscription(cid, *rng)
         return client
 
     # ------------------------------------------------------------------

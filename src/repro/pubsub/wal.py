@@ -525,9 +525,7 @@ class DurabilityManager:
         lo = hi = None
         cl = self.system.clients.get(client)
         if cl is not None:
-            rng = cl.filter.as_range()
-            if rng is not None and rng[0] == "topic":
-                lo, hi = rng[1], rng[2]
+            lo, hi = cl.filter.topic_range or (None, None)
         s = self.sessions[client] = ClientSession(client, broker, lo, hi)
         self._append(broker, "ses", client, lo, hi, ())
         return s

@@ -1,26 +1,29 @@
 """The brute-force covering scan: the tests-only reference for covering.
 
-The product answers both covering questions of the control plane from
-each keyed filter set of :mod:`repro.pubsub.filter_table`: its topic-range
-members through the set's :class:`~repro.pubsub.interval_index.IntervalIndex`,
-its general members (those with no topic-range form) by a scan of them.
-This module is the scan of *every* member, kept as the differential oracle
-(the way ``Mirror`` in ``tests/test_matching_engine.py`` is for matching):
-the same four-method surface over a plain dict, every answer computed by
-walking all members.
+The product answers both covering questions of the control plane in
+:class:`~repro.pubsub.filter_table.FilterTable`'s own frame:
+``advertised_covers`` runs the containment stab on the advertisement
+mirror's sorted arrays, ``covered_candidates`` walks each asked set's
+sorted arrays, and both scan the general members (those with no topic
+range). This module is the scan of *every* member, kept as the
+differential oracle (the way ``Mirror`` in ``tests/test_matching_engine.py``
+is for matching): :class:`ScanCovering` is one keyed set over a plain dict,
+every answer computed by walking all members.
 
-:func:`scan_covering` makes every keyed filter set answer ``covers`` and
-``covered_by`` — topic ranges included — with that scan over all of its
-members while the context is open, so no interval index is consulted. A
-product run and a reference run of the same script must then agree on
-every message, table and counter.
+:func:`scan_covering` makes every table answer ``advertised_covers`` and
+``covered_candidates`` — topic ranges included — with that scan while the
+context is open, in the same table order and less the same mirror keys,
+so no sorted array is read for a covering answer (and a set only covering
+reads, an advertisement mirror or the client entries' set, never builds
+its arrays). A product run and a reference run of the same script must
+then agree on every message, table and counter.
 """
 
 from contextlib import contextmanager
 
 import pytest
 
-from repro.pubsub import filter_table
+from repro.pubsub.filter_table import FilterTable
 
 
 def _is_topic_range(f) -> bool:
@@ -64,19 +67,31 @@ class ScanCovering:
         return [k for k, m in self.members.items() if f.covers(m)]
 
 
-def _scan_of(peer) -> ScanCovering:
+def scan_advertised_covers(table, nbr, f) -> bool:
+    """``FilterTable.advertised_covers`` by a scan of the mirror."""
     scan = ScanCovering()
-    scan.members = peer.filters
-    return scan
+    scan.members = table._advertised[nbr].filters
+    return scan.covers(f)
+
+
+def scan_covered_candidates(table, nbr, f) -> list:
+    """``FilterTable.covered_candidates`` by the table walk: every client
+    entry, then each other neighbour's members in ``keys()`` order, that
+    ``f`` covers, less the keys advertised to ``nbr``."""
+    advertised = table._advertised[nbr].filters
+    out = [(entry.key, entry.filter) for entry in table.clients.values()
+           if entry.key not in advertised and f.covers(entry.filter)]
+    for other, peer in table._from_nbr.items():
+        if other != nbr:
+            out += [(key, peer.filters[key]) for key in peer.keys()
+                    if key not in advertised and f.covers(peer.filters[key])]
+    return out
 
 
 @contextmanager
 def scan_covering():
-    """Keyed filter sets answer both covering questions by scanning."""
-    peer_set = filter_table._PeerFilters
+    """Filter tables answer both covering questions by scanning."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(peer_set, "covers", lambda self, f: _scan_of(self).covers(f))
-        mp.setattr(
-            peer_set, "covered_by", lambda self, f: _scan_of(self).covered_by(f)
-        )
+        mp.setattr(FilterTable, "advertised_covers", scan_advertised_covers)
+        mp.setattr(FilterTable, "covered_candidates", scan_covered_candidates)
         yield

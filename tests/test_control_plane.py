@@ -11,9 +11,9 @@ member of a filter set, kept under ``tests/`` only):
   against the scanning implementations;
 * **whole systems**: randomized subscribe/unsubscribe/mobility storms run
   on the product and again with the scan substituted for each filter
-  set's interval index (× covering on/off) must produce identical routing
-  decisions, identical traffic, identical final tables, and a consistent
-  advertisement mirror.
+  table's two covering answers (× covering on/off) must produce identical
+  routing decisions, identical traffic, identical final tables, and a
+  consistent advertisement mirror.
 
 :func:`random_filter` is the adversarial filter mix every covering
 differential draws from: topic and ``size`` ranges, empty conjunctions,
@@ -29,6 +29,7 @@ import random
 from itertools import accumulate
 
 import pytest
+import covering_scan
 from covering_scan import ScanCovering, scan_covering
 from hypothesis import given, settings, strategies as st
 
@@ -91,10 +92,27 @@ def random_constraint(rnd: random.Random) -> AttributeConstraint:
 # ---------------------------------------------------------------------------
 # covering checks vs brute force
 # ---------------------------------------------------------------------------
+def set_covers(peer: _PeerFilters, f) -> bool:
+    """The containment answer about one keyed set, asked the way the product
+    asks it: as a table's advertisement mirror."""
+    table = FilterTable(0, [1])
+    table._advertised[1] = peer
+    return table.advertised_covers(1, f)
+
+
+def set_covered_by(peer: _PeerFilters, f) -> list:
+    """The keys of one keyed set that ``f`` covers, asked the way the
+    product asks it: as the one other neighbour's set of a withdrawal
+    toward an empty mirror."""
+    table = FilterTable(0, [1, 2])
+    table._from_nbr[2] = peer
+    return [key for key, _f in table.covered_candidates(1, f)]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_covering_index_differential(seed):
-    """A filter set fed only the adversarial mix: covers() == peer-scan
-    semantics; covered_by() == exact brute force."""
+    """A filter set fed only the adversarial mix: its containment answer ==
+    peer-scan semantics; its covered keys == exact brute force."""
     rnd = random.Random(seed)
     peer = _PeerFilters()
     scan = ScanCovering()
@@ -110,16 +128,16 @@ def test_covering_index_differential(seed):
             scan.discard(key)
         if rnd.random() < 0.4:
             q = random_filter(rnd)
-            assert peer.covers(q) == scan.covers(q)
-            assert set(peer.covered_by(q)) == set(scan.covered_by(q))
+            assert set_covers(peer, q) == scan.covers(q)
+            assert set(set_covered_by(peer, q)) == set(scan.covered_by(q))
     assert len(peer) == len(scan)
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_advertised_covers_indexed_matches_scan(seed):
-    """FilterTable.advertised_covers agrees with the scan substituted for
-    the per-neighbour filter set, answer for answer over one churn
-    script."""
+    """FilterTable.advertised_covers agrees with the scan of the
+    per-neighbour mirror substituted for it, answer for answer over one
+    churn script."""
     def script() -> list:
         rnd = random.Random(100 + seed)
         table = FilterTable(0, NEIGHBORS)
@@ -200,8 +218,8 @@ def test_peer_filters_against_dict_model(ops, build_at, queries):
         scan = ScanCovering()
         scan.members = model
         for q in queries:
-            assert peer.covers(q) == scan.covers(q)
-            assert sorted(peer.covered_by(q)) == sorted(scan.covered_by(q))
+            assert set_covers(peer, q) == scan.covers(q)
+            assert sorted(set_covered_by(peer, q)) == sorted(scan.covered_by(q))
         if built:
             for event in events:  # the stab, plus the scan of `general`
                 want = any(f.matches(event) for f in model.values())
@@ -444,38 +462,56 @@ def test_churn_storm_all_modes_agree(protocol, covering):
 
 
 def test_scan_covering_replaces_every_interval_covering_answer(monkeypatch):
-    """The differential above is only one if the reference run consults no
-    interval index: inside ``scan_covering()`` a covering subscribe/
-    unsubscribe storm never enters the two covering queries of
-    :class:`IntervalIndex`, while its withdrawals do ask for candidates.
-    The same storm on the product enters both, so neither answer can be
-    inlined out of the seam without this test noticing."""
-    entered = {"contained_keys": 0, "contains_interval": 0, "candidates": 0}
-    refuse = False
-    ask = FilterTable.covered_candidates
+    """The differential above is only one if the reference run reads no
+    sorted array for a covering answer. Two sets are read by covering
+    alone, each advertisement mirror (``advertised_covers``) and the client
+    entries' set (``covered_candidates``), and a set builds its arrays on
+    the first read: inside ``scan_covering()`` a covering subscribe/
+    unsubscribe storm, whose withdrawals do ask for candidates, leaves
+    every one of them unbuilt; the same storm on the product builds them.
+    Neither interval reference of :class:`IntervalIndex` is entered by
+    either run: the product asks both questions on the arrays itself."""
+    tables: list = []
+    asked = {"covers": 0, "candidates": 0}
+    init = FilterTable.__init__
 
-    def counted(self, nbr, f):
-        entered["candidates"] += 1
-        return ask(self, nbr, f)
+    def recorded(self, *args):
+        init(self, *args)
+        tables.append(self)
 
-    monkeypatch.setattr(FilterTable, "covered_candidates", counted)
+    monkeypatch.setattr(FilterTable, "__init__", recorded)
     for name in ("contained_keys", "contains_interval"):
-        def guarded(self, lo, hi, _name=name, _orig=getattr(IntervalIndex, name)):
-            if refuse:
-                raise AssertionError(f"IntervalIndex.{_name} under the scan")
-            entered[_name] += 1
-            return _orig(self, lo, hi)
+        def refused(self, lo, hi, _name=name):
+            raise AssertionError(f"IntervalIndex.{_name} entered")
 
-        monkeypatch.setattr(IntervalIndex, name, guarded)
-    refuse = True
+        monkeypatch.setattr(IntervalIndex, name, refused)
+    for key, name in (("covers", "scan_advertised_covers"),
+                      ("candidates", "scan_covered_candidates")):
+        def counted(self, nbr, f, _key=key, _orig=getattr(covering_scan, name)):
+            asked[_key] += 1
+            return _orig(self, nbr, f)
+
+        monkeypatch.setattr(covering_scan, name, counted)
+
+    def covering_only_sets() -> tuple:
+        """(client sets, mirrors) of the storm's tables, unbuilt or not."""
+        clients = [table._client_filters for table in tables]
+        mirrors = [peer for table in tables
+                   for peer in table._advertised.values()]
+        del tables[:]
+        return clients, mirrors
+
     with scan_covering():
         run_churn_storm("sub-unsub", True, seed=42)
-    assert entered["contained_keys"] == entered["contains_interval"] == 0
-    assert entered["candidates"] > 100
-    refuse = False
+    assert asked["covers"] > 100 and asked["candidates"] > 100
+    clients, mirrors = covering_only_sets()
+    assert clients == [None] * 9
+    assert all(peer.ranges._dirty for peer in mirrors)
+
     run_churn_storm("sub-unsub", True, seed=42)
-    assert entered["contained_keys"] > 100
-    assert entered["contains_interval"] > 100
+    clients, mirrors = covering_only_sets()
+    assert all(not peer.ranges._dirty for peer in clients)
+    assert sum(not peer.ranges._dirty for peer in mirrors) > len(mirrors) // 2
 
 
 @pytest.mark.parametrize("protocol", ["sub-unsub", "mhh", "home-broker"])

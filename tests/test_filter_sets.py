@@ -14,12 +14,18 @@ These tests pin that:
 * :meth:`FilterTable.covered_candidates` equals the table walk less the
   keys already advertised to the neighbour, content and order, with a few
   hundred client entries;
+* the two covering bodies the table runs on a set's arrays itself equal
+  the interval references they were written out from:
+  ``advertised_covers`` is :meth:`IntervalIndex.contains_interval` plus a
+  scan of the general members, ``covered_candidates`` is each set's
+  :meth:`IntervalIndex.contained_keys` ranked by stamp, less the mirror;
 * a NaN-bounded filter never reaches an interval index.
 """
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from covering_scan import ScanCovering, _is_topic_range as is_topic_range
 from test_control_plane import (
     NEIGHBORS,
@@ -28,6 +34,8 @@ from test_control_plane import (
     legacy_candidates,
     random_constraint,
     random_filter,
+    set_covered_by,
+    set_covers,
 )
 
 from repro.pubsub.events import Notification
@@ -201,9 +209,9 @@ def test_keyed_set_differential(seed):
         assert set(peer.keys()) == set(scan.members)
         for q in (random_filter(rnd), random_filter_with_nan(rnd), shared,
                   rnd.choice(ADVERSARIAL)):
-            assert peer.covers(q) == scan.covers(q), (step, q)
-            assert sorted(peer.covered_by(q)) == sorted(scan.covered_by(q)), (
-                step, q)
+            assert set_covers(peer, q) == scan.covers(q), (step, q)
+            assert sorted(set_covered_by(peer, q)) == sorted(
+                scan.covered_by(q)), (step, q)
     assert flips > 5
     assert not any(is_topic_range(f) for f in peer.general.values())
     assert {k for k, _iv in peer.ranges.items()} \
@@ -216,10 +224,10 @@ def test_all_range_set_has_no_general_member():
     peer = _PeerFilters()
     peer.add("wide", RangeFilter(0.1, 0.8))
     peer.add("narrow", RangeFilter(0.3, 0.4))
-    assert peer.covers(RangeFilter(0.2, 0.5))
-    assert not peer.covers(RangeFilter(0.0, 0.5))
-    assert peer.covered_by(RangeFilter(0.25, 0.45)) == ["narrow"]
-    assert sorted(peer.covered_by(ConjunctionFilter([]))) == ["narrow", "wide"]
+    assert set_covers(peer, RangeFilter(0.2, 0.5))
+    assert not set_covers(peer, RangeFilter(0.0, 0.5))
+    assert set_covered_by(peer, RangeFilter(0.25, 0.45)) == ["narrow"]
+    assert set_covered_by(peer, ConjunctionFilter([])) == ["wide", "narrow"]
     assert not peer.general
 
 
@@ -313,3 +321,92 @@ def test_nan_filter_does_not_poison_matching(seed):
     for key in nan_keys:
         assert table.remove_broker_filter(1, key)
     check()
+
+
+# ---------------------------------------------------------------------------
+# (v) the inlined covering bodies vs the interval references
+# ---------------------------------------------------------------------------
+# a coarse grid, so runs of equal lo and identical intervals under distinct
+# keys are common; the general shapes make keys move between the homes
+_GRID = st.integers(0, 5).map(lambda i: i / 5)
+_SPAN = st.tuples(_GRID, _GRID).map(sorted)
+TABLE_FILTERS = st.one_of(
+    _SPAN.map(lambda s: RangeFilter(*s)),                     # -> ranges
+    _SPAN.map(lambda s: ConjunctionFilter(                    # -> ranges
+        [AttributeConstraint("topic", Op.RANGE, tuple(s))])),
+    _SPAN.map(lambda s: RangeFilter(*s, attr="size")),        # -> general
+    _GRID.map(lambda lo: ConjunctionFilter(                   # -> general
+        [AttributeConstraint("topic", Op.GE, lo)])),
+    _SPAN.map(lambda s: ConjunctionFilter(                    # -> general
+        [AttributeConstraint("topic", Op.RANGE, tuple(s)),
+         AttributeConstraint("kind", Op.EQ, "x")])),
+    st.just(ConjunctionFilter([])),                           # -> general
+)
+#: (home, key, filter or None to remove): home 0 is the client entries,
+#: 1..2 a neighbour's received set, 3..4 its advertisement mirror
+TABLE_OPS = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 5),
+              st.one_of(st.none(), TABLE_FILTERS)),
+    max_size=60)
+
+
+def apply_table_op(table: FilterTable, home: int, key, f) -> None:
+    if home == 0:  # keys shared with the mirrors, so the mirror drops some
+        if f is not None:
+            table.set_client_entry(ClientEntry(key, key, f))
+        elif key in table.clients:
+            table.remove_entry_by_key(key)
+    elif f is None:
+        (table.remove_broker_filter if home <= 2 else table.advertised_remove)(
+            1 + (home - 1) % 2, key)
+    else:
+        (table.add_broker_filter if home <= 2 else table.advertised_add)(
+            1 + (home - 1) % 2, key, f)
+
+
+def reference_covers(table: FilterTable, nbr: int, f) -> bool:
+    adv = table._advertised[nbr]
+    rng = f.topic_range
+    if rng is not None and adv.ranges.contains_interval(*rng):
+        return True
+    return any(g.covers(f) for g in adv.general.values())
+
+
+def reference_candidates(table: FilterTable, nbr: int, f) -> list:
+    advertised = table._advertised[nbr].filters
+    asked = [(table._client_filters, table._client_seq)] + [
+        (peer, peer._seq) for other, peer in table._from_nbr.items()
+        if other != nbr]
+    out = []
+    for peer, seq in asked:
+        rng = f.topic_range
+        if rng is None:
+            keys = [k for k, g in peer.filters.items() if f.covers(g)]
+        else:
+            keys = peer.ranges.contained_keys(*rng) + [
+                k for k, g in peer.general.items() if f.covers(g)]
+        out += [(k, peer.filters[k]) for k in sorted(keys, key=seq.__getitem__)
+                if k not in advertised]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=TABLE_OPS, ask_every=st.integers(1, 8),
+       queries=st.lists(TABLE_FILTERS, min_size=1, max_size=3))
+def test_inlined_covering_bodies_equal_the_interval_references(
+        ops, ask_every, queries):
+    """Both covering answers, asked every ``ask_every`` edits (so edits land
+    before and after a set has built its arrays), equal their references,
+    with the client entries' set built on the first question."""
+    table = FilterTable(0, [1, 2, 3])
+    for step, (home, key, f) in enumerate(ops + [(0, 0, None)]):
+        apply_table_op(table, home, key, f)
+        if step % ask_every:
+            continue
+        for q in queries:
+            for nbr in (1, 2, 3):
+                assert table.advertised_covers(nbr, q) \
+                    == reference_covers(table, nbr, q), (step, nbr, q)
+                assert table.covered_candidates(nbr, q) \
+                    == reference_candidates(table, nbr, q), (step, nbr, q)
+    assert table._client_filters is not None

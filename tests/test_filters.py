@@ -265,3 +265,77 @@ def test_property_implication_sound(op1, v1, op2, v2, x):
     c2 = AttributeConstraint("a", op2, v2)
     if c1.implies(c2) and c1.matches_value(x):
         assert c2.matches_value(x)
+
+
+# ---------------------------------------------------------------------------
+# Filter.topic_range: the topic interval fixed at construction
+# ---------------------------------------------------------------------------
+def assert_topic_range_contract(f):
+    """``topic_range`` is ``as_range()`` less the attribute exactly when that
+    is a topic range, and None otherwise."""
+    rng = f.as_range()
+    if rng is not None and rng[0] == "topic":
+        assert f.topic_range == rng[1:]
+        assert type(f.topic_range) is tuple
+    else:
+        assert f.topic_range is None
+
+
+def wire_round_trip(f):
+    from repro.pubsub import messages as m
+    from repro.wire.codec import decode_message, encode_message
+
+    return decode_message(encode_message(m.SubscribeMessage("k", f))).filter
+
+
+def test_topic_range_of_a_range_filter():
+    assert RangeFilter(0.2, 0.4).topic_range == (0.2, 0.4)
+    assert RangeFilter(1, 3).topic_range == (1.0, 3.0)
+    assert RangeFilter(5.0, 20.0, attr="size").topic_range is None
+    assert RangeFilter(5.0, 20.0, attr="size").as_range() == ("size", 5.0, 20.0)
+    for f in (RangeFilter(0.2, 0.4), RangeFilter(0.3, 0.3),
+              RangeFilter(5.0, 20.0, attr="size")):
+        assert_topic_range_contract(f)
+        assert_topic_range_contract(wire_round_trip(f))
+        assert wire_round_trip(f).topic_range == f.topic_range
+
+
+def test_topic_range_of_every_drawn_filter_shape():
+    """Every shape ``test_control_plane.random_filter`` draws, NaN-valued
+    constraints included, before and after the wire codec."""
+    import random
+
+    from test_control_plane import random_filter
+    from test_filter_sets import ADVERSARIAL, random_filter_with_nan
+
+    rnd = random.Random(3)
+    drawn = list(ADVERSARIAL) + [
+        ConjunctionFilter([AttributeConstraint("topic", op, v)])
+        for op, v in ((Op.RANGE, (0.2, 0.3)), (Op.EQ, 0.5), (Op.EQ, 2),
+                      (Op.LE, 0.5), (Op.GT, 0.5), (Op.NE, 0.5),
+                      (Op.EQ, math.nan), (Op.EQ, True), (Op.RANGE, ("a", "b")))
+    ]
+    drawn += [random_filter_with_nan(rnd) for _ in range(400)]
+    with_range = 0
+    for f in drawn:
+        assert_topic_range_contract(f)
+        back = wire_round_trip(f)
+        assert_topic_range_contract(back)
+        assert back.topic_range == f.topic_range
+        with_range += f.topic_range is not None
+    assert 50 < with_range < len(drawn) - 50
+    assert ConjunctionFilter(
+        [AttributeConstraint("topic", Op.EQ, 2)]).topic_range == (2.0, 2.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lo=st.floats(-1e6, 1e6), width=st.floats(0, 1e6),
+       attr=st.sampled_from(["topic", "size"]),
+       as_conjunction=st.booleans())
+def test_property_topic_range_is_as_range_less_the_attribute(
+        lo, width, attr, as_conjunction):
+    f = RangeFilter(lo, lo + width, attr=attr)
+    if as_conjunction:
+        f = ConjunctionFilter([AttributeConstraint(attr, Op.RANGE, (f.lo, f.hi))])
+    assert_topic_range_contract(f)
+    assert_topic_range_contract(wire_round_trip(f))

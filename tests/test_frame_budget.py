@@ -30,36 +30,48 @@ between interpreter versions, how many frames a run enters does not
 For scale, in all calls per event (frames plus builtins, what
 ``pstats`` prints as "function calls"), on CPython 3.11:
 
-=====================  ===========  =========
-fanout_steady          ``--quick``  full size
-=====================  ===========  =========
-before the flattening         28.6       28.0
-now                           20.1       17.8
-=====================  ===========  =========
+=========================  ===========  =========
+fanout_steady              ``--quick``  full size
+=========================  ===========  =========
+before the flattening             28.6       28.0
+after the flattening              20.1       17.8
+now                               18.1       17.6
+=========================  ===========  =========
 
-=====================  ===========  =========
-churn_mhh              ``--quick``  full size
-=====================  ===========  =========
-before the flattening         30.6       32.5
-now                           27.1       29.3
-=====================  ===========  =========
+=========================  ===========  =========
+churn_mhh                  ``--quick``  full size
+=========================  ===========  =========
+before the flattening             30.6       32.5
+after the flattening              27.1       29.3
+now                               24.8       28.7
+=========================  ===========  =========
 
 =========================  ===========  =========
 churn_subunsub             ``--quick``  full size
 =========================  ===========  =========
 before the flat arrays            41.3       43.0
-now                               40.3       41.2
+after the flat arrays             40.3       41.2
+now                               34.8       35.7
 =========================  ===========  =========
 
 and in frames per event, 22.87 -> 21.14 at ``--quick``, 23.12 -> 20.72 at
 full size: the flat arrays build no probe tuple, and the withdrawal's
-candidates no longer include what is already advertised.
+candidates no longer include what is already advertised. Then 21.14 ->
+14.71 at ``--quick``, 20.71 -> 14.38 at full size: a filter's topic
+interval is fixed at construction (``Filter.topic_range``, no
+``as_range()`` call and no tuple slice per table write), and the
+containment check and the withdrawal candidates are answered on the
+sorted arrays in their ``FilterTable`` frame. The setup flood shares
+``_PeerFilters.add``, so the other three budgets moved with it: at
+``--quick``, ``churn_mhh`` 15.58 -> 13.73, ``fanout_steady`` 10.39 ->
+9.65, ``lossy_durable`` 10.20 -> 9.81.
 
 =========================  ===========  =========
 lossy_durable              ``--quick``  full size
 =========================  ===========  =========
 before the flattening             21.43      23.69
-now                               20.19      20.17
+after the flattening              20.19      20.17
+now                               19.80      20.13
 =========================  ===========  =========
 
 and in frames per event, 11.71 -> 10.20 at ``--quick``, 12.31 -> 9.72 at
@@ -76,20 +88,24 @@ import pstats
 from benchmarks.e2e.workloads import build_config
 from repro.experiments.runner import build_system, drain_to_quiescence
 
-#: measured 11.14 (19.50 before the flattening); the cheapest wrapper to put
-#: back, one on the delivery hop, costs 0.23
-FRAMES_PER_EVENT_BUDGET = 11.3
-#: measured 15.95 (18.27 before the flattening, 16.30 before the phase
-#: dispatch; full size 18.51 -> 16.55 -> 15.85); the cheapest wrapper to put
-#: back, one on the drain's completion, costs 0.08
-CONTROL_FRAMES_PER_EVENT_BUDGET = 16.0
-#: measured 21.14 (22.87 before the flat arrays and the filtered
-#: withdrawal candidates); the cheapest wrapper to put back, one on
-#: ``_handle_unsubscribe`` or ``covered_candidates``, costs 0.18
-WITHDRAW_FRAMES_PER_EVENT_BUDGET = 21.25
-#: measured 10.20 (11.71 before the flattening); the cheapest wrapper to put
-#: back, one on ``send``, ``on_ack`` or ``on_settled``, costs 0.13
-RELIABLE_FRAMES_PER_EVENT_BUDGET = 10.3
+#: measured 9.65 (19.50 before the flattening, 10.39 before
+#: ``Filter.topic_range``); the cheapest wrapper to put back, one on the
+#: delivery hop, costs 0.23
+FRAMES_PER_EVENT_BUDGET = 9.8
+#: measured 13.73 (18.27 before the flattening, 16.30 before the phase
+#: dispatch, 15.58 before ``Filter.topic_range``; full size 18.51 -> 16.55
+#: -> 15.83 -> 15.21); the cheapest wrapper to put back, one on the drain's
+#: completion, costs 0.08
+CONTROL_FRAMES_PER_EVENT_BUDGET = 13.8
+#: measured 14.71 (22.87 before the flat arrays and the filtered
+#: withdrawal candidates, 21.14 before one frame per covering question);
+#: the cheapest wrapper to put back, one on ``_handle_unsubscribe`` or
+#: ``covered_candidates``, costs 0.18
+WITHDRAW_FRAMES_PER_EVENT_BUDGET = 14.85
+#: measured 9.81 (11.71 before the flattening, 10.20 before
+#: ``Filter.topic_range``); the cheapest wrapper to put back, one on
+#: ``send``, ``on_ack`` or ``on_settled``, costs 0.13
+RELIABLE_FRAMES_PER_EVENT_BUDGET = 9.9
 
 
 def assert_frames_per_event(workload_name: str, events: int, budget: float):
