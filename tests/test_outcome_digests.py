@@ -1,7 +1,7 @@
-"""Pinned outcomes of the simulated driver: seven plain-lane fuzzer seeds
-and fourteen layered draws (crash plan, ACK/retransmit, both, and the WAL
-on top) keep their exact outcome hashes. Simulator only: no sockets, no
-processes."""
+"""Pinned outcomes of the simulated driver: seven plain-lane fuzzer seeds,
+fourteen layered draws (crash plan, ACK/retransmit, both, and the WAL
+on top) and four stored-queue streaming runs keep their exact outcome
+hashes. Simulator only: no sockets, no processes."""
 
 from __future__ import annotations
 
@@ -10,8 +10,14 @@ import hashlib
 
 import pytest
 
-from repro.conformance.fuzzer import ScenarioOutcome, run_scenario
+from repro.conformance.fuzzer import (
+    ScenarioOutcome, run_scenario, snapshot_outcome,
+)
 from repro.conformance.scenarios import Scenario
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import build_system, run_to_quiescence
+from repro.pubsub import messages as m
+from repro.workload.spec import WorkloadSpec
 
 #: sha256 over the full outcome tuple of Scenario.from_seed(seed). These
 #: digests predate the wire subsystem; any drift means the kernel's
@@ -93,3 +99,97 @@ def test_simulated_driver_outcomes_are_unchanged(seed):
     cfg = Scenario.from_seed(scenario_seed, lane, protocol).config
     outcome = run_scenario(cfg)
     assert _digest(outcome, whole=True) == LAYERED_DIGESTS[seed]
+
+
+#: the stored-queue streams (PQ, TQ and PQlist moves, sub-unsub's transfer,
+#: home-broker's forward drain) at settings no fuzz lane draws — one event
+#: per batch, or every batch of a stream in the same instant — under
+#: half-second connections between 20 s disconnections, so backlogs span
+#: many batches and MHH migrations are stopped mid-stream. Recorded while
+#: each protocol still paced its streams with its own code.
+#: protocol -> (options, sha256 over every field of the outcome)
+STREAM_DIGESTS = {
+    "mhh": (
+        {"migration_batch_size": 1},
+        "a0922cccab6b0d35a63f9236c5d887d53c10917db16b809fa71071722f26c361",
+    ),
+    "sub-unsub": (
+        {"migration_batch_size": 1},
+        "3711e85067c2786817047b44c4837009f58eff66f1b1688d5df5b8e5b42ba7b4",
+    ),
+    "home-broker": (
+        {"stream_pacing_ms": 0.0},
+        "632f35a4405d92858f047e216c1af7057fd34cf0439b89181991368681309cb9",
+    ),
+    "two-phase": (
+        {"stream_pacing_ms": 0.0},
+        "64ce5286663a18f78fbe54385d85c6397a6aa58f87228e523c1babf0aa0150a8",
+    ),
+}
+
+
+def _run_recording_messages(cfg: ExperimentConfig):
+    """``run_to_end`` with every broker-to-broker send recorded as
+    ``(sender, message)``."""
+    system, workload = build_system(cfg)
+    system.metrics.delivery.record_log = True
+    sent: list = []
+    net = system.net
+    for name in ("unicast", "send_broker"):
+        def recording(frm, to, msg, _send=getattr(net, name)):
+            sent.append((frm, msg))
+            _send(frm, to, msg)
+        setattr(net, name, recording)
+    try:
+        run_to_quiescence(system, workload, cfg.workload.duration_ms)
+    finally:
+        system.close()
+    return snapshot_outcome(system), sent
+
+
+def _streams_bound(sent) -> int:
+    """An upper bound on the streams an MHH run made: one per
+    ``FetchQueue``, one per ``deliver_TQ`` hop (a TQ drain), and one per
+    coordinator-local queue of each ``sub_migration``'s PQlist (a message
+    is first sent by its coordinator, then forwarded unchanged)."""
+    bound, seen = 0, set()
+    for frm, msg in sent:
+        if type(msg) in (m.FetchQueue, m.DeliverTQ):
+            bound += 1
+        elif type(msg) is m.SubMigration and id(msg) not in seen:
+            seen.add(id(msg))
+            bound += sum(ref.broker == frm for ref in msg.pqlist)
+    return bound
+
+
+@pytest.mark.parametrize("protocol", sorted(STREAM_DIGESTS))
+def test_stored_queue_streams_are_unchanged(protocol):
+    options, digest = STREAM_DIGESTS[protocol]
+    cfg = ExperimentConfig(
+        protocol=protocol, grid_k=3, seed=7,
+        workload=WorkloadSpec(
+            clients_per_broker=4, mobile_fraction=0.5,
+            mean_connected_s=0.5, mean_disconnected_s=20.0,
+            publish_interval_s=1.0, duration_s=240.0,
+        ),
+        **options,
+    )
+    outcome, sent = _run_recording_messages(cfg)
+    assert outcome.missing == 0
+    count = {}
+    for _frm, msg in sent:
+        count[type(msg)] = count.get(type(msg), 0) + 1
+    # more batches than streams: some stream shipped several batches
+    batches, streams = {
+        "mhh": (m.MigrateBatch, _streams_bound(sent)),
+        "two-phase": (m.MigrateBatch, _streams_bound(sent)),
+        "sub-unsub": (m.TransferBatch, count.get(m.TransferDone, 0)),
+        # a forward drain starts only on a registration
+        "home-broker": (m.ForwardedBatch, count.get(m.Register, 0)),
+    }[protocol]
+    assert count.get(batches, 0) > streams
+    if protocol in ("mhh", "two-phase"):
+        # §4.3: a stop sends the token with a PQ_tq to append to
+        assert any(type(msg) is m.DeliverTQ and msg.append_to is not None
+                   for _frm, msg in sent)
+    assert _digest(outcome, whole=True) == digest
