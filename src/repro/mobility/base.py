@@ -13,19 +13,38 @@ so that the protocol remains *distributed in spirit*: a broker's handler may
 only read and write its own broker's state and communicate with other
 brokers through messages. (Tests enforce observable behaviour, not this
 styling rule, but all three implementations follow it.)
+
+Stored events (paper §4: the PQ, the TQs, the PQlist) move between brokers
+in paced batches, and every protocol moves them through the two shapes
+written here — the only module that reads ``migration_batch_size`` and
+``stream_pacing_ms``:
+
+* the **burst stream** (:meth:`MobilityProtocol._stream`): every batch
+  timer is set at once, batch *i* ``i * stream_pacing_ms`` after the
+  first; it cannot stop. MHH's queue fetches and TQ drains, sub-unsub's
+  transfer.
+* the **chained drain** (:meth:`MobilityProtocol._drain`): each batch
+  sets the next one's timer, ``max(stream_pacing_ms, 1e-9)`` later, and
+  asks where to first, so it can stop between batches. MHH's coordinator
+  streaming its own queues (the §4.3 stop), home-broker's forward drain.
+
+The two differ observably (timer order at equal times, the ``1e-9``
+floor), which is why they stay two.
 """
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Callable, Optional, TYPE_CHECKING
 
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry
 from repro.pubsub import messages as m
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.mobility.queues import PersistentQueue
     from repro.pubsub.broker import Broker
     from repro.pubsub.system import PubSubSystem
+    from repro.util.ids import QueueRef
 
 __all__ = ["MobilityProtocol"]
 
@@ -61,6 +80,8 @@ class MobilityProtocol:
         self.tracer = system.tracer
         #: layer-seam hook point behind :meth:`later` (empty = plain timers)
         self._timer_guard = system.hooks.timer_guard
+        #: per-client subscription epochs handed out by :meth:`_next_epoch`
+        self._epochs: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # life-cycle hooks
@@ -122,6 +143,103 @@ class MobilityProtocol:
         raise NotImplementedError(
             f"{self.name}: unhandled control message {type(msg).__name__}"
         )
+
+    # ------------------------------------------------------------------
+    # stored events (module docstring)
+    # ------------------------------------------------------------------
+    def _stream(
+        self, broker: "Broker", q: "PersistentQueue", dest: int,
+        make: Callable, done: Callable, *args,
+    ) -> None:
+        """The burst stream: ship ``q`` to ``dest`` as ``make(batch)``
+        messages, the first batch now and batch *i* ``i * pacing`` later,
+        so a backlog takes simulated time in proportion to its size.
+        ``done(*args)``, which drops ``q``, runs behind the last batch: its
+        timer is set after theirs, so a completion message trails the data
+        on FIFO links.
+
+        ``q`` is frozen, and each batch pops off it when it leaves: events
+        not yet shipped stay visible to a crash-repair round. An empty
+        queue (nearly every TQ) completes at once, but still as a timer.
+        """
+        q.freeze()
+        delay = 0.0
+        if q.events:
+            pacing = self.system.stream_pacing_ms
+            n_batches = -(-len(q.events) // self.system.migration_batch_size)
+            self._ship(broker, q, dest, make)
+            for i in range(1, n_batches):
+                self.later(broker, i * pacing, self._ship, broker, q, dest, make)
+            if n_batches > 1:
+                delay = (n_batches - 1) * pacing
+        self.later(broker, delay, done, *args)
+
+    def _drain(
+        self, broker: "Broker", q: "PersistentQueue",
+        aim: Callable[["PersistentQueue"], Optional[int]], make: Callable,
+        done: Callable, *args,
+    ) -> None:
+        """The chained drain: ship one batch of ``q`` to ``aim(q)`` as a
+        ``make(batch)`` message, then the next one
+        ``max(pacing, 1e-9)`` later, until ``q`` is empty; then drop ``q``
+        and run ``done(*args)``. ``aim`` is asked before every batch:
+        ``None`` stops the drain there, the rest staying in ``q``."""
+        dest = aim(q)
+        if dest is None:
+            return
+        self._ship(broker, q, dest, make)
+        if q.events:
+            self.later(
+                broker, max(self.system.stream_pacing_ms, 1e-9),
+                self._drain, broker, q, aim, make, done, *args,
+            )
+        else:
+            broker.drop_queue(q.ref)
+            done(*args)
+
+    def _ship(
+        self, broker: "Broker", q: "PersistentQueue", dest: int,
+        make: Callable,
+    ) -> None:
+        """Send the next ``migration_batch_size`` events of ``q`` to ``dest``."""
+        batch = q.pop_batch(self.system.migration_batch_size)
+        if batch:
+            self.net.unicast(broker.id, dest, make(batch))
+
+    def _streamed(
+        self, broker: "Broker", ref: "QueueRef", to: int, msg: m.Message
+    ) -> None:
+        """A stream's usual ``done``: drop its queue, tell ``to`` with ``msg``."""
+        broker.drop_queue(ref)
+        self.net.unicast(broker.id, to, msg)
+
+    def _flush(self, broker: "Broker", client: int, ref: "QueueRef") -> None:
+        """Hand queue ``ref``'s events to the client's downlink, in order."""
+        q = broker.get_queue(ref)
+        while q.events:
+            broker.deliver_to_client(client, q.events.popleft())
+
+    def _seeded_queue(
+        self, broker: "Broker", client: int, backlog: list[Notification]
+    ) -> "PersistentQueue":
+        """A new queue at ``broker`` holding a repair round's ``backlog``."""
+        q = broker.new_queue(client)
+        q.events.extend(backlog)
+        return q
+
+    def _present(self, broker: "Broker", client: int) -> bool:
+        """Is the client attached to this broker right now?
+
+        This is broker-local knowledge (a base station knows its attached
+        terminals); we read it from the client object for convenience.
+        """
+        c = self.system.clients[client]
+        return c.connected and c.current_broker == broker.id
+
+    def _next_epoch(self, client: int) -> int:
+        e = self._epochs.get(client, -1) + 1
+        self._epochs[client] = e
+        return e
 
     # ------------------------------------------------------------------
     # crash recovery (inert unless a CrashPlan is active)

@@ -25,6 +25,7 @@ travel.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ProtocolError
@@ -45,16 +46,33 @@ _AT_HOME = -1  # sentinel for "client connected at the home broker"
 class _HomeState:
     """Home-broker-side record for one client."""
 
-    __slots__ = ("location", "queue", "last_epoch", "draining")
+    __slots__ = ("location", "queue", "last_epoch", "drain")
 
     def __init__(self) -> None:
         # None = disconnected; _AT_HOME = here; otherwise foreign broker id
         self.location: Optional[int] = None
         self.queue: Optional[QueueRef] = None
         self.last_epoch = -1
-        #: a paced stored-backlog drain toward a foreign broker is running;
-        #: meanwhile fresh events append to the queue (order preservation)
-        self.draining = False
+        #: the stored queue while a chained drain forwards it to the foreign
+        #: broker; meanwhile fresh events append to it (order preservation)
+        self.drain = None
+
+    def forward_aim(self, q) -> Optional[int]:
+        """The ``aim`` of the chained drain of ``q``: the client's foreign
+        broker, read before each batch. ``None`` stops the drain — a flush
+        at home superseded it, or the client is no longer at a foreign
+        broker, which also ends it here."""
+        if self.drain is not q:
+            return None
+        if self.location is None or self.location == _AT_HOME:
+            self.drain = None
+            return None
+        return self.location
+
+    def forwarded(self) -> None:
+        """The drain shipped (and dropped) the whole queue."""
+        self.drain = None
+        self.queue = None
 
 
 class _ForeignState:
@@ -72,20 +90,7 @@ class HomeBrokerProtocol(MobilityProtocol):
     name = "home-broker"
     default_covering = True
 
-    def __init__(self, system) -> None:
-        super().__init__(system)
-        self._epochs: dict[int, int] = {}
-
     # ------------------------------------------------------------------
-    def _present(self, broker: "Broker", client: int) -> bool:
-        c = self.system.clients[client]
-        return c.connected and c.current_broker == broker.id
-
-    def _next_epoch(self, client: int) -> int:
-        e = self._epochs.get(client, -1) + 1
-        self._epochs[client] = e
-        return e
-
     def _home_state(self, broker: "Broker", client: int) -> _HomeState:
         st = broker.pstate.get(client)
         if not isinstance(st, _HomeState):
@@ -149,10 +154,8 @@ class HomeBrokerProtocol(MobilityProtocol):
     ) -> None:
         if st.queue is None:
             return
-        st.draining = False  # local flush supersedes any remote drain
-        q = broker.get_queue(st.queue)
-        for event in q.drain():
-            broker.deliver_to_client(client, event)
+        st.drain = None  # local flush supersedes any remote drain
+        self._flush(broker, client, st.queue)
         broker.drop_queue(st.queue)
         st.queue = None
 
@@ -201,7 +204,7 @@ class HomeBrokerProtocol(MobilityProtocol):
         st = self._home_state(broker, entry.client)
         if st.location == _AT_HOME:
             broker.deliver_to_client(entry.client, event)
-        elif st.location is None or st.draining:
+        elif st.location is None or st.drain is not None:
             # disconnected, or the stored backlog is still being drained to
             # the foreign broker: append behind it to preserve order
             if st.queue is None:  # pragma: no cover - invariant
@@ -237,37 +240,13 @@ class HomeBrokerProtocol(MobilityProtocol):
         st.last_epoch = msg.epoch
         st.location = msg.foreign
         if st.queue is not None and len(broker.get_queue(st.queue)):
-            if not st.draining:
-                st.draining = True
-                self._drain_step(broker, msg.client)
+            if st.drain is None:
+                st.drain = broker.get_queue(st.queue)
+                self._drain(
+                    broker, st.drain, st.forward_aim,
+                    partial(m.ForwardedBatch, msg.client), st.forwarded,
+                )
         elif st.queue is not None:
-            broker.drop_queue(st.queue)
-            st.queue = None
-
-    def _drain_step(self, broker: "Broker", client: int) -> None:
-        """Ship one stored batch per link slot toward the current foreign
-        location; stop when empty or the client's situation changed."""
-        st = self._home_state(broker, client)
-        if not st.draining:
-            return
-        if st.location is None or st.location == _AT_HOME or st.queue is None:
-            st.draining = False  # superseded by disconnect / home reconnect
-            return
-        q = broker.get_queue(st.queue)
-        batch = [q.popleft() for _ in range(
-            min(len(q), self.system.migration_batch_size)
-        )]
-        if batch:
-            self.net.unicast(
-                broker.id, st.location, m.ForwardedBatch(client, batch)
-            )
-        if len(q):
-            self.later(
-                broker, max(self.system.stream_pacing_ms, 1e-9),
-                self._drain_step, broker, client,
-            )
-        else:
-            st.draining = False
             broker.drop_queue(st.queue)
             st.queue = None
 
@@ -324,10 +303,7 @@ class HomeBrokerProtocol(MobilityProtocol):
         paths (flush at home, register from a foreign broker)."""
         st = _HomeState()
         st.location = None
-        q = broker.new_queue(client.id)
-        for event in backlog:
-            q.append(event)
-        st.queue = q.ref
+        st.queue = self._seeded_queue(broker, client.id, backlog).ref
         broker.pstate[client.id] = st
         entry = ClientEntry(
             client.id, ("hb", client.id), client.filter, live=False

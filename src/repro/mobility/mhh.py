@@ -52,7 +52,11 @@ Protocol walk-through (silent move, §4.2)
    §4.3) to ``Bn`` queue by queue (``fetch_queue`` / ``queue_streamed``),
    then launches the ``deliver_TQ`` token down the path; each transit
    broker drains its TQ to ``Bn`` and forwards the token. Token arrival at
-   ``Bn`` completes the migration.
+   ``Bn`` completes the migration. The batches move in the two shapes of
+   :mod:`repro.mobility.base`: ``Bo`` ships its own queues as a *chained
+   drain*, which a stop cuts between batches; a fetched queue and a TQ
+   leave as a *burst stream*, which the token or ``queue_streamed``
+   trails.
 4. ``Bn`` buffers newly arriving events in an *arrivals* queue while
    handing migrated events to the client immediately through the serial
    wireless downlink, then flushes the arrivals queue and goes live. The
@@ -88,6 +92,7 @@ live client with nothing left to chase it back).
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import partial
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import HandoffPhaseError
@@ -138,57 +143,23 @@ class _OutMigration:
     """What the coordinator (the paper's ``Bo``) holds while it migrates."""
 
     __slots__ = ("dest", "first_hop", "remaining", "current",
-                 "stop_requested", "local_job")
+                 "stop_requested")
 
     def __init__(self, dest: int, first_hop: int, remaining: list[QueueRef]) -> None:
         self.dest = dest
         self.first_hop = first_hop
         self.remaining = remaining
+        #: the queue streaming now: a local one is a chained drain that
+        #: a stop cuts between batches; a remote fetch runs to completion
+        #: (§4.3 models the stop at the coordinator)
         self.current: Optional[QueueRef] = None
         self.stop_requested = False
-        #: cancellable paced drain of a local queue (None while fetching a
-        #: remote one — remote fetches run to completion, §4.3 models the
-        #: stop at the coordinator)
-        self.local_job: Optional["_LocalStreamJob"] = None
 
-
-class _LocalStreamJob:
-    """Paced, cancellable drain of one local queue toward a destination.
-
-    One batch leaves per ``stream_pacing_ms``; a ``stop_event_migration``
-    cancels the job between batches, leaving the remainder in the queue —
-    this is exactly the paper's "Bo stops the event migration" (§4.3).
-    """
-
-    __slots__ = ("protocol", "broker", "client", "ref", "dest", "cancelled")
-
-    def __init__(self, protocol, broker, client, ref, dest) -> None:
-        self.protocol = protocol
-        self.broker = broker
-        self.client = client
-        self.ref = ref
-        self.dest = dest
-        self.cancelled = False
-        broker.get_queue(ref).freeze()
-
-    def _step(self) -> None:
-        if self.cancelled:
-            return
-        protocol = self.protocol
-        q = self.broker.get_queue(self.ref)
-        protocol._ship_batch(self.broker, q, self.client, self.dest, None)
-        if len(q):
-            protocol.later(
-                self.broker, max(protocol.system.stream_pacing_ms, 1e-9),
-                self._step,
-            )
-        else:
-            self.broker.drop_queue(self.ref)
-            protocol._local_queue_done(self.broker, self.client, self.ref)
-
-    def cancel(self) -> None:
-        """Halt between batches; the queue keeps its remainder (frozen)."""
-        self.cancelled = True
+    def local_aim(self, q) -> Optional[int]:
+        """Where the next batch of local queue ``q`` goes: ``None`` once a
+        ``stop_event_migration`` cut the stream, leaving the rest in ``q``
+        — the paper's "Bo stops the event migration" (§4.3)."""
+        return self.dest if self.current == q.ref else None
 
 
 class _Immigration:
@@ -357,15 +328,6 @@ class MHHProtocol(MobilityProtocol):
     def _key(self, client: int):
         return ("sub", client)
 
-    def _present(self, broker: "Broker", client: int) -> bool:
-        """Is the client attached to this broker right now?
-
-        This is broker-local knowledge (a base station knows its attached
-        terminals); we read it from the client object for convenience.
-        """
-        c = self.system.clients[client]
-        return c.connected and c.current_broker == broker.id
-
     # ------------------------------------------------------------------
     # life-cycle
     # ------------------------------------------------------------------
@@ -407,7 +369,7 @@ class MHHProtocol(MobilityProtocol):
         if st.phase is PRE_ANCHOR and self._present(broker, client):
             # immigrant events already arriving ahead of the sub_migration
             st.move.deliver_live = True
-            self._drain_queue_to_wireless(broker, client, st.move.immigrant)
+            self._flush(broker, client, st.move.immigrant)
         self._gc(broker, client)
 
     def _first_attach(self, broker: "Broker", client: int, st: _State) -> None:
@@ -445,15 +407,14 @@ class MHHProtocol(MobilityProtocol):
             # client arrived (or came back) at the destination mid-migration:
             # hand over what has accumulated, pass the rest through live
             move.deliver_live = True
-            self._drain_queue_to_wireless(broker, client, move.immigrant)
+            self._flush(broker, client, move.immigrant)
         elif st.phase is SELF_MIGRATION:
             move.deliver_live = True
             move.stop_requested = False
             if move.immigrant is not None:
-                self._drain_queue_to_wireless(broker, client, move.immigrant)
-                if not len(broker.get_queue(move.immigrant)):
-                    broker.drop_queue(move.immigrant)
-                    move.immigrant = None
+                self._flush(broker, client, move.immigrant)
+                broker.drop_queue(move.immigrant)
+                move.immigrant = None
         else:
             # settled anchor with a stored (possibly broker-distributed)
             # PQlist
@@ -677,7 +638,7 @@ class MHHProtocol(MobilityProtocol):
         st.phase = IN_MIGRATION
         st.move = im
         if present and len(broker.get_queue(im.immigrant)):
-            self._drain_queue_to_wireless(broker, client, im.immigrant)
+            self._flush(broker, client, im.immigrant)
         if self.tracer.wants("anchor_formed"):
             self.tracer.emit(
                 "anchor_formed", client=client, broker=broker.id, connected=present
@@ -727,12 +688,13 @@ class MHHProtocol(MobilityProtocol):
             ref = om.remaining[0]
             om.current = ref
             if ref.broker == broker.id:
-                # stored before its first step: a queue of one batch
-                # finishes inside that step and clears it again
-                om.local_job = job = _LocalStreamJob(
-                    self, broker, client, ref, om.dest
+                # frozen since the first ack; a queue of one batch finishes
+                # inside the first step
+                self._drain(
+                    broker, broker.get_queue(ref), om.local_aim,
+                    partial(m.MigrateBatch, client, append_to=None),
+                    self._queue_done, broker, client, st, ref,
                 )
-                job._step()
             else:
                 self.net.unicast(
                     broker.id, ref.broker,
@@ -751,80 +713,17 @@ class MHHProtocol(MobilityProtocol):
         )
         self._to_idle(broker, client, st)
 
-    def _stream_queue_local(
-        self,
-        broker: "Broker",
-        client: int,
-        ref: QueueRef,
-        dest: int,
-        append_to: Optional[QueueRef],
-        done,
-        *args,
-    ) -> None:
-        """Stream a local queue to ``dest`` in paced batches.
-
-        Batches leave one link-transmission slot apart (``stream_pacing_ms``)
-        so shipping a backlog takes simulated time proportional to its size;
-        ``done(*args)``, which drops the queue, fires after the last batch
-        departs (scheduled after it, so completion messages always trail
-        the data on FIFO links).
-        """
-        q = broker.get_queue(ref)
-        q.freeze()
-        delay = 0.0
-        if q.events:
-            # pop batch-by-batch off the live (frozen, so append-proof) queue
-            # at dispatch time rather than draining it upfront: identical
-            # timers and batches, but events not yet shipped stay visible in
-            # the queue, so a crash-repair round gathers them instead of
-            # losing them inside timer arguments
-            pacing = self.system.stream_pacing_ms
-            n_batches = -(-len(q.events) // self.system.migration_batch_size)
-            self._ship_batch(broker, q, client, dest, append_to)
-            for i in range(1, n_batches):
-                self.later(
-                    broker, i * pacing, self._ship_batch,
-                    broker, q, client, dest, append_to,
-                )
-            if n_batches > 1:
-                delay = (n_batches - 1) * pacing
-        # an empty queue (nearly every TQ) completes at once, but still as
-        # a timer: a scheduled event, and crash repair guards it in `later`
-        self.later(broker, delay, done, *args)
-
-    def _ship_batch(
-        self, broker: "Broker", q, client: int, dest: int,
-        append_to: Optional[QueueRef],
-    ) -> None:
-        """Send the next ``migration_batch_size`` events of ``q`` to ``dest``."""
-        batch = [
-            q.popleft()
-            for _ in range(min(len(q), self.system.migration_batch_size))
-        ]
-        if batch:
-            self.net.unicast(
-                broker.id, dest, m.MigrateBatch(client, batch, append_to)
-            )
-
-    def _local_queue_done(self, broker: "Broker", client: int, ref: QueueRef) -> None:
-        st = broker.pstate.get(client)
-        if st is None or st.phase is not OUT_STREAMING:  # pragma: no cover
-            raise self._illegal(broker, client, st, "local stream completion")
-        self._queue_done(broker, client, st, ref)
-
     def _on_fetch_queue(
         self, broker: "Broker", st: Optional[_State], msg: m.FetchQueue,
         frm: int,
     ) -> None:
         """Any phase: the queue asked for is streamed wherever it is."""
-        self._stream_queue_local(
-            broker, msg.client, msg.ref, msg.dest, msg.append_to,
-            self._queue_fetched, broker, msg, frm,
+        self._stream(
+            broker, broker.get_queue(msg.ref), msg.dest,
+            partial(m.MigrateBatch, msg.client, append_to=msg.append_to),
+            self._streamed, broker, msg.ref, frm,
+            m.QueueStreamed(msg.client, msg.ref),
         )
-
-    def _queue_fetched(self, broker: "Broker", msg: m.FetchQueue, frm: int) -> None:
-        broker.drop_queue(msg.ref)
-        self.net.unicast(broker.id, frm, m.QueueStreamed(msg.client, msg.ref))
 
     def _on_queue_streamed(
         self, broker: "Broker", st: _State, msg: m.QueueStreamed, frm: int
@@ -838,7 +737,6 @@ class MHHProtocol(MobilityProtocol):
         if om.current != ref:
             raise self._illegal(broker, client, st, f"completion of {ref}")
         om.current = None
-        om.local_job = None
         om.remaining.pop(0)
         if om.stop_requested:
             self._do_stop(broker, client, st)
@@ -895,8 +793,9 @@ class MHHProtocol(MobilityProtocol):
         self, broker: "Broker", st: _State, msg: m.DeliverTQ, frm: int
     ) -> None:
         """TRANSIT_ACKED: drain the TQ to the token's target, then pass it on."""
-        self._stream_queue_local(
-            broker, msg.client, st.move.tq, msg.target, msg.append_to,
+        self._stream(
+            broker, broker.get_queue(st.move.tq), msg.target,
+            partial(m.MigrateBatch, msg.client, append_to=msg.append_to),
             self._transit_drained, broker, msg.client, st, msg,
         )
 
@@ -917,24 +816,15 @@ class MHHProtocol(MobilityProtocol):
         """IN_MIGRATION -> SETTLED: the token has reached the destination."""
         im = st.move
         stopped = msg.append_to is not None
-        new_list: list[QueueRef] = []
-        if len(broker.get_queue(im.immigrant)):
-            new_list.append(im.immigrant)
-        else:
-            broker.drop_queue(im.immigrant)
-        new_list.extend(msg.remaining)
-        if stopped:
-            new_list.append(msg.append_to)
-        new_list.append(im.arrivals)
-        st.pqlist = new_list
-        st.phase = SETTLED
-        st.move = None
+        rest = ([*msg.remaining, msg.append_to, im.arrivals] if stopped
+                else [*msg.remaining, im.arrivals])
         if self.tracer.wants("migration_complete"):
             self.tracer.emit(
                 "migration_complete", client=msg.client, broker=broker.id,
-                stopped=stopped, queues=len(new_list),
+                stopped=stopped,
+                queues=len(rest) + bool(len(broker.get_queue(im.immigrant))),
             )
-        self._anchor_settled(broker, msg.client, st)
+        self._settle(broker, msg.client, st, im.immigrant, rest)
 
     # ------------------------------------------------------------------
     # stop handling (frequent moving, §4.3)
@@ -956,15 +846,13 @@ class MHHProtocol(MobilityProtocol):
     ) -> None:
         om = st.move
         om.stop_requested = True
-        if om.local_job is not None:
-            # §4.3: "asking Bo to stop the event migration" — halt the paced
-            # drain between batches; the remainder stays in the queue and
-            # keeps its place in the (relinked) PQlist
-            om.local_job.cancel()
-            om.local_job = None
+        if om.current is not None:
+            if om.current.broker != broker.id:
+                return  # a remote fetch is in flight; stop when it completes
+            # §4.3: "asking Bo to stop the event migration" — the local
+            # drain stops before its next batch (`local_aim`); the remainder
+            # stays in the queue and keeps its place in the relinked PQlist
             om.current = None
-        elif om.current is not None:
-            return  # a remote fetch is in flight; stop when it completes
         self._do_stop(broker, msg.client, st)
 
     def _do_stop(self, broker: "Broker", client: int, st: _State) -> None:
@@ -1075,15 +963,20 @@ class MHHProtocol(MobilityProtocol):
     ) -> None:
         """SELF_MIGRATION -> SETTLED."""
         sm = st.move
-        new_list: list[QueueRef] = []
-        if sm.immigrant is not None:
-            if len(broker.get_queue(sm.immigrant)):
-                new_list.append(sm.immigrant)
+        self._settle(broker, client, st, sm.immigrant, sm.remaining + st.pqlist)
+
+    def _settle(
+        self, broker: "Broker", client: int, st: _State,
+        immigrant: Optional[QueueRef], rest: list[QueueRef],
+    ) -> None:
+        """A rooted phase -> SETTLED with the PQlist ``[immigrant] + rest``;
+        an empty immigrant buffer is dropped instead of listed."""
+        if immigrant is not None:
+            if len(broker.get_queue(immigrant)):
+                rest.insert(0, immigrant)
             else:
-                broker.drop_queue(sm.immigrant)
-        new_list.extend(sm.remaining)
-        new_list.extend(st.pqlist)  # [tail]
-        st.pqlist = new_list
+                broker.drop_queue(immigrant)
+        st.pqlist = rest
         st.phase = SETTLED
         st.move = None
         self._anchor_settled(broker, client, st)
@@ -1091,9 +984,7 @@ class MHHProtocol(MobilityProtocol):
     def _flush_tail_and_go_live(
         self, broker: "Broker", client: int, tail: QueueRef
     ) -> None:
-        q = broker.get_queue(tail)
-        for event in q.drain():
-            broker.deliver_to_client(client, event)
+        self._flush(broker, client, tail)
         broker.drop_queue(tail)
         entry = broker.table.require_client_entry(client)
         entry.live = True
@@ -1124,13 +1015,6 @@ class MHHProtocol(MobilityProtocol):
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-    def _drain_queue_to_wireless(
-        self, broker: "Broker", client: int, ref: QueueRef
-    ) -> None:
-        q = broker.get_queue(ref)
-        while len(q):
-            broker.deliver_to_client(client, q.popleft())
-
     def _reclaim_wireless(self, broker: "Broker", client: int, ref: QueueRef) -> None:
         """Pull queued (untransmitted) downlink events back into queue ``ref``."""
         pending = self.net.reclaim_downlink(client)
@@ -1151,9 +1035,7 @@ class MHHProtocol(MobilityProtocol):
         flushes the tail."""
         st = self._state(broker, client.id)
         st.epoch = client.connect_epoch
-        tail = broker.new_queue(client.id)
-        for event in backlog:
-            tail.append(event)
+        tail = self._seeded_queue(broker, client.id, backlog)
         st.pqlist = [tail.ref]
         st.connected = False
         entry = ClientEntry(

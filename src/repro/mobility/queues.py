@@ -16,11 +16,17 @@ order (§4.3). The list order itself is carried in MHH control messages as a
 vector of refs — equivalent to the paper's per-queue next pointers, since
 only the anchor ever reads or relinks the list, and it travels with the
 anchor role (``sub_migration.pqlist``, ``deliver_TQ.remaining``).
+
+Queues move between brokers through the two stream shapes of
+:class:`repro.mobility.base.MobilityProtocol`, which pop one
+:meth:`PersistentQueue.pop_batch` per message as it leaves: the events not
+yet shipped stay in the queue, where a crash-repair round finds them.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Iterator, Optional
 
 from repro.pubsub.events import Notification
@@ -58,8 +64,13 @@ class PersistentQueue:
         for ev in reversed(events):
             self.events.appendleft(ev)
 
-    def popleft(self) -> Notification:
-        return self.events.popleft()
+    def pop_batch(self, n: int) -> list[Notification]:
+        """Remove and return the first ``n`` events (fewer if short), in order."""
+        events = self.events
+        batch = list(islice(events, n))
+        for _ in batch:
+            events.popleft()
+        return batch
 
     def drain(self) -> list[Notification]:
         """Remove and return all events in order."""

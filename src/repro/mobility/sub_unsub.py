@@ -34,6 +34,7 @@ measure").
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ProtocolError
@@ -95,7 +96,6 @@ class SubUnsubProtocol(MobilityProtocol):
 
     def __init__(self, system) -> None:
         super().__init__(system)
-        self._epochs: dict[int, int] = {}
         # Safety interval: worst-case subscription propagation time on the
         # overlay ("the maximum time for message delivery between any two
         # stations" — paper §5.1).
@@ -117,15 +117,6 @@ class SubUnsubProtocol(MobilityProtocol):
         roots = broker.pstate.get(client)
         if roots is not None and not roots:
             del broker.pstate[client]
-
-    def _present(self, broker: "Broker", client: int) -> bool:
-        c = self.system.clients[client]
-        return c.connected and c.current_broker == broker.id
-
-    def _next_epoch(self, client: int) -> int:
-        e = self._epochs.get(client, -1) + 1
-        self._epochs[client] = e
-        return e
 
     def _deliver(self, broker: "Broker", root: _Root, client: int,
                  event: Notification) -> None:
@@ -347,45 +338,21 @@ class SubUnsubProtocol(MobilityProtocol):
                 "su_unsubscribe", client=client, broker=broker.id,
                 epoch=old_root.epoch,
             )
-        # paced dispatch: one batch per link slot; TransferDone trails the
-        # last batch on the same path (FIFO), so the merge sees everything.
-        # Batches pop off the live (frozen) queue at dispatch time — same
-        # timers and contents as an upfront drain, but unshipped events stay
-        # visible to a crash-repair round instead of hiding in closures.
-        qref = old_root.queue
-        q = None
-        n_batches = 0
-        batch_size = self.system.migration_batch_size
-        if qref is not None:
-            q = broker.get_queue(qref)
-            q.freeze()
-            n_batches = -(-len(q) // batch_size)
-        pacing = self.system.stream_pacing_ms
-
-        def send_batch():
-            batch = [q.popleft() for _ in range(min(len(q), batch_size))]
-            if batch:
-                self.net.unicast(
-                    broker.id, msg.new_broker,
-                    m.TransferBatch(client, msg.epoch, batch),
-                )
-
-        for i in range(n_batches):
-            if i == 0:
-                send_batch()
-            else:
-                self.later(broker, i * pacing, send_batch)
+        # a burst stream: TransferDone trails the last batch on the same
+        # path (FIFO), so the merge sees everything
         done = m.TransferDone(
             client, msg.epoch, frozenset(old_root.delivered_ids)
         )
-
-        def send_done():
-            if qref is not None:
-                broker.drop_queue(qref)
-            self.net.unicast(broker.id, msg.new_broker, done)
-
-        delay = (n_batches - 1) * pacing if n_batches > 1 else 0.0
-        self.later(broker, delay, send_done)
+        if old_root.queue is None:
+            self.later(
+                broker, 0.0, self.net.unicast, broker.id, msg.new_broker, done
+            )
+        else:
+            self._stream(
+                broker, broker.get_queue(old_root.queue), msg.new_broker,
+                partial(m.TransferBatch, client, msg.epoch),
+                self._streamed, broker, old_root.queue, msg.new_broker, done,
+            )
         roots = broker.pstate[client]
         del roots[old_root.epoch]
         self._gc(broker, client)
@@ -477,9 +444,7 @@ class SubUnsubProtocol(MobilityProtocol):
         key = (client.id, epoch)
         root = _Root(epoch, key)
         roots[epoch] = root
-        q = broker.new_queue(client.id)
-        for event in backlog:
-            q.append(event)
+        q = self._seeded_queue(broker, client.id, backlog)
         root.queue = q.ref
         entry = ClientEntry(
             client.id, key, client.filter, live=False, sink=q.ref.qid

@@ -170,7 +170,10 @@ class Broker:
         entry = ClientEntry(client, key, f, live=live, sink=sink)
         self.table.set_client_entry(entry)
         for nbr in self.table.neighbors:
-            self._advertise(nbr, key, f, category)
+            if self.advertise(nbr, key, f):
+                self.net.send_broker(
+                    self.id, nbr, m.SubscribeMessage(key, f, category)
+                )
         return entry
 
     def local_unsubscribe(self, client: int, category: str) -> None:
@@ -188,8 +191,9 @@ class Broker:
     def _handle_subscribe(self, msg: m.SubscribeMessage, frm: int) -> None:
         self.table.add_broker_filter(frm, msg.key, msg.filter)
         for nbr in self.table.neighbors:
-            if nbr != frm:
-                self._advertise(nbr, msg.key, msg.filter, msg.category)
+            if nbr != frm and self.advertise(nbr, msg.key, msg.filter):
+                self.net.send_broker(self.id, nbr, m.SubscribeMessage(
+                    msg.key, msg.filter, msg.category))
 
     def _handle_unsubscribe(self, msg: m.UnsubscribeMessage, frm: int) -> None:
         if not self.table.remove_broker_filter(frm, msg.key):
@@ -211,16 +215,17 @@ class Broker:
         m.ConnectMessage: _rx_connect,
     }
 
-    def _advertise(self, nbr: int, key: Hashable, f: Filter, category: str) -> None:
-        """Send ``sub(key, f)`` to ``nbr`` unless covering prunes it."""
+    def advertise(self, nbr: int, key: Hashable, f: Filter) -> bool:
+        """The subscription flood rule: mirror ``sub(key, f)`` as advertised
+        to ``nbr`` unless covering prunes it or ``nbr`` already has ``key``.
+        True if it is new there, and so must propagate (as a message, or as
+        a repair round's direct install)."""
         if self.system.covering_enabled and self.table.advertised_covers(nbr, f):
-            return
+            return False
         if self.table.advertised_has(nbr, key):
-            return
+            return False
         self.table.advertised_add(nbr, key, f)
-        self.net.send_broker(
-            self.id, nbr, m.SubscribeMessage(key, f, category)
-        )
+        return True
 
     def _withdraw(self, nbr: int, key: Hashable, category: str) -> None:
         """Withdraw ``key`` from ``nbr`` and re-advertise uncovered filters.

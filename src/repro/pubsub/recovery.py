@@ -46,11 +46,11 @@ single synchronous repair round restores a consistent global state:
    tree neighbours;
 3. **resync routing state**: for every client (in id order) install a
    canonical offline subscription at its anchor broker via the protocol's
-   ``install_recovered`` hook and flood the entry synchronously — replaying
-   the exact ``_advertise`` / ``_handle_subscribe`` logic including
-   covering-index pruning, so the rebuilt tables equal a from-scratch
-   construction (the differential oracle in ``tests/test_recovery.py``
-   checks this equality broker by broker);
+   ``install_recovered`` hook and flood the entry synchronously — the
+   message path's own flood rule (``Broker.advertise``, covering-index
+   pruning included) and ``_handle_subscribe``'s install, so the rebuilt
+   tables equal a from-scratch construction (the differential oracle in
+   ``tests/test_recovery.py`` checks this equality broker by broker);
 4. **reattach**: for clients that were connected when the round ran,
    synthesize the protocol's normal ``on_connect`` (reusing the client's
    existing connect epoch, so interrupted MHH/two-phase handoffs restart
@@ -420,11 +420,12 @@ class RecoveryCoordinator:
     def _flood_entry(self, origin: int, key, filt: Filter) -> None:
         """Synchronously replay the subscription flood for one entry.
 
-        Mirrors ``Broker._advertise`` + ``Broker._handle_subscribe``
-        exactly — advertised-key dedup, covering-index pruning, mirror
-        bookkeeping — but applies the table mutations in place instead of
-        sending messages, so the repaired routing state is consistent the
-        instant the round completes (and equals a from-scratch build).
+        Each hop runs the flood rule ``Broker.advertise`` (covering prune,
+        advertised-key dedup, mirror bookkeeping) and then what
+        ``Broker._handle_subscribe`` does, but installs at the receiver in
+        place instead of sending a message, so the repaired routing state
+        is consistent the instant the round completes (and equals a
+        from-scratch build).
         """
         broker = self.system.brokers[origin]
         for nbr in broker.table.neighbors:
@@ -433,12 +434,8 @@ class RecoveryCoordinator:
     def _sync_advertise(
         self, broker: "Broker", nbr: int, key, filt: Filter
     ) -> None:
-        table = broker.table
-        if self.system.covering_enabled and table.advertised_covers(nbr, filt):
+        if not broker.advertise(nbr, key, filt):
             return
-        if table.advertised_has(nbr, key):
-            return
-        table.advertised_add(nbr, key, filt)
         receiver = self.system.brokers[nbr]
         receiver.table.add_broker_filter(broker.id, key, filt)
         for nxt in receiver.table.neighbors:

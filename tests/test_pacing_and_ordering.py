@@ -1,9 +1,18 @@
 """Tests for paced queue streaming and the ordering guarantees around it."""
 
+import ast
+from functools import partial
+from pathlib import Path
+
 import pytest
 
+import repro.mobility
+from repro.pubsub import messages as m
+from repro.pubsub.events import Notification
 from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
+
+BATCH_SIZES = [1, 3, 10, 100]
 
 
 def build(protocol="mhh", pacing=None, batch=1, k=4, seed=1, trace=None):
@@ -65,7 +74,7 @@ def test_pacing_zero_is_instantaneous_dispatch():
     assert stats.duplicates == 0 and stats.order_violations == 0
 
 
-@pytest.mark.parametrize("batch", [1, 3, 10, 100])
+@pytest.mark.parametrize("batch", BATCH_SIZES)
 def test_batch_sizes_preserve_semantics(batch):
     system = build(batch=batch)
     sub, _pub = loaded_pair(system, backlog=23)
@@ -163,3 +172,121 @@ def test_home_broker_paced_drain_keeps_order_with_live_traffic():
     assert stats.order_violations == 0
     assert stats.duplicates == 0
     assert stats.delivered + stats.lost_explicit == stats.expected
+
+
+# ----------------------------------------------------------------------
+# the two stream shapes of MobilityProtocol, driven directly
+# ----------------------------------------------------------------------
+def stored_queue(broker, n):
+    """A new queue at ``broker`` holding ``n`` events of one publisher."""
+    q = broker.new_queue(0)
+    for seq in range(n):
+        q.append(Notification(seq, 99, seq, 0.0, 0.5))
+    return q
+
+
+def recording_unicast(system):
+    """Replace the transport's unicast: record ``(time, to, msg)``."""
+    sent = []
+    system.net.unicast = lambda frm, to, msg: sent.append(
+        (system.sim.now, to, msg))
+    return sent
+
+
+@pytest.mark.parametrize("pacing", [0.0, 2.5, None])
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+def test_burst_stream_ships_the_queue_in_order_at_paced_instants(batch, pacing):
+    system = build(pacing=pacing, batch=batch)
+    protocol, broker = system.protocol, system.brokers[0]
+    q = stored_queue(broker, 23)
+    events = list(q)
+    sent = recording_unicast(system)
+    system.run(until=500.0)
+    t0, p = system.sim.now, system.stream_pacing_ms
+    done = m.QueueStreamed(0, q.ref)
+    protocol._stream(
+        broker, q, 5, partial(m.MigrateBatch, 0, append_to=None),
+        protocol._streamed, broker, q.ref, 5, done,
+    )
+    assert q.frozen and broker.queues[q.ref.qid] is q
+    with pytest.raises(RuntimeError):
+        q.append(events[0])
+    system.sim.run()
+    *batches, (t_done, to, last) = sent
+    n = -(-23 // batch)
+    assert [t for t, _to, _msg in batches] == [t0 + i * p for i in range(n)]
+    assert [ev for _t, _to, msg in batches for ev in msg.events] == events
+    assert all(len(msg.events) == batch for _t, _to, msg in batches[:-1])
+    # the completion trails the last batch, and its done dropped the queue
+    assert (t_done, to, last) == (batches[-1][0], 5, done)
+    assert q.ref.qid not in broker.queues
+
+
+@pytest.mark.parametrize("pacing", [0.0, 2.5])
+@pytest.mark.parametrize("stop_after", [1, 2, 4, None])
+def test_chained_drain_stops_between_batches(stop_after, pacing):
+    """``aim`` is asked before every batch; after a stop the rest stays in
+    the (frozen) queue, in order, and nothing more is scheduled."""
+    system = build(pacing=pacing, batch=3)
+    protocol, broker = system.protocol, system.brokers[0]
+    q = stored_queue(broker, 20)
+    q.freeze()
+    events = list(q)
+    sent = recording_unicast(system)
+    system.run(until=500.0)
+    asked = []
+
+    def aim(queue):
+        assert queue is q
+        asked.append(system.sim.now)
+        return 5 if stop_after is None or len(asked) <= stop_after else None
+
+    finished = []
+    before = system.sim.events_processed
+    protocol._drain(
+        broker, q, aim, partial(m.MigrateBatch, 0, append_to=None),
+        finished.append, "done",
+    )
+    system.sim.run()
+    step = max(pacing, 1e-9)
+    expect_times = [500.0]
+    while len(expect_times) < len(asked):
+        expect_times.append(expect_times[-1] + step)
+    assert asked == expect_times
+    shipped = [ev for _t, _to, msg in sent for ev in msg.events]
+    assert [t for t, _to, _msg in sent] == asked[:len(sent)]
+    if stop_after is None:
+        assert shipped == events and len(sent) == len(asked) == 7
+        assert finished == ["done"] and q.ref.qid not in broker.queues
+    else:
+        assert shipped == events[:3 * stop_after]
+        assert list(q) == events[3 * stop_after:] and q.frozen
+        assert finished == [] and broker.queues[q.ref.qid] is q
+        # a timer per batch after the first, plus the one whose aim stopped
+        assert len(asked) == stop_after + 1
+    assert system.sim.events_processed - before == len(asked) - 1
+
+
+_PACING_OPTIONS = ("stream_pacing_ms", "migration_batch_size")
+_MOBILITY_MODULES = sorted(Path(repro.mobility.__file__).parent.glob("*.py"))
+
+
+def _pacing_reads(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text())
+    return [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr in _PACING_OPTIONS
+    ]
+
+
+@pytest.mark.parametrize("path", _MOBILITY_MODULES, ids=lambda p: p.name)
+def test_only_the_base_protocol_reads_the_pacing_options(path):
+    """The pacing policy sits behind ``mobility/base.py``: the two stream
+    shapes there are the only readers of the two options."""
+    reads = _pacing_reads(path)
+    if path.name == "base.py":
+        assert len(reads) == 4, reads  # the walk sees what it forbids
+    else:
+        assert reads == []

@@ -23,11 +23,13 @@ def test_fifo_order(q):
     assert len(q) == 0
 
 
-def test_popleft(q):
-    q.append(ev(1))
-    q.append(ev(2))
-    assert q.popleft().event_id == 1
-    assert len(q) == 1
+def test_pop_batch(q):
+    for i in range(5):
+        q.append(ev(i))
+    q.freeze()  # a streaming queue is frozen; popping is still allowed
+    assert [e.event_id for e in q.pop_batch(2)] == [0, 1]
+    assert [e.event_id for e in q.pop_batch(10)] == [2, 3, 4]
+    assert q.pop_batch(3) == [] and len(q) == 0
 
 
 def test_extend_front_preserves_order(q):
