@@ -150,7 +150,7 @@ def _crash_plan(seed: int, cfg: ExperimentConfig) -> CrashPlan:
     rnd = random.Random(f"crash-lane:{seed}")
     topo = grid_topology(cfg.grid_k)
     duration_ms = cfg.workload.duration_ms
-    edges = [(u, v) for u, v, _w in topo.edges()]
+    edges = list(topo.edges())
     shapes = ("crash", "crash", "crash+restart", "partition",
               "crash+partition")
     for _attempt in range(100):

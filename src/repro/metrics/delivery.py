@@ -122,8 +122,13 @@ class DeliveryChecker:
         # reliability-mode reconciliation (inert unless enable_reliability):
         # the retransmit/shed machinery makes the final fate of a dropped
         # frame unknowable at drop time, so every write-off candidate is
-        # *marked* and the books are settled once, at end of run, with
-        # precedence delivered > shed > lost > crash_lost
+        # *marked* and the books are settled once, at end of run. A pair
+        # counts in one write-off ledger at most, by this precedence:
+        # * reliability mode: delivered > shed > crash_lost > lost, so a
+        #   pair both loss-marked and crash-marked settles as crash_lost;
+        # * eager mode: lost (counted at drop time and kept, even if a copy
+        #   is delivered later) > delivered > crash_lost, so the same pair
+        #   settles as lost.
         self._rel_mode = False
         # drops covered by an active retransmit window at drop time
         self._recover_marked: set[tuple[int, int]] = set()

@@ -1,8 +1,9 @@
 """Physical network substrate.
 
 The paper's testbed is a k x k grid of base stations ("event brokers")
-joined by wired links (10 ms per hop), with mobile clients attached over
-wireless links (20 ms). Two routing structures coexist:
+joined by wired links (10 ms per hop, so every link is one unit of cost),
+with mobile clients attached over wireless links (20 ms). Two routing
+structures coexist:
 
 * an **overlay spanning tree** (minimum-cost spanning tree of the grid) used
   for subscription propagation and event dissemination (the acyclic pub/sub
@@ -11,6 +12,10 @@ wireless links (20 ms). Two routing structures coexist:
   unicast (handoff requests, queue migration streams, home-broker
   forwarding) — Section 5.1: "Any pair of stations can connect with each
   other via the shortest path in the network."
+
+One graph search answers both: :class:`ShortestPaths`, a breadth-first
+hop-count / next-hop oracle, over the grid, and over the tree's own edges
+as :class:`SpanningTree`.
 """
 
 from repro.network.topology import Topology, grid_topology

@@ -1,10 +1,12 @@
-"""Shortest paths in the underlying (physical) network.
+"""Shortest paths: the one graph search of the network substrate.
 
 Handoff requests, queue-migration streams and home-broker forwarding travel
 "via the shortest path in the network" (paper Section 5.1), i.e. over grid
-shortest paths rather than the overlay tree. This module provides all-pairs
-next-hop/distance tables computed lazily per source with BFS (unit weights)
-or Dijkstra (general weights).
+shortest paths rather than the overlay tree. Every link is one hop, so a
+breadth-first search from a source gives its hop counts and first hops;
+tables are built lazily per source and cached. The overlay tree
+(:class:`~repro.network.spanning_tree.SpanningTree`) is this oracle over
+its own edges, where the shortest path is the unique tree path.
 
 Tie-breaking: among equally short next hops the numerically smallest
 neighbour is chosen, so routes are deterministic.
@@ -12,7 +14,6 @@ neighbour is chosen, so routes are deterministic.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 
 from repro.errors import RoutingError
@@ -22,71 +23,57 @@ __all__ = ["ShortestPaths"]
 
 
 class ShortestPaths:
-    """Lazy all-pairs shortest-path oracle over a :class:`Topology`."""
+    """Lazy all-pairs hop-count / next-hop oracle over a :class:`Topology`.
+
+    A node a source cannot reach has no hop count and no next hop: asking
+    for either raises :class:`RoutingError`.
+    """
 
     def __init__(self, topo: Topology) -> None:
         self.topo = topo
-        self._uniform = len({w for _u, _v, w in topo.edges()} | {1.0}) == 1
-        self._dist: dict[int, list[float]] = {}
-        self._first_hop: dict[int, list[int]] = {}
+        #: ascending neighbour lists, read once: a search enters no frame
+        #: per node it visits
+        self._neighbors = [topo.neighbors(u) for u in range(topo.n)]
+        #: per solved source: (hop count, first hop) per node, -1 where
+        #: the node is unreachable
+        self._solved: dict[int, tuple[list[int], list[int]]] = {}
 
     # ------------------------------------------------------------------
-    def _solve_from(self, src: int) -> None:
-        if src in self._dist:
-            return
-        n = self.topo.n
-        dist: list[float] = [float("inf")] * n
-        first: list[int] = [-1] * n
-        dist[src] = 0.0
+    def _table(self, src: int) -> tuple[list[int], list[int]]:
+        """``src``'s (hop count, first hop) table, solved on first use
+        (the hot lookups inline the cached case)."""
+        table = self._solved.get(src)
+        if table is not None:
+            return table
+        neighbors = self._neighbors
+        hops = [-1] * self.topo.n
+        first = [-1] * self.topo.n
+        hops[src] = 0
         first[src] = src
-        if self._uniform:
-            q: deque[int] = deque([src])
-            while q:
-                u = q.popleft()
-                for v in self.topo.neighbors(u):
-                    if dist[v] == float("inf"):
-                        dist[v] = dist[u] + 1
-                        first[v] = v if u == src else first[u]
-                        q.append(v)
-        else:
-            heap: list[tuple[float, int, int]] = [(0.0, src, src)]
-            while heap:
-                d, u, f = heapq.heappop(heap)
-                if d > dist[u]:
-                    continue
-                if u != src and first[u] == -1:
-                    first[u] = f
-                for v in self.topo.neighbors(u):
-                    nd = d + self.topo.weight(u, v)
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        heapq.heappush(
-                            heap, (nd, v, v if u == src else first[u])
-                        )
-        self._dist[src] = dist
-        self._first_hop[src] = first
+        q: deque[int] = deque([src])
+        while q:
+            u = q.popleft()
+            for v in neighbors[u]:
+                if hops[v] == -1:
+                    hops[v] = hops[u] + 1
+                    first[v] = v if u == src else first[u]
+                    q.append(v)
+        self._solved[src] = table = (hops, first)
+        return table
 
     # ------------------------------------------------------------------
-    def distance(self, u: int, v: int) -> float:
-        """Shortest-path cost between ``u`` and ``v``."""
-        self._solve_from(u)
-        d = self._dist[u][v]
-        if d == float("inf"):
-            raise RoutingError(f"no path {u} -> {v}")
-        return d
-
     def hop_count(self, u: int, v: int) -> int:
-        """Shortest-path length in edges (equals distance on unit weights)."""
-        if self._uniform:
-            return int(self.distance(u, v))
-        return len(self.path(u, v)) - 1
+        """Shortest-path length from ``u`` to ``v`` in links."""
+        hops = (self._solved.get(u) or self._table(u))[0][v]
+        if hops == -1:
+            raise RoutingError(f"no path {u} -> {v}")
+        return hops
 
     def next_hop(self, u: int, dst: int) -> int:
         """First hop from ``u`` toward ``dst`` (``u`` itself if ``u == dst``)."""
         if u == dst:
             return u
-        self._solve_from(u)
-        hop = self._first_hop[u][dst]
+        hop = (self._solved.get(u) or self._table(u))[1][dst]
         if hop == -1:
             raise RoutingError(f"no path {u} -> {dst}")
         return hop
@@ -94,29 +81,24 @@ class ShortestPaths:
     def path(self, u: int, v: int) -> list[int]:
         """One shortest path from ``u`` to ``v`` inclusive (deterministic)."""
         path = [u]
-        cur = u
-        guard = 0
-        while cur != v:
-            cur = self.next_hop(cur, v)
-            path.append(cur)
-            guard += 1
-            if guard > self.topo.n:  # pragma: no cover - safety net
-                raise RoutingError(f"routing loop resolving path {u} -> {v}")
+        while path[-1] != v:
+            path.append(self.next_hop(path[-1], v))
         return path
 
     def average_distance(self) -> float:
-        """Mean shortest-path distance over ordered pairs (u != v)."""
-        total = 0.0
+        """Mean hop count over ordered pairs of distinct, mutually
+        reachable nodes."""
+        total = pairs = 0
         for u in range(self.topo.n):
-            self._solve_from(u)
-            total += sum(self._dist[u])
-        return total / (self.topo.n * (self.topo.n - 1))
+            reached = [d for d in self._table(u)[0] if d > 0]
+            total += sum(reached)
+            pairs += len(reached)
+        return total / pairs
 
-    def eccentricity(self, u: int) -> float:
-        """Greatest distance from ``u`` to any node."""
-        self._solve_from(u)
-        return max(self._dist[u])
+    def eccentricity(self, u: int) -> int:
+        """Greatest hop count from ``u`` to a node it reaches."""
+        return max(self._table(u)[0])
 
-    def diameter(self) -> float:
-        """Greatest shortest-path distance over all pairs."""
+    def diameter(self) -> int:
+        """Greatest hop count over all pairs of mutually reachable nodes."""
         return max(self.eccentricity(u) for u in range(self.topo.n))

@@ -43,7 +43,6 @@ __all__ = [
     "MigrateBatch",
     "FetchQueue",
     "QueueStreamed",
-    "StreamDone",
     "StopEventMigration",
     "TransferRequest",
     "TransferBatch",
@@ -403,16 +402,6 @@ class QueueStreamed(Message):
     def __init__(self, client: int, ref: QueueRef) -> None:
         self.client = client
         self.ref = ref
-
-
-class StreamDone(Message):
-    """Coordinator -> destination: the whole PQlist has been streamed."""
-
-    __slots__ = ("client",)
-    category = CAT_MOBILITY_CTRL
-
-    def __init__(self, client: int) -> None:
-        self.client = client
 
 
 class StopEventMigration(Message):

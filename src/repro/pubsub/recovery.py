@@ -61,7 +61,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.network.recovery import CrashPlan
 from repro.network.spanning_tree import rebuild_spanning_tree
 from repro.network.topology import Topology
@@ -115,31 +115,17 @@ def validate_plan(topo: Topology, plan: CrashPlan) -> None:
                         f"restart event {e.label()}: broker {bid} is not down"
                     )
                 down.discard(bid)
-        if not _survivors_connected(topo, down, cut):
+        # the repair round's own construction is the verdict: a survivor
+        # set it cannot span has no tree to re-converge to
+        try:
+            rebuild_spanning_tree(
+                topo, (u for u in range(topo.n) if u not in down), cut
+            )
+        except TopologyError:
             raise ConfigurationError(
                 f"failure plan disconnects the surviving overlay at "
                 f"event {e.label()}"
-            )
-
-
-def _survivors_connected(
-    topo: Topology, down: set[int], cut: set[tuple[int, int]]
-) -> bool:
-    alive = [u for u in range(topo.n) if u not in down]
-    if not alive:
-        return False
-    seen = {alive[0]}
-    stack = [alive[0]]
-    while stack:
-        u = stack.pop()
-        for v in topo.neighbors(u):
-            if v in down or v in seen:
-                continue
-            if (min(u, v), max(u, v)) in cut:
-                continue
-            seen.add(v)
-            stack.append(v)
-    return len(seen) == len(alive)
+            ) from None
 
 
 class RecoveryCoordinator:

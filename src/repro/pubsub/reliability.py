@@ -185,16 +185,7 @@ class ReliabilityManager:
     """The reliability layer: one instance per system, built only when
     ``reliable=True`` (default-off runs never construct it)."""
 
-    def __init__(
-        self,
-        system: "PubSubSystem",
-        retry_budget: int = 8,
-        rto_base_ms: float = RTO_BASE_MS,
-        rto_max_ms: float = RTO_MAX_MS,
-        ack_delay_ms: float = ACK_DELAY_MS,
-        breaker_threshold: int = BREAKER_THRESHOLD,
-        breaker_cooloff_ms: float = BREAKER_COOLOFF_MS,
-    ) -> None:
+    def __init__(self, system: "PubSubSystem", retry_budget: int = 8) -> None:
         self.system = system
         self.retry_budget = retry_budget
         #: durable runs never write a window off against a live broker: its
@@ -204,9 +195,6 @@ class ReliabilityManager:
         self._down = system.hooks.down_brokers
         self._settled = system.hooks.settled
         self._clock = system.clock
-        self.rto_base_ms = rto_base_ms
-        self.rto_max_ms = rto_max_ms
-        self.ack_delay_ms = ack_delay_ms
         #: seeded jitter stream: same seed => same retry schedule, under
         #: every driver (draws happen in event-execution order); this
         #: iterator is the stream's only consumer
@@ -215,8 +203,6 @@ class ReliabilityManager:
         self._links_by_client: dict[int, dict[int, _LinkTx]] = {}
         self._rx: dict[tuple[int, int], _RxState] = {}
         self._breakers: dict[tuple[int, int], CircuitBreaker] = {}
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooloff_ms = breaker_cooloff_ms
         #: monotone session allocator (per-link monotonicity follows)
         self._next_session = 0
         #: (time_ms, broker, client, rel_seq, attempt, kind) per retransmit
@@ -296,7 +282,7 @@ class ReliabilityManager:
         backoff = min(
             # exponent clamp: durable links retry past the nominal budget,
             # and 2.0**n overflows long before the min() would discard it
-            self.rto_max_ms, self.rto_base_ms * (2.0 ** min(link.attempts, 32))
+            RTO_MAX_MS, RTO_BASE_MS * (2.0 ** min(link.attempts, 32))
         )
         # seeded jitter (+/-20%) de-synchronises links that timed out in
         # the same instant, deterministically
@@ -308,7 +294,7 @@ class ReliabilityManager:
         net = self.system.net
         allowance = (
             (net.downlink_backlog(link.client) + 2) * net.wireless_latency
-            + self.ack_delay_ms
+            + ACK_DELAY_MS
         )
         # handle-free: an armed timer is cancelled by an epoch bump alone
         self._clock.call_later_fifo(
@@ -478,7 +464,7 @@ class ReliabilityManager:
             return
         st.ack_pending = True
         self._clock.call_later_fifo(
-            self.ack_delay_ms, self._fire_ack, client, origin, st
+            ACK_DELAY_MS, self._fire_ack, client, origin, st
         )
 
     def _fire_ack(self, client: "Client", origin: int, st: _RxState) -> None:
@@ -577,8 +563,6 @@ class ReliabilityManager:
         key = (broker_id, client_id)
         breaker = self._breakers.get(key)
         if breaker is None:
-            breaker = CircuitBreaker(
-                self._breaker_threshold, self._breaker_cooloff_ms
-            )
+            breaker = CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLOFF_MS)
             self._breakers[key] = breaker
         return breaker

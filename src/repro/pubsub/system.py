@@ -299,15 +299,13 @@ class PubSubSystem:
             self.paths,
             account=self.metrics.traffic.account,  # on every send: no hub hop
             unicast_hops=(
-                self.tree.distance
+                self.tree.hop_count
                 if options.unicast_routing == "tree"
                 else None
             ),
             queue_cap=queue_cap,
             on_shed=_on_shed,
         )
-        #: legacy alias for the transport (pre-driver call sites/tests)
-        self.links = self.net
 
         # The opt-in layers: wireless faults, crash repair, ACK/retransmit,
         # WAL. Each is built only when its option is on (an inactive fault

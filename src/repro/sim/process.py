@@ -102,6 +102,7 @@ def spawn(
 
     Examples
     --------
+    >>> from repro.sim.core import Simulator
     >>> sim = Simulator()
     >>> log = []
     >>> def worker():

@@ -490,7 +490,8 @@ MESSAGE_SCHEMAS: Dict[Type[m.Message], Tuple[int, Tuple[Tuple[str, str], ...]]] 
     m.FetchQueue: (14, (("client", "uint"), ("ref", "qref"),
                         ("dest", "uint"), ("append_to", "opt_qref"))),
     m.QueueStreamed: (15, (("client", "uint"), ("ref", "qref"))),
-    m.StreamDone: (16, (("client", "uint"),)),
+    # 16 was StreamDone, which had no sender and no handler: retired, and
+    # never to be reused
     m.StopEventMigration: (17, (("client", "uint"),)),
     m.TransferRequest: (18, (("client", "uint"), ("epoch", "uint"),
                              ("new_broker", "uint"))),

@@ -147,6 +147,31 @@ def test_unpublished_event_is_never_delivered_until_it_is():
     assert (dc.stats.delivered, dc.stats.duplicates) == (2, 1)
 
 
+def _loss_and_crash_marked(reliable: bool) -> DeliveryChecker:
+    """One expected pair, written off as a loss and marked crash-exposed,
+    never delivered; the books settled."""
+    dc = DeliveryChecker()
+    if reliable:
+        dc.enable_reliability()
+    dc.register_subscription(1, 0.0, 1.0)
+    ev = Notification(7, 0, 0, 0.0, 0.5)
+    dc.on_publish(ev)
+    dc.on_loss(1, ev)
+    dc.mark_crash_risk(1, ev)
+    dc.finalize_accounting()
+    return dc
+
+
+def test_reliability_mode_settles_a_lost_crash_marked_pair_as_crash_lost():
+    stats = _loss_and_crash_marked(reliable=True).stats
+    assert (stats.lost_explicit, stats.crash_lost) == (0, 1)
+
+
+def test_eager_mode_settles_a_lost_crash_marked_pair_as_lost():
+    stats = _loss_and_crash_marked(reliable=False).stats
+    assert (stats.lost_explicit, stats.crash_lost) == (1, 0)
+
+
 # ---------------------------------------------------------------------------
 # bounded growth: the fanout_steady shape at tier-1 size
 # ---------------------------------------------------------------------------

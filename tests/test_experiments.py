@@ -195,7 +195,7 @@ def test_every_config_field_reaches_every_driver():
             system.protocol.name, system.broker_count, system.seed,
             system.covering_enabled, system.migration_batch_size,
             system.stream_pacing_ms,
-            system.net._unicast_hops == system.tree.distance,
+            system.net._unicast_hops == system.tree.hop_count,
             system.tracer.wants("publish"), system.queue_cap,
             system.net.queue_cap,
             system.reliability.retry_budget, system.durability is not None,

@@ -69,7 +69,7 @@ def test_inactive_profile_builds_no_injector():
     system = PubSubSystem(grid_k=2, protocol="mhh", seed=1,
                           faults=FaultProfile())
     assert system.fault_injector is None
-    assert system.links.faults is None
+    assert system.net.faults is None
     system = PubSubSystem(grid_k=2, protocol="mhh", seed=1)
     assert system.fault_injector is None
 

@@ -3,8 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import TopologyError
-from repro.network.spanning_tree import SpanningTree, minimum_spanning_tree
+from repro.errors import RoutingError, TopologyError
+from repro.network.paths import ShortestPaths
+from repro.network.spanning_tree import (
+    EXCLUDED,
+    SpanningTree,
+    minimum_spanning_tree,
+    rebuild_spanning_tree,
+)
 from repro.network.topology import Topology, grid_topology
 
 
@@ -39,31 +45,6 @@ def test_disconnected_rejected():
         minimum_spanning_tree(topo, seed=0)
 
 
-def test_weighted_mst_picks_light_edges():
-    # triangle with one heavy edge: MST must avoid it
-    topo = Topology(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)])
-    t = minimum_spanning_tree(topo, seed=0)
-    edges = {frozenset(e) for e in t.edges()}
-    assert frozenset((0, 2)) not in edges
-
-
-def test_matches_networkx_mst_weight():
-    nx = pytest.importorskip("networkx")
-    rngedges = [
-        (0, 1, 4.0), (0, 2, 1.0), (1, 2, 2.0), (1, 3, 5.0),
-        (2, 3, 8.0), (2, 4, 10.0), (3, 4, 2.0), (0, 4, 7.0),
-    ]
-    topo = Topology(5, rngedges)
-    t = minimum_spanning_tree(topo, seed=0)
-    our_weight = sum(topo.weight(u, v) for u, v in t.edges())
-    g = nx.Graph()
-    g.add_weighted_edges_from(rngedges)
-    their_weight = sum(
-        d["weight"] for *_uv, d in nx.minimum_spanning_tree(g).edges(data=True)
-    )
-    assert our_weight == pytest.approx(their_weight)
-
-
 def test_path_endpoints_and_adjacency():
     t = minimum_spanning_tree(grid_topology(6), seed=4)
     path = t.path(0, 35)
@@ -77,7 +58,7 @@ def test_path_endpoints_and_adjacency():
 def test_distance_matches_path_length():
     t = minimum_spanning_tree(grid_topology(5), seed=2)
     for u, v in [(0, 24), (3, 17), (12, 12), (4, 20)]:
-        assert t.distance(u, v) == len(t.path(u, v)) - 1
+        assert t.hop_count(u, v) == len(t.path(u, v)) - 1
 
 
 def test_next_hop_walks_the_path():
@@ -114,6 +95,29 @@ def test_bad_parent_vector_rejected():
         SpanningTree([1, 0, -1], root=2)  # 0,1 form a detached cycle
     with pytest.raises(TopologyError):
         SpanningTree([0, 0, 1], root=0)  # root parent must be -1
+    with pytest.raises(TopologyError):
+        SpanningTree([2, 0, 1, -1], root=3)  # 0,1,2 form a detached cycle
+    with pytest.raises(TopologyError):
+        SpanningTree([-1, 2, EXCLUDED], root=0)  # hangs off an excluded node
+    with pytest.raises(TopologyError):
+        SpanningTree([-1, 7], root=0)  # parent out of range
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_two_sweep_diameter_is_the_all_sources_maximum(seed):
+    t = minimum_spanning_tree(grid_topology(6), seed=seed)
+    assert t.diameter() == ShortestPaths.diameter(t)
+
+
+def test_excluded_brokers_are_isolated_nodes():
+    topo = grid_topology(3)
+    t = rebuild_spanning_tree(topo, [b for b in range(9) if b != 4], seed=5)
+    assert not t.contains(4) and t.neighbors(4) == []
+    assert t.diameter() == ShortestPaths.diameter(t)
+    with pytest.raises(RoutingError):
+        t.next_hop(0, 4)
+    with pytest.raises(RoutingError):
+        t.hop_count(4, 8)
 
 
 @settings(max_examples=25, deadline=None)
@@ -144,5 +148,5 @@ def test_property_tree_distance_symmetric(k, seed, data):
     n = k * k
     u = data.draw(st.integers(0, n - 1))
     v = data.draw(st.integers(0, n - 1))
-    assert t.distance(u, v) == t.distance(v, u)
-    assert t.distance(u, v) >= (0 if u == v else 1)
+    assert t.hop_count(u, v) == t.hop_count(v, u)
+    assert t.hop_count(u, v) >= (0 if u == v else 1)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import TopologyError
+from repro.network.spanning_tree import minimum_spanning_tree
 from repro.network.topology import Topology, grid_topology
 
 
@@ -25,17 +26,19 @@ def test_grid_neighbors_of_centre():
     assert g.neighbors(4) == [1, 3, 5, 7]
 
 
+# connectivity has one verdict: whether the graph has a spanning tree
 def test_grid_is_connected():
-    assert grid_topology(6).is_connected()
+    assert sum(1 for _ in minimum_spanning_tree(grid_topology(6)).edges()) == 35
 
 
 def test_disconnected_graph_detected():
     t = Topology(4, [(0, 1), (2, 3)])
-    assert not t.is_connected()
+    with pytest.raises(TopologyError, match="disconnected"):
+        minimum_spanning_tree(t)
 
 
 def test_single_node_is_connected():
-    assert Topology(1).is_connected()
+    assert minimum_spanning_tree(Topology(1)).parent == [-1]
 
 
 def test_duplicate_edge_rejected():
@@ -54,31 +57,18 @@ def test_out_of_range_edge_rejected():
         Topology(3, [(0, 3)])
 
 
-def test_non_positive_weight_rejected():
-    t = Topology(2)
-    with pytest.raises(TopologyError):
-        t.add_edge(0, 1, 0.0)
-
-
 def test_zero_nodes_rejected():
     with pytest.raises(TopologyError):
         Topology(0)
-
-
-def test_weight_lookup():
-    t = Topology(2, [(0, 1, 2.5)])
-    assert t.weight(0, 1) == 2.5
-    assert t.weight(1, 0) == 2.5
-    with pytest.raises(TopologyError):
-        t.weight(0, 0)
 
 
 def test_edges_iterate_once_each():
     g = grid_topology(3)
     edges = list(g.edges())
     assert len(edges) == g.edge_count
-    assert all(u < v for u, v, _w in edges)
-    assert len(set((u, v) for u, v, _ in edges)) == len(edges)
+    assert all(u < v for u, v in edges)
+    assert len(set(edges)) == len(edges)
+    assert edges == sorted(edges)
 
 
 def test_grid_size_zero_rejected():
