@@ -42,12 +42,13 @@ class ProtocolError(ReproError):
 
 class HandoffPhaseError(ProtocolError):
     """A handoff message or step reached a broker in a phase that cannot
-    take it (MHH's ``(phase, message type)`` dispatch found no handler).
+    take it (the protocol's ``(phase, message type)`` table holds no
+    handler: :mod:`repro.mobility.base`, "Handoff phases").
 
-    Carries the ``broker``, the ``client``, the broker's ``phase`` for the
-    client (a :class:`repro.mobility.mhh.Phase`), the newest connect
-    ``epoch`` the broker has witnessed for it (-1: none) and ``what``
-    arrived.
+    Carries the ``broker``, the ``client``, the broker's ``phase`` for it
+    (a member of the protocol's ``Phase`` enum, e.g.
+    :class:`repro.mobility.sub_unsub.Phase`), the state's ``epoch`` (-1:
+    no state) and ``what`` arrived.
     """
 
     def __init__(self, broker: int, client: int, phase, epoch: int,

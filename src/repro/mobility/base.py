@@ -30,12 +30,30 @@ written here — the only module that reads ``migration_batch_size`` and
 
 The two differ observably (timer order at equal times, the ``1e-9``
 floor), which is why they stay two.
+
+Handoff phases
+--------------
+Every protocol is one state machine written here. A broker keeps one
+:class:`HandoffState` per handoff key in ``broker.pstate`` (the client id;
+sub-unsub's subscription key ``(client, epoch)``), and the state's
+``phase`` is a member of the protocol's ``Phase`` enum, whose member 0 is
+``IDLE``: the phase of a key with no state. :meth:`MobilityProtocol.on_control`
+hands a control message to ``_CONTROL[(phase, type(msg))]``; a pair the
+table does not hold is a :class:`repro.errors.HandoffPhaseError` before any
+handler runs. With the ``handoff_phase`` trace category on, every phase
+change is one record (protocol, client, broker, epoch, frm, to). A
+protocol declares its ``Phase``, its ``_CONTROL`` table, its ``State`` and
+its ``_RESTING`` phases, and :meth:`~MobilityProtocol.quiescent` holds when
+every state rests.
 """
 
 from __future__ import annotations
 
+from functools import cache
+from operator import attrgetter
 from typing import Callable, Optional, TYPE_CHECKING
 
+from repro.errors import HandoffPhaseError
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry
 from repro.pubsub import messages as m
@@ -46,7 +64,46 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.pubsub.system import PubSubSystem
     from repro.util.ids import QueueRef
 
-__all__ = ["MobilityProtocol"]
+__all__ = ["HandoffState", "MobilityProtocol", "every_phase"]
+
+
+class HandoffState:
+    """One broker's state for one handoff key: its ``phase`` and the
+    connect ``epoch`` it serves (the newest it has seen; -1: none). Each
+    protocol subclasses it with what its phases hold;
+    :meth:`MobilityProtocol._state` makes it, IDLE."""
+
+    __slots__ = ("phase", "epoch")
+
+
+_PHASE = HandoffState.phase  # the slot under a traced state's property
+
+
+def _traced_phase(st: HandoffState, to) -> None:
+    frm = _PHASE.__get__(st)
+    if to is not frm:
+        protocol, broker, client = st.where
+        st.tracer.emit(
+            "handoff_phase", protocol=protocol, client=client, broker=broker,
+            epoch=st.epoch, frm=frm.name, to=to.name,
+        )
+    _PHASE.__set__(st, to)
+
+
+@cache
+def _traced(state: type) -> type:
+    """``state`` whose every phase change is one ``handoff_phase`` record;
+    made in its place only when that category is traced, so an untraced
+    run pays nothing for it."""
+    return type(f"Traced{state.__name__}", (state,), {
+        "__slots__": ("tracer", "where"),
+        "phase": property(_PHASE.__get__, _traced_phase),
+    })
+
+
+def every_phase(phases, msg_type: type, handler) -> dict:
+    """``_CONTROL`` entries taking ``msg_type`` in each of ``phases``."""
+    return {(phase, msg_type): handler for phase in phases}
 
 
 class MobilityProtocol:
@@ -69,6 +126,18 @@ class MobilityProtocol:
     #: refuses ``covering_enabled=True``, which prunes those installs
     needs_exact_tables: bool = False
 
+    #: the phase enum; member 0 is IDLE (module docstring, "Handoff phases")
+    Phase: type
+    #: the per-key state, a HandoffState subclass
+    State: type = HandoffState
+    #: (phase, message type) -> handler(self, broker, state, msg, frm); the
+    #: state is None in IDLE when the key has none
+    _CONTROL: dict = {}
+    #: the phases a drained run may leave states in
+    _RESTING: frozenset = frozenset()
+    #: a control message's handoff key: its ``pstate`` key
+    _state_key = attrgetter("client")
+
     def __init__(self, system: "PubSubSystem") -> None:
         self.system = system
         #: sans-IO scheduling facade (repro.drivers.base.Clock)
@@ -82,6 +151,11 @@ class MobilityProtocol:
         self._timer_guard = system.hooks.timer_guard
         #: per-client subscription epochs handed out by :meth:`_next_epoch`
         self._epochs: dict[int, int] = {}
+        self._trace_phases = self.tracer.wants("handoff_phase")
+        self._new_state = (
+            _traced(self.State) if self._trace_phases else self.State
+        )
+        self._idle = self.Phase(0)
 
     # ------------------------------------------------------------------
     # life-cycle hooks
@@ -136,13 +210,39 @@ class MobilityProtocol:
             broker.queues[entry.sink].append(event)
 
     # ------------------------------------------------------------------
-    # control messages
+    # the handoff state machine (module docstring)
     # ------------------------------------------------------------------
     def on_control(self, broker: "Broker", msg: m.Message, frm: int) -> None:
-        """Dispatch a protocol-specific control message."""
-        raise NotImplementedError(
-            f"{self.name}: unhandled control message {type(msg).__name__}"
+        """Hand a control message to ``_CONTROL[(phase, type(msg))]``."""
+        st = broker.pstate.get(self._state_key(msg))
+        handler = self._CONTROL.get(
+            (self._idle if st is None else st.phase, type(msg))
         )
+        if handler is None:
+            raise self._illegal(broker, msg.client, st, type(msg).__name__)
+        handler(self, broker, st, msg, frm)
+
+    def _state(self, broker: "Broker", client: int, key=None) -> HandoffState:
+        """``broker``'s state under ``key`` (default: the client id), made
+        IDLE on first use."""
+        if key is None:
+            key = client
+        st = broker.pstate.get(key)
+        if st is None:
+            st = broker.pstate[key] = self._new_state()
+            _PHASE.__set__(st, self._idle)
+            if self._trace_phases:
+                st.tracer = self.tracer
+                st.where = (self.name, broker.id, client)
+        return st
+
+    def _illegal(self, broker: "Broker", client: int,
+                 st: Optional[HandoffState], what: str) -> HandoffPhaseError:
+        """The typed error for ``what`` reaching ``st`` (None: IDLE, and no
+        epoch seen)."""
+        if st is None:
+            return HandoffPhaseError(broker.id, client, self._idle, -1, what)
+        return HandoffPhaseError(broker.id, client, st.phase, st.epoch, what)
 
     # ------------------------------------------------------------------
     # stored events (module docstring)
@@ -219,6 +319,14 @@ class MobilityProtocol:
         while q.events:
             broker.deliver_to_client(client, q.events.popleft())
 
+    def _reclaim_wireless(self, broker: "Broker", client: int,
+                          ref: "QueueRef") -> None:
+        """Pull queued (untransmitted) downlink events back into queue ``ref``."""
+        pending = self.net.reclaim_downlink(client)
+        events = [p.event for p in pending if isinstance(p, m.DeliverMessage)]
+        if events:
+            broker.get_queue(ref).extend_front(events)
+
     def _seeded_queue(
         self, broker: "Broker", client: int, backlog: list[Notification]
     ) -> "PersistentQueue":
@@ -293,6 +401,17 @@ class MobilityProtocol:
     # end-of-run support
     # ------------------------------------------------------------------
     def quiescent(self) -> bool:
-        """True when no handoff machinery is in flight (used by the runner's
-        drain phase together with an empty event heap)."""
-        return True
+        """True when no handoff machinery is in flight: every state is in a
+        ``_RESTING`` phase and none owes work (used by the runner's drain
+        phase together with an empty event heap)."""
+        resting = self._RESTING
+        for broker in self.system.brokers.values():
+            for st in broker.pstate.values():
+                if st.phase not in resting:
+                    return False
+        return not self._owes()
+
+    def _owes(self) -> bool:
+        """The protocol's exception to "resting is done": whether a resting
+        state still waits for work."""
+        return False

@@ -21,10 +21,34 @@ The protocol is deliberately **unreliable**, exactly as the paper analyses:
 Registration epochs guard against register/deregister reordering when the
 client moves between foreign brokers faster than the control messages
 travel.
+
+Phases
+------
+A broker keeps one state per client in ``broker.pstate``: the home broker
+always, a foreign broker while the client is attached there.
+
+==============  ==============  ============================================
+from            to              on
+==============  ==============  ============================================
+IDLE            HOME_CONNECTED  first attach at home (HOME_OFFLINE if the
+                                client is gone again; a repair's reinstall)
+HOME_CONNECTED  HOME_OFFLINE    disconnect at home: events are stored
+HOME_OFFLINE,   HOME_CONNECTED  reconnect at home: the stored queue flushes
+  HOME_AWAY
+HOME_OFFLINE    HOME_AWAY       ``register``: events are forwarded (behind
+                                the stored backlog while a drain ships it)
+HOME_AWAY       HOME_OFFLINE    the ``deregister`` of that registration
+IDLE            FOREIGN         connect at a foreign broker
+FOREIGN         IDLE            disconnect there
+==============  ==============  ============================================
+
+``register`` and ``deregister`` are taken in the home phases; forwarded
+events in every phase, and they reach the client only in FOREIGN.
 """
 
 from __future__ import annotations
 
+from enum import IntEnum
 from functools import partial
 from typing import Optional, TYPE_CHECKING
 
@@ -32,27 +56,43 @@ from repro.errors import ProtocolError
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry
 from repro.pubsub import messages as m
-from repro.mobility.base import MobilityProtocol
+from repro.mobility.base import HandoffState, MobilityProtocol, every_phase
 from repro.util.ids import QueueRef
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pubsub.broker import Broker
 
-__all__ = ["HomeBrokerProtocol"]
-
-_AT_HOME = -1  # sentinel for "client connected at the home broker"
+__all__ = ["HomeBrokerProtocol", "Phase"]
 
 
-class _HomeState:
-    """Home-broker-side record for one client."""
+class Phase(IntEnum):
+    """A broker's one role for one client (module docstring, "Phases")."""
 
-    __slots__ = ("location", "queue", "last_epoch", "drain")
+    IDLE = 0
+    HOME_CONNECTED = 1
+    HOME_AWAY = 2
+    HOME_OFFLINE = 3
+    FOREIGN = 4
+
+
+IDLE, HOME_CONNECTED, HOME_AWAY, HOME_OFFLINE, FOREIGN = Phase
+
+_HOME = (HOME_CONNECTED, HOME_AWAY, HOME_OFFLINE)
+
+
+class _State(HandoffState):
+    """One broker's record for one client. ``epoch`` is the newest
+    registration epoch at home, the registration's own at a foreign
+    broker."""
+
+    __slots__ = ("foreign", "queue", "drain")
 
     def __init__(self) -> None:
-        # None = disconnected; _AT_HOME = here; otherwise foreign broker id
-        self.location: Optional[int] = None
+        self.epoch = -1
+        #: HOME_AWAY: the foreign broker the client registered from
+        self.foreign: Optional[int] = None
+        #: home: the stored queue (always there in HOME_OFFLINE)
         self.queue: Optional[QueueRef] = None
-        self.last_epoch = -1
         #: the stored queue while a chained drain forwards it to the foreign
         #: broker; meanwhile fresh events append to it (order preservation)
         self.drain = None
@@ -60,28 +100,19 @@ class _HomeState:
     def forward_aim(self, q) -> Optional[int]:
         """The ``aim`` of the chained drain of ``q``: the client's foreign
         broker, read before each batch. ``None`` stops the drain — a flush
-        at home superseded it, or the client is no longer at a foreign
-        broker, which also ends it here."""
+        at home superseded it, or the client is no longer away, which also
+        ends it here."""
         if self.drain is not q:
             return None
-        if self.location is None or self.location == _AT_HOME:
+        if self.phase is not HOME_AWAY:
             self.drain = None
             return None
-        return self.location
+        return self.foreign
 
     def forwarded(self) -> None:
         """The drain shipped (and dropped) the whole queue."""
         self.drain = None
         self.queue = None
-
-
-class _ForeignState:
-    """Foreign-broker-side record: the client is attached here."""
-
-    __slots__ = ("epoch",)
-
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
 
 
 class HomeBrokerProtocol(MobilityProtocol):
@@ -90,14 +121,9 @@ class HomeBrokerProtocol(MobilityProtocol):
     name = "home-broker"
     default_covering = True
 
-    # ------------------------------------------------------------------
-    def _home_state(self, broker: "Broker", client: int) -> _HomeState:
-        st = broker.pstate.get(client)
-        if not isinstance(st, _HomeState):
-            raise ProtocolError(
-                f"broker {broker.id}: no home state for client {client}"
-            )
-        return st
+    Phase = Phase
+    State = _State
+    _RESTING = frozenset(_HOME + (FOREIGN,))
 
     # ------------------------------------------------------------------
     # life-cycle
@@ -117,30 +143,35 @@ class HomeBrokerProtocol(MobilityProtocol):
                     f"the home broker (client {client}: home {home}, "
                     f"got {broker.id})"
                 )
-            st = _HomeState()
-            broker.pstate[client] = st
+            st = self._state(broker, client)
             filt = self.system.clients[client].filter
             broker.local_subscribe(
                 client, ("hb", client), filt, m.CAT_SUB_INITIAL, live=False
             )
             if self._present(broker, client):
-                st.location = _AT_HOME
+                st.phase = HOME_CONNECTED
             else:
-                st.location = None
                 st.queue = broker.new_queue(client).ref
+                st.phase = HOME_OFFLINE
             return
         if broker.id == home:
             # reconnect at home: no registration round needed
-            st = self._home_state(broker, client)
-            st.last_epoch = self._next_epoch(client)
+            st = broker.pstate[client]
+            st.epoch = self._next_epoch(client)
             if not self._present(broker, client):
                 return
-            st.location = _AT_HOME
-            self._flush_home_queue(broker, client, st)
+            st.phase = HOME_CONNECTED
+            if st.queue is not None:
+                st.drain = None  # local flush supersedes any remote drain
+                self._flush(broker, client, st.queue)
+                broker.drop_queue(st.queue)
+                st.queue = None
             return
         # reconnect at a foreign broker: register with home
         epoch = self._next_epoch(client)
-        broker.pstate[client] = _ForeignState(epoch)
+        st = self._state(broker, client)
+        st.epoch = epoch
+        st.phase = FOREIGN
         if self.tracer.wants("hb_register"):
             self.tracer.emit(
                 "hb_register", client=client, foreign=broker.id, home=home
@@ -149,46 +180,30 @@ class HomeBrokerProtocol(MobilityProtocol):
             broker.id, home, m.Register(client, broker.id, epoch)
         )
 
-    def _flush_home_queue(
-        self, broker: "Broker", client: int, st: _HomeState
-    ) -> None:
-        if st.queue is None:
-            return
-        st.drain = None  # local flush supersedes any remote drain
-        self._flush(broker, client, st.queue)
-        broker.drop_queue(st.queue)
-        st.queue = None
-
     def on_disconnect(self, broker: "Broker", client: int) -> None:
-        home = self.system.clients[client].home_broker
-        if broker.id == home:
-            st = self._home_state(broker, client)
-            if st.location != _AT_HOME:
-                return  # connect message still in flight
-            st.location = None
+        st = broker.pstate.get(client)
+        if st is None:
+            return  # connect message still in flight
+        if st.phase is HOME_CONNECTED:
+            st.phase = HOME_OFFLINE
             if st.queue is None:
                 st.queue = broker.new_queue(client).ref
-            # reclaim untransmitted downlink events into the stored queue
+            self._reclaim_wireless(broker, client, st.queue)
+        elif st.phase is FOREIGN:
+            st.phase = IDLE
+            del broker.pstate[client]
+            # untransmitted downlink events are lost: the home broker has
+            # already forwarded them and the foreign broker has nowhere to
+            # send them
             pending = self.net.reclaim_downlink(client)
-            events = [
-                p.event for p in pending if isinstance(p, m.DeliverMessage)
-            ]
-            if events:
-                broker.get_queue(st.queue).extend_front(events)
-            return
-        st = broker.pstate.get(client)
-        if not isinstance(st, _ForeignState):
-            return  # connect message still in flight
-        del broker.pstate[client]
-        # untransmitted downlink events are lost: the home broker has already
-        # forwarded them and the foreign broker has nowhere to send them
-        pending = self.net.reclaim_downlink(client)
-        for p in pending:
-            if isinstance(p, m.DeliverMessage):
-                self.system.metrics.on_loss(client, p.event)
-        self.net.unicast(
-            broker.id, home, m.Deregister(client, st.epoch)
-        )
+            for p in pending:
+                if isinstance(p, m.DeliverMessage):
+                    self.system.metrics.on_loss(client, p.event)
+            self.net.unicast(
+                broker.id, self.system.clients[client].home_broker,
+                m.Deregister(client, st.epoch),
+            )
+        # else: at home, the connect message is still in flight
 
     # ------------------------------------------------------------------
     # event handling
@@ -201,44 +216,30 @@ class HomeBrokerProtocol(MobilityProtocol):
         from_broker: Optional[int],
     ) -> None:
         # the only filter-table entry for a client lives at its home broker
-        st = self._home_state(broker, entry.client)
-        if st.location == _AT_HOME:
+        st = broker.pstate[entry.client]
+        if st.phase is HOME_CONNECTED:
             broker.deliver_to_client(entry.client, event)
-        elif st.location is None or st.drain is not None:
+        elif st.phase is HOME_OFFLINE or st.drain is not None:
             # disconnected, or the stored backlog is still being drained to
             # the foreign broker: append behind it to preserve order
-            if st.queue is None:  # pragma: no cover - invariant
-                raise ProtocolError("disconnected client without a queue")
             broker.get_queue(st.queue).append(event)
         else:
             self.net.unicast(
-                broker.id, st.location, m.ForwardedEvent(entry.client, event)
+                broker.id, st.foreign, m.ForwardedEvent(entry.client, event)
             )
 
     # ------------------------------------------------------------------
     # control messages
     # ------------------------------------------------------------------
-    def on_control(self, broker: "Broker", msg: m.Message, frm: int) -> None:
-        t = type(msg)
-        if t is m.Register:
-            self._on_register(broker, msg)
-        elif t is m.Deregister:
-            self._on_deregister(broker, msg)
-        elif t is m.ForwardedEvent:
-            self._on_forwarded(broker, msg.client, [msg.event])
-        elif t is m.ForwardedBatch:
-            self._on_forwarded(broker, msg.client, msg.events)
-        else:
-            raise ProtocolError(
-                f"home-broker: unexpected control message {t.__name__}"
-            )
-
-    def _on_register(self, broker: "Broker", msg: m.Register) -> None:
-        st = self._home_state(broker, msg.client)
-        if msg.epoch <= st.last_epoch:
+    def _on_register(
+        self, broker: "Broker", st: _State, msg: m.Register, frm: int
+    ) -> None:
+        """A home phase -> HOME_AWAY, unless a newer registration won."""
+        if msg.epoch <= st.epoch:
             return  # stale registration overtaken by a newer one
-        st.last_epoch = msg.epoch
-        st.location = msg.foreign
+        st.epoch = msg.epoch
+        st.foreign = msg.foreign
+        st.phase = HOME_AWAY
         if st.queue is not None and len(broker.get_queue(st.queue)):
             if st.drain is None:
                 st.drain = broker.get_queue(st.queue)
@@ -250,31 +251,45 @@ class HomeBrokerProtocol(MobilityProtocol):
             broker.drop_queue(st.queue)
             st.queue = None
 
-    def _on_deregister(self, broker: "Broker", msg: m.Deregister) -> None:
-        st = self._home_state(broker, msg.client)
-        if msg.epoch != st.last_epoch:
+    def _on_deregister(
+        self, broker: "Broker", st: _State, msg: m.Deregister, frm: int
+    ) -> None:
+        """HOME_AWAY -> HOME_OFFLINE for the registration it ends."""
+        if msg.epoch != st.epoch:
             return  # a newer registration already superseded this one
-        st.location = None
+        st.phase = HOME_OFFLINE
         if st.queue is None:
             st.queue = broker.new_queue(msg.client).ref
 
     def _on_forwarded(
-        self, broker: "Broker", client: int, events: list[Notification]
+        self, broker: "Broker", st: Optional[_State], msg: m.Message, frm: int,
     ) -> None:
-        st = broker.pstate.get(client)
-        if isinstance(st, _ForeignState) and self._present(broker, client):
+        """Delivered if the client is attached here (FOREIGN); else the
+        client left this foreign broker while the events were in transit:
+        irrecoverably lost (the paper's reliability gap)."""
+        client = msg.client
+        events = msg.events if type(msg) is m.ForwardedBatch else (msg.event,)
+        if (st is not None and st.phase is FOREIGN
+                and self._present(broker, client)):
             for event in events:
                 broker.deliver_to_client(client, event)
-        else:
-            # the client left this foreign broker while the events were in
-            # transit: irrecoverably lost (the paper's reliability gap)
-            for event in events:
-                if self.tracer.wants("hb_loss"):
-                    self.tracer.emit(
-                        "hb_loss", client=client, broker=broker.id,
-                        event=event.event_id,
-                    )
-                self.system.metrics.on_loss(client, event)
+            return
+        for event in events:
+            if self.tracer.wants("hb_loss"):
+                self.tracer.emit(
+                    "hb_loss", client=client, broker=broker.id,
+                    event=event.event_id,
+                )
+            self.system.metrics.on_loss(client, event)
+
+    #: (phase, message type) -> handler; a pair that is not here raises
+    #: HandoffPhaseError in on_control
+    _CONTROL = {
+        **every_phase(_HOME, m.Register, _on_register),
+        **every_phase(_HOME, m.Deregister, _on_deregister),
+        **every_phase(Phase, m.ForwardedEvent, _on_forwarded),
+        **every_phase(Phase, m.ForwardedBatch, _on_forwarded),
+    }
 
     # ------------------------------------------------------------------
     # crash recovery
@@ -297,20 +312,15 @@ class HomeBrokerProtocol(MobilityProtocol):
         return client.home_broker
 
     def install_recovered(self, broker, client, backlog):
-        """Repair-round install at the (possibly re-assigned) home broker:
-        a disconnected-state record whose stored queue holds the backlog.
-        The synthesized ``on_connect`` then follows the normal reconnect
-        paths (flush at home, register from a foreign broker)."""
-        st = _HomeState()
-        st.location = None
+        """Repair-round install at the (possibly re-assigned) home broker,
+        IDLE -> HOME_OFFLINE: a stored queue holding the backlog. The
+        synthesized ``on_connect`` then follows the normal reconnect paths
+        (flush at home, register from a foreign broker)."""
+        st = self._state(broker, client.id)
         st.queue = self._seeded_queue(broker, client.id, backlog).ref
-        broker.pstate[client.id] = st
+        st.phase = HOME_OFFLINE
         entry = ClientEntry(
             client.id, ("hb", client.id), client.filter, live=False
         )
         broker.table.set_client_entry(entry)
         return entry
-
-    # ------------------------------------------------------------------
-    def quiescent(self) -> bool:
-        return True  # no multi-step machinery beyond in-flight messages

@@ -29,10 +29,11 @@ kept with what the phase holds in ``broker.pstate[client]`` (a ``_State``).
 
 ``SETTLED``, ``IN_MIGRATION`` and ``SELF_MIGRATION`` are the *rooted*
 phases: the client's subscription roots at this broker. A control message
-is handled by ``_CONTROL[(phase, type(msg))]``; a pair without an entry is
+is handled by ``_CONTROL[(phase, type(msg))]`` (the state machine of
+:mod:`repro.mobility.base`, "Handoff phases"); a pair without an entry is
 a :class:`repro.errors.HandoffPhaseError` at dispatch, naming the phase,
-the client and its epoch. With the ``mhh_phase`` trace category on, every
-phase change is one trace record (client, broker, epoch, from, to).
+the client and its epoch. With the ``handoff_phase`` trace category on,
+every phase change is one trace record.
 
 Protocol walk-through (silent move, §4.2)
 -----------------------------------------
@@ -95,16 +96,13 @@ from enum import IntEnum
 from functools import partial
 from typing import Optional, TYPE_CHECKING
 
-from repro.errors import HandoffPhaseError
-from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry
 from repro.pubsub import messages as m
-from repro.mobility.base import MobilityProtocol
+from repro.mobility.base import HandoffState, MobilityProtocol, every_phase
 from repro.util.ids import QueueRef
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pubsub.broker import Broker
-    from repro.pubsub.system import PubSubSystem
 
 __all__ = ["MHHProtocol", "Phase"]
 
@@ -132,11 +130,6 @@ class Phase(IntEnum):
 
 #: the phases in which the client's subscription roots at this broker
 _ROOTED = frozenset({SETTLED, IN_MIGRATION, SELF_MIGRATION})
-
-
-def every_phase(msg_type: type, handler) -> dict:
-    """``_CONTROL`` entries taking ``msg_type`` in every phase."""
-    return {(phase, msg_type): handler for phase in Phase}
 
 
 class _OutMigration:
@@ -212,14 +205,12 @@ class _Transit:
         self.pending_deliver: Optional[m.DeliverTQ] = None
 
 
-class _State:
+class _State(HandoffState):
     """One broker's MHH state for one client: its phase and what it holds."""
 
-    __slots__ = ("phase", "epoch", "pending_handoff", "pqlist", "connected",
-                 "move")
+    __slots__ = ("pending_handoff", "pqlist", "connected", "move")
 
     def __init__(self) -> None:
-        self.phase = IDLE
         #: highest connect epoch witnessed here for this client (via
         #: connects, handoff requests, or sub_migrations); anything older
         #: is a superseded race remnant
@@ -241,38 +232,6 @@ class _State:
         return self if self.phase in _ROOTED else None
 
 
-_PHASE = _State.phase  # the slot under _TracedState's property
-
-
-class _TracedState(_State):
-    """A ``_State`` whose every phase change is one ``mhh_phase`` trace
-    record; made in its place only when that category is traced, so an
-    untraced run pays nothing for it."""
-
-    __slots__ = ("tracer", "where")
-
-    def __init__(self, tracer, broker: int, client: int) -> None:
-        _PHASE.__set__(self, IDLE)
-        self.tracer = tracer
-        self.where = (broker, client)
-        super().__init__()
-
-    @property
-    def phase(self) -> Phase:
-        return _PHASE.__get__(self)
-
-    @phase.setter
-    def phase(self, to: Phase) -> None:
-        frm = _PHASE.__get__(self)
-        if to is not frm:
-            broker, client = self.where
-            self.tracer.emit(
-                "mhh_phase", client=client, broker=broker, epoch=self.epoch,
-                frm=frm.name, to=to.name,
-            )
-        _PHASE.__set__(self, to)
-
-
 class MHHProtocol(MobilityProtocol):
     """The paper's Multi-Hop Handoff protocol."""
 
@@ -287,22 +246,13 @@ class MHHProtocol(MobilityProtocol):
     #: touches (the behaviour §4.3's PQlist exists to avoid)
     enable_stop = True
 
-    def __init__(self, system: "PubSubSystem") -> None:
-        super().__init__(system)
-        self._trace_phases = self.tracer.wants("mhh_phase")
+    Phase = Phase
+    State = _State
+    _RESTING = frozenset({IDLE, SETTLED})
 
     # ------------------------------------------------------------------
     # state helpers
     # ------------------------------------------------------------------
-    def _state(self, broker: "Broker", client: int) -> _State:
-        st = broker.pstate.get(client)
-        if st is None:
-            st = broker.pstate[client] = (
-                _TracedState(self.tracer, broker.id, client)
-                if self._trace_phases else _State()
-            )
-        return st
-
     @staticmethod
     def _gc(broker: "Broker", client: int) -> None:
         st = broker.pstate.get(client)
@@ -317,13 +267,6 @@ class MHHProtocol(MobilityProtocol):
         st.move = None
         if st.pending_handoff is None:
             del broker.pstate[client]
-
-    @staticmethod
-    def _illegal(broker: "Broker", client: int, st: Optional[_State],
-                 what: str) -> HandoffPhaseError:
-        if st is None:
-            return HandoffPhaseError(broker.id, client, IDLE, -1, what)
-        return HandoffPhaseError(broker.id, client, st.phase, st.epoch, what)
 
     def _key(self, client: int):
         return ("sub", client)
@@ -499,18 +442,6 @@ class MHHProtocol(MobilityProtocol):
                 "proclaimed_move", client=client, frm=broker.id, to=dest
             )
         self._start_out_migration(broker, client, st, dest, st.epoch)
-
-    # ------------------------------------------------------------------
-    # control dispatch: one handler per (phase, message type)
-    # ------------------------------------------------------------------
-    def on_control(self, broker: "Broker", msg: m.Message, frm: int) -> None:
-        st = broker.pstate.get(msg.client)
-        handler = self._CONTROL.get(
-            (IDLE if st is None else st.phase, type(msg))
-        )
-        if handler is None:
-            raise self._illegal(broker, msg.client, st, type(msg).__name__)
-        handler(self, broker, st, msg, frm)
 
     # ------------------------------------------------------------------
     # handoff initiation
@@ -992,13 +923,13 @@ class MHHProtocol(MobilityProtocol):
         if self.tracer.wants("client_live"):
             self.tracer.emit("client_live", client=client, broker=broker.id)
 
-    #: (phase, message type) -> handler(self, broker, state, msg, frm); a
-    #: pair that is not here raises HandoffPhaseError in on_control
+    #: (phase, message type) -> handler; a pair that is not here raises
+    #: HandoffPhaseError in on_control
     _CONTROL = {
-        **every_phase(m.HandoffRequest, _on_handoff_request),
-        **every_phase(m.FetchQueue, _on_fetch_queue),
-        **every_phase(m.MigrateBatch, _on_migrate_batch),
-        **every_phase(m.StopEventMigration, _stop_after_stream),
+        **every_phase(Phase, m.HandoffRequest, _on_handoff_request),
+        **every_phase(Phase, m.FetchQueue, _on_fetch_queue),
+        **every_phase(Phase, m.MigrateBatch, _on_migrate_batch),
+        **every_phase(Phase, m.StopEventMigration, _stop_after_stream),
         (IDLE, m.SubMigration): _on_sub_migration,
         (PRE_ANCHOR, m.SubMigration): _become_anchor,
         (TRANSIT, m.SubMigrationAck): _on_transit_ack,
@@ -1011,18 +942,6 @@ class MHHProtocol(MobilityProtocol):
         (OUT_AWAIT_ACK, m.StopEventMigration): _stop_before_ack,
         (OUT_STREAMING, m.StopEventMigration): _on_stop,
     }
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-    def _reclaim_wireless(self, broker: "Broker", client: int, ref: QueueRef) -> None:
-        """Pull queued (untransmitted) downlink events back into queue ``ref``."""
-        pending = self.net.reclaim_downlink(client)
-        events: list[Notification] = [
-            p.event for p in pending if isinstance(p, m.DeliverMessage)
-        ]
-        if events:
-            broker.get_queue(ref).extend_front(events)
 
     # ------------------------------------------------------------------
     # crash recovery
@@ -1047,24 +966,22 @@ class MHHProtocol(MobilityProtocol):
         return entry
 
     # ------------------------------------------------------------------
-    def quiescent(self) -> bool:
+    def _owes(self) -> bool:
+        """A parked handoff request is outstanding work, unless a newer
+        reconnect superseded it (the newest request in the chain aims at
+        the client's latest location) or the subscription already roots,
+        connected, where it asks for (it waits here for an anchor that only
+        an abandoned reconnect's dropped request would have sent)."""
         brokers = self.system.brokers
         for broker in brokers.values():
             for client, st in broker.pstate.items():
-                if st.phase is not IDLE and st.phase is not SETTLED:
-                    return False
                 req = st.pending_handoff
-                if req is not None:
-                    # inert garbage, not outstanding work, if a newer
-                    # reconnect superseded it (the newest request in the
-                    # chain aims at the client's latest location) or the
-                    # subscription already roots, connected, where it asks
-                    # for (it waits here for an anchor that only an
-                    # abandoned reconnect's dropped request would have sent)
-                    there = brokers[req.new_broker].pstate.get(client)
-                    arrived = (there is not None and there.phase in _ROOTED
-                               and there.connected)
-                    current = self.system.clients[client].connect_epoch
-                    if req.epoch >= current and not arrived:
-                        return False
-        return True
+                if req is None:
+                    continue
+                there = brokers[req.new_broker].pstate.get(client)
+                arrived = (there is not None and there.phase in _ROOTED
+                           and there.connected)
+                current = self.system.clients[client].connect_epoch
+                if req.epoch >= current and not arrived:
+                    return True
+        return False

@@ -23,6 +23,29 @@ next transfer request is *deferred* until the previous merge completes, so
 the accumulated backlog is re-shipped hop after hop — the message-overhead
 blow-up the paper shows at short connection periods.
 
+Phases
+------
+Each subscription epoch rooted at a broker is one state, kept in
+``broker.pstate`` under its subscription key ``(client, epoch)``: the key of
+its filter-table entry, and what ``transfer_batch`` and ``transfer_done``
+carry, so they find their root directly. A connect or disconnect finds the
+client's newest root through the table, whose entries for it are its roots.
+
+==============  ==============  ============================================
+from            to              on
+==============  ==============  ============================================
+IDLE            SETTLED         first attach; a crash repair's reinstall
+IDLE            AWAIT_TRANSFER  reconnect at a new broker: subscribe, buffer,
+                                ask for the transfer a safety interval later
+AWAIT_TRANSFER  MERGING         ``transfer_done``, behind the batches
+MERGING         SETTLED         the merge, two safety intervals in
+SETTLED         IDLE            ``transfer_request``: unsubscribe and ship
+==============  ==============  ============================================
+
+``transfer_request`` is taken in IDLE only (its epoch roots at the broker
+that asks) and acts on the newest older root here: at once if SETTLED,
+else after its merge.
+
 Reliability notes: a per-root ``delivered_ids`` set filters the rare
 post-merge straggler duplicates (an event can reach the new root twice, via
 the direct route and via the old root's re-forwarding); stragglers arriving
@@ -34,55 +57,48 @@ measure").
 
 from __future__ import annotations
 
+from enum import IntEnum
 from functools import partial
+from operator import attrgetter
 from typing import Optional, TYPE_CHECKING
 
-from repro.errors import ProtocolError
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry
 from repro.pubsub import messages as m
-from repro.mobility.base import MobilityProtocol
-from repro.util.ids import QueueRef
+from repro.mobility.base import HandoffState, MobilityProtocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pubsub.broker import Broker
 
-__all__ = ["SubUnsubProtocol"]
+__all__ = ["SubUnsubProtocol", "Phase"]
 
 
-class _Root:
-    """State of one subscription epoch rooted at one broker."""
+class Phase(IntEnum):
+    """A root's phase (module docstring, "Phases")."""
+
+    IDLE = 0
+    SETTLED = 1
+    AWAIT_TRANSFER = 2
+    MERGING = 3
+
+
+IDLE, SETTLED, AWAIT_TRANSFER, MERGING = Phase
+
+_KEY = attrgetter("key")
+
+
+class _Root(HandoffState):
+    """One subscription epoch rooted at one broker; made by
+    :meth:`SubUnsubProtocol._new_root`."""
 
     __slots__ = (
-        "epoch",
-        "key",
+        "key",              # (client, epoch): the pstate and table key
         "queue",            # stored/buffer queue ref (None while live)
-        "handoff",          # _Handoff while this (new) root is handing off
         "delivered_ids",    # events already handed to the client from here
+        "t0",               # AWAIT_TRANSFER, MERGING: when this subscribed,
+        "transferred",      # and the events the old root has shipped
         "deferred_transfer",  # TransferRequest waiting for our merge
     )
-
-    def __init__(self, epoch: int, key) -> None:
-        self.epoch = epoch
-        self.key = key
-        self.queue: Optional[QueueRef] = None
-        self.handoff: Optional["_Handoff"] = None
-        self.delivered_ids: set[int] = set()
-        self.deferred_transfer: Optional[m.TransferRequest] = None
-
-
-class _Handoff:
-    """Handoff bookkeeping at the *new* root broker."""
-
-    __slots__ = ("old_broker", "t0", "transferred", "transfer_done",
-                 "merge_scheduled")
-
-    def __init__(self, old_broker: int, t0: float) -> None:
-        self.old_broker = old_broker
-        self.t0 = t0
-        self.transferred: list[Notification] = []
-        self.transfer_done = False
-        self.merge_scheduled = False
 
 
 class SubUnsubProtocol(MobilityProtocol):
@@ -93,6 +109,11 @@ class SubUnsubProtocol(MobilityProtocol):
     # default: on this library's 1-D range workload it saturates and would
     # invert Figure 6(a) (module docstring)
     default_covering = False
+
+    Phase = Phase
+    State = _Root
+    _RESTING = frozenset({SETTLED})
+    _state_key = attrgetter("client", "epoch")
 
     def __init__(self, system) -> None:
         super().__init__(system)
@@ -106,17 +127,22 @@ class SubUnsubProtocol(MobilityProtocol):
     # ------------------------------------------------------------------
     # small helpers
     # ------------------------------------------------------------------
-    def _roots(self, broker: "Broker", client: int) -> dict[int, _Root]:
-        roots = broker.pstate.get(client)
-        if roots is None:
-            roots = {}
-            broker.pstate[client] = roots
-        return roots
+    def _new_root(self, broker: "Broker", client: int) -> _Root:
+        """A fresh epoch of the client's subscription, rooted here (IDLE
+        until the caller subscribes it)."""
+        epoch = self._next_epoch(client)
+        key = (client, epoch)
+        root = self._state(broker, client, key)
+        root.key, root.epoch = key, epoch
+        root.queue = root.deferred_transfer = None
+        root.delivered_ids = set()
+        return root
 
-    def _gc(self, broker: "Broker", client: int) -> None:
-        roots = broker.pstate.get(client)
-        if roots is not None and not roots:
-            del broker.pstate[client]
+    @staticmethod
+    def _newest_root(broker: "Broker", client: int) -> Optional[_Root]:
+        """The client's newest root here (module docstring, "Phases")."""
+        entries = broker.table.entries_for_client(client)
+        return broker.pstate[max(entries, key=_KEY).key] if entries else None
 
     def _deliver(self, broker: "Broker", root: _Root, client: int,
                  event: Notification) -> None:
@@ -136,57 +162,43 @@ class SubUnsubProtocol(MobilityProtocol):
         last_broker: Optional[int],
         epoch: int = 0,
     ) -> None:
-        roots = self._roots(broker, client)
+        if last_broker == broker.id:
+            self._reconnect_at_root(broker, client)
+            return
+        root = self._new_root(broker, client)
+        filt = self.system.clients[client].filter
         if last_broker is None:
-            epoch = self._next_epoch(client)
-            key = (client, epoch)
-            root = _Root(epoch, key)
-            roots[epoch] = root
+            # IDLE -> SETTLED: the first attach
             if self._present(broker, client):
                 broker.local_subscribe(
-                    client, key, self.system.clients[client].filter,
-                    m.CAT_SUB_INITIAL, live=True,
+                    client, root.key, filt, m.CAT_SUB_INITIAL, live=True,
                 )
             else:
-                q = broker.new_queue(client)
-                root.queue = q.ref
+                root.queue = broker.new_queue(client).ref
                 broker.local_subscribe(
-                    client, key, self.system.clients[client].filter,
-                    m.CAT_SUB_INITIAL, live=False, sink=q.ref.qid,
+                    client, root.key, filt, m.CAT_SUB_INITIAL,
+                    live=False, sink=root.queue.qid,
                 )
+            root.phase = SETTLED
             return
-        if last_broker == broker.id:
-            if not roots:  # pragma: no cover - defensive: last-visited broker
-                raise ProtocolError(  # always holds the client's root
-                    f"broker {broker.id}: same-broker reconnect without root "
-                    f"(client {client})"
-                )
-            self._reconnect_at_root(broker, client, roots)
-            return
-        # silent-move handoff: re-subscribe here with a fresh epoch
-        epoch = self._next_epoch(client)
-        key = (client, epoch)
-        root = _Root(epoch, key)
-        roots[epoch] = root
-        q = broker.new_queue(client)
-        root.queue = q.ref
+        # IDLE -> AWAIT_TRANSFER: a silent-move handoff re-subscribes here
+        root.queue = broker.new_queue(client).ref
         broker.local_subscribe(
-            client, key, self.system.clients[client].filter,
-            m.CAT_SUB_HANDOFF, live=False, sink=q.ref.qid,
+            client, root.key, filt, m.CAT_SUB_HANDOFF,
+            live=False, sink=root.queue.qid,
         )
-        root.handoff = _Handoff(last_broker, self.clock.now)
+        root.t0, root.transferred = self.clock.now, []
+        root.phase = AWAIT_TRANSFER
         if self.tracer.wants("su_handoff_start"):
             self.tracer.emit(
                 "su_handoff_start", client=client, frm=last_broker, to=broker.id
             )
         self.later(
-            broker, self.safety_interval_ms,
-            self._send_transfer_request, broker, client, epoch,
+            broker, self.safety_interval_ms, self.net.unicast, broker.id,
+            last_broker, m.TransferRequest(client, root.epoch, broker.id),
         )
 
-    def _reconnect_at_root(
-        self, broker: "Broker", client: int, roots: dict[int, _Root]
-    ) -> None:
+    def _reconnect_at_root(self, broker: "Broker", client: int) -> None:
         """Same-broker reconnect: flush the stored queue, go live.
 
         This (and :meth:`on_disconnect` below) flips ``entry.live`` /
@@ -196,16 +208,14 @@ class SubUnsubProtocol(MobilityProtocol):
         unlike filter changes, which must go through the ``FilterTable``
         mutators.
         """
-        root = roots[max(roots)]
-        if root.handoff is not None:
+        root = self._newest_root(broker, client)
+        if root.phase is not SETTLED:
             # client came back to the new root mid-handoff: the merge will
             # notice the client is present and deliver
             return
         if not self._present(broker, client):
             return
         entry = broker.table.get_entry_by_key(root.key)
-        if entry is None:  # pragma: no cover - root implies entry
-            raise ProtocolError("root without filter-table entry")
         if entry.live:
             return
         q = broker.get_queue(root.queue)
@@ -217,16 +227,15 @@ class SubUnsubProtocol(MobilityProtocol):
         entry.sink = None
 
     def on_disconnect(self, broker: "Broker", client: int) -> None:
-        roots = broker.pstate.get(client)
-        if not roots:
+        root = self._newest_root(broker, client)
+        if root is None:
             return
-        root = roots[max(roots)]
-        if root.handoff is not None:
+        if root.phase is not SETTLED:
             # mid-handoff: merge continues; it will store instead of deliver
             self._reclaim_into_root(broker, client, root)
             return
         entry = broker.table.get_entry_by_key(root.key)
-        if entry is None or not entry.live:
+        if not entry.live:
             return  # connect still in flight, or already stored
         q = broker.new_queue(client)
         root.queue = q.ref
@@ -245,9 +254,8 @@ class SubUnsubProtocol(MobilityProtocol):
             q = broker.new_queue(client)
             root.queue = q.ref
             entry = broker.table.get_entry_by_key(root.key)
-            if entry is not None:
-                entry.live = False
-                entry.sink = q.ref.qid
+            entry.live = False
+            entry.sink = q.ref.qid
         # reclaimed events were never received: allow redelivery
         for ev in events:
             root.delivered_ids.discard(ev.event_id)
@@ -263,74 +271,44 @@ class SubUnsubProtocol(MobilityProtocol):
         event: Notification,
         from_broker: Optional[int],
     ) -> None:
-        roots = broker.pstate.get(entry.client)
-        root = None
-        if roots:
-            _cid, epoch = entry.key
-            root = roots.get(epoch)
-        if root is None:
-            # a straggler for an epoch already unsubscribed; its twin copy
-            # reached the surviving subscription (module docstring) — drop
-            return
+        # a straggler for an epoch already unsubscribed matches no entry
+        # here; its twin copy reached the surviving subscription (module
+        # docstring)
         if entry.live:
-            self._deliver(broker, root, entry.client, event)
+            self._deliver(broker, broker.pstate[entry.key], entry.client, event)
         else:
             broker.queues[entry.sink].append(event)
 
     # ------------------------------------------------------------------
     # control messages
     # ------------------------------------------------------------------
-    def on_control(self, broker: "Broker", msg: m.Message, frm: int) -> None:
-        t = type(msg)
-        if t is m.TransferRequest:
-            self._on_transfer_request(broker, msg)
-        elif t is m.TransferBatch:
-            self._on_transfer_batch(broker, msg)
-        elif t is m.TransferDone:
-            self._on_transfer_done(broker, msg)
-        else:
-            raise ProtocolError(
-                f"sub-unsub: unexpected control message {t.__name__}"
-            )
-
-    def _send_transfer_request(
-        self, broker: "Broker", client: int, epoch: int
+    def _on_transfer_request(
+        self, broker: "Broker", st: None, msg: m.TransferRequest, frm: int
     ) -> None:
-        roots = broker.pstate.get(client)
-        root = roots.get(epoch) if roots else None
-        if root is None or root.handoff is None:  # pragma: no cover
-            return
-        self.net.unicast(
-            broker.id,
-            root.handoff.old_broker,
-            m.TransferRequest(client, epoch, broker.id),
-        )
-
-    def _on_transfer_request(self, broker: "Broker", msg: m.TransferRequest) -> None:
-        """At the old root: unsubscribe, ship the stored queue."""
-        roots = broker.pstate.get(msg.client)
-        candidates = [ep for ep in (roots or {}) if ep < msg.epoch]
-        if not candidates:
-            raise ProtocolError(
-                f"broker {broker.id}: transfer request for unknown root "
-                f"(client {msg.client}, epoch {msg.epoch})"
-            )
+        """IDLE: at the old root, unsubscribe and ship the stored queue."""
         # the root being replaced is the newest epoch older than the
         # requesting one (the client may have rooted a newer epoch here by
         # bouncing back in the meantime)
-        old_root = roots[max(candidates)]
-        if old_root.handoff is not None:
+        older = [entry.key for entry in
+                 broker.table.entries_for_client(msg.client)
+                 if entry.key[1] < msg.epoch]
+        if not older:
+            raise self._illegal(
+                broker, msg.client, st,
+                f"TransferRequest for epoch {msg.epoch} without an older root",
+            )
+        old_root = broker.pstate[max(older)]
+        if old_root.phase is SETTLED:
+            self._execute_transfer(broker, msg, old_root)
+        else:
             # this root is itself still merging an earlier handoff: the
             # paper's frequent-moving chain — defer until our merge is done
-            if old_root.deferred_transfer is not None:  # pragma: no cover
-                raise ProtocolError("second deferred transfer at one root")
             old_root.deferred_transfer = msg
-            return
-        self._execute_transfer(broker, msg, old_root)
 
     def _execute_transfer(
         self, broker: "Broker", msg: m.TransferRequest, old_root: _Root
     ) -> None:
+        """SETTLED -> IDLE: unsubscribed, the stored queue on its way."""
         client = msg.client
         broker.local_unsubscribe_key(old_root.key, m.CAT_SUB_HANDOFF)
         if self.tracer.wants("su_unsubscribe"):
@@ -353,66 +331,52 @@ class SubUnsubProtocol(MobilityProtocol):
                 partial(m.TransferBatch, client, msg.epoch),
                 self._streamed, broker, old_root.queue, msg.new_broker, done,
             )
-        roots = broker.pstate[client]
-        del roots[old_root.epoch]
-        self._gc(broker, client)
+        old_root.phase = IDLE
+        del broker.pstate[old_root.key]
 
-    def _on_transfer_batch(self, broker: "Broker", msg: m.TransferBatch) -> None:
-        root = self._root_for_epoch(broker, msg.client, msg.epoch)
-        if root.handoff is None:
-            raise ProtocolError(
-                f"broker {broker.id}: transfer batch outside handoff "
-                f"(client {msg.client})"
-            )
-        root.handoff.transferred.extend(msg.events)
+    def _on_transfer_batch(
+        self, broker: "Broker", root: _Root, msg: m.TransferBatch, frm: int
+    ) -> None:
+        root.transferred.extend(msg.events)
 
-    def _on_transfer_done(self, broker: "Broker", msg: m.TransferDone) -> None:
-        root = self._root_for_epoch(broker, msg.client, msg.epoch)
-        handoff = root.handoff
-        if handoff is None or handoff.transfer_done:
-            raise ProtocolError(
-                f"broker {broker.id}: unexpected transfer_done "
-                f"(client {msg.client})"
-            )
-        handoff.transfer_done = True
+    def _on_transfer_done(
+        self, broker: "Broker", root: _Root, msg: m.TransferDone, frm: int
+    ) -> None:
+        """AWAIT_TRANSFER -> MERGING."""
+        root.phase = MERGING
         root.delivered_ids |= msg.delivered_ids
         # Merge no earlier than t0 + 2 * safety interval so dual-window
         # stragglers have landed in one of the two queues.
-        merge_at = handoff.t0 + 2.0 * self.safety_interval_ms
+        merge_at = root.t0 + 2.0 * self.safety_interval_ms
         delay = max(0.0, merge_at - self.clock.now)
-        handoff.merge_scheduled = True
         self.later(broker, delay, self._merge, broker, msg.client, root)
 
-    def _root_for_epoch(self, broker: "Broker", client: int, epoch: int) -> _Root:
-        roots = broker.pstate.get(client)
-        root = roots.get(epoch) if roots else None
-        if root is None:
-            raise ProtocolError(
-                f"broker {broker.id}: no root epoch {epoch} for client {client}"
-            )
-        return root
+    #: (phase, message type) -> handler; a pair that is not here raises
+    #: HandoffPhaseError in on_control
+    _CONTROL = {
+        (IDLE, m.TransferRequest): _on_transfer_request,
+        (AWAIT_TRANSFER, m.TransferBatch): _on_transfer_batch,
+        (AWAIT_TRANSFER, m.TransferDone): _on_transfer_done,
+    }
 
     # ------------------------------------------------------------------
     # merge
     # ------------------------------------------------------------------
     def _merge(self, broker: "Broker", client: int, root: _Root) -> None:
-        handoff = root.handoff
-        if handoff is None:  # pragma: no cover
-            raise ProtocolError("merge without handoff state")
-        root.handoff = None
+        """MERGING -> SETTLED."""
+        root.phase = SETTLED
+        transferred, root.transferred = root.transferred, None
         entry = broker.table.get_entry_by_key(root.key)
-        if entry is None:  # pragma: no cover
-            raise ProtocolError("merge at a root whose entry vanished")
         buffered = broker.get_queue(root.queue).drain()
         combined: dict[int, Notification] = {}
-        for event in handoff.transferred + buffered:
+        for event in transferred + buffered:
             combined.setdefault(event.event_id, event)
         ordered = sorted(combined.values(), key=lambda e: e.order_key())
         if self.tracer.wants("su_merge"):
             self.tracer.emit(
                 "su_merge", client=client, broker=broker.id,
                 merged=len(ordered),
-                dupes=len(handoff.transferred) + len(buffered) - len(ordered),
+                dupes=len(transferred) + len(buffered) - len(ordered),
             )
         if self._present(broker, client):
             for event in ordered:
@@ -436,20 +400,16 @@ class SubUnsubProtocol(MobilityProtocol):
     # crash recovery
     # ------------------------------------------------------------------
     def install_recovered(self, broker, client, backlog):
-        """Repair-round install: a fresh stored root seeded with the
-        gathered backlog; a synthesized ``on_connect`` (same-broker
+        """Repair-round install, IDLE -> SETTLED: a fresh stored root seeded
+        with the gathered backlog; a synthesized ``on_connect`` (same-broker
         reconnect) flushes it for clients that were connected."""
-        roots = self._roots(broker, client.id)
-        epoch = self._next_epoch(client.id)
-        key = (client.id, epoch)
-        root = _Root(epoch, key)
-        roots[epoch] = root
-        q = self._seeded_queue(broker, client.id, backlog)
-        root.queue = q.ref
+        root = self._new_root(broker, client.id)
+        root.queue = self._seeded_queue(broker, client.id, backlog).ref
         entry = ClientEntry(
-            client.id, key, client.filter, live=False, sink=q.ref.qid
+            client.id, root.key, client.filter, live=False, sink=root.queue.qid
         )
         broker.table.set_client_entry(entry)
+        root.phase = SETTLED
         return entry
 
     def on_repair_reset(self) -> None:
@@ -460,20 +420,7 @@ class SubUnsubProtocol(MobilityProtocol):
         )
 
     def gather_stray(self, broker: "Broker"):
-        for client, roots in broker.pstate.items():
-            if not isinstance(roots, dict):
-                continue
-            for root in roots.values():
-                if root.handoff is not None:
-                    for event in root.handoff.transferred:
-                        yield (client, event)
-
-    # ------------------------------------------------------------------
-    def quiescent(self) -> bool:
-        for broker in self.system.brokers.values():
-            for roots in broker.pstate.values():
-                if isinstance(roots, dict):
-                    for root in roots.values():
-                        if root.handoff is not None or root.deferred_transfer:
-                            return False
-        return True
+        for (client, _epoch), root in broker.pstate.items():
+            if root.phase is not SETTLED:
+                for event in root.transferred:
+                    yield (client, event)

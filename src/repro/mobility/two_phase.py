@@ -37,8 +37,9 @@ from typing import TYPE_CHECKING
 from repro.pubsub.messages import (
     CAT_MOBILITY_CTRL, Message, StopEventMigration,
 )
+from repro.mobility.base import every_phase
 from repro.mobility.mhh import (
-    GRANTING, IDLE, OUT_STREAMING, MHHProtocol, every_phase,
+    GRANTING, IDLE, OUT_STREAMING, MHHProtocol, Phase,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -212,9 +213,9 @@ class TwoPhaseProtocol(MHHProtocol):
     #: a stop while GRANTING (it aborts the prepare)
     _CONTROL = {
         **MHHProtocol._CONTROL,
-        **every_phase(GrantRequest, _on_grant_request),
-        **every_phase(GrantAck, _return_grant),
-        **every_phase(GrantRelease, _on_grant_release),
+        **every_phase(Phase, GrantRequest, _on_grant_request),
+        **every_phase(Phase, GrantAck, _return_grant),
+        **every_phase(Phase, GrantRelease, _on_grant_release),
         (GRANTING, GrantAck): _on_grant_ack,
         (GRANTING, StopEventMigration): MHHProtocol._on_stop,
     }

@@ -495,12 +495,9 @@ class FilterTable:
         """The client-entry half of :meth:`match`."""
         return self.match(event, from_broker)[1]
 
-    # ------------------------------------------------------------------
-    # introspection for tests
-    # ------------------------------------------------------------------
     def entries_for_client(self, client: int) -> list[ClientEntry]:
-        """Every entry of ``client`` (the product asks for the unique one:
-        :meth:`get_client_entry`)."""
+        """Every entry of ``client``: sub-unsub's roots of the client here
+        (any other protocol has one: :meth:`get_client_entry`)."""
         bucket = self._by_client.get(client)
         if not bucket:
             return []
@@ -509,6 +506,10 @@ class FilterTable:
         # several entries (sub-unsub epoch overlap): report them in global
         # installation order, exactly as the old whole-table scan did
         return sorted(bucket.values(), key=_ENTRY_SEQ)
+
+    # ------------------------------------------------------------------
+    # introspection for tests
+    # ------------------------------------------------------------------
 
     def snapshot_broker_filters(self) -> dict[int, set]:
         return {n: set(pf.keys()) for n, pf in self._from_nbr.items()}

@@ -290,3 +290,37 @@ def test_only_the_base_protocol_reads_the_pacing_options(path):
         assert len(reads) == 4, reads  # the walk sees what it forbids
     else:
         assert reads == []
+
+
+def _state_machine_breaches(path: Path) -> list[str]:
+    """What only ``mobility/base.py`` may write: an ``on_control`` and a
+    ``HandoffPhaseError``; and ``isinstance`` on anything but a message
+    (the protocol's own state answers by its phase)."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.FunctionDef) and node.name == "on_control":
+            out.append(f"{where} def on_control")
+        elif isinstance(node, ast.Call):
+            func = ast.unparse(node.func)
+            if func.endswith("HandoffPhaseError"):
+                out.append(f"{where} {ast.unparse(node)}")
+            elif func == "isinstance" and not (
+                isinstance(node.args[1], ast.Attribute)
+                and ast.unparse(node.args[1].value) == "m"
+            ):
+                out.append(f"{where} {ast.unparse(node)}")
+    return out
+
+
+@pytest.mark.parametrize("path", _MOBILITY_MODULES, ids=lambda p: p.name)
+def test_only_the_base_protocol_dispatches_control_messages(path):
+    """One handoff state machine: ``on_control`` and the typed error are
+    written once, in ``mobility/base.py``, and no protocol asks a state
+    what class it is."""
+    breaches = _state_machine_breaches(path)
+    if path.name == "base.py":
+        # the walk sees what it forbids: the dispatch and the one error
+        assert len(breaches) == 3, breaches
+    else:
+        assert breaches == []
