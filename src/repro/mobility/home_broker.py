@@ -167,8 +167,12 @@ class HomeBrokerProtocol(MobilityProtocol):
                 broker.drop_queue(st.queue)
                 st.queue = None
             return
-        # reconnect at a foreign broker: register with home
+        # reconnect at a foreign broker: register with home, unless the
+        # client left again within the uplink latency window (its
+        # disconnect here ran before this connect, with nothing to undo)
         epoch = self._next_epoch(client)
+        if not self._present(broker, client):
+            return
         st = self._state(broker, client)
         st.epoch = epoch
         st.phase = FOREIGN

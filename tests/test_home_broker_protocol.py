@@ -182,3 +182,23 @@ def test_property_hb_accounts_every_event(seed, schedule):
     assert stats.duplicates == 0
     assert stats.order_violations == 0
     assert stats.delivered + stats.lost_explicit == stats.expected
+
+
+def test_a_connect_that_arrives_after_its_own_disconnect_registers_nothing():
+    """The disconnect is seen at once, the connect message takes the uplink
+    latency: a foreign connect that finds the client gone again leaves no
+    foreign state and does not point home at the broker the client left,
+    so the backlog stored meanwhile waits at home for the client."""
+    system = build()
+    sub, pub = pair(system, 0, 5)
+    sub.disconnect()
+    sub.connect(4)
+    sub.disconnect()
+    for _ in range(3):
+        pub.publish(0.2)
+    system.run(until=system.sim.now + 1000.0)
+    assert system.brokers[4].pstate == {}
+    sub.connect(0)
+    system.sim.run()
+    stats = system.metrics.delivery.stats
+    assert (stats.delivered, stats.lost_explicit) == (3, 0)

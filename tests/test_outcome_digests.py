@@ -117,9 +117,12 @@ STREAM_DIGESTS = {
         {"migration_batch_size": 1},
         "3711e85067c2786817047b44c4837009f58eff66f1b1688d5df5b8e5b42ba7b4",
     ),
+    # re-pinned from 632f35a4405d92858f047e216c1af7057fd34cf0439b89181991368681309cb9
+    # when a foreign connect that finds its client gone again stopped
+    # registering (no ghost foreign state, no drain into the void)
     "home-broker": (
         {"stream_pacing_ms": 0.0},
-        "632f35a4405d92858f047e216c1af7057fd34cf0439b89181991368681309cb9",
+        "411aa372abd50f67f198df53f4ed2e9dea29b6a14141ae252e8565019e55c9c1",
     ),
     "two-phase": (
         {"stream_pacing_ms": 0.0},
