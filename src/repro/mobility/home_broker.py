@@ -199,8 +199,7 @@ class HomeBrokerProtocol(MobilityProtocol):
             # untransmitted downlink events are lost: the home broker has
             # already forwarded them and the foreign broker has nowhere to
             # send them
-            pending = self.net.reclaim_downlink(client)
-            for p in pending:
+            for p in self.net.reclaim_downlink(client):
                 if isinstance(p, m.DeliverMessage):
                     self.system.metrics.on_loss(client, p.event)
             self.net.unicast(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.pubsub.events import Notification
 from repro.util.ids import QueueRef

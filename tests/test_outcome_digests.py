@@ -106,7 +106,8 @@ def test_simulated_driver_outcomes_are_unchanged(seed):
 #: per batch, or every batch of a stream in the same instant — under
 #: half-second connections between 20 s disconnections, so backlogs span
 #: many batches and MHH migrations are stopped mid-stream. Recorded while
-#: each protocol still paced its streams with its own code.
+#: each protocol still paced its streams with its own code; home-broker's
+#: since a foreign connect that finds its client gone registers nothing.
 #: protocol -> (options, sha256 over every field of the outcome)
 STREAM_DIGESTS = {
     "mhh": (
@@ -117,9 +118,6 @@ STREAM_DIGESTS = {
         {"migration_batch_size": 1},
         "3711e85067c2786817047b44c4837009f58eff66f1b1688d5df5b8e5b42ba7b4",
     ),
-    # re-pinned from 632f35a4405d92858f047e216c1af7057fd34cf0439b89181991368681309cb9
-    # when a foreign connect that finds its client gone again stopped
-    # registering (no ghost foreign state, no drain into the void)
     "home-broker": (
         {"stream_pacing_ms": 0.0},
         "411aa372abd50f67f198df53f4ed2e9dea29b6a14141ae252e8565019e55c9c1",
