@@ -20,7 +20,6 @@ from repro.conformance.scenarios import Scenario
 __all__ = [
     "Scenario",
     "ScenarioFuzzer",
-    "ScenarioOutcome",
     "FuzzReport",
     "check_invariants",
     "run_scenario",

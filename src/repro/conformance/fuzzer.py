@@ -1,10 +1,13 @@
 """The protocol-conformance fuzzer: invariant matrix + cross-engine identity.
 
 For every sampled :class:`~repro.conformance.scenarios.Scenario` the fuzzer
-runs the full experiment pipeline (measurement window, metric snapshot,
-drain to quiescence) and then checks:
+runs the figure runs' own pipeline (:func:`~repro.experiments.runner.
+run_to_end`: measurement window, stop, drain to quiescence; then one
+audited record) with the delivery log recorded, and then checks:
 
-**Invariant matrix** (per protocol, after the drain):
+**Invariant matrix** (per protocol, after the drain;
+:func:`~repro.metrics.summary.check_invariants`, which judges every run's
+record, figure points included):
 
 =============  ==========================================================
 protocol       guarantee checked
@@ -88,21 +91,21 @@ from repro.conformance.scenarios import LANES, PROTOCOLS, Scenario
 from repro.drivers.live import run_virtual_scenario
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_to_end
-from repro.pubsub.system import PubSubSystem
+from repro.metrics.summary import (
+    RELIABLE_PROTOCOLS,
+    ResultRow,
+    build_row,
+    check_invariants,
+)
 
 __all__ = [
-    "ScenarioOutcome",
     "FuzzReport",
     "ScenarioFuzzer",
     "run_scenario",
-    "snapshot_outcome",
     "check_invariants",
     "compare_outcomes",
     "main",
 ]
-
-#: protocols whose contract is exactly-once, ordered, loss-free delivery
-RELIABLE_PROTOCOLS = frozenset({"mhh", "sub-unsub", "two-phase"})
 
 #: deterministic cycling order for the reliability lane (the lane's
 #: lost == 0 row only makes sense for protocols that promise no losses
@@ -120,237 +123,19 @@ _LANE_CYCLES: dict[str, tuple[Optional[str], ...]] = {
 }
 
 
-@dataclass
-class ScenarioOutcome:
-    """End-state of one scenario run, whichever driver ran it."""
-
-    published: int
-    expected: int
-    delivered: int
-    duplicates: int
-    order_violations: int
-    lost: int
-    missing: int
-    handoffs: int
-    injected_drops: int
-    injected_dups: int
-    meter_drops: int
-    meter_dups: int
-    sim_events: int
-    crash_lost: int = 0
-    repairs: int = 0
-    post_repair_publishes: int = 0
-    recovered: int = 0
-    shed: int = 0
-    retransmits: int = 0
-    breaker_trips: int = 0
-    #: retransmit timers that fired against a link already retired by the
-    #: crash/repair machinery (must stay 0: satellite regression gate)
-    stale_timer_fires: int = 0
-    #: durable sessions handed to a new home broker in repair rounds
-    wal_handovers: int = 0
-    #: WAL checkpoint/compaction passes across all brokers
-    wal_checkpoints: int = 0
-    wired_by_category: dict[str, int] = field(default_factory=dict)
-    #: (client, event_id, time) per delivery, in delivery order
-    delivery_log: tuple[tuple[int, int, float], ...] = ()
+def run_scenario(cfg: ExperimentConfig) -> ResultRow:
+    """Run one config end-to-end on the simulator, delivery log recorded;
+    its audited record."""
+    return build_row(cfg, run_to_end(cfg))
 
 
-def run_scenario(cfg: ExperimentConfig) -> ScenarioOutcome:
-    """Run one config end-to-end on the simulator and snapshot it."""
-    return snapshot_outcome(run_to_end(cfg))
-
-
-def snapshot_outcome(system: PubSubSystem) -> ScenarioOutcome:
-    """The end-state of a finished run, whichever driver ran it."""
-    stats = system.metrics.delivery.stats
-    injector = system.fault_injector
-    meter = system.metrics.traffic
-    return ScenarioOutcome(
-        published=stats.published,
-        expected=stats.expected,
-        delivered=stats.delivered,
-        duplicates=stats.duplicates,
-        order_violations=stats.order_violations,
-        lost=stats.lost_explicit,
-        missing=stats.missing,
-        handoffs=system.metrics.handoffs.handoff_count,
-        injected_drops=injector.drops if injector else 0,
-        injected_dups=injector.dups_delivered if injector else 0,
-        meter_drops=meter.total_dropped(),
-        meter_dups=meter.total_duplicated(),
-        sim_events=system.clock.events_processed,
-        crash_lost=stats.crash_lost,
-        repairs=system.recovery.repairs if system.recovery else 0,
-        post_repair_publishes=(
-            system.recovery.post_repair_publishes if system.recovery else 0
-        ),
-        recovered=stats.recovered,
-        shed=stats.shed,
-        retransmits=meter.total_retransmits(),
-        breaker_trips=meter.total_breaker_trips(),
-        stale_timer_fires=(
-            system.reliability.stale_timer_fires if system.reliability else 0
-        ),
-        wal_handovers=(
-            system.durability.handovers if system.durability else 0
-        ),
-        wal_checkpoints=(
-            system.durability.checkpoints if system.durability else 0
-        ),
-        wired_by_category=dict(meter.by_category()),
-        delivery_log=tuple(system.metrics.delivery.log),
-    )
-
-
-# ---------------------------------------------------------------------------
-# invariants
-# ---------------------------------------------------------------------------
-def check_invariants(cfg: ExperimentConfig, o: ScenarioOutcome) -> list[str]:
-    """Violations of the protocol's invariant matrix (empty = conformant).
-
-    Only ``protocol``, ``reliable``, ``durable``, ``queue_cap``, ``faults``
-    and ``crashes`` (``None`` = inactive) of ``cfg`` are read.
-    """
-    v: list[str] = []
-    reliable = cfg.protocol in RELIABLE_PROTOCOLS
-    faults_active = cfg.faults is not None and cfg.faults.active
-    crashes_active = cfg.crashes is not None and cfg.crashes.active
-    if o.missing != 0:
-        v.append(
-            f"missing={o.missing}: expected deliveries neither performed "
-            f"nor explicitly accounted as lost"
-        )
-    # No duplicate bound under reliability: the rx window decouples the
-    # delivery-level count from the injector in both directions.
-    # Retransmits whose ack (not the frame) was lost add duplicates the
-    # injector never made, while injected copies of a buffered or
-    # stale-session frame are absorbed by sequence-number reassembly
-    # before they reach the delivery meter. The per-client app callback
-    # dedups regardless; exactly-once is what the missing/lost rows assert.
-    if not cfg.reliable and o.duplicates != o.injected_dups:
-        v.append(
-            f"duplicates={o.duplicates} != injected link copies "
-            f"{o.injected_dups}: the protocol introduced or swallowed "
-            f"duplicates of its own"
-        )
-    if reliable:
-        if cfg.reliable:
-            # The whole point of the reliability lane: injected link loss
-            # is retransmitted away, never written off. Under a crash plan
-            # the only permitted write-offs are crash_lost (volatile state
-            # died with a broker) and shed (budget/bulkhead policy) —
-            # both tracked separately, so lost stays exactly zero.
-            if o.lost != 0:
-                v.append(
-                    f"lost={o.lost} != 0: reliable delivery must recover "
-                    f"every injected link loss (drops={o.injected_drops})"
-                )
-        elif o.lost != o.injected_drops:
-            v.append(
-                f"lost={o.lost} != injected link drops {o.injected_drops}: "
-                f"a reliable protocol must lose exactly what the link lost"
-            )
-        if o.order_violations != 0:
-            v.append(
-                f"order_violations={o.order_violations}: per-publisher "
-                f"order must hold"
-            )
-    elif not cfg.reliable:
-        if o.lost < o.injected_drops:
-            v.append(
-                f"lost={o.lost} < injected link drops {o.injected_drops}: "
-                f"link losses escaped the accounting"
-            )
-    if o.meter_drops != o.injected_drops:
-        v.append(
-            f"traffic meter drop ledger {o.meter_drops} != injector "
-            f"drops {o.injected_drops}"
-        )
-    if o.meter_dups != o.injected_dups:
-        v.append(
-            f"traffic meter dup ledger {o.meter_dups} != injector "
-            f"dups {o.injected_dups}"
-        )
-    if not faults_active and (o.injected_drops or o.injected_dups):
-        v.append("fault profile inactive but the injector fired")
-    if cfg.reliable:
-        if o.recovered > o.injected_drops:
-            v.append(
-                f"recovered={o.recovered} > injected link drops "
-                f"{o.injected_drops}: recoveries without matching drops"
-            )
-        if o.shed and cfg.queue_cap is None and not crashes_active:
-            v.append(
-                f"shed={o.shed} with no queue cap and no crash plan: "
-                f"nothing should trigger the shed policy"
-            )
-    elif cfg.queue_cap is None and (
-        o.recovered or o.shed or o.retransmits or o.breaker_trips
-    ):
-        v.append(
-            f"reliability off but its machinery fired (recovered="
-            f"{o.recovered} shed={o.shed} retransmits={o.retransmits} "
-            f"breaker_trips={o.breaker_trips})"
-        )
-    if crashes_active:
-        # Reliable protocols may write off deliveries whose only copy
-        # lived on the crashed broker (volatile state is genuinely gone) —
-        # but every such write-off must be *marked*, which the global
-        # ``missing == 0`` row already enforces. What distinguishes them
-        # from home-broker here is the rest of the matrix: no duplicates,
-        # order intact, zero unaccounted link losses.
-        if o.repairs != len(cfg.crashes.events):
-            v.append(
-                f"repairs={o.repairs} != scheduled failure events "
-                f"{len(cfg.crashes.events)}: a repair round was "
-                f"skipped or double-fired"
-            )
-    elif o.crash_lost or o.repairs:
-        v.append("crash plan inactive but the recovery machinery fired")
-    if cfg.reliable and o.stale_timer_fires:
-        v.append(
-            f"stale_timer_fires={o.stale_timer_fires}: a retransmit timer "
-            f"fired against a link the crash/repair machinery had already "
-            f"retired (epoch bump missed)"
-        )
-    if cfg.durable:
-        # The zero-write-off contract: with the WAL and session handover
-        # active, machine failures must never cost a delivery. crash_lost
-        # and shed stay exactly 0 (missing == 0 is asserted above, so the
-        # recovered deliveries are real, not reconciled away), and the
-        # durable retry path never opens a breaker.
-        if o.crash_lost != 0:
-            v.append(
-                f"crash_lost={o.crash_lost} != 0: a durable run wrote off "
-                f"deliveries to a broker crash instead of replaying the WAL"
-            )
-        if o.shed != 0:
-            v.append(
-                f"shed={o.shed} != 0: a durable run wrote off deliveries "
-                f"via the shed policy instead of retrying from the log"
-            )
-        if o.breaker_trips != 0:
-            v.append(
-                f"breaker_trips={o.breaker_trips} != 0: durable retry "
-                f"never exhausts, so no circuit breaker should exist"
-            )
-    elif o.wal_handovers or o.wal_checkpoints:
-        v.append(
-            f"durability off but the WAL machinery fired (handovers="
-            f"{o.wal_handovers} checkpoints={o.wal_checkpoints})"
-        )
-    if o.published == 0:
-        v.append("degenerate scenario: nothing was published")
-    return v
-
-
-def compare_outcomes(a: ScenarioOutcome, b: ScenarioOutcome) -> list[str]:
+def compare_outcomes(a: ResultRow, b: ResultRow) -> list[str]:
     """Cross-engine identity violations between two runs of one scenario
-    (``a`` on the simulator, ``b`` on the virtual clock)."""
+    (``a`` on the simulator, ``b`` on the virtual clock): every record
+    field but ``wall_seconds``."""
     v: list[str] = []
-    for f in dataclasses.fields(ScenarioOutcome):
-        if f.name in ("wired_by_category", "delivery_log"):
+    for f in dataclasses.fields(ResultRow):
+        if f.name in ("wall_seconds", "wired_by_category", "delivery_log"):
             continue
         av, bv = getattr(a, f.name), getattr(b, f.name)
         if av != bv:
@@ -472,7 +257,7 @@ class ScenarioFuzzer:
         scenario = Scenario.from_seed(scenario_seed, self.lane, protocol)
         cfg = scenario.config
         primary = run_scenario(cfg)
-        violations = check_invariants(cfg, primary)
+        violations = list(primary.violations)
         if cfg.crashes is not None and primary.post_repair_publishes == 0:
             # judges the scenario generator, not the protocol: a crash
             # schedule must leave live traffic on the reconverged overlay
@@ -481,10 +266,8 @@ class ScenarioFuzzer:
                 "the reconverged overlay"
             )
         if self.cross_engine:
-            alt = snapshot_outcome(run_virtual_scenario(cfg))
-            violations += [
-                f"[virtual-clock] {v}" for v in check_invariants(cfg, alt)
-            ]
+            alt = build_row(cfg, run_virtual_scenario(cfg))
+            violations += [f"[virtual-clock] {v}" for v in alt.violations]
             violations += compare_outcomes(primary, alt)
         return ScenarioResult(
             scenario_seed,

@@ -16,7 +16,6 @@ from repro.drivers.simulated import SimulatedDriver
 from repro.drivers.live import (
     AsyncioClock,
     LiveDriver,
-    SoakResult,
     VirtualClock,
     run_soak,
     run_virtual_scenario,
@@ -30,7 +29,6 @@ __all__ = [
     "SimulatedDriver",
     "AsyncioClock",
     "LiveDriver",
-    "SoakResult",
     "VirtualClock",
     "run_soak",
     "run_virtual_scenario",

@@ -38,7 +38,6 @@ import asyncio
 import heapq
 import tempfile
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.drivers.base import CancelHandle, Clock, Driver
@@ -46,14 +45,13 @@ from repro.errors import SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.config import ExperimentConfig
-    from repro.metrics.delivery import DeliveryStats
+    from repro.metrics.summary import ResultRow
     from repro.pubsub.system import PubSubSystem
 
 __all__ = [
     "VirtualClock",
     "AsyncioClock",
     "LiveDriver",
-    "SoakResult",
     "run_soak",
     "run_virtual_scenario",
 ]
@@ -323,43 +321,27 @@ def run_virtual_scenario(cfg: "ExperimentConfig") -> "PubSubSystem":
 # ---------------------------------------------------------------------------
 # the asyncio soak harness
 # ---------------------------------------------------------------------------
-@dataclass
-class SoakResult:
-    """Outcome of one live churn soak."""
-
-    protocol: str
-    wall_seconds: float
-    model_ms: float
-    stats: "DeliveryStats"
-    handoffs: int
-    injected_drops: int
-    injected_dups: int
-    drained: bool
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.drained and not self.violations
-
-
 def run_soak(
     cfg: "ExperimentConfig",
     *,
     time_scale: float = 5.0,
     drain_timeout_s: float = 60.0,
-) -> SoakResult:
-    """Run a config's churn workload on an asyncio loop and audit delivery.
+) -> "ResultRow":
+    """Run a config's churn workload on an asyncio loop; its audited record.
 
     The workload's periods and ``duration_s`` are model seconds; the
     measurement window is ``duration_s / time_scale`` *wall* seconds.
     After the window the workload stops, every client reconnects, and the
     run drains until the clock is idle and the protocol reports quiescence
-    — then the run is audited against the fuzzer's invariant matrix. Each
-    exception a clock callback raised (:attr:`AsyncioClock.errors`) is one
-    more violation, so a soak with a failing handler never passes.
+    — wall time needs this await loop of its own instead of
+    :func:`repro.experiments.runner.run_to_quiescence` — then the record
+    is built and audited like every other run's
+    (:func:`repro.metrics.summary.build_row`). A drain that timed out and
+    each exception a clock callback raised (:attr:`AsyncioClock.errors`)
+    are violations too, so a soak with a failing handler never passes.
     """
-    from repro.conformance.fuzzer import check_invariants, snapshot_outcome
     from repro.experiments.runner import build_system
+    from repro.metrics.summary import build_row
 
     loop = asyncio.new_event_loop()
     try:
@@ -380,34 +362,22 @@ def run_soak(
         finally:
             # as above; the audit below reads in-memory counters only
             system.close()
-        wall = time.perf_counter() - wall_start
-        model_ms = clock.now
+        system.metrics.delivery.finalize_accounting()
+        # audit even when the drain timed out — the named invariant
+        # violations (not a bare drain failure) are what the CLI surfaces
+        row = build_row(cfg, system, time.perf_counter() - wall_start)
     finally:
         loop.close()
 
-    system.metrics.delivery.finalize_accounting()
-    outcome = snapshot_outcome(system)
-    # audit even when the drain timed out — the named invariant violations
-    # (not a bare drain failure) are what the CLI surfaces on exit
-    violations = check_invariants(cfg, outcome)
-    violations += [
+    row.drained = drained
+    row.violations += [
         f"handler {name} raised at t={when:.3f} ms: {exc}"
         for when, name, exc in clock.errors
     ]
     if not drained:
-        violations.insert(
+        row.violations.insert(
             0,
             f"drain did not reach quiescence within {drain_timeout_s}s "
             f"(pending work or a stuck protocol; ledger audit below)",
         )
-    return SoakResult(
-        protocol=cfg.protocol,
-        wall_seconds=wall,
-        model_ms=model_ms,
-        stats=system.metrics.delivery.stats,
-        handoffs=outcome.handoffs,
-        injected_drops=outcome.injected_drops,
-        injected_dups=outcome.injected_dups,
-        drained=drained,
-        violations=violations,
-    )
+    return row

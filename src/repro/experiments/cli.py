@@ -10,7 +10,9 @@ Usage::
     python -m repro.experiments.cli connect --spawn 3 --scenario-seed 303
 
 ``fig5a``/``fig5b`` share one sweep, as do ``fig6a``/``fig6b``; asking for
-both panels of a figure runs the sweep once.
+both panels of a figure runs the sweep once. Every figure point is audited
+against the conformance fuzzer's invariant matrix; a point with a
+violation is printed after the figure and the command exits 1.
 
 ``soak`` runs the **live asyncio driver** instead of the simulator: the
 same broker/protocol kernel under real wall-clock delays, driven by the
@@ -122,15 +124,14 @@ def _run_soak(args, options: dict[str, Any]) -> int:
             ),
             time_scale=args.time_scale,
         )
-        st = result.stats
         status = "PASS" if result.passed else "FAIL"
         print(
             f"{status} {protocol:12s} wall={result.wall_seconds:5.1f}s "
             f"model={result.model_ms / 1000.0:6.1f}s "
-            f"handoffs={result.handoffs:3d} published={st.published} "
-            f"expected={st.expected} delivered={st.delivered} "
-            f"dups={st.duplicates} lost={st.lost_explicit} "
-            f"missing={st.missing}"
+            f"handoffs={result.handoffs:3d} published={result.published} "
+            f"expected={result.expected_deliveries} "
+            f"delivered={result.delivered} dups={result.duplicates} "
+            f"lost={result.lost} missing={result.missing}"
         )
         for violation in result.violations:
             print(f"     - {violation}")
@@ -162,12 +163,9 @@ def _run_wire_serve(args) -> int:
 def _run_wire_connect(args, faults: Optional[FaultProfile]) -> int:
     import dataclasses
 
-    from repro.conformance.fuzzer import (
-        check_invariants,
-        run_scenario,
-        snapshot_outcome,
-    )
+    from repro.conformance.fuzzer import run_scenario
     from repro.conformance.scenarios import PROTOCOLS, Scenario
+    from repro.metrics.summary import build_row
     from repro.wire.harness import run_socket_scenario
 
     endpoints = None
@@ -191,9 +189,9 @@ def _run_wire_connect(args, faults: Optional[FaultProfile]) -> int:
             keepalive_s=args.keepalive,
             endpoints=endpoints,
         )
-        o = snapshot_outcome(system)
+        o = build_row(cfg, system)
         wire = system.net.stats
-        violations = check_invariants(cfg, o)
+        violations = o.violations
         detail = ""
         if args.verify_sim:
             sim = run_scenario(cfg)
@@ -452,11 +450,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         want = _FIG5 | _FIG6
 
     out: list[str] = []
+    rows = []
     if want & _FIG5:
         rows5 = figures.run_fig5(
             scale=args.scale, seed=args.seed, workers=args.workers,
             workload_overrides=overrides or None, **options,
         )
+        rows += rows5
         if "fig5a" in want:
             out.append(report.format_series(
                 figures.fig5a(rows5), "conn_period_s", "msg overhead / handoff",
@@ -474,6 +474,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             scale=args.scale, seed=args.seed, workers=args.workers,
             workload_overrides=overrides or None, **options,
         )
+        rows += rows6
         if "fig6a" in want:
             out.append(report.format_series(
                 figures.fig6a(rows6), "base_stations", "msg overhead / handoff",
@@ -487,7 +488,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.raw:
             out.append(report.format_table(rows6, title="Figure 6 raw runs"))
     print("\n\n".join(out))
-    return 0
+    # every figure point is audited like a fuzzer scenario: a row that
+    # lost, duplicated or reordered deliveries fails the command
+    failed = [row for row in rows if row.violations]
+    for row in failed:
+        point = " ".join(f"{k}={v}" for k, v in row.params.items())
+        print(f"FAIL {row.protocol} {point}")
+        for violation in row.violations:
+            print(f"     - {violation}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

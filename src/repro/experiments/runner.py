@@ -1,17 +1,20 @@
-"""End-to-end scenario runner.
+"""End-to-end scenario runner: one run loop, one record.
 
-A run has three phases:
+Every run goes through :func:`run_to_quiescence`:
 
-1. **measurement** — the workload drives connects/disconnects/publishes for
-   ``duration_s`` of simulated time; traffic and handoff metrics accumulate.
-2. **snapshot** — overhead hops, handoff counts and delays are frozen
-   (drain-phase traffic must not pollute the paper's per-handoff metrics).
-3. **drain** — publishing and movement stop, every disconnected client
-   reconnects at its last-visited broker, and the simulation runs until the
-   event heap empties and the protocol reports quiescence. After the drain,
-   every reliable protocol must satisfy ``expected == delivered + lost``
-   exactly — the delivery checker turns the paper's reliability claims into
-   hard assertions.
+1. **measurement** — the workload drives connects/disconnects/publishes
+   for ``duration_s`` of model time.
+2. **stop** — :meth:`Workload.stop` ends the window: behaviour freezes, and
+   so do the wired hops by category and the open handoffs (drain-phase
+   traffic must not pollute the paper's per-handoff metrics).
+3. **drain** — every disconnected client reconnects at its last-visited
+   broker, and the clock runs until it is empty and the protocol reports
+   quiescence.
+
+:func:`run_experiment` then returns the run's one record,
+:func:`repro.metrics.summary.build_row`, audited by ``check_invariants``:
+every reliable protocol must satisfy ``expected == delivered + lost``
+exactly, for a figure point as for a fuzzer scenario.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Optional
 from repro.drivers.base import Driver
 from repro.errors import SimulationError
 from repro.experiments.config import ExperimentConfig
-from repro.metrics.summary import ResultRow, summarize
+from repro.metrics.summary import ResultRow, build_row
 from repro.pubsub.system import PubSubSystem
 from repro.workload.mobility_model import Workload
 
@@ -44,48 +47,11 @@ def build_system(
 
 
 def run_experiment(cfg: ExperimentConfig) -> ResultRow:
-    """Run one scenario to completion and summarise it."""
+    """Run one config to the end on the simulator, no delivery log
+    recorded; its audited record."""
     wall_start = time.perf_counter()
-    system, workload = build_system(cfg)
-    system.run(until=cfg.workload.duration_ms)
-    workload.stop()
-
-    # ------------------------------------------------------------------
-    # snapshot the paper's metrics before the drain phase
-    # ------------------------------------------------------------------
-    overhead_hops = system.metrics.traffic.overhead_hops()
-    overhead_by_cat = dict(system.metrics.traffic.by_category())
-    handoffs = system.metrics.handoffs.handoff_count
-    mean_delay = system.metrics.handoffs.mean_delay()
-    median_delay = system.metrics.handoffs.median_delay()
-    # handoffs whose first delivery has not happened yet must not have their
-    # delay filled in by drain-phase deliveries
-    system.metrics.handoffs.discard_open()
-
-    drain_to_quiescence(system, workload, cfg.drain_limit_ms)
-
-    row = summarize(
-        cfg.protocol,
-        system.metrics,
-        params={
-            "k": cfg.grid_k,
-            "brokers": system.broker_count,
-            "conn_s": cfg.workload.mean_connected_s,
-            "disc_s": cfg.workload.mean_disconnected_s,
-            "duration_s": cfg.workload.duration_s,
-            "seed": cfg.seed,
-        },
-        sim_events=system.sim.events_processed,
-        wall_seconds=time.perf_counter() - wall_start,
-    )
-    row.handoffs = handoffs
-    row.overhead_per_handoff = (
-        overhead_hops / handoffs if handoffs else None
-    )
-    row.mean_handoff_delay_ms = mean_delay
-    row.median_handoff_delay_ms = median_delay
-    row.overhead_by_category = overhead_by_cat
-    return row
+    system = run_to_end(cfg, record_log=False)
+    return build_row(cfg, system, time.perf_counter() - wall_start)
 
 
 def drain_to_quiescence(
@@ -122,26 +88,34 @@ def drain_to_quiescence(
 
 
 def run_to_quiescence(
-    system: PubSubSystem, workload: Workload, duration_ms: float
+    system: PubSubSystem,
+    workload: Workload,
+    duration_ms: float,
+    drain_limit_ms: Optional[float] = None,
 ) -> None:
     """Every run phase on a clock that runs itself: measurement window,
     stop, then :func:`drain_to_quiescence`."""
     system.clock.run(until=duration_ms)
     workload.stop()
-    drain_to_quiescence(system, workload)
+    drain_to_quiescence(system, workload, drain_limit_ms)
 
 
 def run_to_end(
-    cfg: ExperimentConfig, driver: Optional[Driver] = None
+    cfg: ExperimentConfig,
+    driver: Optional[Driver] = None,
+    *,
+    record_log: bool = True,
 ) -> PubSubSystem:
     """Build ``cfg`` on ``driver`` (None = the simulator), record its
-    delivery log and run it to quiescence; the finished system is closed
-    however the run ended (a scratch WAL goes, an explicit ``wal_dir``
-    belongs to the caller and is kept)."""
+    delivery log unless ``record_log`` is off, and run it to quiescence;
+    the finished system is closed however the run ended (a scratch WAL
+    goes, an explicit ``wal_dir`` belongs to the caller and is kept)."""
     system, workload = build_system(cfg, driver)
-    system.metrics.delivery.record_log = True
+    system.metrics.delivery.record_log = record_log
     try:
-        run_to_quiescence(system, workload, cfg.workload.duration_ms)
+        run_to_quiescence(
+            system, workload, cfg.workload.duration_ms, cfg.drain_limit_ms
+        )
     finally:
         system.close()
     return system

@@ -7,12 +7,13 @@ disconnect / loss), so brokers and clients need exactly one reference.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.metrics.delivery import DeliveryChecker
 from repro.metrics.handoff import HandoffLog
 from repro.metrics.traffic import TrafficMeter
 from repro.pubsub.events import Notification
+from repro.pubsub.messages import OVERHEAD_CATEGORIES
 
 __all__ = ["MetricsHub"]
 
@@ -24,6 +25,18 @@ class MetricsHub:
         self.traffic = TrafficMeter()
         self.delivery = DeliveryChecker()
         self.handoffs = HandoffLog()
+        #: wired hops by category over the measurement window: the live
+        #: tally until close_window() freezes it
+        self.window_wired: Mapping[str, int] = self.traffic.wired_hops
+
+    def close_window(self) -> None:
+        """End the measurement window (``Workload.stop`` calls this): freeze
+        the wired hops by category and forget handoffs still awaiting their
+        first delivery, so neither drain traffic nor drain deliveries reach
+        the paper's metrics. The drain adds no handoff: it reconnects every
+        client at its last broker."""
+        self.window_wired = dict(self.traffic.wired_hops)
+        self.handoffs.discard_open()
 
     # -- link layer hook -------------------------------------------------
     def account(self, category: str, hops: int, wireless: bool) -> None:
@@ -58,10 +71,12 @@ class MetricsHub:
 
     # -- derived metrics ---------------------------------------------------
     def overhead_per_handoff(self) -> Optional[float]:
+        """The window's mobility-caused wired hops per handoff."""
         n = self.handoffs.handoff_count
         if n == 0:
             return None
-        return self.traffic.overhead_hops() / n
+        wired = self.window_wired
+        return sum(wired.get(c, 0) for c in OVERHEAD_CATEGORIES) / n
 
     def mean_handoff_delay(self) -> Optional[float]:
         return self.handoffs.mean_delay()

@@ -236,8 +236,8 @@ class PubSubSystem:
         #: sans-IO Clock facade (now / call_later / call_later_fifo)
         self.clock = driver.clock
         #: the discrete-event engine when the driver is simulated, else
-        #: None — only `run`/`run_until_quiescent` and the experiment
-        #: runner depend on it; the kernel itself never touches it
+        #: None — only `run` depends on it; the kernel itself never
+        #: touches it
         self.sim = driver.sim
         # what brokers and protocols read while running is a plain
         # attribute (no `options.` hop on a hot path); `covering_enabled`
@@ -414,13 +414,6 @@ class PubSubSystem:
         by its clock (the asyncio loop / :class:`VirtualClock`) instead.
         """
         self._require_sim().run(until=until)
-
-    def run_until_quiescent(self, max_time: Optional[float] = None) -> None:
-        """Drain every pending event (bounded by ``max_time`` if given)."""
-        if max_time is None:
-            self._require_sim().run()
-        else:
-            self._require_sim().run(until=max_time)
 
     def _require_sim(self):
         if self.sim is None:

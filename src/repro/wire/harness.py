@@ -232,7 +232,9 @@ def run_socket_scenario(
             tweak(transport)
 
         workload = Workload(system, cfg.workload)
-        run_to_quiescence(system, workload, cfg.workload.duration_ms)
+        run_to_quiescence(
+            system, workload, cfg.workload.duration_ms, cfg.drain_limit_ms
+        )
 
         # fold the nodes' keepalive shedding into the coordinator ledger
         # (cause-tagged like every other shed; client -1 = not client data)

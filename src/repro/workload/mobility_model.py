@@ -120,10 +120,12 @@ class Workload:
 
     # ------------------------------------------------------------------
     def stop(self) -> None:
-        """End the measurement window: freeze all behaviour processes."""
+        """End the measurement window: freeze all behaviour processes and
+        close the metrics window (:meth:`MetricsHub.close_window`)."""
         self._stopped = True
         for proc in self._processes:
             proc.interrupt()
+        self.system.metrics.close_window()
 
     def reconnect_all(self) -> None:
         """Reattach every disconnected client at its last-visited broker

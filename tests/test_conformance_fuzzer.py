@@ -10,7 +10,6 @@ from repro.conformance import fuzzer
 from repro.conformance.fuzzer import (
     FuzzReport,
     ScenarioFuzzer,
-    ScenarioOutcome,
     ScenarioResult,
     check_invariants,
     compare_outcomes,
@@ -19,6 +18,7 @@ from repro.conformance.fuzzer import (
 )
 from repro.conformance.scenarios import LANES, PROTOCOLS, Scenario
 from repro.experiments.config import ExperimentConfig
+from repro.metrics.summary import ResultRow
 
 
 def quick_seed(predicate, start=0):
@@ -147,7 +147,7 @@ def test_fuzzer_run_one_passes_on_a_small_scenario():
 def outcome(**kw):
     base = dict(
         published=10,
-        expected=20,
+        expected_deliveries=20,
         delivered=20,
         duplicates=0,
         order_violations=0,
@@ -161,7 +161,7 @@ def outcome(**kw):
         sim_events=1000,
     )
     base.update(kw)
-    return ScenarioOutcome(**base)
+    return ResultRow("mhh", **base)
 
 
 def scenario_for(protocol):

@@ -199,8 +199,8 @@ def test_asyncio_soak_mhh_with_faults_passes():
     result = run_soak(cfg, time_scale=10.0)
     assert result.drained, "live drain did not reach quiescence"
     assert result.violations == []
-    assert result.stats.published > 0
-    assert result.stats.missing == 0
+    assert result.published > 0
+    assert result.missing == 0
 
 
 def test_asyncio_soak_fails_on_a_raising_handler(monkeypatch):

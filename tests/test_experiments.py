@@ -2,9 +2,13 @@
 
 import dataclasses
 import inspect
+import time
 
 import pytest
 from covering_scan import scan_covering
+from test_outcome_digests import SIM_DIGESTS
+
+from repro.conformance.scenarios import Scenario
 
 from repro.drivers.live import LiveDriver, VirtualClock, run_soak
 from repro.drivers.simulated import SimulatedDriver
@@ -19,13 +23,15 @@ from repro.experiments.figures import (
     run_fig6,
 )
 from repro.experiments.report import format_series, format_table
-from repro.experiments.runner import build_system, run_experiment
+from repro.experiments.runner import build_system, run_experiment, run_to_end
 from repro.network.faults import FaultProfile
 from repro.network.recovery import CrashPlan
+from repro.pubsub.client import Client
 from repro.pubsub.filter_table import FilterTable
 from repro.pubsub.interval_index import IntervalIndex
 from repro.pubsub.system import PubSubSystem, SystemOptions
 from repro.sim.core import Simulator
+from repro.workload.mobility_model import Workload
 from repro.workload.spec import WorkloadSpec
 
 
@@ -340,3 +346,70 @@ def test_workload_overrides_reject_sweep_owned_fields():
     with _pytest.raises(ConfigurationError, match="sweep-owned"):
         figures.run_fig6(scale="smoke", grid_sizes=(3,),
                          workload_overrides={"duration_s": 5.0})
+
+
+# ---------------------------------------------------------------------------
+# one run, one record, every run audited
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("seed", sorted(SIM_DIGESTS))
+def test_the_drain_adds_no_handoff_and_no_delay_sample(seed, monkeypatch):
+    """The record reads handoffs and delays at the end of the run, not at
+    ``Workload.stop``: the drain reconnects every client at its last
+    broker (not a handoff), and the closed window keeps drain deliveries
+    from filling in a delay."""
+    at_stop = {}
+    stop = Workload.stop
+
+    def stop_and_look(workload):
+        stop(workload)
+        log = workload.system.metrics.handoffs
+        at_stop.update(handoffs=log.handoff_count, delays=log.delays())
+
+    monkeypatch.setattr(Workload, "stop", stop_and_look)
+    system = run_to_end(Scenario.from_seed(seed).config, record_log=False)
+    log = system.metrics.handoffs
+    assert at_stop["handoffs"] > 0
+    assert log.handoff_count == at_stop["handoffs"]
+    assert log.delays() == at_stop["delays"]
+
+
+def _drop_one_delivery_silently(monkeypatch) -> list:
+    """Plant a mutant: the first delivery any client receives vanishes
+    without ``on_loss``, so no ledger ever hears of it."""
+    deliver = Client._deliver_event
+    dropped: list = []
+
+    def deliver_but_drop_one(self, event):
+        if not dropped:
+            dropped.append((self.id, event.publisher, event.seq))
+            return
+        deliver(self, event)
+
+    monkeypatch.setattr(Client, "_deliver_event", deliver_but_drop_one)
+    return dropped
+
+
+def test_a_silently_dropped_delivery_fails_the_figure_run(
+        monkeypatch, capsys):
+    from repro.experiments import figures
+    from repro.experiments.cli import main
+
+    started = time.perf_counter()
+    dropped = _drop_one_delivery_silently(monkeypatch)
+    row = run_experiment(
+        ExperimentConfig(protocol="mhh", grid_k=3, seed=4, workload=FAST))
+    assert len(dropped) == 1
+    assert row.missing == 1
+    assert any(v.startswith("missing=1:") for v in row.violations)
+
+    # the figure command on a one-point sweep: the first of its three
+    # runs drops the delivery
+    dropped.clear()
+    monkeypatch.setattr(figures, "CONN_PERIOD_SWEEP_S", (100.0,))
+    rc = main(["fig5a", "--scale", "smoke"])
+    out = capsys.readouterr().out
+    assert len(dropped) == 1
+    assert rc == 1
+    assert "Figure 5(a)" in out
+    assert "FAIL mhh" in out and "- missing=1:" in out
+    assert time.perf_counter() - started < 10.0

@@ -5,17 +5,15 @@ hashes. Simulator only: no sockets, no processes."""
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import pytest
 
-from repro.conformance.fuzzer import (
-    ScenarioOutcome, run_scenario, snapshot_outcome,
-)
+from repro.conformance.fuzzer import run_scenario
 from repro.conformance.scenarios import Scenario
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, run_to_quiescence
+from repro.metrics.summary import ResultRow, build_row
 from repro.pubsub import messages as m
 from repro.workload.spec import WorkloadSpec
 
@@ -71,14 +69,30 @@ LAYERED_DIGESTS = {
 }
 
 
-def _digest(o: ScenarioOutcome, whole: bool = False) -> str:
+#: the outcome fields every digest above was recorded over, by the name
+#: each had then (``expected`` is the record's ``expected_deliveries``)
+_DIGEST_FIELDS = (
+    "published", "expected", "delivered", "duplicates", "order_violations",
+    "lost", "missing", "handoffs", "injected_drops", "injected_dups",
+    "meter_drops", "meter_dups", "sim_events", "crash_lost", "repairs",
+    "post_repair_publishes", "recovered", "shed", "retransmits",
+    "breaker_trips", "stale_timer_fires", "wal_handovers", "wal_checkpoints",
+    "wired_by_category", "delivery_log",
+)
+_RENAMED = {"expected": "expected_deliveries"}
+
+
+def _digest(o: ResultRow, whole: bool = False) -> str:
     if whole:
-        fields = dataclasses.asdict(o)
+        fields = {
+            name: getattr(o, _RENAMED.get(name, name))
+            for name in _DIGEST_FIELDS
+        }
         fields["wired_by_category"] = sorted(o.wired_by_category.items())
         blob = repr(sorted(fields.items()))
     else:
         blob = repr((
-            o.published, o.expected, o.delivered, o.duplicates,
+            o.published, o.expected_deliveries, o.delivered, o.duplicates,
             o.order_violations, o.lost, o.missing, o.handoffs,
             o.injected_drops, o.injected_dups, o.sim_events,
             sorted(o.wired_by_category.items()), o.delivery_log,
@@ -145,7 +159,7 @@ def _run_recording_messages(cfg: ExperimentConfig):
         run_to_quiescence(system, workload, cfg.workload.duration_ms)
     finally:
         system.close()
-    return snapshot_outcome(system), sent
+    return build_row(cfg, system), sent
 
 
 def _streams_bound(sent) -> int:

@@ -24,7 +24,8 @@ import time
 
 import pytest
 
-from repro.conformance.fuzzer import run_scenario, snapshot_outcome
+from repro.conformance.fuzzer import run_scenario
+from repro.metrics.summary import build_row
 from repro.conformance.scenarios import Scenario
 from repro.experiments.config import ExperimentConfig
 from repro.drivers.socket import BrokerPeer, PeerError, WireStats
@@ -281,7 +282,7 @@ def test_every_early_kill_point_resumes_to_the_same_outcome(
         system = run_socket_scenario(cfg, endpoints=two_nodes, tweak=arm)
         assert all(p.kills == 1 for p in system.net.peers), kill_after
         assert system.net.stats.resumes >= 2, kill_after
-        assert _parity_diff(sim, snapshot_outcome(system)) == [], kill_after
+        assert _parity_diff(sim, build_row(cfg, system)) == [], kill_after
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +353,7 @@ def test_concurrent_sessions_with_repeated_kills_stay_exact():
             cfg, endpoints=endpoints, tweak=rearming_kill
         )
         outcomes[slot] = (
-            snapshot_outcome(system), system.net.peers[0].kills
+            build_row(cfg, system), system.net.peers[0].kills
         )
 
     interval = sys.getswitchinterval()

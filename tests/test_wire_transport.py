@@ -15,15 +15,11 @@ import dataclasses
 
 import pytest
 
-from repro.conformance.fuzzer import (
-    ScenarioOutcome,
-    check_invariants,
-    run_scenario,
-    snapshot_outcome,
-)
+from repro.conformance.fuzzer import check_invariants, run_scenario
 from repro.conformance.scenarios import PROTOCOLS, Scenario
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.metrics.summary import ResultRow, build_row
 from repro.wire.harness import run_socket_scenario
 
 #: the pinned parity scenario: k=2 grid, hotspot mobility, lossy+duplicating
@@ -32,13 +28,17 @@ PARITY_SEED = 303
 
 #: outcome fields the socket run must reproduce exactly (sim_events
 #: describes the scheduler, not the behaviour)
-_PARITY_FIELDS = tuple(
-    f.name for f in dataclasses.fields(ScenarioOutcome)
-    if f.name != "sim_events"
+_PARITY_FIELDS = (
+    "published", "expected_deliveries", "delivered", "duplicates",
+    "order_violations", "lost", "missing", "handoffs", "injected_drops",
+    "injected_dups", "meter_drops", "meter_dups", "crash_lost", "repairs",
+    "post_repair_publishes", "recovered", "shed", "retransmits",
+    "breaker_trips", "stale_timer_fires", "wal_handovers", "wal_checkpoints",
+    "wired_by_category", "delivery_log",
 )
 
 
-def _parity_diff(sim: ScenarioOutcome, sock: ScenarioOutcome) -> list:
+def _parity_diff(sim: ResultRow, sock: ResultRow) -> list:
     diffs = []
     for name in _PARITY_FIELDS:
         a, b = getattr(sim, name), getattr(sock, name)
@@ -73,7 +73,7 @@ def test_socket_transport_matches_simulated_driver(protocol, capped):
             publish_interval_s=2.0)
     sim = run_scenario(cfg)
     system = run_socket_scenario(cfg, processes=2)
-    sock = snapshot_outcome(system)
+    sock = build_row(cfg, system)
     assert _parity_diff(sim, sock) == []
     assert sock.delivery_log, "degenerate run: no deliveries at all"
     assert (sock.shed > 0) == capped
@@ -92,7 +92,7 @@ def test_three_process_split_is_also_identical():
     cfg = _config("mhh")
     sim = run_scenario(cfg)
     system = run_socket_scenario(cfg, processes=3)
-    assert _parity_diff(sim, snapshot_outcome(system)) == []
+    assert _parity_diff(sim, build_row(cfg, system)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,7 @@ def test_killed_connections_resume_with_identical_outcome():
         transport.peers[1].kill_after_frames = 60
 
     system = run_socket_scenario(cfg, processes=2, tweak=arm)
-    sock = snapshot_outcome(system)
+    sock = build_row(cfg, system)
     stats = system.net.stats
     assert stats.resumes >= 2, "the kill hooks never fired"
     assert all(p.kills == 1 for p in system.net.peers)
@@ -141,7 +141,7 @@ def test_repeated_kills_on_one_connection_still_converge():
     system = run_socket_scenario(cfg, processes=2, tweak=rearming_kill)
     assert killer_state["count"] >= 2
     assert system.net.stats.resumes >= killer_state["count"]
-    assert _parity_diff(sim, snapshot_outcome(system)) == []
+    assert _parity_diff(sim, build_row(cfg, system)) == []
 
 
 # ---------------------------------------------------------------------------
