@@ -150,6 +150,14 @@ class DeliveryChecker:
         """
         self._crash_marked.add((client, event.event_id))
 
+    def mark_subscribers_at_risk(self, event: Notification) -> None:
+        """:meth:`mark_crash_risk` for every subscriber of ``event`` (a
+        publish the overlay may have eaten before it was matched)."""
+        eid = event.event_id
+        self._crash_marked.update(
+            (cid, eid) for cid in self.matching_clients(event.topic).tolist()
+        )
+
     def _expected(self, client: int, event: Notification) -> bool:
         """Did ``on_publish`` count ``event`` for ``client``?"""
         pub, seq, topic = event.publisher, event.seq, event.topic
@@ -171,10 +179,6 @@ class DeliveryChecker:
         return self._expected(client, event) or (
             eid in self._unexpected.get(client, ())
         )
-
-    def max_delivered_seq(self, client: int, publisher: int) -> int:
-        """Highest seq from ``publisher`` delivered to ``client`` (-1 if none)."""
-        return self._max_seq.get(client, {}).get(publisher, -1)
 
     def crash_lost(self) -> int:
         """At-risk pairs that were neither delivered nor fault-lost."""

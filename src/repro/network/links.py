@@ -404,8 +404,9 @@ class LinkLayer:
     def _deliver_uplink(self, item: tuple) -> None:
         broker_id, client_id, msg, stamp = item
         # uplink traffic is stamped too: a repair round re-synthesises the
-        # client's attachment from ground truth, so a pre-repair
-        # connect/publish arriving afterwards would double up
+        # client's attachment from ground truth, so a pre-repair connect
+        # arriving afterwards would double up (the guard lets a publish
+        # through to a live broker: it carries no routing state)
         for stale in self._stale:
             if stale(msg, broker_id, stamp):
                 return

@@ -199,6 +199,10 @@ class Client:
         if self.on_event is not None:
             self.on_event(event)
 
+    def has_seen(self, event: Notification) -> bool:
+        """Has a copy of ``event`` reached this client already?"""
+        return bool(self._seen_events.get(event.publisher, 0) >> event.seq & 1)
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = f"@B{self.current_broker}" if self.connected else "offline"
         return f"<Client {self.id} {where}>"

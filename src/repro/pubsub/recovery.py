@@ -17,19 +17,18 @@ end of the run the pairs that were neither delivered nor fault-lost
 reconcile into ``stats.crash_lost``. Over-marking is harmless (delivered
 pairs reconcile to zero); *under*-marking would surface as ``missing > 0``
 — which is precisely what the conformance fuzzer's crash lane asserts never
-happens.
+happens. The ledger is only marked here, never asked.
 
-Marking happens at four places:
+Marking happens at three places:
 
 * publish-time, while the overlay is **dirty** (between a failure event and
   the completing repair round): routing state may silently eat any event,
-  so all matched clients of every publish in the window are marked;
+  so every publish in the window marks its subscribers
+  (:meth:`~repro.metrics.delivery.DeliveryChecker.mark_subscribers_at_risk`);
 * crash-time, for the crashed broker's stored queues, stray transfer
   buffers, and its attached clients' untransmitted downlink messages;
 * delivery-time, when the link layer drops a generation-stale or
-  dead-addressed message carrying event cargo;
-* repair-time, for gathered backlog events that would violate per-publisher
-  order if replayed (the client has already seen a newer event).
+  dead-addressed message carrying event cargo.
 
 The repair round (self-stabilization, PSVR-style)
 -------------------------------------------------
@@ -37,8 +36,8 @@ The repair round (self-stabilization, PSVR-style)
 single synchronous repair round restores a consistent global state:
 
 1. **gather** the surviving backlog from all live brokers' persistent
-   queues and stray buffers, deduplicated, minus delivered/superseded pairs,
-   sorted into publish order;
+   queues and stray buffers, deduplicated, minus what each client has seen
+   (:meth:`~repro.pubsub.client.Client.has_seen`), in publish order;
 2. **re-converge**: bump the generation (invalidating every in-flight
    message and armed protocol timer), rebuild the spanning tree over the
    survivors (:func:`~repro.network.spanning_tree.rebuild_spanning_tree`),
@@ -54,7 +53,8 @@ single synchronous repair round restores a consistent global state:
 4. **reattach**: for clients that were connected when the round ran,
    synthesize the protocol's normal ``on_connect`` (reusing the client's
    existing connect epoch, so interrupted MHH/two-phase handoffs restart
-   cleanly instead of double-installing).
+   cleanly instead of double-installing); a client a crash detached that
+   has not reconnected since is reattached at its anchor.
 """
 
 from __future__ import annotations
@@ -151,6 +151,8 @@ class RecoveryCoordinator:
         #: after reconvergence" invariant is not vacuous
         self.repairs = 0
         self.post_repair_publishes = 0
+        #: client -> connect epoch, of the clients a crash detached
+        self._detached: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # the layer seam: link guards, timers, clients
@@ -182,8 +184,11 @@ class RecoveryCoordinator:
         they were sent under; a repair round advances it, so anything in
         flight when the tree is rewired is dropped (reverse-path forwarding
         is only correct relative to the tree it was routed on), as is
-        anything addressed to a broker that crashed after the send."""
-        if generation != self.generation or to in self.down:
+        anything addressed to a broker that crashed after the send. A
+        publish uplink carries no routing state (its ingress broker routes
+        it on the current tree), so only a dead broker stops it."""
+        stale = generation != self.generation and type(msg) is not m.PublishMessage
+        if stale or to in self.down:
             self.on_dropped_message(msg)
             return True
         return False
@@ -213,9 +218,7 @@ class RecoveryCoordinator:
     # ------------------------------------------------------------------
     def on_publish(self, event: Notification) -> None:
         if self._dirty:
-            checker = self.system.metrics.delivery
-            for cid in checker.matching_clients(event.topic):
-                checker.mark_crash_risk(int(cid), event)
+            self.system.metrics.delivery.mark_subscribers_at_risk(event)
         elif self.generation:
             self.post_repair_publishes += 1
 
@@ -232,8 +235,7 @@ class RecoveryCoordinator:
             for ev in msg.events:
                 checker.mark_crash_risk(msg.client, ev)
         elif t is m.EventMessage or t is m.PublishMessage:
-            for cid in checker.matching_clients(msg.event.topic):
-                checker.mark_crash_risk(int(cid), msg.event)
+            checker.mark_subscribers_at_risk(msg.event)
             if t is m.PublishMessage:
                 # the publish died before reaching any broker (the WAL
                 # models the durable publisher outbox that re-submits it)
@@ -281,6 +283,7 @@ class RecoveryCoordinator:
                     if isinstance(pending, m.DeliverMessage):
                         checker.mark_crash_risk(cid, pending.event)
                 client.force_disconnect()
+                self._detached[cid] = client.connect_epoch
         # layers holding per-broker state sweep what the corpse owned
         # (reliability: straggler transmit windows and their timers)
         for sweep in self._hooks.broker_crash:
@@ -304,23 +307,17 @@ class RecoveryCoordinator:
     # ------------------------------------------------------------------
     def _repair(self) -> None:
         system = self.system
-        checker = system.metrics.delivery
         protocol = system.protocol
         self.generation += 1
         alive = sorted(b for b in system.brokers if b not in self.down)
 
-        # 1. gather the surviving backlog: deduplicate by event id, skip
-        #    pairs already delivered, and retire pairs whose replay would
-        #    violate per-publisher order (the client saw a newer event).
+        # 1. gather the surviving backlog: deduplicate by event id and skip
+        #    what the subscriber itself has already seen
         backlog: dict[int, dict[int, Notification]] = {}
 
         def keep(cid: int, ev: Notification) -> None:
-            if checker.delivered_pair(cid, ev):
-                return
-            if ev.seq <= checker.max_delivered_seq(cid, ev.publisher):
-                checker.mark_crash_risk(cid, ev)
-                return
-            backlog.setdefault(cid, {}).setdefault(ev.event_id, ev)
+            if not system.clients[cid].has_seen(ev):
+                backlog.setdefault(cid, {}).setdefault(ev.event_id, ev)
 
         for bid in alive:
             broker = system.brokers[bid]
@@ -336,14 +333,13 @@ class RecoveryCoordinator:
         for sweep in self._hooks.overlay_repair:
             sweep(self.down)
         # stable storage outlives the processes: the WAL's replayed events
-        # and the publisher outbox's dead letters are folded back into the
-        # backlog for all matching subscribers, so volatile queues lost to
-        # a crash are rebuilt from the log (crash_lost -> 0); `keep` dedups
-        # against what the live gather already found
+        # and the publisher outbox's dead letters come back as (client,
+        # event) pairs of the sessions the log knows, so volatile queues
+        # lost to a crash are rebuilt from the log (crash_lost -> 0); `keep`
+        # dedups against what the live gather already found
         for source in self._hooks.backlog_source:
-            for ev in source():
-                for cid in checker.matching_clients(ev.topic):
-                    keep(int(cid), ev)
+            for cid, ev in source():
+                keep(cid, ev)
 
         # 2. re-converge the overlay and wipe routing/protocol state
         tree = rebuild_spanning_tree(
@@ -388,6 +384,11 @@ class RecoveryCoordinator:
                 )
             else:
                 client.last_broker = anchor
+                # the station re-association a crash owes its detached
+                # clients (a static one has no mover to reconnect it)
+                if self._detached.get(cid) == client.connect_epoch:
+                    client.connect(anchor)
+        self._detached.clear()
         self._dirty = False
         self.repairs += 1
         system.tracer.emit(

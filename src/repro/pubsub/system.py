@@ -171,6 +171,9 @@ class LayerHooks:
     def __init__(self) -> None:
         #: Client.connect, station association: ``broker_id -> broker_id``
         self.attach_target: list = []
+        #: PubSubSystem.add_client, a topic-range subscriber:
+        #: ``(client_id, home_broker, lo, hi)``
+        self.subscribe: list = []
         #: Client.publish, before the uplink send: ``(event)``
         self.client_publish: list = []
         #: every copy a client receives: ``(client_id, broker | None, event)``
@@ -196,8 +199,9 @@ class LayerHooks:
         self.settled: list = []
         #: crash repair to the layers holding per-broker state:
         #: ``(broker_id)`` at a crash, ``(down)`` as a repair round starts,
-        #: ``() -> events`` to re-offer, ``(client_id, anchor, down)`` per
-        #: resynced client, ``(event)`` per publish lost on the wire
+        #: ``() -> (client_id, event) pairs`` to re-offer,
+        #: ``(client_id, anchor, down)`` per resynced client, ``(event)``
+        #: per publish lost on the wire
         self.broker_crash: list = []
         self.overlay_repair: list = []
         self.backlog_source: list = []
@@ -404,6 +408,8 @@ class PubSubSystem:
         rng = filter.topic_range
         if rng is not None:
             self.metrics.delivery.register_subscription(cid, *rng)
+            for subscribed in self.hooks.subscribe:
+                subscribed(cid, broker, *rng)
         return client
 
     # ------------------------------------------------------------------

@@ -23,14 +23,15 @@ both holes behind an opt-in ``durable=True`` switch:
 * **Persistent client sessions** (:class:`ClientSession`) — subscription
   range, delivery cursor (the set of settled event ids) and the unacked
   retransmit window, all reconstructible purely from the log by
-  :meth:`DurabilityManager.replay`.
+  :meth:`DurabilityManager.replay`. A topic-range subscriber's session is
+  logged at its home broker the moment it subscribes.
 
 * **Checkpoint/compaction** — every ``checkpoint_every`` appends a broker
-  rewrites its log to the live set: publishes not yet settled by every
-  matching subscriber, the unacked window of each session anchored here,
-  and the acks that keep settled-but-live events from being re-offered.
-  Compaction is keyed to the cumulative-ACK cursor, so the log stays
-  bounded while *never* dropping an unacked record.
+  rewrites its log to the live set: publishes not yet acked by every
+  session the log knows that matches them, the unacked window of each
+  session anchored here, and the acks that keep settled-but-live events
+  from being re-offered. Compaction is keyed to the cumulative-ACK cursor,
+  so the log stays bounded while *never* dropping an unacked record.
 
 * **Recovery integration** — the repair round
   (:meth:`repro.pubsub.recovery.RecoveryCoordinator._repair`) folds
@@ -415,8 +416,9 @@ class ClientSession:
     ``acked`` is the delivery cursor (event ids settled by cumulative ACK
     or, without the reliability layer, by app-level delivery); ``unacked``
     is the retransmit window — delivered-but-unsettled events in send
-    order. ``lo``/``hi`` record the client's topic-range subscription for
-    the handover message.
+    order. ``lo``/``hi`` record the client's topic-range subscription
+    (``None`` when unknown): the handover message carries it, and replay
+    and compaction match events against it.
     """
 
     __slots__ = ("client", "anchor", "lo", "hi", "acked", "unacked")
@@ -492,6 +494,7 @@ class DurabilityManager:
 
     def register(self, hooks, net) -> None:
         """Claim the hook points of durable broker state."""
+        hooks.subscribe.append(self.open_session)
         hooks.ingress.append(self.on_publish)
         hooks.before_send.append(self.on_deliver)
         hooks.broker_rx[m.SessionTransfer] = self.on_session_transfer
@@ -500,7 +503,7 @@ class DurabilityManager:
             # the app-level receipt is the delivery cursor — unless the
             # cumulative ACK is (hooks.settled): one source for the log
             hooks.delivered.append(self.on_client_delivered)
-        hooks.backlog_source += self.replay_events, self.dead_letter_events
+        hooks.backlog_source.append(self.replay_events)
         hooks.rehome.append(self.rehome_session)
         hooks.publish_dropped.append(self.dead_letter)
         hooks.close.append(self.close)
@@ -519,13 +522,12 @@ class DurabilityManager:
         else:
             self._since_ckpt[broker] = n
 
-    def _session(self, client: int, broker: int) -> ClientSession:
+    def open_session(self, client: int, broker: int,
+                     lo: Optional[float] = None,
+                     hi: Optional[float] = None) -> ClientSession:
         """Create and log the session of a client that has none (callers
-        probe :attr:`sessions` first)."""
-        lo = hi = None
-        cl = self.system.clients.get(client)
-        if cl is not None:
-            lo, hi = cl.filter.topic_range or (None, None)
+        probe :attr:`sessions` first); a topic-range subscriber's, with its
+        range, at its home broker when it subscribes (``hooks.subscribe``)."""
         s = self.sessions[client] = ClientSession(client, broker, lo, hi)
         self._append(broker, "ses", client, lo, hi, ())
         return s
@@ -542,13 +544,17 @@ class DurabilityManager:
         """A deliver frame is about to leave ``broker`` for ``client``."""
         s = self.sessions.get(client)
         if s is None:
-            s = self._session(client, broker)
+            s = self.open_session(client, broker)
         elif s.anchor != broker:
             self._move_session(s, broker)
+        eid = event.event_id
+        if eid not in self.events:
+            # retired by compaction, or a dead letter: no dlv is logged
+            # without its payload
+            self.on_publish(broker, event)
         # mirror before append: the append itself may trigger a checkpoint,
         # which compacts from the mirror — a not-yet-mirrored delivery
         # would be dropped from the very image replacing its record
-        eid = event.event_id
         if eid not in s.acked:
             s.unacked.setdefault(eid, event)
         self._append(broker, "dlv", client, eid)
@@ -577,7 +583,7 @@ class DurabilityManager:
         """The delivery cursor advanced (cum-ACK progress or app receipt)."""
         s = self.sessions.get(client)
         if s is None:
-            s = self._session(client, broker)
+            s = self.open_session(client, broker)
         eid = event.event_id
         acked = s.acked
         if eid in acked:
@@ -599,23 +605,17 @@ class DurabilityManager:
     # -- checkpoint / compaction -----------------------------------------
 
     def _settled_everywhere(self, event: Notification) -> bool:
-        checker = self.system.metrics.delivery
-        eid = event.event_id
-        for cid in checker.matching_clients(event.topic):
-            cid = int(cid)
-            s = self.sessions.get(cid)
-            if s is not None and eid in s.acked:
-                continue
-            if checker.delivered_pair(cid, event):
-                continue
-            return False
-        return True
+        """Has every session the log knows that matches ``event`` acked it?
+        A session with no known range matches every topic."""
+        eid, topic = event.event_id, event.topic
+        return all(eid in s.acked for s in self.sessions.values()
+                   if s.lo is None or s.lo <= topic <= s.hi)
 
     def checkpoint(self, broker: int) -> None:
         """Compact ``broker``'s log to the live set (cum-ACK keyed).
 
-        Keeps: publishes ingressed here and not yet settled by every
-        matching subscriber; for each session anchored here, its latest
+        Keeps: publishes ingressed here and not yet acked by every session
+        that matches them; for each session anchored here, its latest
         ``ses`` record, the unacked window (``dlv``), and acks against
         still-live events. Everything else is provably never needed by
         replay, so the log stays bounded. Never drops an unacked record —
@@ -703,10 +703,16 @@ class DurabilityManager:
                 s.unacked.pop(eid, None)
         return ReplayState(events, sessions, torn)
 
-    def replay_events(self) -> List[Notification]:
-        """All live logged events in id order — the repair-round gather."""
+    def replay_events(self) -> List[Tuple[int, Notification]]:
+        """The repair-round gather: each live logged event and dead letter,
+        in id order, with each logged session whose range holds it (one
+        with no known range is offered nothing: no filter says it wants)."""
         state = self.replay()
-        return [state.events[eid] for eid in sorted(state.events)]
+        events = [state.events[eid] for eid in sorted(state.events)]
+        sessions = sorted(state.sessions.items())
+        return [(cid, ev) for ev in events + self.dead_letter_events()
+                for cid, s in sessions
+                if s.lo is not None and s.lo <= ev.topic <= s.hi]
 
     def dead_letter(self, event: Notification) -> None:
         """A publish was dropped before any broker's log saw it."""
@@ -715,10 +721,10 @@ class DurabilityManager:
     def dead_letter_events(self) -> List[Notification]:
         """Outstanding dead letters in id order (repair re-submission).
 
-        Never drained: the repair round's ``keep`` dedups against pairs
-        already delivered or queued, and an event re-ingressed into a
-        volatile backlog may be wiped by a *later* crash — the outbox only
-        forgets when the run ends.
+        Never drained: the repair round's ``keep`` dedups against what the
+        subscriber has seen, and an event re-ingressed into a volatile
+        backlog may be wiped by a *later* crash — the outbox only forgets
+        when the run ends.
         """
         return [self.dead_letters[eid] for eid in sorted(self.dead_letters)]
 
@@ -750,7 +756,7 @@ class DurabilityManager:
         bid = broker.id
         s = self.sessions.get(msg.client)
         if s is None:
-            s = self._session(msg.client, bid)
+            s = self.open_session(msg.client, bid)
         s.anchor = bid
         for eid in msg.acked:
             s.acked.add(eid)

@@ -116,7 +116,9 @@ class Workload:
             if self._stopped:
                 # leave the client disconnected; the drain phase reconnects it
                 return
-            client.connect(self.mobility.next_broker(rng, client))
+            target = self.mobility.next_broker(rng, client)
+            if not client.connected:  # a repair round may have reattached it
+                client.connect(target)
 
     # ------------------------------------------------------------------
     def stop(self) -> None:

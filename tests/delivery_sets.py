@@ -85,10 +85,6 @@ class SetDeliveryChecker:
         seen = self._seen.get((client, event.publisher))
         return seen is not None and event.seq in seen
 
-    def max_delivered_seq(self, client: int, publisher: int) -> int:
-        """Highest seq from ``publisher`` delivered to ``client`` (-1 if none)."""
-        return self._max_seq.get((client, publisher), -1)
-
     def crash_lost(self) -> int:
         """At-risk pairs that were neither delivered nor fault-lost."""
         lost = 0

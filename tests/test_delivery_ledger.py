@@ -4,7 +4,8 @@
 high-water marks, write-off pairs); ``tests/delivery_sets.py`` remembers
 every delivery. One random schedule goes to both, and after every step
 they must give the same stats and the same answer to every question the
-product asks (``delivered_pair``, ``max_delivered_seq``, ``crash_lost``).
+audit asks (``delivered_pair``, ``crash_lost``). The product asks the
+ledger nothing (``tests/test_audit_oracle.py`` holds that by an AST walk).
 
 The bounded-growth half runs a small steady-publishing ``mhh`` system and
 checks that nothing per-delivery is retained once the run has drained.
@@ -75,10 +76,6 @@ def _same_answers(ledger, oracle, events):
             assert ledger.delivered_pair(cid, ev) == oracle.delivered_pair(
                 cid, ev
             ), (cid, ev)
-        for pub in PUBLISHERS:
-            assert ledger.max_delivered_seq(cid, pub) == (
-                oracle.max_delivered_seq(cid, pub)
-            )
 
 
 @settings(max_examples=150, deadline=None)
@@ -145,6 +142,21 @@ def test_unpublished_event_is_never_delivered_until_it_is():
     assert dc.delivered_pair(1, ghost)
     dc.on_delivery(1, ghost, 2.0)
     assert (dc.stats.delivered, dc.stats.duplicates) == (2, 1)
+
+
+def test_marking_a_publish_at_risk_marks_each_matching_subscriber():
+    """The checker matches the subscribers itself (crash repair names the
+    event only): every registered range holding the topic is marked, and
+    a marked pair that is delivered anyway reconciles to zero."""
+    dc = DeliveryChecker()
+    for cid, (lo, hi) in enumerate(RANGES):
+        dc.register_subscription(cid, lo, hi)
+    ev = Notification(7, 0, 0, 0.0, 0.3)  # ranges 0, 1 and 3 hold 0.3
+    dc.on_publish(ev)
+    dc.mark_subscribers_at_risk(ev)
+    dc.on_delivery(1, ev, 1.0)
+    dc.finalize_accounting()
+    assert (dc.stats.crash_lost, dc.stats.missing) == (2, 0)
 
 
 def _loss_and_crash_marked(reliable: bool) -> DeliveryChecker:

@@ -115,7 +115,7 @@ def test_a_plain_system_has_every_hook_point_on_the_plain_path():
     assert (system.fault_injector, system.recovery, system.reliability,
             system.durability, system.net.faults) == (None,) * 5
     kernel_side = vars(system.hooks)
-    assert len(kernel_side) == 19
+    assert len(kernel_side) == 20
     assert all(point in ([], {}, set()) for point in kernel_side.values())
     net = system.net
     assert (net._injectors, net._blocked, net._stale, net._wideners) == (
@@ -156,7 +156,8 @@ def test_a_layered_system_claims_its_hook_points_once():
     assert hooks.broker_rx == {m.AckMessage: rel.on_ack,
                                m.SessionTransfer: dur.on_session_transfer}
     assert hooks.client_rx == {m.ReliableDeliver: rel.on_deliver}
-    assert hooks.backlog_source == [dur.replay_events, dur.dead_letter_events]
+    assert hooks.backlog_source == [dur.replay_events]
+    assert hooks.subscribe == [dur.open_session]
     # fixed-for-a-run policy is decided here, not per message: under the
     # reliability layer the cumulative ACK is the WAL cursor, not the app
     # receipt, and a durable run never writes a live broker's window off

@@ -36,16 +36,20 @@ SIM_DIGESTS = {
 #: rounds, retransmits, WAL handovers and checkpoints included). The
 #: fuzzer's identity re-run drives one kernel on two clocks, so only a
 #: recorded digest can see a kernel change under a crash plan, the
-#: ACK/retransmit layer or the WAL. Recorded at c966ea4 (PR 21).
+#: ACK/retransmit layer or the WAL. Recorded at c966ea4 (PR 21); the
+#: crash, rel-crash and durable rows re-recorded when the repair round
+#: began to reattach the clients a crash detached, a publish uplink
+#: stopped being generation-stale and every subscriber got a logged
+#: session (more publishes, deliveries and WAL handovers).
 LAYERED_DIGESTS = {
     ("crash", 1, "sub-unsub"):
-        "aa6e563b99cf34419a0c49502e937b6ef30e94de23491f0baf356054b0e42547",
+        "36f4998c7c2e3a687c306ea8f943c0b7e9bf1378c96daf55150075a93dd360ff",
     ("crash", 3, "home-broker"):
-        "26d4973abb2c10597fb0573b793c49ea46edd9b07b717f455d9dc0e8e59e6475",
+        "0cbb52d854f6467f96f923bc687638aa17728327c413d8cc2d88cda5a7cf8128",
     ("crash", 5, "mhh"):
-        "07bcf0827cd6692cde816da029c5ece5043e3201d554b5313844c6d618d10460",
+        "06fb09d2811c15c4edbe4dbbc816446cba1b22db68ddffc4f2a68ed30bf86c9b",
     ("crash", 8, "two-phase"):
-        "070e156e78e3051b7d95f855e739d98b6a3206c96cdbb15b9ffa2159db06808b",
+        "73e87b84f4ba0f8dd8f5a8e7bb4e15b5424f9f513e1e759d4c25562e95c827e5",
     ("rel", 3, "mhh"):
         "5d6ef74e32f245034973053c8918cd156a028019ab7ed8bf74025b91bea51348",
     ("rel", 4, "sub-unsub"):
@@ -55,17 +59,17 @@ LAYERED_DIGESTS = {
     ("rel", 14, "mhh"):
         "3ae1193289cf80410dcd68b8b70a7ed32652f026199a9ff68543c145acd6c5f5",
     ("rel-crash", 3, "mhh"):
-        "64e93e82d9b1816c4e2fa6b248e356274f2c71dc2edc458012e2bc0881fe430d",
+        "e64f7776f16ad30dbd5c207edaadcc032473b66fcca1881af4e33abff85ed79e",
     ("rel-crash", 5, "sub-unsub"):
-        "3e08b10bd1b8194bd8f3e084f9fe8328797155e3b500685e3cb70655aebc4a89",
+        "d7121edc2758822398dd23a29cd204bff5d183ffdb5cbe8dddfd0408a9cc26d2",
     ("rel-crash", 6, "two-phase"):
-        "fed676430bbf3f0d24e4f088654f75d1129f740b5d6717b7f2da119b3de3c6b4",
+        "cd68030466e1789742e53a2c8332d7d09653f562dfbcd9f405291db199594b78",
     ("durable", 1, "sub-unsub"):
-        "e215cd718925b47ab73b9f31ff1b0735f245b2804491ca27ad47ed0a1013977c",
+        "78ad1b696027725953312a6631b71ca08c4286a689de197fd66ba42eefc09c66",
     ("durable", 3, "two-phase"):
-        "f7bfac281574dc632342e7ac9f7c440e28a611823ed46271b95c7d7650879b48",
+        "53eaf87672daf19afca7e1f6fa20cee61165ee3933a767738d042d8ad1e7fffd",
     ("durable", 5, "mhh"):
-        "5db0e607efa5a0604eee83b13194f6f99d07ba3f4783d8f999857a2dcc513af2",
+        "1b6cc4dc13e10cf03c7498e28c153c6d6ca4eea3f89ff42aed63359ebcc4edbf",
 }
 
 
