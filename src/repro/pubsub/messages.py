@@ -522,9 +522,9 @@ class SessionTransfer(Message):
 
     When a client's session anchor is declared permanently dead (or
     partitioned away), the repair round moves the durable session — the
-    unacked retransmit window plus the live slice of the delivery cursor —
-    to the client's new home broker instead of letting the reliability
-    layer exhaust its retry budget against a corpse. Rides the
+    unacked retransmit window plus the delivery cursor — to the client's
+    new home broker instead of letting the reliability layer exhaust its
+    retry budget against a corpse. Rides the
     generation-stamped synchronous resync (same trust model as the
     routing-table reinstall), so it is dispatched directly, never queued
     on a wire that may itself be dead.
@@ -539,4 +539,4 @@ class SessionTransfer(Message):
         self.origin = origin      # the dead broker the session is leaving
         self.anchor = anchor      # the new home broker installing it
         self.events = events      # unacked window, send order
-        self.acked = acked        # settled ids still live in the log
+        self.acked = acked        # the delivery cursor: settled ids, all live

@@ -205,10 +205,10 @@ class ReliabilityManager:
         self._breakers: dict[tuple[int, int], CircuitBreaker] = {}
         #: monotone session allocator (per-link monotonicity follows)
         self._next_session = 0
-        #: (time_ms, broker, client, rel_seq, attempt, kind) per retransmit
-        #: — the backoff-determinism property tests compare this log across
-        #: drivers; "kind" is "timeout" or "nack"
-        self.retry_log: list[tuple[float, int, int, int, int, str]] = []
+        #: one "retransmit" trace record (broker, client, seq, attempt,
+        #: trigger "timeout" or "nack") per retransmit when that category
+        #: is on — the backoff-determinism tests compare it across drivers
+        self._trace_retx = system.tracer.wants("retransmit")
         #: retransmit timers that fired while their owning broker was down
         #: (a stale-generation fire). The crash path cancels every such
         #: timer via :meth:`on_broker_crash` / :meth:`on_overlay_repair`,
@@ -316,10 +316,10 @@ class ReliabilityManager:
             return
         link.attempts += 1
         seq, msg = next(iter(link.unacked.items()))
-        self.retry_log.append(
-            (self._clock.now, link.broker, link.client, seq,
-             link.attempts, "timeout")
-        )
+        if self._trace_retx:
+            self.system.tracer.emit(
+                "retransmit", broker=link.broker, client=link.client,
+                seq=seq, attempt=link.attempts, trigger="timeout")
         self.system.metrics.traffic.account_retransmit(
             link.client, "timeout"
         )
@@ -410,10 +410,10 @@ class ReliabilityManager:
             if nmsg is None or seq in nack_retx:
                 continue  # unknown or already fast-retransmitted once
             nack_retx.add(seq)
-            self.retry_log.append(
-                (self._clock.now, broker_id, client_id, seq,
-                 link.attempts, "nack")
-            )
+            if self._trace_retx:
+                self.system.tracer.emit(
+                    "retransmit", broker=broker_id, client=client_id,
+                    seq=seq, attempt=link.attempts, trigger="nack")
             self.system.metrics.traffic.account_retransmit(client_id, "nack")
             self.system.net.send_client(client_id, nmsg)
         if unacked:

@@ -21,17 +21,17 @@ both holes behind an opt-in ``durable=True`` switch:
   is changed.
 
 * **Persistent client sessions** (:class:`ClientSession`) — subscription
-  range, delivery cursor (the set of settled event ids) and the unacked
-  retransmit window, all reconstructible purely from the log by
-  :meth:`DurabilityManager.replay`. A topic-range subscriber's session is
-  logged at its home broker the moment it subscribes.
+  range, delivery cursor (the settled ids of events still live in the
+  log) and the unacked retransmit window, all reconstructible purely from
+  the log by :meth:`DurabilityManager.replay`. A topic-range subscriber's
+  session is logged at its home broker the moment it subscribes.
 
 * **Checkpoint/compaction** — every ``checkpoint_every`` appends a broker
   rewrites its log to the live set: publishes not yet acked by every
-  session the log knows that matches them, the unacked window of each
-  session anchored here, and the acks that keep settled-but-live events
-  from being re-offered. Compaction is keyed to the cumulative-ACK cursor,
-  so the log stays bounded while *never* dropping an unacked record.
+  session the log knows that matches them (a retired event leaves their
+  cursors too), and the cursor and unacked window of each session
+  anchored here. Keyed to the cumulative-ACK cursor, so the log stays
+  bounded while *never* dropping an unacked record.
 
 * **Recovery integration** — the repair round
   (:meth:`repro.pubsub.recovery.RecoveryCoordinator._repair`) folds
@@ -101,8 +101,8 @@ _OPT_NUM = (float, int, type(None))
 #: * ``("dlv", lsn, client, event_id)`` — deliver frame about to leave
 #: * ``("ack", lsn, client, event_id)`` — delivery cursor advanced
 #: * ``("ses", lsn, client, lo, hi, acked)`` — session created / re-homed
-#:   here; ``acked`` folds the live part of the delivery cursor into the
-#:   anchor record (one record per move, not one per settled event)
+#:   here; ``acked`` folds the delivery cursor into the anchor record (one
+#:   record per move, not one per settled event)
 _RECORD_FIELDS: Dict[str, tuple] = {
     "pub": (int, Notification),
     "dlv": (int, int, int),
@@ -414,11 +414,12 @@ class ClientSession:
 
     ``anchor`` is the broker whose WAL currently owns the session;
     ``acked`` is the delivery cursor (event ids settled by cumulative ACK
-    or, without the reliability layer, by app-level delivery); ``unacked``
-    is the retransmit window — delivered-but-unsettled events in send
-    order. ``lo``/``hi`` record the client's topic-range subscription
-    (``None`` when unknown): the handover message carries it, and replay
-    and compaction match events against it.
+    or, without the reliability layer, by app-level delivery) of events
+    still live in the log: the checkpoint that retires an event removes it
+    from every cursor. ``unacked`` is the retransmit window —
+    delivered-but-unsettled events in send order. ``lo``/``hi`` record the
+    client's topic-range subscription (``None`` when unknown): the handover
+    message carries it, and replay and compaction match events against it.
     """
 
     __slots__ = ("client", "anchor", "lo", "hi", "acked", "unacked")
@@ -550,7 +551,11 @@ class DurabilityManager:
         eid = event.event_id
         if eid not in self.events:
             # retired by compaction, or a dead letter: no dlv is logged
-            # without its payload
+            # without its payload. Logs not compacted since a retirement
+            # still hold the acks and dlvs the cursors forgot: rewrite them
+            # first, or replay would apply them to the revived event
+            for bid in self.store.brokers():
+                self.checkpoint(bid)
             self.on_publish(broker, event)
         # mirror before append: the append itself may trigger a checkpoint,
         # which compacts from the mirror — a not-yet-mirrored delivery
@@ -571,11 +576,10 @@ class DurabilityManager:
         by the time compaction discards them.
         """
         s.anchor = broker
-        # the live part of the delivery cursor rides inside the ses record
-        # (one append per move, not one per settled event); intersect from
-        # the bounded live-event side — the full cursor grows with the run
+        # the delivery cursor rides inside the ses record (one append per
+        # move, not one per settled event)
         self._append(broker, "ses", s.client, s.lo, s.hi,
-                     tuple(sorted(self.events.keys() & s.acked)))
+                     tuple(sorted(s.acked)))
         for eid in s.unacked:  # insertion order == send order
             self._append(broker, "dlv", s.client, eid)
 
@@ -586,7 +590,9 @@ class DurabilityManager:
             s = self.open_session(client, broker)
         eid = event.event_id
         acked = s.acked
-        if eid in acked:
+        if eid in acked or eid not in self.events:
+            # settled already: on_deliver made it live, and compaction
+            # retires an event only once every matching session acked it
             return
         acked.add(eid)
         s.unacked.pop(eid, None)
@@ -604,30 +610,29 @@ class DurabilityManager:
 
     # -- checkpoint / compaction -----------------------------------------
 
-    def _settled_everywhere(self, event: Notification) -> bool:
-        """Has every session the log knows that matches ``event`` acked it?
-        A session with no known range matches every topic."""
-        eid, topic = event.event_id, event.topic
-        return all(eid in s.acked for s in self.sessions.values()
-                   if s.lo is None or s.lo <= topic <= s.hi)
-
     def checkpoint(self, broker: int) -> None:
         """Compact ``broker``'s log to the live set (cum-ACK keyed).
 
         Keeps: publishes ingressed here and not yet acked by every session
-        that matches them; for each session anchored here, its latest
-        ``ses`` record, the unacked window (``dlv``), and acks against
-        still-live events. Everything else is provably never needed by
-        replay, so the log stays bounded. Never drops an unacked record —
-        the property the WAL test battery pins.
+        that matches them (one with no known range matches every topic) —
+        a retired event leaves those sessions' cursors too; for each
+        session anchored here, its ``ses`` record with its cursor and its
+        unacked window (``dlv``). Everything else is provably never needed
+        by replay, so the log stays bounded. Never drops an unacked record
+        — the property the WAL test battery pins.
         """
         out: List[tuple] = []
         lsn = self._lsn
+        sessions = self.sessions.values()
         for eid in sorted(e for e, h in self._event_home.items() if h == broker):
             ev = self.events[eid]
-            if self._settled_everywhere(ev):
+            cursors = [s.acked for s in sessions
+                       if s.lo is None or s.lo <= ev.topic <= s.hi]
+            if all(eid in acked for acked in cursors):
                 del self.events[eid]
                 del self._event_home[eid]
+                for acked in cursors:
+                    acked.remove(eid)
             else:
                 lsn += 1
                 out.append(("pub", lsn, ev))
@@ -636,8 +641,7 @@ class DurabilityManager:
             if s.anchor != broker:
                 continue
             lsn += 1
-            out.append(("ses", lsn, cid, s.lo, s.hi,
-                        tuple(sorted(self.events.keys() & s.acked))))
+            out.append(("ses", lsn, cid, s.lo, s.hi, tuple(sorted(s.acked))))
             for eid in s.unacked:
                 lsn += 1
                 out.append(("dlv", lsn, cid, eid))
@@ -673,34 +677,29 @@ class DurabilityManager:
             if rec[0] == "pub":
                 events[rec[2].event_id] = rec[2]
         # pass 2: sessions, in global lsn order (newest anchor wins, acks
-        # land before any stale dlv rewrite)
+        # land before any stale dlv rewrite); an ack of an event not in
+        # pass 1 went with the event's retirement, as in the mirror
         sessions: Dict[int, ClientSession] = {}
         for _lsn, bid, rec in merged:
             kind = rec[0]
-            if kind == "ses":
-                cid, lo, hi = rec[2], rec[3], rec[4]
-                s = sessions.get(cid)
-                if s is None:
-                    s = sessions[cid] = ClientSession(cid, bid, lo, hi)
-                s.anchor, s.lo, s.hi = bid, lo, hi
-                for eid in rec[5]:
-                    s.acked.add(eid)
-                    s.unacked.pop(eid, None)
-            elif kind == "dlv":
-                cid, eid = rec[2], rec[3]
-                s = sessions.get(cid)
-                if s is None:
-                    s = sessions[cid] = ClientSession(cid, bid)
+            if kind == "pub":
+                continue
+            cid = rec[2]
+            s = sessions.get(cid)
+            if s is None:
+                s = sessions[cid] = ClientSession(cid, bid)
+            if kind == "dlv":
+                eid = rec[3]
                 s.anchor = bid
                 if eid not in s.acked and eid in events:
                     s.unacked.setdefault(eid, events[eid])
-            elif kind == "ack":
-                cid, eid = rec[2], rec[3]
-                s = sessions.get(cid)
-                if s is None:
-                    s = sessions[cid] = ClientSession(cid, bid)
-                s.acked.add(eid)
-                s.unacked.pop(eid, None)
+                continue
+            if kind == "ses":
+                s.anchor, s.lo, s.hi = bid, rec[3], rec[4]
+            for eid in rec[5] if kind == "ses" else rec[3:]:
+                if eid in events:
+                    s.acked.add(eid)
+                    s.unacked.pop(eid, None)
         return ReplayState(events, sessions, torn)
 
     def replay_events(self) -> List[Tuple[int, Notification]]:
@@ -735,17 +734,17 @@ class DurabilityManager:
         """Hand the session over to ``anchor`` if its home broker died.
 
         Rides the repair round's synchronous resync (same trust model as
-        the routing-table reinstall): the unacked window and the live part
-        of the delivery cursor travel in a
+        the routing-table reinstall): the unacked window and the delivery
+        cursor travel in a
         :class:`~repro.pubsub.messages.SessionTransfer`, which the new
         anchor logs to *its* WAL before any redelivery happens.
         """
         s = self.sessions.get(client)
         if s is None or s.anchor == anchor or s.anchor not in down:
             return
-        acked_live = tuple(sorted(self.events.keys() & s.acked))
         msg = m.SessionTransfer(client, s.anchor, anchor,
-                                tuple(s.unacked.values()), acked_live)
+                                tuple(s.unacked.values()),
+                                tuple(sorted(s.acked)))
         self.system.brokers[anchor].receive(msg, -1 - client)
         self.handovers += 1
 
@@ -761,10 +760,10 @@ class DurabilityManager:
         for eid in msg.acked:
             s.acked.add(eid)
             s.unacked.pop(eid, None)
-        # one ses record re-anchors the session *and* carries the live part
-        # of the handed-over delivery cursor
+        # one ses record re-anchors the session *and* carries the
+        # handed-over delivery cursor
         self._append(bid, "ses", msg.client, s.lo, s.hi,
-                     tuple(sorted(self.events.keys() & s.acked)))
+                     tuple(sorted(s.acked)))
         for ev in msg.events:
             # mirror before append (see on_deliver): a checkpoint fired by
             # this very append compacts from the mirror

@@ -15,6 +15,9 @@ The tentpole's acceptance battery:
 * **Opt-in byte-identity** — default-off configs construct no durability
   state at all, and durable runs are trace-identical across sim engines
   and across the simulated/live drivers.
+* **Bounded delivery cursor** — at the end of a durable-lane run every
+  session's ``acked`` names only events still live in the log, and the
+  cursor replayed from the log bytes is the mirror's.
 * **Stale-timer regression** (satellite) — a retransmit timer armed
   mid-backoff against a broker that then dies permanently must be
   cancelled by the crash sweep, never fire into the repaired overlay
@@ -157,6 +160,22 @@ def test_durable_lane_batch_passes():
     assert report.passed, [r.violations for r in report.failures]
     assert all(r.lane == "durable" for r in report.results)
     assert "--lane durable" in report.results[0].replay_command()
+
+
+@pytest.mark.parametrize("protocol",
+                         ["mhh", "sub-unsub", "two-phase", "home-broker"])
+@pytest.mark.parametrize("seed", [3, 5])
+def test_delivery_cursor_holds_live_events_only(seed, protocol):
+    """Compaction retires an event from the log and from every cursor at
+    once, so no cursor outgrows the live set; seeds 3 and 5 checkpoint
+    every protocol's run several times."""
+    cfg = Scenario.from_seed(seed, "durable", protocol).config
+    dur = runner.run_to_end(cfg, record_log=False).durability
+    assert dur.checkpoints > 0
+    state = dur.replay()
+    for cid, s in dur.sessions.items():
+        assert s.acked <= dur.events.keys()
+        assert state.sessions[cid].acked == s.acked
 
 
 # ---------------------------------------------------------------------------

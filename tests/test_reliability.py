@@ -4,8 +4,8 @@ Property tests for the PR's headline guarantees:
 
 * **Backoff determinism** — the retry schedule (every retransmit's firing
   time, link, sequence number, attempt count and trigger) derives solely
-  from the seed, so the same config replays an identical
-  ``ReliabilityManager.retry_log`` run-over-run *and across drivers*
+  from the seed, so the same config replays an identical ``retransmit``
+  trace run-over-run *and across drivers*
   (discrete-event simulator vs the live driver's VirtualClock).
 * **Loss recovery** — under seeded partial loss every injected drop is
   retransmitted away: ``lost == 0``, ``missing == 0``, the recovered
@@ -50,7 +50,7 @@ LOSSY = FaultProfile(deliver_loss=0.2, deliver_duplicate=0.05)
 def _rel_cfg(protocol="mhh", seed=7, **kw):
     return ExperimentConfig(
         protocol=protocol, grid_k=3, seed=seed, workload=SPEC,
-        faults=LOSSY, reliable=True, **kw,
+        faults=LOSSY, reliable=True, trace=["retransmit"], **kw,
     )
 
 
@@ -75,11 +75,15 @@ def _outcome(system):
 # ---------------------------------------------------------------------------
 # backoff determinism (the retry schedule is a pure function of the seed)
 # ---------------------------------------------------------------------------
+def _retransmits(system):
+    return system.tracer.select("retransmit")
+
+
 def test_retry_schedule_replays_identically():
     a = _run_simulated(_rel_cfg())
     b = _run_simulated(_rel_cfg())
-    assert a.reliability.retry_log, "lossy run produced no retransmits"
-    assert a.reliability.retry_log == b.reliability.retry_log
+    assert _retransmits(a), "lossy run produced no retransmits"
+    assert _retransmits(a) == _retransmits(b)
     assert _outcome(a) == _outcome(b)
 
 
@@ -92,15 +96,15 @@ def test_retry_schedule_identical_across_drivers(protocol):
     cfg = _rel_cfg(protocol=protocol)
     sim = _run_simulated(cfg)
     live = run_virtual_scenario(cfg)
-    assert sim.reliability.retry_log, "lossy run produced no retransmits"
-    assert sim.reliability.retry_log == live.reliability.retry_log
+    assert _retransmits(sim), "lossy run produced no retransmits"
+    assert _retransmits(sim) == _retransmits(live)
     assert _outcome(sim) == _outcome(live)
 
 
 def test_retry_schedules_diverge_across_seeds():
     a = _run_simulated(_rel_cfg(seed=7))
     b = _run_simulated(_rel_cfg(seed=8))
-    assert a.reliability.retry_log != b.reliability.retry_log
+    assert _retransmits(a) != _retransmits(b)
 
 
 # ---------------------------------------------------------------------------

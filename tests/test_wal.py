@@ -21,8 +21,9 @@ Satellite battery for the durability subsystem's storage layer:
   on, driven here by randomized publish/deliver/ack/checkpoint schedules.
 * **Replay oracle** — after a real durable end-to-end run, the state
   rebuilt purely from log bytes matches the independently maintained
-  in-memory mirror (anchors and unacked windows exactly; delivery cursors
-  up to acks whose settled events compaction already retired).
+  in-memory mirror exactly: anchors, unacked windows and delivery
+  cursors, which hold live events only (``acked ⊆ events``) — the
+  checkpoint that retires an event takes it out of every cursor.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import struct
 import zlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, drain_to_quiescence
@@ -389,6 +390,8 @@ def test_replay_is_idempotent(seed):
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 10_000))
+@example(55)  # an event is retired, then delivered again to its acker
+@example(237)
 def test_replay_matches_mirror_oracle_unit(seed):
     """Replay from log bytes == the independently maintained mirror."""
     dur = _drive(seed)
@@ -402,12 +405,51 @@ def test_replay_matches_mirror_oracle_unit(seed):
         assert replayed.anchor == mirror.anchor
         assert replayed.lo == mirror.lo and replayed.hi == mirror.hi
         assert set(replayed.unacked) == set(mirror.unacked)
-        # acks on events compaction already retired are allowed to age out
-        # of the log; nothing else may diverge
-        assert replayed.acked <= mirror.acked
-        assert replayed.acked >= {
-            e for e in mirror.acked if e in state.events
-        }
+        assert replayed.acked == mirror.acked
+        assert mirror.acked <= dur.events.keys()
+
+
+def _one_event_manager():
+    """A manager with one event published at broker 0, delivered to client
+    0 at broker 1 and settled there: the session lives at broker 1."""
+    dur = DurabilityManager(_Host(DeliveryChecker()), MemoryLogStore())
+    ev = Notification(0, 5, 0, 0.0, 1.0, None)
+    dur.on_publish(0, ev)
+    dur.on_deliver(1, 0, ev)
+    dur.on_settled(1, 0, ev)
+    return dur, ev
+
+
+def test_compaction_retires_the_event_from_every_cursor():
+    """Once every matching session has acked an event, the checkpoint of
+    its ingress broker retires it from the log *and* from the cursors; a
+    late settle of it is already answered and logs nothing."""
+    dur, ev = _one_event_manager()
+    assert dur.sessions[0].acked == {0}
+    dur.checkpoint(0)
+    assert 0 not in dur.events
+    assert dur.sessions[0].acked == set()
+    appended = dur.records_appended
+    dur.on_settled(1, 0, ev)
+    assert dur.records_appended == appended
+    assert dur.sessions[0].acked == set()
+    assert dur.replay().sessions[0].acked == set()
+
+
+def test_a_revived_event_replays_as_the_mirror_holds_it():
+    """A deliver of a retired event logs it afresh. Broker 1 has not
+    checkpointed since the retirement, so its log still holds the old
+    ``dlv`` and ``ack`` of the event; replayed on the revived event they
+    would settle a delivery the cursor has not settled."""
+    dur, ev = _one_event_manager()
+    dur.checkpoint(0)
+    dur.on_deliver(1, 0, ev)
+    mirror = dur.sessions[0]
+    assert (mirror.acked, set(mirror.unacked)) == (set(), {0})
+    replayed = dur.replay().sessions[0]
+    assert replayed.state_key() == mirror.state_key()
+    dur.on_settled(1, 0, ev)
+    assert dur.replay().sessions[0].state_key() == mirror.state_key()
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +492,5 @@ def test_replayed_state_matches_live_mirror_end_to_end():
             continue
         assert replayed.anchor == mirror.anchor
         assert set(replayed.unacked) == set(mirror.unacked)
-        assert replayed.acked <= mirror.acked
-        assert replayed.acked >= {
-            e for e in mirror.acked if e in state.events
-        }
+        assert replayed.acked == mirror.acked
+        assert mirror.acked <= dur.events.keys()
