@@ -15,7 +15,7 @@ for MHH and sub-unsub, quantified loss for home-broker.
 
 from repro.metrics.traffic import TrafficMeter
 from repro.metrics.delivery import DeliveryChecker, DeliveryStats
-from repro.metrics.handoff import HandoffLog, HandoffRecord
+from repro.metrics.handoff import HandoffLog
 from repro.metrics.hub import MetricsHub
 from repro.metrics.summary import ResultRow, summarize
 
@@ -24,7 +24,6 @@ __all__ = [
     "DeliveryChecker",
     "DeliveryStats",
     "HandoffLog",
-    "HandoffRecord",
     "MetricsHub",
     "ResultRow",
     "summarize",

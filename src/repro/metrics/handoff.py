@@ -11,36 +11,24 @@ uplink latency to inform the broker is part of the measured delay).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-__all__ = ["HandoffRecord", "HandoffLog"]
-
-
-@dataclass
-class HandoffRecord:
-    """One handoff process of one client."""
-
-    client: int
-    reconnect_time: float
-    old_broker: Optional[int]
-    new_broker: int
-    first_delivery_time: Optional[float] = None
-
-    @property
-    def delay(self) -> Optional[float]:
-        if self.first_delivery_time is None:
-            return None
-        return self.first_delivery_time - self.reconnect_time
+__all__ = ["HandoffLog"]
 
 
 class HandoffLog:
-    """Tracks handoffs and their first-delivery delays."""
+    """Tracks handoffs and their first-delivery delays.
+
+    One slot per handoff, in reconnect order: its delay, ``None`` until the
+    first delivery (and for good, if the client leaves first or the
+    measurement window closes). ``_open`` maps a client whose handoff
+    still awaits its first delivery to that slot and the reconnect time.
+    """
 
     def __init__(self) -> None:
-        self.records: list[HandoffRecord] = []
-        # client -> open record awaiting its first delivery
-        self._open: dict[int, HandoffRecord] = {}
+        self._delays: list[Optional[float]] = []
+        # client -> (slot, reconnect time) of its open handoff
+        self._open: dict[int, tuple[int, float]] = {}
         self.reconnects_same_broker = 0
 
     # ------------------------------------------------------------------
@@ -57,9 +45,8 @@ class HandoffLog:
             self.reconnects_same_broker += 1
             self._open.pop(client, None)
             return
-        rec = HandoffRecord(client, time, last_broker, new_broker)
-        self.records.append(rec)
-        self._open[client] = rec
+        self._open[client] = (len(self._delays), time)
+        self._delays.append(None)
 
     def on_disconnect(self, client: int, time: float) -> None:
         # A handoff whose client leaves before receiving anything never gets
@@ -67,15 +54,16 @@ class HandoffLog:
         self._open.pop(client, None)
 
     def on_delivery(self, client: int, time: float) -> None:
-        rec = self._open.pop(client, None)
-        if rec is not None:
-            rec.first_delivery_time = time
+        opened = self._open.pop(client, None)
+        if opened is not None:
+            slot, reconnect_time = opened
+            self._delays[slot] = time - reconnect_time
 
     def discard_open(self) -> int:
         """Close the measurement window: forget handoffs still awaiting
         their first delivery, so later (e.g. drain-phase) deliveries cannot
         retroactively fill in delay samples. Returns how many were dropped
-        (their records stay in :attr:`records` with ``delay is None``).
+        (they stay counted in :attr:`handoff_count`, with no delay).
         """
         n = len(self._open)
         self._open.clear()
@@ -84,10 +72,10 @@ class HandoffLog:
     # ------------------------------------------------------------------
     @property
     def handoff_count(self) -> int:
-        return len(self.records)
+        return len(self._delays)
 
     def delays(self) -> list[float]:
-        return [r.delay for r in self.records if r.delay is not None]
+        return [d for d in self._delays if d is not None]
 
     def mean_delay(self) -> Optional[float]:
         """The paper's metric: average over handoffs with a first delivery.

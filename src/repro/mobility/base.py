@@ -110,7 +110,7 @@ class MobilityProtocol:
     """Base class for mobility management protocols.
 
     Protocols are **sans-IO**: every effect goes through the system's
-    :attr:`clock` (``now`` / ``call_later``) and :attr:`net`
+    :attr:`clock` (``now`` / ``call_later_fifo``) and :attr:`net`
     (``send_broker`` / ``unicast`` / ``reclaim_downlink``) facades, never
     through a scheduler or link model directly — so the same protocol
     instance runs under the discrete-event simulator and the live asyncio
@@ -355,14 +355,17 @@ class MobilityProtocol:
     def later(self, broker: "Broker", delay: float, fn, *args) -> None:
         """Schedule a protocol timer owned by ``broker``.
 
-        A plain ``clock.call_later`` unless a layer guards protocol timers:
-        crash repair stamps the continuation with its generation, so it is
-        silently skipped if a repair round has run since or its owning
-        broker is down — stale continuations never act on rebuilt state.
+        Pushed handle-free with ``clock.call_later_fifo``: no caller
+        cancels a protocol timer, and the push takes the same ``(time,
+        seq)`` place a ``call_later`` would. A layer that guards protocol
+        timers wraps the callback first: crash repair stamps the
+        continuation with its generation, so it is silently skipped if a
+        repair round has run since or its owning broker is down — stale
+        continuations never act on rebuilt state.
         """
         for guard in self._timer_guard:
             fn, args = guard(broker.id, fn, args)
-        self.clock.call_later(delay, fn, *args)
+        self.clock.call_later_fifo(delay, fn, *args)
 
     def install_recovered(
         self, broker: "Broker", client: "object", backlog: list[Notification]

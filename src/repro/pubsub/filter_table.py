@@ -35,11 +35,14 @@ set, asked three questions**:
 
 * every filter set (per neighbour: received and advertised; plus the client
   entries' filters once a covering withdrawal has asked for them) is one
-  keyed set holding each topic-range member in exactly one *incremental*
-  :class:`~repro.pubsub.interval_index.IntervalIndex`, so a handoff's table
-  edit is one O(log n) write to flat float arrays, made by the set's own
-  ``add`` / ``remove`` in one frame, from the interval each filter carries
-  as its :attr:`~repro.pubsub.filters.Filter.topic_range`. That index
+  keyed set, one ``key -> Filter`` map, and an *incremental*
+  :class:`~repro.pubsub.interval_index.IntervalIndex` over that same map
+  that reads each topic-range member's interval from the filter (its
+  :attr:`~repro.pubsub.filters.Filter.topic_range`). A handoff's table
+  edit is one dict write, plus one O(log n) write to flat float arrays
+  once a query has built them, made by the set's own ``add`` / ``remove``
+  in one frame. The stamps that rank a set's members in table order are
+  built, like the arrays, by the first question that needs them. That index
   answers the stab of matching, the containment check of
   ``advertised_covers`` and the contained-keys enumeration of
   :meth:`FilterTable.covered_candidates` — each question one frame, the
@@ -62,7 +65,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import count
 from operator import attrgetter
-from typing import Hashable, Iterable, Optional
+from typing import Hashable, Iterable, Iterator, Optional
 
 from repro.errors import ProtocolError
 from repro.pubsub.events import Notification
@@ -124,71 +127,93 @@ class ClientEntry:
 _ENTRY_SEQ = attrgetter("seq")
 
 
+#: added to the stamp of a member with no topic range: ranks it after every
+#: topic-range member, as :meth:`_PeerFilters.keys` lists them
+_GENERAL = 1 << 62
+
+
 class _PeerFilters:
     """One keyed filter set: a topic-range index plus the general rest.
 
-    A member lives in exactly one place: ``ranges`` if it has a
-    :attr:`~Filter.topic_range`, else ``general``. ``ranges`` alone
-    answers all three interval questions about the topic-range members —
-    stab (:meth:`FilterTable.match`), containment
+    ``filters`` (key -> installed filter, so lookups return the original)
+    is the set's one map. ``ranges`` indexes the members that have a
+    :attr:`~Filter.topic_range` over that same map, reading each interval
+    from the filter, and alone answers all three interval questions
+    about them — stab (:meth:`FilterTable.match`), containment
     (:meth:`FilterTable.advertised_covers`) and contained keys
     (:meth:`FilterTable.covered_candidates`), each asked on its arrays in
-    the table's own frame — and the ``general`` members answer a match and
+    the table's own frame. The members without one (none on the paper's
+    workload) are also listed in ``general``, which answers a match and
     the two covering questions by a scan.
 
-    ``filters`` keeps every installed filter object so lookups return the
-    original (no per-:meth:`get` reconstruction), and ``_seq`` stamps each
-    key with ``(subtable, insertion-seq)`` — the position it occupies in
-    :meth:`keys` order — so candidate enumeration can rank by table order.
+    ``filters`` is in :meth:`keys` order within each kind: a member that
+    changes kind (topic range <-> general) leaves it and re-enters at the
+    end. ``_seq`` stamps each key with its rank in :meth:`keys` order, so
+    candidate enumeration can rank by table order. Like the index's
+    arrays it is made by the first question that needs it (a
+    :meth:`FilterTable.covered_candidates` that ranks this set) and
+    maintained from then on: a set nobody ranks never has stamps.
     """
 
-    __slots__ = ("ranges", "general", "filters", "_seq", "_next_seq")
+    __slots__ = ("filters", "ranges", "general", "_seq", "_next_seq")
 
     def __init__(self) -> None:
-        self.ranges = IntervalIndex()
-        self.general: dict[Hashable, Filter] = {}
         self.filters: dict[Hashable, Filter] = {}
-        self._seq: dict[Hashable, tuple[int, int]] = {}
-        self._next_seq = count()
+        self.ranges = IntervalIndex(self.filters)
+        self.general: dict[Hashable, Filter] = {}
+        self._seq: Optional[dict[Hashable, int]] = None
+        self._next_seq: Optional[Iterator[int]] = None
 
     def add(self, key: Hashable, f: Filter) -> None:
-        """Insert or replace ``key``: the one frame of a table edit. A
-        topic-range member is a dict write while the index's arrays are
+        """Insert or replace ``key``: the one frame of a table edit. A new
+        topic-range member is one dict write while the index's arrays are
         unbuilt (a set nobody queries, like the mirror of a run without
         covering, never builds them) and one sorted insert once they are."""
+        filters = self.filters
+        ranges = self.ranges
         rng = f.topic_range
-        if rng is not None:
-            sub = 0
-            if self.general:  # replace across subtables
-                self.general.pop(key, None)
-            ranges = self.ranges
-            if not ranges._dirty:
-                prev = ranges._items.get(key)
-                if prev is not None:
-                    ranges._remove_sorted(key, prev)
-                ranges._insert_sorted(key, rng[0], rng[1])
-            ranges._items[key] = rng
-        else:
-            sub = 1
-            self.ranges.discard(key)
+        old = filters.get(key)
+        if old is not None:
+            old_rng = old.topic_range
+            if old_rng is not None and not ranges._dirty:
+                ranges._remove_sorted(key, old_rng)
+            if (old_rng is None) is not (rng is None):  # changes kind
+                if old_rng is None:
+                    del self.general[key]
+                del filters[key]
+                old = None
+        filters[key] = f
+        if rng is None:
             self.general[key] = f
-        self.filters[key] = f
-        old = self._seq.get(key)
-        if old is None or old[0] != sub:
-            self._seq[key] = (sub, next(self._next_seq))
+        elif not ranges._dirty:
+            ranges._insert_sorted(key, rng[0], rng[1])
+        if old is None and self._seq is not None:
+            stamp = next(self._next_seq)
+            self._seq[key] = stamp if rng is not None else stamp + _GENERAL
 
     def remove(self, key: Hashable) -> bool:
         """Remove ``key``; False, and nothing changed, if it was absent."""
-        ranges = self.ranges
-        iv = ranges._items.pop(key, None)  # the one probe: range or general?
-        if iv is not None:
-            if not ranges._dirty:
-                ranges._remove_sorted(key, iv)
-        elif not self.general or self.general.pop(key, None) is None:
+        f = self.filters.pop(key, None)
+        if f is None:
             return False
-        del self.filters[key]
-        del self._seq[key]
+        rng = f.topic_range
+        if rng is None:
+            del self.general[key]
+        elif not self.ranges._dirty:
+            self.ranges._remove_sorted(key, rng)
+        if self._seq is not None:
+            del self._seq[key]
         return True
+
+    def stamps(self) -> dict[Hashable, int]:
+        """``_seq``, made from ``filters`` order on the first call."""
+        seq = self._seq
+        if seq is None:
+            seq = self._seq = {}
+            for n, (key, f) in enumerate(self.filters.items()):
+                seq[key] = n if f.topic_range is not None else n + _GENERAL
+            self._next_seq = count(len(seq))
+        return seq
 
     def __contains__(self, key: Hashable) -> bool:
         return key in self.filters
@@ -197,7 +222,8 @@ class _PeerFilters:
         return len(self.filters)
 
     def keys(self) -> list[Hashable]:
-        return [k for k, _ in self.ranges.items()] + list(self.general)
+        return [key for key, f in self.filters.items()
+                if f.topic_range is not None] + list(self.general)
 
     def get(self, key: Hashable) -> Optional[Filter]:
         return self.filters.get(key)
@@ -328,12 +354,9 @@ class FilterTable:
         out = []
         # the client entries ranked by their table stamps, then each other
         # neighbour's set (ascending) by its own
-        seq = self._client_seq
         for members in (local, *self._from_nbr.values()):
             if members is skip:
                 continue
-            if members is not local:
-                seq = members._seq
             filters = members.filters
             found = []
             scanned = members.general  # the members asked f.covers
@@ -358,6 +381,9 @@ class FilterTable:
                 if key not in advertised and f.covers(g):
                     found.append(key)
             if len(found) > 1:
+                seq = self._client_seq if members is local else members._seq
+                if seq is None:
+                    seq = members.stamps()
                 found.sort(key=seq.__getitem__)
             for key in found:
                 out.append((key, filters[key]))

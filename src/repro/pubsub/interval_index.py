@@ -25,14 +25,21 @@ per array. They are first built by the first query
 advertisement mirror of a run without covering, never has arrays to
 maintain.
 
-The one user is the keyed filter set of :mod:`repro.pubsub.filter_table`,
-which writes the arrays itself on a table edit and carries all three
-queries inline, each in the one ``FilterTable`` frame that asks it: the
-stab in ``match``, the containment in ``advertised_covers`` and the
-contained-keys walk in ``covered_candidates``. :meth:`add`, :meth:`stab`,
+The index keeps no key map of its own. It reads the map of its owner,
+``key -> member``, and a member's interval is its ``topic_range`` (a
+member whose ``topic_range`` is ``None`` is not indexed), so the keyed
+filter set of :mod:`repro.pubsub.filter_table` hands over its own
+``key -> Filter`` map and every member is stored once: the interval is
+the one :attr:`~repro.pubsub.filters.Filter.topic_range` fixed when the
+filter was built. That set writes the arrays itself on a table edit and
+carries all three queries inline, each in the one ``FilterTable`` frame
+that asks it: the stab in ``match``, the containment in
+``advertised_covers`` and the contained-keys walk in
+``covered_candidates``. :meth:`add`, :meth:`stab`,
 :meth:`contains_interval` and :meth:`contained_keys` stay as the
-references those inlined bodies are tested against. The differential
-oracle is a brute-force scan of ``items()`` in
+references those inlined bodies are tested against; an index made
+without a map owns one, whose members :meth:`add` makes. The
+differential oracle is a brute-force scan of ``items()`` in
 ``tests/test_interval_index.py``.
 """
 
@@ -41,11 +48,20 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import itemgetter
-from typing import Hashable, Iterator, Optional
+from typing import Any, Hashable, Optional
 
 __all__ = ["IntervalIndex"]
 
 _NEG_INF = float("-inf")
+
+
+class _Interval:
+    """A member :meth:`IntervalIndex.add` makes: an interval and no more."""
+
+    __slots__ = ("topic_range",)
+
+    def __init__(self, lo: float, hi: float) -> None:
+        self.topic_range = (lo, hi)
 
 
 class IntervalIndex:
@@ -66,8 +82,10 @@ class IntervalIndex:
 
     __slots__ = ("_items", "_dirty", "_los", "_his", "_keys", "_max_hi")
 
-    def __init__(self) -> None:
-        self._items: dict[Hashable, tuple[float, float]] = {}
+    def __init__(self, members: Optional[dict[Hashable, Any]] = None) -> None:
+        #: key -> member, each indexed under its ``topic_range``: the
+        #: owner's map, read and never written by a filter set's index
+        self._items: dict[Hashable, Any] = {} if members is None else members
         #: True until the first query builds the arrays from ``_items``
         self._dirty = True
         # parallel arrays in lo order; _max_hi[i] = max hi of [0..i]
@@ -82,35 +100,37 @@ class IntervalIndex:
     def add(self, key: Hashable, lo: float, hi: float) -> None:
         """Insert or replace interval ``key``."""
         if not self._dirty:
-            old = self._items.get(key)
+            old = self.get(key)
             if old is not None:
                 self._remove_sorted(key, old)
             self._insert_sorted(key, lo, hi)
-        self._items[key] = (lo, hi)
+        self._items[key] = _Interval(lo, hi)
 
     def remove(self, key: Hashable) -> None:
         """Remove interval ``key`` (KeyError if absent)."""
-        iv = self._items.pop(key)
+        iv = self._items.pop(key).topic_range
         if not self._dirty:
             self._remove_sorted(key, iv)
 
     def discard(self, key: Hashable) -> None:
         """Remove interval ``key`` if present."""
-        iv = self._items.pop(key, None)
-        if iv is not None and not self._dirty:
-            self._remove_sorted(key, iv)
+        if key in self:
+            self.remove(key)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self.items())
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._items
+        return self.get(key) is not None
 
     def get(self, key: Hashable) -> Optional[tuple[float, float]]:
-        return self._items.get(key)
+        member = self._items.get(key)
+        return None if member is None else member.topic_range
 
-    def items(self) -> Iterator[tuple[Hashable, tuple[float, float]]]:
-        return iter(self._items.items())
+    def items(self) -> list[tuple[Hashable, tuple[float, float]]]:
+        """``(key, interval)`` of every indexed member, in map order."""
+        return [(key, m.topic_range) for key, m in self._items.items()
+                if m.topic_range is not None]
 
     # ------------------------------------------------------------------
     # incremental maintenance of the sorted arrays
@@ -157,7 +177,7 @@ class IntervalIndex:
     def _rebuild(self) -> None:
         # runs once, on the first query; mutations maintain the arrays
         # in place from then on
-        order = sorted(self._items.items(), key=itemgetter(1))
+        order = sorted(self.items(), key=itemgetter(1))
         self._keys = [k for k, _iv in order]
         self._los = [lo for _k, (lo, _hi) in order]
         self._his = [hi for _k, (_lo, hi) in order]

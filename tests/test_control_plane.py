@@ -195,11 +195,12 @@ def is_topic_range(f) -> bool:
 @given(ops=MODEL_OPS, build_at=st.integers(0, 40), queries=st.lists(
     MODEL_FILTERS, min_size=1, max_size=3))
 def test_peer_filters_against_dict_model(ops, build_at, queries):
-    """``_PeerFilters.add`` / ``remove`` write the interval index's dict
-    and sorted arrays themselves (one frame per table edit): every answer
-    the set gives must be the one a plain dict gives, for edits that land
-    before the index has built its arrays (``build_at``: the first stab)
-    and after, and for keys that move between the two subtables."""
+    """``_PeerFilters.add`` / ``remove`` write the set's one map and the
+    index's sorted arrays themselves (one frame per table edit): every
+    answer the set gives must be the one a plain dict gives, for edits
+    that land before the index has built its arrays (``build_at``: the
+    first stab) and after, and for keys that move between the two
+    subtables."""
     table = FilterTable(0, [1])
     peer = table._from_nbr[1]
     in_ranges: dict = {}   # the model: two dicts in insertion order
@@ -210,7 +211,7 @@ def test_peer_filters_against_dict_model(ops, build_at, queries):
     def check(built: bool) -> None:
         model = {**in_ranges, **in_general}
         assert peer.keys() == list(model)
-        assert sorted(model, key=peer._seq.__getitem__) == list(model)
+        assert sorted(model, key=peer.stamps().__getitem__) == list(model)
         assert len(peer) == len(model)
         for key in range(8):
             assert (key in peer) == (key in model)
@@ -227,8 +228,10 @@ def test_peer_filters_against_dict_model(ops, build_at, queries):
             idx = peer.ranges
             assert not idx._dirty
             assert idx._los == sorted(idx._los)
-            assert dict(zip(idx._keys, zip(idx._los, idx._his))) == idx._items
-            assert len(idx._keys) == len(idx._his) == len(idx._items)
+            assert dict(zip(idx._keys, zip(idx._los, idx._his))) \
+                == dict(idx.items())
+            assert [k for k, _iv in idx.items()] == list(in_ranges)
+            assert len(idx._keys) == len(idx._his) == len(idx) == len(in_ranges)
             assert idx._max_hi == list(accumulate(idx._his, max))
 
     built = False
@@ -246,7 +249,8 @@ def test_peer_filters_against_dict_model(ops, build_at, queries):
             present = key in in_ranges or key in in_general
             in_ranges.pop(key, None)
             in_general.pop(key, None)
-            before = (peer.keys(), dict(peer.filters), dict(peer._seq))
+            before = (peer.keys(), dict(peer.filters),
+                      None if peer._seq is None else dict(peer._seq))
             assert table.remove_broker_filter(1, key) is present
             if not present:  # absent: False, and nothing changed
                 assert before == (peer.keys(), peer.filters, peer._seq)
@@ -470,7 +474,11 @@ def test_scan_covering_replaces_every_interval_covering_answer(monkeypatch):
     unsubscribe storm, whose withdrawals do ask for candidates, leaves
     every one of them unbuilt; the same storm on the product builds them.
     Neither interval reference of :class:`IntervalIndex` is entered by
-    either run: the product asks both questions on the arrays itself."""
+    either run: the product asks both questions on the arrays itself.
+    Ranking stamps are as lazy: the scan run makes none, and the product
+    run makes them only on received sets a withdrawal ranked (two or more
+    candidates from one set), never on a mirror or a client set, which is
+    ranked by the table's own stamps."""
     tables: list = []
     asked = {"covers": 0, "candidates": 0}
     init = FilterTable.__init__
@@ -501,16 +509,34 @@ def test_scan_covering_replaces_every_interval_covering_answer(monkeypatch):
         del tables[:]
         return clients, mirrors
 
+    def received_sets() -> list:
+        return [peer for table in tables for peer in table._from_nbr.values()]
+
     with scan_covering():
         run_churn_storm("sub-unsub", True, seed=42)
     assert asked["covers"] > 100 and asked["candidates"] > 100
+    assert all(peer._seq is None for peer in received_sets())
     clients, mirrors = covering_only_sets()
     assert clients == [None] * 9
-    assert all(peer.ranges._dirty for peer in mirrors)
+    assert all(peer.ranges._dirty and peer._seq is None for peer in mirrors)
 
+    ranked: set = set()  # ids of the received sets a withdrawal ranked
+    product = FilterTable.covered_candidates
+
+    def ranking(self, nbr, f):
+        got = product(self, nbr, f)
+        for other, peer in self._from_nbr.items():
+            if other != nbr and sum(key in peer for key, _f in got) > 1:
+                ranked.add(id(peer))
+        return got
+
+    monkeypatch.setattr(FilterTable, "covered_candidates", ranking)
     run_churn_storm("sub-unsub", True, seed=42)
+    stamped = {id(peer) for peer in received_sets() if peer._seq is not None}
+    assert stamped and stamped <= ranked
     clients, mirrors = covering_only_sets()
     assert all(not peer.ranges._dirty for peer in clients)
+    assert all(peer._seq is None for peer in clients + mirrors)
     assert sum(not peer.ranges._dirty for peer in mirrors) > len(mirrors) // 2
 
 

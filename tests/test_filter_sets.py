@@ -19,12 +19,16 @@ These tests pin that:
   ``advertised_covers`` is :meth:`IntervalIndex.contains_interval` plus a
   scan of the general members, ``covered_candidates`` is each set's
   :meth:`IntervalIndex.contained_keys` ranked by stamp, less the mirror;
-* a NaN-bounded filter never reaches an interval index.
+* a NaN-bounded filter never reaches an interval index;
+* a set's ranking stamps are made by the first withdrawal that ranks it
+  and rank like stamps made at every insert, and a run without covering
+  makes none.
 """
 
 import random
 
 import pytest
+from benchmarks.e2e.workloads import build_config
 from hypothesis import given, settings, strategies as st
 from covering_scan import ScanCovering, _is_topic_range as is_topic_range
 from test_control_plane import (
@@ -38,6 +42,7 @@ from test_control_plane import (
     set_covers,
 )
 
+from repro.experiments.runner import run_to_end
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable, _PeerFilters
 from repro.pubsub.filters import (
@@ -374,9 +379,10 @@ def reference_covers(table: FilterTable, nbr: int, f) -> bool:
 
 def reference_candidates(table: FilterTable, nbr: int, f) -> list:
     advertised = table._advertised[nbr].filters
+    # a received set ranks its members in keys() order
     asked = [(table._client_filters, table._client_seq)] + [
-        (peer, peer._seq) for other, peer in table._from_nbr.items()
-        if other != nbr]
+        (peer, {k: i for i, k in enumerate(peer.keys())})
+        for other, peer in table._from_nbr.items() if other != nbr]
     out = []
     for peer, seq in asked:
         rng = f.topic_range
@@ -410,3 +416,90 @@ def test_inlined_covering_bodies_equal_the_interval_references(
                 assert table.covered_candidates(nbr, q) \
                     == reference_candidates(table, nbr, q), (step, nbr, q)
     assert table._client_filters is not None
+
+
+# ---------------------------------------------------------------------------
+# (vi) ranking stamps: made on the first ranking, equal to eager stamps
+# ---------------------------------------------------------------------------
+class EagerStamps:
+    """The eager reference for a keyed set's order: topic-range and
+    general members in two insertion-ordered dicts, and a ``(kind, n)``
+    stamp made at every insert and renewed when a key changes kind (a
+    re-add of the same kind keeps place and stamp)."""
+
+    def __init__(self) -> None:
+        self.homes: tuple = ({}, {})  # topic range, general
+        self.stamp: dict = {}
+        self.made = 0
+
+    def add(self, key, f) -> None:
+        kind = int(f.topic_range is None)
+        self.homes[1 - kind].pop(key, None)
+        self.homes[kind][key] = f
+        if self.stamp.get(key, (None,))[0] != kind:
+            self.stamp[key] = (kind, self.made)
+            self.made += 1
+
+    def remove(self, key) -> bool:
+        for home in self.homes:
+            home.pop(key, None)
+        return self.stamp.pop(key, None) is not None
+
+    def keys(self) -> list:
+        return [*self.homes[0], *self.homes[1]]
+
+    def members(self) -> dict:
+        return {**self.homes[0], **self.homes[1]}
+
+
+#: (op, key, filter): a small key space, so most adds re-add a present key,
+#: half of them with a filter of the other kind
+STAMP_OPS = st.lists(
+    st.tuples(st.sampled_from(["add", "add", "remove", "ask"]),
+              st.integers(0, 5), TABLE_FILTERS),
+    max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=STAMP_OPS)
+def test_lazy_stamps_rank_like_eager_stamps(ops):
+    """A received set's ``keys()`` and the order ``covered_candidates``
+    ranks its members in equal the eager reference's across range <->
+    general moves and re-adds of a present key, whenever the first ranking
+    comes; the set has stamps exactly once a withdrawal has ranked it."""
+    table = FilterTable(0, [1, 2])
+    peer = table._from_nbr[1]
+    ref = EagerStamps()
+    ranked = False
+    for op, key, f in ops:
+        if op == "add":
+            table.add_broker_filter(1, key, f)
+            ref.add(key, f)
+        elif op == "remove":
+            assert table.remove_broker_filter(1, key) is ref.remove(key)
+        else:  # a withdrawal toward neighbour 2 asks neighbour 1's set
+            members = ref.members()
+            want = sorted((k for k, g in members.items() if f.covers(g)),
+                          key=ref.stamp.__getitem__)
+            got = table.covered_candidates(2, f)
+            assert got == [(k, members[k]) for k in want], (key, f)
+            ranked = ranked or len(got) > 1
+        assert peer.keys() == ref.keys()
+        assert (peer._seq is not None) is ranked
+        if ranked:
+            assert sorted(peer._seq, key=peer._seq.__getitem__) \
+                == sorted(ref.stamp, key=ref.stamp.__getitem__)
+
+
+def test_a_run_without_covering_makes_no_stamps():
+    """MHH keeps exact tables (no covering), so no withdrawal ever ranks a
+    set: after a run no filter set has stamps, no table has built its
+    client entries' set, and no advertisement mirror has built arrays."""
+    system = run_to_end(build_config("churn_mhh", 1, quick=True))
+    tables = [b.table for b in system.brokers.values()]
+    received = [peer for t in tables for peer in t._from_nbr.values()]
+    mirrors = [peer for t in tables for peer in t._advertised.values()]
+    assert sum(len(peer) for peer in received) > 100
+    assert all(peer._seq is None for peer in received + mirrors)
+    assert all(t._client_filters is None for t in tables)
+    assert all(peer.ranges._dirty for peer in mirrors)

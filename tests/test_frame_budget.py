@@ -12,7 +12,10 @@ goes over the budget, and the failure names the most-entered functions.
   At the ``--quick`` size a hop is 0.09 of the events (0.19 at full size;
   the initial subscription flood is most of a 12 s run), so one frame put
   back on the hop costs 0.09, on the drain's completion 0.08 — and one
-  under ``_PeerFilters.add``, which the flood shares, 1.23.
+  under ``_PeerFilters.add``, which the flood shares, 1.23. Protocol
+  timers (``MobilityProtocol.later``, nearly all of them empty-TQ
+  completions) are pushed handle-free, two frames fewer each than
+  ``call_later``: 0.16 frames per event fewer.
 * ``churn_subunsub`` holds the sub-unsub control path: the subscribe
   flood, and the unsubscribe hop with its covering-aware withdrawal. An
   unsubscribe is 0.18 of the events at the ``--quick`` size, a withdrawal
@@ -92,11 +95,12 @@ from repro.experiments.runner import build_system, drain_to_quiescence
 #: ``Filter.topic_range``); the cheapest wrapper to put back, one on the
 #: delivery hop, costs 0.23
 FRAMES_PER_EVENT_BUDGET = 9.8
-#: measured 13.73 (18.27 before the flattening, 16.30 before the phase
-#: dispatch, 15.58 before ``Filter.topic_range``; full size 18.51 -> 16.55
-#: -> 15.83 -> 15.21); the cheapest wrapper to put back, one on the drain's
-#: completion, costs 0.08
-CONTROL_FRAMES_PER_EVENT_BUDGET = 13.8
+#: measured 13.33 (18.27 before the flattening, 16.30 before the phase
+#: dispatch, 15.58 before ``Filter.topic_range``, 13.48 before handle-free
+#: protocol timers; full size 18.51 -> 16.55 -> 15.83 -> 15.21); the
+#: cheapest wrapper to put back, one on the drain's completion, costs 0.08.
+#: The budget came down by the 0.16 the timers saved
+CONTROL_FRAMES_PER_EVENT_BUDGET = 13.64
 #: measured 14.71 (22.87 before the flat arrays and the filtered
 #: withdrawal candidates, 21.14 before one frame per covering question);
 #: the cheapest wrapper to put back, one on ``_handle_unsubscribe`` or

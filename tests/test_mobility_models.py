@@ -120,12 +120,22 @@ def test_ping_pong_handoffs_stay_on_grid_edges():
         mobility_model="ping-pong",
     )
     workload = Workload(system, spec)
+    moves = []  # (last broker, destination) of every handoff the model made
+    draw = workload.mobility.next_broker
+
+    def recorded(rng, client):
+        target = draw(rng, client)
+        if client.last_broker not in (None, target):
+            moves.append((client.last_broker, target))
+        return target
+
+    workload.mobility.next_broker = recorded
     system.run(until=spec.duration_ms)
     workload.stop()
-    records = system.metrics.handoffs.records
-    assert records, "ping-pong produced no handoffs"
-    for rec in records:
-        assert system.topology.has_edge(rec.old_broker, rec.new_broker)
+    assert moves, "ping-pong produced no handoffs"
+    assert len(moves) == system.metrics.handoffs.handoff_count
+    for old_broker, new_broker in moves:
+        assert system.topology.has_edge(old_broker, new_broker)
 
 
 def test_trace_replay_cycles_and_falls_back():
