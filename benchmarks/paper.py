@@ -1,0 +1,179 @@
+"""The paper-density record: three protocols at the paper's density.
+
+``python3 -m benchmarks.paper`` runs MHH, sub-unsub and home-broker at the
+paper's density (k=14, 10 clients per broker, conn = disc = 300 s, seed 1)
+to 60 and to 600 model seconds, each point in a fresh interpreter, and
+prints per point:
+
+* host cost: CPU seconds of the set-up (build plus the flood to the end
+  of warm-up), of the measurement window and of the drain, and the
+  process's max RSS;
+* what the simulation fixes: sim events, publishes, handoffs, wired event
+  hops per publish, overhead per handoff, and a digest of every simulated
+  field of the run's :class:`~repro.metrics.summary.ResultRow`.
+
+``--append`` adds one record, keyed by commit (``git describe --always
+--dirty``), to ``BENCH_paper.json`` at the repo root.
+``--check`` compares each point's simulated fields with the last record's
+and exits 1 on any difference; CPU seconds and RSS are printed and never
+gated. ``--until 60`` runs only the 60 s points. Host speed is read with
+the e2e harness's probe (:mod:`benchmarks.e2e.hostspeed`: 1.0 is the
+reference box, lower is slower). The six points take about a minute of
+CPU.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Optional
+
+from benchmarks.e2e.hostspeed import REFERENCE_BURST_S, SpeedProbe
+
+ROOT = Path(__file__).resolve().parents[1]
+RECORD = ROOT / "BENCH_paper.json"
+PROTOCOLS = ("mhh", "sub-unsub", "home-broker")
+UNTIL_S = (60.0, 600.0)
+
+#: one point, run in a fresh interpreter (argv: protocol, model seconds);
+#: it imports nothing but the program and what it measures with, so its
+#: max RSS is the run's
+_CHILD = """
+import dataclasses, hashlib, json, resource, sys, time
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import build_system, drain_to_quiescence
+from repro.metrics.summary import build_row
+from repro.workload.spec import WorkloadSpec
+
+protocol, until_s = sys.argv[1], float(sys.argv[2])
+cpu = time.process_time
+t0 = cpu()
+cfg = ExperimentConfig(protocol, grid_k=14, seed=1, workload=WorkloadSpec(
+    clients_per_broker=10, mean_connected_s=300.0, mean_disconnected_s=300.0,
+    duration_s=until_s))
+system, workload = build_system(cfg)
+system.metrics.delivery.record_log = False
+system.run(until=cfg.workload.warmup_ms)
+t1 = cpu()
+system.run(until=cfg.workload.duration_ms)
+workload.stop()
+t2 = cpu()
+drain_to_quiescence(system, workload, cfg.drain_limit_ms)
+system.close()
+t3 = cpu()
+row = build_row(cfg, system)
+fields = {f.name: getattr(row, f.name)
+          for f in dataclasses.fields(row) if f.compare}
+json.dump({
+    "host": {
+        "setup_cpu_s": round(t1 - t0, 3),
+        "window_cpu_s": round(t2 - t1, 3),
+        "drain_cpu_s": round(t3 - t2, 3),
+        "max_rss_mb": round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    },
+    "simulated": {
+        "sim_events": row.sim_events,
+        "published": row.published,
+        "handoffs": row.handoffs,
+        "event_hops_per_publish": round(
+            row.wired_by_category.get("event", 0) / max(row.published, 1), 3),
+        "overhead_per_handoff": row.overhead_per_handoff,
+        "violations": len(row.violations),
+        "row_digest": hashlib.sha256(json.dumps(
+            fields, sort_keys=True).encode()).hexdigest()[:16],
+    },
+}, sys.stdout)
+"""
+
+
+def run_point(protocol: str, until_s: float) -> dict:
+    """One point in a fresh interpreter: ``{"host": ..., "simulated": ...}``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD, protocol, repr(until_s)],
+        env=env, cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def host_speed() -> float:
+    """Median host speed over a few probe bursts, 1.0 = the reference box."""
+    probe = SpeedProbe()
+    return round(REFERENCE_BURST_S
+                 / statistics.median(probe.burst() for _ in range(9)), 3)
+
+
+def describe_commit() -> str:
+    out = subprocess.run(
+        ["git", "describe", "--always", "--dirty"], cwd=ROOT,
+        capture_output=True, text=True,
+    )
+    return out.stdout.strip() or "unknown"
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="python3 -m benchmarks.paper")
+    parser.add_argument("--until", type=float, action="append",
+                        choices=UNTIL_S, help="model seconds (repeatable; "
+                        "default: 60 and 600)")
+    parser.add_argument("--append", action="store_true",
+                        help=f"append this run as a record to {RECORD.name}")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 unless every point's simulated fields "
+                        "equal the last record's")
+    args = parser.parse_args(argv)
+
+    speed = host_speed()
+    print(f"host speed {speed} (1.0 = reference box)")
+    points = {}
+    for until_s in args.until or UNTIL_S:
+        for protocol in PROTOCOLS:
+            key = f"{protocol}@{until_s:g}s"
+            point = points[key] = run_point(protocol, until_s)
+            host, sim = point["host"], point["simulated"]
+            print(f"{key:<18} setup {host['setup_cpu_s']:6.2f} s  window "
+                  f"{host['window_cpu_s']:6.2f} s  drain "
+                  f"{host['drain_cpu_s']:5.2f} s CPU  max RSS "
+                  f"{host['max_rss_mb']:6.1f} MB | {sim['sim_events']} events"
+                  f"  {sim['published']} publishes  {sim['handoffs']} "
+                  f"handoffs  {sim['event_hops_per_publish']} hops/publish"
+                  f"  overhead {sim['overhead_per_handoff']}"
+                  f"  digest {sim['row_digest']}")
+
+    records = (json.loads(RECORD.read_text())["records"]
+               if RECORD.exists() else [])
+    status = 0
+    if args.check:
+        if not records:
+            print(f"FAIL: {RECORD.name} holds no record to check against")
+            return 1
+        last = records[-1]
+        for key, point in points.items():
+            want = last["points"].get(key, {}).get("simulated")
+            if point["simulated"] != want:
+                print(f"FAIL {key}: {point['simulated']} != {want} "
+                      f"(record {last['commit']})")
+                status = 1
+        if status == 0:
+            print(f"{len(points)} points equal record {last['commit']}")
+    if args.append:
+        records.append({
+            "commit": describe_commit(),
+            "python": platform.python_version(),
+            "host_speed": speed,
+            "points": points,
+        })
+        RECORD.write_text(json.dumps({"records": records}, indent=1) + "\n")
+        print(f"appended record {records[-1]['commit']} to {RECORD.name}")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,17 +5,19 @@ The package provides, from scratch:
 
 * a deterministic discrete-event simulation kernel (:mod:`repro.sim`),
 * a sans-IO driver boundary so the same protocol core runs under the
-  simulator or a live asyncio runtime (:mod:`repro.drivers`),
+  simulator or a live asyncio runtime (:mod:`repro.drivers`; the live
+  names are in :mod:`repro.drivers.live`),
 * the paper's network substrate — k x k base-station grid, MST overlay,
   FIFO links with the paper's latencies (:mod:`repro.network`),
 * a content-based publish/subscribe system with reverse path forwarding
   and covering-based subscription propagation (:mod:`repro.pubsub`),
 * the MHH mobility-management protocol plus the sub-unsub and home-broker
-  baselines and a two-phase extension (:mod:`repro.mobility`),
+  baselines and a two-phase extension (:mod:`repro.mobility`, each
+  protocol in its own module, imported by name when a run selects it),
 * the paper's workload model and metrics (:mod:`repro.workload`,
   :mod:`repro.metrics`),
 * sweep drivers regenerating every figure of the evaluation section
-  (:mod:`repro.experiments`).
+  (:mod:`repro.experiments.figures`).
 
 Quickstart
 ----------
@@ -44,13 +46,7 @@ from repro.errors import (
     ConfigurationError,
 )
 from repro.sim import Simulator, Process, spawn, RandomStreams, Tracer
-from repro.drivers import (
-    AsyncioClock,
-    LiveDriver,
-    SimulatedDriver,
-    VirtualClock,
-    run_soak,
-)
+from repro.drivers import SimulatedDriver
 from repro.network import (
     Topology,
     grid_topology,
@@ -71,14 +67,7 @@ from repro.pubsub import (
     PubSubSystem,
     SystemOptions,
 )
-from repro.mobility import (
-    MobilityProtocol,
-    MHHProtocol,
-    SubUnsubProtocol,
-    HomeBrokerProtocol,
-    TwoPhaseProtocol,
-    PROTOCOLS,
-)
+from repro.mobility import MobilityProtocol, PROTOCOLS
 from repro.metrics import MetricsHub, ResultRow, summarize
 
 __version__ = "1.0.0"
@@ -104,10 +93,6 @@ __all__ = [
     "Tracer",
     # drivers
     "SimulatedDriver",
-    "LiveDriver",
-    "AsyncioClock",
-    "VirtualClock",
-    "run_soak",
     # network
     "Topology",
     "grid_topology",
@@ -128,10 +113,6 @@ __all__ = [
     "SystemOptions",
     # mobility
     "MobilityProtocol",
-    "MHHProtocol",
-    "SubUnsubProtocol",
-    "HomeBrokerProtocol",
-    "TwoPhaseProtocol",
     "PROTOCOLS",
     # metrics
     "MetricsHub",

@@ -6,20 +6,15 @@ that facade to an execution substrate:
 
 * :class:`SimulatedDriver` — deterministic discrete-event time (the
   reproduction default, byte-identical to the pre-driver system);
-* :class:`LiveDriver` — the same kernel over an asyncio event loop
-  (:class:`AsyncioClock`, wall-clock delays — see ``cli soak``) or a
-  deterministic :class:`VirtualClock` for differential parity tests.
+* :class:`repro.drivers.live.LiveDriver` — the same kernel over an asyncio
+  event loop (``AsyncioClock``, wall-clock delays — see ``cli soak``) or a
+  deterministic ``VirtualClock`` for differential parity tests. Import the
+  live names from :mod:`repro.drivers.live`: this package does not, so a
+  simulated run never loads that module.
 """
 
 from repro.drivers.base import CancelHandle, Clock, Driver, Transport
 from repro.drivers.simulated import SimulatedDriver
-from repro.drivers.live import (
-    AsyncioClock,
-    LiveDriver,
-    VirtualClock,
-    run_soak,
-    run_virtual_scenario,
-)
 
 __all__ = [
     "CancelHandle",
@@ -27,9 +22,4 @@ __all__ = [
     "Driver",
     "Transport",
     "SimulatedDriver",
-    "AsyncioClock",
-    "LiveDriver",
-    "VirtualClock",
-    "run_soak",
-    "run_virtual_scenario",
 ]

@@ -30,11 +30,14 @@ standard churn workload (the same :class:`~repro.workload.mobility_model.
 Workload` processes the simulator uses) for a wall-clock window, drains to
 quiescence and audits the delivery ledger — exposed as
 ``python -m repro.experiments.cli soak``.
+
+Only :class:`AsyncioClock` and :func:`run_soak` use asyncio, so they import
+it when they are built or called: the socket coordinator and the virtual
+re-runs never load it.
 """
 
 from __future__ import annotations
 
-import asyncio
 import heapq
 import tempfile
 import time
@@ -44,6 +47,8 @@ from repro.drivers.base import CancelHandle, Clock, Driver
 from repro.errors import SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover
+    import asyncio
+
     from repro.experiments.config import ExperimentConfig
     from repro.metrics.summary import ResultRow
     from repro.pubsub.system import PubSubSystem
@@ -208,6 +213,8 @@ class AsyncioClock(_HeapClock):
         loop: Optional[asyncio.AbstractEventLoop] = None,
         time_scale: float = 1.0,
     ) -> None:
+        import asyncio
+
         super().__init__()
         if time_scale <= 0:
             raise SchedulingError(f"time_scale must be > 0, got {time_scale!r}")
@@ -264,6 +271,8 @@ class AsyncioClock(_HeapClock):
         poll_s: float = 0.02,
     ) -> bool:
         """Wait until nothing is scheduled (and ``quiescent()`` agrees)."""
+        import asyncio
+
         deadline = None if timeout_s is None else self.loop.time() + timeout_s
         while True:
             if self._pending == 0 and (quiescent is None or quiescent()):
@@ -340,6 +349,8 @@ def run_soak(
     each exception a clock callback raised (:attr:`AsyncioClock.errors`)
     are violations too, so a soak with a failing handler never passes.
     """
+    import asyncio
+
     from repro.experiments.runner import build_system
     from repro.metrics.summary import build_row
 

@@ -3,35 +3,16 @@
 Each figure of the paper's evaluation (Figures 5(a,b) and 6(a,b)) has a
 sweep driver in :mod:`repro.experiments.figures` that runs the three
 protocols over the figure's parameter axis and returns the rows/series the
-paper plots. ``python -m repro.experiments.cli fig5a`` prints them.
+paper plots. ``python -m repro.experiments.cli fig5a`` prints them. This
+package imports only the configuration and the runner; a single run never
+loads the sweeps or :mod:`repro.experiments.report`.
 """
 
 from repro.experiments.config import ExperimentConfig, SCALES
 from repro.experiments.runner import run_experiment
-from repro.experiments.figures import (
-    fig5a,
-    fig5b,
-    fig6a,
-    fig6b,
-    run_fig5,
-    run_fig6,
-    CONN_PERIOD_SWEEP_S,
-    GRID_SIZE_SWEEP,
-)
-from repro.experiments.report import format_table, format_series
 
 __all__ = [
     "ExperimentConfig",
     "SCALES",
     "run_experiment",
-    "fig5a",
-    "fig5b",
-    "fig6a",
-    "fig6b",
-    "run_fig5",
-    "run_fig6",
-    "CONN_PERIOD_SWEEP_S",
-    "GRID_SIZE_SWEEP",
-    "format_table",
-    "format_series",
 ]

@@ -24,7 +24,6 @@ assembly and seeds are unaffected.
 
 from __future__ import annotations
 
-import multiprocessing
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -83,6 +82,8 @@ def _run_configs(
     the serial loop exactly regardless of which worker finished first.
     """
     if workers is not None and workers > 1 and len(cfgs) > 1:
+        import multiprocessing
+
         with multiprocessing.Pool(processes=min(workers, len(cfgs))) as pool:
             return pool.map(run_experiment, cfgs)
     return [run_experiment(cfg) for cfg in cfgs]

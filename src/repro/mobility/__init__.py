@@ -9,23 +9,19 @@
   baseline ([9], paper §2); unreliable by design.
 * :mod:`repro.mobility.two_phase` — the authors' earlier two-phase handoff
   ([12]); implemented as an extension for the concurrency ablation.
+
+The protocol classes are not imported here: :mod:`repro.mobility.registry`
+imports each one by name when a system selects it, so a run loads only
+the protocol it runs.
 """
 
 from repro.mobility.base import MobilityProtocol
 from repro.mobility.queues import PersistentQueue
-from repro.mobility.mhh import MHHProtocol
-from repro.mobility.sub_unsub import SubUnsubProtocol
-from repro.mobility.home_broker import HomeBrokerProtocol
-from repro.mobility.two_phase import TwoPhaseProtocol
 from repro.mobility.registry import factory, PROTOCOLS
 
 __all__ = [
     "MobilityProtocol",
     "PersistentQueue",
-    "MHHProtocol",
-    "SubUnsubProtocol",
-    "HomeBrokerProtocol",
-    "TwoPhaseProtocol",
     "factory",
     "PROTOCOLS",
 ]

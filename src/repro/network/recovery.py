@@ -19,7 +19,7 @@ Failure semantics (the accounted-loss crash model, see ARCHITECTURE.md):
 * ``crash`` — at ``time_ms`` the broker stops receiving and its volatile
   state (queues, protocol scratchpad) is lost. ``repair_delay_ms`` later a
   repair round re-converges the surviving overlay; the window in between
-  models detection + self-stabilization latency, during which losses occur
+  models detection + global repair latency, during which losses occur
   and are *marked* so the delivery ledger stays exact.
 * ``restart`` — the broker rejoins with empty state; reintegration *is* a
   repair round, so it takes effect atomically at ``time_ms``.

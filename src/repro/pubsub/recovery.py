@@ -1,4 +1,4 @@
-"""Self-stabilizing overlay repair: crashes, restarts, partitions.
+"""Overlay repair by a global repair round: crashes, restarts, partitions.
 
 This module acts on a :class:`~repro.network.recovery.CrashPlan`. It is the
 control-plane analogue of PR 4's wireless fault injector: a
@@ -30,10 +30,13 @@ Marking happens at three places:
 * delivery-time, when the link layer drops a generation-stale or
   dead-addressed message carrying event cargo.
 
-The repair round (self-stabilization, PSVR-style)
--------------------------------------------------
+The global repair round
+-----------------------
 ``repair_delay_ms`` after each failure event (immediately for restarts) a
-single synchronous repair round restores a consistent global state:
+single synchronous repair round restores a consistent global state. It is
+a coordinator's reset from a global view, not local rules that converge
+(PSVR's sense of self-stabilization), so it equals a from-scratch rebuild
+by construction:
 
 1. **gather** the surviving backlog from all live brokers' persistent
    queues and stray buffers, deduplicated, minus what each client has seen

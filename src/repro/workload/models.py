@@ -206,19 +206,25 @@ class TraceReplayMobility(MobilityModel):
     name = "trace"
 
     def __init__(self, trace: Optional[Mapping[int, Sequence[int]]] = None) -> None:
-        self.trace = {int(c): tuple(int(b) for b in seq)
-                      for c, seq in dict(trace or {}).items()}
+        # a sequence that is already a tuple of ints (what a WorkloadSpec
+        # built in code holds) is kept, not copied; anything else
+        # (lists, numpy ints) is normalised
+        self.trace = {
+            int(c): seq if type(seq) is tuple and all(type(b) is int for b in seq)
+            else tuple(int(b) for b in seq)
+            for c, seq in dict(trace or {}).items()
+        }
         self._pos: dict[int, int] = {}
 
     def bind(self, system: "PubSubSystem") -> None:
         super().bind(system)
         for cid, seq in self.trace.items():
-            for b in seq:
-                if not 0 <= b < self.n:
-                    raise ConfigurationError(
-                        f"trace for client {cid} names broker {b}, but the "
-                        f"topology has brokers 0..{self.n - 1}"
-                    )
+            if seq and (min(seq) < 0 or max(seq) >= self.n):
+                b = next(b for b in seq if not 0 <= b < self.n)
+                raise ConfigurationError(
+                    f"trace for client {cid} names broker {b}, but the "
+                    f"topology has brokers 0..{self.n - 1}"
+                )
 
     def next_broker(self, rng: np.random.Generator, client: "Client") -> int:
         step = self._pos.get(client.id, 0)

@@ -1,0 +1,89 @@
+"""A simulated run imports only the layers it runs.
+
+Each case runs one small experiment in a fresh interpreter and then reads
+``sys.modules``: the live asyncio driver, the socket transport, the
+conformance fuzzer, the figure sweeps and the protocols the run did not
+select must not be there, and neither must the heavy standard-library
+stacks they bring (asyncio pulls in ``ssl``, ``socket``, ``selectors``,
+``subprocess`` and ``concurrent.futures``; the sweeps' worker pool pulls
+in ``multiprocessing``). Each of those costs a fresh process memory and
+start-up time on every simulated run, and none of them is used there.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+#: standard-library stacks a simulated run must not load
+HEAVY_STDLIB = ("asyncio", "ssl", "socket", "selectors", "subprocess",
+                "multiprocessing", "concurrent.futures")
+#: repro modules (and packages, with everything under them) a simulated
+#: run must not load
+FORBIDDEN = ("repro.drivers.live", "repro.drivers.socket", "repro.wire",
+             "repro.conformance", "repro.experiments.figures",
+             "repro.experiments.report")
+#: registry name -> module of every protocol
+PROTOCOL_MODULES = {
+    "mhh": "repro.mobility.mhh",
+    "sub-unsub": "repro.mobility.sub_unsub",
+    "home-broker": "repro.mobility.home_broker",
+    "two-phase": "repro.mobility.two_phase",
+    "mhh-nopqlist": "repro.mobility.ablations",
+}
+#: ``repro.*`` modules a simulated run loads, package inits included:
+#: 48 for each of the three paper protocols (54 when the package init
+#: still pulled in the live driver, the sweeps and every protocol)
+REPRO_MODULE_BUDGET = 48
+
+_PROBE = """
+import json, sys
+from repro.experiments import ExperimentConfig, run_experiment
+from repro.workload.spec import WorkloadSpec
+
+cfg = ExperimentConfig(
+    sys.argv[1], grid_k=3, seed=1,
+    workload=WorkloadSpec(clients_per_broker=2, mean_connected_s=5.0,
+                          mean_disconnected_s=5.0, publish_interval_s=2.0,
+                          duration_s=20.0),
+)
+row = run_experiment(cfg)
+assert row.violations == [], row.violations
+json.dump(sorted(sys.modules), sys.stdout)
+"""
+
+
+def _modules_after_run(protocol: str) -> list[str]:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE, protocol], env=env,
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def _under(name: str, prefixes) -> bool:
+    return any(name == p or name.startswith(p + ".") for p in prefixes)
+
+
+@pytest.mark.parametrize("protocol", ["mhh", "sub-unsub", "home-broker"])
+def test_a_simulated_run_loads_only_what_it_runs(protocol):
+    loaded = _modules_after_run(protocol)
+    other_protocols = [m for p, m in PROTOCOL_MODULES.items() if p != protocol]
+    unexpected = [m for m in loaded
+                  if _under(m, HEAVY_STDLIB + FORBIDDEN)
+                  or m in other_protocols]
+    assert unexpected == [], f"{protocol} run loaded {unexpected}"
+    assert PROTOCOL_MODULES[protocol] in loaded
+    repro = [m for m in loaded if _under(m, ("repro",))]
+    assert len(repro) <= REPRO_MODULE_BUDGET, (
+        f"{protocol} run loaded {len(repro)} repro modules "
+        f"(budget {REPRO_MODULE_BUDGET}): {repro}"
+    )

@@ -158,6 +158,30 @@ def test_trace_replay_validates_broker_range():
         model.bind(small_system())
 
 
+def test_trace_replay_names_the_client_and_the_first_bad_broker():
+    model = TraceReplayMobility(trace={0: (1, 2), 5: [3, -1, 42]})
+    with pytest.raises(ConfigurationError,
+                       match=r"client 5 names broker -1,.*brokers 0\.\.8"):
+        model.bind(small_system())
+
+
+def test_trace_replay_keeps_int_tuples_and_normalises_the_rest():
+    kept = (4, 1, 4)
+    model = TraceReplayMobility(trace={
+        0: kept,
+        np.int64(1): [2, 3],
+        2: np.array([5, 6], dtype=np.int32),
+        3: (np.int16(7), 8),
+        4: (True, 0),
+    })
+    assert model.trace[0] is kept
+    assert model.trace == {0: (4, 1, 4), 1: (2, 3), 2: (5, 6), 3: (7, 8),
+                           4: (1, 0)}
+    for seq in model.trace.values():
+        assert type(seq) is tuple and all(type(b) is int for b in seq)
+    model.bind(small_system())  # every id is in 0..8
+
+
 # ---------------------------------------------------------------------------
 # topic popularity
 # ---------------------------------------------------------------------------
