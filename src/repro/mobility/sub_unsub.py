@@ -46,13 +46,13 @@ SETTLED         IDLE            ``transfer_request``: unsubscribe and ship
 that asks) and acts on the newest older root here: at once if SETTLED,
 else after its merge.
 
-Reliability notes: a per-root ``delivered_ids`` set filters the rare
-post-merge straggler duplicates (an event can reach the new root twice, via
-the direct route and via the old root's re-forwarding); stragglers arriving
-at an already-unsubscribed root are dropped safely because their twin copy
-is guaranteed to have reached the surviving subscription (the argument,
-and why covering is off: docs/ARCHITECTURE.md, "What the figures
-measure").
+Reliability notes: a per-root ``delivered_ids`` bitmap of event ids filters
+the rare post-merge straggler duplicates (an event can reach the new root
+twice, via the direct route and via the old root's re-forwarding);
+stragglers arriving at an already-unsubscribed root are dropped safely
+because their twin copy is guaranteed to have reached the surviving
+subscription (the argument, and why covering is off: docs/ARCHITECTURE.md,
+"What the figures measure").
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry
 from repro.pubsub import messages as m
 from repro.mobility.base import HandoffState, MobilityProtocol
+from repro.util.ids import discard_id, has_id, merge_ids
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pubsub.broker import Broker
@@ -94,7 +95,7 @@ class _Root(HandoffState):
     __slots__ = (
         "key",              # (client, epoch): the pstate and table key
         "queue",            # stored/buffer queue ref (None while live)
-        "delivered_ids",    # events already handed to the client from here
+        "delivered_ids",    # bitmap of events handed to the client from here
         "t0",               # AWAIT_TRANSFER, MERGING: when this subscribed,
         "transferred",      # and the events the old root has shipped
         "deferred_transfer",  # TransferRequest waiting for our merge
@@ -135,7 +136,7 @@ class SubUnsubProtocol(MobilityProtocol):
         root = self._state(broker, client, key)
         root.key, root.epoch = key, epoch
         root.queue = root.deferred_transfer = None
-        root.delivered_ids = set()
+        root.delivered_ids = bytearray()
         return root
 
     @staticmethod
@@ -147,9 +148,14 @@ class SubUnsubProtocol(MobilityProtocol):
     def _deliver(self, broker: "Broker", root: _Root, client: int,
                  event: Notification) -> None:
         """Deliver with per-root duplicate suppression."""
-        if event.event_id in root.delivered_ids:
+        eid = event.event_id
+        bits = root.delivered_ids
+        at = eid >> 3
+        if at >= len(bits):
+            bits.extend(bytes(at + 1 - len(bits)))
+        elif bits[at] >> (eid & 7) & 1:
             return
-        root.delivered_ids.add(event.event_id)
+        bits[at] |= 1 << (eid & 7)
         broker.deliver_to_client(client, event)
 
     # ------------------------------------------------------------------
@@ -258,7 +264,7 @@ class SubUnsubProtocol(MobilityProtocol):
             entry.sink = q.ref.qid
         # reclaimed events were never received: allow redelivery
         for ev in events:
-            root.delivered_ids.discard(ev.event_id)
+            discard_id(root.delivered_ids, ev.event_id)
         broker.get_queue(root.queue).extend_front(events)
 
     # ------------------------------------------------------------------
@@ -319,7 +325,7 @@ class SubUnsubProtocol(MobilityProtocol):
         # a burst stream: TransferDone trails the last batch on the same
         # path (FIFO), so the merge sees everything
         done = m.TransferDone(
-            client, msg.epoch, frozenset(old_root.delivered_ids)
+            client, msg.epoch, int.from_bytes(old_root.delivered_ids, "little")
         )
         if old_root.queue is None:
             self.later(
@@ -344,7 +350,7 @@ class SubUnsubProtocol(MobilityProtocol):
     ) -> None:
         """AWAIT_TRANSFER -> MERGING."""
         root.phase = MERGING
-        root.delivered_ids |= msg.delivered_ids
+        merge_ids(root.delivered_ids, msg.delivered_ids)
         # Merge no earlier than t0 + 2 * safety interval so dual-window
         # stragglers have landed in one of the two queues.
         merge_at = root.t0 + 2.0 * self.safety_interval_ms
@@ -390,7 +396,7 @@ class SubUnsubProtocol(MobilityProtocol):
             # stored queue of what is now the client's last-visited root
             q = broker.get_queue(root.queue)
             for event in ordered:
-                if event.event_id not in root.delivered_ids:
+                if not has_id(root.delivered_ids, event.event_id):
                     q.append(event)
         if root.deferred_transfer is not None:
             msg, root.deferred_transfer = root.deferred_transfer, None

@@ -41,6 +41,7 @@ from repro.mobility.base import every_phase
 from repro.mobility.mhh import (
     GRANTING, IDLE, OUT_STREAMING, MHHProtocol, Phase,
 )
+from repro.wire.codec import register
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pubsub.broker import Broker
@@ -81,6 +82,15 @@ class GrantRelease(Message):
 
     def __init__(self, client: int) -> None:
         self.client = client
+
+
+# the grant handshake travels via net.unicast, so it crosses broker links
+# and needs wire ids
+register(GrantRequest, 26, (("client", "uint"), ("coordinator", "uint"),
+                            ("attempt", "uint")))
+register(GrantAck, 27, (("client", "uint"), ("granter", "uint"),
+                        ("attempt", "uint")))
+register(GrantRelease, 28, (("client", "uint"),))
 
 
 class _Prepare:

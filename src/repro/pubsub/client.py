@@ -25,6 +25,7 @@ from repro.errors import ClientStateError
 from repro.pubsub.events import Notification
 from repro.pubsub.filters import Filter
 from repro.pubsub import messages as m
+from repro.util.ids import has_id
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pubsub.system import PubSubSystem
@@ -62,10 +63,11 @@ class Client:
         #: event (see _deliver_event); the delivery ledger still records
         #: every copy, so the duplicates metric is unaffected
         self.on_event = None
-        #: publisher -> bitmap of the seqs already handed to the application
-        #: — retransmission makes duplicates a normal event, not only a
-        #: fault artifact, so the client dedups before the app boundary
-        self._seen_events: dict[int, int] = {}
+        #: bitmap (``repro.util.ids``) of the event ids already handed to
+        #: the application — retransmission makes duplicates a normal
+        #: event, not only a fault artifact, so the client dedups before
+        #: the app boundary
+        self._seen_events = bytearray()
         #: the layer seam (LayerHooks): every list empty on the plain path
         self._hooks = system.hooks
         self._on_delivered = system.hooks.delivered
@@ -180,9 +182,9 @@ class Client:
 
         Every copy — including retransmitted and fault-duplicated ones —
         reaches the delivery ledger (which owns the ``duplicates``
-        metric); the application callback sees each (publisher, seq)
-        exactly once, however late the copy (home-broker promises no
-        order, so no watermark): one bit per seq in a per-publisher int.
+        metric); the application callback sees each event exactly once,
+        however late the copy (home-broker promises no order, so no
+        watermark): one bit per event id, set in place.
         """
         now = self._clock.now
         self._ledger_delivery(self.id, event, now)
@@ -192,16 +194,20 @@ class Client:
                 self.id, self.current_broker if self.connected else None,
                 event,
             )
-        bits = self._seen_events.get(event.publisher, 0)
-        if bits >> event.seq & 1:
+        eid = event.event_id
+        seen = self._seen_events
+        at = eid >> 3
+        if at >= len(seen):
+            seen.extend(bytes(at + 1 - len(seen)))
+        elif seen[at] >> (eid & 7) & 1:
             return
-        self._seen_events[event.publisher] = bits | 1 << event.seq
+        seen[at] |= 1 << (eid & 7)
         if self.on_event is not None:
             self.on_event(event)
 
     def has_seen(self, event: Notification) -> bool:
         """Has a copy of ``event`` reached this client already?"""
-        return bool(self._seen_events.get(event.publisher, 0) >> event.seq & 1)
+        return has_id(self._seen_events, event.event_id)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = f"@B{self.current_broker}" if self.connected else "offline"

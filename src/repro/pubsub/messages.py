@@ -455,15 +455,15 @@ class TransferDone(Message):
 
     Piggybacks the old root's ``delivered_ids`` (events already handed to
     the client from there), so merges further down a rapid-movement chain
-    never re-deliver an event whose copy travelled both routes.
+    never re-deliver an event whose copy travelled both routes. It is an
+    immutable snapshot of the root's bitmap: the int whose bit ``eid`` is
+    set for each such event id (``int.from_bytes(bits, "little")``).
     """
 
     __slots__ = ("client", "epoch", "delivered_ids")
     category = CAT_MOBILITY_CTRL
 
-    def __init__(
-        self, client: int, epoch: int, delivered_ids: frozenset[int] = frozenset()
-    ) -> None:
+    def __init__(self, client: int, epoch: int, delivered_ids: int = 0) -> None:
         self.client = client
         self.epoch = epoch
         self.delivered_ids = delivered_ids

@@ -59,3 +59,25 @@ class IdAllocator:
     def peek_streams(self) -> list[str]:
         """Names of streams that have allocated at least one id."""
         return sorted(self._counters)
+
+
+# Event ids count from 0, so a set of them is one ``bytearray``: bit
+# ``eid & 7`` of byte ``eid >> 3``, grown in place only when an id past its
+# end is set. The test-and-set is written out on the delivery hops
+# (``Client._deliver_event``, ``SubUnsubProtocol._deliver``) to save a frame.
+def has_id(bits: bytearray, eid: EventId) -> bool:
+    """Is ``eid``'s bit set?"""
+    return eid >> 3 < len(bits) and bool(bits[eid >> 3] >> (eid & 7) & 1)
+
+
+def discard_id(bits: bytearray, eid: EventId) -> None:
+    """Clear ``eid``'s bit, if the bitmap reaches it."""
+    if eid >> 3 < len(bits):
+        bits[eid >> 3] &= ~(1 << (eid & 7))
+
+
+def merge_ids(bits: bytearray, snapshot: int) -> None:
+    """OR in a snapshot, ``int.from_bytes(other_bits, "little")``: the int
+    whose bit ``eid`` is set for each id in the other bitmap."""
+    size = max(len(bits), (snapshot.bit_length() + 7) >> 3)
+    bits[:] = (int.from_bytes(bits, "little") | snapshot).to_bytes(size, "little")

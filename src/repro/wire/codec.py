@@ -5,9 +5,11 @@ Layout of an encoded message::
     <u8 version> <varint type-id> <fields per the type's schema>
 
 Every message class has an explicit entry in :data:`MESSAGE_SCHEMAS` — a
-stable type id plus a ``(field-name, kind)`` tuple per slot. An
-exhaustiveness test pins the registry against the module's class list, so
-adding a message without a schema (or a slot without a field) fails CI.
+stable type id plus a ``(field-name, kind)`` tuple per slot, entered by
+:func:`register`; a protocol's private messages are registered by the
+protocol's own module. An exhaustiveness test pins the registry against
+the module's class list, so adding a message without a schema (or a slot
+without a field) fails CI.
 
 Primitives:
 
@@ -50,13 +52,15 @@ __all__ = [
     "CODEC_VERSION",
     "CodecError",
     "MESSAGE_SCHEMAS",
+    "register",
     "encode_message",
     "decode_message",
     "encode_control",
     "decode_control",
 ]
 
-CODEC_VERSION = 2
+#: 3: ``TransferDone.delivered_ids`` is one ``uint`` bitmap, not a set
+CODEC_VERSION = 3
 
 _F64 = struct.Struct("<d")
 
@@ -431,10 +435,6 @@ def _read_f64(r: _Reader) -> float:
     return r.f64()
 
 
-def _sorted_frozenset(items) -> frozenset:
-    return frozenset(items)
-
-
 #: kind -> (writer(w, value), reader(r) -> value)
 FIELD_KINDS: Dict[str, Tuple[Callable, Callable]] = {
     "uint": (_write_uint, _read_uint),
@@ -452,16 +452,34 @@ FIELD_KINDS: Dict[str, Tuple[Callable, Callable]] = {
     "qref_tuple": _seq(_write_qref, _read_qref, tuple),
     "event_list": _seq(_write_event, _read_event, list),
     "event_tuple": _seq(_write_event, _read_event, tuple),
-    "uint_frozenset": _seq(_write_uint, _read_uint, _sorted_frozenset),
 }
 
 
 # ---------------------------------------------------------------------------
 # the registry: every message class, explicit stable ids + field schemas
 # ---------------------------------------------------------------------------
-#: type -> (type-id, ((slot-name, kind), ...)). Field order is wire order
-#: and must list every slot the class (and its bases) defines.
-MESSAGE_SCHEMAS: Dict[Type[m.Message], Tuple[int, Tuple[Tuple[str, str], ...]]] = {
+#: type -> (type-id, ((slot-name, kind), ...)), filled by :func:`register`.
+#: Field order is wire order and must list every slot the class (and its
+#: bases) defines.
+MESSAGE_SCHEMAS: Dict[Type[m.Message], Tuple[int, Tuple[Tuple[str, str], ...]]] = {}
+_BY_ID: Dict[int, Tuple[Type[m.Message], Tuple[Tuple[str, str], ...]]] = {}
+
+
+def register(cls: Type[m.Message], type_id: int,
+             fields: Tuple[Tuple[str, str], ...]) -> None:
+    """Give ``cls`` wire id ``type_id`` and its ``(slot-name, kind)``
+    schema; a protocol registers its own messages, so the codec imports
+    no protocol."""
+    if type_id in _BY_ID:
+        raise RuntimeError(f"duplicate wire type id {type_id}")
+    for _name, kind in fields:
+        if kind not in FIELD_KINDS:
+            raise RuntimeError(f"unknown field kind {kind!r} in {cls.__name__}")
+    MESSAGE_SCHEMAS[cls] = (type_id, fields)
+    _BY_ID[type_id] = (cls, fields)
+
+
+for _cls, (_tid, _fields) in {
     m.EventMessage: (1, (("event", "event"),)),
     m.SubscribeMessage: (2, (("key", "value"), ("filter", "filter"),
                              ("category", "str"))),
@@ -498,7 +516,7 @@ MESSAGE_SCHEMAS: Dict[Type[m.Message], Tuple[int, Tuple[Tuple[str, str], ...]]] 
     m.TransferBatch: (19, (("client", "uint"), ("epoch", "uint"),
                            ("events", "event_list"))),
     m.TransferDone: (20, (("client", "uint"), ("epoch", "uint"),
-                          ("delivered_ids", "uint_frozenset"))),
+                          ("delivered_ids", "uint"))),
     m.Register: (21, (("client", "uint"), ("foreign", "uint"),
                       ("epoch", "uint"))),
     m.Deregister: (22, (("client", "uint"), ("epoch", "uint"))),
@@ -507,32 +525,9 @@ MESSAGE_SCHEMAS: Dict[Type[m.Message], Tuple[int, Tuple[Tuple[str, str], ...]]] 
     m.SessionTransfer: (25, (("client", "uint"), ("origin", "uint"),
                              ("anchor", "uint"), ("events", "event_tuple"),
                              ("acked", "uint_tuple"))),
-}
-
-# protocol-private messages that still cross broker links: the two-phase
-# baseline's grant handshake travels via net.unicast, so it needs wire ids
-from repro.mobility.two_phase import (  # noqa: E402  (registry must exist first)
-    GrantAck,
-    GrantRelease,
-    GrantRequest,
-)
-
-MESSAGE_SCHEMAS[GrantRequest] = (26, (("client", "uint"),
-                                      ("coordinator", "uint"),
-                                      ("attempt", "uint")))
-MESSAGE_SCHEMAS[GrantAck] = (27, (("client", "uint"), ("granter", "uint"),
-                                  ("attempt", "uint")))
-MESSAGE_SCHEMAS[GrantRelease] = (28, (("client", "uint"),))
-
-_BY_ID: Dict[int, Tuple[Type[m.Message], Tuple[Tuple[str, str], ...]]] = {}
-for _cls, (_tid, _fields) in MESSAGE_SCHEMAS.items():
-    if _tid in _BY_ID:
-        raise RuntimeError(f"duplicate wire type id {_tid}")
-    for _name, _kind in _fields:
-        if _kind not in FIELD_KINDS:
-            raise RuntimeError(f"unknown field kind {_kind!r} in {_cls.__name__}")
-    _BY_ID[_tid] = (_cls, _fields)
-del _cls, _tid, _fields, _name, _kind
+}.items():
+    register(_cls, _tid, _fields)
+del _cls, _tid, _fields
 
 
 def _write_message_body(w: _Writer, msg: m.Message) -> None:

@@ -22,6 +22,8 @@ epoch-advance behaviour) get their own cases at the bottom.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.drivers.live import AsyncioClock, VirtualClock
@@ -53,6 +55,21 @@ def _drain(clock) -> None:
             clock.wait_idle(timeout_s=_IDLE_TIMEOUT_S)
         )
         assert idle, "asyncio clock failed to drain within the wall budget"
+
+
+@contextmanager
+def _one_instant(clock):
+    """Hold an asyncio clock's loop ``time()`` at one reading while the
+    block schedules; the other clocks' ``now`` moves only when they run."""
+    if not isinstance(clock, AsyncioClock):
+        yield
+        return
+    frozen = clock.loop.time()
+    clock.loop.time = lambda: frozen
+    try:
+        yield
+    finally:
+        del clock.loop.time
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +107,11 @@ def test_callbacks_scheduled_while_firing_keep_order(clock):
         clock.call_later(0.0, fired.append, "nested-a")
         clock.call_later_fifo(0.0, fired.append, "nested-b")
 
-    clock.call_later(5.0, first)
-    clock.call_later(5.0, fired.append, "second")
+    # the premise is two equal deadlines; AsyncioClock's `now` follows the
+    # wall clock, so both calls must read it at one instant
+    with _one_instant(clock):
+        clock.call_later(5.0, first)
+        clock.call_later(5.0, fired.append, "second")
     _drain(clock)
     assert fired == ["first", "second", "nested-a", "nested-b"]
 

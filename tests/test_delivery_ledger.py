@@ -230,8 +230,9 @@ def test_ledgers_hold_nothing_per_delivery_after_a_steady_run():
     assert second_half > 1500 and checker.stats.missing == 0
     assert not any(checker._outstanding.values())
     assert not checker._unexpected
-    # what may still grow is per (client, publisher) pair seen for the first
-    # time (a bitmap, a high-water mark): ~30 KB here. One retained container
+    # what may still grow is one bit per published event in each client's
+    # seen bitmap and a high-water mark per (client, publisher) pair seen
+    # for the first time: ~18 KB here. One retained container
     # entry per delivery is >= 60 B each, i.e. >= 120 KB (the set-based
     # stores grew 377 KB on this run)
     assert grown < 64 * 1024, (grown, second_half)

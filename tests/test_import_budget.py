@@ -7,7 +7,9 @@ select must not be there, and neither must the heavy standard-library
 stacks they bring (asyncio pulls in ``ssl``, ``socket``, ``selectors``,
 ``subprocess`` and ``concurrent.futures``; the sweeps' worker pool pulls
 in ``multiprocessing``). Each of those costs a fresh process memory and
-start-up time on every simulated run, and none of them is used there.
+start-up time on every simulated run, and none of them is used there. A
+durable run writes its log in the wire codec's values and frames, so it
+may load those two modules, and nothing else of ``repro.wire``.
 """
 
 from __future__ import annotations
@@ -42,14 +44,21 @@ PROTOCOL_MODULES = {
 #: 48 for each of the three paper protocols (54 when the package init
 #: still pulled in the live driver, the sweeps and every protocol)
 REPRO_MODULE_BUDGET = 48
+#: what the durable stack (reliability, the WAL) may add: the codec and the
+#: framing its log records are written in, never the socket node, the
+#: coordinator or a protocol (the codec imported two-phase for its grant
+#: schemas, 54 modules, until two-phase registered them itself)
+DURABLE_WIRE = ("repro.wire", "repro.wire.codec", "repro.wire.framing")
+DURABLE_MODULE_BUDGET = 53
 
 _PROBE = """
 import json, sys
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.workload.spec import WorkloadSpec
 
+durable = sys.argv[2:] == ["durable"]
 cfg = ExperimentConfig(
-    sys.argv[1], grid_k=3, seed=1,
+    sys.argv[1], grid_k=3, seed=1, reliable=durable, durable=durable,
     workload=WorkloadSpec(clients_per_broker=2, mean_connected_s=5.0,
                           mean_disconnected_s=5.0, publish_interval_s=2.0,
                           duration_s=20.0),
@@ -60,10 +69,10 @@ json.dump(sorted(sys.modules), sys.stdout)
 """
 
 
-def _modules_after_run(protocol: str) -> list[str]:
+def _modules_after_run(protocol: str, *flags: str) -> list[str]:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE, protocol], env=env,
+        [sys.executable, "-c", _PROBE, protocol, *flags], env=env,
         capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out)
@@ -86,4 +95,20 @@ def test_a_simulated_run_loads_only_what_it_runs(protocol):
     assert len(repro) <= REPRO_MODULE_BUDGET, (
         f"{protocol} run loaded {len(repro)} repro modules "
         f"(budget {REPRO_MODULE_BUDGET}): {repro}"
+    )
+
+
+def test_a_durable_run_loads_the_codec_and_no_other_protocol():
+    loaded = _modules_after_run("mhh", "durable")
+    other_protocols = [m for p, m in PROTOCOL_MODULES.items() if p != "mhh"]
+    unexpected = [m for m in loaded
+                  if (_under(m, HEAVY_STDLIB + FORBIDDEN)
+                      and m not in DURABLE_WIRE)
+                  or m in other_protocols]
+    assert unexpected == [], f"durable mhh run loaded {unexpected}"
+    assert {"repro.pubsub.wal", "repro.wire.codec"} <= set(loaded)
+    repro = [m for m in loaded if _under(m, ("repro",))]
+    assert len(repro) <= DURABLE_MODULE_BUDGET, (
+        f"durable mhh run loaded {len(repro)} repro modules "
+        f"(budget {DURABLE_MODULE_BUDGET}): {repro}"
     )

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mobility.two_phase import GrantAck, GrantRelease, GrantRequest
 from repro.pubsub import messages as m
 from repro.pubsub.events import Notification
 from repro.pubsub.filters import (
@@ -192,9 +193,10 @@ MESSAGE_STRATEGIES = {
         m.TransferBatch, client=small_uints, epoch=uints,
         events=st.lists(notifications(), max_size=5),
     ),
+    # delivered_ids is the old root's bitmap snapshot: bit eid per event id
     m.TransferDone: st.builds(
         m.TransferDone, client=small_uints, epoch=uints,
-        delivered_ids=st.frozensets(uints, max_size=8),
+        delivered_ids=st.integers(min_value=0, max_value=2 ** 512),
     ),
     m.Register: st.builds(
         m.Register, client=small_uints, foreign=small_uints, epoch=uints
@@ -214,6 +216,15 @@ MESSAGE_STRATEGIES = {
         events=st.lists(notifications(), max_size=6).map(tuple),
         acked=st.lists(uints, max_size=8).map(tuple),
     ),
+    # the two-phase grant handshake, registered by its own module
+    GrantRequest: st.builds(
+        GrantRequest, client=small_uints, coordinator=small_uints,
+        attempt=uints,
+    ),
+    GrantAck: st.builds(
+        GrantAck, client=small_uints, granter=small_uints, attempt=uints
+    ),
+    GrantRelease: st.builds(GrantRelease, client=small_uints),
 }
 
 
@@ -336,6 +347,20 @@ def test_type_ids_are_unique_and_stable():
     retired = {16}
     assert ids == [i for i in range(1, len(ids) + len(retired) + 1)
                    if i not in retired]
+    # 26-28: the grant handshake, registered by repro.mobility.two_phase
+    assert MESSAGE_SCHEMAS[GrantRelease][0] == ids[-1] == 28
+
+
+def test_register_refuses_a_taken_id_and_an_unknown_kind():
+    class Probe(m.Message):
+        __slots__ = ("x",)
+
+    with pytest.raises(RuntimeError, match="duplicate wire type id 20"):
+        codec.register(Probe, 20, (("x", "uint"),))
+    with pytest.raises(RuntimeError, match="unknown field kind 'uint_set'"):
+        codec.register(Probe, 29, (("x", "uint_set"),))
+    assert Probe not in MESSAGE_SCHEMAS
+    assert 29 not in codec._BY_ID
 
 
 def test_unregistered_message_is_a_codec_error():
