@@ -5,9 +5,9 @@ paper's density (k=14, 10 clients per broker, conn = disc = 300 s, seed 1)
 to 60 and to 600 model seconds, each point in a fresh interpreter, and
 prints per point:
 
-* host cost: CPU seconds of the set-up (build plus the flood to the end
-  of warm-up), of the measurement window and of the drain, and the
-  process's max RSS;
+* host cost: the host's speed just before the point, CPU seconds of the
+  set-up (build plus the flood to the end of warm-up), of the measurement
+  window and of the drain, and the process's max RSS;
 * what the simulation fixes: sim events, publishes, handoffs, wired event
   hops per publish, overhead per handoff, and a digest of every simulated
   field of the run's :class:`~repro.metrics.summary.ResultRow`.
@@ -16,10 +16,13 @@ prints per point:
 --dirty``), to ``BENCH_paper.json`` at the repo root.
 ``--check`` compares each point's simulated fields with the last record's
 and exits 1 on any difference; CPU seconds and RSS are printed and never
-gated. ``--until 60`` runs only the 60 s points. Host speed is read with
-the e2e harness's probe (:mod:`benchmarks.e2e.hostspeed`: 1.0 is the
-reference box, lower is slower). The six points take about a minute of
-CPU.
+gated. ``--until 60`` runs only the 60 s points. Host speed is read
+right before each point, with the e2e harness's probe
+(:mod:`benchmarks.e2e.hostspeed`: 1.0 is the reference box, lower is
+slower): on a shared box it moves within the minute the six points take,
+so one reading for all of them would misstate most. The probe runs here,
+not in the point's process, because its 40 MB table would set the max RSS
+of every point that peaks below it.
 """
 
 from __future__ import annotations
@@ -103,9 +106,8 @@ def run_point(protocol: str, until_s: float) -> dict:
     return json.loads(out)
 
 
-def host_speed() -> float:
+def host_speed(probe: SpeedProbe) -> float:
     """Median host speed over a few probe bursts, 1.0 = the reference box."""
-    probe = SpeedProbe()
     return round(REFERENCE_BURST_S
                  / statistics.median(probe.burst() for _ in range(9)), 3)
 
@@ -130,15 +132,17 @@ def main(argv: Optional[list[str]] = None) -> int:
                         "equal the last record's")
     args = parser.parse_args(argv)
 
-    speed = host_speed()
-    print(f"host speed {speed} (1.0 = reference box)")
+    probe = SpeedProbe()
     points = {}
     for until_s in args.until or UNTIL_S:
         for protocol in PROTOCOLS:
             key = f"{protocol}@{until_s:g}s"
+            speed = host_speed(probe)
             point = points[key] = run_point(protocol, until_s)
+            point["host"] = {"host_speed": speed, **point["host"]}
             host, sim = point["host"], point["simulated"]
-            print(f"{key:<18} setup {host['setup_cpu_s']:6.2f} s  window "
+            print(f"{key:<18} host speed {host['host_speed']:5.3f}  setup "
+                  f"{host['setup_cpu_s']:6.2f} s  window "
                   f"{host['window_cpu_s']:6.2f} s  drain "
                   f"{host['drain_cpu_s']:5.2f} s CPU  max RSS "
                   f"{host['max_rss_mb']:6.1f} MB | {sim['sim_events']} events"
@@ -167,7 +171,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         records.append({
             "commit": describe_commit(),
             "python": platform.python_version(),
-            "host_speed": speed,
             "points": points,
         })
         RECORD.write_text(json.dumps({"records": records}, indent=1) + "\n")

@@ -9,19 +9,28 @@ into the distributed PQlist. Only the final, stable reconnection drains
 the list — once.
 
 The script traces the stop/relink decisions and compares the event-
-migration traffic with the ``mhh-nopqlist`` ablation that always lets
-migrations run to completion.
+migration traffic with MHH minus ``stop_event_migration``, which always
+lets migrations run to completion.
 
 Run:  python examples/frequent_mobility.py
 """
 
 from repro import PubSubSystem, RangeFilter
+from repro.mobility.mhh import MHHProtocol
 
 CELL_ROUTE = [24, 4, 20, 2, 14]   # cells the phone flaps through
 BACKLOG = 50                      # events stored while the phone was off
 
 
-def run(protocol: str, trace=None):
+class MHHWithoutStop(MHHProtocol):
+    """MHH that never asks the old anchor to stop: every interrupted
+    migration runs to completion, so the backlog chases the phone."""
+
+    def _request_stop(self, broker, client, im) -> None:
+        pass
+
+
+def run(protocol, trace=None):
     system = PubSubSystem(
         grid_k=5, protocol=protocol, seed=3,
         migration_batch_size=1, trace=trace,
@@ -66,7 +75,7 @@ def main() -> None:
               f"{rec.get('kept')} queue(s) in place")
     mhh_hops = system.metrics.traffic.wired_hops.get("event_migration", 0)
 
-    system2, stats2 = run("mhh-nopqlist")
+    system2, stats2 = run(MHHWithoutStop)
     nopq_hops = system2.metrics.traffic.wired_hops.get("event_migration", 0)
 
     print(f"\nevent-migration traffic with PQlist:    {mhh_hops} hops")

@@ -5,7 +5,7 @@ Everything the paper's evaluation assumed away, at once: mobile clients
 crowd a few popular base stations (Zipf mobility), publishers favour hot
 topics (Zipf popularity), and the wireless last hop loses 10 % of
 deliveries, duplicates 5 % and jitters service times — all seeded and
-replayable. Each of the four protocols runs on the *identical* workload
+replayable. Each of the three protocols runs on the *identical* workload
 and fault draws; the table prints the delivery audit
 (:class:`repro.metrics.delivery.DeliveryStats`) plus the injected-fault
 ledgers.
@@ -24,8 +24,8 @@ from repro.experiments.runner import build_system, drain_to_quiescence
 from repro.network.faults import FaultProfile
 from repro.workload.spec import WorkloadSpec
 
-PROTOCOLS = ("mhh", "sub-unsub", "home-broker", "two-phase")
-RELIABLE = ("mhh", "sub-unsub", "two-phase")
+PROTOCOLS = ("mhh", "sub-unsub", "home-broker")
+RELIABLE = ("mhh", "sub-unsub")
 
 FAULTS = FaultProfile(
     deliver_loss=0.10,        # 10 % of deliveries lost over the air
@@ -92,7 +92,7 @@ def main() -> None:
     hb_stats, hb_injector = results["home-broker"]
     protocol_losses = hb_stats.lost_explicit - hb_injector.drops
     print(
-        "OK: all four protocols fully accounted under loss+dup+jitter; "
+        "OK: all three protocols fully accounted under loss+dup+jitter; "
         f"home-broker lost {protocol_losses} event(s) of its own on top of "
         f"{hb_injector.drops} link drops"
     )

@@ -1,11 +1,11 @@
 #!/usr/bin/env python
 """Side-by-side protocol comparison on one identical workload.
 
-Runs the paper's three protocols (plus the two-phase extension) on the
-same seeded workload — same subscriptions, same publishes, same movement —
-and prints the §5.1 metrics for each: message overhead per handoff, mean
-handoff delay, and the reliability audit. A miniature, single-command
-version of the paper's evaluation section.
+Runs the paper's three protocols on the same seeded workload — same
+subscriptions, same publishes, same movement — and prints the §5.1
+metrics for each: message overhead per handoff, mean handoff delay, and
+the reliability audit. A miniature, single-command version of the
+paper's evaluation section.
 
 Run:  python examples/protocol_comparison.py            (quick)
       python examples/protocol_comparison.py --paper    (full §5.1 scale)
@@ -17,7 +17,7 @@ from repro.experiments import ExperimentConfig, run_experiment
 from repro.experiments.report import format_table
 from repro.workload.spec import WorkloadSpec
 
-PROTOCOLS = ("mhh", "sub-unsub", "home-broker", "two-phase")
+PROTOCOLS = ("mhh", "sub-unsub", "home-broker")
 
 
 def main() -> None:
@@ -46,7 +46,7 @@ def main() -> None:
               f"{row.sim_events} sim events)")
 
     print()
-    print(format_table(rows, title="identical workload, four protocols:"))
+    print(format_table(rows, title="identical workload, three protocols:"))
     print()
 
     by_name = {r.protocol: r for r in rows}

@@ -12,8 +12,8 @@ The package provides, from scratch:
 * a content-based publish/subscribe system with reverse path forwarding
   and covering-based subscription propagation (:mod:`repro.pubsub`),
 * the MHH mobility-management protocol plus the sub-unsub and home-broker
-  baselines and a two-phase extension (:mod:`repro.mobility`, each
-  protocol in its own module, imported by name when a run selects it),
+  baselines (:mod:`repro.mobility`, each protocol in its own module,
+  imported by name when a run selects it),
 * the paper's workload model and metrics (:mod:`repro.workload`,
   :mod:`repro.metrics`),
 * sweep drivers regenerating every figure of the evaluation section

@@ -16,8 +16,6 @@ mhh            zero unaccounted deliveries; losses exactly the injected
                link drops; duplicates exactly the injected link copies;
                per-publisher order intact
 sub-unsub      same as mhh (the paper's reliable baseline)
-two-phase      same as mhh (its documented guarantee: exactly-once with
-               FIFO capture untouched — only slower under concurrency)
 home-broker    losses *allowed* but fully accounted: every expected
                delivery is delivered or explicitly lost, protocol losses
                on top of (never below) the injected link drops; no
@@ -39,7 +37,7 @@ zero duplicates, per-publisher order, and zero unaccounted link losses
 through the repair; exactly one repair round runs per scheduled failure
 event; and the reconverged overlay carries live traffic
 (``post_repair_publishes > 0``). Protocols cycle deterministically, so a
-30-scenario batch covers each of the four at least seven times.
+30-scenario batch covers each of the three ten times.
 
 **Reliability lane** (``--lane rel``): scenarios run with a forced
 lossy wireless profile *and* the end-to-end ACK/retransmit layer enabled
@@ -51,7 +49,7 @@ lower than the injected copies (retransmits add legitimate extras).
 On ``--lane rel-crash``, seeded broker failures layer on top of the loss
 profile and the only permitted write-offs are ``crash_lost`` and
 ``shed``; ``lost`` stays exactly zero. Protocols cycle through the
-reliable trio, so a 30-scenario batch covers each at least ten times.
+reliable pair, so a 30-scenario batch covers each fifteen times.
 
 **Durability lane** (``--lane durable``): the rel-crash lane's
 crash-composed scenarios run again with the write-ahead log and session

@@ -26,6 +26,7 @@ from typing import Any, Optional
 
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
+from repro.mobility import registry
 from repro.network.faults import FaultProfile
 from repro.network.recovery import CrashEvent, CrashPlan
 from repro.network.topology import grid_topology
@@ -33,8 +34,11 @@ from repro.workload.spec import WorkloadSpec
 
 __all__ = ["Scenario", "PROTOCOLS", "LANES"]
 
-#: every protocol the repo implements as a reproduction target or baseline
-PROTOCOLS: tuple[str, ...] = ("mhh", "sub-unsub", "home-broker", "two-phase")
+#: every protocol the repo implements (the registry's names, in its order)
+PROTOCOLS: tuple[str, ...] = tuple(registry.PROTOCOLS)
+
+# four slots keep each seed's draws: choice() over three reads other bits
+_SAMPLED = (*PROTOCOLS, "mhh")
 
 #: the fuzzer's lanes: the base draw, then a seeded crash plan on perfect
 #: links, ACK/retransmit on forced-lossy links, both, and both plus the WAL
@@ -96,7 +100,7 @@ def _base_config(seed: int, protocol: Optional[str]) -> ExperimentConfig:
     Python versions for the draws used here, so a printed seed
     reconstructs the same config on any machine."""
     rnd = random.Random(seed)
-    sampled = rnd.choice(PROTOCOLS)  # drawn even when forced
+    sampled = rnd.choice(_SAMPLED)  # drawn even when forced
     grid_k = rnd.randrange(2, 5)
     clients_per_broker = rnd.randrange(3, 6)
     n_clients = grid_k * grid_k * clients_per_broker

@@ -56,6 +56,7 @@ from typing import Any, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments import figures, report
+from repro.mobility.registry import PROTOCOLS
 from repro.network.faults import FaultProfile
 from repro.workload.models import MOBILITY_MODELS
 
@@ -63,7 +64,6 @@ __all__ = ["main"]
 
 _FIG5 = {"fig5a", "fig5b"}
 _FIG6 = {"fig6a", "fig6b"}
-_SOAK_PROTOCOLS = ("mhh", "sub-unsub", "two-phase", "home-broker")
 
 
 def _system_options(args) -> dict[str, Any]:
@@ -103,7 +103,7 @@ def _run_soak(args, options: dict[str, Any]) -> int:
     from repro.workload.spec import WorkloadSpec
 
     protocols = (
-        _SOAK_PROTOCOLS if args.protocol == "all" else (args.protocol,)
+        tuple(PROTOCOLS) if args.protocol == "all" else (args.protocol,)
     )
     # the standard churn workload in model seconds: --duration wall
     # seconds of it at --time-scale model seconds per wall second
@@ -164,7 +164,7 @@ def _run_wire_connect(args, faults: Optional[FaultProfile]) -> int:
     import dataclasses
 
     from repro.conformance.fuzzer import run_scenario
-    from repro.conformance.scenarios import PROTOCOLS, Scenario
+    from repro.conformance.scenarios import Scenario
     from repro.metrics.summary import build_row
     from repro.wire.harness import run_socket_scenario
 
@@ -178,7 +178,8 @@ def _run_wire_connect(args, faults: Optional[FaultProfile]) -> int:
     if faults is not None:
         base = dataclasses.replace(base, faults=faults)
     protocols = (
-        PROTOCOLS if args.wire_protocol == "all" else (args.wire_protocol,)
+        tuple(PROTOCOLS) if args.wire_protocol == "all"
+        else (args.wire_protocol,)
     )
     failures: list[str] = []
     for protocol in protocols:
@@ -282,8 +283,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                              "(0 = uniform, the paper's model)")
     soak = parser.add_argument_group("soak (live asyncio driver)")
     soak.add_argument("--protocol", default=None,
-                      choices=sorted(_SOAK_PROTOCOLS) + ["all"],
-                      help="protocol(s) to soak (default: all four)")
+                      choices=sorted(PROTOCOLS) + ["all"],
+                      help="protocol(s) to soak (default: all three)")
     soak.add_argument("--duration", type=float, default=None, metavar="S",
                       help="wall-clock seconds of live churn per protocol "
                            "(default 3)")
@@ -328,8 +329,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                       help="connect: conformance scenario seed to drive "
                            "over the sockets (default 303)")
     wire.add_argument("--wire-protocol", default=None,
-                      choices=sorted(_SOAK_PROTOCOLS) + ["all"],
-                      help="connect: protocol(s) to run (default: all four)")
+                      choices=sorted(PROTOCOLS) + ["all"],
+                      help="connect: protocol(s) to run (default: all three)")
     wire.add_argument("--verify-sim", action="store_true",
                       help="connect: re-run each scenario on the simulated "
                            "driver and require identical delivery logs")

@@ -25,7 +25,7 @@ __all__ = [
 ]
 
 #: protocols whose contract is exactly-once, ordered, loss-free delivery
-RELIABLE_PROTOCOLS = frozenset({"mhh", "sub-unsub", "two-phase"})
+RELIABLE_PROTOCOLS = frozenset({"mhh", "sub-unsub"})
 
 
 @dataclass

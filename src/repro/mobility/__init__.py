@@ -7,21 +7,19 @@
   unsubscribe baseline ([9-11], paper §2).
 * :mod:`repro.mobility.home_broker` — the Mobile-IP-style home-broker
   baseline ([9], paper §2); unreliable by design.
-* :mod:`repro.mobility.two_phase` — the authors' earlier two-phase handoff
-  ([12]); implemented as an extension for the concurrency ablation.
 
 The protocol classes are not imported here: :mod:`repro.mobility.registry`
-imports each one by name when a system selects it, so a run loads only
-the protocol it runs.
+maps each name to its class and imports it when a system selects it, so a
+run loads only the protocol it runs.
 """
 
 from repro.mobility.base import MobilityProtocol
 from repro.mobility.queues import PersistentQueue
-from repro.mobility.registry import factory, PROTOCOLS
+from repro.mobility.registry import protocol_class, PROTOCOLS
 
 __all__ = [
     "MobilityProtocol",
     "PersistentQueue",
-    "factory",
+    "protocol_class",
     "PROTOCOLS",
 ]

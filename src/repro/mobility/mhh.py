@@ -21,7 +21,6 @@ kept with what the phase holds in ``broker.pstate[client]`` (a ``_State``).
 ``OUT_AWAIT_ACK``   the coordinator ``Bo``: ``sub_migration`` sent, waiting
                     for the first hop's ack
 ``OUT_STREAMING``   ``Bo`` streams the PQlist to ``Bn``, queue by queue
-``GRANTING``        two-phase only: ``Bo`` acquires transfer grants first
 ``IN_MIGRATION``    the new anchor ``Bn``, receiving until the token
 ``SELF_MIGRATION``  an anchor draining a broker-distributed PQlist to its
                     own, connected client
@@ -117,16 +116,15 @@ class Phase(IntEnum):
     SETTLED = 4
     OUT_AWAIT_ACK = 5
     OUT_STREAMING = 6
-    GRANTING = 7
-    IN_MIGRATION = 8
-    SELF_MIGRATION = 9
+    IN_MIGRATION = 7
+    SELF_MIGRATION = 8
 
 
 # module names for the members, in definition order: a global is several
 # times cheaper to read than a member of the enum class, and the hop reads
 # them on every message
 (IDLE, PRE_ANCHOR, TRANSIT, TRANSIT_ACKED, SETTLED, OUT_AWAIT_ACK,
- OUT_STREAMING, GRANTING, IN_MIGRATION, SELF_MIGRATION) = Phase
+ OUT_STREAMING, IN_MIGRATION, SELF_MIGRATION) = Phase
 
 #: the phases in which the client's subscription roots at this broker
 _ROOTED = frozenset({SETTLED, IN_MIGRATION, SELF_MIGRATION})
@@ -241,10 +239,6 @@ class MHHProtocol(MobilityProtocol):
     # notes the extra machinery covering would require and leaves it out).
     default_covering = False
     needs_exact_tables = True
-    #: ablation hook: with False, stop_event_migration is never sent, so a
-    #: frequent mover's entire backlog is re-shipped to every broker it
-    #: touches (the behaviour §4.3's PQlist exists to avoid)
-    enable_stop = True
 
     Phase = Phase
     State = _State
@@ -415,8 +409,6 @@ class MHHProtocol(MobilityProtocol):
         self, broker: "Broker", client: int, im: _Immigration
     ) -> None:
         """§4.3: ask the old anchor to stop streaming (once per migration)."""
-        if not self.enable_stop:
-            return
         im.stop_sent = True
         if self.tracer.wants("stop_event_migration"):
             self.tracer.emit(

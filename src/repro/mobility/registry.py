@@ -1,62 +1,31 @@
-"""Protocol registry: name -> factory."""
+"""Protocol registry: name -> class, imported on lookup."""
 
 from __future__ import annotations
 
-from typing import Callable, TYPE_CHECKING
+from importlib import import_module
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mobility.base import MobilityProtocol
-    from repro.pubsub.system import PubSubSystem
 
-
-def _mhh(system: "PubSubSystem") -> "MobilityProtocol":
-    from repro.mobility.mhh import MHHProtocol
-
-    return MHHProtocol(system)
-
-
-def _sub_unsub(system: "PubSubSystem") -> "MobilityProtocol":
-    from repro.mobility.sub_unsub import SubUnsubProtocol
-
-    return SubUnsubProtocol(system)
-
-
-def _home_broker(system: "PubSubSystem") -> "MobilityProtocol":
-    from repro.mobility.home_broker import HomeBrokerProtocol
-
-    return HomeBrokerProtocol(system)
-
-
-def _two_phase(system: "PubSubSystem") -> "MobilityProtocol":
-    from repro.mobility.two_phase import TwoPhaseProtocol
-
-    return TwoPhaseProtocol(system)
-
-
-def _mhh_nopqlist(system: "PubSubSystem") -> "MobilityProtocol":
-    from repro.mobility.ablations import MHHNoPQListProtocol
-
-    return MHHNoPQListProtocol(system)
-
-
-#: the protocols selectable by name in :class:`~repro.pubsub.system.PubSubSystem`
-PROTOCOLS: dict[str, Callable[["PubSubSystem"], "MobilityProtocol"]] = {
-    "mhh": _mhh,
-    "sub-unsub": _sub_unsub,
-    "home-broker": _home_broker,
-    "two-phase": _two_phase,
-    "mhh-nopqlist": _mhh_nopqlist,
+#: the protocols selectable by name in :class:`~repro.pubsub.system.PubSubSystem`,
+#: each the ``(module, class)`` that defines it; a run imports only its own
+PROTOCOLS: dict[str, tuple[str, str]] = {
+    "mhh": ("repro.mobility.mhh", "MHHProtocol"),
+    "sub-unsub": ("repro.mobility.sub_unsub", "SubUnsubProtocol"),
+    "home-broker": ("repro.mobility.home_broker", "HomeBrokerProtocol"),
 }
 
 
-def factory(name: str) -> Callable[["PubSubSystem"], "MobilityProtocol"]:
-    """Look up a protocol factory by registry name."""
+def protocol_class(name: str) -> type["MobilityProtocol"]:
+    """The protocol class registered under ``name``, its module imported."""
     try:
-        return PROTOCOLS[name]
+        module, cls = PROTOCOLS[name]
     except KeyError:
         raise ConfigurationError(
             f"unknown mobility protocol {name!r}; "
             f"available: {sorted(PROTOCOLS)}"
         ) from None
+    return getattr(import_module(module), cls)

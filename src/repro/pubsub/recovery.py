@@ -55,7 +55,7 @@ by construction:
    ``tests/test_recovery.py`` checks this equality broker by broker);
 4. **reattach**: for clients that were connected when the round ran,
    synthesize the protocol's normal ``on_connect`` (reusing the client's
-   existing connect epoch, so interrupted MHH/two-phase handoffs restart
+   existing connect epoch, so interrupted MHH handoffs restart
    cleanly instead of double-installing); a client a crash detached that
    has not reconnected since is reattached at its anchor.
 """

@@ -28,7 +28,7 @@ Design constraints, in order:
 * **Composes with protocol reclaim.** On detach, the link layer's
   ``reclaim_downlink`` (which every mobility protocol already calls)
   returns the link's *entire* unacked window — transmitted-and-dropped
-  messages included — in send order, so MHH/sub-unsub/two-phase requeue
+  messages included — in send order, so MHH and sub-unsub requeue
   them through their existing PQ machinery and redeliver after the
   handoff. Protocol paths that skip the reclaim are covered by a detach
   safety net that requeues leftovers onto the raw channel.

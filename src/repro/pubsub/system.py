@@ -9,8 +9,8 @@ This is the top-level object a user (or the experiment runner) builds:
 >>> c.connect(0); sys_.sim.run(until=100.0)
 
 Brokers sit on a k x k grid; the overlay is a seeded minimum spanning tree;
-the mobility protocol is chosen by name ("mhh", "sub-unsub", "home-broker",
-"two-phase") or supplied as a factory.
+the mobility protocol is chosen by name ("mhh", "sub-unsub", "home-broker")
+or supplied as a factory.
 
 A system is ``PubSubSystem(options, driver)``: one frozen
 :class:`SystemOptions` value plus a driver. Keyword arguments are fields of
@@ -61,14 +61,6 @@ ProtocolSpec = Union[str, Callable[["PubSubSystem"], "MobilityProtocol"]]
 DriverSpec = Union[str, Driver, None]
 
 
-def _protocol_factory(spec: ProtocolSpec) -> Callable[["PubSubSystem"], "MobilityProtocol"]:
-    if callable(spec):
-        return spec
-    from repro.mobility import registry
-
-    return registry.factory(spec)
-
-
 @dataclass(frozen=True)
 class SystemOptions:
     """Every option of a deployment except its driver, declared once.
@@ -81,7 +73,7 @@ class SystemOptions:
     construction, for every holder.
     """
 
-    #: registry name ("mhh", "sub-unsub", "home-broker", "two-phase") or a
+    #: registry name ("mhh", "sub-unsub", "home-broker") or a
     #: ``factory(system) -> MobilityProtocol``
     protocol: ProtocolSpec = "mhh"
     #: brokers sit on a grid_k x grid_k grid (paper §5.1: 10)
@@ -90,7 +82,7 @@ class SystemOptions:
     seed: int = 0
     #: covering-based propagation pruning. None = the protocol's own
     #: ``default_covering``. True is refused for a protocol that
-    #: ``needs_exact_tables`` (the MHH family: its migration surgery needs
+    #: ``needs_exact_tables`` (MHH: its migration surgery needs
     #: exact per-key table state — paper §4.1 notes the machinery covering
     #: would need)
     covering_enabled: Optional[bool] = None
@@ -223,6 +215,13 @@ class PubSubSystem:
         options = replace(
             options if options is not None else SystemOptions(), **fields
         )
+        # the protocol's module is imported before the system allocates
+        # anything, so its objects do not land among the system's own
+        protocol = options.protocol
+        if not callable(protocol):
+            from repro.mobility.registry import protocol_class
+
+            protocol = protocol_class(protocol)
         if driver is None or driver == "sim":
             driver = SimulatedDriver()
         elif not isinstance(driver, Driver):
@@ -363,8 +362,7 @@ class PubSubSystem:
 
         self.clients: dict[int, Client] = {}
 
-        factory = _protocol_factory(options.protocol)
-        self.protocol: "MobilityProtocol" = factory(self)
+        self.protocol: "MobilityProtocol" = protocol(self)
         if options.covering_enabled and self.protocol.needs_exact_tables:
             self.close()
             raise ConfigurationError(

@@ -6,8 +6,8 @@ Layout of an encoded message::
 
 Every message class has an explicit entry in :data:`MESSAGE_SCHEMAS` — a
 stable type id plus a ``(field-name, kind)`` tuple per slot, entered by
-:func:`register`; a protocol's private messages are registered by the
-protocol's own module. An exhaustiveness test pins the registry against
+:func:`register`; a protocol with private messages registers them from
+its own module. An exhaustiveness test pins the registry against
 the module's class list, so adding a message without a schema (or a slot
 without a field) fails CI.
 
@@ -468,8 +468,8 @@ _BY_ID: Dict[int, Tuple[Type[m.Message], Tuple[Tuple[str, str], ...]]] = {}
 def register(cls: Type[m.Message], type_id: int,
              fields: Tuple[Tuple[str, str], ...]) -> None:
     """Give ``cls`` wire id ``type_id`` and its ``(slot-name, kind)``
-    schema; a protocol registers its own messages, so the codec imports
-    no protocol."""
+    schema; a protocol with private messages registers them itself, so
+    the codec imports no protocol."""
     if type_id in _BY_ID:
         raise RuntimeError(f"duplicate wire type id {type_id}")
     for _name, kind in fields:
@@ -525,6 +525,8 @@ for _cls, (_tid, _fields) in {
     m.SessionTransfer: (25, (("client", "uint"), ("origin", "uint"),
                              ("anchor", "uint"), ("events", "event_tuple"),
                              ("acked", "uint_tuple"))),
+    # 26-28 were the transfer-grant handshake of the removed two-phase
+    # protocol: retired, and never to be reused
 }.items():
     register(_cls, _tid, _fields)
 del _cls, _tid, _fields

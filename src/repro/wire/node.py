@@ -55,10 +55,9 @@ from repro.wire.framing import FrameDecoder, FrameError, encode_frame
 # every protocol a session may name, imported here on the main thread: a
 # replica build importing one first would allocate it in its session
 # thread's fresh malloc arena (+1.2 MB of a node's peak RSS, measured)
-import repro.mobility.ablations  # noqa: E402,F401  (and mhh)
 import repro.mobility.home_broker  # noqa: E402,F401
+import repro.mobility.mhh  # noqa: E402,F401
 import repro.mobility.sub_unsub  # noqa: E402,F401
-import repro.mobility.two_phase  # noqa: E402,F401
 
 __all__ = ["NodeServer", "main"]
 

@@ -123,7 +123,7 @@ REATTACH_BOUND_MS = 2_000.0
 
 
 @pytest.mark.parametrize("protocol",
-                         ["mhh", "sub-unsub", "two-phase", "home-broker"])
+                         ["mhh", "sub-unsub", "home-broker"])
 def test_a_static_client_detached_by_a_crash_is_reattached_by_the_repair(
         protocol):
     """Broker 4 dies for good at 10 s with a static subscriber attached.

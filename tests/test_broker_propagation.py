@@ -10,11 +10,12 @@ from repro.errors import ProtocolError
 from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
 from repro.pubsub import messages as m
+from mhh_nopqlist import MHHNoPQList
 
 
 def build(covering, k=3, seed=1):
     # subscriptions here never move, so the protocol only names who may be
-    # built with covering: the MHH family refuses it (tested below)
+    # built with covering: MHH refuses it (tested below)
     return PubSubSystem(
         grid_k=k, protocol="sub-unsub" if covering else "mhh", seed=seed,
         covering_enabled=covering,
@@ -119,7 +120,8 @@ def test_migration_remove_missing_filter_raises():
         broker.migration_remove_from(1, "nonexistent-key")
 
 
-@pytest.mark.parametrize("protocol", ["mhh", "mhh-nopqlist", "two-phase"])
+@pytest.mark.parametrize("protocol", ["mhh", MHHNoPQList],
+                         ids=["mhh", "mhh-nopqlist"])
 def test_covering_refused_where_migration_needs_exact_tables(protocol):
     """Accepted before, it died mid-run in the backstop above
     (``migration expected filter ('sub', 12) from neighbour 1``)."""
@@ -137,7 +139,7 @@ def test_covering_refused_where_migration_needs_exact_tables(protocol):
     )
     with pytest.raises(ConfigurationError, match="covering_enabled") as err:
         run_experiment(cfg)
-    assert repr(protocol) in str(err.value)
+    assert repr(getattr(protocol, "name", protocol)) in str(err.value)
     # the protocol's own default, and an explicit off, are still accepted
     assert PubSubSystem(grid_k=3, protocol=protocol).covering_enabled is False
     PubSubSystem(grid_k=3, protocol=protocol, covering_enabled=False)

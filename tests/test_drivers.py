@@ -23,6 +23,7 @@ from repro.drivers.simulated import SimulatedDriver
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, drain_to_quiescence
+from repro.mobility import registry
 from repro.network.faults import FaultProfile
 from repro.network.recovery import CrashEvent, CrashPlan
 from repro.pubsub import messages as m
@@ -31,7 +32,7 @@ from repro.pubsub.client import Client
 from repro.pubsub.system import PubSubSystem
 from repro.workload.spec import WorkloadSpec
 
-PROTOCOLS = ("mhh", "sub-unsub", "two-phase", "home-broker")
+PROTOCOLS = tuple(registry.PROTOCOLS)
 
 SPEC = WorkloadSpec(
     clients_per_broker=3,

@@ -143,7 +143,7 @@ def test_partition_loses_nothing():
     _assert_zero_write_off(system)
 
 
-@pytest.mark.parametrize("protocol", ["mhh", "sub-unsub", "two-phase"])
+@pytest.mark.parametrize("protocol", ["mhh", "sub-unsub"])
 def test_durable_lane_scenarios_conform(protocol):
     """One full fuzzer-lane scenario per reliable protocol."""
     cfg = Scenario.from_seed(97, "durable", protocol).config
@@ -163,7 +163,7 @@ def test_durable_lane_batch_passes():
 
 
 @pytest.mark.parametrize("protocol",
-                         ["mhh", "sub-unsub", "two-phase", "home-broker"])
+                         ["mhh", "sub-unsub", "home-broker"])
 @pytest.mark.parametrize("seed", [3, 5])
 def test_delivery_cursor_holds_live_events_only(seed, protocol):
     """Compaction retires an event from the log and from every cursor at

@@ -23,14 +23,12 @@ from repro.mobility.base import HandoffState, _traced
 from repro.mobility.home_broker import HomeBrokerProtocol
 from repro.mobility.mhh import MHHProtocol, Phase
 from repro.mobility.sub_unsub import SubUnsubProtocol
-from repro.mobility.two_phase import (
-    GrantAck, GrantRelease, GrantRequest, TwoPhaseProtocol,
-)
 from repro.network.recovery import CrashEvent, CrashPlan
 from repro.pubsub import messages as m
 from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
 from repro.workload.spec import WorkloadSpec
+from mhh_nopqlist import MHHNoPQList
 
 P = Phase
 SU = sub_unsub.Phase
@@ -48,9 +46,6 @@ TRANSITIONS = {
     (P.SETTLED, P.OUT_AWAIT_ACK),       # handoff request or proclaimed move
     (P.OUT_AWAIT_ACK, P.OUT_STREAMING),  # the first ack
     (P.OUT_STREAMING, P.IDLE),          # deliver_TQ launched, or stopped
-    (P.OUT_STREAMING, P.GRANTING),      # two-phase: prepare
-    (P.GRANTING, P.OUT_STREAMING),      # two-phase: every lane granted
-    (P.GRANTING, P.IDLE),               # two-phase: stopped while preparing
     (P.IN_MIGRATION, P.SETTLED),        # the token reached the destination
     (P.SETTLED, P.SELF_MIGRATION),      # client back at a distributed PQlist
     (P.SELF_MIGRATION, P.SETTLED),      # drained, or left mid-drain
@@ -82,9 +77,6 @@ MACHINES = {
     "mhh-nopqlist": (P, TRANSITIONS, {P.TRANSIT, P.TRANSIT_ACKED, P.SETTLED,
                                       P.OUT_AWAIT_ACK, P.OUT_STREAMING,
                                       P.IN_MIGRATION}),
-    "two-phase": (P, TRANSITIONS, {P.TRANSIT, P.TRANSIT_ACKED, P.SETTLED,
-                                   P.OUT_AWAIT_ACK, P.OUT_STREAMING,
-                                   P.IN_MIGRATION, P.GRANTING}),
     "sub-unsub": (SU, SU_TRANSITIONS, set(SU)),
     "home-broker": (HB, HB_TRANSITIONS, set(HB)),
 }
@@ -130,7 +122,8 @@ def _churn(protocol: str, traced: bool = False) -> PubSubSystem:
     """Fig 5's high-mobility edge on a 4x4 grid for 60 model seconds (one
     run per protocol and tracing, shared by the tests that read it)."""
     cfg = ExperimentConfig(
-        protocol, grid_k=4, seed=3,
+        MHHNoPQList if protocol == "mhh-nopqlist" else protocol,
+        grid_k=4, seed=3,
         trace=["handoff_phase"] if traced else None,
         workload=WorkloadSpec(
             clients_per_broker=3, mean_connected_s=1, mean_disconnected_s=1,
@@ -151,13 +144,6 @@ def test_the_table_takes_each_message_in_its_phases_only():
         assert all((p, msg_type) in MHHProtocol._CONTROL for p in Phase)
     assert len(MHHProtocol._CONTROL) == (
         sum(map(len, LEGAL_IN.values())) + len(ANY_PHASE) * len(Phase))
-    # two-phase: the grant messages in every phase, a stop while GRANTING
-    table = TwoPhaseProtocol._CONTROL
-    assert {k for k in table if k[1] in (GrantRequest, GrantAck, GrantRelease)
-            } == {(p, t) for p in Phase
-                  for t in (GrantRequest, GrantAck, GrantRelease)}
-    assert table[(P.GRANTING, GrantAck)] is TwoPhaseProtocol._on_grant_ack
-    assert table[(P.GRANTING, m.StopEventMigration)] is MHHProtocol._on_stop
 
 
 @pytest.mark.parametrize("cls", list(TABLES), ids=lambda c: c.name)
@@ -202,7 +188,7 @@ def _fields(st: HandoffState) -> dict:
 
 
 @pytest.mark.parametrize(
-    "protocol", ["mhh", "two-phase", "sub-unsub", "home-broker"])
+    "protocol", ["mhh", "sub-unsub", "home-broker"])
 def test_every_pair_outside_the_table_is_refused_before_any_handler(protocol):
     """Each (phase, message type) the table lacks, for each message type
     the protocol takes: a ``HandoffPhaseError`` naming the phase, and the
@@ -288,8 +274,6 @@ def test_every_phase_change_of_a_churn_run_is_a_listed_transition(protocol):
     # the run reaches the phases its protocol has
     reached = {to for _, to in seen}
     assert reached >= must_reach
-    if phases is P:
-        assert (P.GRANTING in reached) == (protocol == "two-phase")
     stats = traced.metrics.delivery.stats
     if protocol != "home-broker":  # unreliable by design
         assert (stats.missing, stats.duplicates) == (0, 0)

@@ -7,8 +7,8 @@ where they stand, once after everybody has reconnected. At both stops every
 per-handoff structure must be back to one per client: a forgotten
 ``drop_queue``, ``_gc`` or entry removal in a hop's completion shows here as
 a count, where a ``sim_digest`` would not see it at all. The same churn run
-by two-phase, sub-unsub and home-broker must leave each client its resting
-state(s) the same way.
+by sub-unsub and home-broker must leave each client its resting state(s)
+the same way.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from repro.mobility import home_broker, sub_unsub
 from repro.mobility.mhh import Phase
 
 
-def _assert_no_residue(system, frozen_ok: bool = False) -> int:
+def _assert_no_residue(system) -> int:
     """One state per client, SETTLED (its anchor), and one table entry;
-    no frozen queue (unless ``frozen_ok``), no queue outside an anchor's
+    no frozen queue, no queue outside an anchor's
     PQlist, and no filter set holding a member without a topic-range form
     (the workload installs topic ranges only). Returns the number of
     queues that are left."""
@@ -45,7 +45,7 @@ def _assert_no_residue(system, frozen_ok: bool = False) -> int:
     ]
     assert not [peer for peer in filter_sets if peer.general]
     queues = [q for b in brokers for q in b.queues.values()]
-    assert frozen_ok or not [q for q in queues if q.frozen]
+    assert not [q for q in queues if q.frozen]
     listed = [ref for st in states for ref in st.pqlist]
     assert sorted((q.ref.broker, q.ref.qid) for q in queues) == sorted(
         (ref.broker, ref.qid) for ref in listed
@@ -109,7 +109,7 @@ def _assert_resting(system) -> None:
     assert sorted(queues) == held
 
 
-@pytest.mark.parametrize("protocol", ["two-phase", "sub-unsub", "home-broker"])
+@pytest.mark.parametrize("protocol", ["sub-unsub", "home-broker"])
 def test_churn_leaves_one_resting_state_per_client(protocol):
     """The same churn, run by the other protocols: at both stops every
     client has its resting state(s) and nothing else."""
@@ -120,16 +120,8 @@ def test_churn_leaves_one_resting_state_per_client(protocol):
     workload.stop()
     system.run()
     assert system.metrics.handoffs.handoff_count > 2000
-    if protocol == "two-phase":
-        # a stop while GRANTING keeps the coordinator's own queues, frozen
-        # at the first ack and not streamed yet, in the PQlist as they are
-        # until the next handoff streams them
-        _assert_no_residue(system, frozen_ok=True)
-        drain_to_quiescence(system, workload, cfg.drain_limit_ms)
-        assert _assert_no_residue(system) == 0
-    else:
-        _assert_resting(system)
-        drain_to_quiescence(system, workload, cfg.drain_limit_ms)
-        _assert_resting(system)
+    _assert_resting(system)
+    drain_to_quiescence(system, workload, cfg.drain_limit_ms)
+    _assert_resting(system)
     stats = system.metrics.delivery.stats
     assert stats.missing == 0 and stats.duplicates == 0

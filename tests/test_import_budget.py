@@ -22,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.mobility.registry import PROTOCOLS
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: standard-library stacks a simulated run must not load
@@ -33,21 +35,14 @@ FORBIDDEN = ("repro.drivers.live", "repro.drivers.socket", "repro.wire",
              "repro.conformance", "repro.experiments.figures",
              "repro.experiments.report")
 #: registry name -> module of every protocol
-PROTOCOL_MODULES = {
-    "mhh": "repro.mobility.mhh",
-    "sub-unsub": "repro.mobility.sub_unsub",
-    "home-broker": "repro.mobility.home_broker",
-    "two-phase": "repro.mobility.two_phase",
-    "mhh-nopqlist": "repro.mobility.ablations",
-}
+PROTOCOL_MODULES = {name: module for name, (module, _cls) in PROTOCOLS.items()}
 #: ``repro.*`` modules a simulated run loads, package inits included:
 #: 48 for each of the three paper protocols (54 when the package init
 #: still pulled in the live driver, the sweeps and every protocol)
 REPRO_MODULE_BUDGET = 48
 #: what the durable stack (reliability, the WAL) may add: the codec and the
 #: framing its log records are written in, never the socket node, the
-#: coordinator or a protocol (the codec imported two-phase for its grant
-#: schemas, 54 modules, until two-phase registered them itself)
+#: coordinator or a protocol
 DURABLE_WIRE = ("repro.wire", "repro.wire.codec", "repro.wire.framing")
 DURABLE_MODULE_BUDGET = 53
 
@@ -82,7 +77,7 @@ def _under(name: str, prefixes) -> bool:
     return any(name == p or name.startswith(p + ".") for p in prefixes)
 
 
-@pytest.mark.parametrize("protocol", ["mhh", "sub-unsub", "home-broker"])
+@pytest.mark.parametrize("protocol", list(PROTOCOLS))
 def test_a_simulated_run_loads_only_what_it_runs(protocol):
     loaded = _modules_after_run(protocol)
     other_protocols = [m for p, m in PROTOCOL_MODULES.items() if p != protocol]

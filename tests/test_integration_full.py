@@ -24,7 +24,7 @@ def spec(conn_s, disc_s=45.0, duration_s=450.0):
     )
 
 
-@pytest.mark.parametrize("protocol", ["mhh", "sub-unsub", "two-phase"])
+@pytest.mark.parametrize("protocol", ["mhh", "sub-unsub"])
 @pytest.mark.parametrize("conn_s", [5.0, 60.0])
 def test_reliable_protocols_under_full_workload(protocol, conn_s):
     row = run_experiment(

@@ -1,7 +1,7 @@
 """Pinned outcomes of the simulated driver: seven plain-lane fuzzer seeds,
-fourteen layered draws (crash plan, ACK/retransmit, both, and the WAL
-on top) and four stored-queue streaming runs keep their exact outcome
-hashes. Simulator only: no sockets, no processes."""
+ten layered draws (crash plan, ACK/retransmit, both, and the WAL on top)
+and three stored-queue streaming runs keep their exact outcome hashes.
+Simulator only: no sockets, no processes."""
 
 from __future__ import annotations
 
@@ -19,10 +19,12 @@ from repro.workload.spec import WorkloadSpec
 
 #: sha256 over the full outcome tuple of Scenario.from_seed(seed). These
 #: digests predate the wire subsystem; any drift means the kernel's
-#: behaviour changed.
+#: behaviour changed. 202 drew the two-phase protocol until it was
+#: removed; its slot now names mhh, the protocol it extended, and the
+#: digest was re-recorded then.
 SIM_DIGESTS = {
     101: "ca615defd9c58c18f077e87a528323883a435bca3677890d42eab64b99f7c0e5",
-    202: "3d09ccab15411e1872e9553df8248f71dde3f1334a3ad96e53f9ed10c1bc2550",
+    202: "52564ce7f2614ca0eaa8f634b2f19f7060a16cde1b7951b7e4e1952074db1db1",
     303: "5ec14fe71c1eb9f867168f81b69b1e88373f2784a3e8d5ca3365f453ffd0b9e1",
     404: "09f35c576eedc2a9769eb621550c59b04ee84cbd2c4ab0ba1b402a7bf07d0056",
     505: "133697096acef1614dfe39fdb3f3e0875a35333ece44403ab387305556520f20",
@@ -48,26 +50,18 @@ LAYERED_DIGESTS = {
         "0cbb52d854f6467f96f923bc687638aa17728327c413d8cc2d88cda5a7cf8128",
     ("crash", 5, "mhh"):
         "06fb09d2811c15c4edbe4dbbc816446cba1b22db68ddffc4f2a68ed30bf86c9b",
-    ("crash", 8, "two-phase"):
-        "73e87b84f4ba0f8dd8f5a8e7bb4e15b5424f9f513e1e759d4c25562e95c827e5",
     ("rel", 3, "mhh"):
         "5d6ef74e32f245034973053c8918cd156a028019ab7ed8bf74025b91bea51348",
     ("rel", 4, "sub-unsub"):
         "4a0a29e5df18c32d95a769b6cac75226f37f0d6e773522e12039377fadc43445",
-    ("rel", 5, "two-phase"):
-        "6b0d9bc5ab1783e3faa75576ee26c6ecdae3801af21f9a5e6cf69b7184486fd0",
     ("rel", 14, "mhh"):
         "3ae1193289cf80410dcd68b8b70a7ed32652f026199a9ff68543c145acd6c5f5",
     ("rel-crash", 3, "mhh"):
         "e64f7776f16ad30dbd5c207edaadcc032473b66fcca1881af4e33abff85ed79e",
     ("rel-crash", 5, "sub-unsub"):
         "d7121edc2758822398dd23a29cd204bff5d183ffdb5cbe8dddfd0408a9cc26d2",
-    ("rel-crash", 6, "two-phase"):
-        "cd68030466e1789742e53a2c8332d7d09653f562dfbcd9f405291db199594b78",
     ("durable", 1, "sub-unsub"):
         "78ad1b696027725953312a6631b71ca08c4286a689de197fd66ba42eefc09c66",
-    ("durable", 3, "two-phase"):
-        "53eaf87672daf19afca7e1f6fa20cee61165ee3933a767738d042d8ad1e7fffd",
     ("durable", 5, "mhh"):
         "1b6cc4dc13e10cf03c7498e28c153c6d6ca4eea3f89ff42aed63359ebcc4edbf",
 }
@@ -140,10 +134,6 @@ STREAM_DIGESTS = {
         {"stream_pacing_ms": 0.0},
         "411aa372abd50f67f198df53f4ed2e9dea29b6a14141ae252e8565019e55c9c1",
     ),
-    "two-phase": (
-        {"stream_pacing_ms": 0.0},
-        "64ce5286663a18f78fbe54385d85c6397a6aa58f87228e523c1babf0aa0150a8",
-    ),
 }
 
 
@@ -201,13 +191,12 @@ def test_stored_queue_streams_are_unchanged(protocol):
     # more batches than streams: some stream shipped several batches
     batches, streams = {
         "mhh": (m.MigrateBatch, _streams_bound(sent)),
-        "two-phase": (m.MigrateBatch, _streams_bound(sent)),
         "sub-unsub": (m.TransferBatch, count.get(m.TransferDone, 0)),
         # a forward drain starts only on a registration
         "home-broker": (m.ForwardedBatch, count.get(m.Register, 0)),
     }[protocol]
     assert count.get(batches, 0) > streams
-    if protocol in ("mhh", "two-phase"):
+    if protocol == "mhh":
         # §4.3: a stop sends the token with a PQ_tq to append to
         assert any(type(msg) is m.DeliverTQ and msg.append_to is not None
                    for _frm, msg in sent)

@@ -1,9 +1,11 @@
 """The paper's curve shapes and the claims its ablations stand on.
 
 Figures 5 and 6 compare MHH with the sub-unsub and home-broker baselines;
-§2, §4.3 and §5.1 make the claims the four ablations isolate. Every shape
-is asserted on seeds 1, 2 and 3: a shape that holds on one seed in three
-is not a result.
+§4.3 and §5.1 make the claims the three ablations isolate (§2's claim
+that one client's handoff leaves the others' deliveries alone is an exact
+property, ``tests/test_non_interference.py``). Every shape is asserted on
+seeds 1, 2 and 3: a shape that holds on one seed in three is not a
+result.
 
 A figure's a and b panels read the same sweep, run once per (figure,
 scale, seed) by a module-scoped fixture. Both figures run at ``smoke``
@@ -27,6 +29,7 @@ from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
 from repro.workload.mobility_model import Workload
 from repro.workload.spec import WorkloadSpec
+from mhh_nopqlist import MHHNoPQList
 
 SEEDS = (1, 2, 3)
 
@@ -188,39 +191,13 @@ def rapid_mover_hops(protocol, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_pqlist_avoids_backlog_shuttling(seed):
-    """§4.3: without the distributed PQlist (``mhh-nopqlist`` never stops
+    """§4.3: without the distributed PQlist (``MHHNoPQList`` never stops
     a migration) a frequent mover's whole backlog chases it to every
     broker it touches; with it, interrupted migrations leave the queues in
     place and only the last reconnection drains them."""
     with_pqlist = rapid_mover_hops("mhh", seed)
-    without = rapid_mover_hops("mhh-nopqlist", seed)
+    without = rapid_mover_hops(MHHNoPQList, seed)
     assert without > 1.5 * with_pqlist
-
-
-def concurrent_run(protocol, seed):
-    return run_experiment(ExperimentConfig(
-        protocol=protocol, grid_k=5, seed=seed,
-        workload=WorkloadSpec(
-            clients_per_broker=8, mobile_fraction=0.6,
-            mean_connected_s=30.0, mean_disconnected_s=30.0,
-            publish_interval_s=60.0, duration_s=600.0,
-        ),
-    ))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_mhh_unaffected_by_concurrent_handoffs(seed):
-    """§2: "the handoff process of a client in the MHH protocol does not
-    affect the event delivery of other clients" — unlike the earlier
-    two-phase protocol, whose concurrent handoffs wait for each other's
-    transfer grants. On the same workload of many simultaneous movers
-    both stay exactly-once and two-phase's handoffs take no less time."""
-    mhh = concurrent_run("mhh", seed)
-    tp = concurrent_run("two-phase", seed)
-    assert mhh.missing == 0 and mhh.duplicates == 0
-    assert tp.missing == 0 and tp.duplicates == 0
-    assert mhh.handoffs == tp.handoffs
-    assert tp.mean_handoff_delay_ms >= mhh.mean_handoff_delay_ms
 
 
 def unicast_overhead(unicast_routing, seed):

@@ -16,8 +16,7 @@ Four layers:
   pattern of ``tests/test_control_plane.py``;
 * **crash-timing races**: the PR 1 connect-epoch race with a repair round
   delivered between ``HandoffRequest`` and ``SubMigration`` (must not
-  double-install), and the two-phase grant-path regression (a post-repair
-  prepare must not wait on a grant from a permanently dead broker).
+  double-install).
 """
 
 from __future__ import annotations
@@ -30,6 +29,7 @@ from covering_scan import scan_covering
 from repro.errors import ConfigurationError, TopologyError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, drain_to_quiescence
+from repro.mobility import registry
 from repro.network.recovery import (
     CrashEvent,
     CrashPlan,
@@ -42,7 +42,7 @@ from repro.pubsub.recovery import validate_plan
 from repro.pubsub.system import PubSubSystem
 from repro.workload.spec import WorkloadSpec
 
-PROTOCOLS = ("mhh", "sub-unsub", "two-phase", "home-broker")
+PROTOCOLS = tuple(registry.PROTOCOLS)
 
 SPEC = WorkloadSpec(
     clients_per_broker=3,
@@ -445,15 +445,3 @@ def test_connect_epoch_race_survives_mid_handoff_repair():
     assert (st.expected, st.delivered, st.duplicates, st.missing) == (
         1, 1, 0, 0,
     )
-
-
-def test_two_phase_prepare_skips_permanently_dead_lane_brokers():
-    """Regression: post-repair two-phase handoffs whose transfer path
-    crosses a dead broker must not wait for its grant (the run would
-    deadlock at drain — the dead broker never answers)."""
-    # broker 4 is the centre of the 3x3 grid: every cross-grid transfer
-    # path runs through it, so a permanent crash exercises the skip
-    plan = _plan(CrashEvent("crash", 30_000.0, broker=4))
-    system = _run(_crash_config("two-phase", plan))
-    assert system.protocol.quiescent()
-    assert system.metrics.delivery.stats.missing == 0

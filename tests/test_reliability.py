@@ -87,7 +87,7 @@ def test_retry_schedule_replays_identically():
     assert _outcome(a) == _outcome(b)
 
 
-@pytest.mark.parametrize("protocol", ["mhh", "sub-unsub", "two-phase"])
+@pytest.mark.parametrize("protocol", ["mhh", "sub-unsub"])
 def test_retry_schedule_identical_across_drivers(protocol):
     """Same seed => same retransmit schedule (times, links, seqs, attempt
     counts, triggers) under the simulator and the live VirtualClock driver

@@ -10,8 +10,8 @@ order. These tests drive both with identical inputs at two levels:
 1. raw scheduler: randomized interleavings of ``call_later`` /
    ``call_later_fifo`` / cancellation, including nested scheduling from
    inside callbacks and ``run(until=...)`` windowing;
-2. whole-system: randomized MHH / sub-unsub / home-broker / two-phase
-   mobility scenarios with full tracing under the simulated driver and
+2. whole-system: randomized MHH / sub-unsub / home-broker mobility
+   scenarios with full tracing under the simulated driver and
    under ``LiveDriver(VirtualClock())`` — the trace must be byte-identical.
 
 The ``test_fifo_*`` units pin the ``(time, seq)`` order across ``schedule``
@@ -241,7 +241,7 @@ def run_scenario(protocol: str, driver, seed: int):
     return system
 
 
-@pytest.mark.parametrize("protocol", ["mhh", "sub-unsub", "home-broker", "two-phase"])
+@pytest.mark.parametrize("protocol", ["mhh", "sub-unsub", "home-broker"])
 @pytest.mark.parametrize("seed", [3, 17])
 def test_differential_end_to_end_traces(protocol, seed):
     sim = run_scenario(protocol, None, seed)

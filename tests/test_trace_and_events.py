@@ -118,7 +118,7 @@ class TestTracingOffCostsNothing:
         return system, entered
 
     @pytest.mark.parametrize(
-        "protocol", ["mhh", "sub-unsub", "two-phase", "home-broker"])
+        "protocol", ["mhh", "sub-unsub", "home-broker"])
     def test_no_emit_and_no_record_with_trace_none(self, protocol, monkeypatch):
         system, entered = self.handoff_run(protocol, None, monkeypatch)
         assert entered == []

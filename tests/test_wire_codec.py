@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mobility.two_phase import GrantAck, GrantRelease, GrantRequest
 from repro.pubsub import messages as m
 from repro.pubsub.events import Notification
 from repro.pubsub.filters import (
@@ -216,15 +215,6 @@ MESSAGE_STRATEGIES = {
         events=st.lists(notifications(), max_size=6).map(tuple),
         acked=st.lists(uints, max_size=8).map(tuple),
     ),
-    # the two-phase grant handshake, registered by its own module
-    GrantRequest: st.builds(
-        GrantRequest, client=small_uints, coordinator=small_uints,
-        attempt=uints,
-    ),
-    GrantAck: st.builds(
-        GrantAck, client=small_uints, granter=small_uints, attempt=uints
-    ),
-    GrantRelease: st.builds(GrantRelease, client=small_uints),
 }
 
 
@@ -344,11 +334,10 @@ def test_type_ids_are_unique_and_stable():
     assert len(ids) == len(set(ids))
     # pinned: renumbering ids is a wire-protocol break and needs a version
     # bump; a retired id stays unused
-    retired = {16}
+    retired = {16, 26, 27, 28}
     assert ids == [i for i in range(1, len(ids) + len(retired) + 1)
                    if i not in retired]
-    # 26-28: the grant handshake, registered by repro.mobility.two_phase
-    assert MESSAGE_SCHEMAS[GrantRelease][0] == ids[-1] == 28
+    assert MESSAGE_SCHEMAS[m.SessionTransfer][0] == ids[-1] == 25
 
 
 def test_register_refuses_a_taken_id_and_an_unknown_kind():

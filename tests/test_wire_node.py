@@ -254,7 +254,7 @@ def _frame_logs(cfg, endpoints) -> list:
     return logs
 
 
-@pytest.mark.parametrize("protocol", ["mhh", "two-phase"])
+@pytest.mark.parametrize("protocol", ["mhh"])
 def test_every_early_kill_point_resumes_to_the_same_outcome(
     protocol, two_nodes
 ):

@@ -123,7 +123,7 @@ def test_killed_connections_resume_with_identical_outcome():
 
 
 def test_repeated_kills_on_one_connection_still_converge():
-    cfg = _config("two-phase")
+    cfg = _config("mhh")
     sim = run_scenario(cfg)
     killer_state = {"count": 0}
 
