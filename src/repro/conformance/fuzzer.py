@@ -43,9 +43,10 @@ event; and the reconverged overlay carries live traffic
 lossy wireless profile *and* the end-to-end ACK/retransmit layer enabled
 (a third of the draws also bound the downlink queue). The matrix flips for
 this lane: reliable protocols must show ``lost == 0`` — every injected
-link drop retransmitted away, reconciled as ``recovered`` — alongside
+link drop retransmitted away, counted ``recovered`` — alongside
 ``missing == 0``, intact per-publisher order, and wire-level duplicates no
-lower than the injected copies (retransmits add legitimate extras).
+lower than the injected copies (retransmits add legitimate extras); a
+``shed`` needs its trigger (queue cap, breaker trip, retry budget).
 On ``--lane rel-crash``, seeded broker failures layer on top of the loss
 profile and the only permitted write-offs are ``crash_lost`` and
 ``shed``; ``lost`` stays exactly zero. Protocols cycle through the
@@ -54,10 +55,11 @@ reliable pair, so a 30-scenario batch covers each fifteen times.
 **Durability lane** (``--lane durable``): the rel-crash lane's
 crash-composed scenarios run again with the write-ahead log and session
 handover enabled. The matrix hardens to the zero-write-off contract:
-``crash_lost == 0`` and ``shed == 0`` on top of ``missing == 0`` and
-``lost == 0`` — every delivery put at risk by a broker crash, restart or
-partition must be recovered from the log (replay on restart, handover to
-the new home broker on permanent death), never reconciled away. The
+``crash_lost == 0`` and ``shed == 0`` on top of ``missing == 0`` (and
+``lost == 0`` for the reliable pair) — every delivery put at risk by a
+broker crash, restart or partition must be recovered from the log (replay
+on restart, handover to the new home broker on permanent death), never
+written off; home-broker's in-transit losses settle as ``lost``. The
 durable retry path never exhausts, so ``breaker_trips`` stays 0 too.
 
 **Cross-engine identity**: the same scenario re-run once through the live
@@ -105,9 +107,9 @@ __all__ = [
     "main",
 ]
 
-#: deterministic cycling order for the reliability lane (the lane's
+#: deterministic cycling order for the rel and rel-crash lanes (their
 #: lost == 0 row only makes sense for protocols that promise no losses
-#: of their own, so home-broker sits this lane out)
+#: of their own, so home-broker sits them out)
 _RELIABLE_CYCLE = tuple(p for p in PROTOCOLS if p in RELIABLE_PROTOCOLS)
 
 #: the protocols each lane cycles over a batch, so coverage is guaranteed,
@@ -117,7 +119,7 @@ _LANE_CYCLES: dict[str, tuple[Optional[str], ...]] = {
     "crash": PROTOCOLS,
     "rel": _RELIABLE_CYCLE,
     "rel-crash": _RELIABLE_CYCLE,
-    "durable": _RELIABLE_CYCLE,
+    "durable": PROTOCOLS,
 }
 
 
@@ -322,9 +324,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "(forced lossy links with ACK/retransmit; "
                              "asserts zero losses for reliable protocols), "
                              "rel-crash (both) or durable (rel-crash with "
-                             "the write-ahead log; asserts missing == lost "
-                             "== crash_lost == shed == 0). Every lane but "
-                             "plain cycles its protocols")
+                             "the write-ahead log; asserts missing == "
+                             "crash_lost == shed == 0, and lost == 0 for "
+                             "mhh and sub-unsub). Every lane but plain "
+                             "cycles its protocols")
     parser.add_argument("--protocol", choices=PROTOCOLS, default=None,
                         help="force the protocol of a --scenario-seed "
                              "replay, on any lane (batch runs sample or "

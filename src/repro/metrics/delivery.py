@@ -3,9 +3,9 @@
 Ground truth: at publish time every event is matched against the static set
 of client subscriptions (vectorised over numpy arrays), yielding the exact
 expected delivery count per client. At the end of a run (after the runner's
-drain phase) the checker reconciles:
+drain phase) the checker settles:
 
-    expected == delivered_unique + explicitly_lost        (per client)
+    expected == delivered_unique + lost + crash_lost + shed
 
 and reports duplicates (same event delivered twice to one client) and
 per-publisher order violations (event with a lower sequence number delivered
@@ -17,15 +17,17 @@ exactly that against this checker.
 
 The ledger holds what is still open, not what was delivered: per client the
 ids of the events its subscription expects and has not received
-(``on_publish`` adds, the first delivery removes), per (client, publisher)
-the highest seq delivered, per publisher one bitmap of the seqs published,
-and the marked write-off pairs. A settled delivery is a counter, so memory
-is bounded by events in flight plus accounted losses, not by run length.
+(``on_publish`` adds, the first delivery removes), each with the write-off
+marks it carries (settled by one rule,
+:meth:`DeliveryChecker.finalize_accounting`); per (client, publisher) the
+highest seq delivered; per publisher one bitmap of the seqs published. A
+settled delivery is a counter, so memory is bounded by events in flight
+plus accounted losses, not by run length.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,6 +35,9 @@ import numpy as np
 from repro.pubsub.events import Notification
 
 __all__ = ["DeliveryChecker", "DeliveryStats"]
+
+#: the write-off marks a pair can carry (bits of one int)
+SHED, LOSS, CRASH, COVERED = 1, 2, 4, 8
 
 
 @dataclass
@@ -44,14 +49,14 @@ class DeliveryStats:
     delivered: int = 0
     duplicates: int = 0
     order_violations: int = 0
+    #: explicit losses and covered drops never redelivered; this,
+    #: ``crash_lost`` and ``shed`` are set by ``finalize_accounting``
     lost_explicit: int = 0
-    #: deliveries lost to broker crashes / overlay partitions, reconciled
-    #: from the at-risk pair marking (see ``DeliveryChecker.crash_lost``);
-    #: always 0 for crash-free runs
+    #: deliveries lost to broker crashes / overlay partitions; always 0
+    #: for crash-free runs
     crash_lost: int = 0
-    #: wireless drops the reliability layer retransmitted successfully —
-    #: diagnostic only (recovered events also count in ``delivered``);
-    #: always 0 without the reliability layer
+    #: deliveries whose first copy came after a covered drop (diagnostic:
+    #: they also count in ``delivered``); 0 without the reliability layer
     recovered: int = 0
     #: deliveries explicitly written off by the overload policy (bounded
     #: queue shed, breaker-open shed, retry-budget exhaustion); always 0
@@ -71,14 +76,9 @@ class DeliveryStats:
 
     @property
     def write_offs(self) -> int:
-        """Deliveries the system gave up on rather than lost on the wire.
-
-        ``crash_lost`` (volatile state died with a broker) plus ``shed``
-        (overload/exhaustion policy). The durable fuzzer lane and soak
-        audit pin this at exactly 0: with the WAL and session handover
-        active, every crash- or shed-prone delivery must be recovered,
-        not reconciled away.
-        """
+        """Deliveries the system gave up on rather than lost on the wire
+        (``crash_lost`` plus ``shed``); the durable fuzzer lane and soak
+        audit pin this at exactly 0."""
         return self.crash_lost + self.shed
 
 
@@ -100,8 +100,9 @@ class DeliveryChecker:
         self.expected_per_client: dict[int, int] = {}
         # publisher -> bitmap of the seqs on_publish was told about
         self._published: dict[int, int] = {}
-        # client -> ids of events expected and not yet delivered
-        self._outstanding: dict[int, set[int]] = {}
+        # client -> id of each event expected and not yet delivered -> its
+        # write-off marks (SHED | LOSS | CRASH | COVERED bits; 0 = none)
+        self._outstanding: dict[int, dict[int, int]] = {}
         # client -> ids delivered although no subscription expected them
         self._unexpected: dict[int, set[int]] = {}
         # client -> publisher -> highest seq delivered so far (order check)
@@ -110,53 +111,62 @@ class DeliveryChecker:
         # optional sink recording (client, event_id, time) tuples
         self.record_log = False
         self.log: list[tuple[int, int, float]] = []
-        # the write-off ledgers hold (client, event_id) pairs, marked only
-        # for expected deliveries: undelivered iff still outstanding.
-        # crash-loss accounting: every delivery a crash/partition put at
-        # risk (marked only under an active CrashPlan); reconciled in
-        # crash_lost()
-        self._crash_marked: set[tuple[int, int]] = set()
-        # pairs lost through the *fault* path, so a marked pair that the
-        # wireless fault injector happened to drop is not double-counted
-        self._lost_pairs: set[tuple[int, int]] = set()
-        # reliability-mode reconciliation (inert unless enable_reliability):
-        # the retransmit/shed machinery makes the final fate of a dropped
-        # frame unknowable at drop time, so every write-off candidate is
-        # *marked* and the books are settled once, at end of run. A pair
-        # counts in one write-off ledger at most, by this precedence:
-        # * reliability mode: delivered > shed > crash_lost > lost, so a
-        #   pair both loss-marked and crash-marked settles as crash_lost;
-        # * eager mode: lost (counted at drop time and kept, even if a copy
-        #   is delivered later) > delivered > crash_lost, so the same pair
-        #   settles as lost.
-        self._rel_mode = False
-        # drops covered by an active retransmit window at drop time
-        self._recover_marked: set[tuple[int, int]] = set()
-        # explicit overload write-offs (queue shed / breaker / exhaustion)
-        self._shed_marked: set[tuple[int, int]] = set()
-        # fault drops with no retry cover (counted lost if never delivered)
-        self._loss_marked: set[tuple[int, int]] = set()
 
     # ------------------------------------------------------------------
-    # crash-loss accounting (the accounted-loss crash model)
+    # write-off marks, settled once at end of run
     # ------------------------------------------------------------------
+    def _mark(self, client: int, event_id: int, bit: int) -> None:
+        # a copy already delivered, or an event nobody expected, owes nothing
+        outstanding = self._outstanding.get(client)
+        if outstanding is not None and event_id in outstanding:
+            outstanding[event_id] |= bit
+
+    def on_loss(self, client: int, event: Notification) -> None:
+        """This copy is gone: a fault drop with no retry cover, or
+        home-broker's in-transit loss."""
+        self._mark(client, event.event_id, LOSS)
+
+    def on_recoverable_drop(self, client: int, event: Notification) -> None:
+        """A frame was dropped while its retransmit window is live."""
+        self._mark(client, event.event_id, COVERED)
+
+    def mark_shed(self, client: int, event: Notification) -> None:
+        """The overload policy wrote this delivery off."""
+        self._mark(client, event.event_id, SHED)
+
     def mark_crash_risk(self, client: int, event: Notification) -> None:
-        """Record that ``client``'s delivery of ``event`` is crash-exposed.
-
-        Over-marking is harmless: a marked pair that is delivered anyway
-        (or lost through the fault path) reconciles to zero in
-        :meth:`crash_lost`. Callers only mark pairs the subscription model
-        actually expects, keeping the ledger exact.
-        """
-        self._crash_marked.add((client, event.event_id))
+        """A crash or partition put this delivery at risk (over-marking is
+        harmless; under-marking surfaces as ``missing``)."""
+        self._mark(client, event.event_id, CRASH)
 
     def mark_subscribers_at_risk(self, event: Notification) -> None:
         """:meth:`mark_crash_risk` for every subscriber of ``event`` (a
         publish the overlay may have eaten before it was matched)."""
         eid = event.event_id
-        self._crash_marked.update(
-            (cid, eid) for cid in self.matching_clients(event.topic).tolist()
-        )
+        for cid in self.matching_clients(event.topic).tolist():
+            self._mark(cid, eid, CRASH)
+
+    def finalize_accounting(self) -> None:
+        """Settle the marks into :attr:`stats`, the one rule for every run.
+
+        A mark lands only on a pair still outstanding, and the pair's first
+        delivery pops it, counting ``recovered`` if it carried a covered
+        drop. Each pair still marked settles in one ledger: shed > lost
+        (explicit) > crash_lost > lost (a covered drop never redelivered).
+        Explicit loss beats crash: ``on_loss`` says this copy is gone
+        whatever the crash did, while crash marks over-mark on purpose.
+        Idempotent, so the runner may call it at each quiescence point.
+        """
+        st = self.stats
+        st.shed = st.lost_explicit = st.crash_lost = 0
+        for outstanding in self._outstanding.values():
+            for bits in outstanding.values():
+                if bits & SHED:
+                    st.shed += 1
+                elif bits & CRASH and not bits & LOSS:
+                    st.crash_lost += 1
+                elif bits:  # explicit loss, or covered drop never redelivered
+                    st.lost_explicit += 1
 
     def _expected(self, client: int, event: Notification) -> bool:
         """Did ``on_publish`` count ``event`` for ``client``?"""
@@ -167,10 +177,6 @@ class DeliveryChecker:
                     return True
         return False
 
-    def _open(self, pair: tuple[int, int]) -> bool:
-        """Is the marked (client, event_id) ``pair`` still undelivered?"""
-        return pair[1] in self._outstanding.get(pair[0], ())
-
     def delivered_pair(self, client: int, event: Notification) -> bool:
         """Was ``event`` delivered to ``client``?"""
         eid = event.event_id
@@ -179,60 +185,6 @@ class DeliveryChecker:
         return self._expected(client, event) or (
             eid in self._unexpected.get(client, ())
         )
-
-    def crash_lost(self) -> int:
-        """At-risk pairs that were neither delivered nor fault-lost."""
-        at_risk = self._crash_marked - self._lost_pairs
-        if self._rel_mode:
-            at_risk -= self._shed_marked  # settled as overload write-offs
-        return sum(map(self._open, at_risk))
-
-    # ------------------------------------------------------------------
-    # reliability-mode reconciliation
-    # ------------------------------------------------------------------
-    def enable_reliability(self) -> None:
-        """Switch loss accounting to end-of-run reconciliation (see above)."""
-        self._rel_mode = True
-
-    def on_recoverable_drop(self, client: int, event: Notification) -> None:
-        """A reliable frame was dropped while its retransmit window is
-        live: no write-off yet — the retry either delivers it (counted
-        ``recovered``) or the window is shed/exhausted (counted there)."""
-        self._recover_marked.add((client, event.event_id))
-
-    def mark_shed(self, client: int, event: Notification) -> None:
-        """The overload policy wrote this delivery off explicitly.
-
-        Over-marking is harmless — a marked pair that is delivered anyway
-        (e.g. a copy already on the air when the window was exhausted)
-        reconciles to zero at finalize.
-        """
-        self._shed_marked.add((client, event.event_id))
-
-    def finalize_accounting(self) -> None:
-        """Settle all reconciled ledgers into :attr:`stats` (end of run).
-
-        Idempotent: every reconciled counter is recomputed from the marked
-        pairs, so the runner may call this at each quiescence point.
-        """
-        if self._rel_mode:
-            undelivered = self._open  # a late retransmit may have won
-            # each pair counts once: shed there, crash-marked in its ledger
-            elsewhere = self._shed_marked | self._crash_marked
-            # second term: a drop the layer claimed retry cover for but
-            # never redelivered nor wrote off surfaces as a loss, so the
-            # reliability lane fails loudly instead of hiding it in `missing`
-            self.stats.lost_explicit = sum(
-                map(undelivered, self._loss_marked - elsewhere)
-            ) + sum(map(
-                undelivered, self._recover_marked - elsewhere - self._loss_marked
-            ))
-            self.stats.recovered = len(self._recover_marked) - sum(
-                map(undelivered, self._recover_marked)
-            )
-            self.stats.shed = sum(map(undelivered, self._shed_marked))
-        # a run without a crash plan marks nothing, which reconciles to 0
-        self.stats.crash_lost = self.crash_lost()
 
     # ------------------------------------------------------------------
     def register_subscription(self, client: int, lo: float, hi: float) -> None:
@@ -246,7 +198,7 @@ class DeliveryChecker:
             (lo, hi, dict(self._published))
         )
         self.expected_per_client.setdefault(client, 0)
-        self._outstanding.setdefault(client, set())
+        self._outstanding.setdefault(client, {})
 
     def matching_clients(self, topic: float) -> np.ndarray:
         if self._arrays is None:
@@ -268,16 +220,18 @@ class DeliveryChecker:
         eid = event.event_id
         for cid in matched.tolist():
             self.expected_per_client[cid] += 1
-            self._outstanding[cid].add(eid)
+            self._outstanding[cid][eid] = 0
 
     def on_delivery(self, client: int, event: Notification, time: float) -> None:
         self.stats.delivered += 1
         eid = event.event_id
         if self.record_log:
             self.log.append((client, eid, time))
-        outstanding = self._outstanding.get(client, ())
-        if eid in outstanding:
-            outstanding.remove(eid)
+        outstanding = self._outstanding.get(client)
+        bits = None if outstanding is None else outstanding.pop(eid, None)
+        if bits is not None:  # the first delivery settles the pair
+            if bits & COVERED:
+                self.stats.recovered += 1
         elif self.delivered_pair(client, event):
             self.stats.duplicates += 1
             return
@@ -289,28 +243,11 @@ class DeliveryChecker:
         else:
             seqs[event.publisher] = event.seq
 
-    def on_loss(self, client: int, event: Notification) -> None:
-        """An event for ``client`` was irrecoverably dropped (home-broker)."""
-        if self._rel_mode:
-            # under reliability "irrecoverable" is provisional: a straggler
-            # copy of the same event may still deliver (retired-window
-            # retransmit, reclaim redelivery) — mark and settle at finalize
-            # (crash-marked pairs settle in the crash ledger instead, so
-            # _lost_pairs stays untouched here)
-            self._loss_marked.add((client, event.event_id))
-            return
-        self.stats.lost_explicit += 1
-        self._lost_pairs.add((client, event.event_id))
-
     # ------------------------------------------------------------------
     def per_client_missing(self) -> dict[int, int]:
         """Clients with expected deliveries unaccounted for (diagnostics):
-        outstanding and in no write-off ledger."""
-        written_off = (
-            self._lost_pairs | self._crash_marked | self._shed_marked
-            | self._loss_marked | self._recover_marked
-        )
+        outstanding and unmarked."""
         return {
             cid: n for cid, outstanding in self._outstanding.items()
-            if (n := sum((cid, e) not in written_off for e in outstanding))
+            if (n := sum(not bits for bits in outstanding.values()))
         }

@@ -106,6 +106,13 @@ class TrafficMeter:
         """Total deliveries shed by the overload policy (all causes)."""
         return sum(self.shed_by_client.values())
 
+    def shed_by_cause(self) -> dict[str, int]:
+        """Deliveries shed, per cause (all clients)."""
+        causes: dict[str, int] = {}
+        for (_client, cause), n in self.shed_by_client.items():
+            causes[cause] = causes.get(cause, 0) + n
+        return causes
+
     def total_breaker_trips(self) -> int:
         return sum(self.breaker_trips.values())
 

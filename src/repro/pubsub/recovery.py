@@ -13,9 +13,9 @@ state) and silently discards in-flight traffic. Rather than pretending the
 kernel can recover what is physically gone, the model keeps the delivery
 ledger *exact*: every (client, event) pair put at risk is marked via
 :meth:`~repro.metrics.delivery.DeliveryChecker.mark_crash_risk`, and at the
-end of the run the pairs that were neither delivered nor fault-lost
-reconcile into ``stats.crash_lost``. Over-marking is harmless (delivered
-pairs reconcile to zero); *under*-marking would surface as ``missing > 0``
+end of the run the pairs that were neither delivered, shed nor explicitly
+lost settle as ``stats.crash_lost``. Over-marking is harmless (delivered
+pairs settle as delivered); *under*-marking would surface as ``missing > 0``
 — which is precisely what the conformance fuzzer's crash lane asserts never
 happens. The ledger is only marked here, never asked.
 

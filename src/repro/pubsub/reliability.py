@@ -37,13 +37,11 @@ Design constraints, in order:
   a crashed broker's unacked window is surfaced to the crash-risk marking
   through the same reclaim call the coordinator already performs.
 
-Accounting: the delivery checker runs in *reconciling* mode under
-reliability (see :meth:`~repro.metrics.delivery.DeliveryChecker.
-enable_reliability`) — drops of tracked reliable messages are marked
-recoverable instead of lost, and at end of run
+Accounting: a drop of a tracked frame is marked a covered drop, not a
+loss, and an exhausted or breaker-open window shed
+(:class:`~repro.metrics.delivery.DeliveryChecker`). At end of run
 ``missing = expected − delivered_unique − lost − crash_lost − shed``
-must still be exactly zero, which the conformance fuzzer's reliability
-lane asserts over seeded loss scenarios.
+must still be exactly zero, which the fuzzer's reliability lane asserts.
 """
 
 from __future__ import annotations
@@ -226,7 +224,6 @@ class ReliabilityManager:
         hooks.broker_crash.append(self.on_broker_crash)
         hooks.overlay_repair.append(self.on_overlay_repair)
         net.widen_reclaim(self.reclaim_link)
-        self.system.metrics.delivery.enable_reliability()
 
     # ------------------------------------------------------------------
     # broker-side transmit path

@@ -272,18 +272,14 @@ class PubSubSystem:
             return any(covered(payload) for covered in hooks.retry_covered)
 
         def _on_drop(payload: DeliverMessage) -> None:
-            # a recoverable drop is reconciled at end of run instead of
-            # being written off as a loss now
+            # a covered drop is recovered if a retry delivers the pair, an
+            # uncovered one lost unless another copy does
             report = (self.metrics.on_recoverable_drop if retried(payload)
                       else self.metrics.on_loss)
             report(payload.client, payload.event)
 
         _on_shed = None
         if queue_cap is not None:
-            # capped runs write sheds off explicitly; the checker needs
-            # pair tracking to reconcile them, reliable or not
-            self.metrics.delivery.enable_reliability()
-
             def _on_shed(payload: object, client_id: int) -> bool:
                 # bulkhead policy: shed data (final deliveries), never
                 # control — control messages are admitted over-cap
@@ -416,8 +412,11 @@ class PubSubSystem:
 
         Only meaningful under the simulated driver; a live system is driven
         by its clock (the asyncio loop / :class:`VirtualClock`) instead.
+        On return the delivery ledger's write-offs are settled as of now
+        (:meth:`~repro.metrics.delivery.DeliveryChecker.finalize_accounting`).
         """
         self._require_sim().run(until=until)
+        self.metrics.delivery.finalize_accounting()
 
     def _require_sim(self):
         if self.sim is None:

@@ -66,9 +66,11 @@ def test_label_carries_the_replay_seed():
 #: protocol cycle, recorded before the four lane generators became one;
 #: re-recorded when the two-phase protocol was removed, which shortened
 #: the crash and reliable lanes' cycles and made the plain seeds that had
-#: drawn it draw mhh
+#: drawn it draw mhh; and again when the durable lane began to cycle all
+#: three protocols (home-broker's losses settle as lost, not as write-offs),
+#: which changed that lane's draws only
 LANE_DRAWS_DIGEST = (
-    "4416de25ba660fbf01ac1dc845a1cb89d9068394a85dd932356db38e274ff492"
+    "4d2055e83b1d9be86fe2f66fd840af14281918f0ffa632c5184ea370a2754f07"
 )
 
 
@@ -360,13 +362,28 @@ def test_phantom_recoveries_flagged():
     assert any("recoveries without matching drops" in x for x in v)
 
 
-def test_shed_without_cap_or_crash_flagged():
+def test_every_shed_needs_its_trigger():
+    """The shed rows, by the traffic meter's shed ledger: retry exhaustion
+    is the budget's policy, a queue-cap shed needs a cap, a breaker shed
+    a trip, a settled shed a metered one, and a durable run none."""
     scenario = rel_scenario()
     assert scenario.queue_cap is None  # seed 5 draws no cap
-    v = check_invariants(scenario, outcome(shed=1))
-    assert any("shed policy" in x for x in v)
+    exhausted = outcome(shed=1, shed_by_cause={"retry_exhausted": 1})
+    assert check_invariants(scenario, exhausted) == []
+    capped_shed = outcome(shed=1, shed_by_cause={"queue_cap": 1})
+    assert check_invariants(scenario, capped_shed) == [
+        "shed by queue_cap=1 with no queue cap"
+    ]
     capped = dataclasses.replace(scenario, queue_cap=32)
-    assert check_invariants(capped, outcome(shed=1)) == []
+    assert check_invariants(capped, capped_shed) == []
+    assert check_invariants(scenario, outcome(
+        shed=1, shed_by_cause={"breaker": 1}
+    )) == ["shed by breaker=1 with no breaker trip"]
+    v = check_invariants(capped, outcome(shed=1))
+    assert any("a write-off with no shed event" in x for x in v)
+    durable = dataclasses.replace(scenario, durable=True)
+    assert any("shed=1 != 0" in x
+               for x in check_invariants(durable, exhausted))
 
 
 def test_reliability_machinery_must_stay_dark_when_off():

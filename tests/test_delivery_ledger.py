@@ -1,16 +1,18 @@
 """The delivery ledger against the set-based checker it replaced.
 
-``DeliveryChecker`` keeps only what is open (outstanding expectations,
-high-water marks, write-off pairs); ``tests/delivery_sets.py`` remembers
-every delivery. One random schedule goes to both, and after every step
-they must give the same stats and the same answer to every question the
-audit asks (``delivered_pair``, ``crash_lost``). The product asks the
+``DeliveryChecker`` keeps only what is open (outstanding expectations
+with their write-off marks, high-water marks); ``tests/delivery_sets.py``
+remembers every delivery. One random schedule goes to both, and after
+every step they must give the same settled stats and the same answer to
+every question the audit asks (``delivered_pair``). The product asks the
 ledger nothing (``tests/test_audit_oracle.py`` holds that by an AST walk).
 
-The bounded-growth half runs a small steady-publishing ``mhh`` system and
+The bounded-growth half runs small steady-publishing ``mhh`` systems, one
+lossless and one lossy with ACK/retransmit and the write-ahead log, and
 checks that nothing per-delivery is retained once the run has drained.
 """
 
+import dataclasses
 import gc
 import tracemalloc
 
@@ -20,6 +22,7 @@ from delivery_sets import SetDeliveryChecker
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, drain_to_quiescence
 from repro.metrics.delivery import DeliveryChecker
+from repro.network.faults import FaultProfile
 from repro.pubsub.events import Notification
 from repro.workload.spec import WorkloadSpec
 
@@ -33,7 +36,7 @@ MARKS = ("on_loss", "on_recoverable_drop", "mark_shed", "mark_crash_risk")
 
 @st.composite
 def schedules(draw):
-    """(reliable, events, told, ops): ``told[i]`` is False for events the
+    """(events, told, ops): ``told[i]`` is False for events the
     checker never hears published (``tests/test_wal.py::_drive`` hands
     ``DurabilityManager`` such events)."""
     next_seq = dict.fromkeys(PUBLISHERS, 0)
@@ -57,20 +60,20 @@ def schedules(draw):
         # the k-th pair on_publish has counted so far: deliver it (again),
         # or write it off
         st.tuples(st.sampled_from(("dlv",) + MARKS), st.integers(0, 5)),
-        st.tuples(st.just("fin")),
     )
     # subscriptions are static in the product, so most schedules register
     # them first; late ones ride in the random part
     head = [("sub", c, draw(st.sampled_from(RANGES))) for c in CLIENTS[:-1]
             if draw(st.booleans())]
-    reliable = draw(st.booleans())
-    return reliable, events, told, head + draw(st.lists(op, min_size=30, max_size=60))
+    return events, told, head + draw(st.lists(op, min_size=30, max_size=60))
 
 
 def _same_answers(ledger, oracle, events):
+    # settling is idempotent, so both settle after every step
+    for checker in (ledger, oracle):
+        checker.finalize_accounting()
     assert ledger.stats == oracle.stats
     assert ledger.expected_per_client == oracle.expected_per_client
-    assert ledger.crash_lost() == oracle.crash_lost()
     for cid in CLIENTS:
         for ev in events:
             assert ledger.delivered_pair(cid, ev) == oracle.delivered_pair(
@@ -81,11 +84,8 @@ def _same_answers(ledger, oracle, events):
 @settings(max_examples=150, deadline=None)
 @given(schedules())
 def test_ledger_agrees_with_the_set_based_checker(schedule):
-    reliable, events, told, ops = schedule
+    events, told, ops = schedule
     both = (DeliveryChecker(), SetDeliveryChecker())
-    for checker in both:
-        if reliable:
-            checker.enable_reliability()
     subs = []
     published = set()
     expected = []  # (client, event index) pairs on_publish counted
@@ -120,17 +120,11 @@ def test_ledger_agrees_with_the_set_based_checker(schedule):
                 continue
             for checker in both:
                 checker.on_delivery(op[1], events[op[2]], float(step))
-        elif kind == "fin":
-            for checker in both:
-                checker.finalize_accounting()
         else:
             _, cid, i = op  # callers only write off expected deliveries
             for checker in both:
                 getattr(checker, kind)(cid, events[i])
         _same_answers(*both, events)
-    for checker in both:
-        checker.finalize_accounting()
-    _same_answers(*both, events)
 
 
 def test_unpublished_event_is_never_delivered_until_it_is():
@@ -159,33 +153,54 @@ def test_marking_a_publish_at_risk_marks_each_matching_subscriber():
     assert (dc.stats.crash_lost, dc.stats.missing) == (2, 0)
 
 
-def _loss_and_crash_marked(reliable: bool) -> DeliveryChecker:
-    """One expected pair, written off as a loss and marked crash-exposed,
-    never delivered; the books settled."""
+def _settled(*marks: str, delivered_first: bool = False) -> DeliveryChecker:
+    """One expected pair, marked by ``marks`` in that order (each the name
+    of a checker method taking ``(client, event)``) and, if
+    ``delivered_first``, delivered before them; the books settled. The
+    settlement precedence is shed > explicit loss > crash > a covered drop
+    never redelivered."""
     dc = DeliveryChecker()
-    if reliable:
-        dc.enable_reliability()
     dc.register_subscription(1, 0.0, 1.0)
     ev = Notification(7, 0, 0, 0.0, 0.5)
     dc.on_publish(ev)
-    dc.on_loss(1, ev)
-    dc.mark_crash_risk(1, ev)
+    if delivered_first:
+        dc.on_delivery(1, ev, 1.0)
+    for mark in marks:
+        getattr(dc, mark)(1, ev)
     dc.finalize_accounting()
     return dc
 
 
-def test_reliability_mode_settles_a_lost_crash_marked_pair_as_crash_lost():
-    stats = _loss_and_crash_marked(reliable=True).stats
-    assert (stats.lost_explicit, stats.crash_lost) == (0, 1)
-
-
-def test_eager_mode_settles_a_lost_crash_marked_pair_as_lost():
-    stats = _loss_and_crash_marked(reliable=False).stats
+def test_explicit_loss_beats_a_crash_mark():
+    # on_loss says this copy is gone, whatever the crash did
+    stats = _settled("on_loss", "mark_crash_risk").stats
     assert (stats.lost_explicit, stats.crash_lost) == (1, 0)
+    assert stats.missing == 0
+
+
+def test_a_crash_marked_covered_drop_settles_as_crash_lost():
+    # a reliable run reports its drops as covered: the retry died with
+    # the broker, so the pair is the crash's
+    stats = _settled("on_recoverable_drop", "mark_crash_risk").stats
+    assert (stats.lost_explicit, stats.crash_lost, stats.recovered) == (0, 1, 0)
+    assert stats.missing == 0
+
+
+def test_shed_beats_explicit_loss():
+    stats = _settled("on_loss", "mark_shed").stats
+    assert (stats.shed, stats.lost_explicit) == (1, 0)
+    assert stats.missing == 0
+
+
+def test_a_covered_drop_after_the_first_delivery_is_not_recovered():
+    # a mark lands only on a pair still outstanding: this drop was a
+    # spurious retransmit, and nothing was recovered
+    stats = _settled("on_recoverable_drop", delivered_first=True).stats
+    assert (stats.recovered, stats.lost_explicit, stats.missing) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
-# bounded growth: the fanout_steady shape at tier-1 size
+# bounded growth: the fanout_steady shape at tier-1 size, lossless and lossy
 # ---------------------------------------------------------------------------
 STEADY = ExperimentConfig(
     protocol="mhh",
@@ -211,9 +226,11 @@ def _ledger_bytes() -> int:
     return sum(s.size for s in snap.statistics("filename"))
 
 
-def test_ledgers_hold_nothing_per_delivery_after_a_steady_run():
-    system, workload = build_system(STEADY)
-    end = STEADY.workload.duration_ms
+def _drained_ledger(cfg: ExperimentConfig):
+    """Run ``cfg`` and drain it; the checker, the deliveries of the second
+    half and the bytes the ledger files grew by over it."""
+    system, workload = build_system(cfg)
+    end = cfg.workload.duration_ms
     tracemalloc.start()
     try:
         system.run(until=end / 2)
@@ -230,9 +247,35 @@ def test_ledgers_hold_nothing_per_delivery_after_a_steady_run():
     assert second_half > 1500 and checker.stats.missing == 0
     assert not any(checker._outstanding.values())
     assert not checker._unexpected
+    # and no store keyed by (client, event) pair survives the drain
+    assert not [name for name, store in vars(checker).items()
+                if isinstance(store, (set, dict))
+                and any(isinstance(key, tuple) for key in store)]
+    return checker, second_half, grown
+
+
+def test_ledgers_hold_nothing_per_delivery_after_a_steady_run():
+    _checker, second_half, grown = _drained_ledger(STEADY)
     # what may still grow is one bit per published event in each client's
     # seen bitmap and a high-water mark per (client, publisher) pair seen
     # for the first time: ~18 KB here. One retained container
     # entry per delivery is >= 60 B each, i.e. >= 120 KB (the set-based
     # stores grew 377 KB on this run)
+    assert grown < 64 * 1024, (grown, second_half)
+
+
+#: the CI flat-RSS ``durable`` shape, one model minute long: 3 % downlink
+#: loss, ACK/retransmit and the write-ahead log
+LOSSY = dataclasses.replace(
+    STEADY, faults=FaultProfile(deliver_loss=0.03), reliable=True,
+    durable=True,
+)
+
+
+def test_ledgers_hold_nothing_per_delivery_after_a_lossy_reliable_run():
+    """Every covered drop's mark leaves with its pair's first delivery, so
+    the drained ledger keeps none (a set of one pair per covered drop,
+    kept to count ``recovered`` at the end, grew with the run)."""
+    checker, second_half, grown = _drained_ledger(LOSSY)
+    assert checker.stats.recovered > 50 and checker.stats.lost_explicit == 0
     assert grown < 64 * 1024, (grown, second_half)

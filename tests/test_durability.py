@@ -153,6 +153,20 @@ def test_durable_lane_scenarios_conform(protocol):
     assert outcome.shed == 0
 
 
+@pytest.mark.parametrize("seed", [44, 54, 126, 135])
+def test_home_broker_losses_under_a_crash_are_lost_not_written_off(seed):
+    """Home-broker drops in-transit events on its own (``on_loss``). On
+    these seeds a crash also marked such a pair, which settled as
+    ``crash_lost`` (1, 2, 1 and 1 of them) while a crash mark outranked an
+    explicit loss; explicit loss now wins, so the durable lane's
+    zero-write-off rows hold for home-broker too."""
+    cfg = Scenario.from_seed(seed, "durable", "home-broker").config
+    outcome = run_scenario(cfg)
+    assert outcome.violations == []
+    assert outcome.crash_lost == outcome.shed == 0
+    assert outcome.lost > 0
+
+
 def test_durable_lane_batch_passes():
     report = ScenarioFuzzer(
         n_scenarios=3, master_seed=3, cross_engine=False, lane="durable",

@@ -71,7 +71,7 @@ def test_in_transit_events_lost_when_client_moves():
     # leave while the forwarded event is in transit home->foreign
     system.run(until=system.sim.now + 60.0)
     sub.disconnect()
-    system.sim.run()
+    system.run()
     stats = system.metrics.delivery.stats
     assert stats.lost_explicit >= 1
     assert stats.delivered + stats.lost_explicit == stats.expected

@@ -108,6 +108,7 @@ class TestDeliveryChecker:
         e = ev(0, topic=0.2)
         dc.on_publish(e)
         dc.on_loss(1, e)
+        dc.finalize_accounting()
         assert dc.stats.lost_explicit == 1
         assert dc.stats.missing == 0
 
@@ -132,6 +133,7 @@ class TestDeliveryChecker:
         assert dc.stats.missing == 1
         assert dc.per_client_missing() == {1: 1}
         dc.on_loss(1, b)  # an accounted loss is not missing
+        dc.finalize_accounting()
         assert dc.stats.missing == 0
         assert dc.per_client_missing() == {}
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.conformance.fuzzer import run_scenario
+from repro.conformance.scenarios import Scenario
 from repro.drivers.live import run_virtual_scenario
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, drain_to_quiescence
@@ -152,6 +154,23 @@ def test_total_loss_exhausts_budget_and_sheds():
     assert st.missing == 0
     assert system.metrics.traffic.total_shed() >= 1
     assert system.metrics.traffic.total_retransmits() == 2
+
+
+@pytest.mark.parametrize("seed, protocol", [
+    (139, "sub-unsub"), (234, "mhh"), (234, "sub-unsub"),
+])
+def test_retry_exhaustion_on_an_attached_link_is_a_permitted_shed(
+    seed, protocol
+):
+    """At 20 % loss with a retry budget of 4, a head frame can miss all
+    five tries (here on a link whose client stayed attached): its window
+    is shed by the documented budget policy, which the rel lane permits."""
+    cfg = Scenario.from_seed(seed, "rel", protocol).config
+    assert (cfg.retry_budget, cfg.queue_cap) == (4, None)
+    row = run_scenario(cfg)
+    assert row.violations == []
+    assert row.shed > 0 and row.lost == 0 and row.missing == 0
+    assert set(row.shed_by_cause) == {"retry_exhausted"}
 
 
 def test_breaker_trips_after_consecutive_exhaustions_end_to_end():
