@@ -7,10 +7,12 @@ prints per point:
 
 * host cost: the host's speed just before the point, CPU seconds of the
   set-up (build plus the flood to the end of warm-up), of the measurement
-  window and of the drain, and the process's max RSS;
+  window and of the drain, and the point process's own peak RSS;
 * what the simulation fixes: sim events, publishes, handoffs, wired event
-  hops per publish, overhead per handoff, and a digest of every simulated
-  field of the run's :class:`~repro.metrics.summary.ResultRow`.
+  hops per publish, overhead per handoff, and a digest of the simulated
+  fields of the run's :class:`~repro.metrics.summary.ResultRow` named in
+  :data:`DIGEST_FIELDS` (a fixed list, so that adding a field to the row
+  cannot move the digest of an unchanged run).
 
 ``--append`` adds one record, keyed by commit (``git describe --always
 --dirty``), to ``BENCH_paper.json`` at the repo root.
@@ -22,7 +24,11 @@ right before each point, with the e2e harness's probe
 slower): on a shared box it moves within the minute the six points take,
 so one reading for all of them would misstate most. The probe runs here,
 not in the point's process, because its 40 MB table would set the max RSS
-of every point that peaks below it.
+of every point that peaks below it. For the same reason a point reads its
+peak as ``VmHWM``, the high-water mark of its own pages: its
+``ru_maxrss`` also holds this process's resident size at the spawn (Linux
+carries the old pages' high-water mark across ``exec``), so a point that
+peaks below this process would read this process's size.
 """
 
 from __future__ import annotations
@@ -43,12 +49,27 @@ ROOT = Path(__file__).resolve().parents[1]
 RECORD = ROOT / "BENCH_paper.json"
 PROTOCOLS = ("mhh", "sub-unsub", "home-broker")
 UNTIL_S = (60.0, 600.0)
+#: the ``ResultRow`` fields ``row_digest`` hashes: every compared field as
+#: of record ``0a20fa4-dirty``. A field added later is not hashed (the
+#: printed columns still show what it moves); add one here only with a new
+#: record that says so
+DIGEST_FIELDS = (
+    "protocol", "params", "handoffs", "overhead_per_handoff",
+    "mean_handoff_delay_ms", "median_handoff_delay_ms", "published",
+    "expected_deliveries", "delivered", "duplicates", "order_violations",
+    "lost", "missing", "overhead_by_category", "sim_events", "crash_lost",
+    "recovered", "shed", "injected_drops", "injected_dups", "meter_drops",
+    "meter_dups", "retransmits", "breaker_trips", "repairs",
+    "post_repair_publishes", "stale_timer_fires", "wal_handovers",
+    "wal_checkpoints", "wired_by_category", "delivery_log", "model_ms",
+    "drained", "violations",
+)
 
-#: one point, run in a fresh interpreter (argv: protocol, model seconds);
-#: it imports nothing but the program and what it measures with, so its
-#: max RSS is the run's
+#: one point, run in a fresh interpreter (argv: protocol, model seconds,
+#: the comma-separated digest fields); it imports nothing but the program
+#: and what it measures with, so its peak RSS is the run's
 _CHILD = """
-import dataclasses, hashlib, json, resource, sys, time
+import hashlib, json, sys, time
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_system, drain_to_quiescence
 from repro.metrics.summary import build_row
@@ -71,15 +92,14 @@ drain_to_quiescence(system, workload, cfg.drain_limit_ms)
 system.close()
 t3 = cpu()
 row = build_row(cfg, system)
-fields = {f.name: getattr(row, f.name)
-          for f in dataclasses.fields(row) if f.compare}
+fields = {name: getattr(row, name) for name in sys.argv[3].split(",")}
 json.dump({
     "host": {
         "setup_cpu_s": round(t1 - t0, 3),
         "window_cpu_s": round(t2 - t1, 3),
         "drain_cpu_s": round(t3 - t2, 3),
-        "max_rss_mb": round(
-            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        "max_rss_mb": round(int(open("/proc/self/status").read()
+                                .split("VmHWM:")[1].split()[0]) / 1024, 1),
     },
     "simulated": {
         "sim_events": row.sim_events,
@@ -100,7 +120,8 @@ def run_point(protocol: str, until_s: float) -> dict:
     """One point in a fresh interpreter: ``{"host": ..., "simulated": ...}``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, "-c", _CHILD, protocol, repr(until_s)],
+        [sys.executable, "-c", _CHILD, protocol, repr(until_s),
+         ",".join(DIGEST_FIELDS)],
         env=env, cwd=ROOT, capture_output=True, text=True, check=True,
     ).stdout
     return json.loads(out)

@@ -1,9 +1,9 @@
 """Delivery checking: exactly-once, per-publisher order, loss.
 
 Ground truth: at publish time every event is matched against the static set
-of client subscriptions (vectorised over numpy arrays), yielding the exact
-expected delivery count per client. At the end of a run (after the runner's
-drain phase) the checker settles:
+of client subscriptions (one pass over the registered ranges), yielding the
+exact expected delivery count per client. At the end of a run (after the
+runner's drain phase) the checker settles:
 
     expected == delivered_unique + lost + crash_lost + shed
 
@@ -28,9 +28,6 @@ plus accounted losses, not by run length.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
 
 from repro.pubsub.events import Notification
 
@@ -91,10 +88,8 @@ class DeliveryChecker:
     """
 
     def __init__(self) -> None:
-        self._sub_clients: list[int] = []
-        self._sub_lo: list[float] = []
-        self._sub_hi: list[float] = []
-        self._arrays: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # (client, lo, hi) of every registered range, in registration order
+        self._subs: list[tuple[int, float, float]] = []
         # client -> [(lo, hi, the _published bitmaps when it registered)]
         self._ranges: dict[int, list[tuple[float, float, dict[int, int]]]] = {}
         self.expected_per_client: dict[int, int] = {}
@@ -143,7 +138,7 @@ class DeliveryChecker:
         """:meth:`mark_crash_risk` for every subscriber of ``event`` (a
         publish the overlay may have eaten before it was matched)."""
         eid = event.event_id
-        for cid in self.matching_clients(event.topic).tolist():
+        for cid in self.matching_clients(event.topic):
             self._mark(cid, eid, CRASH)
 
     def finalize_accounting(self) -> None:
@@ -189,10 +184,7 @@ class DeliveryChecker:
     # ------------------------------------------------------------------
     def register_subscription(self, client: int, lo: float, hi: float) -> None:
         """Declare that ``client`` subscribes to topics in [lo, hi]."""
-        self._sub_clients.append(client)
-        self._sub_lo.append(lo)
-        self._sub_hi.append(hi)
-        self._arrays = None
+        self._subs.append((client, lo, hi))
         # events published before now are not expected by this range
         self._ranges.setdefault(client, []).append(
             (lo, hi, dict(self._published))
@@ -200,15 +192,13 @@ class DeliveryChecker:
         self.expected_per_client.setdefault(client, 0)
         self._outstanding.setdefault(client, {})
 
-    def matching_clients(self, topic: float) -> np.ndarray:
-        if self._arrays is None:
-            self._arrays = (
-                np.asarray(self._sub_clients, dtype=np.int64),
-                np.asarray(self._sub_lo, dtype=np.float64),
-                np.asarray(self._sub_hi, dtype=np.float64),
-            )
-        clients, lo, hi = self._arrays
-        return clients[(lo <= topic) & (topic <= hi)]
+    def matching_clients(self, topic: float) -> list[int]:
+        """Each range's client if it holds ``topic``, in registration order."""
+        matched = []
+        for client, lo, hi in self._subs:
+            if lo <= topic <= hi:
+                matched.append(client)
+        return matched
 
     # ------------------------------------------------------------------
     def on_publish(self, event: Notification) -> None:
@@ -216,9 +206,9 @@ class DeliveryChecker:
         pub = event.publisher
         self._published[pub] = self._published.get(pub, 0) | 1 << event.seq
         matched = self.matching_clients(event.topic)
-        self.stats.expected += int(matched.size)
+        self.stats.expected += len(matched)
         eid = event.event_id
-        for cid in matched.tolist():
+        for cid in matched:
             self.expected_per_client[cid] += 1
             self._outstanding[cid][eid] = 0
 

@@ -47,9 +47,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-import numpy as np
-
-from repro.sim.rng import uniforms
+from repro.sim.rng import Stream, uniforms
 from repro.util.validation import check_non_negative, check_probability
 
 __all__ = ["FaultProfile", "LinkFaultInjector", "FAULT_FREE"]
@@ -115,7 +113,7 @@ class LinkFaultInjector:
     def __init__(
         self,
         profile: FaultProfile,
-        rng: np.random.Generator,
+        rng: Stream,
         droppable: Callable[[Any], bool],
         on_drop: Callable[[Any], None],
     ) -> None:
@@ -185,5 +183,5 @@ class LinkFaultInjector:
         j = self.profile.wireless_jitter_ms
         if j <= 0.0:
             return 0.0
-        # == float(rng.uniform(0.0, j)): numpy computes 0.0 + j * u
+        # == rng.uniform(0.0, j), which computes 0.0 + j * u
         return j * next(self._uniform)

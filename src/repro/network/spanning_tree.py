@@ -21,11 +21,10 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from repro.errors import TopologyError
 from repro.network.paths import ShortestPaths
 from repro.network.topology import Topology
+from repro.sim.rng import Stream
 
 __all__ = ["SpanningTree", "minimum_spanning_tree", "rebuild_spanning_tree"]
 
@@ -104,7 +103,7 @@ def minimum_spanning_tree(
     >>> sum(1 for _ in t.edges())
     15
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, topo.n, 0x5175]))
+    rng = Stream((seed, topo.n, 0x5175))
     return _seeded_prim(topo, rng, root, topo.n, lambda _u, _v: True)
 
 
@@ -134,9 +133,7 @@ def rebuild_spanning_tree(
     cut = {(min(a, b), max(a, b)) for a, b in avoid_edges}
     if root is None or root not in alive_set:
         root = min(alive_set)
-    rng = np.random.default_rng(
-        np.random.SeedSequence([seed, topo.n, generation, 0x5176])
-    )
+    rng = Stream((seed, topo.n, generation, 0x5176))
 
     def usable(u: int, v: int) -> bool:
         return v in alive_set and (min(u, v), max(u, v)) not in cut
@@ -146,7 +143,7 @@ def rebuild_spanning_tree(
 
 def _seeded_prim(
     topo: Topology,
-    rng: np.random.Generator,
+    rng: Stream,
     root: int,
     members: int,
     usable: Callable[[int, int], bool],
@@ -162,7 +159,7 @@ def _seeded_prim(
     heap: list[tuple[float, int, int]] = []
     for v in topo.neighbors(root):
         if usable(root, v):
-            heapq.heappush(heap, (float(rng.random()), root, v))
+            heapq.heappush(heap, (rng.random(), root, v))
     added = 1
     while heap and added < members:
         _tb, u, v = heapq.heappop(heap)
@@ -173,7 +170,7 @@ def _seeded_prim(
         added += 1
         for nxt in topo.neighbors(v):
             if not in_tree[nxt] and usable(v, nxt):
-                heapq.heappush(heap, (float(rng.random()), v, nxt))
+                heapq.heappush(heap, (rng.random(), v, nxt))
     if added != members:
         raise TopologyError(
             f"overlay is disconnected: reached {added} of {members} "

@@ -11,7 +11,9 @@ A small, fast, deterministic DES kernel purpose-built for this reproduction
 * :class:`~repro.sim.process.Process` — generator-based cooperative
   processes for workload modelling (``yield delay`` suspends).
 * :class:`~repro.sim.rng.RandomStreams` — named, independently seeded
-  numpy random streams so workload draws are reproducible and decoupled.
+  random streams so workload draws are reproducible and decoupled: each a
+  pure-Python copy of numpy's default generator, draw for draw, so a run
+  never imports numpy.
 * :class:`~repro.sim.trace.Tracer` — structured event trace for debugging
   and for the delivery/ordering checkers.
 """

@@ -36,8 +36,8 @@ class SubscriptionGenerator:
     def draw(self, client_index: int) -> RangeFilter:
         """Subscription filter for the ``client_index``-th client."""
         rng = self.streams.stream(f"workload/subscription/{client_index}")
-        width = float(rng.uniform(0.0, 2.0 * self.match_fraction))
-        lo = float(rng.uniform(0.0, 1.0 - width))
+        width = rng.uniform(0.0, 2.0 * self.match_fraction)
+        lo = rng.uniform(0.0, 1.0 - width)
         return RangeFilter(lo, lo + width)
 
 
@@ -58,9 +58,7 @@ def build_population(
             clients.append(system.add_client(filt, broker=broker_id))
     n_mobile = round(spec.mobile_fraction * len(clients))
     picker = system.streams.stream("workload/mobile-selection")
-    mobile_idx = set(
-        picker.choice(len(clients), size=n_mobile, replace=False).tolist()
-    )
+    mobile_idx = set(picker.choice(len(clients), size=n_mobile, replace=False))
     static: list["Client"] = []
     mobile: list["Client"] = []
     for i, client in enumerate(clients):

@@ -96,7 +96,7 @@ class Workload:
         rng = self.system.streams.stream(f"workload/publish/{client.id}")
         mean_ms = self.spec.publish_interval_s * SECONDS
         while True:
-            yield float(rng.exponential(mean_ms))
+            yield rng.exponential(mean_ms)
             if self._stopped:
                 return
             if client.connected:
@@ -107,12 +107,12 @@ class Workload:
         conn_ms = self.spec.mean_connected_s * SECONDS
         disc_ms = self.spec.mean_disconnected_s * SECONDS
         while True:
-            yield float(rng.exponential(conn_ms))
+            yield rng.exponential(conn_ms)
             if self._stopped:
                 return
             if client.connected:  # a broker crash may have detached it already
                 client.disconnect()
-            yield float(rng.exponential(disc_ms))
+            yield rng.exponential(disc_ms)
             if self._stopped:
                 # leave the client disconnected; the drain phase reconnects it
                 return

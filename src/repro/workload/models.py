@@ -41,9 +41,8 @@ from seeds and will catch violations as cross-run divergence.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Any, ClassVar, Mapping, Optional, Sequence, TYPE_CHECKING
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.util.validation import check_non_negative, check_positive
@@ -51,6 +50,7 @@ from repro.util.validation import check_non_negative, check_positive
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pubsub.client import Client
     from repro.pubsub.system import PubSubSystem
+    from repro.sim.rng import Stream
 
 __all__ = [
     "MobilityModel",
@@ -66,12 +66,34 @@ __all__ = [
 ]
 
 
-def zipf_weights(n: int, exponent: float) -> np.ndarray:
-    """Normalised Zipf weights ``(rank+1)^-exponent`` over ``n`` ranks."""
+def zipf_weights(n: int, exponent: float) -> list[float]:
+    """Normalised Zipf weights ``(rank+1)^-exponent`` over ``n`` ranks:
+    numpy's ``w / w.sum()`` over the same powers (numpy's vectorised ``**``
+    may round a power 1 ulp the other way)."""
     check_positive("n", n)
     check_non_negative("exponent", exponent)
-    w = np.arange(1, n + 1, dtype=np.float64) ** -float(exponent)
-    return w / w.sum()
+    w = [k ** -float(exponent) for k in range(1, n + 1)]
+    total = _pairwise_sum(w)
+    return [x / total for x in w]
+
+
+def _pairwise_sum(a: list[float]) -> float:
+    """numpy's float64 sum: 8 running sums a block of <= 128, halved above."""
+    n = len(a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    total, rest = -0.0, a
+    if n >= 8:
+        r = a[:8]
+        for i in range(8, n - n % 8, 8):
+            r = list(map(add, r, a[i:i + 8]))
+        total = (((r[0] + r[1]) + (r[2] + r[3]))
+                 + ((r[4] + r[5]) + (r[6] + r[7])))
+        rest = a[n - n % 8:]
+    for x in rest:
+        total += x
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +118,7 @@ class MobilityModel:
         self.system = system
         self.n = system.broker_count
 
-    def next_broker(self, rng: np.random.Generator, client: "Client") -> int:
+    def next_broker(self, rng: "Stream", client: "Client") -> int:
         """The base station ``client`` reconnects at after this
         disconnection period. ``rng`` is the client's own mobility stream —
         draw all randomness from it."""
@@ -142,7 +164,7 @@ class UniformMobility(MobilityModel):
 
     name = "uniform"
 
-    def next_broker(self, rng: np.random.Generator, client: "Client") -> int:
+    def next_broker(self, rng: "Stream", client: "Client") -> int:
         return int(rng.integers(self.n))
 
 
@@ -164,7 +186,7 @@ class HotspotMobility(MobilityModel):
         super().bind(system)
         self.weights = zipf_weights(self.n, self.exponent)
 
-    def next_broker(self, rng: np.random.Generator, client: "Client") -> int:
+    def next_broker(self, rng: "Stream", client: "Client") -> int:
         return int(rng.choice(self.n, p=self.weights))
 
 
@@ -186,7 +208,7 @@ class PingPongMobility(MobilityModel):
             for b in range(self.n)
         }
 
-    def next_broker(self, rng: np.random.Generator, client: "Client") -> int:
+    def next_broker(self, rng: "Stream", client: "Client") -> int:
         home = client.home_broker
         partner = self._partner[home]
         # oscillate: if last seen at home, go to the partner, else home
@@ -226,7 +248,7 @@ class TraceReplayMobility(MobilityModel):
                     f"topology has brokers 0..{self.n - 1}"
                 )
 
-    def next_broker(self, rng: np.random.Generator, client: "Client") -> int:
+    def next_broker(self, rng: "Stream", client: "Client") -> int:
         step = self._pos.get(client.id, 0)
         self._pos[client.id] = step + 1
         seq = self.trace.get(client.id)
@@ -257,8 +279,8 @@ class TopicSampler:
         self.bins = int(bins)
         self._weights = zipf_weights(self.bins, skew) if skew > 0 else None
 
-    def draw(self, rng: np.random.Generator) -> float:
+    def draw(self, rng: "Stream") -> float:
         if self._weights is None:
-            return float(rng.uniform())
-        b = int(rng.choice(self.bins, p=self._weights))
-        return (b + float(rng.uniform())) / self.bins
+            return rng.uniform()
+        b = rng.choice(self.bins, p=self._weights)
+        return (b + rng.uniform()) / self.bins

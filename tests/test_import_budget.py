@@ -1,15 +1,17 @@
 """A simulated run imports only the layers it runs.
 
 Each case runs one small experiment in a fresh interpreter and then reads
-``sys.modules``: the live asyncio driver, the socket transport, the
-conformance fuzzer, the figure sweeps and the protocols the run did not
+``sys.modules``: numpy, the live asyncio driver, the socket transport,
+the conformance fuzzer, the figure sweeps and the protocols the run did not
 select must not be there, and neither must the heavy standard-library
 stacks they bring (asyncio pulls in ``ssl``, ``socket``, ``selectors``,
 ``subprocess`` and ``concurrent.futures``; the sweeps' worker pool pulls
 in ``multiprocessing``). Each of those costs a fresh process memory and
 start-up time on every simulated run, and none of them is used there. A
 durable run writes its log in the wire codec's values and frames, so it
-may load those two modules, and nothing else of ``repro.wire``.
+may load those two modules, and nothing else of ``repro.wire``; it runs
+with numpy made unimportable, so a run that merely tries to import numpy
+fails.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: standard-library stacks a simulated run must not load
 HEAVY_STDLIB = ("asyncio", "ssl", "socket", "selectors", "subprocess",
                 "multiprocessing", "concurrent.futures")
+#: third-party packages a simulated run must not load (numpy is needed only
+#: by tests and the benchmark harness)
+THIRD_PARTY = ("numpy",)
 #: repro modules (and packages, with everything under them) a simulated
 #: run must not load
 FORBIDDEN = ("repro.drivers.live", "repro.drivers.socket", "repro.wire",
@@ -48,10 +53,12 @@ DURABLE_MODULE_BUDGET = 53
 
 _PROBE = """
 import json, sys
+if "no-numpy" in sys.argv[2:]:
+    sys.modules["numpy"] = None  # any ``import numpy`` raises ImportError
 from repro.experiments import ExperimentConfig, run_experiment
 from repro.workload.spec import WorkloadSpec
 
-durable = sys.argv[2:] == ["durable"]
+durable = "durable" in sys.argv[2:]
 cfg = ExperimentConfig(
     sys.argv[1], grid_k=3, seed=1, reliable=durable, durable=durable,
     workload=WorkloadSpec(clients_per_broker=2, mean_connected_s=5.0,
@@ -60,7 +67,8 @@ cfg = ExperimentConfig(
 )
 row = run_experiment(cfg)
 assert row.violations == [], row.violations
-json.dump(sorted(sys.modules), sys.stdout)
+json.dump(sorted(m for m, mod in sys.modules.items() if mod is not None),
+          sys.stdout)
 """
 
 
@@ -82,7 +90,7 @@ def test_a_simulated_run_loads_only_what_it_runs(protocol):
     loaded = _modules_after_run(protocol)
     other_protocols = [m for p, m in PROTOCOL_MODULES.items() if p != protocol]
     unexpected = [m for m in loaded
-                  if _under(m, HEAVY_STDLIB + FORBIDDEN)
+                  if _under(m, HEAVY_STDLIB + FORBIDDEN + THIRD_PARTY)
                   or m in other_protocols]
     assert unexpected == [], f"{protocol} run loaded {unexpected}"
     assert PROTOCOL_MODULES[protocol] in loaded
@@ -94,10 +102,10 @@ def test_a_simulated_run_loads_only_what_it_runs(protocol):
 
 
 def test_a_durable_run_loads_the_codec_and_no_other_protocol():
-    loaded = _modules_after_run("mhh", "durable")
+    loaded = _modules_after_run("mhh", "durable", "no-numpy")
     other_protocols = [m for p, m in PROTOCOL_MODULES.items() if p != "mhh"]
     unexpected = [m for m in loaded
-                  if (_under(m, HEAVY_STDLIB + FORBIDDEN)
+                  if (_under(m, HEAVY_STDLIB + FORBIDDEN + THIRD_PARTY)
                       and m not in DURABLE_WIRE)
                   or m in other_protocols]
     assert unexpected == [], f"durable mhh run loaded {unexpected}"

@@ -43,20 +43,20 @@ def test_draw_order_in_one_stream_does_not_affect_other():
 def test_exponential_mean_roughly_correct():
     rs = RandomStreams(3)
     n = 4000
-    total = sum(rs.exponential("e", 250.0) for _ in range(n))
+    total = sum(rs.stream("e").exponential(250.0) for _ in range(n))
     assert 220.0 < total / n < 280.0
 
 
 def test_integers_in_range():
     rs = RandomStreams(3)
-    draws = {rs.integers("i", 0, 4) for _ in range(200)}
+    draws = {rs.stream("i").integers(4) for _ in range(200)}
     assert draws == {0, 1, 2, 3}
 
 
 def test_uniform_in_range():
     rs = RandomStreams(3)
     for _ in range(100):
-        x = rs.uniform("u", 2.0, 3.0)
+        x = rs.stream("u").uniform(2.0, 3.0)
         assert 2.0 <= x < 3.0
 
 
@@ -66,9 +66,9 @@ def test_block_uniforms_equal_scalar_draws_on_the_backoff_stream():
     two block refills; and a block is drawn only when a value is asked."""
     rng = RandomStreams(9).stream("reliability/backoff")
     ref = RandomStreams(9).stream("reliability/backoff")
-    state = rng.bit_generator.state
+    position = rng.position
     draws = uniforms(rng)
-    assert rng.bit_generator.state == state
+    assert rng.position == position
     for _ in range(2 * UNIFORM_BLOCK + 3):
         u, want = next(draws), float(ref.random())
         assert type(u) is float and u == want
