@@ -9,7 +9,7 @@ The package provides, from scratch:
   names are in :mod:`repro.drivers.live`),
 * the paper's network substrate — k x k base-station grid, MST overlay,
   FIFO links with the paper's latencies (:mod:`repro.network`),
-* a content-based publish/subscribe system with reverse path forwarding
+* a topic-range publish/subscribe system with reverse path forwarding
   and covering-based subscription propagation (:mod:`repro.pubsub`),
 * the MHH mobility-management protocol plus the sub-unsub and home-broker
   baselines (:mod:`repro.mobility`, each protocol in its own module,
@@ -57,11 +57,7 @@ from repro.network import (
 )
 from repro.pubsub import (
     Notification,
-    Filter,
     RangeFilter,
-    AttributeConstraint,
-    ConjunctionFilter,
-    Op,
     Broker,
     Client,
     PubSubSystem,
@@ -102,11 +98,7 @@ __all__ = [
     "LinkLayer",
     # pub/sub
     "Notification",
-    "Filter",
     "RangeFilter",
-    "AttributeConstraint",
-    "ConjunctionFilter",
-    "Op",
     "Broker",
     "Client",
     "PubSubSystem",

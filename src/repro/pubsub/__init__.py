@@ -1,4 +1,4 @@
-"""Content-based publish/subscribe substrate.
+"""Topic-range publish/subscribe substrate.
 
 Implements the system model of the paper's Section 3:
 
@@ -19,13 +19,7 @@ links; mobility (connect / disconnect / handoff) is delegated to a pluggable
 """
 
 from repro.pubsub.events import Notification
-from repro.pubsub.filters import (
-    Filter,
-    RangeFilter,
-    AttributeConstraint,
-    ConjunctionFilter,
-    Op,
-)
+from repro.pubsub.filters import RangeFilter
 from repro.pubsub.interval_index import IntervalIndex
 from repro.pubsub.filter_table import FilterTable, ClientEntry
 from repro.pubsub.broker import Broker
@@ -34,11 +28,7 @@ from repro.pubsub.system import PubSubSystem, SystemOptions
 
 __all__ = [
     "Notification",
-    "Filter",
     "RangeFilter",
-    "AttributeConstraint",
-    "ConjunctionFilter",
-    "Op",
     "IntervalIndex",
     "FilterTable",
     "ClientEntry",

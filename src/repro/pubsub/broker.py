@@ -25,7 +25,7 @@ from repro.errors import ProtocolError
 from repro.mobility.queues import PersistentQueue
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable
-from repro.pubsub.filters import Filter
+from repro.pubsub.filters import RangeFilter
 from repro.pubsub import messages as m
 from repro.util.ids import QueueRef
 
@@ -161,7 +161,7 @@ class Broker:
         self,
         client: int,
         key: Hashable,
-        f: Filter,
+        f: RangeFilter,
         category: str,
         live: bool,
         sink: Optional[int] = None,
@@ -215,7 +215,7 @@ class Broker:
         m.ConnectMessage: _rx_connect,
     }
 
-    def advertise(self, nbr: int, key: Hashable, f: Filter) -> bool:
+    def advertise(self, nbr: int, key: Hashable, f: RangeFilter) -> bool:
         """The subscription flood rule: mirror ``sub(key, f)`` as advertised
         to ``nbr`` unless covering prunes it or ``nbr`` already has ``key``.
         True if it is new there, and so must propagate (as a message, or as
@@ -245,7 +245,7 @@ class Broker:
         if withdrawn is None:
             return
         table.advertised_remove(nbr, key)
-        resubs: list[tuple[Hashable, Filter]] = []
+        resubs: list[tuple[Hashable, RangeFilter]] = []
         if self.system.covering_enabled:
             # candidate filters that may have been suppressed by `key`
             for cand_key, cand_f in table.covered_candidates(nbr, withdrawn):
@@ -267,7 +267,7 @@ class Broker:
     # ------------------------------------------------------------------
     # direct table surgery (MHH subscription migration)
     # ------------------------------------------------------------------
-    def migration_install_toward(self, nbr: int, key: Hashable, f: Filter) -> None:
+    def migration_install_toward(self, nbr: int, key: Hashable, f: RangeFilter) -> None:
         """Step 1 of §4.1: mark neighbour ``nbr`` as interested in ``key``."""
         self.table.add_broker_filter(nbr, key, f)
 
@@ -284,7 +284,7 @@ class Broker:
         sub_migration; drop the mirror entry now (send time)."""
         self.table.advertised_remove(nbr, key)
 
-    def migration_mirror_received(self, nbr: int, key: Hashable, f: Filter) -> None:
+    def migration_mirror_received(self, nbr: int, key: Hashable, f: RangeFilter) -> None:
         """We installed ``(nbr <- key)`` on their behalf; record that we are
         now (logically) advertising ``key`` to ``nbr``'s predecessor side."""
         self.table.advertised_add(nbr, key, f)

@@ -23,7 +23,7 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.errors import ClientStateError
 from repro.pubsub.events import Notification
-from repro.pubsub.filters import Filter
+from repro.pubsub.filters import RangeFilter
 from repro.pubsub import messages as m
 from repro.util.ids import has_id
 
@@ -40,7 +40,7 @@ class Client:
         self,
         system: "PubSubSystem",
         client_id: int,
-        filter: Filter,
+        filter: RangeFilter,
         home_broker: int,
         mobile: bool = False,
     ) -> None:
@@ -148,7 +148,7 @@ class Client:
     # ------------------------------------------------------------------
     # publish / receive
     # ------------------------------------------------------------------
-    def publish(self, topic: float, attrs: Optional[dict] = None) -> Notification:
+    def publish(self, topic: float) -> Notification:
         """Publish one event at the current broker (uplink, 20 ms)."""
         broker = self._require_connected("publish")
         event = Notification(
@@ -157,7 +157,6 @@ class Client:
             seq=self._pub_seq,
             publish_time=self.system.clock.now,
             topic=topic,
-            attrs=attrs,
         )
         self._pub_seq += 1
         self.system.metrics.on_publish(event)

@@ -7,14 +7,11 @@ matching a client's filter, the one published first must arrive first
 per-publisher sequence number; these also drive the duplicate filtering and
 sorting inside the sub-unsub baseline's merge step.
 
-For matching speed the primary routing attribute (``topic``) is a slot
-field; arbitrary additional attributes live in an optional dict consulted
-only by general (non-range) filters.
+An event carries one routing attribute, its ``topic``; a subscription
+is a closed range on it (:class:`~repro.pubsub.filters.RangeFilter`).
 """
 
 from __future__ import annotations
-
-from typing import Any, Mapping, Optional
 
 __all__ = ["Notification"]
 
@@ -34,16 +31,11 @@ class Notification:
         Simulation time at which the publisher handed the event to its
         broker (used by the merge sort of the sub-unsub baseline).
     topic:
-        Primary routing attribute, a float in ``[0, 1)`` in the paper
+        The one routing attribute, a float in ``[0, 1)`` in the paper
         workload (any float is accepted).
-    attrs:
-        Optional additional attributes for general content-based filters.
     """
 
-    __slots__ = (
-        "event_id", "publisher", "seq", "publish_time", "topic", "attrs",
-        "_attr_items",
-    )
+    __slots__ = ("event_id", "publisher", "seq", "publish_time", "topic")
 
     def __init__(
         self,
@@ -52,41 +44,12 @@ class Notification:
         seq: int,
         publish_time: float,
         topic: float,
-        attrs: Optional[Mapping[str, Any]] = None,
     ) -> None:
         self.event_id = event_id
         self.publisher = publisher
         self.seq = seq
         self.publish_time = publish_time
         self.topic = topic
-        self.attrs = dict(attrs) if attrs else None
-        self._attr_items: Optional[tuple] = None
-
-    def attrs_items(self) -> tuple:
-        """Cached ``tuple(attrs.items())`` (empty when there are none).
-
-        One notification object is shared across its whole fan-out, and the
-        wire codec re-encodes it once per wired hop — the cached pairs
-        tuple makes every encode after the first allocation-free. Valid
-        because events are immutable once published (nothing in the
-        routing/delivery path writes ``attrs``).
-        """
-        items = self._attr_items
-        if items is None:
-            items = self._attr_items = (
-                tuple(self.attrs.items()) if self.attrs else ()
-            )
-        return items
-
-    def get(self, attr: str, default: Any = None) -> Any:
-        """Attribute lookup used by general filters (``topic`` included)."""
-        if attr == "topic":
-            return self.topic
-        if attr == "publisher":
-            return self.publisher
-        if self.attrs is None:
-            return default
-        return self.attrs.get(attr, default)
 
     # Sort key giving a total order consistent with per-publisher order.
     def order_key(self) -> tuple[float, int, int]:

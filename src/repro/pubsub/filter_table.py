@@ -15,12 +15,13 @@ The table therefore has two parts:
   they arrive from the labelled neighbour (§4.1 step 2) — the mechanism that
   captures in-transit events into temporary queues during a handoff.
 
-Matching has one path: per neighbour, one
-:class:`~repro.pubsub.interval_index.IntervalIndex` stab for the topic-range
-filters plus a scan of that neighbour's few general filters; then a loop
-over the local client entries honouring MHH labels. Broker tables hold
-100–250 filters at the paper's scale, where this beats any broker-wide
-index that every table mutation would also have to maintain
+Every filter is a closed topic range
+(:class:`~repro.pubsub.filters.RangeFilter`), so matching has one path:
+per neighbour, one :class:`~repro.pubsub.interval_index.IntervalIndex`
+stab; then a loop over the local client entries honouring MHH labels,
+comparing the event's topic with each entry's cached bounds. Broker
+tables hold 100–250 filters at the paper's scale, where this beats any
+broker-wide index that every table mutation would also have to maintain
 (docs/ARCHITECTURE.md has the measurement); the ``Mirror`` oracle under
 ``tests/`` checks it against brute force.
 
@@ -35,10 +36,10 @@ set, asked three questions**:
 
 * every filter set (per neighbour: received and advertised; plus the client
   entries' filters once a covering withdrawal has asked for them) is one
-  keyed set, one ``key -> Filter`` map, and an *incremental*
+  keyed set, one ``key -> RangeFilter`` map, and an *incremental*
   :class:`~repro.pubsub.interval_index.IntervalIndex` over that same map
-  that reads each topic-range member's interval from the filter (its
-  :attr:`~repro.pubsub.filters.Filter.topic_range`). A handoff's table
+  that reads each member's interval from the filter (its
+  :attr:`~repro.pubsub.filters.RangeFilter.topic_range`). A handoff's table
   edit is one dict write, plus one O(log n) write to flat float arrays
   once a query has built them, made by the set's own ``add`` / ``remove``
   in one frame. The stamps that rank a set's members in table order are
@@ -50,11 +51,8 @@ set, asked three questions**:
   enumeration visits exactly the entries a withdrawn filter could have
   been suppressing, less those the neighbour is advertised already (the
   mirror is one dict probe per key, made during the walk), in table order
-  (client entries, then neighbours ascending);
-* members with no topic-range form are few (the paper's workload installs
-  none); they answer covering by a scan of the set's ``general`` members.
-  The brute-force scan of every member is the tests-only reference
-  ``tests/covering_scan.py``;
+  (client entries, then neighbours ascending). The brute-force scan of
+  every member is the tests-only reference ``tests/covering_scan.py``;
 * a client→entries map makes :meth:`FilterTable.get_client_entry` (every
   MHH connect, and twice per sub-migration hop) one bucket probe instead of
   a scan over every entry on the broker.
@@ -69,7 +67,7 @@ from typing import Hashable, Iterable, Iterator, Optional
 
 from repro.errors import ProtocolError
 from repro.pubsub.events import Notification
-from repro.pubsub.filters import Filter
+from repro.pubsub.filters import RangeFilter
 from repro.pubsub.interval_index import IntervalIndex
 from repro.util.ids import QueueId
 
@@ -98,7 +96,7 @@ class ClientEntry:
         self,
         client: int,
         key: Hashable,
-        filter: Filter,
+        filter: RangeFilter,
         label: Optional[int] = None,
         live: bool = False,
         sink: Optional[QueueId] = None,
@@ -106,9 +104,8 @@ class ClientEntry:
         self.client = client
         self.key = key
         self.filter = filter
-        # its topic-range form (None, None without one): FilterTable.match
-        # compares these in place of a filter.matches call
-        self.lo, self.hi = filter.topic_range or (None, None)
+        # FilterTable.match compares these in place of a filter.matches call
+        self.lo, self.hi = filter.topic_range
         self.label = label
         self.live = live
         self.sink = sink
@@ -127,80 +124,55 @@ class ClientEntry:
 _ENTRY_SEQ = attrgetter("seq")
 
 
-#: added to the stamp of a member with no topic range: ranks it after every
-#: topic-range member, as :meth:`_PeerFilters.keys` lists them
-_GENERAL = 1 << 62
-
-
 class _PeerFilters:
-    """One keyed filter set: a topic-range index plus the general rest.
+    """One keyed filter set and its interval index.
 
     ``filters`` (key -> installed filter, so lookups return the original)
-    is the set's one map. ``ranges`` indexes the members that have a
-    :attr:`~Filter.topic_range` over that same map, reading each interval
-    from the filter, and alone answers all three interval questions
-    about them — stab (:meth:`FilterTable.match`), containment
-    (:meth:`FilterTable.advertised_covers`) and contained keys
+    is the set's one map, in :meth:`keys` order. ``ranges`` indexes that
+    same map, reading each interval from the filter, and alone answers
+    all three interval questions — stab (:meth:`FilterTable.match`),
+    containment (:meth:`FilterTable.advertised_covers`) and contained keys
     (:meth:`FilterTable.covered_candidates`), each asked on its arrays in
-    the table's own frame. The members without one (none on the paper's
-    workload) are also listed in ``general``, which answers a match and
-    the two covering questions by a scan.
+    the table's own frame.
 
-    ``filters`` is in :meth:`keys` order within each kind: a member that
-    changes kind (topic range <-> general) leaves it and re-enters at the
-    end. ``_seq`` stamps each key with its rank in :meth:`keys` order, so
+    ``_seq`` stamps each key with its rank in :meth:`keys` order, so
     candidate enumeration can rank by table order. Like the index's
     arrays it is made by the first question that needs it (a
     :meth:`FilterTable.covered_candidates` that ranks this set) and
     maintained from then on: a set nobody ranks never has stamps.
     """
 
-    __slots__ = ("filters", "ranges", "general", "_seq", "_next_seq")
+    __slots__ = ("filters", "ranges", "_seq", "_next_seq")
 
     def __init__(self) -> None:
-        self.filters: dict[Hashable, Filter] = {}
+        self.filters: dict[Hashable, RangeFilter] = {}
         self.ranges = IntervalIndex(self.filters)
-        self.general: dict[Hashable, Filter] = {}
         self._seq: Optional[dict[Hashable, int]] = None
         self._next_seq: Optional[Iterator[int]] = None
 
-    def add(self, key: Hashable, f: Filter) -> None:
+    def add(self, key: Hashable, f: RangeFilter) -> None:
         """Insert or replace ``key``: the one frame of a table edit. A new
-        topic-range member is one dict write while the index's arrays are
-        unbuilt (a set nobody queries, like the mirror of a run without
-        covering, never builds them) and one sorted insert once they are."""
+        member is one dict write while the index's arrays are unbuilt (a
+        set nobody queries, like the mirror of a run without covering,
+        never builds them) and one sorted insert once they are."""
         filters = self.filters
         ranges = self.ranges
-        rng = f.topic_range
         old = filters.get(key)
-        if old is not None:
-            old_rng = old.topic_range
-            if old_rng is not None and not ranges._dirty:
-                ranges._remove_sorted(key, old_rng)
-            if (old_rng is None) is not (rng is None):  # changes kind
-                if old_rng is None:
-                    del self.general[key]
-                del filters[key]
-                old = None
         filters[key] = f
-        if rng is None:
-            self.general[key] = f
-        elif not ranges._dirty:
-            ranges._insert_sorted(key, rng[0], rng[1])
+        if not ranges._dirty:
+            if old is not None:
+                ranges._remove_sorted(key, old.topic_range)
+            ranges._insert_sorted(key, f.lo, f.hi)
         if old is None and self._seq is not None:
-            stamp = next(self._next_seq)
-            self._seq[key] = stamp if rng is not None else stamp + _GENERAL
+            self._seq[key] = next(self._next_seq)
 
     def remove(self, key: Hashable) -> bool:
         """Remove ``key``; False, and nothing changed, if it was absent."""
         f = self.filters.pop(key, None)
         if f is None:
             return False
-        rng = f.topic_range
-        if rng is None:
-            del self.general[key]
-        elif not self.ranges._dirty:
-            self.ranges._remove_sorted(key, rng)
+        if not self.ranges._dirty:
+            self.ranges._remove_sorted(key, f.topic_range)
         if self._seq is not None:
             del self._seq[key]
         return True
@@ -209,9 +181,7 @@ class _PeerFilters:
         """``_seq``, made from ``filters`` order on the first call."""
         seq = self._seq
         if seq is None:
-            seq = self._seq = {}
-            for n, (key, f) in enumerate(self.filters.items()):
-                seq[key] = n if f.topic_range is not None else n + _GENERAL
+            seq = self._seq = {key: n for n, key in enumerate(self.filters)}
             self._next_seq = count(len(seq))
         return seq
 
@@ -222,10 +192,9 @@ class _PeerFilters:
         return len(self.filters)
 
     def keys(self) -> list[Hashable]:
-        return [key for key, f in self.filters.items()
-                if f.topic_range is not None] + list(self.general)
+        return list(self.filters)
 
-    def get(self, key: Hashable) -> Optional[Filter]:
+    def get(self, key: Hashable) -> Optional[RangeFilter]:
         return self.filters.get(key)
 
 
@@ -263,7 +232,7 @@ class FilterTable:
     # ------------------------------------------------------------------
     # broker-filter side
     # ------------------------------------------------------------------
-    def add_broker_filter(self, nbr: int, key: Hashable, f: Filter) -> None:
+    def add_broker_filter(self, nbr: int, key: Hashable, f: RangeFilter) -> None:
         self._from_nbr[nbr].add(key, f)
 
     def remove_broker_filter(self, nbr: int, key: Hashable) -> bool:
@@ -276,7 +245,7 @@ class FilterTable:
     def broker_filter_keys(self, nbr: int) -> list[Hashable]:
         return self._from_nbr[nbr].keys()
 
-    def broker_filter_get(self, nbr: int, key: Hashable) -> Optional[Filter]:
+    def broker_filter_get(self, nbr: int, key: Hashable) -> Optional[RangeFilter]:
         return self._from_nbr[nbr].get(key)
 
     def broker_filter_count(self, nbr: int) -> int:
@@ -285,7 +254,7 @@ class FilterTable:
     # ------------------------------------------------------------------
     # advertisement mirror
     # ------------------------------------------------------------------
-    def advertised_add(self, nbr: int, key: Hashable, f: Filter) -> None:
+    def advertised_add(self, nbr: int, key: Hashable, f: RangeFilter) -> None:
         self._advertised[nbr].add(key, f)
 
     def advertised_remove(self, nbr: int, key: Hashable) -> bool:
@@ -294,29 +263,20 @@ class FilterTable:
     def advertised_has(self, nbr: int, key: Hashable) -> bool:
         return key in self._advertised[nbr].filters
 
-    def advertised_covers(self, nbr: int, f: Filter) -> bool:
-        """Is ``f`` covered by something advertised to ``nbr``? (conservative)
-        Topic-range members are asked by containment, only of a topic-range
-        ``f``: :meth:`IntervalIndex.contains_interval` on the mirror's
-        arrays. General members are asked ``covers`` exactly."""
-        adv = self._advertised[nbr]
-        rng = f.topic_range
-        if rng is not None:
-            ranges = adv.ranges
-            if ranges._dirty:
-                ranges._rebuild()
-            idx = bisect_right(ranges._los, rng[0]) - 1
-            if idx >= 0 and ranges._max_hi[idx] >= rng[1]:
-                return True
-        for g in adv.general.values():
-            if g.covers(f):
-                return True
-        return False
+    def advertised_covers(self, nbr: int, f: RangeFilter) -> bool:
+        """Is ``f`` covered by something advertised to ``nbr``? Interval
+        containment, asked on the mirror's index arrays: the last member
+        whose ``lo`` is at most ``f.lo`` has the prefix maximum ``hi``."""
+        ranges = self._advertised[nbr].ranges
+        if ranges._dirty:
+            ranges._rebuild()
+        idx = bisect_right(ranges._los, f.lo) - 1
+        return idx >= 0 and ranges._max_hi[idx] >= f.hi
 
     def advertised_keys(self, nbr: int) -> list[Hashable]:
         return self._advertised[nbr].keys()
 
-    def advertised_get(self, nbr: int, key: Hashable) -> Optional[Filter]:
+    def advertised_get(self, nbr: int, key: Hashable) -> Optional[RangeFilter]:
         return self._advertised[nbr].filters.get(key)
 
     def advertised_count(self, nbr: int) -> int:
@@ -326,8 +286,8 @@ class FilterTable:
     # covering-based withdrawal support
     # ------------------------------------------------------------------
     def covered_candidates(
-        self, nbr: int, f: Filter
-    ) -> list[tuple[Hashable, Filter]]:
+        self, nbr: int, f: RangeFilter
+    ) -> list[tuple[Hashable, RangeFilter]]:
         """Table entries a withdrawal of ``f`` toward ``nbr`` could expose.
 
         When a covering-pruned advertisement is withdrawn, the only entries
@@ -340,8 +300,8 @@ class FilterTable:
         :meth:`broker_filter_keys` per neighbour ascending), which fixes the
         order of the re-advertisements a withdrawal sends.
 
-        For a topic-range ``f``, a set's topic-range members are found by
-        :meth:`IntervalIndex.contained_keys` written out on its arrays.
+        A set's contained members are found by one walk of its index
+        arrays, from the first ``lo >= f.lo`` to the last ``lo <= f.hi``.
         """
         local = self._client_filters
         if local is None:
@@ -350,41 +310,33 @@ class FilterTable:
                 local.add(key, entry.filter)
         advertised = self._advertised[nbr].filters
         skip = self._from_nbr[nbr]
-        rng = f.topic_range
+        lo, hi = f.topic_range
         out = []
         # the client entries ranked by their table stamps, then each other
         # neighbour's set (ascending) by its own
         for members in (local, *self._from_nbr.values()):
             if members is skip:
                 continue
-            filters = members.filters
             found = []
-            scanned = members.general  # the members asked f.covers
-            if rng is None:
-                scanned = filters
-            else:
-                lo, hi = rng
-                ranges = members.ranges
-                if ranges._dirty:
-                    ranges._rebuild()
-                los = ranges._los
-                his = ranges._his
-                keys = ranges._keys
-                for i in range(bisect_left(los, lo), len(los)):
-                    if los[i] > hi:
-                        break
-                    if his[i] <= hi:
-                        key = keys[i]
-                        if key not in advertised:
-                            found.append(key)
-            for key, g in scanned.items():
-                if key not in advertised and f.covers(g):
-                    found.append(key)
+            ranges = members.ranges
+            if ranges._dirty:
+                ranges._rebuild()
+            los = ranges._los
+            his = ranges._his
+            keys = ranges._keys
+            for i in range(bisect_left(los, lo), len(los)):
+                if los[i] > hi:
+                    break
+                if his[i] <= hi:
+                    key = keys[i]
+                    if key not in advertised:
+                        found.append(key)
             if len(found) > 1:
                 seq = self._client_seq if members is local else members._seq
                 if seq is None:
                     seq = members.stamps()
                 found.sort(key=seq.__getitem__)
+            filters = members.filters
             for key in found:
                 out.append((key, filters[key]))
         return out
@@ -470,9 +422,9 @@ class FilterTable:
         labelled neighbouring broker; locally published events
         (``from_broker is None``) never match labelled entries.
 
-        The one loop of the hot path, so a filter with a topic-range form
-        costs no call: the per-neighbour stab is :meth:`IntervalIndex.stab`
-        written out, a client entry is compared on its cached ``(lo, hi)``.
+        The one loop of the hot path, so a filter costs no call: the
+        per-neighbour stab is a bisect of the index's arrays, a client
+        entry is compared on its cached ``(lo, hi)``.
         """
         topic = event.topic
         nbrs = []
@@ -485,18 +437,12 @@ class FilterTable:
             idx = bisect_right(ranges._los, topic) - 1
             if idx >= 0 and ranges._max_hi[idx] >= topic:
                 nbrs.append(n)
-                continue
-            for f in peer.general.values():
-                if f.matches(event):
-                    nbrs.append(n)
-                    break
         entries = []
         for entry in self.clients.values():
             label = entry.label
             if label is not None and label != from_broker:
                 continue
-            lo = entry.lo
-            if entry.filter.matches(event) if lo is None else lo <= topic <= entry.hi:
+            if entry.lo <= topic <= entry.hi:
                 entries.append(entry)
         return nbrs, entries
 

@@ -1,12 +1,11 @@
-"""Fast stabbing/containment queries over a dynamic set of closed intervals.
+"""Sorted arrays for stabbing/containment queries over closed intervals.
 
 The broker hot path asks, for every event at every hop, "does any filter
-advertised by neighbour *n* match this event?" — with range filters this is
-an interval *stabbing* query. The subscription-propagation path asks "is this
+advertised by neighbour *n* match this event?" — every filter being a
+topic range, this is an interval *stabbing* query. The subscription-propagation path asks "is this
 new interval contained in an existing one?" — a *containment* query. The
 covering-based withdrawal path asks the reverse: "which installed intervals
-does this withdrawn one contain?" — a containment *enumeration*
-(:meth:`~IntervalIndex.contained_keys`).
+does this withdrawn one contain?" — a containment *enumeration*.
 
 All three are answered from one structure: the intervals as flat float
 arrays ``_los`` and ``_his`` sorted by ``lo`` alone, beside the keys and
@@ -26,21 +25,15 @@ advertisement mirror of a run without covering, never has arrays to
 maintain.
 
 The index keeps no key map of its own. It reads the map of its owner,
-``key -> member``, and a member's interval is its ``topic_range`` (a
-member whose ``topic_range`` is ``None`` is not indexed), so the keyed
-filter set of :mod:`repro.pubsub.filter_table` hands over its own
-``key -> Filter`` map and every member is stored once: the interval is
-the one :attr:`~repro.pubsub.filters.Filter.topic_range` fixed when the
-filter was built. That set writes the arrays itself on a table edit and
-carries all three queries inline, each in the one ``FilterTable`` frame
-that asks it: the stab in ``match``, the containment in
-``advertised_covers`` and the contained-keys walk in
-``covered_candidates``. :meth:`add`, :meth:`stab`,
-:meth:`contains_interval` and :meth:`contained_keys` stay as the
-references those inlined bodies are tested against; an index made
-without a map owns one, whose members :meth:`add` makes. The
-differential oracle is a brute-force scan of ``items()`` in
-``tests/test_interval_index.py``.
+``key -> RangeFilter``, and a member's interval is its ``topic_range``:
+the keyed filter set of :mod:`repro.pubsub.filter_table` hands over its
+own map, so every member is stored once. That set writes the arrays
+itself on a table edit and carries all three queries inline, each in the
+one ``FilterTable`` frame that asks it: the stab in ``match``, the
+containment in ``advertised_covers`` and the contained-keys walk in
+``covered_candidates``. The written-out reference of each query, and a
+brute-force scan to diff them against, live under ``tests/``
+(``tests/interval_reference.py``).
 """
 
 from __future__ import annotations
@@ -48,44 +41,35 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from operator import itemgetter
-from typing import Any, Hashable, Optional
+from typing import Any, Hashable
 
 __all__ = ["IntervalIndex"]
 
 _NEG_INF = float("-inf")
 
 
-class _Interval:
-    """A member :meth:`IntervalIndex.add` makes: an interval and no more."""
-
-    __slots__ = ("topic_range",)
-
-    def __init__(self, lo: float, hi: float) -> None:
-        self.topic_range = (lo, hi)
-
-
 class IntervalIndex:
-    """Dynamic set of keyed closed intervals with fast queries.
+    """Sorted arrays over a dynamic set of keyed closed intervals.
 
     Examples
     --------
-    >>> idx = IntervalIndex()
-    >>> idx.add("a", 0.1, 0.4)
-    >>> idx.add("b", 0.3, 0.9)
-    >>> idx.stab(0.35)
-    True
-    >>> idx.stab(0.95)
-    False
-    >>> idx.contains_interval(0.2, 0.4)  # covered by "a"? lo 0.1<=0.2, hi 0.4>=0.4 -> yes
-    True
+    >>> from repro.pubsub.filters import RangeFilter
+    >>> idx = IntervalIndex({"a": RangeFilter(0.3, 0.9),
+    ...                      "b": RangeFilter(0.1, 0.4)})
+    >>> idx._rebuild()  # the first query builds the arrays
+    >>> idx._keys, idx._los, idx._max_hi
+    (['b', 'a'], [0.1, 0.3], [0.4, 0.9])
+    >>> idx._insert_sorted("c", 0.2, 0.95)
+    >>> idx._keys, idx._max_hi
+    (['b', 'c', 'a'], [0.4, 0.95, 0.95])
     """
 
     __slots__ = ("_items", "_dirty", "_los", "_his", "_keys", "_max_hi")
 
-    def __init__(self, members: Optional[dict[Hashable, Any]] = None) -> None:
+    def __init__(self, members: dict[Hashable, Any]) -> None:
         #: key -> member, each indexed under its ``topic_range``: the
-        #: owner's map, read and never written by a filter set's index
-        self._items: dict[Hashable, Any] = {} if members is None else members
+        #: owner's map, read and never written here
+        self._items = members
         #: True until the first query builds the arrays from ``_items``
         self._dirty = True
         # parallel arrays in lo order; _max_hi[i] = max hi of [0..i]
@@ -93,44 +77,6 @@ class IntervalIndex:
         self._his: list[float] = []
         self._keys: list[Hashable] = []
         self._max_hi: list[float] = []
-
-    # ------------------------------------------------------------------
-    # mutation
-    # ------------------------------------------------------------------
-    def add(self, key: Hashable, lo: float, hi: float) -> None:
-        """Insert or replace interval ``key``."""
-        if not self._dirty:
-            old = self.get(key)
-            if old is not None:
-                self._remove_sorted(key, old)
-            self._insert_sorted(key, lo, hi)
-        self._items[key] = _Interval(lo, hi)
-
-    def remove(self, key: Hashable) -> None:
-        """Remove interval ``key`` (KeyError if absent)."""
-        iv = self._items.pop(key).topic_range
-        if not self._dirty:
-            self._remove_sorted(key, iv)
-
-    def discard(self, key: Hashable) -> None:
-        """Remove interval ``key`` if present."""
-        if key in self:
-            self.remove(key)
-
-    def __len__(self) -> int:
-        return len(self.items())
-
-    def __contains__(self, key: Hashable) -> bool:
-        return self.get(key) is not None
-
-    def get(self, key: Hashable) -> Optional[tuple[float, float]]:
-        member = self._items.get(key)
-        return None if member is None else member.topic_range
-
-    def items(self) -> list[tuple[Hashable, tuple[float, float]]]:
-        """``(key, interval)`` of every indexed member, in map order."""
-        return [(key, m.topic_range) for key, m in self._items.items()
-                if m.topic_range is not None]
 
     # ------------------------------------------------------------------
     # incremental maintenance of the sorted arrays
@@ -171,55 +117,13 @@ class IntervalIndex:
                 break
             mx[j] = best
 
-    # ------------------------------------------------------------------
-    # queries
-    # ------------------------------------------------------------------
     def _rebuild(self) -> None:
         # runs once, on the first query; mutations maintain the arrays
         # in place from then on
-        order = sorted(self.items(), key=itemgetter(1))
+        order = sorted([(key, m.topic_range) for key, m in self._items.items()],
+                       key=itemgetter(1))
         self._keys = [k for k, _iv in order]
         self._los = [lo for _k, (lo, _hi) in order]
         self._his = [hi for _k, (_lo, hi) in order]
         self._max_hi = list(accumulate(self._his, max))
         self._dirty = False
-
-    def stab(self, x: float) -> bool:
-        """True if any interval contains point ``x``. ``FilterTable.match``
-        carries this body inline, once per neighbour per event
-        (``tests/test_matching_engine.py`` holds the two together)."""
-        if self._dirty:
-            self._rebuild()
-        idx = bisect_right(self._los, x) - 1
-        return idx >= 0 and self._max_hi[idx] >= x
-
-    def contains_interval(self, lo: float, hi: float) -> bool:
-        """True if some interval contains [lo, hi]. Carried inline by
-        ``FilterTable.advertised_covers`` (``tests/test_filter_sets.py``)."""
-        if self._dirty:
-            self._rebuild()
-        idx = bisect_right(self._los, lo) - 1
-        return idx >= 0 and self._max_hi[idx] >= hi
-
-    def contained_keys(self, lo: float, hi: float) -> list[Hashable]:
-        """Keys whose interval [l, h] satisfies ``lo <= l`` and ``h <= hi``.
-
-        The covering enumeration: every installed interval the (withdrawn)
-        interval [lo, hi] covers. Cost is O(log n + w) where w is the number
-        of intervals whose ``l`` falls inside [lo, hi] — output-shaped for
-        the narrow filters mobility workloads install.
-        ``FilterTable.covered_candidates`` carries this walk inline
-        (``tests/test_filter_sets.py`` holds the two together).
-        """
-        if self._dirty:
-            self._rebuild()
-        los = self._los
-        his = self._his
-        keys = self._keys
-        out: list[Hashable] = []
-        for i in range(bisect_left(los, lo), len(los)):
-            if los[i] > hi:
-                break
-            if his[i] <= hi:
-                out.append(keys[i])
-        return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.pubsub.events import Notification
-from repro.pubsub.filters import Filter
+from repro.pubsub.filters import RangeFilter
 from repro.util.ids import QueueRef
 
 __all__ = [
@@ -81,10 +81,9 @@ def _norm(value):
     container holding them — to value tuples.
     """
     if isinstance(value, Notification):
-        attrs = tuple(sorted(value.attrs.items())) if value.attrs else None
         return (
             "note", value.event_id, value.publisher, value.seq,
-            value.publish_time, value.topic, attrs,
+            value.publish_time, value.topic,
         )
     if isinstance(value, (tuple, list)):
         return (type(value).__name__, tuple(_norm(v) for v in value))
@@ -152,7 +151,7 @@ class SubscribeMessage(Message):
 
     __slots__ = ("key", "filter", "category")
 
-    def __init__(self, key, filter: Filter, category: str = CAT_SUB_INITIAL) -> None:
+    def __init__(self, key, filter: RangeFilter, category: str = CAT_SUB_INITIAL) -> None:
         self.key = key
         self.filter = filter
         self.category = category
@@ -194,7 +193,7 @@ class ConnectMessage(Message):
     def __init__(
         self,
         client: int,
-        filter: Optional[Filter],
+        filter: Optional[RangeFilter],
         last_broker,
         epoch: int = 0,
     ) -> None:
@@ -304,7 +303,7 @@ class SubMigration(Message):
         self,
         client: int,
         key,
-        filter: Filter,
+        filter: RangeFilter,
         dest: int,
         pqlist: tuple[QueueRef, ...],
         epoch: int = 0,

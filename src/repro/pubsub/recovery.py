@@ -70,7 +70,7 @@ from repro.network.spanning_tree import rebuild_spanning_tree
 from repro.network.topology import Topology
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import FilterTable
-from repro.pubsub.filters import Filter
+from repro.pubsub.filters import RangeFilter
 from repro.pubsub import messages as m
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -407,7 +407,7 @@ class RecoveryCoordinator:
                 return cand
         return min(alive)
 
-    def _flood_entry(self, origin: int, key, filt: Filter) -> None:
+    def _flood_entry(self, origin: int, key, filt: RangeFilter) -> None:
         """Synchronously replay the subscription flood for one entry.
 
         Each hop runs the flood rule ``Broker.advertise`` (covering prune,
@@ -422,7 +422,7 @@ class RecoveryCoordinator:
             self._sync_advertise(broker, nbr, key, filt)
 
     def _sync_advertise(
-        self, broker: "Broker", nbr: int, key, filt: Filter
+        self, broker: "Broker", nbr: int, key, filt: RangeFilter
     ) -> None:
         if not broker.advertise(nbr, key, filt):
             return

@@ -44,7 +44,7 @@ from repro.network.spanning_tree import minimum_spanning_tree
 from repro.network.topology import grid_topology
 from repro.pubsub.broker import Broker
 from repro.pubsub.client import Client
-from repro.pubsub.filters import Filter
+from repro.pubsub.filters import RangeFilter
 from repro.pubsub.messages import DeliverMessage
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Tracer
@@ -384,26 +384,24 @@ class PubSubSystem:
 
     def add_client(
         self,
-        filter: Filter,
+        filter: RangeFilter,
         broker: int,
         mobile: bool = False,
     ) -> Client:
         """Create a client whose home broker is ``broker``.
 
         The client is *not* connected yet; call :meth:`Client.connect`.
-        Its subscription is registered with the delivery checker if it is a
-        topic range (the workload's case).
+        Its subscription is registered with the delivery checker, so every
+        client the API can make is audited.
         """
         if broker not in self.brokers:
             raise ConfigurationError(f"unknown broker id {broker}")
         cid = self.ids.next("client")
         client = Client(self, cid, filter, home_broker=broker, mobile=mobile)
         self.clients[cid] = client
-        rng = filter.topic_range
-        if rng is not None:
-            self.metrics.delivery.register_subscription(cid, *rng)
-            for subscribed in self.hooks.subscribe:
-                subscribed(cid, broker, *rng)
+        self.metrics.delivery.register_subscription(cid, filter.lo, filter.hi)
+        for subscribed in self.hooks.subscribe:
+            subscribed(cid, broker, filter.lo, filter.hi)
         return client
 
     # ------------------------------------------------------------------

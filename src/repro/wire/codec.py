@@ -17,12 +17,12 @@ Primitives:
   (arbitrary precision — Python ints never truncate);
 - floats are little-endian IEEE-754 doubles (bit-exact round-trip);
 - strings are interned per encode: the first occurrence ships UTF-8 bytes
-  and enters the table, repeats ship a 1-2 byte table index — topic/attr
-  names and traffic categories repeat heavily inside batched frames;
+  and enters the table, repeats ship a 1-2 byte table index — traffic
+  categories repeat heavily inside batched frames;
 - heterogeneous fields (subscription keys, control-frame bodies) use a
   tagged value encoding that covers None/bool/int/float/str/bytes,
   tuples/lists/frozensets/dicts, and the domain types
-  (:class:`Notification`, :class:`Filter`, :class:`QueueRef`, nested
+  (:class:`Notification`, :class:`RangeFilter`, :class:`QueueRef`, nested
   messages).
 
 Compatibility rule: the version byte names the schema generation. A
@@ -39,13 +39,7 @@ from typing import Any, Callable, Dict, List, Tuple, Type
 from repro.errors import FilterError
 from repro.pubsub import messages as m
 from repro.pubsub.events import Notification
-from repro.pubsub.filters import (
-    AttributeConstraint,
-    ConjunctionFilter,
-    Filter,
-    Op,
-    RangeFilter,
-)
+from repro.pubsub.filters import RangeFilter
 from repro.util.ids import QueueRef
 
 __all__ = [
@@ -59,8 +53,10 @@ __all__ = [
     "decode_control",
 ]
 
-#: 3: ``TransferDone.delivered_ids`` is one ``uint`` bitmap, not a set
-CODEC_VERSION = 3
+#: 3: ``TransferDone.delivered_ids`` is one ``uint`` bitmap, not a set;
+#: 4: an event has no attrs and a filter is one topic range (kind 2, the
+#: conjunction, is retired and never to be reused)
+CODEC_VERSION = 4
 
 _F64 = struct.Struct("<d")
 
@@ -179,11 +175,6 @@ def _write_event(w: _Writer, ev: Notification) -> None:
     w.uint(ev.seq)
     w.f64(ev.publish_time)
     w.f64(ev.topic)
-    items = ev.attrs_items()
-    w.uint(len(items))
-    for key, val in items:
-        w.string(key)
-        _write_value(w, val)
 
 
 def _read_event(r: _Reader) -> Notification:
@@ -191,56 +182,24 @@ def _read_event(r: _Reader) -> Notification:
     publisher = r.uint()
     seq = r.uint()
     publish_time = r.f64()
-    topic = r.f64()
-    count = r.uint()
-    attrs = {r.string(): _read_value(r) for _ in range(count)} if count else None
-    return Notification(event_id, publisher, seq, publish_time, topic, attrs)
+    return Notification(event_id, publisher, seq, publish_time, r.f64())
 
-
-_OPS: Tuple[Op, ...] = (Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE,
-                        Op.RANGE, Op.EXISTS, Op.PREFIX)
-_OP_INDEX = {op: i for i, op in enumerate(_OPS)}
 
 _FILTER_RANGE = 1
-_FILTER_CONJ = 2
 
 
-def _write_filter(w: _Writer, f: Filter) -> None:
-    if isinstance(f, RangeFilter):
-        w.uint(_FILTER_RANGE)
-        w.string(f.attr)
-        w.f64(f.lo)
-        w.f64(f.hi)
-    elif isinstance(f, ConjunctionFilter):
-        w.uint(_FILTER_CONJ)
-        w.uint(len(f.constraints))
-        for c in f.constraints:
-            w.string(c.attr)
-            w.uint(_OP_INDEX[c.op])
-            _write_value(w, c.value)
-    else:
-        raise CodecError(f"unregistered filter type {type(f).__name__}")
+def _write_filter(w: _Writer, f: RangeFilter) -> None:
+    w.uint(_FILTER_RANGE)
+    w.f64(f.lo)
+    w.f64(f.hi)
 
 
-def _read_filter(r: _Reader) -> Filter:
+def _read_filter(r: _Reader) -> RangeFilter:
     kind = r.uint()
-    if kind == _FILTER_RANGE:
-        attr = r.string()
-        lo = r.f64()
-        return RangeFilter(lo, r.f64(), attr=attr)
-    if kind == _FILTER_CONJ:
-        count = r.uint()
-        constraints = []
-        for _ in range(count):
-            attr = r.string()
-            op_idx = r.uint()
-            if op_idx >= len(_OPS):
-                raise CodecError(f"unknown filter op index {op_idx}")
-            constraints.append(
-                AttributeConstraint(attr, _OPS[op_idx], _read_value(r))
-            )
-        return ConjunctionFilter(tuple(constraints))
-    raise CodecError(f"unknown filter kind {kind}")
+    if kind != _FILTER_RANGE:
+        raise CodecError(f"unknown filter kind {kind}")
+    lo = r.f64()
+    return RangeFilter(lo, r.f64())
 
 
 def _write_qref(w: _Writer, ref: QueueRef) -> None:
@@ -254,7 +213,7 @@ def _read_qref(r: _Reader) -> QueueRef:
 
 
 # ---------------------------------------------------------------------------
-# tagged values (subscription keys, control frames, generic attrs)
+# tagged values (subscription keys, control frames)
 # ---------------------------------------------------------------------------
 _V_NONE = 0
 _V_FALSE = 1
@@ -318,7 +277,7 @@ def _write_value(w: _Writer, value: Any) -> None:
     elif isinstance(value, Notification):
         w.uint(_V_EVENT)
         _write_event(w, value)
-    elif isinstance(value, Filter):
+    elif isinstance(value, RangeFilter):
         w.uint(_V_FILTER)
         _write_filter(w, value)
     elif isinstance(value, m.Message):

@@ -3,9 +3,8 @@
 The product answers both covering questions of the control plane in
 :class:`~repro.pubsub.filter_table.FilterTable`'s own frame:
 ``advertised_covers`` runs the containment stab on the advertisement
-mirror's sorted arrays, ``covered_candidates`` walks each asked set's
-sorted arrays, and both scan the general members (those with no topic
-range). This module is the scan of *every* member, kept as the
+mirror's sorted arrays and ``covered_candidates`` walks each asked set's
+sorted arrays. This module is the scan of *every* member, kept as the
 differential oracle (the way ``Mirror`` in ``tests/test_matching_engine.py``
 is for matching): :class:`ScanCovering` is one keyed set over a plain dict,
 every answer computed by walking all members.
@@ -26,11 +25,6 @@ import pytest
 from repro.pubsub.filter_table import FilterTable
 
 
-def _is_topic_range(f) -> bool:
-    rng = f.as_range()
-    return rng is not None and rng[0] == "topic"
-
-
 class ScanCovering:
     """A keyed filter set by brute force (``add``/``discard``/``covers``/
     ``covered_by``/``len``)."""
@@ -48,20 +42,10 @@ class ScanCovering:
         return len(self.members)
 
     def covers(self, f) -> bool:
-        """The unindexed peer-set semantics: topic-range members live in a
-        topic-only interval index consulted for topic-range queries alone
-        (the one conservative quirk); everything else is asked ``covers``."""
-        rng = f.as_range()
-        if rng is not None and rng[0] == "topic":
-            for m in self.members.values():
-                if _is_topic_range(m):
-                    _attr, lo, hi = m.as_range()
-                    if lo <= rng[1] and rng[2] <= hi:
-                        return True
-        return any(
-            m.covers(f) for m in self.members.values()
-            if not _is_topic_range(m)
-        )
+        """Does some member's topic range contain ``f``'s?"""
+        lo, hi = f.topic_range
+        return any(m.topic_range[0] <= lo and hi <= m.topic_range[1]
+                   for m in self.members.values())
 
     def covered_by(self, f) -> list:
         return [k for k, m in self.members.items() if f.covers(m)]

@@ -15,16 +15,17 @@ member of a filter set, kept under ``tests/`` only):
   routing decisions, identical traffic, identical final tables, and a
   consistent advertisement mirror.
 
-:func:`random_filter` is the adversarial filter mix every covering
-differential draws from: topic and ``size`` ranges, empty conjunctions,
-bool-valued ``EQ``, ``PREFIX`` / ``EXISTS`` and string ``RANGE``
-constraints.
+:func:`random_filter` is the adversarial topic-range mix every covering
+differential draws from: runs of equal ``lo`` on a coarse grid, point
+ranges, nested and identical intervals, infinite bounds and continuous
+draws.
 
-The :class:`IntervalIndex` differential (incremental repair vs a
-brute-force scan) lives in ``tests/test_interval_index.py`` next to the
-other interval-index tests.
+The interval-index differential (incremental repair vs a brute-force
+scan) lives in ``tests/test_interval_index.py`` next to the other
+interval-index tests.
 """
 
+import math
 import random
 from itertools import accumulate
 
@@ -35,58 +36,34 @@ from hypothesis import given, settings, strategies as st
 
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable, _PeerFilters
-from repro.pubsub.filters import (
-    AttributeConstraint,
-    ConjunctionFilter,
-    Op,
-    RangeFilter,
-)
+from repro.pubsub.filters import RangeFilter
 from repro.pubsub.interval_index import IntervalIndex
 from repro.pubsub.system import PubSubSystem
 
 NEIGHBORS = [1, 2, 7, 9]
-ATTRS = ["topic", "kind", "size", "region"]
+#: a coarse grid of bounds: runs of equal ``lo``, identical and nested
+#: intervals, and point ranges are all common on it
+GRID = [i / 8 for i in range(9)]
+INF = math.inf
 
 
 # ---------------------------------------------------------------------------
-# random filter generation (seeded, deterministic; range-heavy like the
-# paper's workload but with every constraint shape represented)
+# random filter generation (seeded, deterministic; the paper's topic ranges
+# with every interval edge case represented)
 # ---------------------------------------------------------------------------
-def random_filter(rnd: random.Random):
-    kind = rnd.randrange(5)
-    if kind == 0:
+def random_filter(rnd: random.Random) -> RangeFilter:
+    roll = rnd.random()
+    if roll < 0.35:  # on the grid: equal lo, identical and nested intervals
+        lo, hi = sorted(rnd.choices(GRID, k=2))
+    elif roll < 0.45:  # a point range
+        lo = hi = rnd.choice([rnd.choice(GRID), rnd.uniform(0.0, 1.0)])
+    elif roll < 0.55:  # an infinite bound
+        lo, hi = rnd.choice([(-INF, rnd.choice(GRID)), (rnd.choice(GRID), INF),
+                             (-INF, INF)])
+    else:
         lo = rnd.uniform(0.0, 0.9)
-        return RangeFilter(lo, lo + rnd.uniform(0.0, 0.3))
-    if kind == 1:
-        lo = rnd.uniform(0.0, 50.0)
-        return RangeFilter(lo, lo + rnd.uniform(0.0, 20.0), attr="size")
-    n = rnd.randrange(0, 4)
-    return ConjunctionFilter([random_constraint(rnd) for _ in range(n)])
-
-
-def random_constraint(rnd: random.Random) -> AttributeConstraint:
-    op = rnd.choice(list(Op))
-    attr = rnd.choice(ATTRS)
-    if op is Op.RANGE:
-        if rnd.random() < 0.15:
-            lo, hi = sorted([rnd.choice("abcx"), rnd.choice("cxyz")])
-            return AttributeConstraint(attr, op, (lo, hi))
-        lo = rnd.uniform(-1.0, 1.0)
-        return AttributeConstraint(attr, op, (lo, lo + rnd.uniform(0.0, 1.0)))
-    if op is Op.PREFIX:
-        return AttributeConstraint(attr, op, rnd.choice(["", "a", "ab", "xy"]))
-    if op is Op.EXISTS:
-        return AttributeConstraint(attr, op)
-    value = rnd.choice(
-        [
-            rnd.uniform(-1.0, 1.0),
-            rnd.randrange(-3, 4),
-            rnd.choice(["abc", "x", ""]),
-            True,
-            False,
-        ]
-    )
-    return AttributeConstraint(attr, op, value)
+        hi = lo + rnd.uniform(0.0, 0.3)
+    return RangeFilter(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +88,9 @@ def set_covered_by(peer: _PeerFilters, f) -> list:
 
 @pytest.mark.parametrize("seed", range(10))
 def test_covering_index_differential(seed):
-    """A filter set fed only the adversarial mix: its containment answer ==
-    peer-scan semantics; its covered keys == exact brute force."""
+    """A filter set fed only the adversarial mix, its keys re-added with
+    other ranges: its containment answer and its covered keys == exact
+    brute force."""
     rnd = random.Random(seed)
     peer = _PeerFilters()
     scan = ScanCovering()
@@ -171,24 +149,12 @@ def test_advertised_covers_indexed_matches_scan(seed):
 # a coarse grid, so equal (lo, hi) pairs under different keys are common:
 # the removal that must scan equal pairs for its key gets exercised
 _GRID = st.integers(0, 6).map(lambda i: i / 6)
-_SPAN = st.tuples(_GRID, _GRID).map(sorted)
-MODEL_FILTERS = st.one_of(
-    _SPAN.map(lambda s: RangeFilter(*s)),                     # -> ranges
-    _SPAN.map(lambda s: ConjunctionFilter(                    # -> ranges
-        [AttributeConstraint("topic", Op.RANGE, tuple(s))])),
-    _SPAN.map(lambda s: RangeFilter(*s, attr="size")),        # -> general
-    st.sampled_from(["x", "y"]).map(lambda v: ConjunctionFilter(
-        [AttributeConstraint("kind", Op.EQ, v)])),            # -> general
-    _GRID.map(lambda lo: ConjunctionFilter(                   # -> general
-        [AttributeConstraint("topic", Op.GE, lo)])),
-)
+#: a bound: mostly the grid, sometimes an infinity
+_BOUND = st.one_of(_GRID, _GRID, _GRID, st.sampled_from([-INF, INF]))
+MODEL_FILTERS = st.tuples(_BOUND, _BOUND).map(
+    lambda b: RangeFilter(*sorted(b)))
 MODEL_OPS = st.lists(
     st.tuples(st.booleans(), st.integers(0, 7), MODEL_FILTERS), max_size=40)
-
-
-def is_topic_range(f) -> bool:
-    rng = f.as_range()
-    return rng is not None and rng[0] == "topic"
 
 
 @settings(max_examples=150, deadline=None)
@@ -199,17 +165,15 @@ def test_peer_filters_against_dict_model(ops, build_at, queries):
     index's sorted arrays themselves (one frame per table edit): every
     answer the set gives must be the one a plain dict gives, for edits
     that land before the index has built its arrays (``build_at``: the
-    first stab) and after, and for keys that move between the two
-    subtables."""
+    first stab) and after, and for keys re-added with another range (a
+    re-add keeps the key's place)."""
     table = FilterTable(0, [1])
     peer = table._from_nbr[1]
-    in_ranges: dict = {}   # the model: two dicts in insertion order
-    in_general: dict = {}
-    events = [Notification(i, 0, i, 0.0, i / 12, {"kind": "x", "size": i / 12})
-              for i in range(13)]
+    model: dict = {}  # the model: one dict in insertion order
+    events = [Notification(i, 0, i, 0.0, t) for i, t in enumerate(
+        [-INF, *(i / 12 for i in range(13)), INF])]
 
     def check(built: bool) -> None:
-        model = {**in_ranges, **in_general}
         assert peer.keys() == list(model)
         assert sorted(model, key=peer.stamps().__getitem__) == list(model)
         assert len(peer) == len(model)
@@ -222,16 +186,15 @@ def test_peer_filters_against_dict_model(ops, build_at, queries):
             assert set_covers(peer, q) == scan.covers(q)
             assert sorted(set_covered_by(peer, q)) == sorted(scan.covered_by(q))
         if built:
-            for event in events:  # the stab, plus the scan of `general`
+            for event in events:  # the stab
                 want = any(f.matches(event) for f in model.values())
                 assert table.match(event, None)[0] == ([1] if want else [])
             idx = peer.ranges
             assert not idx._dirty
             assert idx._los == sorted(idx._los)
             assert dict(zip(idx._keys, zip(idx._los, idx._his))) \
-                == dict(idx.items())
-            assert [k for k, _iv in idx.items()] == list(in_ranges)
-            assert len(idx._keys) == len(idx._his) == len(idx) == len(in_ranges)
+                == {k: f.topic_range for k, f in model.items()}
+            assert len(idx._keys) == len(idx._his) == len(model)
             assert idx._max_hi == list(accumulate(idx._his, max))
 
     built = False
@@ -240,15 +203,10 @@ def test_peer_filters_against_dict_model(ops, build_at, queries):
             built = True
             table.match(events[0], None)
         if is_add:
-            target, other = ((in_ranges, in_general) if is_topic_range(f)
-                             else (in_general, in_ranges))
-            other.pop(key, None)
-            target[key] = f
+            model[key] = f
             table.add_broker_filter(1, key, f)
         else:
-            present = key in in_ranges or key in in_general
-            in_ranges.pop(key, None)
-            in_general.pop(key, None)
+            present = model.pop(key, None) is not None
             before = (peer.keys(), dict(peer.filters),
                       None if peer._seq is None else dict(peer._seq))
             assert table.remove_broker_filter(1, key) is present
@@ -371,12 +329,12 @@ def test_filter_lookups_return_installed_objects():
     """No per-lookup filter reconstruction: get() is the installed object."""
     table = FilterTable(0, NEIGHBORS)
     rf = RangeFilter(0.2, 0.4)
-    conj = ConjunctionFilter([AttributeConstraint("kind", Op.EQ, "x")])
+    full = RangeFilter(-INF, INF)
     table.add_broker_filter(1, "r", rf)
-    table.add_broker_filter(1, "g", conj)
+    table.add_broker_filter(1, "g", full)
     table.advertised_add(2, "r", rf)
     assert table.broker_filter_get(1, "r") is rf
-    assert table.broker_filter_get(1, "g") is conj
+    assert table.broker_filter_get(1, "g") is full
     assert table.advertised_get(2, "r") is rf
     assert table.broker_filter_get(1, "missing") is None
     assert table.advertised_count(2) == 1
@@ -473,8 +431,9 @@ def test_scan_covering_replaces_every_interval_covering_answer(monkeypatch):
     the first read: inside ``scan_covering()`` a covering subscribe/
     unsubscribe storm, whose withdrawals do ask for candidates, leaves
     every one of them unbuilt; the same storm on the product builds them.
-    Neither interval reference of :class:`IntervalIndex` is entered by
-    either run: the product asks both questions on the arrays itself.
+    The product :class:`IntervalIndex` has no query method to enter: the
+    table asks every question on the arrays itself (the references live
+    in ``tests/interval_reference.py``).
     Ranking stamps are as lazy: the scan run makes none, and the product
     run makes them only on received sets a withdrawal ranked (two or more
     candidates from one set), never on a mirror or a client set, which is
@@ -488,11 +447,9 @@ def test_scan_covering_replaces_every_interval_covering_answer(monkeypatch):
         tables.append(self)
 
     monkeypatch.setattr(FilterTable, "__init__", recorded)
-    for name in ("contained_keys", "contains_interval"):
-        def refused(self, lo, hi, _name=name):
-            raise AssertionError(f"IntervalIndex.{_name} entered")
-
-        monkeypatch.setattr(IntervalIndex, name, refused)
+    assert not [name for name in ("stab", "contains_interval",
+                                  "contained_keys", "add", "remove")
+                if hasattr(IntervalIndex, name)]
     for key, name in (("covers", "scan_advertised_covers"),
                       ("candidates", "scan_covered_candidates")):
         def counted(self, nbr, f, _key=key, _orig=getattr(covering_scan, name)):

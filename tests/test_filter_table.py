@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ProtocolError
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable
-from repro.pubsub.filters import ConjunctionFilter, AttributeConstraint, Op, RangeFilter
+from repro.pubsub.filters import RangeFilter
 
 
 def ev(x):
@@ -35,16 +35,6 @@ def test_match_neighbors_one_hit_per_neighbor(table):
     table.add_broker_filter(1, "k1", RangeFilter(0.0, 0.5))
     table.add_broker_filter(1, "k2", RangeFilter(0.2, 0.8))
     assert table.match_neighbors(ev(0.3), exclude=None) == [1]
-
-
-def test_general_filter_fallback(table):
-    conj = ConjunctionFilter([
-        AttributeConstraint("kind", Op.EQ, "alert"),
-    ])
-    table.add_broker_filter(3, "kg", conj)
-    event = Notification(1, 0, 0, 0.0, 0.5, {"kind": "alert"})
-    assert table.match_neighbors(event, exclude=None) == [3]
-    assert table.match_neighbors(ev(0.5), exclude=None) == []
 
 
 def test_remove_broker_filter(table):
@@ -109,7 +99,7 @@ def test_advertised_bookkeeping(table):
 def test_broker_filter_get_reconstructs_range(table):
     table.add_broker_filter(1, "k", RangeFilter(0.2, 0.4))
     got = table.broker_filter_get(1, "k")
-    assert got.as_range() == ("topic", 0.2, 0.4)
+    assert got == RangeFilter(0.2, 0.4) and got.topic_range == (0.2, 0.4)
 
 
 def test_snapshots(table):

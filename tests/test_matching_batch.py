@@ -4,8 +4,8 @@ A hypothesis battery asserts :meth:`FilterTable.match_batch` equals a loop
 of :meth:`FilterTable.match` element-for-element (neighbour order, entry
 order, MHH label handling) on the product table and with the tests-only
 covering scan substituted for its index (``tests/covering_scan.py``), over
-adversarial filter sets (groups, labels, NaN topics, string/bool attribute
-values). The method has no caller in ``src/`` (the lane-drain batching
+adversarial topic-range sets (groups, labels, point ranges, equal ``lo``,
+infinite bounds, NaN and infinite topics). The method has no caller in ``src/`` (the lane-drain batching
 that fed it is gone) and stays only because ``benchmarks/e2e/trace.py``
 wraps it by name.
 """
@@ -20,12 +20,7 @@ from hypothesis import strategies as st
 
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable
-from repro.pubsub.filters import (
-    AttributeConstraint,
-    ConjunctionFilter,
-    Op,
-    RangeFilter,
-)
+from repro.pubsub.filters import RangeFilter
 
 NEIGHBORS = (1, 2, 3)
 
@@ -33,39 +28,12 @@ NEIGHBORS = (1, 2, 3)
 # ---------------------------------------------------------------------------
 # match parity: match_batch == [match(e, f) for ...]
 # ---------------------------------------------------------------------------
-_attrs = st.sampled_from(("topic", "x", "kind"))
-_bounds = st.tuples(
-    st.floats(-1.0, 2.0, allow_nan=False), st.floats(-1.0, 2.0, allow_nan=False)
-).map(sorted)
-
-
-@st.composite
-def _constraints(draw):
-    attr = draw(_attrs)
-    op = draw(st.sampled_from(
-        (Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE, Op.RANGE, Op.EXISTS,
-         Op.PREFIX)
-    ))
-    if op is Op.RANGE:
-        value = tuple(draw(_bounds))
-    elif op is Op.PREFIX:
-        value = draw(st.sampled_from(("", "a", "ab", "b")))
-    elif op in (Op.EQ, Op.NE):
-        value = draw(st.one_of(
-            st.floats(-1.0, 2.0, allow_nan=False), st.integers(-2, 2),
-            st.booleans(), st.sampled_from(("a", "ab", "b")),
-        ))
-    else:
-        value = draw(st.floats(-1.0, 2.0, allow_nan=False))
-    return AttributeConstraint(attr, op, value)
-
-
-@st.composite
-def _filters(draw):
-    if draw(st.booleans()):
-        lo, hi = draw(_bounds)
-        return RangeFilter(lo, hi, attr=draw(st.sampled_from(("topic", "x"))))
-    return ConjunctionFilter(draw(st.lists(_constraints(), max_size=3)))
+_bound = st.one_of(
+    st.floats(-1.0, 2.0, allow_nan=False),
+    st.integers(-2, 4).map(lambda i: i / 2),  # equal lo, points, shared ends
+    st.sampled_from((float("-inf"), float("inf"))),
+)
+_filters = st.tuples(_bound, _bound).map(lambda b: RangeFilter(*sorted(b)))
 
 
 _events = st.builds(
@@ -74,31 +42,17 @@ _events = st.builds(
     publisher=st.integers(0, 3),
     seq=st.integers(0, 5),
     publish_time=st.just(0.0),
-    topic=st.one_of(
-        st.floats(-1.0, 2.0, allow_nan=False), st.just(float("nan"))
-    ),
-    attrs=st.one_of(
-        st.none(),
-        st.dictionaries(
-            st.sampled_from(("x", "kind")),
-            st.one_of(
-                st.floats(-1.0, 2.0, allow_nan=False), st.just(float("nan")),
-                st.integers(-2, 2), st.booleans(),
-                st.sampled_from(("a", "ab", "b")), st.none(),
-            ),
-            max_size=2,
-        ),
-    ),
+    topic=st.one_of(_bound, st.just(float("nan"))),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     client_filters=st.lists(
-        st.tuples(_filters(), st.sampled_from((None, 1, 2, 9))), max_size=10
+        st.tuples(_filters, st.sampled_from((None, 1, 2, 9))), max_size=10
     ),
     broker_filters=st.lists(
-        st.tuples(st.sampled_from(NEIGHBORS), _filters()), max_size=8
+        st.tuples(st.sampled_from(NEIGHBORS), _filters), max_size=8
     ),
     items=st.lists(
         st.tuples(_events, st.sampled_from((None, 1, 2))), max_size=12

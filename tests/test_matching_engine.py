@@ -6,9 +6,10 @@ are the two halves of its result) must be
 iff any filter received from it matches (ids ascending, arrival direction
 excluded), a client entry is a recipient iff its filter matches and its MHH
 label admits the origin (installation order) — under randomized workloads
-covering every :class:`~repro.pubsub.filters.Op` variant, labelled client
-entries, table churn, and MHH's direct table surgery. The oracle is
-:class:`Mirror` below: plain dicts and ``Filter.matches``, no index. Any
+of topic ranges (runs of equal ``lo``, point ranges, nested and identical
+intervals, infinite bounds, keys re-added with another range), labelled
+client entries, table churn, and MHH's direct table surgery. The oracle is
+:class:`Mirror` below: plain dicts and ``RangeFilter.matches``, no index. Any
 divergence is a routing bug, so these tests apply identical mutations to
 table and mirror and assert equality after every mutation batch.
 """
@@ -17,79 +18,31 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_control_plane import GRID, INF, random_filter
 
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable
-from repro.pubsub.filters import (
-    AttributeConstraint,
-    ConjunctionFilter,
-    Op,
-    RangeFilter,
-)
+from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
 
 NEIGHBORS = [1, 2, 7, 9]
-ATTRS = ["topic", "kind", "size", "region", "flag"]
 
 
 # ---------------------------------------------------------------------------
 # random workload generation (seeded, deterministic)
 # ---------------------------------------------------------------------------
-def random_filter(rng: random.Random):
-    kind = rng.randrange(4)
-    if kind == 0:
-        lo = rng.uniform(0.0, 0.9)
-        return RangeFilter(lo, lo + rng.uniform(0.0, 0.3))
-    if kind == 1:
-        lo = rng.uniform(0.0, 50.0)
-        return RangeFilter(lo, lo + rng.uniform(0.0, 20.0), attr="size")
-    n = rng.randrange(0, 4)
-    return ConjunctionFilter([random_constraint(rng) for _ in range(n)])
-
-
-def random_constraint(rng: random.Random) -> AttributeConstraint:
-    op = rng.choice(list(Op))
-    attr = rng.choice(ATTRS)
-    if op is Op.RANGE:
-        if rng.random() < 0.2:
-            # non-numeric bounds exercise the exact-check fallback
-            lo, hi = sorted([rng.choice("abcx"), rng.choice("cxyz")])
-            return AttributeConstraint(attr, op, (lo, hi))
-        lo = rng.uniform(-1.0, 1.0)
-        return AttributeConstraint(attr, op, (lo, lo + rng.uniform(0.0, 1.0)))
-    if op is Op.PREFIX:
-        return AttributeConstraint(attr, op, rng.choice(["", "a", "ab", "abc", "xy"]))
-    if op is Op.EXISTS:
-        return AttributeConstraint(attr, op)
-    value = rng.choice(
-        [
-            rng.uniform(-1.0, 1.0),
-            rng.randrange(-3, 4),
-            rng.choice(["abc", "abd", "xyz", ""]),
-            rng.choice([True, False]),
-        ]
-    )
-    return AttributeConstraint(attr, op, value)
-
-
 def random_event(rng: random.Random, event_id: int) -> Notification:
-    attrs = {}
-    for attr in ATTRS[1:]:
-        roll = rng.random()
-        if roll < 0.35:
-            continue  # attribute absent
-        if roll < 0.6:
-            attrs[attr] = rng.uniform(-1.5, 1.5)
-        elif roll < 0.75:
-            attrs[attr] = rng.choice(["abc", "abde", "x", "xyzw", ""])
-        elif roll < 0.85:
-            attrs[attr] = rng.randrange(-3, 4)
-        else:
-            attrs[attr] = rng.choice([True, False])
+    """An event on a grid point (an interval's end) as often as between
+    them, now and then at an infinity."""
+    roll = rng.random()
+    if roll < 0.4:
+        topic = rng.choice(GRID)
+    elif roll < 0.45:
+        topic = rng.choice([-INF, INF])
+    else:
+        topic = rng.uniform(-0.1, 1.1)
     return Notification(
-        event_id, publisher=0, seq=event_id, publish_time=0.0,
-        topic=rng.uniform(-0.1, 1.1), attrs=attrs,
-    )
+        event_id, publisher=0, seq=event_id, publish_time=0.0, topic=topic)
 
 
 class Mirror:
@@ -162,6 +115,12 @@ def test_differential_random_tables(seed):
                 table.set_client_entry(ClientEntry(1000 + next_key, key, f, label=label))
                 mirror.clients[key] = [f, label]
                 client_keys.append(key)
+            elif action < 0.75 and broker_keys:
+                # the key re-added with another range: keeps its place
+                nbr, key = rng.choice(broker_keys)
+                f = random_filter(rng)
+                table.add_broker_filter(nbr, key, f)
+                mirror.from_nbr[nbr][key] = f
             elif action < 0.85 and broker_keys:
                 nbr, key = broker_keys.pop(rng.randrange(len(broker_keys)))
                 assert table.remove_broker_filter(nbr, key)
@@ -260,34 +219,12 @@ def test_differential_end_to_end_sim(protocol, monkeypatch):
 # ---------------------------------------------------------------------------
 # FilterTable.match as a whole, under Hypothesis
 # ---------------------------------------------------------------------------
-# Bounds, topics and sizes share one coarse grid, so that an event sits on a
-# closed interval's end as often as inside it.
+# Bounds and topics share one coarse grid, so that an event sits on a
+# closed interval's end as often as inside it; an infinity now and then.
 _grid = st.integers(0, 10).map(lambda i: i / 10.0)
-_spans = st.tuples(_grid, _grid).map(sorted)
-_numeric_ops = st.sampled_from([Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE])
-_constraints = st.one_of(
-    # a lone closed RANGE or EQ on topic gives the conjunction a topic-range
-    # form: it is then indexed (neighbour side) and cached (client side)
-    st.builds(AttributeConstraint, st.sampled_from(["topic", "size"]),
-              st.just(Op.RANGE), _spans.map(tuple)),
-    st.builds(AttributeConstraint, st.sampled_from(["topic", "size"]),
-              _numeric_ops, _grid),
-    st.builds(AttributeConstraint, st.just("kind"),
-              st.sampled_from([Op.EQ, Op.PREFIX]), st.sampled_from(["a", "ab"])),
-    st.builds(AttributeConstraint, st.sampled_from(["size", "kind"]),
-              st.just(Op.EXISTS)),
-)
-_filters = st.one_of(
-    _spans.map(lambda b: RangeFilter(*b)),
-    _spans.map(lambda b: RangeFilter(*b, attr="size")),
-    st.lists(_constraints, max_size=3).map(ConjunctionFilter),
-)
-_events = st.builds(
-    lambda topic, size, kind: Notification(
-        0, 0, 0, 0.0, topic,
-        {k: v for k, v in (("size", size), ("kind", kind)) if v is not None}),
-    _grid, st.none() | _grid, st.none() | st.sampled_from(["a", "ab", "b"]),
-)
+_bound = st.one_of(_grid, _grid, _grid, st.sampled_from([-INF, INF]))
+_filters = st.tuples(_bound, _bound).map(lambda b: RangeFilter(*sorted(b)))
+_events = st.builds(lambda topic: Notification(0, 0, 0, 0.0, topic), _bound)
 _keys = st.integers(0, 4)  # few keys: replacements and removals find them
 _labels = st.sampled_from([None] + NEIGHBORS)
 _mutations = st.one_of(
@@ -346,8 +283,8 @@ def test_match_as_a_whole_agrees_with_the_scan_on_a_changing_table(stages):
 # ---------------------------------------------------------------------------
 # table-level unit behaviour
 # ---------------------------------------------------------------------------
-def ev(topic, **attrs):
-    return Notification(0, 0, 0, 0.0, topic, attrs or None)
+def ev(topic):
+    return Notification(0, 0, 0, 0.0, topic)
 
 
 def matched(table, event, from_broker=None):
@@ -356,12 +293,14 @@ def matched(table, event, from_broker=None):
     return nbrs, [e.key for e in entries]
 
 
-def test_engine_empty_conjunction_always_matches():
+def test_engine_full_range_always_matches():
+    full = RangeFilter(-INF, INF)
     table = FilterTable(0, NEIGHBORS)
-    table.set_client_entry(ClientEntry(1, "all", ConjunctionFilter([])))
-    table.add_broker_filter(2, "all", ConjunctionFilter([]))
-    assert matched(table, ev(0.5)) == ([2], ["all"])
-    assert matched(table, ev(float("nan"), kind=True)) == ([2], ["all"])
+    table.set_client_entry(ClientEntry(1, "all", full))
+    table.add_broker_filter(2, "all", full)
+    for topic in (0.5, -INF, INF, -1e300):
+        assert matched(table, ev(topic)) == ([2], ["all"])
+    assert matched(table, ev(float("nan"))) == ([], [])
     table.remove_entry_by_key("all")
     assert table.remove_broker_filter(2, "all")
     assert matched(table, ev(0.5)) == ([], [])
@@ -384,58 +323,32 @@ def test_engine_replace_and_discard():
     assert matched(table, ev(0.7)) == ([], [])
 
 
-def test_engine_counting_requires_all_constraints():
-    f = ConjunctionFilter(
-        [
-            AttributeConstraint("kind", Op.EQ, "alert"),
-            AttributeConstraint("size", Op.GE, 10),
-            AttributeConstraint("topic", Op.RANGE, (0.0, 0.5)),
-        ]
-    )
-    table = FilterTable(0, NEIGHBORS)
-    table.set_client_entry(ClientEntry(1, "s", f))
-    table.add_broker_filter(9, "s", f)
-    assert matched(table, ev(0.3, kind="alert", size=12)) == ([9], ["s"])
-    assert matched(table, ev(0.3, kind="alert", size=9)) == ([], [])
-    assert matched(table, ev(0.3, size=12)) == ([], [])
-    assert matched(table, ev(0.9, kind="alert", size=12)) == ([], [])
-
-
-def test_engine_duplicate_constraints_in_one_filter():
-    c = AttributeConstraint("kind", Op.EQ, "x")
-    table = FilterTable(0, NEIGHBORS)
-    table.set_client_entry(ClientEntry(1, "s", ConjunctionFilter([c, c])))
-    assert matched(table, ev(0.0, kind="x")) == ([], ["s"])
-    assert matched(table, ev(0.0, kind="y")) == ([], [])
-
-
 def test_engine_groups_boolean_semantics():
     """A neighbour is forwarded to iff *any* of its filters matches."""
     table = FilterTable(0, NEIGHBORS)
     table.add_broker_filter(1, "a", RangeFilter(0.0, 0.3))
     table.add_broker_filter(1, "b", RangeFilter(0.5, 0.8))
-    table.add_broker_filter(
-        2, "c", ConjunctionFilter([AttributeConstraint("kind", Op.EQ, "x")])
-    )
-    assert matched(table, ev(0.6)) == ([1], [])
-    assert matched(table, ev(0.4, kind="x")) == ([2], [])
-    assert matched(table, ev(0.6, kind="x")) == ([1, 2], [])
-    assert matched(table, ev(0.6, kind="x"), from_broker=1) == ([2], [])
+    table.add_broker_filter(2, "c", RangeFilter(0.4, 0.6))
+    assert matched(table, ev(0.7)) == ([1], [])
+    assert matched(table, ev(0.4)) == ([2], [])
+    assert matched(table, ev(0.6)) == ([1, 2], [])
+    assert matched(table, ev(0.6), from_broker=1) == ([2], [])
     assert table.remove_broker_filter(1, "b")
-    assert matched(table, ev(0.6)) == ([], [])
+    assert matched(table, ev(0.7)) == ([], [])
     assert table.broker_filter_count(1) == 1
     assert table.broker_filter_count(2) == 1
 
 
-def test_engine_shared_constraints_across_slots():
-    f = ConjunctionFilter([AttributeConstraint("kind", Op.EQ, "x")])
+def test_engine_identical_ranges_across_slots():
+    """One filter object, and an equal one, under two keys: both match, and
+    removing one leaves the other."""
+    f = RangeFilter(0.2, 0.4)
     table = FilterTable(0, NEIGHBORS)
     table.set_client_entry(ClientEntry(1, "s1", f))
-    table.set_client_entry(
-        ClientEntry(
-            2, "s2", ConjunctionFilter([AttributeConstraint("kind", Op.EQ, "x")])
-        )
-    )
-    assert matched(table, ev(0.0, kind="x")) == ([], ["s1", "s2"])
+    table.set_client_entry(ClientEntry(2, "s2", RangeFilter(0.2, 0.4)))
+    table.add_broker_filter(7, "s1", f)
+    table.add_broker_filter(7, "s2", RangeFilter(0.2, 0.4))
+    assert matched(table, ev(0.2)) == ([7], ["s1", "s2"])
     table.remove_entry_by_key("s1")
-    assert matched(table, ev(0.0, kind="x")) == ([], ["s2"])
+    assert table.remove_broker_filter(7, "s1")
+    assert matched(table, ev(0.4)) == ([7], ["s2"])

@@ -57,16 +57,15 @@ class TestTracer:
 
 
 class TestNotification:
-    def test_get_topic_and_publisher(self):
+    def test_an_event_is_five_fields(self):
+        """Publisher, order and one routing attribute: no attribute map."""
         e = Notification(1, 7, 3, 100.0, 0.25)
-        assert e.get("topic") == 0.25
-        assert e.get("publisher") == 7
-        assert e.get("other") is None
-
-    def test_get_custom_attrs(self):
-        e = Notification(1, 7, 3, 100.0, 0.25, {"kind": "alert"})
-        assert e.get("kind") == "alert"
-        assert e.get("nope", 0) == 0
+        assert Notification.__slots__ == (
+            "event_id", "publisher", "seq", "publish_time", "topic")
+        assert (e.event_id, e.publisher, e.seq, e.publish_time, e.topic) \
+            == (1, 7, 3, 100.0, 0.25)
+        with pytest.raises(TypeError):
+            Notification(1, 7, 3, 100.0, 0.25, {"kind": "alert"})
 
     def test_order_key_sorts_by_publish_time(self):
         a = Notification(1, 7, 0, 100.0, 0.1)
@@ -79,12 +78,6 @@ class TestNotification:
         b = Notification(5, 8, 9, 999.0, 0.9)
         assert a == b
         assert len({a, b}) == 1
-
-    def test_attrs_copied(self):
-        attrs = {"x": 1}
-        e = Notification(1, 7, 0, 0.0, 0.5, attrs)
-        attrs["x"] = 2
-        assert e.get("x") == 1
 
 
 class TestTracingOffCostsNothing:

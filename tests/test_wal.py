@@ -56,7 +56,7 @@ from repro.workload.spec import WorkloadSpec
 # records
 # ---------------------------------------------------------------------------
 RECORDS = [
-    ("pub", 1, Notification(7, 2, 0, 1500.0, 3.25, {"kind": "quote", "n": 3})),
+    ("pub", 1, Notification(7, 2, 0, 1500.0, 3.25)),
     ("dlv", 2, 11, 7),
     ("ack", 3, 11, 7),
     ("ses", 4, 11, 0.0, 4.5, (3, 7)),
@@ -71,8 +71,7 @@ def test_codec_round_trip():
     assert torn == 0
     # Notification compares by id alone: pin the payload field by field
     event, logged = records[0][2], RECORDS[0][2]
-    for field in ("event_id", "publisher", "seq", "publish_time", "topic",
-                  "attrs"):
+    for field in ("event_id", "publisher", "seq", "publish_time", "topic"):
         assert getattr(event, field) == getattr(logged, field)
 
 
@@ -277,6 +276,29 @@ def test_parent_format_log_is_refused_and_left_intact(tmp_path):
         DurabilityManager(_Host(DeliveryChecker()), mem).replay()
 
 
+#: ``encode_record(("pub", 1, Notification(7, 2, 3, 1.5, 0.25)))`` as codec
+#: version 3 wrote it: 40 bytes, the event ending in its attrs count
+V3_PUB_RECORD = (b" \x00\x00\x00\xf6\xb6\xd7\xde\x03\x06\x03\x05\x00\x03pub"
+                 b"\x03\x02\x0b\x07\x02\x03\x00\x00\x00\x00\x00\x00\xf8?"
+                 b"\x00\x00\x00\x00\x00\x00\xd0?\x00")
+
+
+def test_version_3_pub_record_is_refused_and_left_intact(tmp_path):
+    """A log written by codec version 3 (whose events carried an attrs
+    count) is checksum-valid but of another generation: a typed error, not
+    a log truncated to nothing. The version-4 record is one byte shorter."""
+    record = ("pub", 1, Notification(7, 2, 3, 1.5, 0.25))
+    assert len(encode_record(record)) == len(V3_PUB_RECORD) - 1 == 39
+    with pytest.raises(CodecError, match="unsupported codec version 3"):
+        decode_records(V3_PUB_RECORD)
+    seg = tmp_path / "b000" / "seg000000.wal"
+    seg.parent.mkdir()
+    seg.write_bytes(V3_PUB_RECORD)
+    with pytest.raises(CodecError, match="seg000000.wal"):
+        FileLogStore(str(tmp_path))
+    assert seg.read_bytes() == V3_PUB_RECORD
+
+
 def test_file_store_close_removes_owned_scratch_dir(tmp_path):
     root = tmp_path / "scratch"
     store = FileLogStore(str(root), owns_dir=True)
@@ -326,7 +348,7 @@ def _drive(seed: int, store=None, checkpoint_every: int = 8):
         if op == "pub":
             ev = Notification(
                 len(events), rnd.randrange(2), len(events),
-                float(step), rnd.uniform(0.0, 10.0), None,
+                float(step), rnd.uniform(0.0, 10.0),
             )
             events.append(ev)
             dur.on_publish(rnd.randrange(3), ev)
@@ -413,7 +435,7 @@ def _one_event_manager():
     """A manager with one event published at broker 0, delivered to client
     0 at broker 1 and settled there: the session lives at broker 1."""
     dur = DurabilityManager(_Host(DeliveryChecker()), MemoryLogStore())
-    ev = Notification(0, 5, 0, 0.0, 1.0, None)
+    ev = Notification(0, 5, 0, 0.0, 1.0)
     dur.on_publish(0, ev)
     dur.on_deliver(1, 0, ev)
     dur.on_settled(1, 0, ev)

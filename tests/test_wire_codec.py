@@ -3,7 +3,7 @@
 Two layers of pinning:
 
 1. Hypothesis property tests per message class, over generated field
-   values — empty filters, max-range intervals, unicode attribute names,
+   values — point, full, infinite and max-range intervals, unicode keys,
    full ``SessionTransfer`` windows.
 2. An exhaustiveness gate: every concrete class in ``pubsub/messages.py``
    must have a schema, every schema must cover exactly the class's slots,
@@ -22,12 +22,8 @@ from hypothesis import strategies as st
 
 from repro.pubsub import messages as m
 from repro.pubsub.events import Notification
-from repro.pubsub.filters import (
-    AttributeConstraint,
-    ConjunctionFilter,
-    Op,
-    RangeFilter,
-)
+from repro.pubsub.filters import RangeFilter
+from repro.pubsub.wal import _decode_record, encode_record
 from repro.util.ids import QueueRef
 from repro.wire import codec
 from repro.wire.codec import (
@@ -39,6 +35,7 @@ from repro.wire.codec import (
     encode_control,
     encode_message,
 )
+from repro.wire.framing import HEADER_SIZE
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -47,10 +44,8 @@ uints = st.integers(min_value=0, max_value=2 ** 40)
 small_uints = st.integers(min_value=0, max_value=63)
 floats = st.floats(allow_nan=False, allow_infinity=True, width=64)
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
-# includes unicode well outside ASCII (topic names, attr names)
+# includes unicode well outside ASCII (subscription keys, categories)
 texts = st.text(max_size=12)
-attr_names = st.one_of(st.just("topic"), st.just("publisher"),
-                       st.text(min_size=1, max_size=12))
 
 
 def notifications():
@@ -60,56 +55,23 @@ def notifications():
         publisher=small_uints,
         seq=uints,
         publish_time=finite,
-        topic=finite,
-        attrs=st.one_of(
-            st.none(),
-            st.dictionaries(texts, st.one_of(st.integers(), finite, texts),
-                            max_size=4),
-        ),
-    )
-
-
-def range_filters():
-    # includes degenerate (lo == hi, the narrowest valid interval) and
-    # max-range intervals, plus unicode attribute names
-    ordered = st.tuples(finite, finite).map(sorted)
-    return st.one_of(
-        st.builds(lambda b, attr: RangeFilter(b[0], b[1], attr=attr),
-                  ordered, attr_names),
-        st.just(RangeFilter(-1e308, 1e308)),      # max range
-        st.just(RangeFilter(0.25, 0.25, attr="温度")),  # unicode attr
-    )
-
-
-def conjunction_filters():
-    # value domains per operator (AttributeConstraint validates each combo)
-    comparison = st.builds(
-        AttributeConstraint,
-        attr=attr_names,
-        op=st.sampled_from([Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE]),
-        value=st.one_of(st.integers(), finite, texts),
-    )
-    ranges = st.builds(
-        lambda attr, b: AttributeConstraint(attr, Op.RANGE, (b[0], b[1])),
-        attr_names, st.tuples(finite, finite).map(sorted),
-    )
-    exists = st.builds(
-        AttributeConstraint, attr=attr_names, op=st.just(Op.EXISTS),
-        value=st.none(),
-    )
-    prefix = st.builds(
-        AttributeConstraint, attr=attr_names, op=st.just(Op.PREFIX),
-        value=texts,
-    )
-    constraint = st.one_of(comparison, ranges, exists, prefix)
-    return st.builds(
-        ConjunctionFilter,
-        constraints=st.tuples() | st.lists(constraint, max_size=3).map(tuple),
+        topic=floats,
     )
 
 
 def filters():
-    return st.one_of(range_filters(), conjunction_filters())
+    # includes degenerate (lo == hi, the narrowest valid interval), full,
+    # half-infinite and max-range intervals
+    return st.one_of(
+        st.tuples(floats, floats).map(lambda b: RangeFilter(*sorted(b))),
+        finite.map(lambda x: RangeFilter(x, x)),  # point
+        st.sampled_from([
+            RangeFilter(-math.inf, math.inf),      # full
+            RangeFilter(-math.inf, 0.5),
+            RangeFilter(0.5, math.inf),
+            RangeFilter(-1e308, 1e308),            # max finite range
+        ]),
+    )
 
 
 def qrefs():
@@ -219,8 +181,7 @@ MESSAGE_STRATEGIES = {
 
 
 def _note_tuple(ev):
-    attrs = tuple(sorted(ev.attrs.items())) if ev.attrs else None
-    return (ev.event_id, ev.publisher, ev.seq, ev.publish_time, ev.topic, attrs)
+    return (ev.event_id, ev.publisher, ev.seq, ev.publish_time, ev.topic)
 
 
 def _assert_events_identical(a, b):
@@ -259,16 +220,12 @@ def test_round_trip_property(cls):
     run()
 
 
-def test_round_trip_unicode_topic_names_and_interning():
-    f = ConjunctionFilter((
-        AttributeConstraint("температура", Op.GE, 10),
-        AttributeConstraint("температура", Op.LE, 30),
-        AttributeConstraint("city🌍", Op.EQ, "zürich"),
-    ))
-    msg = m.SubscribeMessage(("ключ", 7), f, m.CAT_SUB_HANDOFF)
+def test_round_trip_unicode_keys_and_interning():
+    key = ("температура", 7, "температура", "city🌍")
+    msg = m.SubscribeMessage(key, RangeFilter(10, 30), m.CAT_SUB_HANDOFF)
     payload = encode_message(msg)
     assert decode_message(payload) == msg
-    # the repeated attr name must have been interned: cheaper than twice raw
+    # the repeated string must have been interned: cheaper than twice raw
     raw = "температура".encode("utf-8")
     assert payload.count(raw) == 1
 
@@ -276,7 +233,7 @@ def test_round_trip_unicode_topic_names_and_interning():
 def test_session_transfer_full_window_round_trips():
     events = tuple(
         Notification(i, publisher=2, seq=i, publish_time=float(i),
-                     topic=0.5, attrs={"k": i})
+                     topic=i / 10)
         for i in range(10)
     )
     msg = m.SessionTransfer(3, origin=1, anchor=4, events=events,
@@ -287,11 +244,67 @@ def test_session_transfer_full_window_round_trips():
 
 
 def test_empty_and_max_range_filters_round_trip():
-    # "empty" = an empty conjunction (RangeFilter validates lo <= hi)
+    # the narrowest interval RangeFilter admits (a point; it refuses
+    # lo > hi) up to the whole line
     for f in (RangeFilter(0.5, 0.5), RangeFilter(-1e308, 1e308),
-              ConjunctionFilter(()), RangeFilter(0.0, math.inf)):
+              RangeFilter(-math.inf, math.inf), RangeFilter(0.0, math.inf)):
         msg = m.SubscribeMessage("k", f)
         assert decode_message(encode_message(msg)).filter == f
+
+
+# ---------------------------------------------------------------------------
+# version 4: one filter kind, attr-less events
+# ---------------------------------------------------------------------------
+#: ``SubscribeMessage("k", RangeFilter(0.25, 0.5))`` as version 3 wrote it:
+#: filter kind 1, then the attribute string "topic", then the bounds
+V3_SUBSCRIBE = (b"\x03\x02\x05\x00\x01k\x01\x00\x05topic"
+                b"\x00\x00\x00\x00\x00\x00\xd0?\x00\x00\x00\x00\x00\x00\xe0?"
+                b"\x00\x0bsub_initial")
+#: ``PublishMessage(Notification(7, 2, 3, 1.5, 0.25))`` as version 3 wrote
+#: it: the event ends in its attrs count, a zero byte
+V3_PUBLISH = (b"\x03\x04\x07\x02\x03\x00\x00\x00\x00\x00\x00\xf8?"
+              b"\x00\x00\x00\x00\x00\x00\xd0?\x00")
+
+
+def test_version_3_payloads_are_refused():
+    assert CODEC_VERSION == 4
+    for payload in (V3_SUBSCRIBE, V3_PUBLISH):
+        with pytest.raises(CodecError, match="unsupported codec version 3"):
+            decode_message(payload)
+    # the same messages now: the attr string and the attrs count are gone
+    sub = encode_message(m.SubscribeMessage("k", RangeFilter(0.25, 0.5)))
+    assert sub[1:] == V3_SUBSCRIBE[1:7] + V3_SUBSCRIBE[14:]
+    pub = encode_message(m.PublishMessage(Notification(7, 2, 3, 1.5, 0.25)))
+    assert pub[1:] == V3_PUBLISH[1:-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=filters(), ev=notifications(), lsn=uints)
+def test_property_filters_and_events_round_trip(f, ev, lsn):
+    """A range filter through the message codec, and an attr-less event
+    through it and through a WAL ``pub`` record, come back field for field."""
+    out = decode_message(encode_message(m.SubMigration(
+        1, "k", f, 2, (), 3)))
+    assert out.filter == f and type(out.filter) is RangeFilter
+    assert out.filter.topic_range == f.topic_range
+    back = decode_message(encode_message(m.PublishMessage(ev))).event
+    assert _note_tuple(back) == _note_tuple(ev)
+    record = _decode_record(encode_record(("pub", lsn, ev))[HEADER_SIZE:])
+    assert record[:2] == ("pub", lsn)
+    assert _note_tuple(record[2]) == _note_tuple(ev)
+
+
+def test_retired_filter_kind_is_a_codec_error():
+    """Kind 2 was the conjunction of attribute constraints; it is retired,
+    and a payload naming it, even one otherwise shaped like a version-3
+    empty conjunction, is refused."""
+    for body in (bytes([12, 2, 0]), bytes([12, 2]), bytes([12, 0]),
+                 bytes([12, 3]) + struct.pack("<dd", 0.0, 1.0)):
+        with pytest.raises(CodecError, match="unknown filter kind"):
+            decode_control(bytes([CODEC_VERSION]) + body)
+    with pytest.raises(CodecError, match="unknown filter kind 2"):
+        decode_message(bytes([CODEC_VERSION, 2, 5, 0, 1]) + b"k"
+                       + bytes([2, 0, 0]) + b"\x0bsub_initial")
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +419,9 @@ def test_decoder_never_raises_foreign_exceptions(junk):
     bytes([9, 1, 7, 0, 0]),                    # dict keyed by a list
     bytes([8, 1, 7, 0]),                       # frozenset holding a list
     bytes([6, 1]) * 600 + bytes([0]),          # 600 nested 1-tuples
-    bytes([12, 1, 0, 1]) + b"t" + struct.pack("<dd", 2.0, 1.0),  # lo > hi
-], ids=["dict-key", "set-member", "nesting", "filter"])
+    bytes([12, 1]) + struct.pack("<dd", 2.0, 1.0),  # lo > hi
+    bytes([12, 1]) + struct.pack("<dd", math.nan, 1.0),  # NaN bound
+], ids=["dict-key", "set-member", "nesting", "filter", "nan-filter"])
 def test_well_tagged_but_unbuildable_values_are_codec_errors(body):
     """Bytes that parse tag by tag but name a value Python (or the filter
     constructor) refuses to build: still the codec's error, not

@@ -159,7 +159,7 @@ def test_no_exception_escapes_the_framing_layer(junk):
 
 
 _LOGGED = [
-    ("pub", 1, Notification(7, 2, 0, 1500.0, 3.25, {"k": "v"})),
+    ("pub", 1, Notification(7, 2, 0, 1500.0, 3.25)),
     ("ses", 2, 11, 0.0, 4.5, ()),
     ("dlv", 3, 11, 7),
     ("ack", 4, 11, 7),

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
 from repro.sim.rng import RandomStreams
 from repro.workload.generator import SubscriptionGenerator, build_population
@@ -42,12 +43,13 @@ def test_subscription_ranges_stay_in_unit_interval():
 
 
 def test_every_subscription_is_a_closed_topic_range():
-    """The paper's workload installs topic ranges only, so no filter set
-    ever holds a member it must scan for covering."""
+    """The paper's workload draws the one filter kind, a closed topic
+    range inside the topic space."""
     gen = SubscriptionGenerator(RandomStreams(6), match_fraction=0.0625)
     for i in range(1000):
         f = gen.draw(i)
-        assert f.as_range() == ("topic", f.lo, f.hi)
+        assert type(f) is RangeFilter
+        assert f.topic_range == (f.lo, f.hi) and f.lo <= f.hi
 
 
 def test_subscriptions_deterministic_per_seed():
