@@ -81,7 +81,8 @@ def main() -> None:
 
     print()
     for protocol, (stats, injector) in results.items():
-        # the conformance matrix, asserted (same rules the fuzzer enforces)
+        # the conformance matrix, asserted (check_invariants: the rules
+        # every conformance run is judged by)
         assert stats.missing == 0, protocol
         assert stats.duplicates == injector.dups_delivered, protocol
         if protocol in RELIABLE:

@@ -1,12 +1,12 @@
-"""Scenario space for the conformance fuzzer.
+"""Scenario space for conformance runs.
 
 A :class:`Scenario` is one adversarial end-to-end run: a scenario seed, a
 lane and the :class:`ExperimentConfig` the two expand to (protocol, grid
 size, population, mobility model, topic skew, wireless fault profile and
-the lane's layers). :meth:`Scenario.from_seed` is the only generator — the
-fuzzer prints nothing but the seed and the lane on failure, and replaying
-them with ``--scenario-seed N --lane X [--protocol P]`` reconstructs the
-identical config (and, because every random stream in the simulator is
+the lane's layers). :meth:`Scenario.from_seed` is the only generator — a
+scenario is named by its seed and lane alone, and replaying them with
+``--scenario-seed N --lane X [--protocol P]`` reconstructs the identical
+config (and, because every random stream in the simulator is
 seed-derived, the identical run, event for event).
 
 The sampling ranges are deliberately small and hostile: tiny grids with a
@@ -40,7 +40,7 @@ PROTOCOLS: tuple[str, ...] = tuple(registry.PROTOCOLS)
 # four slots keep each seed's draws: choice() over three reads other bits
 _SAMPLED = (*PROTOCOLS, "mhh")
 
-#: the fuzzer's lanes: the base draw, then a seeded crash plan on perfect
+#: the lanes: the base draw, then a seeded crash plan on perfect
 #: links, ACK/retransmit on forced-lossy links, both, and both plus the WAL
 LANES: tuple[str, ...] = ("plain", "crash", "rel", "rel-crash", "durable")
 

@@ -7,9 +7,12 @@ runner's drain phase) the checker settles:
 
     expected == delivered_unique + lost + crash_lost + shed
 
-and reports duplicates (same event delivered twice to one client) and
-per-publisher order violations (event with a lower sequence number delivered
-after a higher one from the same publisher).
+(an ``early`` delivery, of an event published before the subscription
+was registered, is not in ``delivered_unique``: such events are never
+owed, and their lost copies count in ``early_lost``) and reports
+duplicates (same event delivered twice to one client) and per-publisher
+order violations (event with a lower sequence number delivered after a
+higher one from the same publisher).
 
 The paper claims MHH and sub-unsub are reliable and ordered while the
 home-broker protocol loses in-transit events; the integration tests assert
@@ -59,13 +62,18 @@ class DeliveryStats:
     #: queue shed, breaker-open shed, retry-budget exhaustion); always 0
     #: without a queue cap / reliability layer
     shed: int = 0
+    #: first deliveries of events published in the client's range before
+    #: it was registered (in ``delivered``, never against ``expected``),
+    #: and lost copies of such events
+    early: int = 0
+    early_lost: int = 0
 
     @property
     def missing(self) -> int:
         """Expected deliveries neither performed nor explicitly lost."""
         return (
             self.expected
-            - (self.delivered - self.duplicates)
+            - (self.delivered - self.duplicates - self.early)
             - self.lost_explicit
             - self.crash_lost
             - self.shed
@@ -82,9 +90,9 @@ class DeliveryStats:
 class DeliveryChecker:
     """Streaming reliability auditor.
 
-    Register every subscription before the run starts (subscriptions are
-    static in the paper's workload); feed it publishes and deliveries as
-    they happen (what it keeps is in the module docstring).
+    Register each subscription when its client is made (the paper's
+    workload makes them all before the run); feed it publishes and
+    deliveries as they happen (what it keeps is in the module docstring).
     """
 
     def __init__(self) -> None:
@@ -119,7 +127,13 @@ class DeliveryChecker:
     def on_loss(self, client: int, event: Notification) -> None:
         """This copy is gone: a fault drop with no retry cover, or
         home-broker's in-transit loss."""
-        self._mark(client, event.event_id, LOSS)
+        eid = event.event_id
+        outstanding = self._outstanding.get(client)
+        if outstanding is not None and eid in outstanding:
+            outstanding[eid] |= LOSS
+        elif (eid not in self._unexpected.get(client, ())
+              and self._early(client, event)):
+            self.stats.early_lost += 1
 
     def on_recoverable_drop(self, client: int, event: Notification) -> None:
         """A frame was dropped while its retransmit window is live."""
@@ -171,6 +185,14 @@ class DeliveryChecker:
                 if lo <= topic <= hi and not before.get(pub, 0) >> seq & 1:
                     return True
         return False
+
+    def _early(self, client: int, event: Notification) -> bool:
+        """Was ``event`` published in a range of ``client`` before that
+        range was registered, and expected by none?"""
+        pub, seq, topic = event.publisher, event.seq, event.topic
+        return not self._expected(client, event) and any(
+            lo <= topic <= hi and before.get(pub, 0) >> seq & 1
+            for lo, hi, before in self._ranges.get(client, ()))
 
     def delivered_pair(self, client: int, event: Notification) -> bool:
         """Was ``event`` delivered to ``client``?"""
@@ -227,6 +249,8 @@ class DeliveryChecker:
             return
         else:
             self._unexpected.setdefault(client, set()).add(eid)
+            if self._early(client, event):
+                self.stats.early += 1
         seqs = self._max_seq.setdefault(client, {})
         if event.seq < seqs.get(event.publisher, -1):
             self.stats.order_violations += 1

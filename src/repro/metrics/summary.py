@@ -134,7 +134,7 @@ def summarize(
         delivered=stats.delivered,
         duplicates=stats.duplicates,
         order_violations=stats.order_violations,
-        lost=stats.lost_explicit,
+        lost=stats.lost_explicit + stats.early_lost,
         missing=stats.missing,
         overhead_by_category=dict(metrics.window_wired),
         sim_events=sim_events,

@@ -443,6 +443,16 @@ class LinkLayer:
     def downlink_backlog(self, client_id: int) -> int:
         return self._downlinks[client_id].backlog
 
+    def cancel_uplink_pending(self, client_id: int, broker_id: int) -> list[Any]:
+        """Reclaim the queued uplink frames of ``client_id`` addressed to
+        ``broker_id`` and return their payloads, in order. The in-service
+        frame completes."""
+        ch = self._uplinks[client_id]
+        taken = [msg for to, _cid, msg, _stamp in ch.queue if to == broker_id]
+        if taken:
+            ch.queue = deque(item for item in ch.queue if item[0] != broker_id)
+        return taken
+
     # ------------------------------------------------------------------
     # the kernel-facing Transport facade (repro.drivers.base.Transport):
     # pure aliases, so the sans-IO boundary costs no indirection

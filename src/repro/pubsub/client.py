@@ -58,6 +58,9 @@ class Client:
         #: superseded (the client may abandon a connect before the broker
         #: even learns of it)
         self.connect_epoch = 0
+        #: events with a smaller id were published before this client
+        #: subscribed: never owed to it
+        self.owed_from = system.ids.peek("event")
         self._pub_seq = 0
         #: optional application callback, invoked exactly once per distinct
         #: event (see _deliver_event); the delivery ledger still records

@@ -287,6 +287,12 @@ class RecoveryCoordinator:
                         checker.mark_crash_risk(cid, pending.event)
                 client.force_disconnect()
                 self._detached[cid] = client.connect_epoch
+                # the frames its radio still queues for the dead station
+                # leave it now: a publish reaches the outbox before the
+                # repair round that offers it, and never a restarted broker
+                # as well (the one in service is dropped at the corpse)
+                for msg in system.net.cancel_uplink_pending(cid, bid):
+                    self.on_dropped_message(msg)
         # layers holding per-broker state sweep what the corpse owned
         # (reliability: straggler transmit windows and their timers)
         for sweep in self._hooks.broker_crash:
@@ -315,11 +321,13 @@ class RecoveryCoordinator:
         alive = sorted(b for b in system.brokers if b not in self.down)
 
         # 1. gather the surviving backlog: deduplicate by event id and skip
-        #    what the subscriber itself has already seen
+        #    what the subscriber itself has already seen, or was never owed
+        #    (offered late, it would break its publisher's order)
         backlog: dict[int, dict[int, Notification]] = {}
 
         def keep(cid: int, ev: Notification) -> None:
-            if not system.clients[cid].has_seen(ev):
+            client = system.clients[cid]
+            if ev.event_id >= client.owed_from and not client.has_seen(ev):
                 backlog.setdefault(cid, {}).setdefault(ev.event_id, ev)
 
         for bid in alive:

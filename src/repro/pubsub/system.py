@@ -388,7 +388,9 @@ class PubSubSystem:
         broker: int,
         mobile: bool = False,
     ) -> Client:
-        """Create a client whose home broker is ``broker``.
+        """Create a client whose home broker is ``broker``, or, while
+        ``broker`` is down, the live broker a connect there would reach
+        (the station re-association a repair round re-homes by).
 
         The client is *not* connected yet; call :meth:`Client.connect`.
         Its subscription is registered with the delivery checker, so every
@@ -396,6 +398,8 @@ class PubSubSystem:
         """
         if broker not in self.brokers:
             raise ConfigurationError(f"unknown broker id {broker}")
+        for associate in self.hooks.attach_target:
+            broker = associate(broker)
         cid = self.ids.next("client")
         client = Client(self, cid, filter, home_broker=broker, mobile=mobile)
         self.clients[cid] = client

@@ -9,9 +9,7 @@ inside control messages.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 # Brokers and clients are plain ints at runtime. The aliases document intent
 # in signatures without imposing wrapper-object overhead on hot paths.
@@ -46,19 +44,21 @@ class IdAllocator:
     """
 
     def __init__(self) -> None:
-        self._counters: dict[str, Iterator[int]] = {}
+        self._next: dict[str, int] = {}
 
     def next(self, stream: str) -> int:
         """Return the next id in ``stream``, starting from 0."""
-        counter = self._counters.get(stream)
-        if counter is None:
-            counter = itertools.count()
-            self._counters[stream] = counter
-        return next(counter)
+        n = self._next.get(stream, 0)
+        self._next[stream] = n + 1
+        return n
+
+    def peek(self, stream: str) -> int:
+        """The id :meth:`next` would return for ``stream``, not taken."""
+        return self._next.get(stream, 0)
 
     def peek_streams(self) -> list[str]:
         """Names of streams that have allocated at least one id."""
-        return sorted(self._counters)
+        return sorted(self._next)
 
 
 # Event ids count from 0, so a set of them is one ``bytearray``: bit

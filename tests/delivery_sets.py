@@ -27,9 +27,8 @@ from repro.pubsub.events import Notification
 class SetDeliveryChecker:
     """Streaming reliability auditor that stores every delivered seq.
 
-    Register every subscription before the run starts (subscriptions are
-    static in the paper's workload); feed it publishes and deliveries as
-    they happen.
+    Register each subscription when its client is made; feed it
+    publishes and deliveries as they happen.
     """
 
     def __init__(self) -> None:
@@ -37,6 +36,9 @@ class SetDeliveryChecker:
         self._sub_lo: list[float] = []
         self._sub_hi: list[float] = []
         self._arrays: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        # client -> [(lo, hi, the (publisher, seq)s published before it)]
+        self._ranges: dict[int, list[tuple[float, float, set]]] = {}
+        self._published: set[tuple[int, int]] = set()
         self.expected_per_client: dict[int, int] = {}
         self.delivered_per_client: dict[int, int] = {}
         # (client, publisher) -> set of delivered seqs (duplicate detection)
@@ -72,6 +74,18 @@ class SetDeliveryChecker:
 
     def on_loss(self, client: int, event: Notification) -> None:
         self._land(self._loss_marked, client, event)
+        if not self.delivered_pair(client, event) and self._early(
+                client, event):
+            self.stats.early_lost += 1
+
+    def _early(self, client: int, event: Notification) -> bool:
+        """Published in a range of ``client`` before it registered, and
+        expected by none."""
+        if (client, event.event_id) in self._expected_pairs:
+            return False
+        key = (event.publisher, event.seq)
+        return any(lo <= event.topic <= hi and key in before
+                   for lo, hi, before in self._ranges.get(client, ()))
 
     def on_recoverable_drop(self, client: int, event: Notification) -> None:
         self._land(self._recover_marked, client, event)
@@ -104,6 +118,8 @@ class SetDeliveryChecker:
         self._sub_lo.append(lo)
         self._sub_hi.append(hi)
         self._arrays = None
+        self._ranges.setdefault(client, []).append(
+            (lo, hi, set(self._published)))
         self.expected_per_client.setdefault(client, 0)
         self.delivered_per_client.setdefault(client, 0)
 
@@ -124,6 +140,7 @@ class SetDeliveryChecker:
     # ------------------------------------------------------------------
     def on_publish(self, event: Notification) -> None:
         self.stats.published += 1
+        self._published.add((event.publisher, event.seq))
         matched = self.matching_clients(event.topic)
         self.stats.expected += int(matched.size)
         for cid in matched:
@@ -143,6 +160,8 @@ class SetDeliveryChecker:
         if event.seq in seen:
             self.stats.duplicates += 1
         else:
+            if self._early(client, event):
+                self.stats.early += 1
             seen.add(event.seq)
             marked = (client, event.event_id)
             if marked in self._recover_marked:

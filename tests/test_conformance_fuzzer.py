@@ -1,18 +1,16 @@
-"""The conformance fuzzer: seed-determinism, replay, invariant detection."""
+"""Conformance runs: seed-determinism, replay, invariant detection, and
+the scenario draws CI's conformance job used to sample."""
 
 import dataclasses
 import hashlib
-import json
 
 import pytest
 
 from repro.conformance import fuzzer
 from repro.conformance.fuzzer import (
-    FuzzReport,
-    ScenarioFuzzer,
-    ScenarioResult,
     check_invariants,
     compare_outcomes,
+    conform,
     main,
     run_scenario,
 )
@@ -74,10 +72,22 @@ LANE_DRAWS_DIGEST = (
 )
 
 
+#: the protocol each lane forced on its i-th draw when the digest above was
+#: recorded: the plain lane keeps its sampled one, the rel lanes cycle the
+#: two protocols that promise no losses of their own, the others all three
+LANE_CYCLES = {
+    "plain": (None,),
+    "crash": PROTOCOLS,
+    "rel": ("mhh", "sub-unsub"),
+    "rel-crash": ("mhh", "sub-unsub"),
+    "durable": PROTOCOLS,
+}
+
+
 def test_lane_draws_are_pinned():
     h = hashlib.sha256()
     for lane in LANES:
-        cycle = fuzzer._LANE_CYCLES[lane]
+        cycle = LANE_CYCLES[lane]
         for seed in range(200):
             protocol = cycle[seed % len(cycle)]
             h.update(repr(Scenario.from_seed(seed, lane, protocol).config)
@@ -120,14 +130,6 @@ def test_each_lane_keeps_its_contract(lane):
                 dataclasses.replace(cfg, protocol=protocol))
 
 
-def test_scenario_seeds_derive_from_master_seed():
-    a = ScenarioFuzzer(n_scenarios=10, master_seed=4).scenario_seeds()
-    b = ScenarioFuzzer(n_scenarios=10, master_seed=4).scenario_seeds()
-    c = ScenarioFuzzer(n_scenarios=10, master_seed=5).scenario_seeds()
-    assert a == b != c
-    assert len(set(a)) == 10
-
-
 # ---------------------------------------------------------------------------
 # replay determinism
 # ---------------------------------------------------------------------------
@@ -140,10 +142,9 @@ def test_run_scenario_replays_byte_identically():
     assert a.delivery_log  # something actually happened
 
 
-def test_fuzzer_run_one_passes_on_a_small_scenario():
+def test_conform_passes_on_a_small_scenario():
     seed = quick_seed(lambda c: small(c) and c.protocol == "mhh")
-    result = ScenarioFuzzer(cross_engine=True).run_one(seed)
-    assert result.passed, result.violations
+    assert conform(Scenario.from_seed(seed), cross_engine=True) == []
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +188,15 @@ def test_clean_outcome_is_conformant():
 def test_dead_post_repair_overlay_is_the_generators_fault(monkeypatch):
     """``post_repair_publishes == 0`` judges the scenario generator, not
     the protocol: the driver-independent matrix stays silent and
-    ``run_one``, where the generator is, flags it."""
-    cfg = Scenario.from_seed(7, "crash", "mhh").config
+    ``conform``, which knows the run came from the generator, flags it."""
+    scenario = Scenario.from_seed(7, "crash", "mhh")
+    cfg = scenario.config
     dead = outcome(repairs=len(cfg.crashes.events))
     assert dead.post_repair_publishes == 0
     assert check_invariants(cfg, dead) == []
     monkeypatch.setattr(fuzzer, "run_scenario", lambda *a, **kw: dead)
-    result = ScenarioFuzzer(cross_engine=False, lane="crash").run_one(
-        7, "mhh"
-    )
-    assert any("no post-repair publishes" in v for v in result.violations)
+    violations = conform(scenario, cross_engine=False)
+    assert any("no post-repair publishes" in v for v in violations)
 
 
 def test_missing_deliveries_flagged_for_every_protocol():
@@ -256,80 +256,64 @@ def test_cross_engine_divergence_detected():
 
 
 # ---------------------------------------------------------------------------
-# report + CLI
+# the replay CLI
 # ---------------------------------------------------------------------------
-def test_report_round_trips_to_json(tmp_path):
-    report = FuzzReport(
-        master_seed=1,
-        results=[
-            ScenarioResult(5, "mhh", "seed=5 mhh k=2", []),
-            ScenarioResult(6, "home-broker", "seed=6 home-broker k=3",
-                           ["missing=1"]),
-        ],
-    )
-    assert not report.passed
-    assert [r.seed for r in report.failures] == [6]
-    assert report.protocol_counts() == {"mhh": 1, "home-broker": 1}
-    blob = json.dumps(report.as_dict())
-    parsed = json.loads(blob)
-    assert parsed["scenarios"][1]["replay"].endswith(
-        "--scenario-seed 6 --lane plain")
-
-
-def test_cli_replays_single_scenario(tmp_path, capsys):
+def test_cli_replays_single_scenario(capsys):
     seed = quick_seed(small)
-    out = tmp_path / "fuzz.json"
-    rc = main([
-        "--scenario-seed", str(seed), "--no-cross-engine", "--out", str(out)
-    ])
-    captured = capsys.readouterr().out
+    rc = main(["--scenario-seed", str(seed), "--no-cross-engine"])
     assert rc == 0
-    assert f"PASS seed={seed}" in captured
-    parsed = json.loads(out.read_text())
-    assert parsed["passed"] is True
-    assert parsed["scenarios"][0]["seed"] == seed
+    assert capsys.readouterr().out == (
+        f"PASS {Scenario.from_seed(seed).label()}\n")
 
 
-def test_cli_forces_the_protocol_on_the_plain_lane(tmp_path, capsys):
+def test_cli_forces_the_protocol_on_the_plain_lane(capsys):
     """``--protocol`` is honoured on the plain lane too: the replay runs
     the forced protocol on the seed's otherwise unchanged draw."""
     seed = quick_seed(lambda c: small(c) and c.protocol != "mhh")
-    out = tmp_path / "fuzz.json"
     rc = main(["--scenario-seed", str(seed), "--protocol", "mhh",
-               "--no-cross-engine", "--out", str(out)])
+               "--no-cross-engine"])
     assert rc == 0
     assert f"PASS seed={seed} lane=plain mhh " in capsys.readouterr().out
-    parsed = json.loads(out.read_text())
-    assert parsed["protocols"] == {"mhh": 1}
-    assert parsed["scenarios"][0]["replay"].endswith(
-        "--lane plain --protocol mhh")
 
 
-def test_cli_refuses_a_protocol_it_would_ignore(capsys):
-    """Outside a ``--scenario-seed`` replay, batches sample or cycle their
-    protocols: a forced one would be dropped, so it is a usage error."""
+def test_forced_plain_lane_replay_command_carries_the_protocol(capsys):
+    """The replay command a failure is named by, ``--scenario-seed N
+    --lane plain --protocol P``, replays exactly
+    ``Scenario.from_seed(N, "plain", P)``."""
+    seed = quick_seed(lambda c: small(c) and c.protocol == "mhh")
+    assert main(["--scenario-seed", str(seed), "--lane", "plain",
+                 "--protocol", "sub-unsub", "--no-cross-engine"]) == 0
+    label = Scenario.from_seed(seed, "plain", "sub-unsub").label()
+    assert capsys.readouterr().out == f"PASS {label}\n"
+    assert " sub-unsub " in label
+
+
+def test_rel_lane_replay_command_carries_the_lane(capsys):
+    seed = quick_seed(small)
+    assert main(["--scenario-seed", str(seed), "--lane", "rel",
+                 "--protocol", "mhh", "--no-cross-engine"]) == 0
+    label = Scenario.from_seed(seed, "rel", "mhh").label()
+    assert capsys.readouterr().out == f"PASS {label}\n"
+    assert label.startswith(f"seed={seed} lane=rel mhh ")
+
+
+def test_cli_reports_every_violation_and_fails(monkeypatch, capsys):
+    row = outcome(violations=["missing=2", "order_violations=1"])
+    monkeypatch.setattr(fuzzer, "run_scenario", lambda *a, **kw: row)
+    assert main(["--scenario-seed", "3", "--no-cross-engine"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL " + Scenario.from_seed(3).label(),
+        "     - missing=2",
+        "     - order_violations=1",
+    ]
+
+
+def test_cli_needs_a_scenario_seed(capsys):
+    """There is no batch: a run names the one scenario it replays."""
     with pytest.raises(SystemExit) as exc:
-        main(["--scenarios", "1", "--protocol", "home-broker",
-              "--no-cross-engine"])
+        main(["--lane", "rel"])
     assert exc.value.code == 2
-    assert "--protocol" in capsys.readouterr().err
-
-
-def test_cli_refuses_an_empty_batch(capsys):
-    """``--scenarios 0`` would check nothing and still exit 0."""
-    with pytest.raises(SystemExit) as exc:
-        main(["--scenarios", "0"])
-    assert exc.value.code == 2
-    assert "--scenarios" in capsys.readouterr().err
-
-
-def test_forced_plain_lane_replay_command_carries_the_protocol():
-    r = ScenarioResult(9, "sub-unsub", "seed=9", [],
-                       forced_protocol="sub-unsub")
-    assert r.replay_command() == (
-        "python -m repro.conformance.fuzzer --scenario-seed 9 "
-        "--lane plain --protocol sub-unsub"
-    )
+    assert "--scenario-seed" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +375,80 @@ def test_reliability_machinery_must_stay_dark_when_off():
     assert any("machinery fired" in x for x in v)
 
 
-def test_rel_lane_replay_command_carries_the_lane():
-    r = ScenarioResult(9, "mhh", "seed=9", [], lane="rel",
-                       forced_protocol="mhh")
-    assert r.replay_command() == (
-        "python -m repro.conformance.fuzzer --scenario-seed 9 "
-        "--lane rel --protocol mhh"
-    )
+# ---------------------------------------------------------------------------
+# CI's conformance draws
+# ---------------------------------------------------------------------------
+#: (lane, scenario seed, forced protocol, cross-engine re-run): the 49
+#: scenarios CI's six fixed-seed conformance rows drew before the batch
+#: sampler was deleted. Row (lane, count, master seed): plain 8 @ 20260730;
+#: crash 8, rel 9, rel-crash 6 (no cross-engine) and durable 6 @ 20260807;
+#: durable 12 @ 20260808 (no cross-engine). Seed i of a row was the i-th
+#: ``random.Random(master).randrange(2**31)``, and its protocol entry i of
+#: the lane's cycle in ``LANE_CYCLES`` above.
+CI_DRAWS = [
+    ("plain", 750898254, None, True),
+    ("plain", 1091910880, None, True),
+    ("plain", 724612665, None, True),
+    ("plain", 145465423, None, True),
+    ("plain", 1714377209, None, True),
+    ("plain", 254944917, None, True),
+    ("plain", 739868484, None, True),
+    ("plain", 1417613921, None, True),
+    ("crash", 143668261, "mhh", True),
+    ("crash", 1425489438, "sub-unsub", True),
+    ("crash", 1553157808, "home-broker", True),
+    ("crash", 1917961853, "mhh", True),
+    ("crash", 247401736, "sub-unsub", True),
+    ("crash", 1345157815, "home-broker", True),
+    ("crash", 1855299116, "mhh", True),
+    ("crash", 2044974240, "sub-unsub", True),
+    ("rel", 143668261, "mhh", True),
+    ("rel", 1425489438, "sub-unsub", True),
+    ("rel", 1553157808, "mhh", True),
+    ("rel", 1917961853, "sub-unsub", True),
+    ("rel", 247401736, "mhh", True),
+    ("rel", 1345157815, "sub-unsub", True),
+    ("rel", 1855299116, "mhh", True),
+    ("rel", 2044974240, "sub-unsub", True),
+    ("rel", 1242236945, "mhh", True),
+    ("rel-crash", 143668261, "mhh", False),
+    ("rel-crash", 1425489438, "sub-unsub", False),
+    ("rel-crash", 1553157808, "mhh", False),
+    ("rel-crash", 1917961853, "sub-unsub", False),
+    ("rel-crash", 247401736, "mhh", False),
+    ("rel-crash", 1345157815, "sub-unsub", False),
+    ("durable", 143668261, "mhh", True),
+    ("durable", 1425489438, "sub-unsub", True),
+    ("durable", 1553157808, "home-broker", True),
+    ("durable", 1917961853, "mhh", True),
+    ("durable", 247401736, "sub-unsub", True),
+    ("durable", 1345157815, "home-broker", True),
+    ("durable", 145126398, "mhh", False),
+    ("durable", 1478025148, "sub-unsub", False),
+    ("durable", 579331219, "home-broker", False),
+    ("durable", 116482602, "mhh", False),
+    ("durable", 1043320903, "sub-unsub", False),
+    ("durable", 2135043483, "home-broker", False),
+    ("durable", 883585843, "mhh", False),
+    ("durable", 143314849, "sub-unsub", False),
+    ("durable", 1996401486, "home-broker", False),
+    ("durable", 580071899, "mhh", False),
+    ("durable", 365798546, "sub-unsub", False),
+    ("durable", 2130736235, "home-broker", False),
+]
+
+
+def _draw_id(draw) -> str:
+    lane, seed, protocol, cross_engine = draw
+    return "-".join([lane, str(seed), protocol or "sampled",
+                     "x" if cross_engine else "sim"])
+
+
+@pytest.mark.parametrize("lane, seed, protocol, cross_engine", CI_DRAWS,
+                         ids=map(_draw_id, CI_DRAWS))
+def test_ci_draw_conforms(lane, seed, protocol, cross_engine):
+    violations = conform(Scenario.from_seed(seed, lane, protocol),
+                         cross_engine)
+    replay = f"--scenario-seed {seed} --lane {lane}" + (
+        f" --protocol {protocol}" if protocol else "")
+    assert violations == [], replay

@@ -138,6 +138,30 @@ def test_unpublished_event_is_never_delivered_until_it_is():
     assert (dc.stats.delivered, dc.stats.duplicates) == (2, 1)
 
 
+def test_an_event_published_before_a_subscription_is_never_owed():
+    """A range registered after a publish does not expect it: its first
+    copy counts as ``early`` (delivered, not against ``expected``), a lost
+    copy as ``early_lost``, and neither moves ``missing``."""
+    both = (DeliveryChecker(), SetDeliveryChecker())
+    old, lost = Notification(7, 0, 0, 0.0, 0.5), Notification(8, 0, 1, 0.0, 0.5)
+    for dc in both:
+        dc.register_subscription(1, 0.0, 1.0)
+        dc.on_publish(old)
+        dc.on_publish(lost)
+        dc.register_subscription(2, 0.0, 1.0)
+        for cid in (1, 2):
+            dc.on_delivery(cid, old, 1.0)
+        dc.on_delivery(2, old, 2.0)
+        dc.on_loss(2, lost)
+        dc.finalize_accounting()
+    ledger, oracle = both
+    assert ledger.stats == oracle.stats
+    st = ledger.stats
+    assert (st.expected, st.delivered, st.duplicates) == (2, 3, 1)
+    assert (st.early, st.early_lost) == (1, 1)
+    assert st.missing == 1  # client 1's seq 1, which it is owed
+
+
 def test_marking_a_publish_at_risk_marks_each_matching_subscriber():
     """The checker matches the subscribers itself (crash repair names the
     event only): every registered range holding the topic is marked, and

@@ -31,11 +31,7 @@ import tempfile
 
 import pytest
 
-from repro.conformance.fuzzer import (
-    ScenarioFuzzer,
-    check_invariants,
-    run_scenario,
-)
+from repro.conformance.fuzzer import check_invariants, conform, run_scenario
 from repro.conformance.scenarios import Scenario
 from repro.drivers.live import run_soak, run_virtual_scenario
 from repro.errors import ConfigurationError
@@ -168,12 +164,11 @@ def test_home_broker_losses_under_a_crash_are_lost_not_written_off(seed):
 
 
 def test_durable_lane_batch_passes():
-    report = ScenarioFuzzer(
-        n_scenarios=3, master_seed=3, cross_engine=False, lane="durable",
-    ).run()
-    assert report.passed, [r.violations for r in report.failures]
-    assert all(r.lane == "durable" for r in report.results)
-    assert "--lane durable" in report.results[0].replay_command()
+    for seed, protocol in ((1022050301, "mhh"), (560161641, "sub-unsub"),
+                           (1588945316, "home-broker")):
+        scenario = Scenario.from_seed(seed, "durable", protocol)
+        assert scenario.config.durable
+        assert conform(scenario, cross_engine=False) == [], seed
 
 
 @pytest.mark.parametrize("protocol",
@@ -199,8 +194,7 @@ def test_durable_run_identical_across_engines():
     """The fuzzer's identity re-run on a durability-lane scenario: the
     simulator and the virtual clock agree on the whole outcome, event
     count and WAL checkpoints included."""
-    result = ScenarioFuzzer(lane="durable").run_one(41)
-    assert result.passed, result.violations
+    assert conform(Scenario.from_seed(41, "durable")) == []
 
 
 def test_durable_run_identical_across_drivers():
@@ -278,7 +272,7 @@ def test_no_stale_timer_fires_after_permanent_death(seed):
 
 
 def test_no_stale_timer_fires_across_fuzzer_seeds():
-    report = ScenarioFuzzer(
-        n_scenarios=3, master_seed=5, cross_engine=False, lane="rel-crash",
-    ).run()
-    assert report.passed, [r.violations for r in report.failures]
+    for seed, protocol in ((1097127993, "mhh"), (1539898300, "sub-unsub"),
+                           (124576495, "mhh")):
+        scenario = Scenario.from_seed(seed, "rel-crash", protocol)
+        assert conform(scenario, cross_engine=False) == [], seed
