@@ -23,9 +23,9 @@ home-broker    losses *allowed* but fully accounted: every expected
                is not part of its contract and is not asserted.
 =============  ==========================================================
 
-In all cases the traffic meter's fault ledgers must agree with the
-injector's own counters — a drop that escaped accounting is a conformance
-failure even if delivery happens to reconcile.
+The injector's ``drops`` and ``dups_delivered`` are the only fault
+counts, so the losses and duplicates above are audited against them
+directly; no injector fires while the fault profile is inactive.
 
 The lanes add rows (:data:`~repro.conformance.scenarios.LANES`; each
 lane's layers are drawn on top of the plain draw of the same seed):

@@ -162,8 +162,7 @@ class Driver:
         topo: Any,
         paths: Any,
         *,
-        account: Optional[Callable[[str, int, bool], None]] = None,
-        unicast_hops: Optional[Callable[[int, int], int]] = None,
+        account: Optional[Callable[[str, int], None]] = None,
         queue_cap: Optional[int] = None,
         on_shed: Optional[Callable[[Any, int], bool]] = None,
     ) -> Transport:
@@ -175,7 +174,6 @@ class Driver:
             topo,
             paths,
             account=account,
-            unicast_hops=unicast_hops,
             queue_cap=queue_cap,
             on_shed=on_shed,
         )

@@ -29,7 +29,6 @@ class HandoffLog:
         self._delays: list[Optional[float]] = []
         # client -> (slot, reconnect time) of its open handoff
         self._open: dict[int, tuple[int, float]] = {}
-        self.reconnects_same_broker = 0
 
     # ------------------------------------------------------------------
     def on_connect(
@@ -42,7 +41,6 @@ class HandoffLog:
         if last_broker is None:
             return  # first attach, not a handoff
         if last_broker == new_broker:
-            self.reconnects_same_broker += 1
             self._open.pop(client, None)
             return
         self._open[client] = (len(self._delays), time)

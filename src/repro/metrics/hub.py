@@ -39,8 +39,8 @@ class MetricsHub:
         self.handoffs.discard_open()
 
     # -- link layer hook -------------------------------------------------
-    def account(self, category: str, hops: int, wireless: bool) -> None:
-        self.traffic.account(category, hops, wireless)
+    def account(self, category: str, hops: int) -> None:
+        self.traffic.account(category, hops)
 
     # -- client life-cycle hooks ------------------------------------------
     def on_client_connect(
@@ -77,6 +77,3 @@ class MetricsHub:
             return None
         wired = self.window_wired
         return sum(wired.get(c, 0) for c in OVERHEAD_CATEGORIES) / n
-
-    def mean_handoff_delay(self) -> Optional[float]:
-        return self.handoffs.mean_delay()

@@ -59,13 +59,11 @@ class ResultRow:
     crash_lost: int = 0
     recovered: int = 0
     shed: int = 0
-    #: the traffic meter's shed ledger: frames shed, per cause
+    #: the traffic meter's shed count: frames shed, per cause
     #: ("queue_cap", "breaker", "retry_exhausted")
     shed_by_cause: dict[str, int] = field(default_factory=dict)
     injected_drops: int = 0
     injected_dups: int = 0
-    meter_drops: int = 0
-    meter_dups: int = 0
     retransmits: int = 0
     breaker_trips: int = 0
     repairs: int = 0
@@ -119,7 +117,7 @@ def summarize(
     wall_seconds: float = 0.0,
 ) -> ResultRow:
     """The hub's half of the record: window metrics, the delivery ledger
-    and the traffic meter's ledgers."""
+    and the traffic meter's counts."""
     stats = metrics.delivery.stats
     meter = metrics.traffic
     return ResultRow(
@@ -143,10 +141,8 @@ def summarize(
         recovered=stats.recovered,
         shed=stats.shed,
         shed_by_cause=meter.shed_by_cause(),
-        meter_drops=meter.total_dropped(),
-        meter_dups=meter.total_duplicated(),
         retransmits=meter.total_retransmits(),
-        breaker_trips=meter.total_breaker_trips(),
+        breaker_trips=meter.breaker_trips,
         wired_by_category=dict(meter.by_category()),
         delivery_log=tuple(metrics.delivery.log),
     )
@@ -248,16 +244,6 @@ def check_invariants(cfg: "ExperimentConfig", o: ResultRow) -> list[str]:
                 f"lost={o.lost} < injected link drops {o.injected_drops}: "
                 f"link losses escaped the accounting"
             )
-    if o.meter_drops != o.injected_drops:
-        v.append(
-            f"traffic meter drop ledger {o.meter_drops} != injector "
-            f"drops {o.injected_drops}"
-        )
-    if o.meter_dups != o.injected_dups:
-        v.append(
-            f"traffic meter dup ledger {o.meter_dups} != injector "
-            f"dups {o.injected_dups}"
-        )
     if not faults_active and (o.injected_drops or o.injected_dups):
         v.append("fault profile inactive but the injector fired")
     if cfg.reliable:

@@ -43,18 +43,13 @@ the seed figures.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.sim.rng import Stream, uniforms
 from repro.util.validation import check_non_negative, check_probability
 
 __all__ = ["FaultProfile", "LinkFaultInjector", "FAULT_FREE"]
-
-#: direction tags used in per-link fault accounting keys
-DOWNLINK = "down"
-UPLINK = "up"
 
 
 @dataclass(frozen=True)
@@ -96,12 +91,15 @@ FAULT_FREE = FaultProfile()
 
 
 class LinkFaultInjector:
-    """Draws and accounts the fault fate of every wireless transmission.
+    """Draws and counts the fault fate of every wireless transmission.
 
     The injector is deliberately ignorant of message types: the system
     supplies ``droppable`` (which payloads may be lost/duplicated) and
     ``on_drop`` (how a discard is reported to the delivery oracle), keeping
-    the network layer free of pub/sub imports.
+    the network layer free of pub/sub imports. ``drops`` and
+    ``dups_delivered`` are the run's only fault counts; the run record
+    audits them against the delivery oracle's losses and duplicates
+    (:func:`repro.metrics.summary.check_invariants`).
 
     All draws come from one seeded stream in event-execution order, so a
     scenario replays byte-identically from its seed — on the simulator
@@ -122,14 +120,10 @@ class LinkFaultInjector:
         self._uniform = uniforms(rng)
         self.droppable = droppable
         self.on_drop = on_drop
-        #: discarded eligible transmissions, total and per (client, direction)
+        #: discarded eligible transmissions (the only count of them)
         self.drops = 0
-        self.drops_by_link: defaultdict[tuple[int, str], int] = defaultdict(int)
-        #: duplicate copies handed to receivers, total and per link
+        #: duplicate copies handed to receivers (the only count of them)
         self.dups_delivered = 0
-        self.dups_by_link: defaultdict[tuple[int, str], int] = defaultdict(int)
-        #: observer for per-category surfacing (metrics.traffic); optional
-        self.account_fault: Optional[Callable[[str, str, int, str], None]] = None
 
     def register(self, hooks: Any, net: Any) -> None:
         """Claim the wireless channels' fault hook point (the layer seam)."""
@@ -138,7 +132,7 @@ class LinkFaultInjector:
     # ------------------------------------------------------------------
     # hooks called by the wireless channel
     # ------------------------------------------------------------------
-    def fate(self, payload: Any, client: int, direction: str) -> str:
+    def fate(self, payload: Any) -> str:
         """Decide this transmission's fate: ``"ok"``, ``"drop"`` or ``"dup"``.
 
         Called once per downlink send, *before* the payload enters the
@@ -154,25 +148,15 @@ class LinkFaultInjector:
         u = next(self._uniform)
         if u < p.deliver_loss:
             self.drops += 1
-            self.drops_by_link[(client, direction)] += 1
-            if self.account_fault is not None:
-                self.account_fault(
-                    "drop", getattr(payload, "category", "?"), client, direction
-                )
             self.on_drop(payload)
             return "drop"
         if p.deliver_duplicate and next(self._uniform) < p.deliver_duplicate:
             return "dup"
         return "ok"
 
-    def dup_delivered(self, payload: Any, client: int, direction: str) -> None:
-        """Account one duplicate copy handed to a receiver."""
+    def dup_delivered(self) -> None:
+        """Count one duplicate copy handed to a receiver."""
         self.dups_delivered += 1
-        self.dups_by_link[(client, direction)] += 1
-        if self.account_fault is not None:
-            self.account_fault(
-                "dup", getattr(payload, "category", "?"), client, direction
-            )
 
     def jitter(self) -> float:
         """Extra service latency for one wireless transmission (ms).

@@ -50,7 +50,7 @@ from collections import deque
 from typing import Any, Callable, Optional, Sequence, TYPE_CHECKING
 
 from repro.errors import RoutingError
-from repro.network.faults import DOWNLINK, UPLINK, LinkFaultInjector
+from repro.network.faults import LinkFaultInjector
 from repro.network.paths import ShortestPaths
 from repro.network.topology import Topology
 
@@ -62,11 +62,11 @@ __all__ = ["LinkLayer", "WIRED_LATENCY_MS", "WIRELESS_LATENCY_MS"]
 WIRED_LATENCY_MS = 10.0
 WIRELESS_LATENCY_MS = 20.0
 
-# account(category, hops, wireless) -> None
-AccountFn = Callable[[str, int, bool], None]
+# account(category, hops) -> None, for wired sends only
+AccountFn = Callable[[str, int], None]
 
 
-def _no_account(_category: str, _hops: int, _wireless: bool) -> None:
+def _no_account(_category: str, _hops: int) -> None:
     return None
 
 
@@ -99,7 +99,6 @@ class _WirelessChannel:
         "faults",
         "jitters",
         "client",
-        "direction",
         "_dup_ids",
         "queue_cap",
         "on_shed",
@@ -112,7 +111,6 @@ class _WirelessChannel:
         deliver: Callable[[Any], None],
         faults: Sequence[LinkFaultInjector] = (),
         client: int = -1,
-        direction: str = DOWNLINK,
         queue_cap: Optional[int] = None,
         on_shed: Optional[Callable[[Any, int], bool]] = None,
         jitters: Sequence[LinkFaultInjector] = (),
@@ -126,7 +124,6 @@ class _WirelessChannel:
         self.faults = faults
         self.jitters = jitters
         self.client = client
-        self.direction = direction
         # bulkhead: with a cap configured, data traffic that would queue
         # beyond it is handed to on_shed(msg, client) -> bool; True means
         # the policy shed it (never control — the policy returns False and
@@ -150,7 +147,7 @@ class _WirelessChannel:
             # runs stay replayable from the same seed up to the overload
             return
         for injector in self.faults:
-            fate = injector.fate(msg, self.client, self.direction)
+            fate = injector.fate(msg)
             if fate == "drop":
                 # drop any stale dup flag (a reclaimed-and-resent message
                 # keeps its object identity; never let a discarded id linger
@@ -180,7 +177,7 @@ class _WirelessChannel:
         if self._dup_ids and id(msg) in self._dup_ids:
             self._dup_ids.discard(id(msg))
             for injector in self.faults:
-                injector.dup_delivered(msg, self.client, self.direction)
+                injector.dup_delivered()
             self.deliver(msg)
         if self.queue:
             self._start(self.queue.popleft())
@@ -191,8 +188,8 @@ class _WirelessChannel:
         self.queue.clear()
         if self._dup_ids and pending:
             # reclaimed messages leave the channel; their pending dup
-            # injections evaporate with them (the duplicate ledger counts
-            # delivered copies only, so nothing needs accounting here)
+            # injections evaporate with them (the injector counts
+            # delivered copies only, so nothing needs counting here)
             for msg in pending:
                 self._dup_ids.discard(id(msg))
         return pending
@@ -219,7 +216,8 @@ class LinkLayer:
 
     Endpoints register receive callbacks; senders address endpoints by id.
     Every wired transmission is reported to the accounting callback with its
-    message category and hop count (the paper's traffic metric).
+    message category and hop count (the paper's traffic metric); wireless
+    sends are not.
     """
 
     def __init__(
@@ -230,7 +228,6 @@ class LinkLayer:
         wired_latency: float = WIRED_LATENCY_MS,
         wireless_latency: float = WIRELESS_LATENCY_MS,
         account: Optional[AccountFn] = None,
-        unicast_hops: Optional[Callable[[int, int], int]] = None,
         queue_cap: Optional[int] = None,
         on_shed: Optional[Callable[[Any, int], bool]] = None,
     ) -> None:
@@ -240,8 +237,6 @@ class LinkLayer:
         self.wired_latency = wired_latency
         self.wireless_latency = wireless_latency
         self.account: AccountFn = account or _no_account
-        #: wireless fault injector (None = perfect links, the default)
-        self.faults: Optional[LinkFaultInjector] = None
         # The link side of the layer seam: hook points that stay empty / on
         # the plain path until a layer claims them (the three methods below)
         self._injectors: list[LinkFaultInjector] = []
@@ -255,9 +250,9 @@ class LinkLayer:
         #: shed policy runs (None = unbounded, the paper's model)
         self.queue_cap = queue_cap
         self._on_shed = on_shed
-        # hop metric for multi-hop unicast; defaults to grid shortest paths
-        # (paper §5.1); the tree-routing ablation overrides it
-        self._unicast_hops = unicast_hops or paths.hop_count
+        # hop metric for multi-hop unicast: grid shortest paths (paper §5.1);
+        # the tree-routing ablation's tests swap in the overlay tree's
+        self._unicast_hops = paths.hop_count
         # receiver(msg, from_broker) for brokers; receiver(msg) for clients
         self._broker_rx: dict[int, Callable[[Any, int], None]] = {}
         # the receivers a wired hop is scheduled on directly: all of them,
@@ -276,7 +271,6 @@ class LinkLayer:
         """Wireless faults: fate and duplicate handover on every downlink,
         jitter on every client channel whose injector's profile has any
         (the channels share these two lists of injectors)."""
-        self.faults = injector
         self._injectors.append(injector)
         if injector.profile.wireless_jitter_ms > 0.0:
             self._jitters.append(injector)
@@ -311,7 +305,6 @@ class LinkLayer:
             rx,
             faults=self._injectors,
             client=client_id,
-            direction=DOWNLINK,
             queue_cap=self.queue_cap,
             on_shed=self._on_shed if self.queue_cap is not None else None,
             jitters=self._jitters,
@@ -321,7 +314,6 @@ class LinkLayer:
             self.wireless_latency,
             self._deliver_uplink,
             client=client_id,
-            direction=UPLINK,
             jitters=self._jitters,
         )
 
@@ -338,7 +330,7 @@ class LinkLayer:
         for blocked in self._blocked:
             if blocked(msg, to, frm):
                 return
-        self.account(msg.category, 1, False)
+        self.account(msg.category, 1)
         rx = self._direct_rx.get(to)
         if rx is not None:
             self._push(self.wired_latency, rx, msg, frm)
@@ -357,7 +349,7 @@ class LinkLayer:
                 return
         hops = self._unicast_hops(frm, to) if frm != to else 0
         if hops:
-            self.account(msg.category, hops, False)
+            self.account(msg.category, hops)
         self._push(hops * self.wired_latency, self._deliver_broker, to, msg, frm)
 
     def _deliver_broker(self, to: int, msg: Any, frm: int) -> None:
@@ -390,13 +382,11 @@ class LinkLayer:
     # ------------------------------------------------------------------
     def broker_to_client(self, client_id: int, msg: Any) -> None:
         """Queue a downlink message on the client's serial wireless channel."""
-        self.account(msg.category, 1, True)
         self._downlinks[client_id].send(msg)
 
     def client_to_broker(self, client_id: int, broker_id: int, msg: Any) -> None:
         """Queue an uplink message; it reaches the broker after the channel
         serialises it (20 ms per message)."""
-        self.account(msg.category, 1, True)
         self._uplinks[client_id].send(
             (broker_id, client_id, msg, self._stamp())
         )

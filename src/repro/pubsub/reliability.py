@@ -84,7 +84,7 @@ class CircuitBreaker:
     """
 
     __slots__ = ("threshold", "cooloff_ms", "state", "failures",
-                 "open_until", "probe_inflight", "trips")
+                 "open_until", "probe_inflight")
 
     def __init__(
         self,
@@ -97,7 +97,6 @@ class CircuitBreaker:
         self.failures = 0
         self.open_until = 0.0
         self.probe_inflight = False
-        self.trips = 0
 
     def allows(self, now: float) -> bool:
         """May a new reliable send start on this link right now?"""
@@ -131,7 +130,6 @@ class CircuitBreaker:
             self.state = "open"
             self.open_until = now + self.cooloff_ms
             self.probe_inflight = False
-            self.trips += 1
             return True
         return False
 
@@ -235,7 +233,7 @@ class ReliabilityManager:
         if breaker is not None and not breaker.allows(self._clock.now):
             # open breaker: shed immediately — an explicit, reconciled
             # write-off instead of an unbounded futile retransmit queue
-            self.system.metrics.traffic.account_shed("breaker", client_id)
+            self.system.metrics.traffic.account_shed("breaker")
             self.system.metrics.delivery.mark_shed(client_id, event)
             return
         link = self._links.get(key)
@@ -317,9 +315,7 @@ class ReliabilityManager:
             self.system.tracer.emit(
                 "retransmit", broker=link.broker, client=link.client,
                 seq=seq, attempt=link.attempts, trigger="timeout")
-        self.system.metrics.traffic.account_retransmit(
-            link.client, "timeout"
-        )
+        self.system.metrics.traffic.account_retransmit()
         self.system.net.send_client(link.client, msg)
         self._arm_timer(link)
 
@@ -329,10 +325,10 @@ class ReliabilityManager:
         metrics = self.system.metrics
         breaker = self.breaker_for(link.broker, link.client)
         for msg in link.unacked.values():
-            metrics.traffic.account_shed("retry_exhausted", link.client)
+            metrics.traffic.account_shed("retry_exhausted")
             metrics.delivery.mark_shed(link.client, msg.event)
         if breaker.on_exhaust(now):
-            metrics.traffic.account_breaker_trip(link.broker, link.client)
+            metrics.traffic.account_breaker_trip()
         self._retire(link)
 
     # -- crash/repair integration ---------------------------------------
@@ -411,7 +407,7 @@ class ReliabilityManager:
                 self.system.tracer.emit(
                     "retransmit", broker=broker_id, client=client_id,
                     seq=seq, attempt=link.attempts, trigger="nack")
-            self.system.metrics.traffic.account_retransmit(client_id, "nack")
+            self.system.metrics.traffic.account_retransmit()
             self.system.net.send_client(client_id, nmsg)
         if unacked:
             if progress:
@@ -530,7 +526,7 @@ class ReliabilityManager:
             self.retire_link(link)
         account = self.system.metrics.traffic.account_retransmit
         for _ in self.system.net.requeue_downlink_unacked(client_id, frames):
-            account(client_id, "requeue")
+            account()
 
     def _retire(self, link: _LinkTx) -> None:
         per_client = self._links_by_client.get(link.client)

@@ -92,9 +92,6 @@ class SystemOptions:
     #: None = one batch per wired-link slot, so shipping a backlog takes
     #: time proportional to its size; 0 disables pacing
     stream_pacing_ms: Optional[float] = None
-    #: 'grid' (paper §5.1: stations talk via shortest paths) or 'tree'
-    #: (route point-to-point traffic over the overlay too — ablation)
-    unicast_routing: str = "grid"
     #: tracer categories to record (None = tracing off; see repro.sim.trace)
     trace: Optional[Union[str, list[str]]] = None
     #: wireless fault profile (None / inactive = perfect links; see
@@ -142,11 +139,6 @@ class SystemOptions:
         if self.stream_pacing_ms is not None and self.stream_pacing_ms < 0:
             raise ConfigurationError(
                 f"stream_pacing_ms must be >= 0, got {self.stream_pacing_ms}"
-            )
-        if self.unicast_routing not in ("grid", "tree"):
-            raise ConfigurationError(
-                f"unicast_routing must be 'grid' or 'tree', "
-                f"got {self.unicast_routing!r}"
             )
 
 
@@ -285,7 +277,7 @@ class PubSubSystem:
                 # control — control messages are admitted over-cap
                 if not isinstance(payload, DeliverMessage):
                     return False
-                self.metrics.traffic.account_shed("queue_cap", client_id)
+                self.metrics.traffic.account_shed("queue_cap")
                 if not retried(payload):
                     self.metrics.delivery.mark_shed(client_id, payload.event)
                 return True
@@ -297,11 +289,6 @@ class PubSubSystem:
             self.topology,
             self.paths,
             account=self.metrics.traffic.account,  # on every send: no hub hop
-            unicast_hops=(
-                self.tree.hop_count
-                if options.unicast_routing == "tree"
-                else None
-            ),
             queue_cap=queue_cap,
             on_shed=_on_shed,
         )
@@ -327,7 +314,6 @@ class PubSubSystem:
                 droppable=lambda payload: isinstance(payload, DeliverMessage),
                 on_drop=_on_drop,
             )
-            self.fault_injector.account_fault = self.metrics.traffic.account_fault
         if crashes is not None and crashes.active:
             from repro.pubsub.recovery import RecoveryCoordinator
 

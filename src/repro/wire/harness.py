@@ -241,7 +241,7 @@ def run_socket_scenario(
         for idx in range(len(peers)):
             stats = transport._dispatch_to_node(idx, "stats", ())
             for _ in range(int(stats.get("shed_pings", 0))):
-                system.metrics.traffic.account_shed("wire_keepalive", -1)
+                system.metrics.traffic.account_shed("wire_keepalive")
 
         if nodes:
             # harness-spawned servers die with the run; externally managed

@@ -160,8 +160,6 @@ def test_system_config_validation():
     with pytest.raises(ConfigurationError):
         PubSubSystem(grid_k=3, migration_batch_size=0)
     with pytest.raises(ConfigurationError):
-        PubSubSystem(grid_k=3, unicast_routing="carrier-pigeon")
-    with pytest.raises(ConfigurationError):
         PubSubSystem(grid_k=3, stream_pacing_ms=-1.0)
 
 

@@ -80,7 +80,7 @@ def _assert_zero_write_off(system):
     assert st.crash_lost == 0
     assert st.shed == 0
     assert st.write_offs == 0
-    assert system.metrics.traffic.total_breaker_trips() == 0
+    assert system.metrics.traffic.breaker_trips == 0
 
 
 # ---------------------------------------------------------------------------

@@ -181,12 +181,12 @@ def test_every_config_field_reaches_every_driver():
     names = [f.name for f in dataclasses.fields(ExperimentConfig)]
     assert names == [f.name for f in dataclasses.fields(SystemOptions)] + [
         "workload", "drain_limit_ms"]
-    assert len(names) == 15 + 2
+    assert len(names) == 14 + 2
 
     cfg = ExperimentConfig(  # a non-default value in every field
         protocol="sub-unsub", grid_k=2, seed=9, workload=FAST,
         migration_batch_size=3, covering_enabled=False, drain_limit_ms=1e6,
-        stream_pacing_ms=2.5, unicast_routing="tree", trace=["publish"],
+        stream_pacing_ms=2.5, trace=["publish"],
         faults=FaultProfile(deliver_loss=0.1),
         crashes=CrashPlan.parse(crashes=["1@60"]),
         reliable=True, retry_budget=3, queue_cap=7, durable=True,
@@ -201,7 +201,6 @@ def test_every_config_field_reaches_every_driver():
             system.protocol.name, system.broker_count, system.seed,
             system.covering_enabled, system.migration_batch_size,
             system.stream_pacing_ms,
-            system.net._unicast_hops == system.tree.hop_count,
             system.tracer.wants("publish"), system.queue_cap,
             system.net.queue_cap,
             system.reliability.retry_budget, system.durability is not None,
@@ -212,7 +211,7 @@ def test_every_config_field_reaches_every_driver():
     live, _ = build_system(cfg, driver=LiveDriver(VirtualClock()))
     live.durability.close()  # the live driver's WAL is a scratch directory
     assert built(simulated) == built(live)
-    assert built(simulated) == ("sub-unsub", 4, 9, False, 3, 2.5, True,
+    assert built(simulated) == ("sub-unsub", 4, 9, False, 3, 2.5,
                                 True, 7, 7, 3, True, True, True)
 
 
@@ -274,6 +273,12 @@ def test_an_empty_sweep_runs_nothing():
     pytest.param(
         lambda: ExperimentConfig(protocol="mhh", event_batching=True),
         TypeError, "event_batching", id="ExperimentConfig-event_batching"),
+    pytest.param(
+        lambda: PubSubSystem(grid_k=2, unicast_routing="tree"),
+        TypeError, "unicast_routing", id="PubSubSystem-unicast_routing"),
+    pytest.param(
+        lambda: ExperimentConfig(protocol="mhh", unicast_routing="tree"),
+        TypeError, "unicast_routing", id="ExperimentConfig-unicast_routing"),
     pytest.param(
         lambda: Simulator(engine="heap"),
         TypeError, "engine", id="Simulator-engine"),

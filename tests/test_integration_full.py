@@ -100,9 +100,9 @@ def test_tree_unicast_system_remains_reliable():
     from repro.pubsub.system import PubSubSystem
     from repro.workload.mobility_model import Workload
 
-    system = PubSubSystem(
-        grid_k=4, protocol="mhh", seed=5, unicast_routing="tree"
-    )
+    system = PubSubSystem(grid_k=4, protocol="mhh", seed=5)
+    # route point-to-point traffic over the overlay tree (the ablation)
+    system.net._unicast_hops = system.tree.hop_count
     workload = Workload(system, spec(20.0, duration_s=300.0))
     system.run(until=300_000.0)
     workload.stop()

@@ -113,7 +113,7 @@ def test_a_plain_system_has_every_hook_point_on_the_plain_path():
     system = PubSubSystem(grid_k=2)
     assert system.layers == []
     assert (system.fault_injector, system.recovery, system.reliability,
-            system.durability, system.net.faults) == (None,) * 5
+            system.durability) == (None,) * 4
     kernel_side = vars(system.hooks)
     assert len(kernel_side) == 20
     assert all(point in ([], {}, set()) for point in kernel_side.values())
@@ -145,7 +145,6 @@ def test_a_layered_system_claims_its_hook_points_once():
     system = PubSubSystem(grid_k=2, **FULL)
     hooks, net = system.hooks, system.net
     rec, rel, dur = system.recovery, system.reliability, system.durability
-    assert net.faults is system.fault_injector
     assert net._injectors == [system.fault_injector]
     assert (net._blocked, net._stale) == ([rec._blocked], [rec._stale])
     assert net._stamp() == rec.generation

@@ -21,8 +21,8 @@ def make_links(k=3):
     topo = grid_topology(k)
     hops_log = []
 
-    def account(category, hops, wireless):
-        hops_log.append((category, hops, wireless))
+    def account(category, hops):
+        hops_log.append((category, hops))
 
     links = LinkLayer(sim, topo, ShortestPaths(topo), account=account)
     return sim, links, hops_log
@@ -36,7 +36,7 @@ def test_broker_hop_latency_and_accounting():
     links.broker_to_broker(1, 0, Msg("a"))
     sim.run()
     assert got == [("a", 1, 10.0)]
-    assert log == [("test", 1, False)]
+    assert log == [("test", 1)]
 
 
 def test_broker_to_broker_requires_adjacency():
@@ -54,7 +54,7 @@ def test_unicast_latency_is_hops_times_latency():
     links.unicast(0, 8, Msg("x"))  # manhattan distance 4
     sim.run()
     assert got == [40.0]
-    assert log == [("test", 4, False)]
+    assert log == [("test", 4)]
 
 
 def test_unicast_to_self_zero_cost():
@@ -160,7 +160,7 @@ def test_unknown_broker_raises():
 def test_wired_hop_to_an_unregistered_broker_raises_on_arrival():
     sim, links, log = make_links()
     links.broker_to_broker(0, 1, Msg("x"))  # sending is not the error
-    assert log == [("test", 1, False)]
+    assert log == [("test", 1)]
     with pytest.raises(RoutingError, match="no broker registered with id 1"):
         sim.run()
 
@@ -203,9 +203,13 @@ def test_a_wired_hop_keeps_the_receiver_it_was_sent_to():
     assert got == [("second", "a")]
 
 
-def test_wireless_accounting_tagged():
+def test_wireless_sends_are_not_accounted():
+    """Traffic is wired hops only (paper §5.1): neither wireless direction
+    reaches the accounting callback."""
     sim, links, log = make_links()
+    links.register_broker(0, lambda m, f: None)
     links.register_client(1, lambda m: None)
     links.broker_to_client(1, Msg("d"))
+    links.client_to_broker(1, 0, Msg("u"))
     sim.run()
-    assert log == [("test", 1, True)]
+    assert log == []

@@ -19,33 +19,21 @@ def ev(i, publisher=0, seq=None, topic=0.5, t=0.0):
 class TestTrafficMeter:
     def test_wired_hops_accumulate_per_category(self):
         tm = TrafficMeter()
-        tm.account("event", 3, False)
-        tm.account("event", 2, False)
-        tm.account("mobility_ctrl", 5, False)
+        tm.account("event", 3)
+        tm.account("event", 2)
+        tm.account("mobility_ctrl", 5)
         assert tm.wired_hops["event"] == 5
-        assert tm.total_wired() == 10
-
-    def test_wireless_tracked_separately(self):
-        tm = TrafficMeter()
-        tm.account("event", 1, True)
-        assert tm.total_wired() == 0
-        assert tm.wireless_msgs["event"] == 1
+        assert tm.by_category() == {"event": 5, "mobility_ctrl": 5}
 
     def test_overhead_selects_mobility_categories(self):
         tm = TrafficMeter()
-        tm.account(m.CAT_EVENT, 100, False)
-        tm.account(m.CAT_SUB_INITIAL, 50, False)
-        tm.account(m.CAT_MOBILITY_CTRL, 7, False)
-        tm.account(m.CAT_MIGRATION, 9, False)
-        tm.account(m.CAT_HB_FORWARD, 4, False)
-        tm.account(m.CAT_SUB_HANDOFF, 2, False)
+        tm.account(m.CAT_EVENT, 100)
+        tm.account(m.CAT_SUB_INITIAL, 50)
+        tm.account(m.CAT_MOBILITY_CTRL, 7)
+        tm.account(m.CAT_MIGRATION, 9)
+        tm.account(m.CAT_HB_FORWARD, 4)
+        tm.account(m.CAT_SUB_HANDOFF, 2)
         assert tm.overhead_hops() == 7 + 9 + 4 + 2
-
-    def test_reset(self):
-        tm = TrafficMeter()
-        tm.account("event", 1, False)
-        tm.reset()
-        assert tm.total_wired() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +140,9 @@ class TestHandoffLog:
         log = HandoffLog()
         log.on_connect(1, 10.0, 3, 3)
         assert log.handoff_count == 0
-        assert log.reconnects_same_broker == 1
+        # and no delay sample either: the reconnect opened no handoff
+        log.on_delivery(1, 20.0)
+        assert log.delays() == []
 
     def test_delay_measures_first_delivery_only(self):
         log = HandoffLog()
@@ -186,14 +176,14 @@ def test_hub_wires_delivery_and_handoffs():
     hub.on_publish(e)
     hub.on_delivery(1, e, 180.0)
     assert hub.handoffs.handoff_count == 1
-    assert hub.mean_handoff_delay() == 80.0
-    hub.account(m.CAT_MIGRATION, 10, False)
+    assert hub.handoffs.mean_delay() == 80.0
+    hub.account(m.CAT_MIGRATION, 10)
     assert hub.overhead_per_handoff() == 10.0
 
 
 def test_overhead_per_handoff_none_without_handoffs():
     hub = MetricsHub()
-    hub.account(m.CAT_MIGRATION, 10, False)
+    hub.account(m.CAT_MIGRATION, 10)
     assert hub.overhead_per_handoff() is None
 
 

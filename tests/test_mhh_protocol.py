@@ -83,7 +83,6 @@ def test_same_broker_reconnect_is_not_a_handoff():
     finish(system)
     assert_clean(system)
     assert system.metrics.handoffs.handoff_count == 0
-    assert system.metrics.handoffs.reconnects_same_broker == 1
     assert system.metrics.delivery.stats.delivered == 3
 
 

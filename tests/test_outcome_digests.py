@@ -68,7 +68,9 @@ LAYERED_DIGESTS = {
 
 
 #: the outcome fields every digest above was recorded over, by the name
-#: each had then (``expected`` is the record's ``expected_deliveries``)
+#: each had then (``expected`` is the record's ``expected_deliveries``;
+#: ``meter_drops`` / ``meter_dups`` were the traffic meter's copies of the
+#: injector's counts, equal to them in every pinned run)
 _DIGEST_FIELDS = (
     "published", "expected", "delivered", "duplicates", "order_violations",
     "lost", "missing", "handoffs", "injected_drops", "injected_dups",
@@ -77,7 +79,11 @@ _DIGEST_FIELDS = (
     "breaker_trips", "stale_timer_fires", "wal_handovers", "wal_checkpoints",
     "wired_by_category", "delivery_log",
 )
-_RENAMED = {"expected": "expected_deliveries"}
+_RENAMED = {
+    "expected": "expected_deliveries",
+    "meter_drops": "injected_drops",
+    "meter_dups": "injected_dups",
+}
 
 
 def _digest(o: ResultRow, whole: bool = False) -> str:

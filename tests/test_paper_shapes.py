@@ -207,8 +207,10 @@ def unicast_overhead(unicast_routing, seed):
         clients_per_broker=5, mean_connected_s=60.0, mean_disconnected_s=60.0,
         publish_interval_s=60.0, duration_s=600.0,
     )
-    system = PubSubSystem(grid_k=7, protocol="mhh", seed=seed,
-                          unicast_routing=unicast_routing)
+    system = PubSubSystem(grid_k=7, protocol="mhh", seed=seed)
+    if unicast_routing == "tree":
+        # the ablation: point-to-point hops counted along the overlay tree
+        system.net._unicast_hops = system.tree.hop_count
     workload = Workload(system, spec)
     system.run(until=spec.duration_ms)
     workload.stop()

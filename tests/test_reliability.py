@@ -182,12 +182,14 @@ def test_breaker_trips_after_consecutive_exhaustions_end_to_end():
         system.run()
     breaker = system.reliability.breaker_for(0, sub.id)
     assert breaker.state == "open"
-    assert breaker.trips == 1
-    assert system.metrics.traffic.total_breaker_trips() == 1
+    # the (0, sub) link is the only one that can exhaust, so the meter's
+    # run total is that breaker's trip count
+    assert system.metrics.traffic.breaker_trips == 1
     # while open, new sends shed immediately instead of arming timers
     pub.publish(topic=0.5)
     system.run()
-    assert system.metrics.traffic.shed_by_client[(sub.id, "breaker")] >= 1
+    # sub is the only recipient, so every shed is on its link
+    assert system.metrics.traffic.shed_by_cause()["breaker"] >= 1
     system.metrics.delivery.finalize_accounting()
     st = system.metrics.delivery.stats
     assert st.expected == 4
@@ -202,18 +204,18 @@ def test_breaker_trips_after_consecutive_exhaustions_end_to_end():
 class TestCircuitBreaker:
     def test_stays_closed_below_threshold(self):
         br = CircuitBreaker(threshold=3, cooloff_ms=100.0)
+        # neither exhaust trips it (each returns False)
         assert not br.on_exhaust(now=0.0)
         assert not br.on_exhaust(now=1.0)
         assert br.state == "closed"
         assert br.allows(now=2.0)
-        assert br.trips == 0
 
     def test_trips_at_threshold_and_blocks_until_cooloff(self):
         br = CircuitBreaker(threshold=2, cooloff_ms=100.0)
+        # exactly one trip: the second exhaust returns True
         assert not br.on_exhaust(now=0.0)
         assert br.on_exhaust(now=10.0)
         assert br.state == "open"
-        assert br.trips == 1
         assert not br.allows(now=50.0)
         assert not br.allows(now=109.9)
         # cooloff elapsed: lazily transitions to half-open, one probe only
@@ -244,8 +246,8 @@ class TestCircuitBreaker:
 
     def test_exhausted_probe_reopens_immediately(self):
         br = CircuitBreaker(threshold=3, cooloff_ms=100.0)
-        for t in (0.0, 1.0, 2.0):
-            br.on_exhaust(now=t)
+        tripped = [br.on_exhaust(now=t) for t in (0.0, 1.0, 2.0)]
+        assert tripped == [False, False, True]
         assert br.state == "open"
         assert br.allows(now=200.0)  # half-open
         br.on_probe_sent()
@@ -253,7 +255,6 @@ class TestCircuitBreaker:
         assert br.on_exhaust(now=201.0)
         assert br.state == "open"
         assert br.open_until == 301.0
-        assert br.trips == 2
 
     def test_link_retirement_unwedges_a_lost_probe(self):
         br = CircuitBreaker(threshold=1, cooloff_ms=100.0)
@@ -283,8 +284,9 @@ def test_capped_queue_sheds_but_retransmission_redelivers():
     system.metrics.delivery.finalize_accounting()
     st = system.metrics.delivery.stats
     meter = system.metrics.traffic
-    # the bulkhead fired on the burst...
-    assert meter.shed_by_client[(sub.id, "queue_cap")] > 0
+    # the bulkhead fired on the burst (sub is the only recipient, so
+    # every shed is on its link)...
+    assert meter.shed_by_cause()["queue_cap"] > 0
     # ...but every shed frame was still covered by the retransmit window,
     # so nothing is written off and the run reconciles exactly
     assert st.expected == 8
@@ -315,10 +317,7 @@ def test_queue_cap_without_reliability_writes_sheds_off():
     assert st.missing == 0
     # control traffic was never shed: the protocol stayed live enough to
     # deliver everything that survived the bulkhead
-    assert all(
-        cause == "queue_cap"
-        for _cid, cause in system.metrics.traffic.shed_by_client
-    )
+    assert set(system.metrics.traffic.shed_by_cause()) == {"queue_cap"}
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ PARITY_SEED = 303
 _PARITY_FIELDS = (
     "published", "expected_deliveries", "delivered", "duplicates",
     "order_violations", "lost", "missing", "handoffs", "injected_drops",
-    "injected_dups", "meter_drops", "meter_dups", "crash_lost", "repairs",
+    "injected_dups", "crash_lost", "repairs",
     "post_repair_publishes", "recovered", "shed", "retransmits",
     "breaker_trips", "stale_timer_fires", "wal_handovers", "wal_checkpoints",
     "wired_by_category", "delivery_log",
