@@ -1,7 +1,9 @@
 """Delivery checking: exactly-once, per-publisher order, loss.
 
 Ground truth: at publish time every event is matched against the static set
-of client subscriptions (one pass over the registered ranges), yielding the
+of client subscriptions (one stab of an
+:class:`~repro.pubsub.interval_index.IntervalStab` over the registered
+ranges, rebuilt on the first publish after a registration), yielding the
 exact expected delivery count per client. At the end of a run (after the
 runner's drain phase) the checker settles:
 
@@ -31,8 +33,10 @@ plus accounted losses, not by run length.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.pubsub.events import Notification
+from repro.pubsub.interval_index import IntervalStab
 
 __all__ = ["DeliveryChecker", "DeliveryStats"]
 
@@ -96,10 +100,11 @@ class DeliveryChecker:
     """
 
     def __init__(self) -> None:
-        # (client, lo, hi) of every registered range, in registration order
-        self._subs: list[tuple[int, float, float]] = []
-        # client -> [(lo, hi, the _published bitmaps when it registered)]
-        self._ranges: dict[int, list[tuple[float, float, dict[int, int]]]] = {}
+        # (client, lo, hi, the _published bitmaps when it registered) of
+        # every registered range, in registration order
+        self._subs: list[tuple[int, float, float, dict[int, int]]] = []
+        # the stab over _subs, keyed by each entry; None after a registration
+        self._stab: Optional[IntervalStab] = None
         self.expected_per_client: dict[int, int] = {}
         # publisher -> bitmap of the seqs on_publish was told about
         self._published: dict[int, int] = {}
@@ -152,8 +157,8 @@ class DeliveryChecker:
         """:meth:`mark_crash_risk` for every subscriber of ``event`` (a
         publish the overlay may have eaten before it was matched)."""
         eid = event.event_id
-        for cid in self.matching_clients(event.topic):
-            self._mark(cid, eid, CRASH)
+        for sub in self._holding(event.topic):
+            self._mark(sub[0], eid, CRASH)
 
     def finalize_accounting(self) -> None:
         """Settle the marks into :attr:`stats`, the one rule for every run.
@@ -179,20 +184,20 @@ class DeliveryChecker:
 
     def _expected(self, client: int, event: Notification) -> bool:
         """Did ``on_publish`` count ``event`` for ``client``?"""
-        pub, seq, topic = event.publisher, event.seq, event.topic
+        pub, seq = event.publisher, event.seq
         if self._published.get(pub, 0) >> seq & 1:
-            for lo, hi, before in self._ranges.get(client, ()):
-                if lo <= topic <= hi and not before.get(pub, 0) >> seq & 1:
+            for cid, _lo, _hi, before in self._holding(event.topic):
+                if cid == client and not before.get(pub, 0) >> seq & 1:
                     return True
         return False
 
     def _early(self, client: int, event: Notification) -> bool:
         """Was ``event`` published in a range of ``client`` before that
         range was registered, and expected by none?"""
-        pub, seq, topic = event.publisher, event.seq, event.topic
+        pub, seq = event.publisher, event.seq
         return not self._expected(client, event) and any(
-            lo <= topic <= hi and before.get(pub, 0) >> seq & 1
-            for lo, hi, before in self._ranges.get(client, ()))
+            cid == client and before.get(pub, 0) >> seq & 1
+            for cid, _lo, _hi, before in self._holding(event.topic))
 
     def delivered_pair(self, client: int, event: Notification) -> bool:
         """Was ``event`` delivered to ``client``?"""
@@ -206,31 +211,35 @@ class DeliveryChecker:
     # ------------------------------------------------------------------
     def register_subscription(self, client: int, lo: float, hi: float) -> None:
         """Declare that ``client`` subscribes to topics in [lo, hi]."""
-        self._subs.append((client, lo, hi))
         # events published before now are not expected by this range
-        self._ranges.setdefault(client, []).append(
-            (lo, hi, dict(self._published))
-        )
+        self._subs.append((client, lo, hi, dict(self._published)))
+        self._stab = None
         self.expected_per_client.setdefault(client, 0)
         self._outstanding.setdefault(client, {})
 
+    def _build_stab(self) -> IntervalStab:
+        self._stab = IntervalStab((sub, sub[1], sub[2]) for sub in self._subs)
+        return self._stab
+
+    def _holding(self, topic: float) -> list[tuple]:
+        """Each registered range that holds ``topic``, in registration order."""
+        return (self._stab or self._build_stab()).holders(topic)
+
     def matching_clients(self, topic: float) -> list[int]:
         """Each range's client if it holds ``topic``, in registration order."""
-        matched = []
-        for client, lo, hi in self._subs:
-            if lo <= topic <= hi:
-                matched.append(client)
-        return matched
+        return [sub[0] for sub in self._holding(topic)]
 
     # ------------------------------------------------------------------
     def on_publish(self, event: Notification) -> None:
         self.stats.published += 1
         pub = event.publisher
         self._published[pub] = self._published.get(pub, 0) | 1 << event.seq
-        matched = self.matching_clients(event.topic)
+        # _holding, inline: this is the one query a publish makes
+        matched = (self._stab or self._build_stab()).holders(event.topic)
         self.stats.expected += len(matched)
         eid = event.event_id
-        for cid in matched:
+        for sub in matched:
+            cid = sub[0]
             self.expected_per_client[cid] += 1
             self._outstanding[cid][eid] = 0
 

@@ -64,6 +64,7 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.pubsub import messages as m
 from repro.pubsub.events import Notification
+from repro.pubsub.interval_index import IntervalStab
 from repro.wire.codec import CodecError, decode_control, encode_control
 from repro.wire.framing import encode_frame, split_frames
 
@@ -479,7 +480,8 @@ class DurabilityManager:
         self._lsn = 0
         #: live (uncompacted) published events, id -> Notification
         self.events: Dict[int, Notification] = {}
-        self._event_home: Dict[int, int] = {}  # event id -> ingress broker
+        #: ingress broker -> ids of the live events it logged, each once
+        self._homed: Dict[int, List[int]] = {}
         #: publisher-outbox dead letters: publishes that died on the wire
         #: before reaching any broker's log (uplink into a dead or
         #: generation-stale target). The publishing device's library holds
@@ -488,6 +490,11 @@ class DurabilityManager:
         #: the outbox.
         self.dead_letters: Dict[int, Notification] = {}
         self.sessions: Dict[int, ClientSession] = {}
+        # the cursors (``acked``) of the sessions with a range, stabbed by
+        # topic (None after open_session, rebuilt by the next checkpoint),
+        # and those of the sessions without one
+        self._ranged: Optional[IntervalStab] = None
+        self._unranged: List[set[int]] = []
         self._since_ckpt: Dict[int, int] = {}
         self.checkpoints = 0
         self.handovers = 0
@@ -530,6 +537,7 @@ class DurabilityManager:
         probe :attr:`sessions` first); a topic-range subscriber's, with its
         range, at its home broker when it subscribes (``hooks.subscribe``)."""
         s = self.sessions[client] = ClientSession(client, broker, lo, hi)
+        self._ranged = None
         self._append(broker, "ses", client, lo, hi, ())
         return s
 
@@ -537,8 +545,13 @@ class DurabilityManager:
 
     def on_publish(self, broker: int, event: Notification) -> None:
         """Ingress broker logs the event before routing it anywhere."""
-        self.events[event.event_id] = event
-        self._event_home[event.event_id] = broker
+        eid = event.event_id
+        if eid in self.events:  # ingressed again while live: it moves home
+            for ids in self._homed.values():
+                if eid in ids:
+                    ids.remove(eid)
+        self.events[eid] = event
+        self._homed.setdefault(broker, []).append(eid)
         self._append(broker, "pub", event)
 
     def on_deliver(self, broker: int, client: int, event: Notification) -> None:
@@ -623,19 +636,29 @@ class DurabilityManager:
         """
         out: List[tuple] = []
         lsn = self._lsn
-        sessions = self.sessions.values()
-        for eid in sorted(e for e, h in self._event_home.items() if h == broker):
-            ev = self.events[eid]
-            cursors = [s.acked for s in sessions
-                       if s.lo is None or s.lo <= ev.topic <= s.hi]
-            if all(eid in acked for acked in cursors):
-                del self.events[eid]
-                del self._event_home[eid]
+        ranged = self._ranged
+        if ranged is None:
+            sessions = self.sessions.values()
+            ranged = self._ranged = IntervalStab(
+                (s.acked, s.lo, s.hi) for s in sessions if s.lo is not None)
+            self._unranged = [s.acked for s in sessions if s.lo is None]
+        events, unranged = self.events, self._unranged
+        kept: List[int] = []
+        for eid in sorted(self._homed.get(broker, ())):
+            ev = events[eid]
+            cursors = ranged.holders(ev.topic)
+            cursors += unranged
+            for acked in cursors:
+                if eid not in acked:  # a matching session owes its ack
+                    kept.append(eid)
+                    lsn += 1
+                    out.append(("pub", lsn, ev))
+                    break
+            else:  # every matching session acked it: retire it
+                del events[eid]
                 for acked in cursors:
                     acked.remove(eid)
-            else:
-                lsn += 1
-                out.append(("pub", lsn, ev))
+        self._homed[broker] = kept
         for cid in sorted(self.sessions):
             s = self.sessions[cid]
             if s.anchor != broker:
@@ -708,10 +731,11 @@ class DurabilityManager:
         with no known range is offered nothing: no filter says it wants)."""
         state = self.replay()
         events = [state.events[eid] for eid in sorted(state.events)]
-        sessions = sorted(state.sessions.items())
+        stab = IntervalStab((cid, s.lo, s.hi)
+                            for cid, s in sorted(state.sessions.items())
+                            if s.lo is not None)
         return [(cid, ev) for ev in events + self.dead_letter_events()
-                for cid, s in sessions
-                if s.lo is not None and s.lo <= ev.topic <= s.hi]
+                for cid in stab.holders(ev.topic)]
 
     def dead_letter(self, event: Notification) -> None:
         """A publish was dropped before any broker's log saw it."""

@@ -30,6 +30,7 @@ import struct
 import zlib
 from base64 import b85decode
 from bisect import bisect_right
+from functools import cache
 from itertools import accumulate, chain, repeat
 from operator import truediv
 from typing import Iterable, Iterator, Optional, Sequence
@@ -49,6 +50,33 @@ def _key_to_entropy(key: str) -> int:
     return int.from_bytes(digest[:16], "little")
 
 
+def _hash_chain(h: int, mult: int, steps: int) -> list[tuple[int, int]]:
+    """``SeedSequence``'s hash multipliers, one ``(h, h * mult)`` pair a
+    step: the ``h`` a word is xored with and the one it is multiplied by.
+    They depend on the number of steps alone, never on the entropy."""
+    out = []
+    for _ in range(steps):
+        out.append((h, h := h * mult & _M32))
+    return out
+
+
+@cache
+def _mix_chain(n: int) -> tuple[tuple, tuple]:
+    """The mixing steps of ``n >= 4`` entropy words, with their hash
+    multipliers: four ``(i, hx, hm)`` that fill the pool, then one
+    ``(src, dst, hx, hm)`` per word ``src`` and pool word ``dst != src``.
+    Made once per word count: every stream of a run has the same."""
+    chain = iter(_hash_chain(0x43B0D7E5, 0x931E8875, 4 * n))
+    init = tuple((i, *hs) for i, hs in zip(range(4), chain))
+    mix = tuple((src, dst, *next(chain))
+                for src in range(n) for dst in range(4) if dst != src)
+    return init, mix
+
+
+#: the hash multipliers of the eight 32-bit words ``generate_state`` draws
+_STATE_CHAIN = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
+
+
 class Stream:
     """What ``numpy.random.default_rng(SeedSequence(entropy))`` draws, for
     ``entropy`` a sequence of non-negative ints. Its PCG64 step (128-bit
@@ -64,29 +92,22 @@ class Stream:
             words.append(n & _M32)
             while n := n >> 32:
                 words.append(n & _M32)
-        # SeedSequence mixes the words into a pool of four ...
-        pool = words[:4] + [0] * (4 - len(words))
-        h = 0x43B0D7E5
-        for i in range(4):
-            x = pool[i] ^ h
-            h = h * 0x931E8875 & _M32
-            x = x * h & _M32
-            pool[i] = x ^ x >> 16
-        for src in range(max(4, len(words))):
-            for dst in range(4):
-                if dst != src:
-                    x = (pool if src < 4 else words)[src] ^ h
-                    h = h * 0x931E8875 & _M32
-                    x = x * h & _M32
-                    x = (0xCA01F9DD * pool[dst] - 0x4973F715 * (x ^ x >> 16)
-                         & _M32)
-                    pool[dst] = x ^ x >> 16
+        # SeedSequence mixes the words into a pool of four (``buf[:4]``;
+        # the words past the fourth follow it) ...
+        n = max(4, len(words))
+        init, mix = _mix_chain(n)
+        buf = words[:4] + [0] * (4 - len(words)) + words[4:]
+        for i, hx, hm in init:
+            x = (buf[i] ^ hx) * hm & _M32
+            buf[i] = x ^ x >> 16
+        for src, dst, hx, hm in mix:
+            x = (buf[src] ^ hx) * hm & _M32
+            x = 0xCA01F9DD * buf[dst] - 0x4973F715 * (x ^ x >> 16) & _M32
+            buf[dst] = x ^ x >> 16
         # ... and draws the four 64-bit words PCG64 is seeded with
-        h, out = 0x8B51F9DD, 0
-        for i in range(8):
-            x = pool[i & 3] ^ h
-            h = h * 0x58F38DED & _M32
-            x = x * h & _M32
+        out = 0
+        for i, (hx, hm) in enumerate(_STATE_CHAIN):
+            x = (buf[i & 3] ^ hx) * hm & _M32
             out |= (x ^ x >> 16) << 32 * i
         seed = (out & _M64) << 64 | out >> 64 & _M64
         inc = ((out >> 128 & _M64) << 64 | out >> 192) << 1 | 1

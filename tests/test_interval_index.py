@@ -5,14 +5,24 @@ through :class:`~interval_reference.ReferenceIndex`, the written-out form
 of the bodies ``FilterTable`` carries inline; the differential test at the
 bottom checks every query against a brute-force scan of ``items()`` under
 randomized churn.
+
+:class:`~repro.pubsub.interval_index.IntervalStab`, the static stab that
+answers with every holder, is diffed against the linear scan it replaced
+at the bottom: directly, and through the delivery ledger that rebuilds it
+after each registration.
 """
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from interval_reference import ReferenceIndex
+from repro.metrics.delivery import DeliveryChecker
+from repro.pubsub.interval_index import IntervalStab
+from repro.sim.rng import RandomStreams
+from repro.workload.generator import SubscriptionGenerator
 
 
 def test_stab_hits_and_misses():
@@ -258,3 +268,69 @@ def test_differential_with_equal_lo_and_identical_intervals(seed):
         assert set(idx.contained_keys(a, b)) \
             == set(contained_bruteforce(items, a, b)), (seed, step)
     assert len(idx) == len(mirror) and not idx._dirty
+
+
+# ---------------------------------------------------------------------------
+# IntervalStab: every holder, in the order given, like the linear scan
+# ---------------------------------------------------------------------------
+def holders_scan(ranges, t):
+    """The scan the stab replaced: each range's key if it holds ``t``."""
+    return [key for key, lo, hi in ranges if lo <= t <= hi]
+
+
+#: bounds drawn from a small pool, so ranges share endpoints, repeat
+#: exactly and shrink to zero width; plus the infinities
+_INF = float("inf")
+_bounds = st.one_of(st.sampled_from([-_INF, 0.0, 0.25, 0.5, 1.0, _INF]),
+                    st.floats(-2, 2, allow_nan=False))
+#: (client, lo, hi): a few clients, so several ranges per client
+_keyed_ranges = st.lists(
+    st.tuples(st.integers(0, 4), _bounds, _bounds).map(
+        lambda r: (r[0], min(r[1:]), max(r[1:]))),
+    max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranges=_keyed_ranges, extra=st.lists(_bounds, max_size=8))
+def test_property_stab_holders_match_the_scan(ranges, extra):
+    """Every endpoint exactly, points between and beyond them, and the
+    infinities: the stab answers the scan's list, order and repeats."""
+    stab = IntervalStab(ranges)
+    points = {x for _k, lo, hi in ranges for x in (lo, hi)}
+    points |= {x + d for x in points for d in (-1e-9, 1e-9)}
+    for t in sorted(points | set(extra) | {-_INF, _INF, float("nan")}):
+        assert stab.holders(t) == holders_scan(ranges, t), t
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(st.one_of(
+    st.tuples(st.just("register"), st.integers(0, 4), _bounds, _bounds),
+    st.tuples(st.just("publish"), _bounds)), max_size=40))
+def test_property_ledger_matches_the_scan_across_registrations(steps):
+    """The ledger rebuilds its stab on the first query after a
+    registration: registrations between queries answer like the scan."""
+    dc = DeliveryChecker()
+    ranges = []
+    for step in steps:
+        if step[0] == "register":
+            client, lo, hi = step[1], min(step[2:]), max(step[2:])
+            dc.register_subscription(client, lo, hi)
+            ranges.append((client, lo, hi))
+        else:
+            assert dc.matching_clients(step[1]) == holders_scan(ranges, step[1])
+
+
+def test_stab_retains_under_one_megabyte_at_paper_density():
+    """1 960 subscriptions (k=14, ten clients a broker) drawn as the
+    workload draws them: each range is listed once per block it overlaps,
+    so the blocks stay far below a table with one answer per gap."""
+    gen = SubscriptionGenerator(RandomStreams(1), match_fraction=0.0625)
+    ranges = [(c, *gen.draw(c).topic_range) for c in range(1960)]
+    tracemalloc.start()
+    try:
+        stab = IntervalStab(ranges)
+        retained, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20, retained
+    assert stab.holders(0.5) == holders_scan(ranges, 0.5)

@@ -24,10 +24,14 @@ Satellite battery for the durability subsystem's storage layer:
   in-memory mirror exactly: anchors, unacked windows and delivery
   cursors, which hold live events only (``acked ⊆ events``) — the
   checkpoint that retires an event takes it out of every cursor.
+* **Compaction oracle** — the manager's per-broker live sets and session
+  stab write, call for call, the checkpoint images of the scan-based rule
+  (``tests/wal_scan.py``), in randomized schedules and in a real run.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import struct
 import zlib
@@ -51,6 +55,7 @@ from repro.pubsub.wal import (
 from repro.wire.codec import CodecError, encode_control
 from repro.wire.framing import encode_frame
 from repro.workload.spec import WorkloadSpec
+from wal_scan import ScanDurabilityManager
 
 # ---------------------------------------------------------------------------
 # records
@@ -516,3 +521,93 @@ def test_replayed_state_matches_live_mirror_end_to_end():
         assert set(replayed.unacked) == set(mirror.unacked)
         assert replayed.acked == mirror.acked
         assert mirror.acked <= dur.events.keys()
+
+
+# ---------------------------------------------------------------------------
+# compaction oracle: the stab-based rule against the scan-based one
+# ---------------------------------------------------------------------------
+def _images(dur):
+    return {bid: dur.store.segments(bid) for bid in dur.store.brokers()}
+
+
+_RANGES = [(0.0, 10.0), (2.0, 4.0), (4.0, 4.0), (2.0, 4.0), (6.0, 9.5),
+           (float("-inf"), 1.0), (None, None)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+@example(0)
+def test_checkpoint_images_equal_the_scan_rule(seed):
+    """The same calls into the product manager and the scan reference:
+    ranged sessions opened before and after checkpoints (shared, nested,
+    zero-width and unknown ranges), events ingressed again while live,
+    and every checkpoint writes the same image; so does the repair
+    gather offer the same backlog."""
+    rnd = random.Random(seed)
+    every = rnd.choice((4, 8, 512))
+    managers = [cls(_Host(DeliveryChecker()), MemoryLogStore(segment_bytes=256),
+                    checkpoint_every=every)
+                for cls in (DurabilityManager, ScanDurabilityManager)]
+    events = []
+    for step in range(rnd.randrange(30, 90)):
+        op = rnd.choice(("ses", "pub", "pub", "repub", "dlv", "dlv", "ack",
+                         "ckpt"))
+        calls = []
+        if op == "ses":
+            cid = rnd.randrange(8)
+            if cid not in managers[0].sessions:
+                calls.append(("open_session", cid, rnd.randrange(3),
+                              *rnd.choice(_RANGES)))
+        elif op == "pub" or (op == "repub" and not events):
+            ev = Notification(len(events), rnd.randrange(2), len(events),
+                              float(step), rnd.choice((2.0, 4.0, 9.5,
+                                                       rnd.uniform(0, 10))))
+            events.append(ev)
+            calls.append(("on_publish", rnd.randrange(3), ev))
+        elif op == "repub":
+            calls.append(("on_publish", rnd.randrange(3), rnd.choice(events)))
+        elif op == "dlv" and events:
+            calls.append(("on_deliver", rnd.randrange(3), rnd.randrange(8),
+                          rnd.choice(events)))
+        elif op == "ack":
+            s = managers[0].sessions.get(rnd.randrange(8))
+            if s is not None and s.unacked:
+                eid = rnd.choice(sorted(s.unacked))
+                calls.append(("on_settled", s.anchor, s.client,
+                              s.unacked[eid]))
+        elif op == "ckpt":
+            calls.append(("checkpoint", rnd.randrange(3)))
+        for name, *args in calls:
+            for dur in managers:
+                getattr(dur, name)(*args)
+        product, scan = managers
+        assert product.checkpoints == scan.checkpoints, step
+        assert _images(product) == _images(scan), step
+        assert product.replay_events() == scan.replay_events(), step
+
+
+def test_checkpoint_images_equal_the_scan_rule_end_to_end(monkeypatch):
+    """A real durable run (loss, a crash and a restart), compacting every
+    16 appends, writes every checkpoint image the scan-based rule writes
+    for the same run."""
+    def run(cls):
+        monkeypatch.setattr("repro.pubsub.wal.DurabilityManager",
+                            functools.partial(cls, checkpoint_every=16))
+        system, workload = build_system(_E2E)
+        store = system.durability.store
+        written = []
+        replace = store.replace_records
+
+        def record(broker, records):
+            written.append((broker, encode_record(tuple(records))))
+            replace(broker, records)
+
+        store.replace_records = record
+        system.run(until=_E2E.workload.duration_ms)
+        workload.stop()
+        drain_to_quiescence(system, workload)
+        return written, _images(system.durability)
+
+    product, scan = run(DurabilityManager), run(ScanDurabilityManager)
+    assert len(product[0]) > 20, "the run hardly compacted"
+    assert product == scan
