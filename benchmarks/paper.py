@@ -14,8 +14,9 @@ prints per point:
   :data:`DIGEST_FIELDS` (a fixed list, so that adding a field to the row
   cannot move the digest of an unchanged run).
 
-``--append`` adds one record, keyed by commit (``git describe --always
---dirty``), to ``BENCH_paper.json`` at the repo root.
+``--append`` adds one record, keyed by commit (``git describe --always``,
+``-dirty`` when a tracked file other than the record itself is edited), to
+``BENCH_paper.json`` at the repo root.
 ``--check`` compares each point's simulated fields with the last record's
 and exits 1 on any difference; CPU seconds and RSS are printed and never
 gated. ``--until 60`` runs only the 60 s points. Host speed is read
@@ -137,12 +138,21 @@ def host_speed(probe: SpeedProbe) -> float:
                  / statistics.median(probe.burst() for _ in range(9)), 3)
 
 
-def describe_commit() -> str:
-    out = subprocess.run(
-        ["git", "describe", "--always", "--dirty"], cwd=ROOT,
-        capture_output=True, text=True,
-    )
-    return out.stdout.strip() or "unknown"
+def describe_commit(root: Path = ROOT) -> str:
+    """``git describe --always``, with ``-dirty`` when a tracked file other
+    than the record differs from the commit: an ``--append`` alone does not
+    make the next record's commit dirty."""
+    def git(*args: str) -> str:
+        out = subprocess.run(["git", *args], cwd=root,
+                             capture_output=True, text=True)
+        return out.stdout.strip()
+
+    commit = git("describe", "--always")
+    if not commit:
+        return "unknown"
+    dirty = git("status", "--porcelain", "--untracked-files=no",
+                "--", ".", f":!{RECORD.name}")
+    return f"{commit}-dirty" if dirty else commit
 
 
 def main(argv: Optional[list[str]] = None) -> int:

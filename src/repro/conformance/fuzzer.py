@@ -51,12 +51,13 @@ lane's layers are drawn on top of the plain draw of the same seed):
   ``lost``.
 
 **Cross-engine identity**: the same scenario re-run once through the live
-driver on a :class:`~repro.drivers.live.VirtualClock` — a scheduler written
-independently of :class:`~repro.sim.core.Simulator`, under the phase loop
-the live and socket drivers run on — must produce a byte-identical
-delivery log, identical delivery/loss/duplicate counters, identical
-per-category wired traffic and the same processed event count. Every
-``Clock`` is documented as firing in ``(time, seq)`` order.
+driver on a :class:`~repro.drivers.live.VirtualClock` — the simulator's
+heap behind the live-driver path, with the file log store the live driver
+builds and the phase loop the live and socket drivers run on — must
+produce a byte-identical delivery log, identical delivery/loss/duplicate
+counters, identical per-category wired traffic and the same processed
+event count. Every ``Clock`` is documented as firing in ``(time, seq)``
+order.
 
 Replay: ``python -m repro.conformance.fuzzer --scenario-seed N --lane X
 [--protocol P] [--no-cross-engine]`` reruns exactly that scenario (same
@@ -172,7 +173,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "draw); every other draw stays the seed's")
     parser.add_argument("--no-cross-engine", action="store_true",
                         help="skip the VirtualClock identity re-run "
-                             "(half the runtime, second scheduler not "
+                             "(half the runtime, live-driver path not "
                              "exercised)")
     args = parser.parse_args(argv)
 

@@ -22,9 +22,10 @@ Two drivers exist:
   layer (:mod:`repro.network.links`) *is* the transport. This is the
   reproduction path and is byte-identical to the pre-refactor system.
 * :class:`~repro.drivers.live.LiveDriver` — the same kernel and the same
-  per-link in-process queues run over a real scheduler: an asyncio event
-  loop under wall-clock delays (the ``soak`` command), or a deterministic
-  :class:`~repro.drivers.live.VirtualClock` for differential tests.
+  per-link in-process queues run over the simulator's heap fired another
+  way: by an asyncio event loop under wall-clock delays (the ``soak``
+  command), or by the deterministic
+  :class:`~repro.drivers.live.VirtualClock` for driver-parity tests.
 
 The contracts the kernel relies on (and every driver must honour):
 
@@ -62,8 +63,9 @@ class Clock:
     """Scheduling facade the kernel sees (duck-typed; see module docs).
 
     :class:`~repro.sim.core.Simulator` satisfies it natively (``call_later``
-    aliases ``schedule``); live clocks implement it over asyncio or a
-    virtual-time heap. All delays and times are in milliseconds.
+    aliases ``schedule``); the live clocks are ``Simulator`` subclasses
+    whose heap a virtual run loop or an asyncio event loop fires. All
+    delays and times are in milliseconds.
     """
 
     __slots__ = ()

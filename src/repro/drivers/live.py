@@ -1,23 +1,19 @@
 """The live driver: the sans-IO kernel under real (or virtual) time.
 
-Where the simulated driver hands the kernel the discrete-event scheduler as
-its clock, this module provides clocks backed by something *other* than the
-simulation engine:
+Both live clocks are the simulator's heap (:class:`~repro.sim.core.Simulator`),
+so there is one ``(time, seq)`` timer queue whichever driver runs; what
+differs is what drives it:
 
-* :class:`VirtualClock` — a deterministic virtual-time scheduler: one flat
-  ``(when, seq)`` heap, written independently of the simulator's. It
-  mimics the ordering semantics of an asyncio event loop (deadline order,
-  submission order on ties) while staying fully deterministic, which makes
-  it the reference clock for differential tests and for the conformance
-  fuzzer's identity re-run: the same seeded scenario must produce the same
-  outcome under it as under the simulator, event count included.
-* :class:`AsyncioClock` — the same ``(when, seq)`` queue executed against a
-  real asyncio event loop: model milliseconds map to wall-clock delays
-  (optionally compressed by ``time_scale``), and due callbacks fire from a
-  single loop timer in deadline order. Keeping our own heap instead of one
-  ``loop.call_later`` per message preserves the strict submission-order
-  tie-break the link layer's FIFO arguments rest on (asyncio's timer heap
-  does not guarantee stable ordering for equal deadlines).
+* :class:`VirtualClock` — the simulator's own run loop: deterministic
+  virtual time for the driver-parity tests, the conformance fuzzer's re-run
+  (live-driver path, file log store) and the socket coordinator.
+* :class:`AsyncioClock` — a real asyncio event loop: model milliseconds
+  map to wall-clock delays (optionally compressed by ``time_scale``), and
+  due callbacks fire from a single loop timer in deadline order. Keeping
+  the heap instead of one ``loop.call_later`` per message preserves the
+  strict submission-order tie-break the link layer's FIFO arguments rest
+  on (asyncio's timer heap does not guarantee stable ordering for equal
+  deadlines).
 
 :class:`LiveDriver` plugs either clock into the unchanged
 :class:`~repro.network.links.LinkLayer` — the per-link in-process queues,
@@ -38,13 +34,13 @@ re-runs never load it.
 
 from __future__ import annotations
 
-import heapq
 import tempfile
 import time
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
-from repro.drivers.base import CancelHandle, Clock, Driver
+from repro.drivers.base import Clock, Driver
 from repro.errors import SchedulingError
+from repro.sim.core import EventHandle, Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
     import asyncio
@@ -62,129 +58,31 @@ __all__ = [
 ]
 
 
-class _Handle(CancelHandle):
-    """Cancellation flag for one scheduled callback.
+class _HeapClock(Simulator):
+    """The simulator's heap as a live clock: one ``(time, seq)`` queue."""
 
-    ``cancelled`` doubles as the fired marker: firing sets it so a late
-    ``cancel()`` cannot decrement the clock's pending count twice.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_clock", "cancelled")
-
-    def __init__(self, clock: "_HeapClock") -> None:
-        self._clock = clock
-        self.cancelled = False
-
-    def cancel(self) -> None:
-        if not self.cancelled:
-            self.cancelled = True
-            self._clock._pending -= 1
-
-
-class _HeapClock(Clock):
-    """Shared ``(when, seq)`` heap mechanics for the live clocks."""
-
-    __slots__ = ("_heap", "_seq", "_pending", "_fired")
-
-    def __init__(self) -> None:
-        # entries: (when_ms, seq, handle-or-None, callback, args)
-        self._heap: list[tuple[float, int, Optional[_Handle], Callable, tuple]] = []
-        self._seq = 0
-        self._pending = 0
-        self._fired = 0
-
-    # -- scheduling -----------------------------------------------------
-    def _push(
-        self,
-        delay: float,
-        handle: Optional[_Handle],
-        callback: Callable[..., Any],
-        args: tuple,
-    ) -> None:
-        if delay < 0:
-            raise SchedulingError(
-                f"cannot schedule into the past: delay={delay!r} at t={self.now!r}"
-            )
-        seq = self._seq
-        self._seq = seq + 1
-        heapq.heappush(self._heap, (self.now + delay, seq, handle, callback, args))
-        self._pending += 1
-
-    def call_later(
-        self, delay: float, callback: Callable[..., Any], *args: Any
-    ) -> _Handle:
-        handle = _Handle(self)
-        self._push(delay, handle, callback, args)
-        return handle
-
-    def call_later_fifo(
-        self, delay: float, callback: Callable[..., Any], *args: Any
-    ) -> None:
-        # no handle: never cancellable. One heap serves both paths — the
-        # FIFO guarantee is simply (when, seq) order, which the shared
-        # monotone seq provides.
-        self._push(delay, None, callback, args)
-
-    # -- firing ---------------------------------------------------------
-    def _pop_due(self, when: float):
-        """Pop the head if it is due at ``when`` and not cancelled."""
-        heap = self._heap
-        while heap and heap[0][0] <= when:
-            entry = heapq.heappop(heap)
-            handle = entry[2]
-            if handle is not None:
-                if handle.cancelled:
-                    continue
-                handle.cancelled = True  # fired; late cancel() is a no-op
-            self._pending -= 1
-            self._fired += 1
-            return entry
-        return None
-
-    # -- introspection --------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Scheduled-but-unfired callbacks (cancelled ones excluded)."""
-        return self._pending
-
-    @property
-    def events_processed(self) -> int:
-        return self._fired
-
-    def peek(self) -> Optional[float]:
-        """Time of the next pending (non-cancelled) callback, or None."""
-        heap = self._heap
-        while heap and heap[0][2] is not None and heap[0][2].cancelled:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
+    # benchmarks/e2e/trace.py patches these by name in this class's own
+    # namespace (``vars(owner)``), so they are bound here as aliases; they
+    # go with the benchmark PR that drops the names there.
+    call_later = Simulator.schedule
+    call_later_fifo = Simulator.schedule_fifo
+    peek = Simulator.peek
 
 
 class VirtualClock(_HeapClock):
-    """Deterministic virtual-time clock for driver-parity tests.
+    """Deterministic virtual time: the simulator's heap and run loop
+    behind the live driver.
 
-    ``run(until=...)`` mirrors :meth:`repro.sim.core.Simulator.run`
-    semantics (the clock is advanced to exactly ``until`` on return), so
-    measurement windows compose identically across drivers.
+    ``run(until=...)`` advances the clock to exactly ``until`` on return,
+    so measurement windows compose identically across drivers.
     """
 
-    __slots__ = ("now",)
+    __slots__ = ()
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        super().__init__()
-        self.now = start_time
-
-    def run(self, until: Optional[float] = None) -> None:
-        while True:
-            head = self.peek()
-            if head is None or (until is not None and head > until):
-                break
-            entry = self._pop_due(head)
-            if entry is None:  # pragma: no cover - peek guarantees due work
-                break
-            self.now = entry[0]
-            entry[3](*entry[4])
-        if until is not None and until > self.now:
-            self.now = until
+    # patched by name by benchmarks/e2e (trace.py, child.py); see above
+    run = Simulator.run
 
 
 class AsyncioClock(_HeapClock):
@@ -205,8 +103,8 @@ class AsyncioClock(_HeapClock):
     repr(exc))`` and the rest of the burst fires in order.
     """
 
-    __slots__ = ("loop", "time_scale", "_t0", "_timer", "_armed_for",
-                 "errors")
+    __slots__ = ("loop", "time_scale", "_t0", "_held", "_timer",
+                 "_armed_for", "errors")
 
     def __init__(
         self,
@@ -215,33 +113,58 @@ class AsyncioClock(_HeapClock):
     ) -> None:
         import asyncio
 
-        super().__init__()
         if time_scale <= 0:
             raise SchedulingError(f"time_scale must be > 0, got {time_scale!r}")
         self.loop = loop if loop is not None else asyncio.new_event_loop()
         self.time_scale = time_scale
         self._t0 = self.loop.time()
+        self._held: Optional[float] = None
+        super().__init__()
         self._timer: Optional[asyncio.TimerHandle] = None
         self._armed_for: Optional[float] = None
         self.errors: list[tuple[float, str, str]] = []
 
     @property
     def now(self) -> float:
+        if self._held is not None:
+            return self._held
         return (self.loop.time() - self._t0) * 1000.0 * self.time_scale
+
+    @now.setter
+    def now(self, _value: float) -> None:
+        # wall time is the only source of ``now``: the start time
+        # Simulator.__init__ assigns and the deadline step() assigns are
+        # both already past when they are assigned
+        pass
 
     def _wall_at(self, model_ms: float) -> float:
         return self._t0 + model_ms / (1000.0 * self.time_scale)
 
-    def _push(self, delay, handle, callback, args) -> None:
-        super()._push(delay, handle, callback, args)
+    def call_later(
+        self, delay: float, callback: Callable[..., Any], *args: Any
+    ) -> EventHandle:
+        # schedule() reads ``now`` for the deadline and schedule_at() reads
+        # it again to reject the past: both must see one wall reading
+        self._held = self.now
+        try:
+            handle = self.schedule(delay, callback, *args)
+        finally:
+            self._held = None
+        self._arm()
+        return handle
+
+    def call_later_fifo(
+        self, delay: float, callback: Callable[..., Any], *args: Any
+    ) -> None:
+        self.schedule_fifo(delay, callback, *args)
         self._arm()
 
     def _arm(self) -> None:
-        head = self._heap[0][0] if self._heap else None
+        head = self.peek()
         if head is None:
             return
         if self._timer is not None:
-            if self._armed_for is not None and self._armed_for <= head:
+            if self._armed_for <= head:
                 return  # an earlier-or-equal wake is already pending
             self._timer.cancel()
         self._armed_for = head
@@ -250,15 +173,14 @@ class AsyncioClock(_HeapClock):
     def _run_due(self) -> None:
         self._timer = None
         self._armed_for = None
+        heap = self._heap
         # re-read `now` each iteration so zero-delay chains scheduled by a
-        # firing callback run in this burst instead of waiting a loop tick
-        while True:
-            entry = self._pop_due(self.now)
-            if entry is None:
-                break
-            when, _seq, _handle, callback, args = entry
+        # firing callback run in this burst instead of waiting a loop tick;
+        # peek() drops cancelled heads, so step() fires ``heap[0]``
+        while (when := self.peek()) is not None and when <= self.now:
+            callback = heap[0][3]
             try:
-                callback(*args)
+                self.step()
             except Exception as exc:
                 name = getattr(callback, "__qualname__", None) or repr(callback)
                 self.errors.append((when, name, repr(exc)))
@@ -275,7 +197,7 @@ class AsyncioClock(_HeapClock):
 
         deadline = None if timeout_s is None else self.loop.time() + timeout_s
         while True:
-            if self._pending == 0 and (quiescent is None or quiescent()):
+            if self.pending == 0 and (quiescent is None or quiescent()):
                 return True
             if deadline is not None and self.loop.time() >= deadline:
                 return False

@@ -265,12 +265,3 @@ class DeliveryChecker:
             self.stats.order_violations += 1
         else:
             seqs[event.publisher] = event.seq
-
-    # ------------------------------------------------------------------
-    def per_client_missing(self) -> dict[int, int]:
-        """Clients with expected deliveries unaccounted for (diagnostics):
-        outstanding and unmarked."""
-        return {
-            cid: n for cid, outstanding in self._outstanding.items()
-            if (n := sum(not bits for bits in outstanding.values()))
-        }

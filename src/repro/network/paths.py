@@ -85,16 +85,6 @@ class ShortestPaths:
             path.append(self.next_hop(path[-1], v))
         return path
 
-    def average_distance(self) -> float:
-        """Mean hop count over ordered pairs of distinct, mutually
-        reachable nodes."""
-        total = pairs = 0
-        for u in range(self.topo.n):
-            reached = [d for d in self._table(u)[0] if d > 0]
-            total += sum(reached)
-            pairs += len(reached)
-        return total / pairs
-
     def eccentricity(self, u: int) -> int:
         """Greatest hop count from ``u`` to a node it reaches."""
         return max(self._table(u)[0])

@@ -62,10 +62,6 @@ class SpanningTree(ShortestPaths):
         if self._table(root)[0].count(-1) != self.parent.count(EXCLUDED):
             raise TopologyError("parent vector does not describe a connected tree")
 
-    def contains(self, u: int) -> bool:
-        """Is ``u`` part of this tree? (False for crashed-out brokers.)"""
-        return self.parent[u] != EXCLUDED
-
     def neighbors(self, u: int) -> list[int]:
         """Tree-adjacent nodes of ``u`` (ascending)."""
         return self._neighbors[u]

@@ -239,14 +239,8 @@ class FilterTable:
         """Remove; returns False if the key was absent."""
         return self._from_nbr[nbr].remove(key)
 
-    def has_broker_filter(self, nbr: int, key: Hashable) -> bool:
-        return key in self._from_nbr[nbr]
-
     def broker_filter_keys(self, nbr: int) -> list[Hashable]:
         return self._from_nbr[nbr].keys()
-
-    def broker_filter_get(self, nbr: int, key: Hashable) -> Optional[RangeFilter]:
-        return self._from_nbr[nbr].get(key)
 
     def broker_filter_count(self, nbr: int) -> int:
         return len(self._from_nbr[nbr])
@@ -272,9 +266,6 @@ class FilterTable:
             ranges._rebuild()
         idx = bisect_right(ranges._los, f.lo) - 1
         return idx >= 0 and ranges._max_hi[idx] >= f.hi
-
-    def advertised_keys(self, nbr: int) -> list[Hashable]:
-        return self._advertised[nbr].keys()
 
     def advertised_get(self, nbr: int, key: Hashable) -> Optional[RangeFilter]:
         return self._advertised[nbr].filters.get(key)

@@ -434,11 +434,6 @@ class ClientSession:
         self.acked: set[int] = set()
         self.unacked: Dict[int, Notification] = {}
 
-    def state_key(self) -> tuple:
-        """Canonical comparison key (used by the replay-oracle tests)."""
-        return (self.client, self.anchor, self.lo, self.hi,
-                tuple(sorted(self.acked)), tuple(sorted(self.unacked)))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ClientSession(c{self.client}@b{self.anchor}, "
                 f"acked={len(self.acked)}, unacked={len(self.unacked)})")

@@ -23,9 +23,11 @@ of correctness:
    scheduled — which, combined with constant per-hop link latencies, gives
    free FIFO semantics on every link (see :mod:`repro.network.links`).
 
-The differential tests hold this scheduler to the independently written
-:class:`~repro.drivers.live.VirtualClock` over randomized interleavings,
-and ``tests/test_clock_contract.py`` holds both to the ``Clock`` contract.
+This is the one timer queue: the live clocks of :mod:`repro.drivers.live`
+(``VirtualClock``, ``AsyncioClock``) are subclasses that fire this heap.
+The differential tests hold it to a tests-only reference queue over
+randomized interleavings, and ``tests/test_clock_contract.py`` holds every
+clock and that reference to the ``Clock`` contract.
 Why nothing sits beside the heap, and what would have to be measured first
 to change that: docs/ARCHITECTURE.md "The scheduler".
 

@@ -56,10 +56,6 @@ class IdAllocator:
         """The id :meth:`next` would return for ``stream``, not taken."""
         return self._next.get(stream, 0)
 
-    def peek_streams(self) -> list[str]:
-        """Names of streams that have allocated at least one id."""
-        return sorted(self._next)
-
 
 # Event ids count from 0, so a set of them is one ``bytearray``: bit
 # ``eid & 7`` of byte ``eid >> 3``, grown in place only when an id past its

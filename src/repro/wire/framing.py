@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 __all__ = [
     "HEADER_SIZE",
@@ -149,14 +149,3 @@ class FrameDecoder:
             raise err
         del buf[:clean]
         return payloads
-
-
-def iter_frames(data: bytes, max_frame: int = MAX_FRAME_SIZE) -> Iterator[bytes]:
-    """Decode a complete byte string of concatenated frames (tests, tools)."""
-    payloads, clean, err = split_frames(data, max_frame)
-    yield from payloads
-    if err is not None:
-        raise err
-    if clean != len(data):
-        raise FrameCorruptionError(
-            f"{len(data) - clean} trailing bytes after last frame")

@@ -11,6 +11,7 @@ from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
 from repro.pubsub import messages as m
 from mhh_nopqlist import MHHNoPQList
+from probes import has_broker_filter
 
 
 def build(covering, k=3, seed=1):
@@ -38,7 +39,7 @@ def test_flood_reaches_every_broker_without_covering():
             continue
         holders = [
             n for n in b.table.neighbors
-            if b.table.has_broker_filter(n, ("sub", c.id))
+            if has_broker_filter(b.table, n, ("sub", c.id))
         ]
         assert len(holders) == 1
     # flood cost: one message per tree edge
@@ -109,7 +110,7 @@ def test_unsubscribe_propagates_when_no_cover_remains():
     system.run(until=6000.0)
     for b in system.brokers.values():
         for n in b.table.neighbors:
-            assert not b.table.has_broker_filter(n, key)
+            assert not has_broker_filter(b.table, n, key)
     system.check_mirror_invariant()
 
 

@@ -1,11 +1,14 @@
-"""The Clock facade contract, run against ALL THREE implementations.
+"""The Clock facade contract, run against every clock and the oracle.
 
-VirtualClock (deterministic virtual time, parity tests) and AsyncioClock
-(model time over a real event loop, the soak harness) share the heap in
-``_HeapClock`` but drive it through completely different engines — a
-pull-based ``run()`` loop vs armed loop timers; ``Simulator`` (the
-simulated driver's clock) is a separate heap altogether. The kernel relies
-on identical semantics from all of them:
+``Simulator`` is the one timer queue: the simulated driver's clock is the
+simulator itself, ``VirtualClock`` (deterministic virtual time, parity
+tests) is its heap and run loop behind the live driver, and
+``AsyncioClock`` (model time over a real event loop, the soak harness) is
+the same heap fired by armed loop timers instead of a pull-based
+``run()``. ``ReferenceClock`` (``tests/reference_clock.py``) is the
+tests-only oracle the differentials compare the simulator against, so it
+answers to the same cases. The kernel relies on identical semantics from
+all of them:
 
 * callbacks fire in ``(when, submission)`` order — equal-deadline entries
   run in the order they were scheduled, whether cancellable or FIFO;
@@ -15,7 +18,7 @@ on identical semantics from all of them:
 * scheduling into the past is rejected loudly;
 * ``now`` is monotone across a run.
 
-Every case below is parametrized over the three clocks; the
+Every case below is parametrized over the four clocks; the
 VirtualClock-only ``run(until=...)`` window semantics (the simulator's
 epoch-advance behaviour) get their own cases at the bottom.
 """
@@ -30,16 +33,20 @@ from repro.drivers.live import AsyncioClock, VirtualClock
 from repro.errors import SchedulingError
 from repro.sim.core import Simulator
 
+from reference_clock import ReferenceClock
+
 #: generous wall budget for the asyncio runs; they finish in milliseconds
 _IDLE_TIMEOUT_S = 20.0
 
 
-@pytest.fixture(params=["virtual", "asyncio", "simulator"])
+@pytest.fixture(params=["virtual", "asyncio", "simulator", "reference"])
 def clock(request):
     if request.param == "virtual":
         yield VirtualClock()
     elif request.param == "simulator":
         yield Simulator()
+    elif request.param == "reference":
+        yield ReferenceClock()
     else:
         c = AsyncioClock(time_scale=10.0)
         yield c
@@ -48,13 +55,13 @@ def clock(request):
 
 def _drain(clock) -> None:
     """Run the clock until nothing is pending, whichever engine it is."""
-    if isinstance(clock, (VirtualClock, Simulator)):
-        clock.run()
-    else:
+    if isinstance(clock, AsyncioClock):
         idle = clock.loop.run_until_complete(
             clock.wait_idle(timeout_s=_IDLE_TIMEOUT_S)
         )
         assert idle, "asyncio clock failed to drain within the wall budget"
+    else:
+        clock.run()
 
 
 @contextmanager

@@ -33,6 +33,7 @@ import pytest
 import covering_scan
 from covering_scan import ScanCovering, scan_covering
 from hypothesis import given, settings, strategies as st
+from probes import advertised_keys, broker_filter_get
 
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable, _PeerFilters
@@ -133,7 +134,7 @@ def test_advertised_covers_indexed_matches_scan(seed):
             q = random_filter(rnd)
             for n in NEIGHBORS:
                 seen.append(table.advertised_covers(n, q))
-                seen.append(set(table.advertised_keys(n)))
+                seen.append(set(advertised_keys(table, n)))
         return seen
 
     indexed = script()
@@ -231,7 +232,7 @@ def covered_walk(table: FilterTable, nbr: int, f):
         if other == nbr:
             continue
         for key in table.broker_filter_keys(other):
-            cand = table.broker_filter_get(other, key)
+            cand = broker_filter_get(table, other, key)
             if f.covers(cand):
                 out.append((key, cand))
     return out
@@ -253,7 +254,7 @@ def advertise_some(rnd: random.Random, table: FilterTable) -> None:
     for nbr in table.neighbors:
         for key in rnd.sample(keys, k=min(len(keys), rnd.randrange(4))):
             table.advertised_add(nbr, key, random_filter(rnd))
-        for key in rnd.sample(table.advertised_keys(nbr),
+        for key in rnd.sample(advertised_keys(table, nbr),
                               k=min(table.advertised_count(nbr), 1)):
             table.advertised_remove(nbr, key)
 
@@ -333,10 +334,10 @@ def test_filter_lookups_return_installed_objects():
     table.add_broker_filter(1, "r", rf)
     table.add_broker_filter(1, "g", full)
     table.advertised_add(2, "r", rf)
-    assert table.broker_filter_get(1, "r") is rf
-    assert table.broker_filter_get(1, "g") is full
+    assert broker_filter_get(table, 1, "r") is rf
+    assert broker_filter_get(table, 1, "g") is full
     assert table.advertised_get(2, "r") is rf
-    assert table.broker_filter_get(1, "missing") is None
+    assert broker_filter_get(table, 1, "missing") is None
     assert table.advertised_count(2) == 1
     assert table.broker_filter_keys(1) == ["r", "g"]
 

@@ -2,10 +2,9 @@
 
 The tentpole guarantee of the driver refactor is that the protocol core is
 genuinely engine-agnostic: running the same seeded scenario through the
-live driver (on a deterministic :class:`VirtualClock`, the stand-in for
-the asyncio loop with asyncio's ordering semantics — one flat
-``(when, seq)`` heap, no lanes, no ``schedule_fifo`` machinery) must
-produce the same :class:`DeliveryChecker` outcome as the simulated driver,
+live driver (on a deterministic :class:`VirtualClock`, the simulator's
+heap behind the live driver's facades and log store, standing in for the
+asyncio loop) must produce the same :class:`DeliveryChecker` outcome as the simulated driver,
 for every protocol, with and without fault injection. The tests here
 assert the *full delivery log*, which subsumes the per-client counters.
 
@@ -116,8 +115,8 @@ def test_live_driver_matches_simulated_driver_under_broker_crash(protocol):
 
 # The VirtualClock/AsyncioClock ordering, cancellation and run-until
 # semantics are pinned by the shared clock-contract suite in
-# tests/test_clock_contract.py, which runs every case against BOTH
-# clock implementations.
+# tests/test_clock_contract.py, which runs every case against every
+# clock and the reference timer queue.
 
 
 # ---------------------------------------------------------------------------

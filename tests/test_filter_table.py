@@ -7,6 +7,8 @@ from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable
 from repro.pubsub.filters import RangeFilter
 
+from probes import advertised_keys, broker_filter_get
+
 
 def ev(x):
     return Notification(0, 99, 0, 0.0, x)
@@ -91,14 +93,14 @@ def test_advertised_bookkeeping(table):
     assert table.advertised_has(1, "k")
     assert table.advertised_covers(1, RangeFilter(0.25, 0.35))
     assert not table.advertised_covers(1, RangeFilter(0.1, 0.3))
-    assert table.advertised_keys(1) == ["k"]
+    assert advertised_keys(table, 1) == ["k"]
     assert table.advertised_remove(1, "k") is True
     assert not table.advertised_has(1, "k")
 
 
 def test_broker_filter_get_reconstructs_range(table):
     table.add_broker_filter(1, "k", RangeFilter(0.2, 0.4))
-    got = table.broker_filter_get(1, "k")
+    got = broker_filter_get(table, 1, "k")
     assert got == RangeFilter(0.2, 0.4) and got.topic_range == (0.2, 0.4)
 
 

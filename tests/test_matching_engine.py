@@ -18,6 +18,7 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from probes import broker_filter_get
 from test_control_plane import GRID, INF, random_filter
 
 from repro.pubsub.events import Notification
@@ -182,7 +183,7 @@ def test_differential_end_to_end_sim(protocol, monkeypatch):
         assert nbrs == [
             n for n in sorted(table.neighbors)
             if n != from_broker
-            and any(table.broker_filter_get(n, k).matches(event)
+            and any(broker_filter_get(table, n, k).matches(event)
                     for k in table.broker_filter_keys(n))
         ]
         assert entries == [

@@ -8,6 +8,8 @@ from repro.metrics.traffic import TrafficMeter
 from repro.pubsub.events import Notification
 from repro.pubsub import messages as m
 
+from probes import per_client_missing
+
 
 def ev(i, publisher=0, seq=None, topic=0.5, t=0.0):
     return Notification(i, publisher, seq if seq is not None else i, t, topic)
@@ -110,7 +112,7 @@ class TestDeliveryChecker:
         dc = self.make()
         e = ev(0, topic=0.2)
         dc.on_publish(e)
-        assert dc.per_client_missing() == {1: 1}
+        assert per_client_missing(dc) == {1: 1}
 
     def test_per_client_missing_not_masked_by_a_duplicate(self):
         dc = self.make()
@@ -120,11 +122,11 @@ class TestDeliveryChecker:
         dc.on_delivery(1, a, 10.0)
         dc.on_delivery(1, a, 11.0)  # a twice, b never
         assert dc.stats.missing == 1
-        assert dc.per_client_missing() == {1: 1}
+        assert per_client_missing(dc) == {1: 1}
         dc.on_loss(1, b)  # an accounted loss is not missing
         dc.finalize_accounting()
         assert dc.stats.missing == 0
-        assert dc.per_client_missing() == {}
+        assert per_client_missing(dc) == {}
 
 
 # ---------------------------------------------------------------------------

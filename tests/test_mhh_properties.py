@@ -8,6 +8,7 @@ loss, always ending in a quiescent system.
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
+from probes import per_client_missing
 
 from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
@@ -66,7 +67,7 @@ def test_property_exactly_once_ordered_no_loss(seed, schedule):
     assert stats.duplicates == 0
     assert stats.order_violations == 0
     assert stats.lost_explicit == 0
-    assert stats.missing == 0, system.metrics.delivery.per_client_missing()
+    assert stats.missing == 0, per_client_missing(system.metrics.delivery)
 
 
 @settings(
@@ -120,7 +121,7 @@ def test_regression_rapid_reconnect_races(schedule):
     assert system.protocol.quiescent()
     assert stats.duplicates == 0
     assert stats.order_violations == 0
-    assert stats.missing == 0, system.metrics.delivery.per_client_missing()
+    assert stats.missing == 0, per_client_missing(system.metrics.delivery)
 
 
 @settings(

@@ -5,7 +5,8 @@ One Hypothesis state machine builds a small system — protocol, grid of
 (``plain``, ``crash``, ``rel``, ``rel-crash``, ``durable``) with its fault
 profile and, on the crash stacks, a crash plan ``validate_plan`` accepts —
 and drives two copies of it in lockstep: one on the simulator, one on the
-live driver over a ``VirtualClock``. Every rule acts on both: add a
+live driver over ``ReferenceClock``, the tests-only timer queue
+(``tests/reference_clock.py``). Every rule acts on both: add a
 client, connect, disconnect, publish, advance the clock, and hold a wired
 link. Time moves in steps of a second or less, most of them shorter than
 a wired hop, so moves land while handoff messages are in flight: faster
@@ -53,7 +54,7 @@ from hypothesis.stateful import (
 from repro.conformance.fuzzer import compare_outcomes
 from repro.conformance.scenarios import LANES, PROTOCOLS
 from repro.drivers.base import Driver
-from repro.drivers.live import LiveDriver, VirtualClock
+from repro.drivers.live import LiveDriver
 from repro.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import drain_to_quiescence
@@ -66,6 +67,8 @@ from repro.pubsub.filters import RangeFilter
 from repro.pubsub.recovery import validate_plan
 from repro.pubsub.wal import DurabilityManager
 from repro.workload.mobility_model import Workload
+
+from reference_clock import ReferenceClock
 
 #: examples per stack in tier-1, and rules per example
 EXAMPLES_PER_STACK = 100
@@ -299,7 +302,7 @@ class ConformanceMachine(RuleBasedStateMachine):
         self.systems = [
             replace(cfg, trace=["handoff_phase", "overlay_repair"]
                     ).make_system(None),
-            cfg.make_system(VirtualTwinDriver(VirtualClock())),
+            cfg.make_system(VirtualTwinDriver(ReferenceClock())),
         ]
         for system in self.systems:
             system.metrics.delivery.record_log = True

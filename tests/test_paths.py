@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from probes import average_distance
 
 from repro.errors import RoutingError
 from repro.network.paths import ShortestPaths
@@ -65,7 +66,7 @@ def test_diameter_and_average_grid():
     assert sp.diameter() == 2 * (k - 1)
     # exact closed form for mean Manhattan distance over ordered pairs
     expected_axis = (k * k - 1) / (3 * k)
-    assert sp.average_distance() == pytest.approx(
+    assert average_distance(sp) == pytest.approx(
         2 * expected_axis * (k * k) / (k * k - 1), rel=0.05
     )
 

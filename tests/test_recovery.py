@@ -25,6 +25,7 @@ import random
 
 import pytest
 from covering_scan import scan_covering
+from probes import tree_contains
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.experiments.config import ExperimentConfig
@@ -242,7 +243,7 @@ def test_validate_plan_rejects_disconnected_survivors():
 # ---------------------------------------------------------------------------
 def _tree_is_valid(tree, topo, alive, cut):
     """Acyclic + connected over exactly the survivors, avoiding cut edges."""
-    assert sorted(u for u in range(topo.n) if tree.contains(u)) == sorted(alive)
+    assert sorted(u for u in range(topo.n) if tree_contains(tree, u)) == sorted(alive)
     edges = list(tree.edges())
     assert len(edges) == len(alive) - 1  # spanning + acyclic
     for u, v in edges:

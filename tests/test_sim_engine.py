@@ -1,9 +1,11 @@
-"""Differential tests: ``Simulator`` vs the independently written
-``VirtualClock``.
+"""Differential tests: ``Simulator`` vs the reference timer queue.
 
-The two are separate heap implementations behind one ``Clock`` facade and
-must be *event-for-event identical* — same callbacks, same firing order,
-same clock readings — because every FIFO-link correctness argument in the
+``Simulator``'s heap is the one timer queue of the product (the live
+clocks run on it too), so the independent side of these differentials is
+``ReferenceClock`` (``tests/reference_clock.py``): per-deadline FIFO
+buckets, no heap and no sequence counter. The two must be
+*event-for-event identical* — same callbacks, same firing order, same
+clock readings — because every FIFO-link correctness argument in the
 protocol layer rests on the scheduler's deterministic ``(time, seq)``
 order. These tests drive both with identical inputs at two levels:
 
@@ -12,7 +14,7 @@ order. These tests drive both with identical inputs at two levels:
    inside callbacks and ``run(until=...)`` windowing;
 2. whole-system: randomized MHH / sub-unsub / home-broker mobility
    scenarios with full tracing under the simulated driver and
-   under ``LiveDriver(VirtualClock())`` — the trace must be byte-identical.
+   under ``LiveDriver(ReferenceClock())`` — the trace must be byte-identical.
 
 The ``test_fifo_*`` units pin the ``(time, seq)`` order across ``schedule``
 and ``schedule_fifo`` on the ``Simulator`` itself.
@@ -24,11 +26,13 @@ import random
 
 import pytest
 
-from repro.drivers.live import LiveDriver, VirtualClock
+from repro.drivers.live import LiveDriver
 from repro.errors import SchedulingError
 from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
 from repro.sim.core import Simulator
+
+from reference_clock import ReferenceClock
 
 # a realistic delay mix: zero-delay deferrals, wired hops, wireless slots,
 # multi-hop unicast legs, and irregular timer-style delays
@@ -80,14 +84,14 @@ def pump_random(make_clock, seed: int, n_ops: int = 600):
 
 @pytest.mark.parametrize("seed", range(15))
 def test_differential_random_interleavings(seed):
-    assert pump_random(Simulator, seed) == pump_random(VirtualClock, seed)
+    assert pump_random(Simulator, seed) == pump_random(ReferenceClock, seed)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_differential_windowed_run(seed):
     """run(until=...) windows cut both clocks at the same instants."""
     logs = []
-    for make_clock in (Simulator, VirtualClock):
+    for make_clock in (Simulator, ReferenceClock):
         rng = random.Random(seed)
         sim = make_clock()
         log: list[tuple[float, int]] = []
@@ -245,7 +249,7 @@ def run_scenario(protocol: str, driver, seed: int):
 @pytest.mark.parametrize("seed", [3, 17])
 def test_differential_end_to_end_traces(protocol, seed):
     sim = run_scenario(protocol, None, seed)
-    live = run_scenario(protocol, LiveDriver(VirtualClock()), seed)
+    live = run_scenario(protocol, LiveDriver(ReferenceClock()), seed)
     # byte-identical trace (times, categories, payloads, order)
     assert sim.tracer.format() == live.tracer.format()
     assert sim.tracer.records == live.tracer.records

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from probes import average_distance, tree_contains
 
 from repro.errors import RoutingError, TopologyError
 from repro.network.paths import ShortestPaths
@@ -86,7 +87,7 @@ def test_diameter_bounds():
 
 def test_average_distance_positive_and_below_diameter():
     t = minimum_spanning_tree(grid_topology(5), seed=1)
-    avg = t.average_distance()
+    avg = average_distance(t)
     assert 0 < avg <= t.diameter()
 
 
@@ -112,7 +113,7 @@ def test_two_sweep_diameter_is_the_all_sources_maximum(seed):
 def test_excluded_brokers_are_isolated_nodes():
     topo = grid_topology(3)
     t = rebuild_spanning_tree(topo, [b for b in range(9) if b != 4], seed=5)
-    assert not t.contains(4) and t.neighbors(4) == []
+    assert not tree_contains(t, 4) and t.neighbors(4) == []
     assert t.diameter() == ShortestPaths.diameter(t)
     with pytest.raises(RoutingError):
         t.next_hop(0, 4)

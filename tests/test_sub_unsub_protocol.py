@@ -1,6 +1,7 @@
 """Scenario + property tests for the sub-unsub baseline protocol."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
+from probes import per_client_missing
 
 from repro.mobility.sub_unsub import SubUnsubProtocol
 from repro.pubsub.filters import RangeFilter
@@ -216,4 +217,4 @@ def test_property_sub_unsub_reliable(seed, schedule):
     assert system.protocol.quiescent()
     assert stats.duplicates == 0
     assert stats.order_violations == 0
-    assert stats.missing == 0, system.metrics.delivery.per_client_missing()
+    assert stats.missing == 0, per_client_missing(system.metrics.delivery)

