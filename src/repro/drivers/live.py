@@ -159,6 +159,17 @@ class AsyncioClock(_HeapClock):
         self.schedule_fifo(delay, callback, *args)
         self._arm()
 
+    def run(self, until: Optional[float] = None) -> None:
+        """Refused: wall time drives this clock. The inherited pull loop
+        would fire the heap at once, ignore the deadlines' wall times and
+        let a raising callback escape :attr:`errors`; run the loop and
+        await :meth:`wait_idle` instead (:meth:`step` stays, for
+        ``_run_due``)."""
+        raise SchedulingError(
+            "AsyncioClock.run(): wall time drives this clock; run its loop "
+            "and await wait_idle() instead"
+        )
+
     def _arm(self) -> None:
         head = self.peek()
         if head is None:

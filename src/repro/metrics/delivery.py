@@ -260,7 +260,9 @@ class DeliveryChecker:
             self._unexpected.setdefault(client, set()).add(eid)
             if self._early(client, event):
                 self.stats.early += 1
-        seqs = self._max_seq.setdefault(client, {})
+        seqs = self._max_seq.get(client)
+        if seqs is None:
+            seqs = self._max_seq[client] = {}
         if event.seq < seqs.get(event.publisher, -1):
             self.stats.order_violations += 1
         else:

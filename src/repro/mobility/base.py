@@ -53,7 +53,7 @@ from functools import cache
 from operator import attrgetter
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.errors import HandoffPhaseError
+from repro.errors import HandoffPhaseError, ProtocolError
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry
 from repro.pubsub import messages as m
@@ -202,12 +202,26 @@ class MobilityProtocol:
         """An event matched a local client entry (labels already honoured).
 
         Default policy: deliver if live, else append to the entry's sink
-        queue. Protocols override for richer behaviour (HB forwarding).
+        queue, which :meth:`_open_sink` supplies for an offline entry
+        installed without one. Protocols override for richer behaviour (HB
+        forwarding).
         """
         if entry.live:
             broker.deliver_to_client(entry.client, event)
         else:
-            broker.queues[entry.sink].append(event)
+            sink = entry.sink
+            if sink is None:
+                sink = self._open_sink(broker, entry)
+            broker.queues[sink].append(event)
+
+    def _open_sink(self, broker: "Broker", entry: ClientEntry) -> int:
+        """The queue id for an offline ``entry`` without a sink: a protocol
+        that builds a queue on its first event (MHH's transit TQ) does it
+        here; anywhere else it is a protocol fault."""
+        raise ProtocolError(
+            f"broker {broker.id}: offline entry of client {entry.client} "
+            f"has no sink"
+        )
 
     # ------------------------------------------------------------------
     # the handoff state machine (module docstring)
@@ -260,7 +274,9 @@ class MobilityProtocol:
 
         ``q`` is frozen, and each batch pops off it when it leaves: events
         not yet shipped stay visible to a crash-repair round. An empty
-        queue (nearly every TQ) completes at once, but still as a timer.
+        queue completes at once, but still as a timer. (An MHH transit hop
+        that captured nothing has no TQ to stream; it sets the same
+        zero-delay timer itself, so the ``(time, seq)`` order is the same.)
         """
         q.freeze()
         delay = 0.0

@@ -12,9 +12,10 @@ kept with what the phase holds in ``broker.pstate[client]`` (a ``_State``).
 ``PRE_ANCHOR``      the paper's ``Bn`` before the ``sub_migration``:
                     immigrant events outran it and are buffered (or handed
                     to the client)
-``TRANSIT``         on the tree path of a migration: the TQ sits behind a
-                    labelled entry until the next hop acks (§4.1 steps 1-5)
-``TRANSIT_ACKED``   the entry is gone, the TQ frozen until the
+``TRANSIT``         on the tree path of a migration: a labelled entry
+                    captures into the TQ (built by the first capture)
+                    until the next hop acks (§4.1 steps 1-5)
+``TRANSIT_ACKED``   the entry is gone, the TQ (if any) frozen until the
                     ``deliver_TQ`` token drains it
 ``SETTLED``         the anchor, nothing moving: the client is live here, or
                     the open *tail* queue absorbs its events
@@ -40,18 +41,24 @@ Protocol walk-through (silent move, §4.2)
    last-visited broker (the current anchor ``Bo``).
 2. ``Bo`` labels its client entry with the first hop ``B1``, installs a
    forwarding entry toward ``B1``, and sends ``sub_migration`` along the
-   tree path. Each transit broker flips its table entries, creates a TQ
-   behind a labelled entry, acks backwards, and forwards the migration.
+   tree path. Each transit broker flips its table entries, installs a
+   labelled entry for its TQ, acks backwards, and forwards the migration.
    FIFO links + ack-triggered entry deletion guarantee every in-transit
    event is captured in exactly one queue: one sent before a hop's filter
    flipped is ahead of that hop's ack on the same FIFO link, so the labelled
    entry it is for still exists; one sent after follows the new filter
    (``tests/test_mhh_properties.py``: exactly-once under random schedules).
+   A TQ exists once it has captured an event: the labelled entry starts
+   without a queue, and the first event it matches builds one
+   (``_open_sink``) — at Fig 5's high-mobility edge fewer than 1 % of the
+   hops ever do. The ack freezes the TQ if there is one.
 3. On the first ack ``Bo`` — the coordinator — streams the client's
    **PQlist** (the ordered, broker-distributed set of stored-event queues,
    §4.3) to ``Bn`` queue by queue (``fetch_queue`` / ``queue_streamed``),
    then launches the ``deliver_TQ`` token down the path; each transit
-   broker drains its TQ to ``Bn`` and forwards the token. Token arrival at
+   broker drains its TQ to ``Bn`` and forwards the token. A hop without a
+   TQ forwards it behind the same zero-delay timer an empty stream sets:
+   dropping that timer would reorder same-instant events. Token arrival at
    ``Bn`` completes the migration. The batches move in the two shapes of
    :mod:`repro.mobility.base`: ``Bo`` ships its own queues as a *chained
    drain*, which a stop cuts between batches; a fetched queue and a TQ
@@ -196,8 +203,11 @@ class _Transit:
 
     __slots__ = ("tq", "next_hop", "pending_deliver")
 
-    def __init__(self, tq: QueueRef, next_hop: int) -> None:
-        self.tq = tq
+    def __init__(self, next_hop: int) -> None:
+        #: the TQ, built by the first in-transit event the labelled entry
+        #: captures (:meth:`MHHProtocol._open_sink`); nearly every hop
+        #: captures none and never builds one
+        self.tq: Optional[QueueRef] = None
         self.next_hop = next_hop
         #: the deliver_TQ token, if it overtook the ack
         self.pending_deliver: Optional[m.DeliverTQ] = None
@@ -517,12 +527,11 @@ class MHHProtocol(MobilityProtocol):
         broker.migration_remove_from(frm, key)
         broker.migration_mirror_received(frm, key, filt)
         broker.migration_mirror_sent(next_hop, key)
-        tq = broker.new_queue(client).ref
         broker.table.set_client_entry(
-            ClientEntry(client, key, filt, label=next_hop, live=False, sink=tq.qid)
+            ClientEntry(client, key, filt, label=next_hop, live=False)
         )
         st.phase = TRANSIT
-        st.move = _Transit(tq, next_hop)
+        st.move = _Transit(next_hop)
         send = self.net.send_broker
         send(broker.id, frm, m.SubMigrationAck(client))
         send(broker.id, next_hop, msg)
@@ -576,7 +585,8 @@ class MHHProtocol(MobilityProtocol):
         st.phase = TRANSIT_ACKED
         transit = st.move
         broker.table.remove_client_entry(msg.client)
-        broker.get_queue(transit.tq).freeze()
+        if transit.tq is not None:
+            broker.get_queue(transit.tq).freeze()
         if transit.pending_deliver is not None:
             pending, transit.pending_deliver = transit.pending_deliver, None
             self._transit_drain(broker, st, pending, frm)
@@ -704,8 +714,20 @@ class MHHProtocol(MobilityProtocol):
                 q.append(event)
 
     # ------------------------------------------------------------------
-    # TQ drain
+    # TQ capture and drain
     # ------------------------------------------------------------------
+    def _open_sink(self, broker: "Broker", entry: ClientEntry) -> int:
+        """TRANSIT: the first in-transit event the labelled entry captures
+        builds the hop's TQ and makes it the entry's sink. An offline entry
+        without a sink in any other phase is a protocol fault."""
+        client = entry.client
+        st = broker.pstate.get(client)
+        if st is None or st.phase is not TRANSIT:
+            raise self._illegal(broker, client, st, "offline entry without a sink")
+        tq = st.move.tq = broker.new_queue(client).ref
+        entry.sink = tq.qid
+        return tq.qid
+
     def _park_token(
         self, broker: "Broker", st: _State, msg: m.DeliverTQ, frm: int
     ) -> None:
@@ -715,9 +737,18 @@ class MHHProtocol(MobilityProtocol):
     def _transit_drain(
         self, broker: "Broker", st: _State, msg: m.DeliverTQ, frm: int
     ) -> None:
-        """TRANSIT_ACKED: drain the TQ to the token's target, then pass it on."""
+        """TRANSIT_ACKED: drain the TQ to the token's target, then pass it on.
+
+        A hop that captured nothing has no TQ; it completes behind the same
+        zero-delay timer an empty stream sets, so the run's ``(time, seq)``
+        order does not depend on whether a TQ was built."""
+        tq = st.move.tq
+        if tq is None:
+            self.later(broker, 0.0, self._transit_drained,
+                       broker, msg.client, st, msg)
+            return
         self._stream(
-            broker, broker.get_queue(st.move.tq), msg.target,
+            broker, broker.get_queue(tq), msg.target,
             partial(m.MigrateBatch, msg.client, append_to=msg.append_to),
             self._transit_drained, broker, msg.client, st, msg,
         )
@@ -729,7 +760,8 @@ class MHHProtocol(MobilityProtocol):
         # forward the token only after the last TQ batch has departed,
         # preserving the TQ_i-before-TQ_{i+1} arrival order at the target
         transit = st.move
-        broker.drop_queue(transit.tq)
+        if transit.tq is not None:
+            broker.drop_queue(transit.tq)
         self._to_idle(broker, client, st)
         self.net.send_broker(broker.id, transit.next_hop, msg)
 

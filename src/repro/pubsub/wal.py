@@ -485,6 +485,9 @@ class DurabilityManager:
         #: the outbox.
         self.dead_letters: Dict[int, Notification] = {}
         self.sessions: Dict[int, ClientSession] = {}
+        #: anchor broker -> ids of the sessions anchored there; every write
+        #: of a session's ``anchor`` goes through :meth:`_anchor_at`
+        self._anchored: Dict[int, set[int]] = {}
         # the cursors (``acked``) of the sessions with a range, stabbed by
         # topic (None after open_session, rebuilt by the next checkpoint),
         # and those of the sessions without one
@@ -532,6 +535,7 @@ class DurabilityManager:
         probe :attr:`sessions` first); a topic-range subscriber's, with its
         range, at its home broker when it subscribes (``hooks.subscribe``)."""
         s = self.sessions[client] = ClientSession(client, broker, lo, hi)
+        self._anchored.setdefault(broker, set()).add(client)
         self._ranged = None
         self._append(broker, "ses", client, lo, hi, ())
         return s
@@ -583,13 +587,19 @@ class DurabilityManager:
         anchor's log self-contained, so old-anchor records are redundant
         by the time compaction discards them.
         """
-        s.anchor = broker
+        self._anchor_at(s, broker)
         # the delivery cursor rides inside the ses record (one append per
         # move, not one per settled event)
         self._append(broker, "ses", s.client, s.lo, s.hi,
                      tuple(sorted(s.acked)))
         for eid in s.unacked:  # insertion order == send order
             self._append(broker, "dlv", s.client, eid)
+
+    def _anchor_at(self, s: ClientSession, broker: int) -> None:
+        """Set ``s.anchor`` to ``broker``, keeping :attr:`_anchored` in step."""
+        self._anchored[s.anchor].discard(s.client)
+        s.anchor = broker
+        self._anchored.setdefault(broker, set()).add(s.client)
 
     def on_settled(self, broker: int, client: int, event: Notification) -> None:
         """The delivery cursor advanced (cum-ACK progress or app receipt)."""
@@ -654,10 +664,8 @@ class DurabilityManager:
                 for acked in cursors:
                     acked.remove(eid)
         self._homed[broker] = kept
-        for cid in sorted(self.sessions):
+        for cid in sorted(self._anchored.get(broker, ())):
             s = self.sessions[cid]
-            if s.anchor != broker:
-                continue
             lsn += 1
             out.append(("ses", lsn, cid, s.lo, s.hi, tuple(sorted(s.acked))))
             for eid in s.unacked:
@@ -775,7 +783,7 @@ class DurabilityManager:
         s = self.sessions.get(msg.client)
         if s is None:
             s = self.open_session(msg.client, bid)
-        s.anchor = bid
+        self._anchor_at(s, bid)
         for eid in msg.acked:
             s.acked.add(eid)
             s.unacked.pop(eid, None)

@@ -195,6 +195,25 @@ def test_asyncio_clock_records_a_raising_callback_and_keeps_the_burst():
     assert exc == repr(ValueError("handler failed"))
 
 
+def test_asyncio_clock_refuses_the_pull_run_loop():
+    """Wall time drives an AsyncioClock: ``run()`` would fire the heap at
+    once and let a raising callback escape ``errors``, so it refuses and
+    leaves the heap untouched; ``wait_idle`` drains it."""
+    clock = AsyncioClock(time_scale=10.0)
+    fired = []
+    clock.call_later(10.0, fired.append, "x")
+    try:
+        with pytest.raises(SchedulingError, match="wait_idle"):
+            clock.run()
+        with pytest.raises(SchedulingError, match="wait_idle"):
+            clock.run(until=5.0)
+        assert fired == [] and clock.pending == 1
+        _drain(clock)
+    finally:
+        clock.loop.close()
+    assert fired == ["x"]
+
+
 def test_asyncio_clock_rejects_nonpositive_time_scale():
     with pytest.raises(SchedulingError):
         AsyncioClock(time_scale=0.0)

@@ -13,9 +13,12 @@ goes over the budget, and the failure names the most-entered functions.
   the initial subscription flood is most of a 12 s run), so one frame put
   back on the hop costs 0.09, on the drain's completion 0.08 — and one
   under ``_PeerFilters.add``, which the flood shares, 1.23. Protocol
-  timers (``MobilityProtocol.later``, nearly all of them empty-TQ
-  completions) are pushed handle-free, two frames fewer each than
-  ``call_later``: 0.16 frames per event fewer.
+  timers (``MobilityProtocol.later``, nearly all of them the completions
+  of hops that built no TQ) are pushed handle-free, two frames fewer each
+  than ``call_later``: 0.16 frames per event fewer. A hop builds its TQ
+  only when it captures an event (1 of 1 793 hops at the ``--quick``
+  size): the queue it no longer builds, freezes, streams and drops was
+  ten frames, 0.80 per event.
 * ``churn_subunsub`` holds the sub-unsub control path: the subscribe
   flood, and the unsubscribe hop with its covering-aware withdrawal. An
   unsubscribe is 0.18 of the events at the ``--quick`` size, a withdrawal
@@ -46,8 +49,14 @@ churn_mhh                  ``--quick``  full size
 =========================  ===========  =========
 before the flattening             30.6       32.5
 after the flattening              27.1       29.3
-now                               24.8       28.7
+after ``Filter.topic_range``      24.8       28.7
+before lazy TQs                   22.9       27.1
+now                               21.8       24.7
 =========================  ===========  =========
+
+and in frames per event, 13.29 -> 12.49 at ``--quick``, 14.53 -> 12.84
+at full size, with the same events: a transit hop builds its TQ on its
+first capture.
 
 =========================  ===========  =========
 churn_subunsub             ``--quick``  full size
@@ -97,12 +106,13 @@ from repro.experiments.runner import build_system, drain_to_quiescence
 #: hop, costs 0.23. The budget came down by the 0.25 the uncounted
 #: wireless sends saved
 FRAMES_PER_EVENT_BUDGET = 9.55
-#: measured 13.33 (18.27 before the flattening, 16.30 before the phase
+#: measured 12.49 (18.27 before the flattening, 16.30 before the phase
 #: dispatch, 15.58 before ``Filter.topic_range``, 13.48 before handle-free
-#: protocol timers; full size 18.51 -> 16.55 -> 15.83 -> 15.21); the
-#: cheapest wrapper to put back, one on the drain's completion, costs 0.08.
-#: The budget came down by the 0.16 the timers saved
-CONTROL_FRAMES_PER_EVENT_BUDGET = 13.64
+#: protocol timers, 13.29 before lazy TQs; full size 18.51 -> 16.55 ->
+#: 15.83 -> 15.21 -> 14.53 -> 12.84); the cheapest wrapper to put back,
+#: one on the drain's completion, costs 0.08. The budget is the measure
+#: plus the 0.31 margin it kept before lazy TQs
+CONTROL_FRAMES_PER_EVENT_BUDGET = 12.8
 #: measured 14.71 (22.87 before the flat arrays and the filtered
 #: withdrawal candidates, 21.14 before one frame per covering question);
 #: the cheapest wrapper to put back, one on ``_handle_unsubscribe`` or

@@ -8,6 +8,9 @@ exactly-once, per-publisher order, no loss, and a clean (quiescent) system.
 
 import pytest
 
+from repro.errors import HandoffPhaseError
+from repro.mobility.mhh import MHHProtocol, Phase
+from repro.pubsub import messages as m
 from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
 
@@ -368,3 +371,119 @@ def test_request_parked_behind_an_abandoned_reconnect_is_not_outstanding():
     finish(system)
     assert_clean(system)
     assert system.metrics.delivery.stats.delivered == 1
+
+
+# ---------------------------------------------------------------------------
+# transit TQs (§4.1): a hop builds its TQ on the first event it captures
+# ---------------------------------------------------------------------------
+def _spy_transit(monkeypatch, system):
+    """Record every transit ack (broker, token parked before it, TQ after
+    it, TQ frozen after it), every TQ built, and every TQ-drain completion
+    timer of ``system``'s protocol."""
+    seen = {"acks": [], "built": [], "drained": []}
+    table = MHHProtocol._CONTROL
+    key = (Phase.TRANSIT, m.SubMigrationAck)
+    on_ack = table[key]
+
+    def ack(self, broker, st, msg, frm):
+        parked = st.move.pending_deliver is not None
+        on_ack(self, broker, st, msg, frm)
+        tq = st.move.tq
+        frozen = tq is not None and broker.get_queue(tq).frozen
+        seen["acks"].append((broker.id, parked, tq, frozen))
+
+    monkeypatch.setitem(table, key, ack)
+    protocol = system.protocol
+    open_sink, later = protocol._open_sink, protocol.later
+
+    def built(broker, entry):
+        seen["built"].append(broker.id)
+        return open_sink(broker, entry)
+
+    def timer(broker, delay, fn, *args):
+        if fn == protocol._transit_drained:
+            seen["drained"].append((broker.id, delay))
+        later(broker, delay, fn, *args)
+
+    monkeypatch.setattr(protocol, "_open_sink", built)
+    monkeypatch.setattr(protocol, "later", timer)
+    return seen
+
+
+def _queue_ids(system):
+    return {b: system.ids.peek(f"queue/{b}") for b in system.brokers}
+
+
+def test_transit_hop_that_captures_nothing_builds_no_queue(monkeypatch):
+    """A quiet move: every transit hop acks, drains and passes the token
+    on without a TQ — no queue id taken at any transit broker — yet each
+    still completes behind one zero-delay timer, as an empty TQ's stream
+    did, so the run's event order is the same either way."""
+    system = build(k=4, trace=["handoff_phase"])
+    sub, pub = pair(system, 0, 5)
+    sub.disconnect()
+    system.run(until=3000.0)
+    pub.publish(0.2)
+    system.run(until=4000.0)
+    seen = _spy_transit(monkeypatch, system)
+    ids = _queue_ids(system)
+    sub.connect(15)
+    finish(system)
+    assert_clean(system)
+    hops = sorted(r.get("broker") for r in system.tracer.select("handoff_phase")
+                  if r.get("to") == "TRANSIT")
+    assert hops
+    assert seen["built"] == []
+    assert sorted(b for b, *_ in seen["acks"]) == hops
+    assert all(tq is None for _b, _p, tq, _f in seen["acks"])
+    assert sorted(seen["drained"]) == [(b, 0.0) for b in hops]
+    after = _queue_ids(system)
+    assert {b: after[b] - ids[b] for b in hops} == dict.fromkeys(hops, 0)
+    assert [q for b in hops for q in system.brokers[b].queues.values()] == []
+
+
+def test_transit_hop_that_captures_builds_one_tq_frozen_at_the_ack(monkeypatch):
+    """Events published beside the destination while the migration walks
+    the tree: hops 4 and 5 of the 0 -> 1 path capture some. Each capturing
+    hop builds exactly one TQ (one queue id), its ack freezes it — at hop 5
+    ahead of the token, at hop 4 after the token overtook the ack and
+    parked (``_park_token``) — and every event reaches the client once and
+    in publish order."""
+    system = build(k=4)
+    sub, pub = pair(system, 0, 1)
+    sub.disconnect()
+    system.run(until=3000.0)
+    seen = _spy_transit(monkeypatch, system)
+    ids = _queue_ids(system)
+    sub.connect(1)
+    for _ in range(60):
+        pub.publish(0.1)
+        system.run(until=system.sim.now + 1.0)
+    finish(system)
+    assert_clean(system)
+    assert system.metrics.delivery.stats.delivered == 60
+    assert sorted(seen["built"]) == [4, 5]
+    after = _queue_ids(system)
+    assert [after[b] - ids[b] for b in (4, 5)] == [1, 1]
+    acks = {b: (parked, tq, frozen) for b, parked, tq, frozen in seen["acks"]}
+    assert acks[4][0] and not acks[5][0]  # token parked at 4 only
+    for b in (4, 5):
+        _parked, tq, frozen = acks[b]
+        assert tq is not None and tq.broker == b and frozen
+    assert all(q.client != sub.id for b in (4, 5)
+               for q in system.brokers[b].queues.values())
+
+
+def test_offline_entry_without_a_sink_outside_transit_raises():
+    """Only a TRANSIT hop's labelled entry builds its queue on capture: an
+    offline entry with no sink anywhere else is a protocol fault, loudly."""
+    system = build()
+    sub, pub = pair(system, 0, 8)
+    sub.disconnect()
+    system.run(until=3000.0)
+    entry = system.brokers[0].table.get_client_entry(sub.id)
+    assert not entry.live and entry.sink is not None  # the open tail
+    entry.sink = None
+    pub.publish(0.25)
+    with pytest.raises(HandoffPhaseError, match="offline entry without a sink"):
+        system.run(until=4000.0)
