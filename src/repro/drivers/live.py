@@ -57,6 +57,9 @@ __all__ = [
     "run_virtual_scenario",
 ]
 
+#: wall seconds a soak's drain may take to reach quiescence
+DRAIN_TIMEOUT_S = 60.0
+
 
 class _HeapClock(Simulator):
     """The simulator's heap as a live clock: one ``(time, seq)`` queue."""
@@ -267,7 +270,6 @@ def run_soak(
     cfg: "ExperimentConfig",
     *,
     time_scale: float = 5.0,
-    drain_timeout_s: float = 60.0,
 ) -> "ResultRow":
     """Run a config's churn workload on an asyncio loop; its audited record.
 
@@ -298,7 +300,7 @@ def run_soak(
             workload.stop()
             workload.reconnect_all()
             return await clock.wait_idle(
-                quiescent=system.protocol.quiescent, timeout_s=drain_timeout_s
+                quiescent=system.protocol.quiescent, timeout_s=DRAIN_TIMEOUT_S
             )
 
         try:
@@ -321,7 +323,7 @@ def run_soak(
     if not drained:
         row.violations.insert(
             0,
-            f"drain did not reach quiescence within {drain_timeout_s}s "
+            f"drain did not reach quiescence within {DRAIN_TIMEOUT_S}s "
             f"(pending work or a stuck protocol; ledger audit below)",
         )
     return row

@@ -9,6 +9,9 @@ Usage::
     python -m repro.experiments.cli serve --port 7001
     python -m repro.experiments.cli connect --spawn 3 --scenario-seed 303
 
+Each command takes only the flags it reads (``<command> --help``); a flag
+of another command is an unrecognized argument, exit 2.
+
 ``fig5a``/``fig5b`` share one sweep, as do ``fig6a``/``fig6b``; asking for
 both panels of a figure runs the sweep once. Every figure point is audited
 against the conformance fuzzer's invariant matrix; a point with a
@@ -27,10 +30,10 @@ models (:mod:`repro.workload.models`). ``--reliable`` (with
 ``--retry-budget``) turns on the end-to-end ACK/retransmit layer and
 ``--queue-cap`` bounds each client's downlink queue with explicit load
 shedding (:mod:`repro.pubsub.reliability`). All default off — the plain
-invocation reproduces the paper bit-for-bit. The fault and reliability
-flags apply to ``soak`` too.
+invocation reproduces the paper bit-for-bit. The fault and layer flags
+apply to ``soak`` too; ``connect`` takes the fault flags only.
 
-Broker failures (soak only): ``--broker-crash B@T`` / ``--broker-restart
+Broker failures (``soak``): ``--broker-crash B@T`` / ``--broker-restart
 B@T`` / ``--link-partition A-B@T`` schedule overlay failures at model
 second ``T`` (repeatable; see :mod:`repro.network.recovery`); the repair
 round runs ``--crash-repair-delay`` model ms after each failure. The
@@ -62,8 +65,28 @@ from repro.workload.models import MOBILITY_MODELS
 
 __all__ = ["main"]
 
-_FIG5 = {"fig5a", "fig5b"}
-_FIG6 = {"fig6a", "fig6b"}
+#: panel -> (figure, series of the sweep's rows, x label, y label, title)
+_PANELS = {
+    "fig5a": ("5", figures.fig5a, "conn_period_s", "msg overhead / handoff",
+              "Figure 5(a): message overhead per handoff vs connection period"),
+    "fig5b": ("5", figures.fig5b, "conn_period_s", "handoff delay (ms)",
+              "Figure 5(b): handoff delay vs connection period"),
+    "fig6a": ("6", figures.fig6a, "base_stations", "msg overhead / handoff",
+              "Figure 6(a): message overhead per handoff vs network size"),
+    "fig6b": ("6", figures.fig6b, "base_stations", "handoff delay (ms)",
+              "Figure 6(b): handoff delay vs network size"),
+}
+_SWEEPS = {"5": figures.run_fig5, "6": figures.run_fig6}
+
+
+def _given(args, **names: str) -> dict[str, Any]:
+    """``{keyword: args.<flag>}`` for the flags passed on the command line,
+    so an omitted flag leaves the default to the function it feeds."""
+    return {
+        keyword: getattr(args, flag)
+        for keyword, flag in names.items()
+        if getattr(args, flag) is not None
+    }
 
 
 def _system_options(args) -> dict[str, Any]:
@@ -72,29 +95,71 @@ def _system_options(args) -> dict[str, Any]:
     from repro.network.recovery import CrashPlan
     from repro.pubsub.system import SystemOptions
 
-    options: dict[str, Any] = {
-        "reliable": args.reliable,
-        "retry_budget": args.retry_budget,
-        "queue_cap": args.queue_cap,
-        "durable": args.durable,
-    }
+    options: dict[str, Any] = {}
     if args.loss or args.dup or args.jitter:
         options["faults"] = FaultProfile(
             deliver_loss=args.loss,
             deliver_duplicate=args.dup,
             wireless_jitter_ms=args.jitter,
         )
-    if args.figure == "soak":
+    if args.command == "connect":
+        # connect drives a fuzzer scenario's own layers, faults aside
+        return options
+    if args.retry_budget is not None and not args.reliable:
+        raise ConfigurationError("--retry-budget needs --reliable")
+    options.update(
+        reliable=args.reliable,
+        queue_cap=args.queue_cap,
+        durable=args.durable,
+        **_given(args, retry_budget="retry_budget"),
+    )
+    if args.command == "soak":
         options.update(grid_k=args.soak_grid, wal_dir=args.wal_dir)
         if args.broker_crash or args.broker_restart or args.link_partition:
             options["crashes"] = CrashPlan.parse(
                 crashes=args.broker_crash,
                 restarts=args.broker_restart,
                 partitions=args.link_partition,
-                repair_delay_ms=args.crash_repair_delay,
+                **_given(args, repair_delay_ms="crash_repair_delay"),
             )
     SystemOptions(**options)
     return options
+
+
+def _run_figures(args, options: dict[str, Any]) -> int:
+    overrides: dict[str, Any] = {}
+    if args.mobility is not None:
+        overrides["mobility_model"] = args.mobility
+    if args.topic_skew:
+        overrides["topic_skew"] = args.topic_skew
+    # a panel, its figure ("fig5" / "fig6") or "all" names the panels
+    want = [p for p in _PANELS if args.command in ("all", p[:4], p)]
+    out: list[str] = []
+    rows = []
+    for fig, sweep in _SWEEPS.items():
+        panels = [p for p in want if _PANELS[p][0] == fig]
+        if not panels:
+            continue
+        swept = sweep(
+            scale=args.scale, seed=args.seed, workers=args.workers,
+            workload_overrides=overrides or None, **options,
+        )
+        rows += swept
+        for panel in panels:
+            _, series, *labels = _PANELS[panel]
+            out.append(report.format_series(series(swept), *labels))
+        if args.raw:
+            out.append(report.format_table(swept, f"Figure {fig} raw runs"))
+    print("\n\n".join(out))
+    # every figure point is audited like a fuzzer scenario: a row that
+    # lost, duplicated or reordered deliveries fails the command
+    failed = [row for row in rows if row.violations]
+    for row in failed:
+        point = " ".join(f"{k}={v}" for k, v in row.params.items())
+        print(f"FAIL {row.protocol} {point}")
+        for violation in row.violations:
+            print(f"     - {violation}")
+    return 1 if failed else 0
 
 
 def _run_soak(args, options: dict[str, Any]) -> int:
@@ -140,24 +205,20 @@ def _run_soak(args, options: dict[str, Any]) -> int:
     if failures:
         # the non-zero exit names every violated invariant, so a CI log's
         # last line is already the diagnosis
-        print(
-            "soak FAILED: "
-            + "; ".join(
-                f"{proto}: {violations[0] if violations else 'unknown'}"
-                for proto, violations in failures
-            )
-        )
+        print("soak FAILED: " + "; ".join(
+            f"{proto}: {violations[0] if violations else 'unknown'}"
+            for proto, violations in failures
+        ))
         return 1
     return 0
 
 
 def _run_wire_serve(args) -> int:
-    from repro.wire.node import main as node_main
+    from repro.wire.node import NodeServer
 
-    return node_main([
-        "serve", "--host", args.host, "--port", str(args.port),
-        "--keepalive", str(args.keepalive),
-    ])
+    keepalive = _given(args, keepalive_s="keepalive")
+    NodeServer(args.host, args.port, **keepalive).run()
+    return 0
 
 
 def _run_wire_connect(args, faults: Optional[FaultProfile]) -> int:
@@ -168,12 +229,10 @@ def _run_wire_connect(args, faults: Optional[FaultProfile]) -> int:
     from repro.metrics.summary import build_row
     from repro.wire.harness import run_socket_scenario
 
-    endpoints = None
-    if args.node:
-        endpoints = []
-        for spec in args.node:
-            host, _, port = spec.rpartition(":")
-            endpoints.append((host or "127.0.0.1", int(port)))
+    endpoints = [
+        (host or "127.0.0.1", int(port))
+        for host, _, port in (spec.rpartition(":") for spec in args.node)
+    ] if args.node else None
     base = Scenario.from_seed(args.scenario_seed).config
     if faults is not None:
         base = dataclasses.replace(base, faults=faults)
@@ -187,8 +246,8 @@ def _run_wire_connect(args, faults: Optional[FaultProfile]) -> int:
         system = run_socket_scenario(
             cfg,
             processes=args.spawn,
-            keepalive_s=args.keepalive,
             endpoints=endpoints,
+            **_given(args, keepalive_s="keepalive"),
         )
         o = build_row(cfg, system)
         wire = system.net.stats
@@ -222,282 +281,138 @@ def _run_wire_connect(args, faults: Optional[FaultProfile]) -> int:
     return 0
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=1)
+    faults = argparse.ArgumentParser(add_help=False)
+    arg = faults.add_argument
+    arg("--loss", type=float, default=0.0, metavar="P",
+        help="wireless delivery loss probability (default 0)")
+    arg("--dup", type=float, default=0.0, metavar="P",
+        help="wireless delivery duplication probability (default 0)")
+    arg("--jitter", type=float, default=0.0, metavar="MS",
+        help="max extra wireless service latency in ms (default 0)")
+    layers = argparse.ArgumentParser(add_help=False)
+    arg = layers.add_argument
+    arg("--reliable", action="store_true",
+        help="end-to-end reliable downlink delivery: ACK/retransmit with "
+             "deterministic backoff + per-link circuit breakers (default "
+             "off = the paper's best-effort downlink)")
+    arg("--retry-budget", type=int, default=None, metavar="N",
+        help="retransmission attempts per frame before the window is "
+             "written off (default 8; needs --reliable)")
+    arg("--queue-cap", type=int, default=None, metavar="N",
+        help="bound each client's downlink queue at N messages; beyond it "
+             "data is shed explicitly, control never (default: unbounded)")
+    arg("--durable", action="store_true",
+        help="durable broker state: per-broker write-ahead log replayed on "
+             "crash recovery + persistent client sessions with repair-round "
+             "handover (default off = volatile brokers)")
+    keepalive = argparse.ArgumentParser(add_help=False)
+    keepalive.add_argument(
+        "--keepalive", type=float, default=None, metavar="S",
+        help="seconds of silence from the coordinator before a node pings "
+             "it (default 2)")
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.cli",
         description="Regenerate the MHH paper's evaluation figures.",
     )
-    parser.add_argument(
-        "figure",
-        choices=sorted(
-            _FIG5 | _FIG6 | {"fig5", "fig6", "all", "soak", "serve", "connect"}
-        ),
+    commands = parser.add_subparsers(
+        dest="command", required=True,
         help="which figure (or panel) to regenerate, 'soak' to run the "
              "live asyncio driver under a churn workload, or "
              "'serve'/'connect' for the multi-process wire harness",
     )
-    parser.add_argument("--scale", default=None,
-                        choices=["smoke", "small", "paper"])
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="fan the sweep's independent runs out over N "
-                             "processes (default: serial)")
-    parser.add_argument("--raw", action="store_true",
-                        help="also print the full per-run result table")
-    parser.add_argument("--loss", type=float, default=0.0, metavar="P",
-                        help="wireless delivery loss probability (default 0)")
-    parser.add_argument("--dup", type=float, default=0.0, metavar="P",
-                        help="wireless delivery duplication probability "
-                             "(default 0)")
-    parser.add_argument("--jitter", type=float, default=0.0, metavar="MS",
-                        help="max extra wireless service latency in ms "
-                             "(default 0)")
-    parser.add_argument("--reliable", action="store_true",
-                        help="end-to-end reliable downlink delivery: "
-                             "ACK/retransmit with deterministic backoff + "
-                             "per-link circuit breakers (default off = the "
-                             "paper's best-effort downlink)")
-    parser.add_argument("--retry-budget", type=int, default=None, metavar="N",
-                        help="retransmission attempts per frame before the "
-                             "window is written off (default 8; needs "
-                             "--reliable)")
-    parser.add_argument("--queue-cap", type=int, default=None, metavar="N",
-                        help="bound each client's downlink queue at N "
-                             "messages; beyond it data is shed explicitly, "
-                             "control never (default: unbounded)")
-    parser.add_argument("--durable", action="store_true",
-                        help="durable broker state: per-broker write-ahead "
-                             "log replayed on crash recovery + persistent "
-                             "client sessions with repair-round handover "
-                             "(default off = volatile brokers)")
-    parser.add_argument("--wal-dir", default=None, metavar="DIR",
-                        help="directory for file-backed WAL segments (needs "
-                             "--durable; default: the driver's store — "
-                             "in-memory for sweeps, a scratch dir for soaks)")
-    parser.add_argument("--mobility", default=None,
-                        choices=sorted(MOBILITY_MODELS),
-                        help="mobility model for mobile clients "
-                             "(default: the paper's uniform model)")
-    parser.add_argument("--topic-skew", type=float, default=None, metavar="S",
-                        help="Zipf exponent for topic popularity "
-                             "(0 = uniform, the paper's model)")
-    soak = parser.add_argument_group("soak (live asyncio driver)")
-    soak.add_argument("--protocol", default=None,
-                      choices=sorted(PROTOCOLS) + ["all"],
-                      help="protocol(s) to soak (default: all three)")
-    soak.add_argument("--duration", type=float, default=None, metavar="S",
-                      help="wall-clock seconds of live churn per protocol "
-                           "(default 3)")
-    soak.add_argument("--time-scale", type=float, default=None, metavar="X",
-                      help="model seconds per wall second (default 5: a "
-                           "10 ms wired hop takes 2 ms of wall time)")
-    soak.add_argument("--soak-grid", type=int, default=None, metavar="K",
-                      help="grid size for the soak (default 3)")
-    soak.add_argument("--broker-crash", action="append", default=None,
-                      metavar="B@T",
-                      help="crash broker B at model second T (repeatable)")
-    soak.add_argument("--broker-restart", action="append", default=None,
-                      metavar="B@T",
-                      help="restart broker B (empty state) at model "
-                           "second T (repeatable)")
-    soak.add_argument("--link-partition", action="append", default=None,
-                      metavar="A-B@T",
-                      help="partition overlay link A-B at model second T "
-                           "(repeatable)")
-    soak.add_argument("--crash-repair-delay", type=float, default=None,
-                      metavar="MS",
-                      help="model ms between a failure event and its "
-                           "repair round (default 500)")
-    wire = parser.add_argument_group("wire (multi-process socket harness)")
-    wire.add_argument("--host", default=None, metavar="HOST",
-                      help="serve: interface to listen on "
-                           "(default 127.0.0.1)")
-    wire.add_argument("--port", type=int, default=None, metavar="PORT",
-                      help="serve: TCP port; 0 picks a free one and prints "
-                           "it (default 0)")
-    wire.add_argument("--keepalive", type=float, default=None, metavar="S",
-                      help="seconds of silence from the coordinator "
-                           "before a node pings it (default 2)")
-    wire.add_argument("--node", action="append", default=None,
-                      metavar="HOST:PORT",
-                      help="connect: address of a running node server "
-                           "(repeatable; default: spawn local ones)")
-    wire.add_argument("--spawn", type=int, default=None, metavar="N",
-                      help="connect: number of local node processes to "
-                           "spawn when no --node is given (default 2)")
-    wire.add_argument("--scenario-seed", type=int, default=None, metavar="N",
-                      help="connect: conformance scenario seed to drive "
-                           "over the sockets (default 303)")
-    wire.add_argument("--wire-protocol", default=None,
-                      choices=sorted(PROTOCOLS) + ["all"],
-                      help="connect: protocol(s) to run (default: all three)")
-    wire.add_argument("--verify-sim", action="store_true",
-                      help="connect: re-run each scenario on the simulated "
-                           "driver and require identical delivery logs")
+    for name in ("fig5a", "fig5b", "fig5", "fig6a", "fig6b", "fig6", "all"):
+        sweep = commands.add_parser(name, parents=[seed, faults, layers])
+        arg = sweep.add_argument
+        arg("--scale", default="small", choices=["smoke", "small", "paper"])
+        arg("--workers", type=int, default=None, metavar="N",
+            help="fan the sweep's independent runs out over N processes "
+                 "(default: serial)")
+        arg("--raw", action="store_true",
+            help="also print the full per-run result table")
+        arg("--mobility", default=None, choices=sorted(MOBILITY_MODELS),
+            help="mobility model for mobile clients (default: the paper's "
+                 "uniform model)")
+        arg("--topic-skew", type=float, default=0.0, metavar="S",
+            help="Zipf exponent for topic popularity (0 = uniform, the "
+                 "paper's model)")
+
+    arg = commands.add_parser(
+        "soak", parents=[seed, faults, layers],
+        description="soak (live asyncio driver)",
+    ).add_argument
+    arg("--wal-dir", default=None, metavar="DIR",
+        help="directory for file-backed WAL segments (needs --durable; "
+             "default: a scratch dir)")
+    arg("--protocol", default="all", choices=sorted(PROTOCOLS) + ["all"],
+        help="protocol(s) to soak (default: all three)")
+    arg("--duration", type=float, default=3.0, metavar="S",
+        help="wall-clock seconds of live churn per protocol (default 3)")
+    arg("--time-scale", type=float, default=5.0, metavar="X",
+        help="model seconds per wall second (default 5: a 10 ms wired hop "
+             "takes 2 ms of wall time)")
+    arg("--soak-grid", type=int, default=3, metavar="K",
+        help="grid size for the soak (default 3)")
+    arg("--broker-crash", action="append", default=[], metavar="B@T",
+        help="crash broker B at model second T (repeatable)")
+    arg("--broker-restart", action="append", default=[], metavar="B@T",
+        help="restart broker B (empty state) at model second T (repeatable)")
+    arg("--link-partition", action="append", default=[], metavar="A-B@T",
+        help="partition overlay link A-B at model second T (repeatable)")
+    arg("--crash-repair-delay", type=float, default=None, metavar="MS",
+        help="model ms between a failure event and its repair round "
+             "(default 500)")
+
+    arg = commands.add_parser(
+        "serve", parents=[keepalive],
+        description="wire (multi-process socket harness): serve one node",
+    ).add_argument
+    arg("--host", default="127.0.0.1", metavar="HOST",
+        help="interface to listen on (default 127.0.0.1)")
+    arg("--port", type=int, default=0, metavar="PORT",
+        help="TCP port; 0 picks a free one and prints it (default 0)")
+
+    connect = commands.add_parser(
+        "connect", parents=[faults, keepalive],
+        description="wire (multi-process socket harness): drive a scenario "
+                    "over node processes",
+    )
+    arg = connect.add_mutually_exclusive_group().add_argument
+    arg("--node", action="append", default=None, metavar="HOST:PORT",
+        help="address of a running node server (repeatable; default: spawn "
+             "local ones)")
+    arg("--spawn", type=int, default=2, metavar="N",
+        help="number of local node processes to spawn when no --node is "
+             "given (default 2)")
+    arg = connect.add_argument
+    arg("--scenario-seed", type=int, default=303, metavar="N",
+        help="conformance scenario seed to drive over the sockets "
+             "(default 303)")
+    arg("--wire-protocol", default="all", choices=sorted(PROTOCOLS) + ["all"],
+        help="protocol(s) to run (default: all three)")
+    arg("--verify-sim", action="store_true",
+        help="re-run each scenario on the simulated driver and require "
+             "identical delivery logs")
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
-
-    # --seed and the fault flags are shared; everything else is scoped to
-    # one mode. Mode-scoped flags parse with a None sentinel so that a
-    # flag *explicitly* passed — even at its documented default value —
-    # is rejected in the wrong mode instead of being silently ignored;
-    # the real defaults are filled in below, after the check.
-    soak_only = ("protocol", "duration", "time_scale", "soak_grid",
-                 "broker_crash", "broker_restart", "link_partition",
-                 "crash_repair_delay")
-    figure_only = ("scale", "workers", "raw", "mobility", "topic_skew")
-    serve_only = ("host", "port")
-    connect_only = ("node", "spawn", "scenario_seed", "wire_protocol",
-                    "verify_sim")
-    wire_shared = ("keepalive",)
-    # the opt-in layers run under sweeps and soak; connect drives a fuzzer
-    # scenario exactly as sampled
-    layer_flags = ("reliable", "durable", "queue_cap")
-    mode = args.figure if args.figure in ("soak", "serve", "connect") else "figures"
-    allowed = {
-        "figures": figure_only + layer_flags,
-        "soak": soak_only + layer_flags,
-        "serve": serve_only + wire_shared,
-        "connect": connect_only + wire_shared,
-    }[mode]
-    scope_names = {
-        "figures": "figure sweeps",
-        "soak": "soak",
-        "serve": "serve",
-        "connect": "connect",
-    }
-    stray = [
-        name
-        for name in soak_only + figure_only + serve_only + connect_only
-        + wire_shared + layer_flags
-        if name not in allowed and getattr(args, name) not in (None, False)
-    ]
-    if stray:
-        parser.error(
-            f"--{stray[0].replace('_', '-')} does not apply to "
-            f"{scope_names[mode]} (target: {args.figure})"
-        )
-    if mode in ("serve", "connect"):
-        if mode == "serve" and (args.loss or args.dup or args.jitter):
-            parser.error(
-                "fault flags apply to the coordinator (connect), not serve"
-            )
-        if args.node and args.spawn is not None:
-            parser.error("--node and --spawn are mutually exclusive")
-    if args.keepalive is None:
-        args.keepalive = 2.0
-    if args.host is None:
-        args.host = "127.0.0.1"
-    if args.port is None:
-        args.port = 0
-    if args.spawn is None:
-        args.spawn = 2
-    if args.scenario_seed is None:
-        args.scenario_seed = 303
-    if args.wire_protocol is None:
-        args.wire_protocol = "all"
-    if args.scale is None:
-        args.scale = "small"
-    if args.topic_skew is None:
-        args.topic_skew = 0.0
-    if args.protocol is None:
-        args.protocol = "all"
-    if args.duration is None:
-        args.duration = 3.0
-    if args.time_scale is None:
-        args.time_scale = 5.0
-    if args.soak_grid is None:
-        args.soak_grid = 3
-    if args.broker_crash is None:
-        args.broker_crash = []
-    if args.broker_restart is None:
-        args.broker_restart = []
-    if args.link_partition is None:
-        args.link_partition = []
-    if args.crash_repair_delay is None:
-        from repro.network.recovery import DEFAULT_REPAIR_DELAY_MS
-        args.crash_repair_delay = DEFAULT_REPAIR_DELAY_MS
-    if args.retry_budget is not None and not args.reliable:
-        parser.error("--retry-budget needs --reliable")
-    if args.retry_budget is None:
-        args.retry_budget = 8
-    if args.wal_dir is not None and not args.durable:
-        parser.error("--wal-dir needs --durable")
-    if args.wal_dir is not None and args.figure != "soak":
-        parser.error("--wal-dir only applies to soak (figure sweeps run "
-                     "the simulated driver's in-memory store)")
-
-    if args.figure == "serve":
+    if args.command == "serve":
         return _run_wire_serve(args)
     try:
         options = _system_options(args)
     except ConfigurationError as exc:
         parser.error(str(exc))
-    if args.figure == "connect":
+    if args.command == "connect":
         return _run_wire_connect(args, options.get("faults"))
-    if args.figure == "soak":
+    if args.command == "soak":
         return _run_soak(args, options)
-    overrides: dict[str, Any] = {}
-    if args.mobility is not None:
-        overrides["mobility_model"] = args.mobility
-    if args.topic_skew:
-        overrides["topic_skew"] = args.topic_skew
-
-    want = {args.figure}
-    if args.figure == "fig5":
-        want = _FIG5
-    elif args.figure == "fig6":
-        want = _FIG6
-    elif args.figure == "all":
-        want = _FIG5 | _FIG6
-
-    out: list[str] = []
-    rows = []
-    if want & _FIG5:
-        rows5 = figures.run_fig5(
-            scale=args.scale, seed=args.seed, workers=args.workers,
-            workload_overrides=overrides or None, **options,
-        )
-        rows += rows5
-        if "fig5a" in want:
-            out.append(report.format_series(
-                figures.fig5a(rows5), "conn_period_s", "msg overhead / handoff",
-                title="Figure 5(a): message overhead per handoff vs connection period",
-            ))
-        if "fig5b" in want:
-            out.append(report.format_series(
-                figures.fig5b(rows5), "conn_period_s", "handoff delay (ms)",
-                title="Figure 5(b): handoff delay vs connection period",
-            ))
-        if args.raw:
-            out.append(report.format_table(rows5, title="Figure 5 raw runs"))
-    if want & _FIG6:
-        rows6 = figures.run_fig6(
-            scale=args.scale, seed=args.seed, workers=args.workers,
-            workload_overrides=overrides or None, **options,
-        )
-        rows += rows6
-        if "fig6a" in want:
-            out.append(report.format_series(
-                figures.fig6a(rows6), "base_stations", "msg overhead / handoff",
-                title="Figure 6(a): message overhead per handoff vs network size",
-            ))
-        if "fig6b" in want:
-            out.append(report.format_series(
-                figures.fig6b(rows6), "base_stations", "handoff delay (ms)",
-                title="Figure 6(b): handoff delay vs network size",
-            ))
-        if args.raw:
-            out.append(report.format_table(rows6, title="Figure 6 raw runs"))
-    print("\n\n".join(out))
-    # every figure point is audited like a fuzzer scenario: a row that
-    # lost, duplicated or reordered deliveries fails the command
-    failed = [row for row in rows if row.violations]
-    for row in failed:
-        point = " ".join(f"{k}={v}" for k, v in row.params.items())
-        print(f"FAIL {row.protocol} {point}")
-        for violation in row.violations:
-            print(f"     - {violation}")
-    return 1 if failed else 0
+    return _run_figures(args, options)
 
 
 if __name__ == "__main__":  # pragma: no cover

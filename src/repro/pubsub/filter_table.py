@@ -469,13 +469,3 @@ class FilterTable:
         # several entries (sub-unsub epoch overlap): report them in global
         # installation order, exactly as the old whole-table scan did
         return sorted(bucket.values(), key=_ENTRY_SEQ)
-
-    # ------------------------------------------------------------------
-    # introspection for tests
-    # ------------------------------------------------------------------
-
-    def snapshot_broker_filters(self) -> dict[int, set]:
-        return {n: set(pf.keys()) for n, pf in self._from_nbr.items()}
-
-    def snapshot_advertised(self) -> dict[int, set]:
-        return {n: set(pf.keys()) for n, pf in self._advertised.items()}

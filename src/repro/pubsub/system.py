@@ -415,22 +415,6 @@ class PubSubSystem:
             )
         return self.sim
 
-    # ------------------------------------------------------------------
-    # invariants (used by tests)
-    # ------------------------------------------------------------------
-    def check_mirror_invariant(self) -> None:
-        """Every broker's advertised set equals the neighbour's received set."""
-        for bid, broker in self.brokers.items():
-            for nbr in broker.table.neighbors:
-                mine = broker.table.snapshot_advertised()[nbr]
-                theirs = self.brokers[nbr].table.snapshot_broker_filters()[bid]
-                if mine != theirs:
-                    raise AssertionError(
-                        f"mirror invariant broken on edge {bid}->{nbr}: "
-                        f"advertised={sorted(map(str, mine))} "
-                        f"received={sorted(map(str, theirs))}"
-                    )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<PubSubSystem brokers={self.broker_count} "

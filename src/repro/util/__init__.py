@@ -1,6 +1,4 @@
-"""Small shared utilities: typed identifiers, validation, chunking."""
-
-from typing import Iterator, Sequence, TypeVar
+"""Small shared utilities: typed identifiers and validation."""
 
 from repro.util.ids import (
     BrokerId,
@@ -17,21 +15,6 @@ from repro.util.validation import (
     check_in_range,
 )
 
-_T = TypeVar("_T")
-
-
-def chunked(seq: Sequence[_T], size: int) -> Iterator[list[_T]]:
-    """Split ``seq`` into consecutive lists of at most ``size`` elements.
-
-    >>> list(chunked([1, 2, 3, 4, 5], 2))
-    [[1, 2], [3, 4], [5]]
-    """
-    if size <= 0:
-        raise ValueError(f"chunk size must be positive, got {size}")
-    for i in range(0, len(seq), size):
-        yield list(seq[i : i + size])
-
-
 __all__ = [
     "BrokerId",
     "ClientId",
@@ -43,5 +26,4 @@ __all__ = [
     "check_non_negative",
     "check_probability",
     "check_in_range",
-    "chunked",
 ]

@@ -60,7 +60,7 @@ class Workload:
             spec.mobility_model, spec.mobility_params
         )
         self.mobility.bind(system)
-        self.topics = TopicSampler(spec.topic_skew, spec.topic_bins)
+        self.topics = TopicSampler(spec.topic_skew)
         self.static_clients, self.mobile_clients = build_population(system, spec)
         self._processes: list[Process] = []
         self._stopped = False

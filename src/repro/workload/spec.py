@@ -28,8 +28,8 @@ class WorkloadSpec:
     """Parameters of the paper's workload (§5.1 defaults).
 
     The defaults reproduce the paper exactly; ``mobility_model`` /
-    ``mobility_params`` and ``topic_skew`` / ``topic_bins`` swap in
-    adversarial movement and topic-popularity models from
+    ``mobility_params`` and ``topic_skew`` swap in adversarial movement
+    and topic-popularity models from
     :mod:`repro.workload.models` (the defaults are draw-for-draw the
     paper's uniform models).
     """
@@ -49,8 +49,6 @@ class WorkloadSpec:
     mobility_params: Mapping[str, Any] = field(default_factory=dict)
     #: Zipf exponent for topic popularity (0 = the paper's uniform topics)
     topic_skew: float = 0.0
-    #: number of equal topic-space slices the Zipf skew ranks
-    topic_bins: int = 50
 
     def __post_init__(self) -> None:
         check_positive("clients_per_broker", self.clients_per_broker)
@@ -62,7 +60,6 @@ class WorkloadSpec:
         check_positive("duration_s", self.duration_s)
         check_non_negative("warmup_s", self.warmup_s)
         check_non_negative("topic_skew", self.topic_skew)
-        check_positive("topic_bins", self.topic_bins)
         from repro.workload.models import MOBILITY_MODELS
 
         if self.mobility_model not in MOBILITY_MODELS:

@@ -14,6 +14,7 @@ from repro.network.paths import ShortestPaths
 from repro.network.spanning_tree import EXCLUDED, SpanningTree
 from repro.pubsub.filter_table import FilterTable
 from repro.pubsub.filters import RangeFilter
+from repro.pubsub.system import PubSubSystem
 
 
 def has_broker_filter(table: FilterTable, nbr: int, key: Hashable) -> bool:
@@ -28,6 +29,28 @@ def broker_filter_get(
 
 def advertised_keys(table: FilterTable, nbr: int) -> list[Hashable]:
     return table._advertised[nbr].keys()
+
+
+def snapshot_broker_filters(table: FilterTable) -> dict[int, set]:
+    return {n: set(pf.keys()) for n, pf in table._from_nbr.items()}
+
+
+def snapshot_advertised(table: FilterTable) -> dict[int, set]:
+    return {n: set(pf.keys()) for n, pf in table._advertised.items()}
+
+
+def check_mirror_invariant(system: PubSubSystem) -> None:
+    """Every broker's advertised set equals the neighbour's received set."""
+    for bid, broker in system.brokers.items():
+        for nbr in broker.table.neighbors:
+            mine = snapshot_advertised(broker.table)[nbr]
+            theirs = snapshot_broker_filters(system.brokers[nbr].table)[bid]
+            if mine != theirs:
+                raise AssertionError(
+                    f"mirror invariant broken on edge {bid}->{nbr}: "
+                    f"advertised={sorted(map(str, mine))} "
+                    f"received={sorted(map(str, theirs))}"
+                )
 
 
 def per_client_missing(checker: DeliveryChecker) -> dict[int, int]:

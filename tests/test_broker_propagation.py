@@ -11,7 +11,7 @@ from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
 from repro.pubsub import messages as m
 from mhh_nopqlist import MHHNoPQList
-from probes import has_broker_filter
+from probes import check_mirror_invariant, has_broker_filter
 
 
 def build(covering, k=3, seed=1):
@@ -88,7 +88,7 @@ def test_unsubscribe_re_advertises_suppressed_filter():
     # withdraw the wide subscription entirely
     system.brokers[4].local_unsubscribe(wide.id, m.CAT_SUB_HANDOFF)
     system.run(until=8000.0)
-    system.check_mirror_invariant()
+    check_mirror_invariant(system)
     # the narrow subscription must still route events
     pub.publish(0.4)
     system.run(until=12000.0)
@@ -111,7 +111,7 @@ def test_unsubscribe_propagates_when_no_cover_remains():
     for b in system.brokers.values():
         for n in b.table.neighbors:
             assert not has_broker_filter(b.table, n, key)
-    system.check_mirror_invariant()
+    check_mirror_invariant(system)
 
 
 def test_migration_remove_missing_filter_raises():

@@ -3,6 +3,7 @@ the scenario draws CI's conformance job used to sample."""
 
 import dataclasses
 import hashlib
+import re
 
 import pytest
 
@@ -86,8 +87,13 @@ LANE_CYCLES = {
 
 def _repr_as_recorded(cfg) -> str:
     """``repr(cfg)`` as it read when the digest above was recorded: the
-    options then also had ``unicast_routing``, ``'grid'`` in every draw."""
-    return repr(cfg).replace(", trace=", ", unicast_routing='grid', trace=", 1)
+    options then also had ``unicast_routing``, ``'grid'`` in every draw,
+    and the workload ``topic_bins``, ``50`` in every draw."""
+    return re.sub(
+        r"(topic_skew=[^,)]*)\)", r"\1, topic_bins=50)",
+        repr(cfg).replace(", trace=", ", unicast_routing='grid', trace=", 1),
+        count=1,
+    )
 
 
 def test_lane_draws_are_pinned():

@@ -33,7 +33,13 @@ import pytest
 import covering_scan
 from covering_scan import ScanCovering, scan_covering
 from hypothesis import given, settings, strategies as st
-from probes import advertised_keys, broker_filter_get
+from probes import (
+    advertised_keys,
+    broker_filter_get,
+    check_mirror_invariant,
+    snapshot_advertised,
+    snapshot_broker_filters,
+)
 
 from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable, _PeerFilters
@@ -387,12 +393,12 @@ def run_churn_storm(protocol, covering, seed):
             sub.connect(sub.last_broker if sub.last_broker is not None
                         else sub.home_broker)
     system.sim.run()
-    system.check_mirror_invariant()
+    check_mirror_invariant(system)
     stats = system.metrics.delivery.stats
     tables = {
         bid: (
-            broker.table.snapshot_broker_filters(),
-            broker.table.snapshot_advertised(),
+            snapshot_broker_filters(broker.table),
+            snapshot_advertised(broker.table),
             sorted(map(repr, broker.table.clients)),
         )
         for bid, broker in system.brokers.items()

@@ -246,12 +246,3 @@ def test_cli_soak_command(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "PASS sub-unsub" in out
-
-
-def test_cli_rejects_cross_mode_flags():
-    from repro.experiments.cli import main
-
-    with pytest.raises(SystemExit):
-        main(["fig5a", "--duration", "1"])
-    with pytest.raises(SystemExit):
-        main(["soak", "--scale", "paper"])

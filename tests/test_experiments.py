@@ -2,7 +2,10 @@
 
 import dataclasses
 import inspect
+import re
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 from covering_scan import scan_covering
@@ -337,6 +340,123 @@ def test_cli_bad_option_value_is_a_usage_error(argv, option, capsys):
         captured = capsys.readouterr()
         assert f"error: {option} must be" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig5a", "--duration", "1"],
+    ["soak", "--scale", "paper"],
+    ["fig5a", "--wal-dir", "d"],
+    ["soak", "--workers", "2"],
+    ["serve", "--loss", "0.1"],
+    ["serve", "--seed", "5"],
+    ["connect", "--seed", "5"],
+    ["connect", "--queue-cap", "4"],
+    ["connect", "--node", "h:1", "--spawn", "3"],
+], ids=["fig5a-duration", "soak-scale", "fig5a-wal-dir", "soak-workers",
+        "serve-loss", "serve-seed", "connect-seed", "connect-queue-cap",
+        "connect-node-spawn"])
+def test_cli_rejects_flags_the_command_does_not_read(argv, monkeypatch):
+    """A flag of another command is a usage error (exit 2) before anything
+    runs, never a flag silently ignored."""
+    from repro.experiments import cli
+
+    def ran(*_args):
+        raise AssertionError(f"{argv[0]} ran")
+
+    for name in ("_run_figures", "_run_soak", "_run_wire_serve",
+                 "_run_wire_connect"):
+        monkeypatch.setattr(cli, name, ran)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 2
+
+
+def _documented_cli_lines() -> dict[str, list[str]]:
+    """Every ``python -m repro.experiments.cli`` invocation in the fenced
+    ``sh`` blocks of README.md and the verify skill and in the ``run:``
+    steps of the CI workflow, continuation lines joined."""
+    root = Path(__file__).resolve().parent.parent
+    scripts: dict[str, list[str]] = {}
+    for doc in ("README.md", ".claude/skills/verify/SKILL.md"):
+        text = (root / doc).read_text()
+        scripts[doc] = re.findall(r"```sh\n(.*?)```", text, re.S)
+    ci: list[str] = []
+    lines = (root / ".github/workflows/ci.yml").read_text().splitlines()
+    for i, line in enumerate(lines):
+        step = re.match(r"\s*(?:- )?run:\s*(\|?)(.*)$", line)
+        if step is None:
+            continue
+        if not step.group(1):
+            ci.append(step.group(2))
+            continue
+        body = []
+        for nxt in lines[i + 1:]:
+            if nxt.strip() and len(nxt) - len(nxt.lstrip()) <= len(
+                    line) - len(line.lstrip()):
+                break
+            body.append(nxt)
+        ci.append("\n".join(body))
+    scripts["ci.yml"] = ci
+    return {
+        source: [
+            line.split("python -m repro.experiments.cli", 1)[1]
+            for script in texts
+            for line in re.sub(r"\\\n\s*", " ", script).splitlines()
+            if "python -m repro.experiments.cli" in line
+        ]
+        for source, texts in scripts.items()
+    }
+
+
+def test_documented_cli_invocations_parse():
+    """The commands the docs and CI run are ones the parser accepts: each
+    is parsed (nothing runs) after dropping redirections and ``&``."""
+    from repro.experiments.cli import _parser
+
+    for source, lines in _documented_cli_lines().items():
+        assert len(lines) >= 3, f"{source}: the collector found {lines}"
+        for line in lines:
+            argv = []
+            for token in shlex.split(line, comments=True):
+                if re.match(r"[&|;]|\d*[<>]", token):  # & | ; && > 2>&1
+                    break
+                argv.append(token)
+            try:
+                _parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{source}: cli{line} does not parse")
+
+
+def test_console_entry_points_resolve(capsys):
+    """The ``console_scripts`` of setup.cfg import and answer ``--help``;
+    a command's help lists only its own flags."""
+    import configparser
+    import importlib
+
+    cfg = configparser.ConfigParser()
+    cfg.read(Path(__file__).resolve().parent.parent / "setup.cfg")
+    scripts = [
+        line.split("=", 1)
+        for line in cfg["options.entry_points"]["console_scripts"].split("\n")
+        if line.strip()
+    ]
+    assert {name.strip() for name, _ in scripts} == {"mhh-repro", "mhh-fuzz"}
+    for _, target in scripts:
+        module, _, func = target.strip().partition(":")
+        with pytest.raises(SystemExit) as exit_info:
+            getattr(importlib.import_module(module), func)(["--help"])
+        assert exit_info.value.code == 0
+    from repro.experiments.cli import main
+
+    def help_of(command: str) -> str:
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        return capsys.readouterr().out
+
+    fig5a_help = help_of("fig5a")
+    assert "--scale" in fig5a_help and "--duration" not in fig5a_help
+    assert "--seed" not in help_of("serve")
 
 
 def test_workload_overrides_reject_sweep_owned_fields():

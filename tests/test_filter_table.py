@@ -7,7 +7,12 @@ from repro.pubsub.events import Notification
 from repro.pubsub.filter_table import ClientEntry, FilterTable
 from repro.pubsub.filters import RangeFilter
 
-from probes import advertised_keys, broker_filter_get
+from probes import (
+    advertised_keys,
+    broker_filter_get,
+    snapshot_advertised,
+    snapshot_broker_filters,
+)
 
 
 def ev(x):
@@ -107,5 +112,5 @@ def test_broker_filter_get_reconstructs_range(table):
 def test_snapshots(table):
     table.add_broker_filter(1, "k1", RangeFilter(0.0, 0.5))
     table.advertised_add(2, "k2", RangeFilter(0.0, 0.5))
-    assert table.snapshot_broker_filters()[1] == {"k1"}
-    assert table.snapshot_advertised()[2] == {"k2"}
+    assert snapshot_broker_filters(table)[1] == {"k1"}
+    assert snapshot_advertised(table)[2] == {"k2"}

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from probes import check_mirror_invariant
 
 from benchmarks.e2e.workloads import build_config
 from repro.experiments.runner import build_system, drain_to_quiescence
@@ -42,7 +43,7 @@ def _assert_no_residue(system) -> int:
         (ref.broker, ref.qid) for ref in listed
     )
     assert system.protocol.quiescent()
-    system.check_mirror_invariant()
+    check_mirror_invariant(system)
     return len(queues)
 
 

@@ -7,6 +7,7 @@ exactly-once, per-publisher order, no loss, and a clean (quiescent) system.
 """
 
 import pytest
+from probes import check_mirror_invariant
 
 from repro.errors import HandoffPhaseError
 from repro.mobility.mhh import MHHProtocol, Phase
@@ -293,7 +294,7 @@ def test_mirror_invariant_after_many_migrations():
         sub.connect(target)
         system.run(until=system.sim.now + 2500.0)
     finish(system)
-    system.check_mirror_invariant()
+    check_mirror_invariant(system)
     assert_clean(system)
 
 

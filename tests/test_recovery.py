@@ -25,7 +25,12 @@ import random
 
 import pytest
 from covering_scan import scan_covering
-from probes import tree_contains
+from probes import (
+    check_mirror_invariant,
+    snapshot_advertised,
+    snapshot_broker_filters,
+    tree_contains,
+)
 
 from repro.errors import ConfigurationError, TopologyError
 from repro.experiments.config import ExperimentConfig
@@ -350,7 +355,7 @@ def test_resynced_routing_state_equals_from_scratch_rebuild():
     # (MHH anchor keys are ("sub", client_id))
     assert sorted(key[-1] for key in anchors) == sorted(system.clients)
     for bid, broker in live.items():
-        got = broker.table.snapshot_broker_filters()
+        got = snapshot_broker_filters(broker.table)
         for nbr in tree.neighbors(bid):
             expected = {
                 key
@@ -377,8 +382,8 @@ def test_crash_scenarios_are_engine_bundle_identical(protocol):
         system = _run(cfg)
         tables = {
             bid: (
-                broker.table.snapshot_broker_filters(),
-                broker.table.snapshot_advertised(),
+                snapshot_broker_filters(broker.table),
+                snapshot_advertised(broker.table),
                 sorted(broker.table.clients),
             )
             for bid, broker in system.brokers.items()
@@ -405,7 +410,7 @@ def test_restarted_broker_rejoins_with_consistent_mirror():
     assert system.recovery is not None
     assert not system.recovery.down
     # all brokers live again: the advertisement mirror must hold everywhere
-    system.check_mirror_invariant()
+    check_mirror_invariant(system)
     assert system.metrics.delivery.stats.missing == 0
 
 

@@ -7,6 +7,7 @@ topologies, subscription patterns, and covering on/off.
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from probes import check_mirror_invariant
 
 from repro.pubsub.filters import RangeFilter
 from repro.pubsub.system import PubSubSystem
@@ -117,7 +118,7 @@ def test_covering_does_not_change_delivery_semantics(covering):
     stats = system.metrics.delivery.stats
     assert stats.delivered == stats.expected
     assert stats.duplicates == 0
-    system.check_mirror_invariant()
+    check_mirror_invariant(system)
 
 
 def test_covering_reduces_subscription_traffic():
@@ -142,7 +143,7 @@ def test_mirror_invariant_after_static_setup():
         c = system.add_client(RangeFilter(0.0, (b + 1) / 16), broker=b)
         c.connect(b)
     settle(system)
-    system.check_mirror_invariant()
+    check_mirror_invariant(system)
 
 
 @settings(max_examples=12, deadline=None)

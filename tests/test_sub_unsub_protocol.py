@@ -1,7 +1,7 @@
 """Scenario + property tests for the sub-unsub baseline protocol."""
 
 from hypothesis import HealthCheck, given, settings, strategies as st
-from probes import per_client_missing
+from probes import check_mirror_invariant, per_client_missing
 
 from repro.mobility.sub_unsub import SubUnsubProtocol
 from repro.pubsub.filters import RangeFilter
@@ -128,7 +128,7 @@ def test_old_subscription_removed_after_handoff():
     ]
     assert len(entries) == 1
     assert entries[0][0] == 4
-    system.check_mirror_invariant()
+    check_mirror_invariant(system)
 
 
 def test_rapid_moves_chain_transfers():

@@ -10,7 +10,6 @@ from repro.util import (
     check_non_negative,
     check_positive,
     check_probability,
-    chunked,
 )
 
 
@@ -32,24 +31,6 @@ class TestIdAllocator:
         ids.next("z")
         ids.next("a")
         assert peek_streams(ids) == ["a", "z"]
-
-
-class TestChunked:
-    def test_even_split(self):
-        assert list(chunked([1, 2, 3, 4], 2)) == [[1, 2], [3, 4]]
-
-    def test_remainder(self):
-        assert list(chunked([1, 2, 3, 4, 5], 2)) == [[1, 2], [3, 4], [5]]
-
-    def test_oversized_chunk(self):
-        assert list(chunked([1, 2], 10)) == [[1, 2]]
-
-    def test_empty(self):
-        assert list(chunked([], 3)) == []
-
-    def test_bad_size(self):
-        with pytest.raises(ValueError):
-            list(chunked([1], 0))
 
 
 class TestValidation:
